@@ -7,16 +7,15 @@ quasi-Bayesian information criteria.
 """
 
 from .diffsim import (OuBlock, PathBundle, simulate_custom, simulate_ou,
-                      simulate_true_model, true_sigma0)
+                      simulate_true_model)
 from .errors import (AllStartsFailedError, HfsemError, NotPositiveDefiniteError,
                      RankDeficientError, SingularStructureError, SpecError)
 from .harness import (ExperimentConfig, GapProbeResult, SelectionTable,
                       gap_growth_probe, render_table, run_experiment,
-                      write_outputs)
+                      truth_sigma, write_outputs)
 from .infocrit import (CriteriaRow, GammaZero, criteria_row, gamma_zero,
                        posterior_probs, qaic, qbic1, qbic2, select)
-from .models import (THETA1_TRUE, THETA2_TRUE, build_model1, build_model2,
-                     build_model3, load_builtin, resolve_spec)
+from .models import THETA1_TRUE, THETA2_TRUE, load_builtin, resolve_spec
 from .qlik import LikelihoodSurface, QuadVar, limit_loglik, quad_var
 from .qmle import (FitOptions, FitReport, fit, fit_multistart, limit_optimum,
                    moment_start)

@@ -59,9 +59,10 @@ def _read_path_csv(path) -> np.ndarray:
 
     with open(path) as fh:
         first = fh.readline().strip()
-    has_header = any(c.isalpha() for c in first.split(",")[0])
-    if has_header:
-        names = first.split(",")
+    names = first.split(",")
+    try:
+        float(names[0])  # a numeric first field means there is no header
+    except ValueError:
         cols = [i for i, name in enumerate(names) if re.fullmatch(r"x\d+", name)]
         if not cols:
             raise click.ClickException(f"no x* columns in {path}")
@@ -185,19 +186,15 @@ def table1(config_path: str, out_dir: str, workers, realistic: bool) -> None:
         config.workers = workers
     if realistic:
         config.init_mode = "moment"
-    table, records = harness.run_experiment(config)
     try:
-        table.validate()
+        # run_experiment validates the counts invariant before returning.
+        table, records = harness.run_experiment(config)
     except AssertionError as exc:
         click.echo(f"invariant violation: {exc}", err=True)
         sys.exit(1)
     paths = harness.write_outputs(table, records, out_dir)
-    click.echo(render_summary(table))
+    click.echo(harness.render_table(table, "text"))
     click.echo("wrote " + ", ".join(paths.values()))
-
-
-def render_summary(table: harness.SelectionTable) -> str:
-    return harness.render_table(table, "text")
 
 
 if __name__ == "__main__":

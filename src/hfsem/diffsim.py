@@ -12,6 +12,10 @@ latent paths:
 The four driving Wiener processes are independent; each block gets its own
 RNG substream spawned from the bundle seed, so equal seeds reproduce
 bundles bit-for-bit and distinct blocks never share randomness.
+
+This module only simulates.  The diffusion covariance a truth implies is
+computed by ``harness.truth_sigma``, which evaluates the truth as an
+all-fixed ``SemSpec``.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ __all__ = [
     "simulate_custom",
     "simulate_true_model",
     "true_blocks",
-    "true_sigma0",
-    "sigma0_from_blocks",
     "TRUE_MODEL_NAME",
 ]
 
@@ -255,30 +257,6 @@ def true_blocks() -> dict:
         "gamma": np.array([[3.0], [2.0]]),
         "b0": np.zeros((2, 2)),
     }
-
-
-def sigma0_from_blocks(blocks: dict) -> np.ndarray:
-    """Observed-process diffusion covariance implied by a truth description."""
-    l1, l2 = blocks["lambda_x1"], blocks["lambda_x2"]
-    g, b0 = blocks["gamma"], blocks["b0"]
-    phi = blocks["xi"].noise_cov
-    s_dd = blocks["delta"].noise_cov
-    s_ee = blocks["eps"].noise_cov
-    s_zz = blocks["zeta"].noise_cov
-    psi_inv = np.linalg.inv(np.eye(b0.shape[0]) - b0)
-    a2 = l2 @ psi_inv
-    s11 = l1 @ phi @ l1.T + s_dd
-    s12 = l1 @ phi @ g.T @ a2.T
-    s22 = a2 @ (g @ phi @ g.T + s_zz) @ a2.T + s_ee
-    top = np.hstack([s11, s12])
-    bottom = np.hstack([s12.T, s22])
-    sigma = np.vstack([top, bottom])
-    return 0.5 * (sigma + sigma.T)
-
-
-def true_sigma0() -> np.ndarray:
-    """The 10x10 covariance of the bundled truth."""
-    return sigma0_from_blocks(true_blocks())
 
 
 def simulate_true_model(n: int, T: float, seed: int,

@@ -12,6 +12,10 @@ Initialization follows the benchmark protocol by default: each model starts
 from its limit-criterion optimum against the truth's covariance (the true
 parameter point for correctly specified models).  ``init_mode="moment"``
 switches to data-driven moment starts with Latin-hypercube restarts.
+
+The truth's covariance comes from :func:`truth_sigma`, which writes the
+truth as an all-fixed :class:`SemSpec`, so Sigma0 and every candidate's
+implied covariance share one formula.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .errors import (AllStartsFailedError, NotPositiveDefiniteError,
 from .infocrit import CRITERIA, CriteriaRow, criteria_row, select
 from .qlik import LikelihoodSurface, quad_var
 from .qmle import FitOptions, fit, fit_multistart, limit_optimum
-from .semspec import SemSpec
+from .semspec import PatternMatrix, SemSpec
 
 __all__ = [
     "ExperimentConfig",
@@ -42,6 +46,7 @@ __all__ = [
     "render_table",
     "write_outputs",
     "split_seed",
+    "truth_sigma",
 ]
 
 logger = logging.getLogger(__name__)
@@ -109,9 +114,12 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if doc.get("schema") != CONFIG_SCHEMA:
             raise ValueError(f"unsupported schema {doc.get('schema')!r}")
-        kwargs = {k: doc[k] for k in
-                  ("n_values", "T", "replications", "master_seed",
-                   "model_spec_paths") }
+        required = ("n_values", "T", "replications", "master_seed",
+                    "model_spec_paths")
+        missing = [k for k in required if k not in doc]
+        if missing:
+            raise ValueError(f"config is missing required keys {missing}")
+        kwargs = {k: doc[k] for k in required}
         for key in ("criteria", "starts", "true_model", "init_mode", "workers"):
             if key in doc:
                 kwargs[key] = doc[key]
@@ -184,16 +192,33 @@ def _truth_blocks(true_model: Union[str, dict]) -> dict:
     return blocks
 
 
-def _simulate_truth(true_model: Union[str, dict], n: int, T: float, seed: int):
-    blocks = _truth_blocks(true_model)
+def _simulate_truth(blocks: dict, n: int, T: float, seed: int):
     return diffsim.simulate_custom(
         blocks["xi"], blocks["delta"], blocks["eps"], blocks["zeta"],
         blocks["lambda_x1"], blocks["lambda_x2"], blocks["gamma"],
         blocks["b0"], n=n, T=T, seed=seed, keep_latents=False)
 
 
+def _sigma_of_blocks(blocks: dict) -> np.ndarray:
+    """Sigma0 of parsed truth blocks: the truth written as an all-fixed
+    SemSpec (q = 0), so the one implied-covariance formula computes it."""
+    l1, l2 = blocks["lambda_x1"], blocks["lambda_x2"]
+    dims = {"p1": l1.shape[0], "p2": l2.shape[0],
+            "k1": l1.shape[1], "k2": l2.shape[1]}
+    values = {"lambda_x1": l1, "lambda_x2": l2, "b": blocks["b0"],
+              "gamma": blocks["gamma"],
+              "sigma_xixi": blocks["xi"].noise_cov,
+              "sigma_dd": blocks["delta"].noise_cov,
+              "sigma_ee": blocks["eps"].noise_cov,
+              "sigma_zz": blocks["zeta"].noise_cov}
+    patterns = {role: PatternMatrix.fixed(v) for role, v in values.items()}
+    spec = SemSpec(dims, patterns, lower=[], upper=[], name="truth")
+    return spec.sigma(np.empty(0))
+
+
 def truth_sigma(true_model: Union[str, dict]) -> np.ndarray:
-    return diffsim.sigma0_from_blocks(_truth_blocks(true_model))
+    """Diffusion covariance Sigma0 of the observed process under a truth."""
+    return _sigma_of_blocks(_truth_blocks(true_model))
 
 
 # -- spec loading --------------------------------------------------------------
@@ -237,12 +262,11 @@ _FIT_ERRORS = (AllStartsFailedError, NotPositiveDefiniteError,
                SingularStructureError)
 
 
-def _fit_one(spec_doc: dict, qv, init, starts: int, seed: int,
+def _fit_one(spec: SemSpec, qv, init, starts: int, seed: int,
              options: FitOptions):
-    spec = SemSpec.from_dict(spec_doc)
     surface = LikelihoodSurface(spec, qv)
     if init is not None:
-        report = fit(surface, init=np.asarray(init, dtype=float), options=options)
+        report = fit(surface, init=init, options=options)
     else:
         report = fit_multistart(surface, starts=starts, seed=seed, options=options)
     return report, criteria_row(report)
@@ -250,20 +274,19 @@ def _fit_one(spec_doc: dict, qv, init, starts: int, seed: int,
 
 def _rep_worker(task: dict) -> dict:
     n, rep = task["n"], task["rep"]
-    bundle = _simulate_truth(task["true_model"], n, task["T"], task["seed"])
+    bundle = _simulate_truth(task["truth"], n, task["T"], task["seed"])
     qv = quad_var(bundle.x_obs, task["T"])
     options = FitOptions()
 
     fits: list[Optional[tuple]] = []
     failed = False
-    for k, spec_doc in enumerate(task["spec_docs"]):
-        init = task["inits"][k]
+    for spec, init in zip(task["specs"], task["inits"]):
         try:
-            fits.append(_fit_one(spec_doc, qv, init, task["starts"],
+            fits.append(_fit_one(spec, qv, init, task["starts"],
                                  task["start_seed"], options))
         except _FIT_ERRORS as exc:
             logger.warning("rep %d n=%d: fit of %s failed: %s",
-                           rep, n, spec_doc.get("name"), exc)
+                           rep, n, spec.name, exc)
             fits.append(None)
             failed = True
 
@@ -274,8 +297,8 @@ def _rep_worker(task: dict) -> dict:
             selected[criterion] = select(rows, criterion)
 
     records = []
-    for spec_doc, entry in zip(task["spec_docs"], fits):
-        name = spec_doc.get("name")
+    for spec, entry in zip(task["specs"], fits):
+        name = spec.name
         if entry is None:
             records.append({"rep": rep, "n": n, "model": name,
                             "h_at_hat": "", "qbic1": "", "qbic2": "",
@@ -303,12 +326,12 @@ def run_experiment(config: ExperimentConfig):
     config.validate()
     t0 = time.time()
     specs = load_specs(config.model_spec_paths)
-    spec_docs = [s.to_dict() for s in specs]
     model_ids = [s.name for s in specs]
+    truth = _truth_blocks(config.true_model)
 
     inits: list[Optional[np.ndarray]] = [None] * len(specs)
     if config.init_mode == "true":
-        sigma0 = truth_sigma(config.true_model)
+        sigma0 = _sigma_of_blocks(truth)
         for k, spec in enumerate(specs):
             theta_bar, _ = limit_optimum(spec, sigma0,
                                          starts=max(config.starts, 4),
@@ -323,11 +346,11 @@ def run_experiment(config: ExperimentConfig):
                 "n": int(n), "rep": rep, "T": config.T,
                 "seed": split_seed(config.master_seed, n, rep),
                 "start_seed": split_seed(config.master_seed, n, rep, tag=1),
-                "spec_docs": spec_docs,
-                "inits": [None if v is None else v.tolist() for v in inits],
+                "specs": specs,
+                "inits": inits,
                 "starts": config.starts,
                 "criteria": list(config.criteria),
-                "true_model": config.true_model,
+                "truth": truth,
             })
 
     if config.workers > 1:
@@ -391,7 +414,8 @@ def gap_growth_probe(config: ExperimentConfig, model_a: str, model_b: str,
     config.validate()
     spec_a = models.resolve_spec(model_a)
     spec_b = models.resolve_spec(model_b)
-    sigma0 = truth_sigma(config.true_model)
+    truth = _truth_blocks(config.true_model)
+    sigma0 = _sigma_of_blocks(truth)
 
     theta_a, lim_a = limit_optimum(spec_a, sigma0, starts=max(config.starts, 4),
                                    seed=config.master_seed)
@@ -409,7 +433,7 @@ def gap_growth_probe(config: ExperimentConfig, model_a: str, model_b: str,
     for n in config.n_values:
         for rep in range(config.replications):
             seed = split_seed(config.master_seed, n, rep)
-            bundle = _simulate_truth(config.true_model, n, config.T, seed)
+            bundle = _simulate_truth(truth, n, config.T, seed)
             qv = quad_var(bundle.x_obs, config.T)
             row_a = criteria_row(fit(LikelihoodSurface(spec_a, qv),
                                      init=theta_a, options=options))

@@ -11,31 +11,30 @@ second-block loadings, factor regression, factor variance, then the unique
 variances.  ``THETA1_TRUE`` / ``THETA2_TRUE`` are the parameter points at
 which models 1 and 2 match the data-generating covariance.
 
-The same specs ship as JSON documents (schema ``hfsem-spec-v1``) under
-``model_files/``; ``load_builtin`` reads those, and ``resolve_spec`` accepts
-either a file path or a builtin name.
+The JSON documents under ``model_files/`` (schema ``hfsem-spec-v1``) are
+the model definitions; a builtin's name is its file stem.  Their boxes put
+variance parameters in [1e-6, 1e4] and every other parameter in
+[-1e3, 1e3].  ``load_builtin`` reads one by name, and ``resolve_spec``
+accepts either a file path or a builtin name.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import json
 import os
 
 import numpy as np
 
 from .errors import SpecError
-from .semspec import Fixed, Free, PatternMatrix, SemSpec
+from .semspec import SemSpec
 
 __all__ = [
     "THETA1_TRUE",
     "THETA2_TRUE",
-    "build_model1",
-    "build_model2",
-    "build_model3",
     "builtin_names",
     "load_builtin",
     "resolve_spec",
-    "default_bounds",
 ]
 
 THETA1_TRUE = np.array(
@@ -45,155 +44,32 @@ THETA2_TRUE = np.array(
     [3, 4, 6, 3, 2, 0, 2, 4, 3, 2, 9, 4, 1, 4, 9, 25, 1, 4, 1, 9, 4, 9, 1],
     dtype=float)
 
-VARIANCE_BOUNDS = (1e-6, 1e4)
-LOADING_BOUNDS = (-1e3, 1e3)
-
-
-def _diag_variances(dim: int, start: int) -> PatternMatrix:
-    cells = [[Fixed(0.0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        cells[i][i] = Free(start + i, "positive")
-    return PatternMatrix(cells)
-
-
-def _zeros(rows: int, cols: int) -> list[list[Fixed | Free]]:
-    return [[Fixed(0.0) for _ in range(cols)] for _ in range(rows)]
-
-
-def default_bounds(positive_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Box bounds: variances in [1e-6, 1e4], everything else in [-1e3, 1e3]."""
-    lower = np.where(positive_mask, VARIANCE_BOUNDS[0], LOADING_BOUNDS[0])
-    upper = np.where(positive_mask, VARIANCE_BOUNDS[1], LOADING_BOUNDS[1])
-    return lower.astype(float), upper.astype(float)
-
-
-def _positive_mask(patterns: dict) -> np.ndarray:
-    flags: dict[int, bool] = {}
-    for role, pat in patterns.items():
-        sym = role.startswith("sigma")
-        for i in range(pat.rows):
-            for j in range(pat.cols):
-                if sym and j > i:
-                    continue
-                cell = pat[i, j]
-                if isinstance(cell, Free):
-                    flags[cell.index] = (
-                        cell.constraint == "positive" or (sym and i == j))
-    return np.array([flags[k] for k in sorted(flags)], dtype=bool)
-
-
-def _finish(dims: dict, patterns: dict, name: str) -> SemSpec:
-    lower, upper = default_bounds(_positive_mask(patterns))
-    return SemSpec(dims, patterns, lower, upper, name=name)
-
-
-def build_model1() -> SemSpec:
-    """Correctly specified, q=22; the optimal (smallest correct) model."""
-    dims = {"p1": 4, "p2": 6, "k1": 1, "k2": 2}
-    lambda_x1 = PatternMatrix([[Fixed(1.0)],
-                               [Free(0, "nonzero")],
-                               [Free(1, "nonzero")],
-                               [Free(2, "nonzero")]])
-    lx2 = _zeros(6, 2)
-    lx2[0][0] = Fixed(1.0)
-    lx2[1][0] = Free(3, "nonzero")
-    lx2[2][0] = Free(4, "nonzero")
-    lx2[3][1] = Fixed(1.0)
-    lx2[4][1] = Free(5, "nonzero")
-    lx2[5][1] = Free(6, "nonzero")
-    patterns = {
-        "lambda_x1": lambda_x1,
-        "lambda_x2": PatternMatrix(lx2),
-        "b": PatternMatrix(_zeros(2, 2)),
-        "gamma": PatternMatrix([[Free(7, "nonzero")], [Free(8, "nonzero")]]),
-        "sigma_xixi": PatternMatrix([[Free(9, "positive")]]),
-        "sigma_dd": _diag_variances(4, 10),
-        "sigma_ee": _diag_variances(6, 14),
-        "sigma_zz": _diag_variances(2, 20),
-    }
-    return _finish(dims, patterns, "model1")
-
-
-def build_model2() -> SemSpec:
-    """Correctly specified, q=23; model1 plus one extra second-block loading."""
-    dims = {"p1": 4, "p2": 6, "k1": 1, "k2": 2}
-    lambda_x1 = PatternMatrix([[Fixed(1.0)],
-                               [Free(0, "nonzero")],
-                               [Free(1, "nonzero")],
-                               [Free(2, "nonzero")]])
-    lx2 = _zeros(6, 2)
-    lx2[0][0] = Fixed(1.0)
-    lx2[1][0] = Free(3, "nonzero")
-    lx2[2][0] = Free(4, "nonzero")
-    lx2[2][1] = Free(5, "none")  # the over-fitting loading; zero in truth
-    lx2[3][1] = Fixed(1.0)
-    lx2[4][1] = Free(6, "nonzero")
-    lx2[5][1] = Free(7, "nonzero")
-    patterns = {
-        "lambda_x1": lambda_x1,
-        "lambda_x2": PatternMatrix(lx2),
-        "b": PatternMatrix(_zeros(2, 2)),
-        "gamma": PatternMatrix([[Free(8, "nonzero")], [Free(9, "nonzero")]]),
-        "sigma_xixi": PatternMatrix([[Free(10, "positive")]]),
-        "sigma_dd": _diag_variances(4, 11),
-        "sigma_ee": _diag_variances(6, 15),
-        "sigma_zz": _diag_variances(2, 21),
-    }
-    return _finish(dims, patterns, "model2")
-
-
-def build_model3() -> SemSpec:
-    """Misspecified, q=21; a single factor drives the whole second block."""
-    dims = {"p1": 4, "p2": 6, "k1": 1, "k2": 1}
-    lambda_x1 = PatternMatrix([[Fixed(1.0)],
-                               [Free(0, "nonzero")],
-                               [Free(1, "nonzero")],
-                               [Free(2, "nonzero")]])
-    lx2 = [[Fixed(1.0)]] + [[Free(3 + i, "nonzero")] for i in range(5)]
-    patterns = {
-        "lambda_x1": lambda_x1,
-        "lambda_x2": PatternMatrix(lx2),
-        "b": PatternMatrix([[Fixed(0.0)]]),
-        "gamma": PatternMatrix([[Free(8, "nonzero")]]),
-        "sigma_xixi": PatternMatrix([[Free(9, "positive")]]),
-        "sigma_dd": _diag_variances(4, 10),
-        "sigma_ee": _diag_variances(6, 14),
-        "sigma_zz": PatternMatrix([[Free(20, "positive")]]),
-    }
-    return _finish(dims, patterns, "model3")
-
-
-_BUILDERS = {
-    "model1": build_model1,
-    "model2": build_model2,
-    "model3": build_model3,
-}
+_MODEL_FILES = importlib.resources.files("hfsem").joinpath("model_files")
 
 
 def builtin_names() -> list[str]:
-    return sorted(_BUILDERS)
+    """Stems of the bundled ``model_files/*.json`` documents, sorted."""
+    return sorted(f.name[:-len(".json")] for f in _MODEL_FILES.iterdir()
+                  if f.name.endswith(".json"))
 
 
 def builtin_file(name: str):
     """Path-like handle to the bundled JSON document for ``name``."""
-    if name not in _BUILDERS:
+    if name not in builtin_names():
         raise SpecError(f"unknown builtin model {name!r}; have {builtin_names()}")
-    return importlib.resources.files("hfsem").joinpath(f"model_files/{name}.json")
+    return _MODEL_FILES.joinpath(f"{name}.json")
 
 
 def load_builtin(name: str) -> SemSpec:
     """Load one of the bundled model documents by name."""
-    from .semspec import SemSpec as _S
-    import json
-
     with builtin_file(name).open() as fh:
-        return _S.from_dict(json.load(fh))
+        return SemSpec.from_dict(json.load(fh))
 
 
 def resolve_spec(path_or_name: str) -> SemSpec:
     """Load a model spec from a JSON file path or a builtin name."""
     if os.path.exists(path_or_name):
         return SemSpec.from_json(path_or_name)
-    if path_or_name in _BUILDERS:
+    if path_or_name in builtin_names():
         return load_builtin(path_or_name)
     raise SpecError(f"{path_or_name!r} is neither a file nor a builtin model")

@@ -26,8 +26,9 @@ __all__ = [
     "quad_var",
     "LikelihoodSurface",
     "limit_loglik",
-    "limit_loglik_grad",
 ]
+
+_HESSIAN_REL_STEP = 1e-5
 
 
 @dataclass
@@ -47,6 +48,10 @@ def quad_var(x_obs: np.ndarray, T: float) -> QuadVar:
         raise ValueError("horizon must be positive")
     dx = np.diff(x_obs, axis=0)
     q = dx.T @ dx / T
+    # Any non-finite sample reaches Q; checking the p x p result avoids an
+    # n-sized temporary.
+    if not np.all(np.isfinite(q)):
+        raise ValueError("path has non-finite values")
     return QuadVar(q_xx=0.5 * (q + q.T), n=x_obs.shape[0] - 1, T=float(T))
 
 
@@ -98,13 +103,13 @@ class LikelihoodSurface:
     def grad(self, theta: np.ndarray) -> np.ndarray:
         return self.value_and_grad(theta)[1]
 
-    def hessian(self, theta: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
+    def hessian(self, theta: np.ndarray) -> np.ndarray:
         """Symmetrized central-difference Hessian of the analytic gradient."""
         theta = np.asarray(theta, dtype=float)
         q = theta.size
         hess = np.empty((q, q))
         for j in range(q):
-            step = rel_step * (1.0 + abs(theta[j]))
+            step = _HESSIAN_REL_STEP * (1.0 + abs(theta[j]))
             plus, minus = theta.copy(), theta.copy()
             plus[j] += step
             minus[j] -= step
@@ -127,12 +132,3 @@ def limit_loglik(spec: SemSpec, theta: np.ndarray, sigma0: np.ndarray) -> float:
     """
     v, _ = _score_parts(spec, theta, np.asarray(sigma0, dtype=float))
     return v
-
-
-def limit_loglik_grad(spec: SemSpec, theta: np.ndarray,
-                      sigma0: np.ndarray) -> np.ndarray:
-    sigma0 = np.asarray(sigma0, dtype=float)
-    rows, cols = matkit.vech_indices(spec.p)
-    w = np.where(rows == cols, 1.0, 2.0)
-    _, inv = _score_parts(spec, theta, sigma0)
-    return _score_grad(spec, theta, inv, sigma0, w)

@@ -37,16 +37,14 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_PENALTY = 1e100
 _JGATE_MIN_EIG = 1e-10
+_MAX_ITER = 500
+_GRAD_TOL = 1e-6          # converged: |grad|_inf < _GRAD_TOL*(1+|loglik|)
+_BOUNDARY_TOL = 1e-8      # absolute distance that counts as "on the bound"
 
 
 @dataclass
 class FitOptions:
-    max_iter: int = 500
-    grad_tol: float = 1e-6          # converged: |grad|_inf < grad_tol*(1+|loglik|)
-    boundary_tol: float = 1e-8      # absolute distance that counts as "on the bound"
-    hessian_step: float = 1e-5
     compute_hessian: bool = True
 
 
@@ -130,7 +128,7 @@ class _BoxTransform:
 
 
 def _optimize_once(spec: SemSpec, value_and_grad, init: np.ndarray,
-                   options: FitOptions, iterate_hook=None):
+                   iterate_hook=None):
     """Maximize from one start; returns (theta, value, iterations, ok).
 
     ``iterate_hook``, when given, receives the raw-scale parameter after
@@ -164,7 +162,7 @@ def _optimize_once(spec: SemSpec, value_and_grad, init: np.ndarray,
         negobj, tr.to_internal(np.asarray(init, dtype=float)), jac=True,
         method="L-BFGS-B", bounds=list(zip(tr.lower_u, tr.upper_u)),
         callback=callback,
-        options={"maxiter": options.max_iter, "ftol": 1e-18, "gtol": 1e-13,
+        options={"maxiter": _MAX_ITER, "ftol": 1e-18, "gtol": 1e-13,
                  "maxcor": 30})
     theta = tr.to_raw(res.x)
     try:
@@ -180,14 +178,14 @@ def _finalize(surface: LikelihoodSurface, theta: np.ndarray, value: float,
     spec = surface.spec
     _, grad = surface.value_and_grad(theta)
     grad_norm = float(np.abs(grad).max())
-    converged = grad_norm < options.grad_tol * (1.0 + abs(value))
+    converged = grad_norm < _GRAD_TOL * (1.0 + abs(value))
     boundary_hit = bool(np.any(
-        np.minimum(theta - spec.lower, spec.upper - theta) <= options.boundary_tol))
+        np.minimum(theta - spec.lower, spec.upper - theta) <= _BOUNDARY_TOL))
 
     hessian = np.full((spec.q, spec.q), np.nan)
     if options.compute_hessian:
         try:
-            hessian = surface.hessian(theta, rel_step=options.hessian_step)
+            hessian = surface.hessian(theta)
         except NotPositiveDefiniteError as exc:
             logger.warning("hessian unavailable for %s: %s", spec.name, exc)
 
@@ -216,7 +214,7 @@ def fit(surface: LikelihoodSurface, init: Optional[np.ndarray] = None,
     if init is None:
         init = moment_start(surface.spec, surface.quadvar.q_xx)
     theta, value, nit, ok = _optimize_once(
-        surface.spec, surface.value_and_grad, init, options)
+        surface.spec, surface.value_and_grad, init)
     if not ok:
         raise AllStartsFailedError(
             f"optimization of {surface.spec.name!r} failed from the given start")
@@ -254,7 +252,7 @@ def fit_multistart(surface: LikelihoodSurface, starts: int = 8, seed: int = 0,
     best = None
     for k, start in enumerate(start_list):
         theta, value, nit, ok = _optimize_once(
-            surface.spec, surface.value_and_grad, start, options)
+            surface.spec, surface.value_and_grad, start)
         if not ok:
             logger.debug("start %d of %s failed", k, surface.spec.name)
             continue

@@ -475,6 +475,8 @@ class SemSpec:
                 return Fixed(float(obj["fixed"]))
             if "free" in obj:
                 f = obj["free"]
+                if "index" not in f:
+                    raise SpecError(f"free cell without 'index': {obj!r}")
                 return Free(int(f["index"]), str(f.get("constraint", "none")))
             raise SpecError(f"cell must have 'fixed' or 'free', got {obj!r}")
 
@@ -484,7 +486,13 @@ class SemSpec:
                 raise SpecError(f"missing pattern {role!r}")
             patterns[role] = PatternMatrix(
                 [[cell_in(c) for c in row] for row in doc[role]])
-        bounds = doc.get("bounds", {})
+        for key in ("dims", "bounds"):
+            if key not in doc:
+                raise SpecError(f"missing field {key!r}")
+        bounds = doc["bounds"]
+        for key in ("lower", "upper"):
+            if key not in bounds:
+                raise SpecError(f"missing field 'bounds.{key}'")
         return cls(dims=doc["dims"], patterns=patterns,
                    lower=bounds["lower"], upper=bounds["upper"],
                    name=doc.get("name", "model"))

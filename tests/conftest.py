@@ -7,17 +7,17 @@ from hfsem.semspec import Fixed, Free, PatternMatrix, SemSpec
 
 @pytest.fixture(scope="session")
 def model1():
-    return models.build_model1()
+    return models.load_builtin("model1")
 
 
 @pytest.fixture(scope="session")
 def model2():
-    return models.build_model2()
+    return models.load_builtin("model2")
 
 
 @pytest.fixture(scope="session")
 def model3():
-    return models.build_model3()
+    return models.load_builtin("model3")
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,8 @@ from click.testing import CliRunner
 
 from hfsem import harness
 from hfsem.cli import main
+from hfsem.diffsim import simulate_true_model
+from hfsem.qlik import quad_var
 
 
 @pytest.fixture()
@@ -59,11 +61,20 @@ class TestQuadvar:
         invoke(runner, ["quadvar", "--in", str(path), "--T", "1",
                         "--out", str(out)])
         q = np.loadtxt(out, delimiter=",")
-        from hfsem.diffsim import simulate_true_model
-        from hfsem.qlik import quad_var
         bundle = simulate_true_model(200, 1.0, seed=5)
         expected = quad_var(bundle.x_obs, 1.0).q_xx
         assert np.abs(q - expected).max() < 1e-8
+
+    def test_headerless_default_savetxt(self, runner, tmp_path):
+        # np.savetxt's default %.18e format puts an 'e' in every field.
+        bundle = simulate_true_model(100, 1.0, seed=6)
+        t = np.arange(bundle.n + 1) * bundle.h
+        path, out = tmp_path / "bare.csv", tmp_path / "q.csv"
+        np.savetxt(path, np.column_stack([t, bundle.x_obs]), delimiter=",")
+        invoke(runner, ["quadvar", "--in", str(path), "--T", "1",
+                        "--out", str(out)])
+        expected = quad_var(bundle.x_obs, 1.0).q_xx
+        assert np.abs(np.loadtxt(out, delimiter=",") - expected).max() < 1e-8
 
     def test_latent_columns_ignored(self, runner, tmp_path):
         plain, latent = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -157,6 +168,23 @@ class TestFitAndCriteria:
 
 
 class TestTable1:
+    def test_invariant_violation_reported(self, runner, tmp_path, monkeypatch):
+        def broken(table):
+            raise AssertionError("count leak")
+
+        monkeypatch.setattr(harness.SelectionTable, "validate", broken)
+        config = harness.ExperimentConfig(
+            n_values=[100], T=1.0, replications=1, master_seed=5,
+            model_spec_paths=["model1"], init_mode="moment", starts=1)
+        config_path = tmp_path / "exp.json"
+        config.to_json(config_path)
+        out_dir = tmp_path / "results"
+        result = runner.invoke(main, ["table1", "--config", str(config_path),
+                                      "--out-dir", str(out_dir)])
+        assert result.exit_code == 1
+        assert "invariant violation: count leak" in result.output
+        assert not out_dir.exists()
+
     def test_full_run(self, runner, tmp_path):
         config = harness.ExperimentConfig(
             n_values=[100], T=1.0, replications=2, master_seed=5,

@@ -201,18 +201,3 @@ class TestSimulateCustom:
             diffsim.simulate_custom(tb["zeta"], tb["delta"], tb["eps"], tb["xi"],
                                     tb["lambda_x1"], tb["lambda_x2"],
                                     tb["gamma"], tb["b0"], n=10, T=1.0, seed=0)
-
-
-class TestSigmaFromBlocks:
-    def test_matches_hand_assembled_oracle(self, sigma0_oracle):
-        assert np.abs(diffsim.true_sigma0() - sigma0_oracle).max() < 1e-12
-
-    def test_nontrivial_structure_matrix(self):
-        tb = diffsim.true_blocks()
-        tb["b0"] = np.array([[0.0, 0.0], [0.5, 0.0]])
-        sigma = diffsim.sigma0_from_blocks(tb)
-        psi_inv = np.linalg.inv(np.eye(2) - tb["b0"])
-        a2 = tb["lambda_x2"] @ psi_inv
-        m = tb["gamma"] @ np.array([[9.0]]) @ tb["gamma"].T + np.diag([9.0, 1.0])
-        expected_22 = a2 @ m @ a2.T + np.diag([25.0, 1.0, 4.0, 1.0, 9.0, 4.0])
-        assert np.abs(sigma[4:, 4:] - expected_22).max() < 1e-12

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hfsem import harness
+from hfsem import diffsim, harness
 from hfsem.errors import SpecError
 from tests.conftest import make_degenerate_model
 
@@ -51,6 +51,28 @@ class TestConfig:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             harness.ExperimentConfig.from_json(path)
+
+    def test_missing_key_named(self):
+        doc = small_config().to_dict()
+        del doc["T"]
+        with pytest.raises(ValueError, match="'T'"):
+            harness.ExperimentConfig.from_dict(doc)
+
+
+class TestTruthSigma:
+    def test_matches_hand_assembled_oracle(self, sigma0_oracle):
+        sigma = harness.truth_sigma("true4-6")
+        assert np.abs(sigma - sigma0_oracle).max() < 1e-12
+
+    def test_nontrivial_structure_matrix(self):
+        tb = diffsim.true_blocks()
+        tb["b0"] = np.array([[0.0, 0.0], [0.5, 0.0]])
+        sigma = harness._sigma_of_blocks(tb)
+        psi_inv = np.linalg.inv(np.eye(2) - tb["b0"])
+        a2 = tb["lambda_x2"] @ psi_inv
+        m = tb["gamma"] @ np.array([[9.0]]) @ tb["gamma"].T + np.diag([9.0, 1.0])
+        expected_22 = a2 @ m @ a2.T + np.diag([25.0, 1.0, 4.0, 1.0, 9.0, 4.0])
+        assert np.abs(sigma[4:, 4:] - expected_22).max() < 1e-12
 
 
 class TestSeedSplit:
@@ -142,7 +164,8 @@ class TestRunExperiment:
         }
         sigma = harness.truth_sigma(truth)
         assert sigma.shape == (4, 4)
-        bundle = harness._simulate_truth(truth, 50, 1.0, seed=1)
+        bundle = harness._simulate_truth(harness._truth_blocks(truth),
+                                         50, 1.0, seed=1)
         assert bundle.x_obs.shape == (51, 4)
 
 

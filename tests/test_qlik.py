@@ -30,6 +30,13 @@ class TestQuadVar:
         with pytest.raises(ValueError):
             quad_var(np.ones((5, 3)), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_path_rejected(self, bad):
+        x = np.random.default_rng(0).standard_normal((20, 3)).cumsum(axis=0)
+        x[7, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            quad_var(x, 1.0)
+
     def test_positive_semidefinite(self, quadvar_1e4):
         eig = np.linalg.eigvalsh(quadvar_1e4.q_xx)
         assert eig.min() >= -1e-10 * np.trace(quadvar_1e4.q_xx)

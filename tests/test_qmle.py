@@ -55,7 +55,7 @@ class TestFit:
         hook = lambda theta: values.append(surface_1e3.value(theta))
         qmle._optimize_once(model1, surface_1e3.value_and_grad,
                             qmle.moment_start(model1, surface_1e3.quadvar.q_xx),
-                            qmle.FitOptions(), iterate_hook=hook)
+                            iterate_hook=hook)
         values = np.array(values)
         assert len(values) > 5
         assert np.all(np.diff(values) >= -1e-9 * (1 + np.abs(values[:-1])))

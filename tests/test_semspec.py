@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -357,11 +358,12 @@ class TestJson:
         assert np.array_equal(loaded.sigma(models.THETA2_TRUE),
                               model2.sigma(models.THETA2_TRUE))
 
-    def test_bundled_files_match_builders(self):
-        for name, builder in [("model1", models.build_model1),
-                              ("model2", models.build_model2),
-                              ("model3", models.build_model3)]:
-            assert models.load_builtin(name).to_dict() == builder().to_dict()
+    def test_builtin_names_are_file_stems(self):
+        folder = pathlib.Path(models.__file__).parent / "model_files"
+        stems = sorted(path.stem for path in folder.glob("*.json"))
+        assert stems and models.builtin_names() == stems
+        for name in stems:
+            assert models.load_builtin(name).name == name
 
     def test_schema_version_enforced(self, model1, tmp_path):
         doc = model1.to_dict()
@@ -370,6 +372,19 @@ class TestJson:
         path.write_text(json.dumps(doc))
         with pytest.raises(SpecError):
             SemSpec.from_json(path)
+
+    @pytest.mark.parametrize("field", ["dims", "bounds", "bounds.lower",
+                                       "bounds.upper", "index"])
+    def test_missing_field_named(self, model1, field):
+        doc = model1.to_dict()
+        if field == "index":
+            del doc["gamma"][0][0]["free"]["index"]
+        elif field.startswith("bounds."):
+            del doc["bounds"][field.split(".")[1]]
+        else:
+            del doc[field]
+        with pytest.raises(SpecError, match=field):
+            SemSpec.from_dict(doc)
 
     def test_malformed_cell_rejected(self, model1):
         doc = model1.to_dict()
