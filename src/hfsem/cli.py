@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import diffsim, harness, infocrit, models
-from .qlik import LikelihoodSurface, QuadVar, quad_var
+from .qlik import LikelihoodSurface, quad_var
 from .qmle import FitReport, fit, fit_multistart
 
 logger = logging.getLogger(__name__)

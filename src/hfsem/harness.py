@@ -11,7 +11,8 @@ table is identical for any worker count.
 Initialization follows the benchmark protocol by default: each model starts
 from its limit-criterion optimum against the truth's covariance (the true
 parameter point for correctly specified models).  ``init_mode="moment"``
-switches to data-driven moment starts with Latin-hypercube restarts.
+switches to data-driven moment starts with Latin-hypercube restarts drawn
+on the moment start's scale.
 
 The truth's covariance comes from :func:`truth_sigma`, which writes the
 truth as an all-fixed :class:`SemSpec`, so Sigma0 and every candidate's
@@ -32,7 +33,7 @@ import numpy as np
 from . import diffsim, models
 from .errors import (AllStartsFailedError, NotPositiveDefiniteError,
                      SingularStructureError, SpecError)
-from .infocrit import CRITERIA, CriteriaRow, criteria_row, select
+from .infocrit import CRITERIA, criteria_row, select
 from .qlik import LikelihoodSurface, quad_var
 from .qmle import FitOptions, fit, fit_multistart, limit_optimum
 from .semspec import PatternMatrix, SemSpec
@@ -54,7 +55,8 @@ logger = logging.getLogger(__name__)
 CONFIG_SCHEMA = "hfsem-exp-v1"
 
 REPLICATION_COLUMNS = ("rep", "n", "model", "h_at_hat", "qbic1", "qbic2",
-                       "qaic", "j_flag", "converged", "selected_by")
+                       "qaic", "j_flag", "converged", "boundary_hit",
+                       "iterations", "selected_by")
 
 
 def split_seed(master_seed: int, n: int, rep: int, tag: int = 0) -> int:
@@ -300,9 +302,8 @@ def _rep_worker(task: dict) -> dict:
     for spec, entry in zip(task["specs"], fits):
         name = spec.name
         if entry is None:
-            records.append({"rep": rep, "n": n, "model": name,
-                            "h_at_hat": "", "qbic1": "", "qbic2": "",
-                            "qaic": "", "j_flag": "", "converged": "",
+            records.append({**dict.fromkeys(REPLICATION_COLUMNS, ""),
+                            "rep": rep, "n": n, "model": name,
                             "selected_by": "fit_failed"})
             continue
         report, row = entry
@@ -311,6 +312,8 @@ def _rep_worker(task: dict) -> dict:
                         "h_at_hat": row.h_at_hat, "qbic1": row.qbic1,
                         "qbic2": row.qbic2, "qaic": row.qaic,
                         "j_flag": row.j_flag, "converged": report.converged,
+                        "boundary_hit": report.boundary_hit,
+                        "iterations": report.iterations,
                         "selected_by": "+".join(winner_of)})
     return {"n": n, "rep": rep, "failed": failed, "selected": selected,
             "records": records}

@@ -14,7 +14,8 @@ consistency.
 
 ``gamma_zero`` builds the analytic information matrix from the covariance
 Jacobian and the fourth-moment weight of the limiting increment law, which
-the negative scaled Hessian approaches as the grid refines.
+the negative scaled Hessian approaches as the grid refines.  It is the
+same Fisher information that drives the estimator's scoring steps.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import matkit
 from .errors import NotPositiveDefiniteError, RankDeficientError
+from .qlik import fisher_information
 from .qmle import FitReport
 from .semspec import SemSpec
 
@@ -100,18 +102,19 @@ def criteria_row(fit: FitReport) -> CriteriaRow:
 class GammaZero:
     """Analytic asymptotic information at a parameter point."""
     gamma0: np.ndarray   # q x q
-    w0: np.ndarray       # pbar x pbar
+    w0: np.ndarray       # pbar x pbar, asymptotic covariance of vech(Q)
     delta0: np.ndarray   # pbar x q
 
 
 def gamma_zero(spec: SemSpec, theta0: np.ndarray, sigma0: np.ndarray,
                rank_rtol: float = 1e-8) -> GammaZero:
-    """Information matrix ``delta' inv(W) delta`` at ``theta0``.
+    """Information matrix ``delta' inv(w0) delta`` at ``theta0``.
 
-    ``W = 2 Dplus (sigma0 kron sigma0) Dplus'`` where ``Dplus`` is the
-    pseudoinverse of the duplication matrix.  Raises
+    ``w0 = 2 Dplus (sigma0 kron sigma0) Dplus'``, ``Dplus`` the pseudoinverse
+    of the duplication matrix, inverts the weight of ``gamma0``'s source,
+    :func:`~hfsem.qlik.fisher_information`.  Raises
     :class:`RankDeficientError` when the covariance Jacobian loses column
-    rank, in which case the information matrix would be singular.
+    rank, :class:`NotPositiveDefiniteError` when sigma0 is not PD.
     """
     sigma0 = matkit.check_symmetric(np.asarray(sigma0, dtype=float))
     delta0 = spec.jacobian(theta0)
@@ -119,16 +122,11 @@ def gamma_zero(spec: SemSpec, theta0: np.ndarray, sigma0: np.ndarray,
     if rank < spec.q:
         raise RankDeficientError(
             f"covariance Jacobian of {spec.name!r} has rank {rank} < q={spec.q}")
+    _, sigma0_inv = matkit.chol_logdet(sigma0)
     dplus = matkit.pinv(matkit.duplication_matrix(spec.p))
     w0 = 2.0 * dplus @ np.kron(sigma0, sigma0) @ dplus.T
-    w0 = 0.5 * (w0 + w0.T)
-    try:
-        _, w_inv = matkit.chol_logdet(w0)
-    except NotPositiveDefiniteError:
-        jitter = 1e-12 * np.trace(w0)
-        _, w_inv = matkit.chol_logdet(w0 + jitter * np.eye(w0.shape[0]))
-    gamma0 = delta0.T @ w_inv @ delta0
-    return GammaZero(gamma0=0.5 * (gamma0 + gamma0.T), w0=w0, delta0=delta0)
+    return GammaZero(gamma0=fisher_information(delta0, sigma0_inv),
+                     w0=0.5 * (w0 + w0.T), delta0=delta0)
 
 
 def posterior_probs(rows: Sequence[CriteriaRow],

@@ -25,6 +25,7 @@ __all__ = [
     "QuadVar",
     "quad_var",
     "LikelihoodSurface",
+    "fisher_information",
     "limit_loglik",
 ]
 
@@ -47,12 +48,23 @@ def quad_var(x_obs: np.ndarray, T: float) -> QuadVar:
     if T <= 0:
         raise ValueError("horizon must be positive")
     dx = np.diff(x_obs, axis=0)
-    q = dx.T @ dx / T
+    with np.errstate(invalid="ignore", over="ignore"):
+        q = dx.T @ dx / T
     # Any non-finite sample reaches Q; checking the p x p result avoids an
     # n-sized temporary.
     if not np.all(np.isfinite(q)):
         raise ValueError("path has non-finite values")
     return QuadVar(q_xx=0.5 * (q + q.T), n=x_obs.shape[0] - 1, T=float(T))
+
+
+def fisher_information(delta: np.ndarray, sigma_inv: np.ndarray) -> np.ndarray:
+    """Fisher information ``Delta' W Delta`` per increment, for the
+    covariance Jacobian ``delta`` (vech rows) and
+    ``W = D' (inv(Sigma) kron inv(Sigma)) D / 2``, ``D`` the duplication
+    matrix."""
+    vec_delta = matkit.duplication_matrix(sigma_inv.shape[0]) @ delta
+    info = 0.5 * vec_delta.T @ np.kron(sigma_inv, sigma_inv) @ vec_delta
+    return 0.5 * (info + info.T)
 
 
 def _score_parts(spec: SemSpec, theta: np.ndarray, target: np.ndarray):
@@ -75,8 +87,9 @@ class LikelihoodSurface:
     """The quasi-log-likelihood of one candidate model on one dataset.
 
     Immutable and shareable; evaluations at equal theta are identical.
-    ``value``/``grad`` are analytic, ``hessian`` is a central difference of
-    the analytic gradient with relative steps.
+    ``value``/``grad`` and the Fisher ``information`` are analytic,
+    ``hessian`` is a central difference of the analytic gradient with
+    relative steps.
     """
 
     def __init__(self, spec: SemSpec, quadvar: QuadVar):
@@ -102,6 +115,12 @@ class LikelihoodSurface:
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         return self.value_and_grad(theta)[1]
+
+    def information(self, theta: np.ndarray) -> np.ndarray:
+        """Fisher information of the surface at ``theta`` (n times the
+        per-increment information)."""
+        _, inv = matkit.chol_logdet(self.spec.sigma(theta))
+        return self.n * fisher_information(self.spec.jacobian(theta), inv)
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         """Symmetrized central-difference Hessian of the analytic gradient."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hfsem import diffsim, harness
-from hfsem.errors import SpecError
+from hfsem.errors import AllStartsFailedError, SpecError
 from tests.conftest import make_degenerate_model
 
 
@@ -116,6 +116,24 @@ class TestRunExperiment:
         assert len(records) == config.replications * 3
         for record in records:
             assert set(harness.REPLICATION_COLUMNS) <= set(record)
+            assert isinstance(record["boundary_hit"], bool)
+            assert isinstance(record["iterations"], int)
+
+    def test_failed_fit_leaves_fit_columns_empty(self, monkeypatch):
+        original = harness.fit
+
+        def failing(surface, **kwargs):
+            if surface.spec.name == "model3":
+                raise AllStartsFailedError("forced")
+            return original(surface, **kwargs)
+
+        monkeypatch.setattr(harness, "fit", failing)
+        table, records = harness.run_experiment(small_config(replications=1))
+        assert table.failures[100] == 1
+        (failed,) = [r for r in records if r["selected_by"] == "fit_failed"]
+        assert failed["model"] == "model3"
+        for column in ("h_at_hat", "converged", "boundary_hit", "iterations"):
+            assert failed[column] == ""
 
     def test_single_replication_equals_its_selection(self):
         config = small_config(replications=1)

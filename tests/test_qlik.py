@@ -30,6 +30,7 @@ class TestQuadVar:
         with pytest.raises(ValueError):
             quad_var(np.ones((5, 3)), 0.0)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_path_rejected(self, bad):
         x = np.random.default_rng(0).standard_normal((20, 3)).cumsum(axis=0)

@@ -53,7 +53,7 @@ class TestFit:
     def test_monotone_accepted_iterates(self, surface_1e3, model1):
         values = []
         hook = lambda theta: values.append(surface_1e3.value(theta))
-        qmle._optimize_once(model1, surface_1e3.value_and_grad,
+        qmle._optimize_once(surface_1e3,
                             qmle.moment_start(model1, surface_1e3.quadvar.q_xx),
                             iterate_hook=hook)
         values = np.array(values)
@@ -66,9 +66,9 @@ class TestFit:
                             init=qmle.moment_start(model1, surface_1e3.quadvar.q_xx))
         assert reports_equal(auto, explicit)
 
-    def test_log_transform_matches_raw_box_fit(self, surface_1e3, model1):
-        # same maximizer as a raw-coordinate bounded fit on a
-        # well-conditioned instance
+    def test_matches_lbfgsb_reference(self, surface_1e3, model1):
+        # scipy's L-BFGS-B on the raw box, run until its line search
+        # stalls, is an independent reference maximizer
         report = qmle.fit(surface_1e3, init=models.THETA1_TRUE)
 
         def negobj(theta):
@@ -79,10 +79,24 @@ class TestFit:
             negobj, models.THETA1_TRUE, jac=True, method="L-BFGS-B",
             bounds=list(zip(model1.lower, model1.upper)),
             options={"maxiter": 500, "ftol": 1e-18, "gtol": 1e-13, "maxcor": 30})
-        # both stall inside the same numerical optimum; agreement is limited
-        # by the softest curvature direction, not by the transform
+        # both stop inside the same numerical optimum; agreement is limited
+        # by the softest curvature direction, not by the method
         assert np.abs(report.theta_hat - raw.x).max() < 1e-4
         assert abs(report.h_at_hat + raw.fun) < 1e-8 * (1 + abs(raw.fun))
+
+    def test_value_and_grad_calls(self, surface_1e3, monkeypatch):
+        # The L-BFGS-B estimator that scoring replaced (log-scaled variances,
+        # run until its line search stalled) made 87 value_and_grad calls
+        # for this fit; the finite-difference Hessian, 2q = 44 gradients
+        # under either estimator, is left out.
+        calls = []
+        original = LikelihoodSurface.value_and_grad
+        monkeypatch.setattr(LikelihoodSurface, "value_and_grad",
+                            lambda self, theta: calls.append(1)
+                            or original(self, theta))
+        qmle.fit(surface_1e3, init=models.THETA1_TRUE,
+                 options=qmle.FitOptions(compute_hessian=False))
+        assert len(calls) <= 87 // 3
 
     def test_boundary_solution_reported(self, scalar_model):
         # quadratic covariation below the variance floor pushes the
@@ -91,6 +105,7 @@ class TestFit:
                                                           n=50, T=1.0))
         report = qmle.fit(surface, init=np.array([1.0]))
         assert report.boundary_hit
+        assert report.converged
         assert abs(report.theta_hat[0] - scalar_model.lower[0]) < 1e-12
 
 
@@ -130,6 +145,28 @@ class TestMultistart:
         except AllStartsFailedError:
             return
         assert report.boundary_hit
+
+    def test_restarts_on_moment_scale(self, surface_1e3, model1, monkeypatch):
+        drawn = []
+        original = qmle._optimize_once
+        monkeypatch.setattr(qmle, "_optimize_once",
+                            lambda surface, init: drawn.append(init)
+                            or original(surface, init))
+        qmle.fit_multistart(surface_1e3, starts=8, seed=3,
+                            options=qmle.FitOptions(compute_hessian=False))
+        centre = qmle.moment_start(model1, surface_1e3.quadvar.q_xx)
+        assert np.array_equal(drawn[0], centre)
+        restarts = np.array(drawn[1:])
+        assert restarts.shape == (7, model1.q)
+        pos = model1.positive_mask
+        width = np.maximum(1.0, np.abs(centre))
+        lo = np.where(pos, centre / 4.0, centre - width)
+        hi = np.where(pos, centre * 4.0, centre + width)
+        lo, hi = np.maximum(lo, model1.lower), np.minimum(hi, model1.upper)
+        assert np.all(restarts >= lo - 1e-12 * np.abs(lo))
+        assert np.all(restarts <= hi + 1e-12 * np.abs(hi))
+        # a Latin hypercube puts one draw in each of 7 strata per coordinate
+        assert np.all(np.ptp(restarts, axis=0) > 0.5 * (hi - lo))
 
     def test_rejects_nonpositive_starts(self, surface_1e3):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 
 from hfsem import matkit, models
 from hfsem.errors import SingularStructureError, SpecError
-from hfsem.qlik import LikelihoodSurface, quad_var
+from hfsem.qlik import LikelihoodSurface
 from hfsem.semspec import (Fixed, Free, PatternMatrix, SemSpec,
                            check_identifiability, nested_embedding)
 from tests.conftest import interior_theta
