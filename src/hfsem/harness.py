@@ -56,7 +56,7 @@ CONFIG_SCHEMA = "hfsem-exp-v1"
 
 REPLICATION_COLUMNS = ("rep", "n", "model", "h_at_hat", "qbic1", "qbic2",
                        "qaic", "j_flag", "converged", "boundary_hit",
-                       "iterations", "selected_by")
+                       "iterations", "grad_norm", "selected_by")
 
 
 def split_seed(master_seed: int, n: int, rep: int, tag: int = 0) -> int:
@@ -258,6 +258,17 @@ def load_specs(paths: Sequence[str]) -> list[SemSpec]:
     return specs
 
 
+def _check_grid(n_values: Sequence[int], specs: Sequence[SemSpec]) -> None:
+    """Reject grid sizes below a model's observed dimension: with n < p
+    increments Q is singular and the fit runs off to the box."""
+    for spec in specs:
+        for n in n_values:
+            if n < spec.p:
+                raise ValueError(
+                    f"grid size n={n} is below p={spec.p}, the observed "
+                    f"dimension of {spec.name!r}")
+
+
 # -- per-replication work ------------------------------------------------------
 
 _FIT_ERRORS = (AllStartsFailedError, NotPositiveDefiniteError,
@@ -314,6 +325,7 @@ def _rep_worker(task: dict) -> dict:
                         "j_flag": row.j_flag, "converged": report.converged,
                         "boundary_hit": report.boundary_hit,
                         "iterations": report.iterations,
+                        "grad_norm": report.grad_norm,
                         "selected_by": "+".join(winner_of)})
     return {"n": n, "rep": rep, "failed": failed, "selected": selected,
             "records": records}
@@ -329,6 +341,7 @@ def run_experiment(config: ExperimentConfig):
     config.validate()
     t0 = time.time()
     specs = load_specs(config.model_spec_paths)
+    _check_grid(config.n_values, specs)
     model_ids = [s.name for s in specs]
     truth = _truth_blocks(config.true_model)
 
@@ -417,6 +430,7 @@ def gap_growth_probe(config: ExperimentConfig, model_a: str, model_b: str,
     config.validate()
     spec_a = models.resolve_spec(model_a)
     spec_b = models.resolve_spec(model_b)
+    _check_grid(config.n_values, (spec_a, spec_b))
     truth = _truth_blocks(config.true_model)
     sigma0 = _sigma_of_blocks(truth)
 

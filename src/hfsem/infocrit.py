@@ -117,7 +117,9 @@ def gamma_zero(spec: SemSpec, theta0: np.ndarray, sigma0: np.ndarray,
     rank, :class:`NotPositiveDefiniteError` when sigma0 is not PD.
     """
     sigma0 = matkit.check_symmetric(np.asarray(sigma0, dtype=float))
-    delta0 = spec.jacobian(theta0)
+    d_sigma = spec.forward(theta0, 1)[1]
+    rows, cols = matkit.vech_indices(spec.p)
+    delta0 = d_sigma[:, rows, cols].T
     rank = matkit.numeric_rank(delta0, rank_rtol)
     if rank < spec.q:
         raise RankDeficientError(
@@ -125,7 +127,7 @@ def gamma_zero(spec: SemSpec, theta0: np.ndarray, sigma0: np.ndarray,
     _, sigma0_inv = matkit.chol_logdet(sigma0)
     dplus = matkit.pinv(matkit.duplication_matrix(spec.p))
     w0 = 2.0 * dplus @ np.kron(sigma0, sigma0) @ dplus.T
-    return GammaZero(gamma0=fisher_information(delta0, sigma0_inv),
+    return GammaZero(gamma0=fisher_information(d_sigma, sigma0_inv),
                      w0=0.5 * (w0 + w0.T), delta0=delta0)
 
 

@@ -9,6 +9,10 @@ quasi-log-likelihood of a candidate covariance ``Sigma(theta)`` reduces to
 identical (up to floating point) to summing the Gaussian increment
 densities, because Q is sufficient for the diffusion part.  Its in-fill
 limit replaces Q by the true covariance and drops the n factor.
+
+The gradient, the Fisher information and the observed Hessian are all
+analytic, built from one forward pass of the spec (``SemSpec.forward``)
+and one Cholesky factorization per call.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit
-from .errors import NotPositiveDefiniteError
 from .semspec import SemSpec
 
 __all__ = [
@@ -28,8 +31,6 @@ __all__ = [
     "fisher_information",
     "limit_loglik",
 ]
-
-_HESSIAN_REL_STEP = 1e-5
 
 
 @dataclass
@@ -57,39 +58,40 @@ def quad_var(x_obs: np.ndarray, T: float) -> QuadVar:
     return QuadVar(q_xx=0.5 * (q + q.T), n=x_obs.shape[0] - 1, T=float(T))
 
 
-def fisher_information(delta: np.ndarray, sigma_inv: np.ndarray) -> np.ndarray:
-    """Fisher information ``Delta' W Delta`` per increment, for the
-    covariance Jacobian ``delta`` (vech rows) and
+def _trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The q x q matrix of ``tr(a[i] @ b[j])`` for stacks of p x p matrices."""
+    q = a.shape[0]
+    return a.reshape(q, -1) @ np.swapaxes(b, 1, 2).reshape(q, -1).T
+
+
+def fisher_information(d_sigma: np.ndarray, sigma_inv: np.ndarray) -> np.ndarray:
+    """Fisher information per increment,
+    ``tr(inv(Sigma) Sigma_i inv(Sigma) Sigma_j) / 2``, for the derivative
+    stack ``d_sigma[i] = dSigma/dtheta_i``.
+
+    This is ``Delta' W Delta`` with ``Delta`` the vech Jacobian and
     ``W = D' (inv(Sigma) kron inv(Sigma)) D / 2``, ``D`` the duplication
-    matrix."""
-    vec_delta = matkit.duplication_matrix(sigma_inv.shape[0]) @ delta
-    info = 0.5 * vec_delta.T @ np.kron(sigma_inv, sigma_inv) @ vec_delta
+    matrix, computed on the p x p stack instead.
+    """
+    a = sigma_inv @ d_sigma
+    info = 0.5 * _trace_products(a, a)
     return 0.5 * (info + info.T)
 
 
-def _score_parts(spec: SemSpec, theta: np.ndarray, target: np.ndarray):
-    """Shared core: inv(Sigma), logdet, and trace against ``target``."""
-    sigma = spec.sigma(theta)
+def _loglik(sigma: np.ndarray, target: np.ndarray):
+    """Per-increment value against ``target`` and inv(Sigma)."""
     logdet, inv = matkit.chol_logdet(sigma)
-    value = -0.5 * float(np.sum(inv * target)) - 0.5 * logdet
-    return value, inv
-
-
-def _score_grad(spec: SemSpec, theta: np.ndarray, inv: np.ndarray,
-                target: np.ndarray, vech_weights: np.ndarray) -> np.ndarray:
-    # d value = tr[(inv @ target @ inv - inv) dSigma] / 2, contracted
-    # against the analytic Jacobian in vech coordinates.
-    m = inv @ target @ inv - inv
-    return 0.5 * (spec.jacobian(theta).T @ (vech_weights * matkit.vech(m)))
+    return -0.5 * float(np.sum(inv * target)) - 0.5 * logdet, inv
 
 
 class LikelihoodSurface:
     """The quasi-log-likelihood of one candidate model on one dataset.
 
     Immutable and shareable; evaluations at equal theta are identical.
-    ``value``/``grad`` and the Fisher ``information`` are analytic,
-    ``hessian`` is a central difference of the analytic gradient with
-    relative steps.
+    ``value``/``grad``, the Fisher ``information`` and the observed
+    ``hessian`` are analytic; each call makes one forward pass of the spec
+    (first order, second order for the Hessian) and one Cholesky
+    factorization.
     """
 
     def __init__(self, spec: SemSpec, quadvar: QuadVar):
@@ -101,17 +103,17 @@ class LikelihoodSurface:
         self.quadvar = quadvar
         self.n = quadvar.n
         self.h = quadvar.T / quadvar.n
-        rows, cols = matkit.vech_indices(spec.p)
-        self._w = np.where(rows == cols, 1.0, 2.0)
 
     def value(self, theta: np.ndarray) -> float:
-        v, _ = _score_parts(self.spec, theta, self.quadvar.q_xx)
+        v, _ = _loglik(self.spec.sigma(theta), self.quadvar.q_xx)
         return self.n * v
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        v, inv = _score_parts(self.spec, theta, self.quadvar.q_xx)
-        g = _score_grad(self.spec, theta, inv, self.quadvar.q_xx, self._w)
-        return self.n * v, self.n * g
+        # d value = n tr(M dSigma) / 2, M = inv Q inv - inv.
+        sigma, d1 = self.spec.forward(theta, 1)
+        v, inv = _loglik(sigma, self.quadvar.q_xx)
+        m = inv @ self.quadvar.q_xx @ inv - inv
+        return self.n * v, 0.5 * self.n * np.tensordot(d1, m, 2)
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         return self.value_and_grad(theta)[1]
@@ -119,27 +121,20 @@ class LikelihoodSurface:
     def information(self, theta: np.ndarray) -> np.ndarray:
         """Fisher information of the surface at ``theta`` (n times the
         per-increment information)."""
-        _, inv = matkit.chol_logdet(self.spec.sigma(theta))
-        return self.n * fisher_information(self.spec.jacobian(theta), inv)
+        sigma, d1 = self.spec.forward(theta, 1)
+        _, inv = matkit.chol_logdet(sigma)
+        return self.n * fisher_information(d1, inv)
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
-        """Symmetrized central-difference Hessian of the analytic gradient."""
-        theta = np.asarray(theta, dtype=float)
-        q = theta.size
-        hess = np.empty((q, q))
-        for j in range(q):
-            step = _HESSIAN_REL_STEP * (1.0 + abs(theta[j]))
-            plus, minus = theta.copy(), theta.copy()
-            plus[j] += step
-            minus[j] -= step
-            try:
-                g_plus = self.grad(plus)
-                g_minus = self.grad(minus)
-            except NotPositiveDefiniteError as exc:
-                raise NotPositiveDefiniteError(
-                    f"hessian probe at coordinate {j} (step {step:g}) left the "
-                    f"admissible region: {exc}") from exc
-            hess[:, j] = (g_plus - g_minus) / (2.0 * step)
+        """Analytic observed Hessian, the derivative of ``n tr(M Sigma_i)/2``:
+        ``n [tr(dM_j Sigma_i) + tr(M Sigma_ij)] / 2`` with
+        ``dM_j = inv Sigma_j inv - 2 sym(inv Sigma_j inv Q inv)``."""
+        sigma, d1, d2 = self.spec.forward(theta, 2)
+        _, inv = matkit.chol_logdet(sigma)
+        r = inv @ self.quadvar.q_xx @ inv
+        a = inv @ d1
+        dm = _trace_products(a, a) - 2.0 * _trace_products(a, r @ d1)
+        hess = 0.5 * self.n * (dm + np.tensordot(d2, r - inv, 2))
         return 0.5 * (hess + hess.T)
 
 
@@ -149,5 +144,5 @@ def limit_loglik(spec: SemSpec, theta: np.ndarray, sigma0: np.ndarray) -> float:
     Equals ``-tr(inv(Sigma(theta)) sigma0)/2 - log det Sigma(theta)/2``; its
     unique maximum over covariances sits at ``Sigma = sigma0``.
     """
-    v, _ = _score_parts(spec, theta, np.asarray(sigma0, dtype=float))
+    v, _ = _loglik(spec.sigma(theta), np.asarray(sigma0, dtype=float))
     return v

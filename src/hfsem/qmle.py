@@ -166,12 +166,11 @@ def _finalize(surface: LikelihoodSurface, run: tuple, restarts: int,
     boundary_hit = bool(np.any(
         np.minimum(theta - spec.lower, spec.upper - theta) <= _BOUNDARY_TOL))
 
+    # theta is an accepted iterate, so Sigma(theta) is positive definite
+    # and the analytic Hessian exists.
     hessian = np.full((spec.q, spec.q), np.nan)
     if options.compute_hessian:
-        try:
-            hessian = surface.hessian(theta)
-        except NotPositiveDefiniteError as exc:
-            logger.warning("hessian unavailable for %s: %s", spec.name, exc)
+        hessian = surface.hessian(theta)
 
     j_flag = False
     if np.all(np.isfinite(hessian)):

@@ -14,8 +14,14 @@ The implied covariance of the observed process has three blocks::
 
 with ``Phi`` the common-factor covariance, ``Psi = I - B``, ``G`` the
 factor regression matrix, and ``S_dd``, ``S_ee``, ``S_zz`` the unique
-covariances.  ``jacobian`` differentiates the half-vectorized covariance
-analytically by the product rule on these formulas.
+covariances.  These are the blocks of ``Lam A P A' Lam' + U`` with
+``Lam = diag(L1, L2)``, ``A = inv(I - Beta)``, ``Beta = [[0, 0], [G, B]]``,
+``P = diag(Phi, S_zz)`` and ``U = diag(S_dd, S_ee)``.  Each of these four
+matrices is affine in ``theta``, so ``SemSpec.forward`` applies the
+product rule once to unit stacks built at construction and returns Sigma
+with its first and, on request, second derivatives in theta; ``sigma``
+and ``jacobian`` (the vech rows of the first-derivative stack) come from
+that forward pass.
 """
 
 from __future__ import annotations
@@ -147,6 +153,19 @@ class _RoleLayout:
             theta[self.idx] = values[self.rows, self.cols]
 
 
+def _swap(x: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a stack."""
+    return np.swapaxes(x, -1, -2)
+
+
+def _invert_psi(b: np.ndarray, name: str) -> np.ndarray:
+    psi = np.eye(b.shape[0]) - b
+    if np.linalg.cond(psi) > _PSI_COND_LIMIT:
+        raise SingularStructureError(
+            f"I - b is numerically singular for model {name!r}")
+    return np.linalg.inv(psi)
+
+
 @dataclass
 class ImpliedCov:
     """The model-implied p x p covariance and its three blocks."""
@@ -243,8 +262,37 @@ class SemSpec:
         if np.any(self.lower[self.positive_mask] <= 0.0):
             raise SpecError("variance-parameter bounds need positive lower ends")
 
-        rows, cols = matkit.vech_indices(self.p)
-        self._vech_rows, self._vech_cols = rows, cols
+        # All-y form: Lam = diag(L1, L2), Beta = [[0, 0], [G, B]],
+        # P = diag(Phi, S_zz), U = diag(S_dd, S_ee).  Each is its fixed
+        # base plus theta contracted with its unit stack d(matrix)/d(theta).
+        p1, k1, k = self.p1, self.k1, self.k1 + self.k2
+        shapes = ((self.p, k), (k, k), (k, k), (self.p, self.p))
+        place = {"lambda_x1": (0, 0, 0), "lambda_x2": (0, p1, k1),
+                 "gamma": (1, k1, 0), "b": (1, k1, k1),
+                 "sigma_xixi": (2, 0, 0), "sigma_zz": (2, k1, k1),
+                 "sigma_dd": (3, 0, 0), "sigma_ee": (3, p1, p1)}
+        self._bases = [np.zeros(s) for s in shapes]
+        self._units = [np.zeros((self.q,) + s) for s in shapes]
+        for role, (m, r0, c0) in place.items():
+            lay = self._layouts[role]
+            rows, cols = lay.base.shape
+            self._bases[m][r0:r0 + rows, c0:c0 + cols] = lay.base
+            unit = self._units[m]
+            unit[lay.idx, r0 + lay.rows, c0 + lay.cols] = 1.0
+            if lay.symmetric:
+                unit[lay.idx, r0 + lay.cols, c0 + lay.rows] = 1.0
+
+        self._curved = np.flatnonzero(~self._units[3].any(axis=(1, 2)))
+
+        # A fixed b is checked once here; a free one on every pass.
+        self._psi_inv = None
+        if not self._layouts["b"].idx.size:
+            try:
+                self._psi_inv = _invert_psi(self._layouts["b"].base, self.name)
+            except SingularStructureError as exc:
+                raise SpecError(str(exc)) from exc
+
+        self._vech_rows, self._vech_cols = matkit.vech_indices(self.p)
 
     # -- theta packing -----------------------------------------------------
 
@@ -297,153 +345,76 @@ class SemSpec:
 
     # -- implied covariance ------------------------------------------------
 
-    def _structure(self, theta: np.ndarray):
-        """Assembled matrices plus shared products reused by the Jacobian."""
+    def forward(self, theta: np.ndarray, order: int = 0) -> tuple:
+        """The implied covariance and its derivative stacks at ``theta``.
+
+        Returns ``(sigma,)``, ``(sigma, d1)`` or ``(sigma, d1, d2)`` up to
+        ``order``: ``d1[i] = dSigma/dtheta_i`` (q x p x p) and
+        ``d2[i, j] = d2 Sigma/dtheta_i dtheta_j`` (q x q x p x p), all from
+        one application of the product rule to ``Lam C Lam' + U`` with
+        ``C = A P A'`` and ``A = inv(I - Beta)`` on the unit stacks.
+        """
         theta = self._check_theta(theta)
-        lay = self._layouts
-        l1 = lay["lambda_x1"].assemble(theta)
-        l2 = lay["lambda_x2"].assemble(theta)
-        b = lay["b"].assemble(theta)
-        g = lay["gamma"].assemble(theta)
-        phi = lay["sigma_xixi"].assemble(theta)
-        s_dd = lay["sigma_dd"].assemble(theta)
-        s_ee = lay["sigma_ee"].assemble(theta)
-        s_zz = lay["sigma_zz"].assemble(theta)
+        lam, beta, phi, u = (
+            base + (theta @ unit.reshape(self.q, base.size)).reshape(base.shape)
+            for base, unit in zip(self._bases, self._units))
+        k1 = self.k1
+        psi_inv = self._psi_inv
+        if psi_inv is None:
+            psi_inv = _invert_psi(beta[k1:, k1:], self.name)
+        a = np.eye(k1 + self.k2)
+        a[k1:, :k1] = psi_inv @ beta[k1:, :k1]
+        a[k1:, k1:] = psi_inv
+        c = a @ phi @ a.T
+        c_lam = c @ lam.T
+        sigma = lam @ c_lam + u
+        sigma = 0.5 * (sigma + sigma.T)
+        if order == 0:
+            return (sigma,)
 
-        psi = np.eye(self.k2) - b
-        if np.linalg.cond(psi) > _PSI_COND_LIMIT:
-            raise SingularStructureError(
-                f"I - b is numerically singular for model {self.name!r}")
-        psi_inv = np.linalg.inv(psi)
+        # dC_i = y_i + y_i', dSigma_i = z_i + z_i' (P, U and C symmetric).
+        d_lam, d_beta, d_phi, d_u = self._units
+        d_a = a @ d_beta @ a
+        phi_a = phi @ a.T
+        y = d_a @ phi_a + 0.5 * (a @ d_phi @ a.T)
+        d_c = y + _swap(y)
+        z = d_lam @ c_lam + lam @ y @ lam.T + 0.5 * d_u
+        d1 = z + _swap(z)
+        if order == 1:
+            return sigma, d1
 
-        p1phi = l1 @ phi                       # p1 x k1
-        t2 = psi_inv @ g                       # k2 x k1
-        a2 = l2 @ psi_inv                      # p2 x k2
-        a2g = l2 @ t2                          # p2 x k1
-        m2 = g @ phi @ g.T + s_zz              # k2 x k2
-        k_mat = psi_inv @ m2 @ psi_inv.T       # k2 x k2
-
-        s11 = p1phi @ l1.T + s_dd
-        s12 = p1phi @ a2g.T
-        s22 = a2 @ m2 @ a2.T + s_ee
-        return {
-            "l1": l1, "l2": l2, "g": g, "phi": phi,
-            "psi_inv": psi_inv, "p1phi": p1phi, "t2": t2,
-            "a2": a2, "a2g": a2g, "k": k_mat,
-            "s11": 0.5 * (s11 + s11.T), "s12": s12, "s22": 0.5 * (s22 + s22.T),
-        }
+        # Second order.  Sigma is linear in U, so only the other parameters
+        # have second derivatives; their pairs (i, j) run on the two
+        # leading axes.
+        cv = self._curved
+        d_lam, d_beta, d_phi, d_a, d_c = (
+            x[cv] for x in (d_lam, d_beta, d_phi, d_a, d_c))
+        di, dj = (slice(None), None), (None, slice(None))
+        d2_a = d_a[dj] @ d_beta[di] @ a + a @ d_beta[di] @ d_a[dj]
+        y2 = (d2_a @ phi_a + d_a[di] @ d_phi[dj] @ a.T
+              + d_a[dj] @ d_phi[di] @ a.T + d_a[di] @ phi @ _swap(d_a)[dj])
+        z2 = (d_lam[di] @ c @ _swap(d_lam)[dj] + d_lam[di] @ d_c[dj] @ lam.T
+              + d_lam[dj] @ d_c[di] @ lam.T + lam @ y2 @ lam.T)
+        d2 = np.zeros((self.q, self.q, self.p, self.p))
+        d2[np.ix_(cv, cv)] = z2 + _swap(z2)
+        return sigma, d1, d2
 
     def implied_cov(self, theta: np.ndarray) -> ImpliedCov:
         """The implied covariance of the observed process at ``theta``."""
-        st = self._structure(theta)
-        sigma = np.empty((self.p, self.p))
+        sigma = self.sigma(theta)
         p1 = self.p1
-        sigma[:p1, :p1] = st["s11"]
-        sigma[:p1, p1:] = st["s12"]
-        sigma[p1:, :p1] = st["s12"].T
-        sigma[p1:, p1:] = st["s22"]
-        return ImpliedCov(sigma=sigma, block11=st["s11"],
-                          block12=st["s12"], block22=st["s22"])
+        return ImpliedCov(sigma=sigma, block11=sigma[:p1, :p1],
+                          block12=sigma[:p1, p1:], block22=sigma[p1:, p1:])
 
     def sigma(self, theta: np.ndarray) -> np.ndarray:
-        """Shorthand for ``implied_cov(theta).sigma``."""
-        return self.implied_cov(theta).sigma
-
-    # -- analytic Jacobian ---------------------------------------------------
+        """The implied p x p covariance at ``theta``."""
+        return self.forward(theta)[0]
 
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
-        """d vech(Sigma) / d theta, a (p(p+1)/2 x q) matrix.
-
-        Column j is the half-vectorized derivative of the implied
-        covariance with respect to theta[j], obtained by the product rule
-        on the three block formulas.
-        """
-        st = self._structure(theta)
-        p1, p2 = self.p1, self.p2
-        delta = np.zeros((self.pbar, self.q))
-        d_sigma = np.zeros((self.p, self.p))
-        vr, vc = self._vech_rows, self._vech_cols
-
-        def emit(col: int) -> None:
-            delta[:, col] = d_sigma[vr, vc]
-            d_sigma.fill(0.0)
-
-        lay = self._layouts["lambda_x1"]
-        w12 = st["a2g"] @ st["phi"]            # p2 x k1
-        for r, c, k in zip(lay.rows, lay.cols, lay.idx):
-            u = st["p1phi"][:, c]
-            d_sigma[r, :p1] += u
-            d_sigma[:p1, r] += u
-            d_sigma[r, p1:] += w12[:, c]
-            d_sigma[p1:, r] += w12[:, c]
-            emit(k)
-
-        lay = self._layouts["lambda_x2"]
-        w1t2 = st["p1phi"] @ st["t2"].T        # p1 x k2
-        l2k = st["l2"] @ st["k"]               # p2 x k2
-        for r, c, k in zip(lay.rows, lay.cols, lay.idx):
-            d_sigma[:p1, p1 + r] += w1t2[:, c]
-            d_sigma[p1 + r, :p1] += w1t2[:, c]
-            d_sigma[p1 + r, p1:] += l2k[:, c]
-            d_sigma[p1:, p1 + r] += l2k[:, c]
-            emit(k)
-
-        lay = self._layouts["b"]
-        for r, c, k in zip(lay.rows, lay.cols, lay.idx):
-            d12 = np.outer(w1t2[:, c], st["a2"][:, r])
-            d22 = np.outer(st["a2"][:, r], l2k[:, c])
-            d_sigma[:p1, p1:] += d12
-            d_sigma[p1:, :p1] += d12.T
-            d_sigma[p1:, p1:] += d22 + d22.T
-            emit(k)
-
-        lay = self._layouts["gamma"]
-        a2gphi = st["a2g"] @ st["phi"]         # p2 x k1
-        for r, c, k in zip(lay.rows, lay.cols, lay.idx):
-            d12 = np.outer(st["p1phi"][:, c], st["a2"][:, r])
-            d22 = np.outer(st["a2"][:, r], a2gphi[:, c])
-            d_sigma[:p1, p1:] += d12
-            d_sigma[p1:, :p1] += d12.T
-            d_sigma[p1:, p1:] += d22 + d22.T
-            emit(k)
-
-        def sym_outer(u: np.ndarray, v: np.ndarray, same: bool) -> np.ndarray:
-            out = np.outer(u, v)
-            if not same:
-                out = out + out.T
-            return out
-
-        lay = self._layouts["sigma_xixi"]
-        for r, c, k in zip(lay.rows, lay.cols, lay.idx):
-            same = r == c
-            d_sigma[:p1, :p1] += sym_outer(st["l1"][:, r], st["l1"][:, c], False) \
-                if not same else np.outer(st["l1"][:, r], st["l1"][:, r])
-            d12 = np.outer(st["l1"][:, r], st["a2g"][:, c])
-            if not same:
-                d12 = d12 + np.outer(st["l1"][:, c], st["a2g"][:, r])
-            d_sigma[:p1, p1:] += d12
-            d_sigma[p1:, :p1] += d12.T
-            d_sigma[p1:, p1:] += sym_outer(st["a2g"][:, r], st["a2g"][:, c], same)
-            emit(k)
-
-        lay = self._layouts["sigma_dd"]
-        for r, c, k in zip(lay.rows, lay.cols, lay.idx):
-            d_sigma[r, c] += 1.0
-            d_sigma[c, r] = d_sigma[r, c]
-            emit(k)
-
-        lay = self._layouts["sigma_ee"]
-        for r, c, k in zip(lay.rows, lay.cols, lay.idx):
-            d_sigma[p1 + r, p1 + c] += 1.0
-            d_sigma[p1 + c, p1 + r] = d_sigma[p1 + r, p1 + c]
-            emit(k)
-
-        lay = self._layouts["sigma_zz"]
-        for r, c, k in zip(lay.rows, lay.cols, lay.idx):
-            d_sigma[p1:, p1:] += sym_outer(st["a2"][:, r], st["a2"][:, c], r == c)
-            emit(k)
-
-        return delta
+        """d vech(Sigma) / d theta, a (p(p+1)/2 x q) matrix: the vech rows
+        of the forward pass's first-derivative stack."""
+        d1 = self.forward(theta, 1)[1]
+        return d1[:, self._vech_rows, self._vech_cols].T
 
     # -- serialization -------------------------------------------------------
 

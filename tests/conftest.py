@@ -117,6 +117,56 @@ def degenerate_model():
     return make_degenerate_model()
 
 
+def make_structural_spec():
+    """k2=2 with a free lower-triangular structural loading and a free
+    off-diagonal unique covariance: free b and symmetric off-diagonal
+    cells, which the bundled models never have."""
+    patterns = {
+        "lambda_x1": PatternMatrix([[Fixed(1.0)], [Free(0)], [Free(1)]]),
+        "lambda_x2": PatternMatrix([[Fixed(1.0), Fixed(0.0)],
+                                    [Free(2), Fixed(0.0)],
+                                    [Fixed(0.0), Fixed(1.0)],
+                                    [Fixed(0.0), Free(3)]]),
+        "b": PatternMatrix([[Fixed(0.0), Fixed(0.0)],
+                            [Free(4), Fixed(0.0)]]),
+        "gamma": PatternMatrix([[Free(5)], [Free(6)]]),
+        "sigma_xixi": PatternMatrix([[Free(7, "positive")]]),
+        "sigma_dd": PatternMatrix([
+            [Free(8, "positive"), Free(9), Fixed(0.0)],
+            [Free(9), Free(10, "positive"), Fixed(0.0)],
+            [Fixed(0.0), Fixed(0.0), Free(11, "positive")]]),
+        "sigma_ee": PatternMatrix([
+            [Free(12, "positive"), Fixed(0.0), Fixed(0.0), Fixed(0.0)],
+            [Fixed(0.0), Free(13, "positive"), Fixed(0.0), Fixed(0.0)],
+            [Fixed(0.0), Fixed(0.0), Free(14, "positive"), Fixed(0.0)],
+            [Fixed(0.0), Fixed(0.0), Fixed(0.0), Free(15, "positive")]]),
+        "sigma_zz": PatternMatrix([[Free(16, "positive"), Fixed(0.0)],
+                                   [Fixed(0.0), Free(17, "positive")]]),
+    }
+    lower = np.full(18, -1e3)
+    upper = np.full(18, 1e3)
+    for k in (7, 8, 10, 11, 12, 13, 14, 15, 16, 17):
+        lower[k] = 1e-6
+        upper[k] = 1e4
+    return SemSpec({"p1": 3, "p2": 4, "k1": 1, "k2": 2}, patterns,
+                   lower, upper, name="structural")
+
+
+def fd_hessian(surface, theta, rel_step=1e-5):
+    """Reference Hessian: symmetrized central differences of the analytic
+    gradient with relative steps, 2q gradient calls."""
+    theta = np.asarray(theta, dtype=float)
+    q = theta.size
+    hess = np.empty((q, q))
+    for j in range(q):
+        step = rel_step * (1.0 + abs(theta[j]))
+        plus, minus = theta.copy(), theta.copy()
+        plus[j] += step
+        minus[j] -= step
+        hess[:, j] = (surface.grad(plus) - surface.grad(minus)) / (2.0 * step)
+    return 0.5 * (hess + hess.T)
+
+
 def interior_theta(spec, rng, spread=0.3, around=None):
     """A random interior point near a reference (true-value scale)."""
     if around is None:

@@ -52,6 +52,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             harness.ExperimentConfig.from_json(path)
 
+    def test_grid_below_observed_dimension_rejected(self, monkeypatch):
+        # n = 6 increments of p = 10 series give a rank-6 Q
+        monkeypatch.setattr(harness, "limit_optimum", lambda *args, **kwargs:
+                            pytest.fail("limit optimum ran before the check"))
+        config = small_config(n_values=[100, 6])
+        with pytest.raises(ValueError, match="n=6 .*p=10"):
+            harness.run_experiment(config)
+        with pytest.raises(ValueError, match="n=6 .*p=10"):
+            harness.gap_growth_probe(config, "model1", "model2")
+
     def test_missing_key_named(self):
         doc = small_config().to_dict()
         del doc["T"]
@@ -118,6 +128,7 @@ class TestRunExperiment:
             assert set(harness.REPLICATION_COLUMNS) <= set(record)
             assert isinstance(record["boundary_hit"], bool)
             assert isinstance(record["iterations"], int)
+            assert isinstance(record["grad_norm"], float)
 
     def test_failed_fit_leaves_fit_columns_empty(self, monkeypatch):
         original = harness.fit
@@ -132,7 +143,8 @@ class TestRunExperiment:
         assert table.failures[100] == 1
         (failed,) = [r for r in records if r["selected_by"] == "fit_failed"]
         assert failed["model"] == "model3"
-        for column in ("h_at_hat", "converged", "boundary_hit", "iterations"):
+        for column in ("h_at_hat", "converged", "boundary_hit", "iterations",
+                       "grad_norm"):
             assert failed[column] == ""
 
     def test_single_replication_equals_its_selection(self):

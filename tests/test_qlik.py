@@ -4,7 +4,7 @@ import pytest
 from hfsem import diffsim, models
 from hfsem.errors import NotPositiveDefiniteError
 from hfsem.qlik import LikelihoodSurface, QuadVar, limit_loglik, quad_var
-from tests.conftest import interior_theta
+from tests.conftest import fd_hessian, interior_theta, make_structural_spec
 
 
 class TestQuadVar:
@@ -165,12 +165,38 @@ class TestHessian:
         asym = np.abs(raw - raw.T).max() / (1 + np.abs(raw).max())
         assert asym < 1e-6
 
-    def test_probe_outside_region_reported(self, scalar_model):
-        surface = LikelihoodSurface(scalar_model, QuadVar(np.diag([2.0, 1.0]),
-                                                          n=30, T=1.0))
-        # variance at the box floor: the downward probe leaves the region
-        with pytest.raises(NotPositiveDefiniteError, match="probe"):
-            surface.hessian(np.array([1e-6]))
+    def test_scalar_closed_form_at_box_floor(self, scalar_model):
+        # a central difference at the variance floor steps below zero; the
+        # analytic Hessian is exact there
+        q0, n, theta = 2.0, 30, 1e-6
+        surface = LikelihoodSurface(scalar_model, QuadVar(np.diag([q0, 1.0]),
+                                                          n=n, T=1.0))
+        expected = n * (-q0 / theta ** 3 + 1.0 / (2.0 * theta ** 2))
+        hess = surface.hessian(np.array([theta]))
+        assert abs(hess[0, 0] - expected) < 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("fixture", ["model1", "model2", "model3",
+                                         "structural"])
+    def test_matches_finite_differences(self, fixture, request, quadvar_1e4):
+        rng = np.random.default_rng(23)
+        if fixture == "structural":
+            # free b: exercises the inv(I - b) derivative terms
+            spec = make_structural_spec()
+            around = np.where(spec.positive_mask, 4.0, 1.5)
+            chol = np.linalg.cholesky(spec.sigma(around))
+            x = (rng.standard_normal((2001, spec.p)) @ chol.T).cumsum(axis=0)
+            quadvar = quad_var(x / np.sqrt(2000), 1.0)
+        else:
+            spec = request.getfixturevalue(fixture)
+            around = {"model1": models.THETA1_TRUE,
+                      "model2": models.THETA2_TRUE, "model3": None}[fixture]
+            quadvar = quadvar_1e4
+        surface = LikelihoodSurface(spec, quadvar)
+        for _ in range(3):
+            theta = interior_theta(spec, rng, around=around)
+            hess = surface.hessian(theta)
+            fd = fd_hessian(surface, theta)
+            assert np.abs(hess - fd).max() < 1e-6 * np.abs(fd).max()
 
 
 class TestLimitCriterion:

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -5,6 +7,7 @@ import scipy.optimize
 from hfsem import diffsim, models, qmle
 from hfsem.errors import AllStartsFailedError
 from hfsem.qlik import LikelihoodSurface, QuadVar, quad_var
+from hfsem.semspec import SemSpec
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +90,7 @@ class TestFit:
     def test_value_and_grad_calls(self, surface_1e3, monkeypatch):
         # The L-BFGS-B estimator that scoring replaced (log-scaled variances,
         # run until its line search stalled) made 87 value_and_grad calls
-        # for this fit; the finite-difference Hessian, 2q = 44 gradients
-        # under either estimator, is left out.
+        # for this fit, the Hessian left out.
         calls = []
         original = LikelihoodSurface.value_and_grad
         monkeypatch.setattr(LikelihoodSurface, "value_and_grad",
@@ -97,6 +99,28 @@ class TestFit:
         qmle.fit(surface_1e3, init=models.THETA1_TRUE,
                  options=qmle.FitOptions(compute_hessian=False))
         assert len(calls) <= 87 // 3
+
+    def test_one_forward_pass_per_evaluation(self, surface_1e3, monkeypatch):
+        # One forward pass per value_and_grad or information call and one
+        # for the Hessian; a central-difference Hessian of this model makes
+        # 2q = 44 gradient calls, 88 Sigma/Jacobian builds.
+        calls = collections.Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: calls.update([name])
+                                or original(*args))
+
+        for name in ("value_and_grad", "information", "hessian"):
+            count(LikelihoodSurface, name)
+        count(SemSpec, "forward")
+        report = qmle.fit(surface_1e3, init=models.THETA1_TRUE)
+        assert calls["hessian"] == 1
+        assert (calls["forward"]
+                <= calls["value_and_grad"] + calls["information"] + 1)
+        before = calls["forward"]
+        surface_1e3.hessian(report.theta_hat)
+        assert calls["forward"] - before == 1
 
     def test_boundary_solution_reported(self, scalar_model):
         # quadratic covariation below the variance floor pushes the

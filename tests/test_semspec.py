@@ -9,7 +9,7 @@ from hfsem.errors import SingularStructureError, SpecError
 from hfsem.qlik import LikelihoodSurface
 from hfsem.semspec import (Fixed, Free, PatternMatrix, SemSpec,
                            check_identifiability, nested_embedding)
-from tests.conftest import interior_theta
+from tests.conftest import interior_theta, make_structural_spec
 
 
 def model1_true_matrices():
@@ -140,41 +140,6 @@ class TestImpliedCov:
             model1.sigma(np.ones(5))
 
 
-def make_structural_spec():
-    """k2=2 with a free lower-triangular structural loading and a free
-    off-diagonal factor covariance; exercises the b and symmetric
-    off-diagonal Jacobian branches the bundled models never touch."""
-    patterns = {
-        "lambda_x1": PatternMatrix([[Fixed(1.0)], [Free(0)], [Free(1)]]),
-        "lambda_x2": PatternMatrix([[Fixed(1.0), Fixed(0.0)],
-                                    [Free(2), Fixed(0.0)],
-                                    [Fixed(0.0), Fixed(1.0)],
-                                    [Fixed(0.0), Free(3)]]),
-        "b": PatternMatrix([[Fixed(0.0), Fixed(0.0)],
-                            [Free(4), Fixed(0.0)]]),
-        "gamma": PatternMatrix([[Free(5)], [Free(6)]]),
-        "sigma_xixi": PatternMatrix([[Free(7, "positive")]]),
-        "sigma_dd": PatternMatrix([
-            [Free(8, "positive"), Free(9), Fixed(0.0)],
-            [Free(9), Free(10, "positive"), Fixed(0.0)],
-            [Fixed(0.0), Fixed(0.0), Free(11, "positive")]]),
-        "sigma_ee": PatternMatrix([
-            [Free(12, "positive"), Fixed(0.0), Fixed(0.0), Fixed(0.0)],
-            [Fixed(0.0), Free(13, "positive"), Fixed(0.0), Fixed(0.0)],
-            [Fixed(0.0), Fixed(0.0), Free(14, "positive"), Fixed(0.0)],
-            [Fixed(0.0), Fixed(0.0), Fixed(0.0), Free(15, "positive")]]),
-        "sigma_zz": PatternMatrix([[Free(16, "positive"), Fixed(0.0)],
-                                   [Fixed(0.0), Free(17, "positive")]]),
-    }
-    lower = np.full(18, -1e3)
-    upper = np.full(18, 1e3)
-    for k in (7, 8, 10, 11, 12, 13, 14, 15, 16, 17):
-        lower[k] = 1e-6
-        upper[k] = 1e4
-    return SemSpec({"p1": 3, "p2": 4, "k1": 1, "k2": 2}, patterns,
-                   lower, upper, name="structural")
-
-
 class TestJacobian:
     def test_single_parameter_identity(self, scalar_model):
         delta = scalar_model.jacobian([2.5])
@@ -256,6 +221,26 @@ class TestSpecValidation:
         }
         with pytest.raises(SpecError):
             SemSpec({"p1": 1, "p2": 1, "k1": 1, "k2": 1}, patterns, [], [])
+
+    def test_singular_fixed_b_rejected(self):
+        # a fixed b is checked once at construction: I - b singular here
+        patterns = {
+            "lambda_x1": PatternMatrix([[Fixed(1.0)]]),
+            "lambda_x2": PatternMatrix([[Fixed(1.0), Fixed(0.0)],
+                                        [Fixed(0.0), Fixed(1.0)]]),
+            "b": PatternMatrix([[Fixed(0.0), Fixed(1.0)],
+                                [Fixed(1.0), Fixed(0.0)]]),
+            "gamma": PatternMatrix([[Fixed(1.0)], [Fixed(1.0)]]),
+            "sigma_xixi": PatternMatrix([[Free(0, "positive")]]),
+            "sigma_dd": PatternMatrix([[Fixed(1.0)]]),
+            "sigma_ee": PatternMatrix([[Fixed(1.0), Fixed(0.0)],
+                                       [Fixed(0.0), Fixed(1.0)]]),
+            "sigma_zz": PatternMatrix([[Fixed(1.0), Fixed(0.0)],
+                                       [Fixed(0.0), Fixed(1.0)]]),
+        }
+        with pytest.raises(SpecError, match="singular"):
+            SemSpec({"p1": 1, "p2": 2, "k1": 1, "k2": 2}, patterns,
+                    lower=[1e-6], upper=[1e4])
 
     def test_duplicate_theta_index_rejected(self):
         patterns = {
