@@ -88,8 +88,11 @@ def simulate(model_name: str, n: int, horizon: float, seed: int, out: str,
     if model_name != diffsim.TRUE_MODEL_NAME:
         raise click.ClickException(
             f"unknown model {model_name!r}; available: {diffsim.TRUE_MODEL_NAME}")
-    bundle = diffsim.simulate_true_model(n=n, T=horizon, seed=seed,
-                                         keep_latents=with_latents)
+    try:
+        bundle = diffsim.simulate_true_model(n=n, T=horizon, seed=seed,
+                                             keep_latents=with_latents)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
     _write_path_csv(out, bundle, with_latents)
     click.echo(f"wrote {out} ({n} steps, horizon {horizon}, seed {seed})")
 

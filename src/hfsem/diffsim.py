@@ -13,6 +13,12 @@ The four driving Wiener processes are independent; each block gets its own
 RNG substream spawned from the bundle seed, so equal seeds reproduce
 bundles bit-for-bit and distinct blocks never share randomness.
 
+Paths are streamed: each block yields its path in row chunks, and each
+chunk's observations are written into the one preallocated ``x_obs``.
+The result is bit-for-bit the whole-path computation (one draw of all
+steps, then the recursion), which ``tests/conftest.py`` keeps as the
+reference.
+
 This module only simulates.  The diffusion covariance a truth implies is
 computed by ``harness.truth_sigma``, which evaluates the truth as an
 all-fixed ``SemSpec``.
@@ -21,7 +27,7 @@ all-fixed ``SemSpec``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 import scipy.linalg
@@ -42,6 +48,11 @@ __all__ = [
 TRUE_MODEL_NAME = "true4-6"
 
 _PSI_COND_LIMIT = 1e12
+
+# Rows per chunk of a streamed path: a chunk's draws, products and
+# assembly stay in cache, and no n-sized temporary is made besides the
+# returned arrays.
+_CHUNK_ROWS = 8192
 
 
 @dataclass
@@ -129,25 +140,78 @@ def _exact_transition(block: OuBlock, h: float):
     return ad, bd, noise_factor
 
 
-def _linear_recursion(ad: np.ndarray, u: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Iterate x_{i+1} = ad x_i + u_i; returns the (n+1, d) path."""
-    n, d = u.shape
-    path = np.empty((n + 1, d))
-    path[0] = x0
-    off_diag = ad - np.diag(np.diag(ad))
-    if np.abs(off_diag).max(initial=0.0) == 0.0:
-        # Decoupled coordinates: run each as a scalar AR recursion.
-        a = np.diag(ad)
-        u = u.copy()
-        u[0] += a * x0
-        for j in range(d):
-            path[1:, j] = scipy.signal.lfilter([1.0], [1.0, -a[j]], u[:, j])
+def _grid_step(n: int, T: float) -> float:
+    """The step ``T / n`` of the uniform grid; the one check of grid and horizon."""
+    if n < 1:
+        raise ValueError("need at least one step")
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"horizon must be positive and finite, got {T}")
+    return T / n
+
+
+def _chunk_bounds(rows: int) -> list[tuple[int, int]]:
+    """Consecutive ``(start, stop)`` row ranges covering ``range(rows)``.
+
+    Each range has ``_CHUNK_ROWS`` rows except the last, which also takes
+    the remainder, so a chunk of a path (``rows >= 2``) never has a single
+    row: a one-row matmul runs BLAS's matrix-vector kernel, whose rounding
+    differs from the matrix-matrix kernel of a whole-path product.
+    """
+    starts = range(0, rows, _CHUNK_ROWS)[:max(1, rows // _CHUNK_ROWS)]
+    return list(zip(starts, [*starts[1:], rows]))
+
+
+def _path_chunks(block: OuBlock, n: int, h: float, rng: np.random.Generator,
+                 method: str) -> Iterator[np.ndarray]:
+    """The block's path on the grid, rows 0..n, in the row chunks of
+    ``_chunk_bounds(n + 1)``; the first chunk starts with ``block.init``.
+
+    Drawing chunk by chunk consumes ``rng`` exactly as one ``(n, width)``
+    draw does, and the recursion's state is carried from chunk to chunk,
+    so the chunks are the rows of the whole-path computation, bit for bit.
+    The method is checked when the first chunk is requested.
+    """
+    if method == "exact":
+        if block.drift is not None:
+            raise ValueError("exact sampling needs an affine drift; use euler")
+        ad, bd, noise = _exact_transition(block, h)
+        scale = None
+    elif method == "euler":
+        # With an affine drift the Euler step is itself a linear recursion.
+        ad = np.eye(block.dim) - block.mean_reversion * h
+        bd, noise, scale = block.level * h, block.dispersion, np.sqrt(h)
     else:
-        x = np.asarray(x0, dtype=float)
-        for i in range(n):
-            x = ad @ x + u[i]
-            path[i + 1] = x
-    return path
+        raise ValueError(f"unknown method {method!r}")
+    a = np.diag(ad)
+    decoupled = not np.any(ad - np.diag(a))
+    x = block.init
+    for start, stop in _chunk_bounds(n + 1):
+        rows = np.empty((stop - start, block.dim))
+        steps = rows
+        if start == 0:
+            rows[0] = x
+            steps = rows[1:]
+        z = rng.standard_normal((len(steps), noise.shape[1]))
+        if scale is not None:
+            z *= scale
+        if block.drift is not None:
+            for i, zi in enumerate(z):
+                x = x + block.drift(x) * h + noise @ zi
+                steps[i] = x
+        else:
+            u = z @ noise.T + bd
+            if decoupled:
+                # One scalar AR(1) filter per coordinate; its state a*x
+                # carries the previous row into the chunk.
+                for j in range(block.dim):
+                    steps[:, j], _ = scipy.signal.lfilter(
+                        [1.0], [1.0, -a[j]], u[:, j], zi=[a[j] * x[j]])
+            else:
+                for i, ui in enumerate(u):
+                    x = ad @ x + ui
+                    steps[i] = x
+        x = rows[-1]
+        yield rows
 
 
 def simulate_ou(block: OuBlock, n: int, T: float,
@@ -158,34 +222,13 @@ def simulate_ou(block: OuBlock, n: int, T: float,
     affine SDE and has no discretization bias.  ``method="euler"`` is the
     Euler-Maruyama scheme and is required for blocks with a custom drift.
     """
-    if n < 1:
-        raise ValueError("need at least one step")
-    if T <= 0:
-        raise ValueError("horizon must be positive")
-    h = T / n
-    if method == "exact":
-        if block.drift is not None:
-            raise ValueError("exact sampling needs an affine drift; use euler")
-        ad, bd, noise_factor = _exact_transition(block, h)
-        z = rng.standard_normal((n, block.dim))
-        u = z @ noise_factor.T + bd
-        return _linear_recursion(ad, u, block.init)
-    if method == "euler":
-        s = block.dispersion
-        z = rng.standard_normal((n, s.shape[1])) * np.sqrt(h)
-        if block.drift is None:
-            # Affine drift: the Euler step is itself a linear recursion.
-            ad = np.eye(block.dim) - block.mean_reversion * h
-            u = z @ s.T + block.level * h
-            return _linear_recursion(ad, u, block.init)
-        path = np.empty((n + 1, block.dim))
-        x = block.init.astype(float)
-        path[0] = x
-        for i in range(n):
-            x = x + block.drift(x) * h + s @ z[i]
-            path[i + 1] = x
-        return path
-    raise ValueError(f"unknown method {method!r}")
+    chunks = _path_chunks(block, n, _grid_step(n, T), rng, method)
+    path = np.empty((n + 1, block.dim))
+    start = 0
+    for rows in chunks:
+        path[start:start + len(rows)] = rows
+        start += len(rows)
+    return path
 
 
 def _block_streams(seed: int) -> list[np.random.Generator]:
@@ -200,7 +243,13 @@ def simulate_custom(xi_block: OuBlock, delta_block: OuBlock,
                     n: int, T: float, seed: int,
                     method: str = "exact",
                     keep_latents: bool = True) -> PathBundle:
-    """Simulate an arbitrary truth given four latent blocks and loadings."""
+    """Simulate an arbitrary truth given four latent blocks and loadings.
+
+    The blocks are streamed together chunk by chunk and each chunk's
+    observations are written into ``x_obs``; the latent paths are stored
+    only with ``keep_latents``.
+    """
+    h = _grid_step(n, T)
     lambda_x1 = np.atleast_2d(np.asarray(lambda_x1, float))
     lambda_x2 = np.atleast_2d(np.asarray(lambda_x2, float))
     gamma = np.atleast_2d(np.asarray(gamma, float))
@@ -209,28 +258,38 @@ def simulate_custom(xi_block: OuBlock, delta_block: OuBlock,
     if b0 is None:
         b0 = np.zeros((k2, k2))
     b0 = np.atleast_2d(np.asarray(b0, float))
-    if (xi_block.dim, delta_block.dim, eps_block.dim, zeta_block.dim) != \
-            (k1, p1, p2, k2):
+    blocks = (xi_block, delta_block, eps_block, zeta_block)
+    if tuple(b.dim for b in blocks) != (k1, p1, p2, k2):
         raise ValueError("block dimensions do not match the loading matrices")
     if gamma.shape != (k2, k1) or b0.shape != (k2, k2):
         raise ValueError("gamma / b0 shapes do not match the factor dimensions")
+    for name, value in (("lambda_x1", lambda_x1), ("lambda_x2", lambda_x2),
+                        ("gamma", gamma), ("b0", b0)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} has non-finite entries")
     psi = np.eye(k2) - b0
     if np.linalg.cond(psi) > _PSI_COND_LIMIT:
         raise SingularStructureError("I - b0 is numerically singular")
+    psi_inv_t = np.linalg.inv(psi).T
 
-    streams = _block_streams(seed)
-    xi = simulate_ou(xi_block, n, T, streams[0], method)
-    delta = simulate_ou(delta_block, n, T, streams[1], method)
-    eps = simulate_ou(eps_block, n, T, streams[2], method)
-    zeta = simulate_ou(zeta_block, n, T, streams[3], method)
-
-    eta = np.linalg.solve(psi, (xi @ gamma.T + zeta).T).T
-    x_obs = np.hstack([xi @ lambda_x1.T + delta, eta @ lambda_x2.T + eps])
-
+    chunks = zip(*[_path_chunks(block, n, h, rng, method)
+                   for block, rng in zip(blocks, _block_streams(seed))])
+    x_obs = np.empty((n + 1, p1 + p2))
+    latents = {}
     if keep_latents:
-        return PathBundle(n=n, T=T, h=T / n, seed=int(seed), x_obs=x_obs,
-                          xi=xi, delta=delta, eps=eps, zeta=zeta, eta=eta)
-    return PathBundle(n=n, T=T, h=T / n, seed=int(seed), x_obs=x_obs)
+        latents = {name: np.empty((n + 1, dim)) for name, dim in
+                   zip(("xi", "delta", "eps", "zeta", "eta"),
+                       (k1, p1, p2, k2, k2))}
+    start = 0
+    for xi, delta, eps, zeta in chunks:
+        stop = start + len(xi)
+        eta = (xi @ gamma.T + zeta) @ psi_inv_t
+        x_obs[start:stop, :p1] = xi @ lambda_x1.T + delta
+        x_obs[start:stop, p1:] = eta @ lambda_x2.T + eps
+        for name, rows in zip(latents, (xi, delta, eps, zeta, eta)):
+            latents[name][start:stop] = rows
+        start = stop
+    return PathBundle(n=n, T=T, h=h, seed=int(seed), x_obs=x_obs, **latents)
 
 
 # -- the benchmark truth -------------------------------------------------------

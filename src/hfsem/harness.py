@@ -118,9 +118,7 @@ class ExperimentConfig:
             raise ValueError(f"unsupported schema {doc.get('schema')!r}")
         required = ("n_values", "T", "replications", "master_seed",
                     "model_spec_paths")
-        missing = [k for k in required if k not in doc]
-        if missing:
-            raise ValueError(f"config is missing required keys {missing}")
+        _require_keys(doc, required, "config")
         kwargs = {k: doc[k] for k in required}
         for key in ("criteria", "starts", "true_model", "init_mode", "workers"):
             if key in doc:
@@ -170,15 +168,27 @@ class SelectionTable:
 
 # -- truth handling ------------------------------------------------------------
 
+_TRUTH_KEYS = ("xi", "delta", "eps", "zeta", "lambda_x1", "lambda_x2", "gamma")
+_TRUTH_BLOCK_KEYS = ("mean_reversion", "level", "dispersion")
+
+
+def _require_keys(doc: dict, keys: Sequence[str], where: str) -> None:
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ValueError(f"{where} is missing required keys {missing}")
+
+
 def _truth_blocks(true_model: Union[str, dict]) -> dict:
     if isinstance(true_model, str):
         if true_model != diffsim.TRUE_MODEL_NAME:
             raise ValueError(f"unknown true model {true_model!r}")
         return diffsim.true_blocks()
     tm = dict(true_model)
+    _require_keys(tm, _TRUTH_KEYS, "custom truth")
     blocks = {}
     for key in ("xi", "delta", "eps", "zeta"):
         spec = tm[key]
+        _require_keys(spec, _TRUTH_BLOCK_KEYS, f"custom truth block {key!r}")
         level = np.atleast_1d(np.asarray(spec["level"], dtype=float))
         blocks[key] = diffsim.OuBlock(
             dim=level.size,

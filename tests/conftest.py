@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.signal
 
 from hfsem import diffsim, models, qlik
 from hfsem.semspec import Fixed, Free, PatternMatrix, SemSpec
@@ -165,6 +166,65 @@ def fd_hessian(surface, theta, rel_step=1e-5):
         minus[j] -= step
         hess[:, j] = (surface.grad(plus) - surface.grad(minus)) / (2.0 * step)
     return 0.5 * (hess + hess.T)
+
+
+def _oneshot_recursion(ad, u, x0):
+    """x_{i+1} = ad x_i + u_i over the whole path: one scalar AR filter per
+    coordinate when ``ad`` is diagonal, the step loop otherwise."""
+    n, d = u.shape
+    path = np.empty((n + 1, d))
+    path[0] = x0
+    off_diag = ad - np.diag(np.diag(ad))
+    if np.abs(off_diag).max(initial=0.0) == 0.0:
+        a = np.diag(ad)
+        u = u.copy()
+        u[0] += a * x0
+        for j in range(d):
+            path[1:, j] = scipy.signal.lfilter([1.0], [1.0, -a[j]], u[:, j])
+    else:
+        x = np.asarray(x0, dtype=float)
+        for i in range(n):
+            x = ad @ x + u[i]
+            path[i + 1] = x
+    return path
+
+
+def oneshot_simulate_ou(block, n, T, rng, method="exact"):
+    """Reference sampler: every step's normals in one (n, width) draw, the
+    whole-path transition product, then the recursion over all n steps."""
+    h = T / n
+    if method == "exact":
+        ad, bd, noise_factor = diffsim._exact_transition(block, h)
+        u = rng.standard_normal((n, block.dim)) @ noise_factor.T + bd
+        return _oneshot_recursion(ad, u, block.init)
+    s = block.dispersion
+    z = rng.standard_normal((n, s.shape[1])) * np.sqrt(h)
+    if block.drift is None:
+        ad = np.eye(block.dim) - block.mean_reversion * h
+        return _oneshot_recursion(ad, z @ s.T + block.level * h, block.init)
+    path = np.empty((n + 1, block.dim))
+    x = block.init.astype(float)
+    path[0] = x
+    for i in range(n):
+        x = x + block.drift(x) * h + s @ z[i]
+        path[i + 1] = x
+    return path
+
+
+def oneshot_simulate_custom(tb, n, T, seed, method="exact"):
+    """Reference for ``diffsim.simulate_custom`` on a ``true_blocks()``-style
+    dict: whole latent paths, ``eta`` by ``solve`` and one stacked
+    assembly.  Returns the observed and latent arrays by name."""
+    streams = diffsim._block_streams(seed)
+    paths = {name: oneshot_simulate_ou(tb[name], n, T, rng, method)
+             for name, rng in zip(("xi", "delta", "eps", "zeta"), streams)}
+    b0 = np.asarray(tb["b0"], float)
+    psi = np.eye(b0.shape[0]) - b0
+    xi = paths["xi"]
+    eta = np.linalg.solve(psi, (xi @ tb["gamma"].T + paths["zeta"]).T).T
+    x_obs = np.hstack([xi @ tb["lambda_x1"].T + paths["delta"],
+                       eta @ tb["lambda_x2"].T + paths["eps"]])
+    return dict(paths, eta=eta, x_obs=x_obs)
 
 
 def interior_theta(spec, rng, spread=0.3, around=None):

@@ -44,6 +44,19 @@ class TestSimulate:
                                       "--out", str(tmp_path / "x.csv")])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("option, value", [
+        ("--n", "0"), ("--seed", "-1"), ("--T", "nan")])
+    def test_invalid_input_is_one_line_error(self, runner, tmp_path,
+                                             option, value):
+        argv = ["simulate", "--n", "5", "--seed", "0", "--T", "1",
+                "--out", str(tmp_path / "x.csv")]
+        argv[argv.index(option) + 1] = value
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: ")
+        assert len(result.output.strip().splitlines()) == 1
+
     def test_determinism(self, runner, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

@@ -3,6 +3,13 @@ import pytest
 
 from hfsem import diffsim
 from hfsem.errors import SingularStructureError
+from tests.conftest import oneshot_simulate_custom
+
+CHUNK = diffsim._CHUNK_ROWS
+# Path lengths on both sides of the one- and two-chunk boundaries.
+CHUNK_EDGES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK,
+               2 * CHUNK + 1]
+LATENTS = ("xi", "delta", "eps", "zeta", "eta")
 
 
 def scalar_xi_block():
@@ -99,6 +106,14 @@ class TestSimulateOu:
                                 method="milstein")
         with pytest.raises(ValueError):
             diffsim.OuBlock(2, np.eye(3), np.zeros(2), np.eye(2), np.zeros(2))
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf])
+    def test_non_finite_horizon_rejected(self, T):
+        with pytest.raises(ValueError, match="horizon"):
+            diffsim.simulate_ou(scalar_xi_block(), 10, T,
+                                np.random.default_rng(0))
+        with pytest.raises(ValueError, match="horizon"):
+            diffsim.simulate_true_model(10, T, seed=0)
 
 
 class TestTrueModel:
@@ -201,3 +216,84 @@ class TestSimulateCustom:
             diffsim.simulate_custom(tb["zeta"], tb["delta"], tb["eps"], tb["xi"],
                                     tb["lambda_x1"], tb["lambda_x2"],
                                     tb["gamma"], tb["b0"], n=10, T=1.0, seed=0)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("lambda_x1", (0, 0, np.inf)),
+        ("lambda_x2", (1, 0, np.nan)),
+        ("gamma", (0, 0, np.nan)),
+        ("b0", (1, 0, np.nan)),
+    ])
+    def test_non_finite_input_rejected(self, name, bad):
+        tb = diffsim.true_blocks()
+        row, col, value = bad
+        tb[name] = np.array(tb[name], dtype=float)
+        tb[name][row, col] = value
+        with pytest.raises(ValueError, match=name):
+            diffsim.simulate_custom(tb["xi"], tb["delta"], tb["eps"], tb["zeta"],
+                                    tb["lambda_x1"], tb["lambda_x2"],
+                                    tb["gamma"], tb["b0"], n=50, T=1.0, seed=0)
+
+
+def truth_variant(kind):
+    """The bundled truth with one change, and the method it is sampled by."""
+    tb = diffsim.true_blocks()
+    if kind == "non_diagonal":
+        # a coupled block, and dense second-block loadings so every product
+        # of the assembly sums two nonzero terms
+        tb["zeta"] = diffsim.OuBlock(2, [[2.0, 0.7], [0.0, 1.5]], [1.0, 2.0],
+                                     [[1.0, 0.0], [0.3, 0.8]], [0.5, -0.5])
+        tb["lambda_x2"] = np.array([[1.0, 0.5], [3.0, -0.2], [2.0, 0.7],
+                                    [0.3, 1.0], [-0.4, 2.0], [0.6, 4.0]])
+    elif kind == "custom_drift":
+        tb["xi"] = diffsim.OuBlock(1, [[2.0]], [5.0], [[3.0]], [3.0],
+                                   drift=lambda x: 5.0 - 2.0 * x - 0.1 * x ** 3)
+    elif kind == "structural":
+        tb["b0"] = np.array([[0.0, 0.0], [0.5, 0.0]])
+    method = "euler" if kind in ("euler", "custom_drift") else "exact"
+    return tb, method
+
+
+def simulate_variant(tb, n, method, keep_latents):
+    return diffsim.simulate_custom(tb["xi"], tb["delta"], tb["eps"], tb["zeta"],
+                                   tb["lambda_x1"], tb["lambda_x2"],
+                                   tb["gamma"], tb["b0"], n=n, T=1.0, seed=11,
+                                   method=method, keep_latents=keep_latents)
+
+
+class TestStreaming:
+    """The chunked simulator against the whole-path oracle across chunk edges."""
+
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    @pytest.mark.parametrize("kind", ["exact", "euler", "non_diagonal",
+                                      "custom_drift"])
+    def test_matches_oneshot_bit_for_bit(self, kind, n):
+        tb, method = truth_variant(kind)
+        ref = oneshot_simulate_custom(tb, n, 1.0, seed=11, method=method)
+        full = simulate_variant(tb, n, method, keep_latents=True)
+        slim = simulate_variant(tb, n, method, keep_latents=False)
+        assert np.array_equal(full.x_obs, ref["x_obs"])
+        for name in LATENTS:
+            assert np.array_equal(getattr(full, name), ref[name]), name
+        assert not slim.has_latents
+        assert np.array_equal(slim.x_obs, ref["x_obs"])
+
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    def test_structural_feedback_matches_oneshot(self, n):
+        # eta comes from a precomputed inverse, not from solve: not bitwise
+        tb, method = truth_variant("structural")
+        ref = oneshot_simulate_custom(tb, n, 1.0, seed=11, method=method)
+        out = simulate_variant(tb, n, method, keep_latents=True)
+        for name in ("x_obs",) + LATENTS:
+            assert np.abs(getattr(out, name) - ref[name]).max() <= 1e-12, name
+
+    def test_peak_memory_near_output_size(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            bundle = diffsim.simulate_true_model(200_000, 1.0, seed=1,
+                                                 keep_latents=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * bundle.x_obs.nbytes

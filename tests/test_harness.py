@@ -21,6 +21,27 @@ def small_run():
     return config, harness.run_experiment(config)
 
 
+def custom_truth():
+    """A 2+2-dimensional truth given as a dict, as a config carries it."""
+    return {
+        "lambda_x1": [[1.0], [2.0]],
+        "lambda_x2": [[1.0], [3.0]],
+        "gamma": [[1.5]],
+        "xi": {"mean_reversion": [[1.0]], "level": [2.0],
+               "dispersion": [[1.0]], "init": [0.0]},
+        "delta": {"mean_reversion": [[1.0, 0.0], [0.0, 1.0]],
+                  "level": [0.0, 0.0],
+                  "dispersion": [[1.0, 0.0], [0.0, 1.0]],
+                  "init": [0.0, 0.0]},
+        "eps": {"mean_reversion": [[1.0, 0.0], [0.0, 1.0]],
+                "level": [0.0, 0.0],
+                "dispersion": [[1.0, 0.0], [0.0, 1.0]],
+                "init": [0.0, 0.0]},
+        "zeta": {"mean_reversion": [[1.0]], "level": [0.0],
+                 "dispersion": [[1.0]], "init": [0.0]},
+    }
+
+
 class TestConfig:
     def test_json_round_trip(self, tmp_path):
         config = small_config(criteria=["qbic2"], starts=3, workers=2)
@@ -175,28 +196,21 @@ class TestRunExperiment:
         table.validate()
 
     def test_custom_truth(self):
-        truth = {
-            "lambda_x1": [[1.0], [2.0]],
-            "lambda_x2": [[1.0], [3.0]],
-            "gamma": [[1.5]],
-            "xi": {"mean_reversion": [[1.0]], "level": [2.0],
-                   "dispersion": [[1.0]], "init": [0.0]},
-            "delta": {"mean_reversion": [[1.0, 0.0], [0.0, 1.0]],
-                      "level": [0.0, 0.0],
-                      "dispersion": [[1.0, 0.0], [0.0, 1.0]],
-                      "init": [0.0, 0.0]},
-            "eps": {"mean_reversion": [[1.0, 0.0], [0.0, 1.0]],
-                    "level": [0.0, 0.0],
-                    "dispersion": [[1.0, 0.0], [0.0, 1.0]],
-                    "init": [0.0, 0.0]},
-            "zeta": {"mean_reversion": [[1.0]], "level": [0.0],
-                     "dispersion": [[1.0]], "init": [0.0]},
-        }
+        truth = custom_truth()
         sigma = harness.truth_sigma(truth)
         assert sigma.shape == (4, 4)
         bundle = harness._simulate_truth(harness._truth_blocks(truth),
                                          50, 1.0, seed=1)
         assert bundle.x_obs.shape == (51, 4)
+
+    @pytest.mark.parametrize("where, key", [
+        (None, "gamma"), (None, "zeta"), ("xi", "level"),
+        ("eps", "mean_reversion"), ("delta", "dispersion")])
+    def test_custom_truth_missing_key_named(self, where, key):
+        truth = custom_truth()
+        del (truth if where is None else truth[where])[key]
+        with pytest.raises(ValueError, match=key):
+            harness._truth_blocks(truth)
 
 
 class TestRendering:
