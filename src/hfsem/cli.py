@@ -17,13 +17,25 @@ import click
 import numpy as np
 
 from . import diffsim, harness, infocrit, models
+from .errors import HfsemError
 from .qlik import LikelihoodSurface, quad_var
 from .qmle import FitReport, fit, fit_multistart
 
 logger = logging.getLogger(__name__)
 
 
-@click.group()
+class _Group(click.Group):
+    """The one error boundary: the library's ``ValueError``s and package
+    errors become a one-line ``Error:`` message with exit code 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, HfsemError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 @click.option("--verbose", is_flag=True, help="Enable progress logging.")
 def main(verbose: bool) -> None:
     """Latent-diffusion SEM: simulation, estimation, model selection."""
@@ -88,11 +100,8 @@ def simulate(model_name: str, n: int, horizon: float, seed: int, out: str,
     if model_name != diffsim.TRUE_MODEL_NAME:
         raise click.ClickException(
             f"unknown model {model_name!r}; available: {diffsim.TRUE_MODEL_NAME}")
-    try:
-        bundle = diffsim.simulate_true_model(n=n, T=horizon, seed=seed,
-                                             keep_latents=with_latents)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    bundle = diffsim.simulate_true_model(n=n, T=horizon, seed=seed,
+                                         keep_latents=with_latents)
     _write_path_csv(out, bundle, with_latents)
     click.echo(f"wrote {out} ({n} steps, horizon {horizon}, seed {seed})")
 

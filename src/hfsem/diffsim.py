@@ -1,9 +1,9 @@
 """Simulation of the latent factor diffusions and the observed process.
 
-Latent blocks follow affine SDEs ``dx = -(B x - mu) dt + S dW`` sampled
-either exactly (Gaussian conditional transitions from the matrix
-exponential) or by Euler-Maruyama.  Observations are assembled from the
-latent paths:
+Latent blocks follow affine SDEs ``dx = -(B x - mu) dt + S dW``, sampled
+exactly from their Gaussian conditional transitions (the matrix
+exponential), so the paths carry no discretization bias.  Observations are
+assembled from the latent paths:
 
     x1 = xi @ L1.T + delta
     eta solves (I - B0) eta = gamma0 xi + zeta
@@ -27,7 +27,7 @@ all-fixed ``SemSpec``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 import scipy.linalg
@@ -57,17 +57,12 @@ _CHUNK_ROWS = 8192
 
 @dataclass
 class OuBlock:
-    """One latent block ``dx = -(mean_reversion x - level) dt + dispersion dW``.
-
-    ``drift``, when given, replaces the affine drift entirely; such blocks
-    can only be simulated with the Euler method.
-    """
+    """One latent block ``dx = -(mean_reversion x - level) dt + dispersion dW``."""
     dim: int
     mean_reversion: np.ndarray
     level: np.ndarray
     dispersion: np.ndarray
     init: np.ndarray
-    drift: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         self.mean_reversion = np.atleast_2d(np.asarray(self.mean_reversion, float))
@@ -141,7 +136,7 @@ def _exact_transition(block: OuBlock, h: float):
 
 
 def _grid_step(n: int, T: float) -> float:
-    """The step ``T / n`` of the uniform grid; the one check of grid and horizon."""
+    """The step ``T / n`` of the uniform grid, after checking both inputs."""
     if n < 1:
         raise ValueError("need at least one step")
     if not (np.isfinite(T) and T > 0):
@@ -161,27 +156,16 @@ def _chunk_bounds(rows: int) -> list[tuple[int, int]]:
     return list(zip(starts, [*starts[1:], rows]))
 
 
-def _path_chunks(block: OuBlock, n: int, h: float, rng: np.random.Generator,
-                 method: str) -> Iterator[np.ndarray]:
-    """The block's path on the grid, rows 0..n, in the row chunks of
+def _path_chunks(block: OuBlock, n: int, h: float,
+                 rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The block's exact path on the grid, rows 0..n, in the row chunks of
     ``_chunk_bounds(n + 1)``; the first chunk starts with ``block.init``.
 
-    Drawing chunk by chunk consumes ``rng`` exactly as one ``(n, width)``
+    Drawing chunk by chunk consumes ``rng`` exactly as one ``(n, dim)``
     draw does, and the recursion's state is carried from chunk to chunk,
     so the chunks are the rows of the whole-path computation, bit for bit.
-    The method is checked when the first chunk is requested.
     """
-    if method == "exact":
-        if block.drift is not None:
-            raise ValueError("exact sampling needs an affine drift; use euler")
-        ad, bd, noise = _exact_transition(block, h)
-        scale = None
-    elif method == "euler":
-        # With an affine drift the Euler step is itself a linear recursion.
-        ad = np.eye(block.dim) - block.mean_reversion * h
-        bd, noise, scale = block.level * h, block.dispersion, np.sqrt(h)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    ad, bd, noise = _exact_transition(block, h)
     a = np.diag(ad)
     decoupled = not np.any(ad - np.diag(a))
     x = block.init
@@ -191,41 +175,27 @@ def _path_chunks(block: OuBlock, n: int, h: float, rng: np.random.Generator,
         if start == 0:
             rows[0] = x
             steps = rows[1:]
-        z = rng.standard_normal((len(steps), noise.shape[1]))
-        if scale is not None:
-            z *= scale
-        if block.drift is not None:
-            for i, zi in enumerate(z):
-                x = x + block.drift(x) * h + noise @ zi
-                steps[i] = x
+        u = rng.standard_normal((len(steps), block.dim)) @ noise.T + bd
+        if decoupled:
+            # One scalar AR(1) filter per coordinate; its state a*x carries
+            # the previous row into the chunk.
+            for j in range(block.dim):
+                steps[:, j], _ = scipy.signal.lfilter(
+                    [1.0], [1.0, -a[j]], u[:, j], zi=[a[j] * x[j]])
         else:
-            u = z @ noise.T + bd
-            if decoupled:
-                # One scalar AR(1) filter per coordinate; its state a*x
-                # carries the previous row into the chunk.
-                for j in range(block.dim):
-                    steps[:, j], _ = scipy.signal.lfilter(
-                        [1.0], [1.0, -a[j]], u[:, j], zi=[a[j] * x[j]])
-            else:
-                for i, ui in enumerate(u):
-                    x = ad @ x + ui
-                    steps[i] = x
+            for i, ui in enumerate(u):
+                x = ad @ x + ui
+                steps[i] = x
         x = rows[-1]
         yield rows
 
 
 def simulate_ou(block: OuBlock, n: int, T: float,
-                rng: np.random.Generator, method: str = "exact") -> np.ndarray:
-    """Sample the block on the grid; returns an (n+1, dim) array.
-
-    ``method="exact"`` draws from the Gaussian conditional law of the
-    affine SDE and has no discretization bias.  ``method="euler"`` is the
-    Euler-Maruyama scheme and is required for blocks with a custom drift.
-    """
-    chunks = _path_chunks(block, n, _grid_step(n, T), rng, method)
+                rng: np.random.Generator) -> np.ndarray:
+    """Sample the block exactly on the grid; returns an (n+1, dim) array."""
     path = np.empty((n + 1, block.dim))
     start = 0
-    for rows in chunks:
+    for rows in _path_chunks(block, n, _grid_step(n, T), rng):
         path[start:start + len(rows)] = rows
         start += len(rows)
     return path
@@ -241,7 +211,6 @@ def simulate_custom(xi_block: OuBlock, delta_block: OuBlock,
                     lambda_x1: np.ndarray, lambda_x2: np.ndarray,
                     gamma: np.ndarray, b0: Optional[np.ndarray],
                     n: int, T: float, seed: int,
-                    method: str = "exact",
                     keep_latents: bool = True) -> PathBundle:
     """Simulate an arbitrary truth given four latent blocks and loadings.
 
@@ -272,7 +241,7 @@ def simulate_custom(xi_block: OuBlock, delta_block: OuBlock,
         raise SingularStructureError("I - b0 is numerically singular")
     psi_inv_t = np.linalg.inv(psi).T
 
-    chunks = zip(*[_path_chunks(block, n, h, rng, method)
+    chunks = zip(*[_path_chunks(block, n, h, rng)
                    for block, rng in zip(blocks, _block_streams(seed))])
     x_obs = np.empty((n + 1, p1 + p2))
     latents = {}
@@ -319,11 +288,10 @@ def true_blocks() -> dict:
 
 
 def simulate_true_model(n: int, T: float, seed: int,
-                        method: str = "exact",
                         keep_latents: bool = True) -> PathBundle:
     """Simulate the bundled truth; deterministic given ``seed``."""
     tb = true_blocks()
     return simulate_custom(tb["xi"], tb["delta"], tb["eps"], tb["zeta"],
                            tb["lambda_x1"], tb["lambda_x2"], tb["gamma"],
-                           tb["b0"], n=n, T=T, seed=seed, method=method,
+                           tb["b0"], n=n, T=T, seed=seed,
                            keep_latents=keep_latents)

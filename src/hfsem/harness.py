@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import multiprocessing
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -65,6 +67,13 @@ def split_seed(master_seed: int, n: int, rep: int, tag: int = 0) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _check_count(key: str, value, least: int) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{key}: expected an integer of at least {least}, "
+                         f"got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     n_values: list[int]
@@ -79,12 +88,16 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> None:
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        if not self.n_values or any(n < 2 for n in self.n_values):
-            raise ValueError("every grid size must be at least 2")
-        if self.T <= 0:
-            raise ValueError("horizon must be positive")
+        _check_count("replications", self.replications, 1)
+        _check_count("master_seed", self.master_seed, 0)
+        if not self.n_values:
+            raise ValueError("n_values must not be empty")
+        for n in self.n_values:
+            _check_count("n_values", n, 2)
+        if (isinstance(self.T, bool) or not isinstance(self.T, numbers.Real)
+                or not (math.isfinite(self.T) and self.T > 0)):
+            raise ValueError(f"T: horizon must be positive and finite, "
+                             f"got {self.T!r}")
         if not self.criteria:
             raise ValueError("need at least one criterion")
         unknown = set(self.criteria) - set(CRITERIA)
@@ -92,8 +105,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown criteria {sorted(unknown)}")
         if self.init_mode not in ("true", "moment"):
             raise ValueError("init_mode must be 'true' or 'moment'")
-        if self.starts < 1 or self.workers < 1:
-            raise ValueError("starts and workers must be at least 1")
+        _check_count("starts", self.starts, 1)
+        _check_count("workers", self.workers, 1)
         if not self.model_spec_paths:
             raise ValueError("need at least one model spec")
 

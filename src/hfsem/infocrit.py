@@ -102,19 +102,17 @@ def criteria_row(fit: FitReport) -> CriteriaRow:
 class GammaZero:
     """Analytic asymptotic information at a parameter point."""
     gamma0: np.ndarray   # q x q
-    w0: np.ndarray       # pbar x pbar, asymptotic covariance of vech(Q)
     delta0: np.ndarray   # pbar x q
 
 
 def gamma_zero(spec: SemSpec, theta0: np.ndarray, sigma0: np.ndarray,
                rank_rtol: float = 1e-8) -> GammaZero:
-    """Information matrix ``delta' inv(w0) delta`` at ``theta0``.
+    """Information matrix ``gamma0 = delta0' W delta0`` at ``theta0``, with
+    ``delta0`` the vech covariance Jacobian and ``W`` the weight of
+    :func:`~hfsem.qlik.fisher_information` at ``sigma0``.
 
-    ``w0 = 2 Dplus (sigma0 kron sigma0) Dplus'``, ``Dplus`` the pseudoinverse
-    of the duplication matrix, inverts the weight of ``gamma0``'s source,
-    :func:`~hfsem.qlik.fisher_information`.  Raises
-    :class:`RankDeficientError` when the covariance Jacobian loses column
-    rank, :class:`NotPositiveDefiniteError` when sigma0 is not PD.
+    Raises :class:`RankDeficientError` when the covariance Jacobian loses
+    column rank, :class:`NotPositiveDefiniteError` when sigma0 is not PD.
     """
     sigma0 = matkit.check_symmetric(np.asarray(sigma0, dtype=float))
     d_sigma = spec.forward(theta0, 1)[1]
@@ -125,10 +123,8 @@ def gamma_zero(spec: SemSpec, theta0: np.ndarray, sigma0: np.ndarray,
         raise RankDeficientError(
             f"covariance Jacobian of {spec.name!r} has rank {rank} < q={spec.q}")
     _, sigma0_inv = matkit.chol_logdet(sigma0)
-    dplus = matkit.pinv(matkit.duplication_matrix(spec.p))
-    w0 = 2.0 * dplus @ np.kron(sigma0, sigma0) @ dplus.T
     return GammaZero(gamma0=fisher_information(d_sigma, sigma0_inv),
-                     w0=0.5 * (w0 + w0.T), delta0=delta0)
+                     delta0=delta0)
 
 
 def posterior_probs(rows: Sequence[CriteriaRow],

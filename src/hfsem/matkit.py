@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels used throughout the package.
 
-Half-vectorization and its inverse, the duplication matrix, Moore-Penrose
-pseudoinverse, Cholesky log-determinant/inverse, and numeric rank.  All
-functions are pure and operate on plain ``numpy`` arrays.
+Half-vectorization, the duplication matrix, Cholesky log-determinant/inverse,
+and numeric rank.  All functions are pure and operate on plain ``numpy``
+arrays.
 
 Conventions
 -----------
@@ -21,10 +21,8 @@ from .errors import NotPositiveDefiniteError
 
 __all__ = [
     "vech",
-    "unvech",
     "vech_indices",
     "duplication_matrix",
-    "pinv",
     "chol_logdet",
     "numeric_rank",
     "check_symmetric",
@@ -64,20 +62,6 @@ def vech(a: np.ndarray) -> np.ndarray:
     return a[rows, cols]
 
 
-def unvech(v: np.ndarray, p: int | None = None) -> np.ndarray:
-    """Rebuild the symmetric p x p matrix whose vech is ``v``."""
-    v = np.asarray(v, dtype=float)
-    if p is None:
-        p = int(round((np.sqrt(8 * v.size + 1) - 1) / 2))
-    if p * (p + 1) // 2 != v.size:
-        raise ValueError(f"vector of length {v.size} is not a vech of order {p}")
-    rows, cols = vech_indices(p)
-    out = np.zeros((p, p))
-    out[rows, cols] = v
-    out[cols, rows] = v
-    return out
-
-
 def duplication_matrix(p: int) -> np.ndarray:
     """The p^2 x p(p+1)/2 duplication matrix mapping vech(A) to vec(A).
 
@@ -95,14 +79,6 @@ def duplication_matrix(p: int) -> np.ndarray:
     i, j = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
     d[(i + j * p).ravel(), slot.ravel()] = 1.0
     return d
-
-
-def pinv(a: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD with a relative cutoff."""
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    return np.linalg.pinv(a, rcond=rtol)
 
 
 def chol_logdet(a: np.ndarray) -> tuple[float, np.ndarray]:

@@ -8,7 +8,8 @@ quasi-log-likelihood of a candidate covariance ``Sigma(theta)`` reduces to
 
 identical (up to floating point) to summing the Gaussian increment
 densities, because Q is sufficient for the diffusion part.  Its in-fill
-limit replaces Q by the true covariance and drops the n factor.
+limit replaces Q by the true covariance and drops the n factor: the
+surface of ``QuadVar(sigma0, n=1, T=1)``.
 
 The gradient, the Fisher information and the observed Hessian are all
 analytic, built from one forward pass of the spec (``SemSpec.forward``)
@@ -29,7 +30,6 @@ __all__ = [
     "quad_var",
     "LikelihoodSurface",
     "fisher_information",
-    "limit_loglik",
 ]
 
 
@@ -46,8 +46,8 @@ def quad_var(x_obs: np.ndarray, T: float) -> QuadVar:
     x_obs = np.asarray(x_obs, dtype=float)
     if x_obs.ndim != 2 or x_obs.shape[0] < 2:
         raise ValueError("need at least two rows of observations")
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"horizon must be positive and finite, got {T}")
     dx = np.diff(x_obs, axis=0)
     with np.errstate(invalid="ignore", over="ignore"):
         q = dx.T @ dx / T
@@ -102,7 +102,6 @@ class LikelihoodSurface:
         self.spec = spec
         self.quadvar = quadvar
         self.n = quadvar.n
-        self.h = quadvar.T / quadvar.n
 
     def value(self, theta: np.ndarray) -> float:
         v, _ = _loglik(self.spec.sigma(theta), self.quadvar.q_xx)
@@ -137,12 +136,3 @@ class LikelihoodSurface:
         hess = 0.5 * self.n * (dm + np.tensordot(d2, r - inv, 2))
         return 0.5 * (hess + hess.T)
 
-
-def limit_loglik(spec: SemSpec, theta: np.ndarray, sigma0: np.ndarray) -> float:
-    """In-fill limit of the scaled quasi-log-likelihood at ``theta``.
-
-    Equals ``-tr(inv(Sigma(theta)) sigma0)/2 - log det Sigma(theta)/2``; its
-    unique maximum over covariances sits at ``Sigma = sigma0``.
-    """
-    v, _ = _loglik(spec.sigma(theta), np.asarray(sigma0, dtype=float))
-    return v

@@ -3,8 +3,8 @@
 A :class:`SemSpec` describes one candidate structural model: which entries
 of the loading matrices (``lambda_x1``, ``lambda_x2``), the structural
 matrices (``b``, ``gamma``) and the four latent covariance matrices are
-fixed constants and which are free parameters.  Free parameters are packed
-into a single vector ``theta`` by index.
+fixed constants and which are free parameters.  Each free cell reads its
+value from one entry of the parameter vector ``theta``, by index.
 
 The implied covariance of the observed process has three blocks::
 
@@ -41,7 +41,6 @@ __all__ = [
     "Free",
     "PatternMatrix",
     "SemSpec",
-    "ImpliedCov",
     "IdentifiabilityReport",
     "check_identifiability",
     "nested_embedding",
@@ -67,7 +66,12 @@ class Fixed:
 
 @dataclass(frozen=True)
 class Free:
-    """A cell read from ``theta`` at position ``index``."""
+    """A cell read from ``theta`` at position ``index``.
+
+    ``"positive"`` puts the parameter in ``SemSpec.positive_mask``, as a
+    diagonal covariance cell is anyway.  ``"nonzero"`` is accepted as a
+    label only: the estimator does not enforce it.
+    """
     index: int
     constraint: str = "none"
 
@@ -114,7 +118,8 @@ class PatternMatrix:
 
 
 class _RoleLayout:
-    """Assembly plan for one pattern matrix: fixed base + free-cell indices."""
+    """One pattern matrix as its fixed base and its free cells' positions,
+    theta indices and constraints (the lower triangle of a symmetric one)."""
 
     def __init__(self, pattern: PatternMatrix, symmetric: bool):
         self.symmetric = symmetric
@@ -140,18 +145,6 @@ class _RoleLayout:
         self.idx = np.asarray(idx, dtype=int)
         self.constraints = cons
 
-    def assemble(self, theta: np.ndarray) -> np.ndarray:
-        m = self.base.copy()
-        if self.idx.size:
-            m[self.rows, self.cols] = theta[self.idx]
-            if self.symmetric:
-                m[self.cols, self.rows] = theta[self.idx]
-        return m
-
-    def read(self, values: np.ndarray, theta: np.ndarray) -> None:
-        if self.idx.size:
-            theta[self.idx] = values[self.rows, self.cols]
-
 
 def _swap(x: np.ndarray) -> np.ndarray:
     """Transpose of every matrix in a stack."""
@@ -164,15 +157,6 @@ def _invert_psi(b: np.ndarray, name: str) -> np.ndarray:
         raise SingularStructureError(
             f"I - b is numerically singular for model {name!r}")
     return np.linalg.inv(psi)
-
-
-@dataclass
-class ImpliedCov:
-    """The model-implied p x p covariance and its three blocks."""
-    sigma: np.ndarray
-    block11: np.ndarray
-    block12: np.ndarray
-    block22: np.ndarray
 
 
 class SemSpec:
@@ -294,47 +278,6 @@ class SemSpec:
 
         self._vech_rows, self._vech_cols = matkit.vech_indices(self.p)
 
-    # -- theta packing -----------------------------------------------------
-
-    def pack(self, values: dict[str, np.ndarray]) -> np.ndarray:
-        """Read free cells out of concrete matrices into a theta vector.
-
-        Fixed cells must match the pattern, free values must respect their
-        sign constraints; shape mismatches raise :class:`SpecError`.
-        """
-        theta = np.full(self.q, np.nan)
-        for role in _ROLES:
-            lay = self._layouts[role]
-            try:
-                m = np.asarray(values[role], dtype=float)
-            except KeyError as exc:
-                raise SpecError(f"missing matrix {role!r}") from exc
-            if m.shape != self.patterns[role].shape:
-                raise SpecError(
-                    f"matrix {role!r} has shape {m.shape}, "
-                    f"expected {self.patterns[role].shape}")
-            fixed_mask = np.ones(m.shape, dtype=bool)
-            fixed_mask[lay.rows, lay.cols] = False
-            if lay.symmetric:
-                fixed_mask[lay.cols, lay.rows] = False
-                if np.abs(m - m.T).max() > 1e-12 * max(1.0, np.abs(m).max()):
-                    raise SpecError(f"matrix {role!r} must be symmetric")
-            if np.abs((m - lay.base)[fixed_mask]).max(initial=0.0) > 0.0:
-                raise SpecError(f"matrix {role!r} alters fixed cells")
-            for r, c, cons in zip(lay.rows, lay.cols, lay.constraints):
-                v = m[r, c]
-                if cons == "nonzero" and v == 0.0:
-                    raise SpecError(f"{role}[{r},{c}] must be nonzero")
-                if cons == "positive" and v <= 0.0:
-                    raise SpecError(f"{role}[{r},{c}] must be positive")
-            lay.read(m, theta)
-        return theta
-
-    def unpack(self, theta: np.ndarray) -> dict[str, np.ndarray]:
-        """Assemble all eight concrete matrices at ``theta``."""
-        theta = self._check_theta(theta)
-        return {role: self._layouts[role].assemble(theta) for role in _ROLES}
-
     def _check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.q,):
@@ -398,13 +341,6 @@ class SemSpec:
         d2 = np.zeros((self.q, self.q, self.p, self.p))
         d2[np.ix_(cv, cv)] = z2 + _swap(z2)
         return sigma, d1, d2
-
-    def implied_cov(self, theta: np.ndarray) -> ImpliedCov:
-        """The implied covariance of the observed process at ``theta``."""
-        sigma = self.sigma(theta)
-        p1 = self.p1
-        return ImpliedCov(sigma=sigma, block11=sigma[:p1, :p1],
-                          block12=sigma[:p1, p1:], block22=sigma[p1:, p1:])
 
     def sigma(self, theta: np.ndarray) -> np.ndarray:
         """The implied p x p covariance at ``theta``."""

@@ -189,34 +189,21 @@ def _oneshot_recursion(ad, u, x0):
     return path
 
 
-def oneshot_simulate_ou(block, n, T, rng, method="exact"):
-    """Reference sampler: every step's normals in one (n, width) draw, the
-    whole-path transition product, then the recursion over all n steps."""
-    h = T / n
-    if method == "exact":
-        ad, bd, noise_factor = diffsim._exact_transition(block, h)
-        u = rng.standard_normal((n, block.dim)) @ noise_factor.T + bd
-        return _oneshot_recursion(ad, u, block.init)
-    s = block.dispersion
-    z = rng.standard_normal((n, s.shape[1])) * np.sqrt(h)
-    if block.drift is None:
-        ad = np.eye(block.dim) - block.mean_reversion * h
-        return _oneshot_recursion(ad, z @ s.T + block.level * h, block.init)
-    path = np.empty((n + 1, block.dim))
-    x = block.init.astype(float)
-    path[0] = x
-    for i in range(n):
-        x = x + block.drift(x) * h + s @ z[i]
-        path[i + 1] = x
-    return path
+def oneshot_simulate_ou(block, n, T, rng):
+    """Reference sampler: every step's normals in one (n, dim) draw, the
+    whole-path exact transition product, then the recursion over all n
+    steps."""
+    ad, bd, noise_factor = diffsim._exact_transition(block, T / n)
+    u = rng.standard_normal((n, block.dim)) @ noise_factor.T + bd
+    return _oneshot_recursion(ad, u, block.init)
 
 
-def oneshot_simulate_custom(tb, n, T, seed, method="exact"):
+def oneshot_simulate_custom(tb, n, T, seed):
     """Reference for ``diffsim.simulate_custom`` on a ``true_blocks()``-style
     dict: whole latent paths, ``eta`` by ``solve`` and one stacked
     assembly.  Returns the observed and latent arrays by name."""
     streams = diffsim._block_streams(seed)
-    paths = {name: oneshot_simulate_ou(tb[name], n, T, rng, method)
+    paths = {name: oneshot_simulate_ou(tb[name], n, T, rng)
              for name, rng in zip(("xi", "delta", "eps", "zeta"), streams)}
     b0 = np.asarray(tb["b0"], float)
     psi = np.eye(b0.shape[0]) - b0

@@ -180,6 +180,39 @@ class TestFitAndCriteria:
         assert result.exit_code != 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["quadvar", "--in", "{path}", "--T", "0", "--out", "{out}"],
+    ["quadvar", "--in", "{path}", "--T", "inf", "--out", "{out}"],
+    ["fit", "--spec", "nosuch", "--data", "{path}", "--T", "1", "--out", "{out}"],
+    ["fit", "--spec", "model1", "--data", "{path}", "--T", "1",
+     "--starts", "0", "--out", "{out}"],
+    ["criteria", "{fits}", "--priors", "a,b", "--out", "{out}"],
+    ["criteria", "{fits}", "--priors", "0.5", "--out", "{out}"],
+    ["criteria", "{fits}", "--priors", "0.2,0.2", "--out", "{out}"],
+    ["table1", "--config", "{config}", "--out-dir", "{out}"],
+], ids=["quadvar-T0", "quadvar-Tinf", "fit-nosuch-spec", "fit-starts0",
+        "priors-not-numbers", "priors-one-of-three", "priors-sum",
+        "table1-replications"])
+def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
+    _, path, fits = fit_files
+    doc = harness.ExperimentConfig(
+        n_values=[100], T=1.0, replications=1, master_seed=5,
+        model_spec_paths=["model1"]).to_dict()
+    doc["replications"] = 2.5
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps(doc))
+    fill = {"{path}": [str(path)], "{out}": [str(tmp_path / "out")],
+            "{config}": [str(config)],
+            "{fits}": [a for f in fits for a in ("--fits", str(f))]}
+    args = [a for arg in argv for a in fill.get(arg, [arg])]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: ")
+    assert len(result.output.strip().splitlines()) == 1
+    assert "Traceback" not in result.output
+
+
 class TestTable1:
     def test_invariant_violation_reported(self, runner, tmp_path, monkeypatch):
         def broken(table):

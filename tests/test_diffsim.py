@@ -17,9 +17,9 @@ def scalar_xi_block():
     return diffsim.OuBlock(1, [[2.0]], [5.0], [[3.0]], [3.0])
 
 
-def draw_endpoints(block, n, T, count, seed, method="exact"):
+def draw_endpoints(block, n, T, count, seed):
     rng = np.random.default_rng(seed)
-    return np.array([diffsim.simulate_ou(block, n, T, rng, method)[-1]
+    return np.array([diffsim.simulate_ou(block, n, T, rng)[-1]
                      for _ in range(count)]).squeeze()
 
 
@@ -51,16 +51,6 @@ class TestSimulateOu:
         se = np.hypot(coarse.std(ddof=1), fine.std(ddof=1)) / np.sqrt(4000)
         assert abs(coarse.mean() - fine.mean()) < 3 * se
 
-    def test_euler_matches_exact_at_fine_grid(self):
-        block = scalar_xi_block()
-        count = 2500
-        exact = draw_endpoints(block, 1, 1.0, count, seed=7)
-        euler = draw_endpoints(block, 10_000, 1.0, count, seed=8, method="euler")
-        se_mean = np.hypot(exact.std(ddof=1), euler.std(ddof=1)) / np.sqrt(count)
-        assert abs(exact.mean() - euler.mean()) < 3 * se_mean
-        v_se = np.hypot(exact.var(ddof=1), euler.var(ddof=1)) * np.sqrt(2.0 / count)
-        assert abs(exact.var(ddof=1) - euler.var(ddof=1)) < 3 * v_se
-
     def test_non_diagonal_mean_reversion(self):
         # correlated 2-d block: exact sampler must match the closed-form
         # stationary-style covariance computed by quadrature
@@ -85,25 +75,12 @@ class TestSimulateOu:
         emp = np.cov(finals.T)
         assert np.abs(emp - target).max() < 4 * np.abs(target).max() / np.sqrt(count)
 
-    def test_custom_drift_requires_euler(self):
-        block = diffsim.OuBlock(1, [[1.0]], [0.0], [[1.0]], [0.0],
-                                drift=lambda x: -x ** 3)
-        with pytest.raises(ValueError):
-            diffsim.simulate_ou(block, 10, 1.0, np.random.default_rng(0))
-        path = diffsim.simulate_ou(block, 200, 1.0, np.random.default_rng(0),
-                                   method="euler")
-        assert path.shape == (201, 1)
-        assert np.all(np.isfinite(path))
-
     def test_input_validation(self):
         block = scalar_xi_block()
         with pytest.raises(ValueError):
             diffsim.simulate_ou(block, 0, 1.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             diffsim.simulate_ou(block, 10, -1.0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            diffsim.simulate_ou(block, 10, 1.0, np.random.default_rng(0),
-                                method="milstein")
         with pytest.raises(ValueError):
             diffsim.OuBlock(2, np.eye(3), np.zeros(2), np.eye(2), np.zeros(2))
 
@@ -235,7 +212,7 @@ class TestSimulateCustom:
 
 
 def truth_variant(kind):
-    """The bundled truth with one change, and the method it is sampled by."""
+    """The bundled truth with one change."""
     tb = diffsim.true_blocks()
     if kind == "non_diagonal":
         # a coupled block, and dense second-block loadings so every product
@@ -244,33 +221,28 @@ def truth_variant(kind):
                                      [[1.0, 0.0], [0.3, 0.8]], [0.5, -0.5])
         tb["lambda_x2"] = np.array([[1.0, 0.5], [3.0, -0.2], [2.0, 0.7],
                                     [0.3, 1.0], [-0.4, 2.0], [0.6, 4.0]])
-    elif kind == "custom_drift":
-        tb["xi"] = diffsim.OuBlock(1, [[2.0]], [5.0], [[3.0]], [3.0],
-                                   drift=lambda x: 5.0 - 2.0 * x - 0.1 * x ** 3)
     elif kind == "structural":
         tb["b0"] = np.array([[0.0, 0.0], [0.5, 0.0]])
-    method = "euler" if kind in ("euler", "custom_drift") else "exact"
-    return tb, method
+    return tb
 
 
-def simulate_variant(tb, n, method, keep_latents):
+def simulate_variant(tb, n, keep_latents):
     return diffsim.simulate_custom(tb["xi"], tb["delta"], tb["eps"], tb["zeta"],
                                    tb["lambda_x1"], tb["lambda_x2"],
                                    tb["gamma"], tb["b0"], n=n, T=1.0, seed=11,
-                                   method=method, keep_latents=keep_latents)
+                                   keep_latents=keep_latents)
 
 
 class TestStreaming:
     """The chunked simulator against the whole-path oracle across chunk edges."""
 
     @pytest.mark.parametrize("n", CHUNK_EDGES)
-    @pytest.mark.parametrize("kind", ["exact", "euler", "non_diagonal",
-                                      "custom_drift"])
+    @pytest.mark.parametrize("kind", ["exact", "non_diagonal"])
     def test_matches_oneshot_bit_for_bit(self, kind, n):
-        tb, method = truth_variant(kind)
-        ref = oneshot_simulate_custom(tb, n, 1.0, seed=11, method=method)
-        full = simulate_variant(tb, n, method, keep_latents=True)
-        slim = simulate_variant(tb, n, method, keep_latents=False)
+        tb = truth_variant(kind)
+        ref = oneshot_simulate_custom(tb, n, 1.0, seed=11)
+        full = simulate_variant(tb, n, keep_latents=True)
+        slim = simulate_variant(tb, n, keep_latents=False)
         assert np.array_equal(full.x_obs, ref["x_obs"])
         for name in LATENTS:
             assert np.array_equal(getattr(full, name), ref[name]), name
@@ -280,9 +252,9 @@ class TestStreaming:
     @pytest.mark.parametrize("n", CHUNK_EDGES)
     def test_structural_feedback_matches_oneshot(self, n):
         # eta comes from a precomputed inverse, not from solve: not bitwise
-        tb, method = truth_variant("structural")
-        ref = oneshot_simulate_custom(tb, n, 1.0, seed=11, method=method)
-        out = simulate_variant(tb, n, method, keep_latents=True)
+        tb = truth_variant("structural")
+        ref = oneshot_simulate_custom(tb, n, 1.0, seed=11)
+        out = simulate_variant(tb, n, keep_latents=True)
         for name in ("x_obs",) + LATENTS:
             assert np.abs(getattr(out, name) - ref[name]).max() <= 1e-12, name
 

@@ -65,6 +65,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(model_spec_paths=[]).validate()
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_values", [100.5]), ("n_values", [100, 1000.0]),
+        ("replications", 2.5), ("replications", True), ("starts", 1.5),
+        ("workers", "2"), ("master_seed", 7.9), ("master_seed", -1),
+        ("T", np.nan), ("T", np.inf), ("T", 0.0),
+        ("T", "1")])
+    def test_numbers_checked(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key}:"):
+            small_config(**{key: value}).validate()
+
     def test_schema_enforced(self, tmp_path):
         path = tmp_path / "exp.json"
         doc = small_config().to_dict()

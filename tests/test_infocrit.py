@@ -77,7 +77,6 @@ class TestGammaZero:
         eig = np.linalg.eigvalsh(out.gamma0)
         assert eig.min() > 0
         assert out.delta0.shape == (55, 22)
-        assert out.w0.shape == (55, 55)
 
     def test_model2_positive_definite(self, model2, sigma0_oracle):
         out = infocrit.gamma_zero(model2, models.THETA2_TRUE, sigma0_oracle)

@@ -3,7 +3,7 @@ import pytest
 
 from hfsem import diffsim, models
 from hfsem.errors import NotPositiveDefiniteError
-from hfsem.qlik import LikelihoodSurface, QuadVar, limit_loglik, quad_var
+from hfsem.qlik import LikelihoodSurface, QuadVar, quad_var
 from tests.conftest import fd_hessian, interior_theta, make_structural_spec
 
 
@@ -37,6 +37,12 @@ class TestQuadVar:
         x[7, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             quad_var(x, 1.0)
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_horizon_rejected(self, T):
+        x = np.random.default_rng(0).standard_normal((20, 3)).cumsum(axis=0)
+        with pytest.raises(ValueError, match="horizon"):
+            quad_var(x, T)
 
     def test_positive_semidefinite(self, quadvar_1e4):
         eig = np.linalg.eigvalsh(quadvar_1e4.q_xx)
@@ -199,18 +205,24 @@ class TestHessian:
             assert np.abs(hess - fd).max() < 1e-6 * np.abs(fd).max()
 
 
+def limit_value(spec, theta, sigma0):
+    """The in-fill limit criterion: the n=1, T=1 surface with ``sigma0`` as
+    the realized covariation, as ``qmle.limit_optimum`` maximizes it."""
+    return LikelihoodSurface(spec, QuadVar(sigma0, n=1, T=1.0)).value(theta)
+
+
 class TestLimitCriterion:
     def test_value_at_truth(self, model1, sigma0_oracle):
-        v = limit_loglik(model1, models.THETA1_TRUE, sigma0_oracle)
+        v = limit_value(model1, models.THETA1_TRUE, sigma0_oracle)
         expected = -5.0 - 0.5 * np.linalg.slogdet(sigma0_oracle)[1]
         assert abs(v - expected) < 1e-12
 
     def test_truth_is_maximum(self, model1, sigma0_oracle):
         rng = np.random.default_rng(21)
-        v_star = limit_loglik(model1, models.THETA1_TRUE, sigma0_oracle)
+        v_star = limit_value(model1, models.THETA1_TRUE, sigma0_oracle)
         for _ in range(10):
             theta = interior_theta(model1, rng, around=models.THETA1_TRUE)
-            assert limit_loglik(model1, theta, sigma0_oracle) <= v_star + 1e-12
+            assert limit_value(model1, theta, sigma0_oracle) <= v_star + 1e-12
 
     def test_scaled_likelihood_converges_uniformly(self, model1, bundle_1e5,
                                                    quadvar_1e5, sigma0_oracle):
@@ -219,4 +231,4 @@ class TestLimitCriterion:
         for _ in range(20):
             theta = interior_theta(model1, rng, around=models.THETA1_TRUE)
             scaled = surface.value(theta) / surface.n
-            assert abs(scaled - limit_loglik(model1, theta, sigma0_oracle)) < 0.02
+            assert abs(scaled - limit_value(model1, theta, sigma0_oracle)) < 0.02

@@ -12,31 +12,8 @@ from hfsem.semspec import (Fixed, Free, PatternMatrix, SemSpec,
 from tests.conftest import interior_theta, make_structural_spec
 
 
-def model1_true_matrices():
-    return {
-        "lambda_x1": np.array([[1.0], [3.0], [4.0], [6.0]]),
-        "lambda_x2": np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0],
-                               [0.0, 1.0], [0.0, 2.0], [0.0, 4.0]]),
-        "b": np.zeros((2, 2)),
-        "gamma": np.array([[3.0], [2.0]]),
-        "sigma_xixi": np.array([[9.0]]),
-        "sigma_dd": np.diag([4.0, 1.0, 4.0, 9.0]),
-        "sigma_ee": np.diag([25.0, 1.0, 4.0, 1.0, 9.0, 4.0]),
-        "sigma_zz": np.diag([9.0, 1.0]),
-    }
-
-
 class TestPack:
-    def test_model1_true_matrices(self, model1):
-        theta = model1.pack(model1_true_matrices())
-        assert np.array_equal(theta, models.THETA1_TRUE)
-
-    def test_model2_true_matrices(self, model2):
-        values = model1_true_matrices()
-        # same truth; the extra loading cell stays at its true value zero
-        theta = model2.pack(values)
-        assert np.array_equal(theta, models.THETA2_TRUE)
-        assert theta[5] == 0.0
+    """How a spec lays its free cells out in theta."""
 
     def test_all_fixed_spec_gives_empty_theta(self):
         patterns = {
@@ -52,63 +29,72 @@ class TestPack:
         spec = SemSpec({"p1": 1, "p2": 1, "k1": 1, "k2": 1}, patterns,
                        lower=[], upper=[], name="allfixed")
         assert spec.q == 0
-        theta = spec.pack({k: np.asarray([[v]] if k != "lambda_x2" else [[v]])
-                           for k, v in [("lambda_x1", 1.0), ("lambda_x2", 1.0),
-                                        ("b", 0.0), ("gamma", 2.0),
-                                        ("sigma_xixi", 1.0), ("sigma_dd", 1.0),
-                                        ("sigma_ee", 1.0), ("sigma_zz", 1.0)]})
-        assert theta.shape == (0,)
-
-    def test_round_trip(self, model1):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            theta = interior_theta(model1, rng, around=models.THETA1_TRUE)
-            values = model1.unpack(theta)
-            assert np.array_equal(model1.pack(values), theta)
-            # fixed cells never altered by unpack
-            assert values["lambda_x1"][0, 0] == 1.0
-            assert values["lambda_x2"][0, 0] == 1.0
-            assert np.array_equal(values["b"], np.zeros((2, 2)))
+        # x1 = xi + d, x2 = 2 xi + z + e
+        theta = np.empty(0)
+        assert np.array_equal(spec.sigma(theta), [[2.0, 2.0], [2.0, 6.0]])
+        assert spec.jacobian(theta).shape == (3, 0)
 
     def test_shape_mismatch(self, model1):
-        values = model1_true_matrices()
-        values["gamma"] = np.array([[3.0, 2.0]])
-        with pytest.raises(SpecError):
-            model1.pack(values)
+        patterns = dict(model1.patterns)
+        patterns["gamma"] = PatternMatrix([[model1.patterns["gamma"][0, 0], Fixed(2.0)]])
+        dims = {"p1": model1.p1, "p2": model1.p2, "k1": model1.k1, "k2": model1.k2}
+        with pytest.raises(SpecError, match="gamma"):
+            SemSpec(dims, patterns, model1.lower, model1.upper)
 
-    def test_sign_constraint_violation(self, model1):
-        values = model1_true_matrices()
-        values["lambda_x1"][1, 0] = 0.0  # nonzero-constrained cell
-        with pytest.raises(SpecError):
-            model1.pack(values)
-        values = model1_true_matrices()
-        values["sigma_xixi"][0, 0] = -1.0
-        with pytest.raises(SpecError):
-            model1.pack(values)
+    @staticmethod
+    def _one_loading(constraint, lower):
+        patterns = {
+            "lambda_x1": PatternMatrix([[Fixed(1.0)], [Free(0, constraint)]]),
+            "lambda_x2": PatternMatrix([[Fixed(1.0)]]),
+            "b": PatternMatrix([[Fixed(0.0)]]),
+            "gamma": PatternMatrix([[Fixed(1.0)]]),
+            "sigma_xixi": PatternMatrix([[Fixed(1.0)]]),
+            "sigma_dd": PatternMatrix.fixed(np.eye(2)),
+            "sigma_ee": PatternMatrix([[Fixed(1.0)]]),
+            "sigma_zz": PatternMatrix([[Fixed(1.0)]]),
+        }
+        return SemSpec({"p1": 2, "p2": 1, "k1": 1, "k2": 1}, patterns,
+                       lower=[lower], upper=[10.0])
 
-    def test_fixed_cell_alteration(self, model1):
-        values = model1_true_matrices()
-        values["lambda_x1"][0, 0] = 2.0
-        with pytest.raises(SpecError):
-            model1.pack(values)
+    def test_sign_constraint_violation(self):
+        # "positive" on a loading puts it in the positive mask, so its box
+        # must exclude zero
+        with pytest.raises(SpecError, match="positive lower"):
+            self._one_loading("positive", 0.0)
+        assert self._one_loading("positive", 0.1).positive_mask.tolist() == [True]
+        # "nonzero" is a label only: a box through zero builds, and the
+        # implied covariance is defined at zero
+        spec = self._one_loading("nonzero", -10.0)
+        assert spec.positive_mask.tolist() == [False]
+        assert spec.sigma(np.zeros(1))[1, 0] == 0.0
 
 
 class TestImpliedCov:
     def test_known_entries(self, model1):
-        cov = model1.implied_cov(models.THETA1_TRUE)
-        assert cov.sigma[0, 0] == 13.0
-        assert cov.sigma[0, 1] == 27.0
-        assert cov.sigma[4, 4] == 115.0
+        sigma = model1.sigma(models.THETA1_TRUE)
+        assert sigma[0, 0] == 13.0
+        assert sigma[0, 1] == 27.0
+        assert sigma[4, 4] == 115.0
 
     def test_matches_hand_assembled_truth(self, model1, model2, sigma0_oracle):
         assert np.abs(model1.sigma(models.THETA1_TRUE) - sigma0_oracle).max() == 0.0
         assert np.abs(model2.sigma(models.THETA2_TRUE) - sigma0_oracle).max() == 0.0
 
     def test_blocks_consistent(self, model1):
-        cov = model1.implied_cov(models.THETA1_TRUE)
-        assert np.array_equal(cov.sigma[:4, :4], cov.block11)
-        assert np.array_equal(cov.sigma[:4, 4:], cov.block12)
-        assert np.array_equal(cov.sigma[4:, 4:], cov.block22)
+        # the observed blocks: L1 Phi L1' + S_dd, L1 Phi G' L2' and
+        # L2 (G Phi G' + S_zz) L2' + S_ee at the truth (B = 0)
+        sigma = model1.sigma(models.THETA1_TRUE)
+        l1 = np.array([[1.0], [3.0], [4.0], [6.0]])
+        l2 = np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0],
+                       [0.0, 1.0], [0.0, 2.0], [0.0, 4.0]])
+        g, phi = np.array([[3.0], [2.0]]), np.array([[9.0]])
+        s_dd = np.diag([4.0, 1.0, 4.0, 9.0])
+        s_ee = np.diag([25.0, 1.0, 4.0, 1.0, 9.0, 4.0])
+        s_zz = np.diag([9.0, 1.0])
+        assert np.array_equal(sigma[:4, :4], l1 @ phi @ l1.T + s_dd)
+        assert np.array_equal(sigma[:4, 4:], l1 @ phi @ g.T @ l2.T)
+        assert np.array_equal(sigma[4:, 4:],
+                              l2 @ (g @ phi @ g.T + s_zz) @ l2.T + s_ee)
 
     def test_exact_symmetry_at_random_theta(self, model2):
         rng = np.random.default_rng(5)
@@ -132,8 +118,8 @@ class TestImpliedCov:
         }
         spec = SemSpec({"p1": 2, "p2": 2, "k1": 1, "k2": 1}, patterns,
                        lower=[-1e3] + [1e-6] * 6, upper=[1e3] + [1e4] * 6)
-        cov = spec.implied_cov([2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 3.0])
-        assert np.array_equal(cov.block12, np.zeros((2, 2)))
+        sigma = spec.sigma([2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 3.0])
+        assert np.array_equal(sigma[:2, 2:], np.zeros((2, 2)))
 
     def test_wrong_theta_length(self, model1):
         with pytest.raises(SpecError):

@@ -1,0 +1,59 @@
+"""Static checks on the package source."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hfsem"
+
+
+def _dotted(node: ast.AST) -> str | None:
+    """``a.b.c`` for a chain of attribute reads on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads.
+
+    ``import a.b`` counts as read only where ``a.b`` itself is, so a second
+    submodule import under a used package is still caught.  Names listed
+    in ``__all__`` and ``from __future__`` imports are exempt.
+    """
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = set()
+    for node in ast.walk(tree):
+        chain = _dotted(node) if isinstance(node, (ast.Attribute, ast.Name)) else None
+        if chain:
+            parts = chain.split(".")
+            read |= {".".join(parts[:k]) for k in range(1, len(parts) + 1)}
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_scan_catches_unused_names():
+    source = ("import os\nimport scipy.linalg\nimport scipy.signal\n"
+              "from typing import Callable, Optional\n"
+              "x: Optional[int] = scipy.signal.lfilter\n")
+    assert unused_imports(source) == ["Callable", "os", "scipy.linalg"]
