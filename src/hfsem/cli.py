@@ -78,12 +78,9 @@ def _read_path_csv(path) -> np.ndarray:
         cols = [i for i, name in enumerate(names) if re.fullmatch(r"x\d+", name)]
         if not cols:
             raise click.ClickException(f"no x* columns in {path}")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=cols)
-    else:
-        data = np.loadtxt(path, delimiter=",")[:, 1:]
-    if data.ndim == 1:
-        data = data[:, None]
-    return data
+        return np.loadtxt(path, delimiter=",", skiprows=1, usecols=cols,
+                          ndmin=2)
+    return np.loadtxt(path, delimiter=",", ndmin=2)[:, 1:]
 
 
 @main.command()

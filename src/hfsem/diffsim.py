@@ -206,13 +206,12 @@ def _block_streams(seed: int) -> list[np.random.Generator]:
     return [np.random.default_rng(c) for c in children]
 
 
-def simulate_custom(xi_block: OuBlock, delta_block: OuBlock,
-                    eps_block: OuBlock, zeta_block: OuBlock,
+def simulate_custom(xi: OuBlock, delta: OuBlock, eps: OuBlock, zeta: OuBlock,
                     lambda_x1: np.ndarray, lambda_x2: np.ndarray,
-                    gamma: np.ndarray, b0: Optional[np.ndarray],
-                    n: int, T: float, seed: int,
-                    keep_latents: bool = True) -> PathBundle:
-    """Simulate an arbitrary truth given four latent blocks and loadings.
+                    gamma: np.ndarray, b0: np.ndarray, *, n: int, T: float,
+                    seed: int, keep_latents: bool = True) -> PathBundle:
+    """Simulate a truth laid out as :func:`true_blocks` returns it; a truth
+    dict is passed as ``simulate_custom(**truth, n=n, T=T, seed=seed)``.
 
     The blocks are streamed together chunk by chunk and each chunk's
     observations are written into ``x_obs``; the latent paths are stored
@@ -224,10 +223,8 @@ def simulate_custom(xi_block: OuBlock, delta_block: OuBlock,
     gamma = np.atleast_2d(np.asarray(gamma, float))
     p1, k1 = lambda_x1.shape
     p2, k2 = lambda_x2.shape
-    if b0 is None:
-        b0 = np.zeros((k2, k2))
     b0 = np.atleast_2d(np.asarray(b0, float))
-    blocks = (xi_block, delta_block, eps_block, zeta_block)
+    blocks = (xi, delta, eps, zeta)
     if tuple(b.dim for b in blocks) != (k1, p1, p2, k2):
         raise ValueError("block dimensions do not match the loading matrices")
     if gamma.shape != (k2, k1) or b0.shape != (k2, k2):
@@ -290,8 +287,5 @@ def true_blocks() -> dict:
 def simulate_true_model(n: int, T: float, seed: int,
                         keep_latents: bool = True) -> PathBundle:
     """Simulate the bundled truth; deterministic given ``seed``."""
-    tb = true_blocks()
-    return simulate_custom(tb["xi"], tb["delta"], tb["eps"], tb["zeta"],
-                           tb["lambda_x1"], tb["lambda_x2"], tb["gamma"],
-                           tb["b0"], n=n, T=T, seed=seed,
+    return simulate_custom(**true_blocks(), n=n, T=T, seed=seed,
                            keep_latents=keep_latents)

@@ -37,7 +37,7 @@ from .errors import (AllStartsFailedError, NotPositiveDefiniteError,
                      SingularStructureError, SpecError)
 from .infocrit import CRITERIA, criteria_row, select
 from .qlik import LikelihoodSurface, quad_var
-from .qmle import FitOptions, fit, fit_multistart, limit_optimum
+from .qmle import fit, fit_multistart, limit_optimum
 from .semspec import PatternMatrix, SemSpec
 
 __all__ = [
@@ -217,13 +217,6 @@ def _truth_blocks(true_model: Union[str, dict]) -> dict:
     return blocks
 
 
-def _simulate_truth(blocks: dict, n: int, T: float, seed: int):
-    return diffsim.simulate_custom(
-        blocks["xi"], blocks["delta"], blocks["eps"], blocks["zeta"],
-        blocks["lambda_x1"], blocks["lambda_x2"], blocks["gamma"],
-        blocks["b0"], n=n, T=T, seed=seed, keep_latents=False)
-
-
 def _sigma_of_blocks(blocks: dict) -> np.ndarray:
     """Sigma0 of parsed truth blocks: the truth written as an all-fixed
     SemSpec (q = 0), so the one implied-covariance formula computes it."""
@@ -248,7 +241,10 @@ def truth_sigma(true_model: Union[str, dict]) -> np.ndarray:
 
 # -- spec loading --------------------------------------------------------------
 
-def _reference_rank_ok(spec: SemSpec, seed: int = 0, draws: int = 3) -> bool:
+_RANK_SCREEN_DRAWS = 3
+
+
+def _reference_rank_ok(spec: SemSpec) -> bool:
     """Generic-point rank screen for a loaded spec.
 
     The Jacobian rank is constant off a null set, so full rank at any of a
@@ -258,8 +254,8 @@ def _reference_rank_ok(spec: SemSpec, seed: int = 0, draws: int = 3) -> bool:
     from . import matkit
     from .semspec import _probe_start
 
-    rng = np.random.default_rng(seed)
-    for _ in range(draws):
+    rng = np.random.default_rng(0)
+    for _ in range(_RANK_SCREEN_DRAWS):
         theta = _probe_start(spec, rng)
         try:
             if matkit.numeric_rank(spec.jacobian(theta)) == spec.q:
@@ -298,28 +294,24 @@ _FIT_ERRORS = (AllStartsFailedError, NotPositiveDefiniteError,
                SingularStructureError)
 
 
-def _fit_one(spec: SemSpec, qv, init, starts: int, seed: int,
-             options: FitOptions):
-    surface = LikelihoodSurface(spec, qv)
-    if init is not None:
-        report = fit(surface, init=init, options=options)
-    else:
-        report = fit_multistart(surface, starts=starts, seed=seed, options=options)
-    return report, criteria_row(report)
-
-
 def _rep_worker(task: dict) -> dict:
     n, rep = task["n"], task["rep"]
-    bundle = _simulate_truth(task["truth"], n, task["T"], task["seed"])
+    # Through the module attribute, where a benchmark hook can patch it.
+    bundle = diffsim.simulate_custom(**task["truth"], n=n, T=task["T"],
+                                     seed=task["seed"], keep_latents=False)
     qv = quad_var(bundle.x_obs, task["T"])
-    options = FitOptions()
 
     fits: list[Optional[tuple]] = []
     failed = False
     for spec, init in zip(task["specs"], task["inits"]):
         try:
-            fits.append(_fit_one(spec, qv, init, task["starts"],
-                                 task["start_seed"], options))
+            surface = LikelihoodSurface(spec, qv)
+            if init is not None:
+                report = fit(surface, init=init)
+            else:
+                report = fit_multistart(surface, starts=task["starts"],
+                                        seed=task["start_seed"])
+            fits.append((report, criteria_row(report)))
         except _FIT_ERRORS as exc:
             logger.warning("rep %d n=%d: fit of %s failed: %s",
                            rep, n, spec.name, exc)
@@ -354,6 +346,34 @@ def _rep_worker(task: dict) -> dict:
             "records": records}
 
 
+def _limit_optima(specs: Sequence[SemSpec], sigma0: np.ndarray,
+                  config: ExperimentConfig) -> list[tuple[np.ndarray, float]]:
+    return [limit_optimum(spec, sigma0, starts=max(config.starts, 4),
+                          seed=config.master_seed) for spec in specs]
+
+
+def _replicate(config: ExperimentConfig, specs: Sequence[SemSpec],
+               inits: Sequence[Optional[np.ndarray]], truth: dict) -> list[dict]:
+    """Each (n, rep) replication's result, in task order at any worker count."""
+    tasks = []
+    for n in config.n_values:
+        for rep in range(config.replications):
+            tasks.append({
+                "n": int(n), "rep": rep, "T": config.T,
+                "seed": split_seed(config.master_seed, n, rep),
+                "start_seed": split_seed(config.master_seed, n, rep, tag=1),
+                "specs": specs,
+                "inits": inits,
+                "starts": config.starts,
+                "criteria": list(config.criteria),
+                "truth": truth,
+            })
+    if config.workers > 1:
+        with multiprocessing.Pool(config.workers) as pool:
+            return pool.map(_rep_worker, tasks)
+    return [_rep_worker(t) for t in tasks]
+
+
 def run_experiment(config: ExperimentConfig):
     """Run the full study; returns ``(SelectionTable, replication records)``.
 
@@ -370,33 +390,9 @@ def run_experiment(config: ExperimentConfig):
 
     inits: list[Optional[np.ndarray]] = [None] * len(specs)
     if config.init_mode == "true":
-        sigma0 = _sigma_of_blocks(truth)
-        for k, spec in enumerate(specs):
-            theta_bar, _ = limit_optimum(spec, sigma0,
-                                         starts=max(config.starts, 4),
-                                         seed=config.master_seed)
-            inits[k] = theta_bar
-            logger.info("limit optimum for %s ready", spec.name)
-
-    tasks = []
-    for n in config.n_values:
-        for rep in range(config.replications):
-            tasks.append({
-                "n": int(n), "rep": rep, "T": config.T,
-                "seed": split_seed(config.master_seed, n, rep),
-                "start_seed": split_seed(config.master_seed, n, rep, tag=1),
-                "specs": specs,
-                "inits": inits,
-                "starts": config.starts,
-                "criteria": list(config.criteria),
-                "truth": truth,
-            })
-
-    if config.workers > 1:
-        with multiprocessing.Pool(config.workers) as pool:
-            results = pool.map(_rep_worker, tasks)
-    else:
-        results = [_rep_worker(t) for t in tasks]
+        optima = _limit_optima(specs, _sigma_of_blocks(truth), config)
+        inits = [theta_bar for theta_bar, _ in optima]
+    results = _replicate(config, specs, inits, truth)
 
     counts = {(c, n): {m: 0 for m in model_ids}
               for c in config.criteria for n in config.n_values}
@@ -448,39 +444,33 @@ def gap_growth_probe(config: ExperimentConfig, model_a: str, model_b: str,
 
     ``model_a`` must be correctly specified for the configured truth (its
     limit optimum must reproduce the truth's covariance); the analytic
-    level is twice the difference of the limit-criterion values.
+    level is twice the difference of the limit-criterion values.  Both
+    models are fitted from their limit optima on :func:`run_experiment`'s
+    replications; a failed fit raises :class:`AllStartsFailedError`.
     """
     config.validate()
-    spec_a = models.resolve_spec(model_a)
-    spec_b = models.resolve_spec(model_b)
-    _check_grid(config.n_values, (spec_a, spec_b))
+    if criterion not in CRITERIA:
+        raise ValueError(f"unknown criterion {criterion!r}")
+    specs = [models.resolve_spec(model_a), models.resolve_spec(model_b)]
+    _check_grid(config.n_values, specs)
     truth = _truth_blocks(config.true_model)
     sigma0 = _sigma_of_blocks(truth)
 
-    theta_a, lim_a = limit_optimum(spec_a, sigma0, starts=max(config.starts, 4),
-                                   seed=config.master_seed)
-    theta_b, lim_b = limit_optimum(spec_b, sigma0, starts=max(config.starts, 4),
-                                   seed=config.master_seed)
-    fit_gap = np.linalg.norm(spec_a.sigma(theta_a) - sigma0) / np.linalg.norm(sigma0)
+    (theta_a, lim_a), (theta_b, lim_b) = _limit_optima(specs, sigma0, config)
+    fit_gap = np.linalg.norm(specs[0].sigma(theta_a) - sigma0) / np.linalg.norm(sigma0)
     if fit_gap > 1e-6:
         raise ValueError(
             f"{model_a!r} is not correctly specified for this truth "
             f"(relative covariance gap {fit_gap:.2e})")
     analytic = 2.0 * (lim_a - lim_b)
 
-    options = FitOptions()
     diffs: dict[int, list[float]] = {int(n): [] for n in config.n_values}
-    for n in config.n_values:
-        for rep in range(config.replications):
-            seed = split_seed(config.master_seed, n, rep)
-            bundle = _simulate_truth(truth, n, config.T, seed)
-            qv = quad_var(bundle.x_obs, config.T)
-            row_a = criteria_row(fit(LikelihoodSurface(spec_a, qv),
-                                     init=theta_a, options=options))
-            row_b = criteria_row(fit(LikelihoodSurface(spec_b, qv),
-                                     init=theta_b, options=options))
-            diffs[int(n)].append(
-                (row_b.value(criterion) - row_a.value(criterion)) / n)
+    for res in _replicate(config, specs, [theta_a, theta_b], truth):
+        if res["failed"]:
+            raise AllStartsFailedError(
+                f"a fit failed at n={res['n']}, rep {res['rep']}")
+        rec_a, rec_b = res["records"]
+        diffs[res["n"]].append((rec_b[criterion] - rec_a[criterion]) / res["n"])
 
     all_diffs = [d for vals in diffs.values() for d in vals]
     return GapProbeResult(

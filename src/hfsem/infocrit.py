@@ -105,8 +105,8 @@ class GammaZero:
     delta0: np.ndarray   # pbar x q
 
 
-def gamma_zero(spec: SemSpec, theta0: np.ndarray, sigma0: np.ndarray,
-               rank_rtol: float = 1e-8) -> GammaZero:
+def gamma_zero(spec: SemSpec, theta0: np.ndarray,
+               sigma0: np.ndarray) -> GammaZero:
     """Information matrix ``gamma0 = delta0' W delta0`` at ``theta0``, with
     ``delta0`` the vech covariance Jacobian and ``W`` the weight of
     :func:`~hfsem.qlik.fisher_information` at ``sigma0``.
@@ -118,7 +118,7 @@ def gamma_zero(spec: SemSpec, theta0: np.ndarray, sigma0: np.ndarray,
     d_sigma = spec.forward(theta0, 1)[1]
     rows, cols = matkit.vech_indices(spec.p)
     delta0 = d_sigma[:, rows, cols].T
-    rank = matkit.numeric_rank(delta0, rank_rtol)
+    rank = matkit.numeric_rank(delta0)
     if rank < spec.q:
         raise RankDeficientError(
             f"covariance Jacobian of {spec.name!r} has rank {rank} < q={spec.q}")
@@ -145,7 +145,7 @@ def posterior_probs(rows: Sequence[CriteriaRow],
     priors = np.asarray(priors, dtype=float)
     if priors.shape != (len(rows),):
         raise ValueError("priors must have one entry per model")
-    if np.any(priors <= 0.0):
+    if not np.all(priors > 0.0):
         raise ValueError("priors must be positive")
     if abs(priors.sum() - 1.0) > 1e-8:
         raise ValueError("priors must sum to one")

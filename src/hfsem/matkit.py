@@ -31,10 +31,10 @@ __all__ = [
 _SYM_TOL = 1e-8
 
 
-def check_symmetric(a: np.ndarray, tol: float = _SYM_TOL) -> np.ndarray:
+def check_symmetric(a: np.ndarray) -> np.ndarray:
     """Validate that ``a`` is square and symmetric; return the symmetrized copy.
 
-    Raises ``ValueError`` on non-square input, asymmetry beyond ``tol``
+    Raises ``ValueError`` on non-square input, asymmetry beyond ``_SYM_TOL``
     (relative to the largest entry), or non-finite entries.
     """
     a = np.asarray(a, dtype=float)
@@ -43,7 +43,7 @@ def check_symmetric(a: np.ndarray, tol: float = _SYM_TOL) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     scale = max(1.0, np.abs(a).max())
-    if np.abs(a - a.T).max() > tol * scale:
+    if np.abs(a - a.T).max() > _SYM_TOL * scale:
         raise ValueError("matrix is not symmetric")
     return 0.5 * (a + a.T)
 

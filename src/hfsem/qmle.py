@@ -78,6 +78,9 @@ class FitReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FitReport":
+        missing = {f.name for f in fields(cls)} - set(doc) - {"hessian"}
+        if missing:
+            raise ValueError(f"fit report is missing fields {sorted(missing)}")
         q = int(doc["q"])
         hess = doc.get("hessian")
         hessian = np.full((q, q), np.nan) if hess is None else np.asarray(hess)
@@ -124,7 +127,7 @@ def _optimize_once(surface: LikelihoodSurface, init: np.ndarray,
     2e-3.  ``iterate_hook``, when given, receives every accepted iterate.
     """
     spec = surface.spec
-    theta = np.clip(np.asarray(init, dtype=float), spec.lower, spec.upper)
+    theta = np.clip(spec._check_theta(init), spec.lower, spec.upper)
     try:
         value, grad = surface.value_and_grad(theta)
     except _OUT_OF_REGION:
@@ -245,8 +248,7 @@ def fit_multistart(surface: LikelihoodSurface, starts: int = 8, seed: int = 0,
 
 
 def limit_optimum(spec: SemSpec, sigma0: np.ndarray, starts: int = 8,
-                  seed: int = 0, options: Optional[FitOptions] = None
-                  ) -> tuple[np.ndarray, float]:
+                  seed: int = 0) -> tuple[np.ndarray, float]:
     """Maximize the in-fill limit criterion against a target covariance.
 
     For a correctly specified model this recovers the parameter at which
@@ -254,13 +256,12 @@ def limit_optimum(spec: SemSpec, sigma0: np.ndarray, starts: int = 8,
     attained value)``.
     """
     sigma0 = np.asarray(sigma0, dtype=float)
-    options = options or FitOptions(compute_hessian=False)
     # The limit criterion is the n=1, T=1 likelihood surface with the
     # target covariance standing in for the realized one.
     surface = LikelihoodSurface(spec, QuadVar(q_xx=sigma0, n=1, T=1.0))
     report = fit_multistart(surface, starts=starts, seed=seed,
                             init=moment_start(spec, sigma0),
-                            options=options)
+                            options=FitOptions(compute_hessian=False))
     return report.theta_hat, report.h_at_hat
 
 

@@ -56,6 +56,8 @@ _ROLES = ("lambda_x1", "lambda_x2", "b", "gamma",
 _SYM_ROLES = frozenset({"sigma_xixi", "sigma_dd", "sigma_ee", "sigma_zz"})
 
 _PSI_COND_LIMIT = 1e12
+_PREIMAGE_TOL = 1e-8        # check_identifiability: Sigma reproduced
+_WITNESS_MIN_DIST = 1e-6    # check_identifiability: a distinct preimage
 
 
 @dataclass(frozen=True)
@@ -446,21 +448,19 @@ def _probe_start(spec: SemSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def check_identifiability(spec: SemSpec, theta0: np.ndarray, trials: int = 50,
-                          seed: int = 0, rank_rtol: float = 1e-8,
-                          sigma_tol: float = 1e-8,
-                          theta_tol: float = 1e-6) -> IdentifiabilityReport:
+                          seed: int = 0) -> IdentifiabilityReport:
     """Check the rank condition and probe local injectivity at ``theta0``.
 
     The rank condition asks that the covariance Jacobian at ``theta0`` have
     full column rank q.  The injectivity probe minimizes the squared
     Frobenius distance ``|Sigma(theta) - Sigma(theta0)|_F^2`` from random
     starts; any minimizer that reproduces the covariance (distance below
-    ``sigma_tol``) while sitting away from ``theta0`` (distance at least
-    ``theta_tol``) is recorded as a failure witness.
+    ``_PREIMAGE_TOL``) while sitting away from ``theta0`` (distance at
+    least ``_WITNESS_MIN_DIST``) is recorded as a failure witness.
     """
     theta0 = np.asarray(theta0, dtype=float)
     delta0 = spec.jacobian(theta0)
-    rank = matkit.numeric_rank(delta0, rank_rtol)
+    rank = matkit.numeric_rank(delta0)
     rank_ok = rank == spec.q
 
     collinear = None
@@ -510,10 +510,10 @@ def check_identifiability(spec: SemSpec, theta0: np.ndarray, trials: int = 50,
             bounds=(spec.lower, spec.upper),
             xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=400)
         dist = float(np.linalg.norm(res.fun))
-        if dist < sigma_tol:
+        if dist < _PREIMAGE_TOL:
             found += 1
             gap = float(np.linalg.norm(res.x - theta0))
-            if gap >= theta_tol:
+            if gap >= _WITNESS_MIN_DIST:
                 witnesses.append({"theta": res.x.copy(), "sigma_dist": dist,
                                   "theta_dist": gap})
     return IdentifiabilityReport(

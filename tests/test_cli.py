@@ -190,9 +190,17 @@ class TestFitAndCriteria:
     ["criteria", "{fits}", "--priors", "0.5", "--out", "{out}"],
     ["criteria", "{fits}", "--priors", "0.2,0.2", "--out", "{out}"],
     ["table1", "--config", "{config}", "--out-dir", "{out}"],
+    ["quadvar", "--in", "{one_row_headed}", "--T", "1", "--out", "{out}"],
+    ["quadvar", "--in", "{one_row_bare}", "--T", "1", "--out", "{out}"],
+    ["fit", "--spec", "model1", "--data", "{path}", "--T", "1",
+     "--init", "{short_init}", "--out", "{out}"],
+    ["criteria", "{fits}", "--priors", "nan,0.5,0.5", "--out", "{out}"],
+    ["criteria", "--fits", "{partial_fit}", "--out", "{out}"],
 ], ids=["quadvar-T0", "quadvar-Tinf", "fit-nosuch-spec", "fit-starts0",
         "priors-not-numbers", "priors-one-of-three", "priors-sum",
-        "table1-replications"])
+        "table1-replications", "quadvar-one-row-headed",
+        "quadvar-one-row-bare", "fit-init-length", "priors-nan",
+        "criteria-fit-missing-fields"])
 def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
     _, path, fits = fit_files
     doc = harness.ExperimentConfig(
@@ -201,9 +209,15 @@ def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
     doc["replications"] = 2.5
     config = tmp_path / "exp.json"
     config.write_text(json.dumps(doc))
+    files = {"{one_row_headed}": "t,x1,x2\n0,1,2\n", "{one_row_bare}": "0,1,2\n",
+             "{short_init}": "2.0\n", "{partial_fit}": '{"model": "m"}'}
     fill = {"{path}": [str(path)], "{out}": [str(tmp_path / "out")],
             "{config}": [str(config)],
             "{fits}": [a for f in fits for a in ("--fits", str(f))]}
+    for key, text in files.items():
+        target = tmp_path / key.strip("{}")
+        target.write_text(text)
+        fill[key] = [str(target)]
     args = [a for arg in argv for a in fill.get(arg, [arg])]
     result = runner.invoke(main, args)
     assert result.exit_code == 1

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -155,44 +157,44 @@ class TestTrueModel:
 class TestSimulateCustom:
     def test_matches_true_model_bit_for_bit(self):
         tb = diffsim.true_blocks()
-        a = diffsim.simulate_custom(tb["xi"], tb["delta"], tb["eps"], tb["zeta"],
-                                    tb["lambda_x1"], tb["lambda_x2"],
-                                    tb["gamma"], tb["b0"], n=200, T=1.0, seed=5)
+        a = diffsim.simulate_custom(**tb, n=200, T=1.0, seed=5)
         b = diffsim.simulate_true_model(200, 1.0, seed=5)
         assert np.array_equal(a.x_obs, b.x_obs)
 
     def test_zero_loadings_give_pure_noise_block(self):
         tb = diffsim.true_blocks()
-        out = diffsim.simulate_custom(tb["xi"], tb["delta"], tb["eps"], tb["zeta"],
-                                      tb["lambda_x1"], np.zeros((6, 2)),
-                                      tb["gamma"], tb["b0"],
-                                      n=100, T=1.0, seed=3)
+        tb["lambda_x2"] = np.zeros((6, 2))
+        out = diffsim.simulate_custom(**tb, n=100, T=1.0, seed=3)
         assert np.array_equal(out.x_obs[:, 4:], out.eps)
 
     def test_structural_feedback_solved_exactly(self):
         tb = diffsim.true_blocks()
-        b0 = np.array([[0.0, 0.0], [0.6, 0.0]])  # strictly lower triangular
-        out = diffsim.simulate_custom(tb["xi"], tb["delta"], tb["eps"], tb["zeta"],
-                                      tb["lambda_x1"], tb["lambda_x2"],
-                                      tb["gamma"], b0, n=100, T=1.0, seed=3)
-        psi = np.eye(2) - b0
+        tb["b0"] = np.array([[0.0, 0.0], [0.6, 0.0]])  # strictly lower triangular
+        out = diffsim.simulate_custom(**tb, n=100, T=1.0, seed=3)
+        psi = np.eye(2) - tb["b0"]
         resid = out.eta @ psi.T - (out.xi @ tb["gamma"].T + out.zeta)
         assert np.abs(resid).max() < 1e-12
 
     def test_singular_structure_rejected(self):
         tb = diffsim.true_blocks()
-        b0 = np.array([[0.0, 1.0], [1.0, 0.0]])  # I - b0 singular
+        tb["b0"] = np.array([[0.0, 1.0], [1.0, 0.0]])  # I - b0 singular
         with pytest.raises(SingularStructureError):
-            diffsim.simulate_custom(tb["xi"], tb["delta"], tb["eps"], tb["zeta"],
-                                    tb["lambda_x1"], tb["lambda_x2"],
-                                    tb["gamma"], b0, n=10, T=1.0, seed=0)
+            diffsim.simulate_custom(**tb, n=10, T=1.0, seed=0)
 
     def test_dimension_mismatch_rejected(self):
         tb = diffsim.true_blocks()
+        tb["xi"], tb["zeta"] = tb["zeta"], tb["xi"]
         with pytest.raises(ValueError):
-            diffsim.simulate_custom(tb["zeta"], tb["delta"], tb["eps"], tb["xi"],
-                                    tb["lambda_x1"], tb["lambda_x2"],
-                                    tb["gamma"], tb["b0"], n=10, T=1.0, seed=0)
+            diffsim.simulate_custom(**tb, n=10, T=1.0, seed=0)
+
+    def test_grid_arguments_keyword_only(self):
+        # a benchmark hook reads the grid size as kwargs["n"]
+        params = inspect.signature(diffsim.simulate_custom).parameters
+        for name in ("n", "T", "seed", "keep_latents"):
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
+        tb = diffsim.true_blocks()
+        with pytest.raises(TypeError):
+            diffsim.simulate_custom(*tb.values(), 10, 1.0, 0)
 
     @pytest.mark.parametrize("name, bad", [
         ("lambda_x1", (0, 0, np.inf)),
@@ -206,9 +208,7 @@ class TestSimulateCustom:
         tb[name] = np.array(tb[name], dtype=float)
         tb[name][row, col] = value
         with pytest.raises(ValueError, match=name):
-            diffsim.simulate_custom(tb["xi"], tb["delta"], tb["eps"], tb["zeta"],
-                                    tb["lambda_x1"], tb["lambda_x2"],
-                                    tb["gamma"], tb["b0"], n=50, T=1.0, seed=0)
+            diffsim.simulate_custom(**tb, n=50, T=1.0, seed=0)
 
 
 def truth_variant(kind):
@@ -227,9 +227,7 @@ def truth_variant(kind):
 
 
 def simulate_variant(tb, n, keep_latents):
-    return diffsim.simulate_custom(tb["xi"], tb["delta"], tb["eps"], tb["zeta"],
-                                   tb["lambda_x1"], tb["lambda_x2"],
-                                   tb["gamma"], tb["b0"], n=n, T=1.0, seed=11,
+    return diffsim.simulate_custom(**tb, n=n, T=1.0, seed=11,
                                    keep_latents=keep_latents)
 
 

@@ -1,10 +1,13 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from hfsem import diffsim, harness
+from hfsem import diffsim, harness, models, qmle
 from hfsem.errors import AllStartsFailedError, SpecError
+from hfsem.infocrit import criteria_row
+from hfsem.qlik import LikelihoodSurface, quad_var
 from tests.conftest import make_degenerate_model
 
 
@@ -209,8 +212,8 @@ class TestRunExperiment:
         truth = custom_truth()
         sigma = harness.truth_sigma(truth)
         assert sigma.shape == (4, 4)
-        bundle = harness._simulate_truth(harness._truth_blocks(truth),
-                                         50, 1.0, seed=1)
+        bundle = diffsim.simulate_custom(**harness._truth_blocks(truth),
+                                         n=50, T=1.0, seed=1)
         assert bundle.x_obs.shape == (51, 4)
 
     @pytest.mark.parametrize("where, key", [
@@ -254,6 +257,46 @@ class TestRendering:
         assert len(lines) == 1 + len(records)
 
 
+PROBE_CASES = [("model1", "model3", "qbic1"), ("model1", "model2", "qbic2"),
+               ("model1", "model1", "qaic")]
+
+
+def probe_config(**overrides):
+    return small_config(n_values=[200, 500], replications=2, master_seed=11,
+                        model_spec_paths=["model1"], **overrides)
+
+
+@functools.lru_cache(maxsize=None)
+def direct_gap_probe(model_a, model_b, criterion):
+    """Reference for ``gap_growth_probe`` on ``probe_config()``: simulate,
+    fit both models from their limit optima and difference the criterion,
+    in one plain loop."""
+    config = probe_config()
+    specs = [models.resolve_spec(m) for m in (model_a, model_b)]
+    truth = harness._truth_blocks(config.true_model)
+    sigma0 = harness._sigma_of_blocks(truth)
+    (theta_a, lim_a), (theta_b, lim_b) = [
+        qmle.limit_optimum(spec, sigma0, starts=max(config.starts, 4),
+                           seed=config.master_seed) for spec in specs]
+    diffs = {n: [] for n in config.n_values}
+    for n in config.n_values:
+        for rep in range(config.replications):
+            seed = harness.split_seed(config.master_seed, n, rep)
+            qv = quad_var(diffsim.simulate_custom(**truth, n=n, T=config.T,
+                                                  seed=seed).x_obs, config.T)
+            row_a, row_b = [
+                criteria_row(qmle.fit(LikelihoodSurface(spec, qv), init=theta))
+                for spec, theta in zip(specs, (theta_a, theta_b))]
+            diffs[n].append((row_b.value(criterion) - row_a.value(criterion)) / n)
+    return harness.GapProbeResult(
+        criterion=criterion,
+        level=float(np.mean([d for v in diffs.values() for d in v])),
+        analytic_level=float(2.0 * (lim_a - lim_b)),
+        per_n={n: float(np.mean(v)) for n, v in diffs.items()},
+        n_values=config.n_values, replications=config.replications,
+        limit_value_a=float(lim_a), limit_value_b=float(lim_b))
+
+
 class TestGapProbe:
     def test_same_model_level_zero(self):
         config = small_config(n_values=[2000], replications=3)
@@ -276,3 +319,56 @@ class TestGapProbe:
         config = small_config(replications=1)
         with pytest.raises(ValueError):
             harness.gap_growth_probe(config, "model3", "model1")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", PROBE_CASES, ids="-".join)
+    def test_matches_direct_loop(self, case, workers):
+        out = harness.gap_growth_probe(probe_config(workers=workers), *case)
+        assert out == direct_gap_probe(*case)
+
+    def test_unknown_criterion_rejected_first(self, monkeypatch):
+        monkeypatch.setattr(harness, "limit_optimum", lambda *args, **kwargs:
+                            pytest.fail("limit optimum ran before the check"))
+        with pytest.raises(ValueError, match="unknown criterion 'bic'"):
+            harness.gap_growth_probe(small_config(), "model1", "model2",
+                                     criterion="bic")
+
+    def test_failed_fit_names_replication(self, monkeypatch):
+        original = harness.fit
+
+        def failing(surface, **kwargs):
+            if surface.spec.name == "model2":
+                raise AllStartsFailedError("forced")
+            return original(surface, **kwargs)
+
+        monkeypatch.setattr(harness, "fit", failing)
+        with pytest.raises(AllStartsFailedError, match="n=100, rep 0"):
+            harness.gap_growth_probe(small_config(replications=1),
+                                     "model1", "model2")
+
+
+class TestSimulatorEntries:
+    """A benchmark hook patches ``diffsim.simulate_custom`` to clock each
+    replication, so every replication must enter it there exactly once."""
+
+    @pytest.fixture()
+    def entries(self, monkeypatch):
+        calls = []
+        original = diffsim.simulate_custom
+
+        def entered(*args, **kwargs):
+            calls.append(kwargs["n"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(diffsim, "simulate_custom", entered)
+        return calls
+
+    def test_run_experiment(self, entries):
+        harness.run_experiment(small_config(n_values=[100, 200], replications=2,
+                                            model_spec_paths=["model1"]))
+        assert entries == [100, 100, 200, 200]
+
+    def test_gap_probe(self, entries):
+        harness.gap_growth_probe(small_config(n_values=[100, 200], replications=2),
+                                 "model1", "model1", criterion="qaic")
+        assert entries == [100, 100, 200, 200]

@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 
 from hfsem import diffsim, models, qmle
-from hfsem.errors import AllStartsFailedError
+from hfsem.errors import AllStartsFailedError, SpecError
 from hfsem.qlik import LikelihoodSurface, QuadVar, quad_var
 from hfsem.semspec import SemSpec
 
@@ -131,6 +131,23 @@ class TestFit:
         assert report.boundary_hit
         assert report.converged
         assert abs(report.theta_hat[0] - scalar_model.lower[0]) < 1e-12
+
+    @pytest.mark.parametrize("length", [1, 21, 23])
+    def test_init_of_wrong_length_rejected(self, surface_1e3, length):
+        with pytest.raises(SpecError, match="length q=22"):
+            qmle.fit(surface_1e3, init=np.full(length, 2.0))
+        with pytest.raises(SpecError, match="length q=22"):
+            qmle.fit_multistart(surface_1e3, starts=2, init=np.full(length, 2.0))
+
+    def test_report_dict_fields_checked(self, surface_1e3):
+        doc = qmle.fit(surface_1e3, init=models.THETA1_TRUE).to_dict()
+        del doc["hessian"]
+        report = qmle.FitReport.from_dict(doc)
+        assert report.h_at_hat == doc["h_at_hat"]
+        assert np.all(np.isnan(report.hessian))
+        del doc["q"], doc["n"]
+        with pytest.raises(ValueError, match=r"missing fields \['n', 'q'\]"):
+            qmle.FitReport.from_dict(doc)
 
 
 class TestMultistart:

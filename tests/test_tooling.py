@@ -1,11 +1,13 @@
-"""Static checks on the package source."""
+"""Static checks on the package source and the benchmark's hooks into it."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hfsem"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hfsem"
 
 
 def _dotted(node: ast.AST) -> str | None:
@@ -57,3 +59,14 @@ def test_scan_catches_unused_names():
               "from typing import Callable, Optional\n"
               "x: Optional[int] = scipy.signal.lfilter\n")
     assert unused_imports(source) == ["Callable", "os", "scipy.linalg"]
+
+
+def test_perfbench_targets_exist(monkeypatch):
+    # The traced benchmark wraps each callable where its caller looks it
+    # up; a renamed or moved one would break the trace.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    layers = importlib.import_module("layers")
+    missing = [(getattr(owner, "__name__", owner), attr)
+               for owner, attr, _, _ in layers.targets()
+               if not hasattr(owner, attr)]
+    assert missing == []
