@@ -40,6 +40,7 @@ __all__ = [
     "PathBundle",
     "simulate_ou",
     "simulate_custom",
+    "grid_transitions",
     "simulate_true_model",
     "true_blocks",
     "TRUE_MODEL_NAME",
@@ -156,16 +157,17 @@ def _chunk_bounds(rows: int) -> list[tuple[int, int]]:
     return list(zip(starts, [*starts[1:], rows]))
 
 
-def _path_chunks(block: OuBlock, n: int, h: float,
+def _path_chunks(block: OuBlock, n: int, transition: tuple,
                  rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """The block's exact path on the grid, rows 0..n, in the row chunks of
+    """The block's path on the grid, rows 0..n, under its exact
+    ``transition`` (``_exact_transition(block, h)``), in the row chunks of
     ``_chunk_bounds(n + 1)``; the first chunk starts with ``block.init``.
 
     Drawing chunk by chunk consumes ``rng`` exactly as one ``(n, dim)``
     draw does, and the recursion's state is carried from chunk to chunk,
     so the chunks are the rows of the whole-path computation, bit for bit.
     """
-    ad, bd, noise = _exact_transition(block, h)
+    ad, bd, noise = transition
     a = np.diag(ad)
     decoupled = not np.any(ad - np.diag(a))
     x = block.init
@@ -194,11 +196,20 @@ def simulate_ou(block: OuBlock, n: int, T: float,
                 rng: np.random.Generator) -> np.ndarray:
     """Sample the block exactly on the grid; returns an (n+1, dim) array."""
     path = np.empty((n + 1, block.dim))
+    transition = _exact_transition(block, _grid_step(n, T))
     start = 0
-    for rows in _path_chunks(block, n, _grid_step(n, T), rng):
+    for rows in _path_chunks(block, n, transition, rng):
         path[start:start + len(rows)] = rows
         start += len(rows)
     return path
+
+
+def grid_transitions(truth: dict, n: int, T: float) -> tuple:
+    """``(h, transitions)``: the step ``T / n`` and each latent block's exact
+    transition at it, for :func:`simulate_custom`'s ``transitions``."""
+    h = _grid_step(n, T)
+    return h, tuple(_exact_transition(truth[name], h)
+                    for name in ("xi", "delta", "eps", "zeta"))
 
 
 def _block_streams(seed: int) -> list[np.random.Generator]:
@@ -209,13 +220,15 @@ def _block_streams(seed: int) -> list[np.random.Generator]:
 def simulate_custom(xi: OuBlock, delta: OuBlock, eps: OuBlock, zeta: OuBlock,
                     lambda_x1: np.ndarray, lambda_x2: np.ndarray,
                     gamma: np.ndarray, b0: np.ndarray, *, n: int, T: float,
-                    seed: int, keep_latents: bool = True) -> PathBundle:
+                    seed: int, keep_latents: bool = True,
+                    transitions: Optional[tuple] = None) -> PathBundle:
     """Simulate a truth laid out as :func:`true_blocks` returns it; a truth
     dict is passed as ``simulate_custom(**truth, n=n, T=T, seed=seed)``.
 
     The blocks are streamed together chunk by chunk and each chunk's
     observations are written into ``x_obs``; the latent paths are stored
-    only with ``keep_latents``.
+    only with ``keep_latents``.  ``transitions``, from :func:`grid_transitions`
+    for this truth and grid, spares building the blocks' transitions here.
     """
     h = _grid_step(n, T)
     lambda_x1 = np.atleast_2d(np.asarray(lambda_x1, float))
@@ -237,9 +250,12 @@ def simulate_custom(xi: OuBlock, delta: OuBlock, eps: OuBlock, zeta: OuBlock,
     if np.linalg.cond(psi) > _PSI_COND_LIMIT:
         raise SingularStructureError("I - b0 is numerically singular")
     psi_inv_t = np.linalg.inv(psi).T
+    built_h, built = transitions or (h, [_exact_transition(b, h) for b in blocks])
+    if built_h != h:
+        raise ValueError(f"transitions are for step {built_h}, not {h}")
 
-    chunks = zip(*[_path_chunks(block, n, h, rng)
-                   for block, rng in zip(blocks, _block_streams(seed))])
+    chunks = zip(*[_path_chunks(block, n, tr, rng) for block, tr, rng
+                   in zip(blocks, built, _block_streams(seed))])
     x_obs = np.empty((n + 1, p1 + p2))
     latents = {}
     if keep_latents:

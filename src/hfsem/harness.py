@@ -298,7 +298,8 @@ def _rep_worker(task: dict) -> dict:
     n, rep = task["n"], task["rep"]
     # Through the module attribute, where a benchmark hook can patch it.
     bundle = diffsim.simulate_custom(**task["truth"], n=n, T=task["T"],
-                                     seed=task["seed"], keep_latents=False)
+                                     seed=task["seed"], keep_latents=False,
+                                     transitions=task["transitions"])
     qv = quad_var(bundle.x_obs, task["T"])
 
     fits: list[Optional[tuple]] = []
@@ -354,9 +355,11 @@ def _limit_optima(specs: Sequence[SemSpec], sigma0: np.ndarray,
 
 def _replicate(config: ExperimentConfig, specs: Sequence[SemSpec],
                inits: Sequence[Optional[np.ndarray]], truth: dict) -> list[dict]:
-    """Each (n, rep) replication's result, in task order at any worker count."""
+    """Each (n, rep) replication's result, in task order at any worker count;
+    the truth's block transitions are built once per n, for all its tasks."""
     tasks = []
     for n in config.n_values:
+        transitions = diffsim.grid_transitions(truth, int(n), config.T)
         for rep in range(config.replications):
             tasks.append({
                 "n": int(n), "rep": rep, "T": config.T,
@@ -367,6 +370,7 @@ def _replicate(config: ExperimentConfig, specs: Sequence[SemSpec],
                 "starts": config.starts,
                 "criteria": list(config.criteria),
                 "truth": truth,
+                "transitions": transitions,
             })
     if config.workers > 1:
         with multiprocessing.Pool(config.workers) as pool:

@@ -46,6 +46,8 @@ def quad_var(x_obs: np.ndarray, T: float) -> QuadVar:
     x_obs = np.asarray(x_obs, dtype=float)
     if x_obs.ndim != 2 or x_obs.shape[0] < 2:
         raise ValueError("need at least two rows of observations")
+    if x_obs.shape[1] == 0:
+        raise ValueError("path has no observed columns")
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"horizon must be positive and finite, got {T}")
     dx = np.diff(x_obs, axis=0)

@@ -81,17 +81,27 @@ class FitReport:
         missing = {f.name for f in fields(cls)} - set(doc) - {"hessian"}
         if missing:
             raise ValueError(f"fit report is missing fields {sorted(missing)}")
-        q = int(doc["q"])
-        hess = doc.get("hessian")
-        hessian = np.full((q, q), np.nan) if hess is None else np.asarray(hess)
-        return cls(model=doc["model"], n=int(doc["n"]), q=q,
-                   theta_hat=np.asarray(doc["theta_hat"], dtype=float),
-                   h_at_hat=float(doc["h_at_hat"]),
-                   grad_norm=float(doc["grad_norm"]),
+
+        def read(key, convert):
+            try:
+                return convert(doc[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"fit report field {key!r}: {exc}") from None
+
+        def array(value):
+            return np.asarray(value, dtype=float)
+
+        q = read("q", int)
+        hessian = (np.full((q, q), np.nan) if doc.get("hessian") is None
+                   else read("hessian", array))
+        return cls(model=doc["model"], n=read("n", int), q=q,
+                   theta_hat=read("theta_hat", array),
+                   h_at_hat=read("h_at_hat", float),
+                   grad_norm=read("grad_norm", float),
                    hessian=hessian, j_flag=bool(doc["j_flag"]),
-                   gamma_tilde=np.asarray(doc["gamma_tilde"], dtype=float),
-                   iterations=int(doc["iterations"]),
-                   restarts=int(doc["restarts"]),
+                   gamma_tilde=read("gamma_tilde", array),
+                   iterations=read("iterations", int),
+                   restarts=read("restarts", int),
                    converged=bool(doc["converged"]),
                    boundary_hit=bool(doc["boundary_hit"]))
 

@@ -196,13 +196,18 @@ class TestFitAndCriteria:
      "--init", "{short_init}", "--out", "{out}"],
     ["criteria", "{fits}", "--priors", "nan,0.5,0.5", "--out", "{out}"],
     ["criteria", "--fits", "{partial_fit}", "--out", "{out}"],
+    ["quadvar", "--in", "{time_only}", "--T", "1", "--out", "{out}"],
+    ["criteria", "--fits", "{q_null_fit}", "--out", "{out}"],
+    ["criteria", "--fits", "{text_theta_fit}", "--out", "{out}"],
 ], ids=["quadvar-T0", "quadvar-Tinf", "fit-nosuch-spec", "fit-starts0",
         "priors-not-numbers", "priors-one-of-three", "priors-sum",
         "table1-replications", "quadvar-one-row-headed",
         "quadvar-one-row-bare", "fit-init-length", "priors-nan",
-        "criteria-fit-missing-fields"])
+        "criteria-fit-missing-fields", "quadvar-time-column-only",
+        "criteria-fit-q-null", "criteria-fit-theta-text"])
 def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
     _, path, fits = fit_files
+    fit_doc = json.loads(fits[0].read_text())
     doc = harness.ExperimentConfig(
         n_values=[100], T=1.0, replications=1, master_seed=5,
         model_spec_paths=["model1"]).to_dict()
@@ -210,7 +215,10 @@ def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
     config = tmp_path / "exp.json"
     config.write_text(json.dumps(doc))
     files = {"{one_row_headed}": "t,x1,x2\n0,1,2\n", "{one_row_bare}": "0,1,2\n",
-             "{short_init}": "2.0\n", "{partial_fit}": '{"model": "m"}'}
+             "{short_init}": "2.0\n", "{partial_fit}": '{"model": "m"}',
+             "{time_only}": "0\n1\n2\n",
+             "{q_null_fit}": json.dumps({**fit_doc, "q": None}),
+             "{text_theta_fit}": json.dumps({**fit_doc, "theta_hat": ["a"]})}
     fill = {"{path}": [str(path)], "{out}": [str(tmp_path / "out")],
             "{config}": [str(config)],
             "{fits}": [a for f in fits for a in ("--fits", str(f))]}

@@ -190,7 +190,7 @@ class TestSimulateCustom:
     def test_grid_arguments_keyword_only(self):
         # a benchmark hook reads the grid size as kwargs["n"]
         params = inspect.signature(diffsim.simulate_custom).parameters
-        for name in ("n", "T", "seed", "keep_latents"):
+        for name in ("n", "T", "seed", "keep_latents", "transitions"):
             assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
         tb = diffsim.true_blocks()
         with pytest.raises(TypeError):
@@ -209,6 +209,40 @@ class TestSimulateCustom:
         tb[name][row, col] = value
         with pytest.raises(ValueError, match=name):
             diffsim.simulate_custom(**tb, n=50, T=1.0, seed=0)
+
+
+class TestGridTransitions:
+    """Transitions built once by ``grid_transitions`` and passed in give the
+    path ``simulate_custom`` builds on its own."""
+
+    @pytest.mark.parametrize("kind, n", [("exact", 100), ("exact", 20000),
+                                         ("non_diagonal", 100),
+                                         ("non_diagonal", 20000)])
+    def test_passed_transitions_change_nothing(self, kind, n):
+        tb = truth_variant(kind)
+        transitions = diffsim.grid_transitions(tb, n, 1.0)
+        assert transitions[0] == 1.0 / n
+        for keep_latents in (True, False):
+            own = diffsim.simulate_custom(**tb, n=n, T=1.0, seed=4,
+                                          keep_latents=keep_latents)
+            given = diffsim.simulate_custom(**tb, n=n, T=1.0, seed=4,
+                                            keep_latents=keep_latents,
+                                            transitions=transitions)
+            assert np.array_equal(given.x_obs, own.x_obs)
+            if keep_latents:
+                for name in LATENTS:
+                    assert np.array_equal(getattr(given, name),
+                                          getattr(own, name)), name
+
+    def test_transitions_of_another_grid_rejected(self):
+        tb = diffsim.true_blocks()
+        transitions = diffsim.grid_transitions(tb, 200, 1.0)
+        with pytest.raises(ValueError, match="step"):
+            diffsim.simulate_custom(**tb, n=100, T=1.0, seed=0,
+                                    transitions=transitions)
+        with pytest.raises(ValueError, match="step"):
+            diffsim.simulate_custom(**tb, n=200, T=2.0, seed=0,
+                                    transitions=transitions)
 
 
 def truth_variant(kind):

@@ -372,3 +372,34 @@ class TestSimulatorEntries:
         harness.gap_growth_probe(small_config(n_values=[100, 200], replications=2),
                                  "model1", "model1", criterion="qaic")
         assert entries == [100, 100, 200, 200]
+
+
+class TestTransitionBuilds:
+    """The truth's four block transitions are built once per grid size,
+    however many replications run on it."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        calls = []
+        original = diffsim._exact_transition
+
+        def counted(block, h):
+            calls.append(h)
+            return original(block, h)
+
+        monkeypatch.setattr(diffsim, "_exact_transition", counted)
+        return calls
+
+    @pytest.mark.parametrize("replications", [1, 3])
+    def test_run_experiment(self, builds, replications):
+        harness.run_experiment(small_config(
+            n_values=[100, 200], replications=replications,
+            model_spec_paths=["model1"], workers=1))
+        assert builds == [1 / 100] * 4 + [1 / 200] * 4
+
+    @pytest.mark.parametrize("replications", [1, 3])
+    def test_gap_probe(self, builds, replications):
+        harness.gap_growth_probe(
+            small_config(n_values=[100, 200], replications=replications),
+            "model1", "model1", criterion="qaic")
+        assert builds == [1 / 100] * 4 + [1 / 200] * 4

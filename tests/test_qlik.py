@@ -30,6 +30,11 @@ class TestQuadVar:
         with pytest.raises(ValueError):
             quad_var(np.ones((5, 3)), 0.0)
 
+    def test_no_columns_rejected(self):
+        # a CSV that holds only the time column reads as an (n+1) x 0 path
+        with pytest.raises(ValueError, match="no observed columns"):
+            quad_var(np.empty((3, 0)), 1.0)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_path_rejected(self, bad):

@@ -149,6 +149,20 @@ class TestFit:
         with pytest.raises(ValueError, match=r"missing fields \['n', 'q'\]"):
             qmle.FitReport.from_dict(doc)
 
+    @pytest.mark.parametrize("key, bad", [
+        ("q", None),
+        ("theta_hat", "not numbers"),
+        ("theta_hat", ["a"] * 22),
+        ("hessian", [[1.0, 2.0], [3.0]]),
+        ("iterations", "many"),
+    ], ids=["q-null", "theta-text", "theta-strings", "hessian-ragged",
+            "iterations-text"])
+    def test_report_dict_types_checked(self, surface_1e3, key, bad):
+        doc = qmle.fit(surface_1e3, init=models.THETA1_TRUE).to_dict()
+        doc[key] = bad
+        with pytest.raises(ValueError, match=f"field '{key}'"):
+            qmle.FitReport.from_dict(doc)
+
 
 class TestMultistart:
     def test_single_start_with_init_equals_fit(self, surface_1e3):
