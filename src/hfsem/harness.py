@@ -27,7 +27,7 @@ import math
 import multiprocessing
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -111,32 +111,18 @@ class ExperimentConfig:
             raise ValueError("need at least one model spec")
 
     def to_dict(self) -> dict:
-        return {
-            "schema": CONFIG_SCHEMA,
-            "n_values": list(self.n_values),
-            "T": self.T,
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "model_spec_paths": list(self.model_spec_paths),
-            "criteria": list(self.criteria),
-            "starts": self.starts,
-            "true_model": self.true_model,
-            "init_mode": self.init_mode,
-            "workers": self.workers,
-        }
+        return {"schema": CONFIG_SCHEMA, **asdict(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if doc.get("schema") != CONFIG_SCHEMA:
             raise ValueError(f"unsupported schema {doc.get('schema')!r}")
-        required = ("n_values", "T", "replications", "master_seed",
-                    "model_spec_paths")
-        _require_keys(doc, required, "config")
-        kwargs = {k: doc[k] for k in required}
-        for key in ("criteria", "starts", "true_model", "init_mode", "workers"):
-            if key in doc:
-                kwargs[key] = doc[key]
-        config = cls(**kwargs)
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)} - {"schema"})
+        if unknown:
+            raise ValueError(f"config has unknown keys {unknown}")
+        _require_keys(doc, [f.name for f in fields(cls) if f.default is MISSING
+                            and f.default_factory is MISSING], "config")
+        config = cls(**{k: v for k, v in doc.items() if k != "schema"})
         config.validate()
         return config
 

@@ -15,6 +15,7 @@ starts drawn on the moment start's scale and keeps the best run, and
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -91,19 +92,29 @@ class FitReport:
         def array(value):
             return np.asarray(value, dtype=float)
 
-        q = read("q", int)
+        def integer(value):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"expected an integer, got {value!r}")
+            return int(value)
+
+        def flag(value):
+            if not isinstance(value, bool):
+                raise TypeError(f"expected true or false, got {value!r}")
+            return value
+
+        q = read("q", integer)
         hessian = (np.full((q, q), np.nan) if doc.get("hessian") is None
                    else read("hessian", array))
-        return cls(model=doc["model"], n=read("n", int), q=q,
+        return cls(model=doc["model"], n=read("n", integer), q=q,
                    theta_hat=read("theta_hat", array),
                    h_at_hat=read("h_at_hat", float),
                    grad_norm=read("grad_norm", float),
-                   hessian=hessian, j_flag=bool(doc["j_flag"]),
+                   hessian=hessian, j_flag=read("j_flag", flag),
                    gamma_tilde=read("gamma_tilde", array),
-                   iterations=read("iterations", int),
-                   restarts=read("restarts", int),
-                   converged=bool(doc["converged"]),
-                   boundary_hit=bool(doc["boundary_hit"]))
+                   iterations=read("iterations", integer),
+                   restarts=read("restarts", integer),
+                   converged=read("converged", flag),
+                   boundary_hit=read("boundary_hit", flag))
 
 
 def _free_mask(spec: SemSpec, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -270,7 +281,6 @@ def limit_optimum(spec: SemSpec, sigma0: np.ndarray, starts: int = 8,
     # target covariance standing in for the realized one.
     surface = LikelihoodSurface(spec, QuadVar(q_xx=sigma0, n=1, T=1.0))
     report = fit_multistart(surface, starts=starts, seed=seed,
-                            init=moment_start(spec, sigma0),
                             options=FitOptions(compute_hessian=False))
     return report.theta_hat, report.h_at_hat
 

@@ -27,6 +27,8 @@ that forward pass.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -49,26 +51,56 @@ __all__ = [
 SCHEMA_VERSION = "hfsem-spec-v1"
 CONSTRAINTS = ("none", "nonzero", "positive")
 
-# Roles in canonical order; the *_sym entries are covariance patterns whose
-# cell layout must be symmetric.
-_ROLES = ("lambda_x1", "lambda_x2", "b", "gamma",
-          "sigma_xixi", "sigma_dd", "sigma_ee", "sigma_zz")
-_SYM_ROLES = frozenset({"sigma_xixi", "sigma_dd", "sigma_ee", "sigma_zz"})
+# Each role's place in the all-y matrices (0) Lam = diag(L1, L2),
+# (1) Beta = [[0, 0], [G, B]], (2) P = diag(Phi, S_zz) and
+# (3) U = diag(S_dd, S_ee): the matrix, then per axis the dimension that
+# offsets the block ("" for none) and the block's own dimension.  The
+# covariance roles, in P and U, are symmetric.  Keys are in canonical order.
+_LAYOUT = {
+    "lambda_x1": (0, ("", "p1"), ("", "k1")),
+    "lambda_x2": (0, ("p1", "p2"), ("k1", "k2")),
+    "b": (1, ("k1", "k2"), ("k1", "k2")),
+    "gamma": (1, ("k1", "k2"), ("", "k1")),
+    "sigma_xixi": (2, ("", "k1"), ("", "k1")),
+    "sigma_dd": (3, ("", "p1"), ("", "p1")),
+    "sigma_ee": (3, ("p1", "p2"), ("p1", "p2")),
+    "sigma_zz": (2, ("k1", "k2"), ("k1", "k2")),
+}
+_ROLES = tuple(_LAYOUT)
+_DIMS = ("p1", "p2", "k1", "k2")
 
 _PSI_COND_LIMIT = 1e12
 _PREIMAGE_TOL = 1e-8        # check_identifiability: Sigma reproduced
 _WITNESS_MIN_DIST = 1e-6    # check_identifiability: a distinct preimage
 
 
+def _check_fields(obj, allowed: Sequence[str], where: str) -> None:
+    """A document part must be an object with no keys beyond ``allowed``."""
+    if not isinstance(obj, dict):
+        raise SpecError(f"{where} must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise SpecError(f"{where} has unknown keys {unknown}")
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """Whether ``value`` is a number of ``kind``; a bool is not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Fixed:
-    """A cell pinned to a constant value."""
+    """A cell pinned to a constant, finite value."""
     value: float
+
+    def __post_init__(self):
+        if not (_is_number(self.value) and math.isfinite(self.value)):
+            raise SpecError(f"fixed value must be a finite number, got {self.value!r}")
 
 
 @dataclass(frozen=True)
 class Free:
-    """A cell read from ``theta`` at position ``index``.
+    """A cell read from ``theta`` at the integer position ``index``.
 
     ``"positive"`` puts the parameter in ``SemSpec.positive_mask``, as a
     diagonal covariance cell is anyway.  ``"nonzero"`` is accepted as a
@@ -78,6 +110,8 @@ class Free:
     constraint: str = "none"
 
     def __post_init__(self):
+        if not _is_number(self.index, numbers.Integral):
+            raise SpecError(f"free index must be an integer, got {self.index!r}")
         if self.constraint not in CONSTRAINTS:
             raise SpecError(f"unknown constraint {self.constraint!r}")
 
@@ -103,49 +137,11 @@ class PatternMatrix:
     def __getitem__(self, rc: tuple[int, int]) -> Fixed | Free:
         return self.cells[rc[0]][rc[1]]
 
-    def is_cell_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        for i in range(self.rows):
-            for j in range(i):
-                if self.cells[i][j] != self.cells[j][i]:
-                    return False
-        return True
-
     @classmethod
     def fixed(cls, array: np.ndarray) -> "PatternMatrix":
         """All-fixed pattern holding the given values."""
         a = np.asarray(array, dtype=float)
         return cls([[Fixed(float(v)) for v in row] for row in a])
-
-
-class _RoleLayout:
-    """One pattern matrix as its fixed base and its free cells' positions,
-    theta indices and constraints (the lower triangle of a symmetric one)."""
-
-    def __init__(self, pattern: PatternMatrix, symmetric: bool):
-        self.symmetric = symmetric
-        base = np.zeros(pattern.shape)
-        rows, cols, idx, cons = [], [], [], []
-        for i in range(pattern.rows):
-            for j in range(pattern.cols):
-                cell = pattern[i, j]
-                if symmetric and j > i:
-                    continue  # mirror handled from the lower triangle
-                if isinstance(cell, Fixed):
-                    base[i, j] = cell.value
-                    if symmetric:
-                        base[j, i] = cell.value
-                else:
-                    rows.append(i)
-                    cols.append(j)
-                    idx.append(cell.index)
-                    cons.append(cell.constraint)
-        self.base = base
-        self.rows = np.asarray(rows, dtype=int)
-        self.cols = np.asarray(cols, dtype=int)
-        self.idx = np.asarray(idx, dtype=int)
-        self.constraints = cons
 
 
 def _swap(x: np.ndarray) -> np.ndarray:
@@ -166,22 +162,32 @@ class SemSpec:
 
     Parameters
     ----------
-    dims : Mapping with keys p1, p2, k1, k2.
+    dims : Mapping with integer values for p1, p2, k1, k2.
     patterns : Mapping from role name to :class:`PatternMatrix`; roles are
         lambda_x1 (p1 x k1), lambda_x2 (p2 x k2), b (k2 x k2, zero
         diagonal), gamma (k2 x k1), sigma_xixi (k1 x k1), sigma_dd
-        (p1 x p1), sigma_ee (p2 x p2), sigma_zz (k2 x k2).
-    lower, upper : per-parameter closed bounds, length q.
+        (p1 x p1), sigma_ee (p2 x p2), sigma_zz (k2 x k2).  Covariance
+        patterns must be cell-symmetric, and the free indices must cover
+        ``0..q-1``, each in one cell (and its mirror).
+    lower, upper : per-parameter closed bounds, length q; lower < upper,
+        and infinite ends are allowed.
     name : identifier used in reports and file output.
+
+    Construction walks each pattern once (the lower triangle of a
+    covariance pattern) into the fixed bases and the unit stacks
+    ``d(matrix)/d(theta)`` of the all-y matrices.
     """
 
     def __init__(self, dims, patterns, lower, upper, name: str = "model"):
         self.name = str(name)
-        try:
-            self.p1, self.p2 = int(dims["p1"]), int(dims["p2"])
-            self.k1, self.k2 = int(dims["k1"]), int(dims["k2"])
-        except KeyError as exc:
-            raise SpecError(f"missing dimension {exc}") from exc
+        for key in _DIMS:
+            try:
+                value = dims[key]
+            except KeyError as exc:
+                raise SpecError(f"missing dimension {exc}") from exc
+            if not _is_number(value, numbers.Integral):
+                raise SpecError(f"dimension {key!r} must be an integer, got {value!r}")
+            setattr(self, key, int(value))
         if min(self.p1, self.p2, self.k1, self.k2) < 1:
             raise SpecError("all dimensions must be positive")
         if self.k1 > self.p1 or self.k2 > self.p2:
@@ -189,92 +195,73 @@ class SemSpec:
         self.p = self.p1 + self.p2
         self.pbar = self.p * (self.p + 1) // 2
 
-        expected = {
-            "lambda_x1": (self.p1, self.k1),
-            "lambda_x2": (self.p2, self.k2),
-            "b": (self.k2, self.k2),
-            "gamma": (self.k2, self.k1),
-            "sigma_xixi": (self.k1, self.k1),
-            "sigma_dd": (self.p1, self.p1),
-            "sigma_ee": (self.p2, self.p2),
-            "sigma_zz": (self.k2, self.k2),
-        }
+        size = {"": 0, "p1": self.p1, "p2": self.p2, "k1": self.k1, "k2": self.k2}
+        k = self.k1 + self.k2
+        self._bases = [np.zeros(s) for s in
+                       ((self.p, k), (k, k), (k, k), (self.p, self.p))]
         self.patterns: dict[str, PatternMatrix] = {}
-        self._layouts: dict[str, _RoleLayout] = {}
-        for role in _ROLES:
+        # theta index -> (role, matrix, positions in it, positive)
+        free: dict[int, tuple] = {}
+        for role, (m, (r0, rows), (c0, cols)) in _LAYOUT.items():
             try:
                 pat = patterns[role]
             except KeyError as exc:
                 raise SpecError(f"missing pattern {role!r}") from exc
-            if pat.shape != expected[role]:
+            shape = (size[rows], size[cols])
+            if pat.shape != shape:
                 raise SpecError(
-                    f"pattern {role!r} has shape {pat.shape}, expected {expected[role]}")
-            if role in _SYM_ROLES and not pat.is_cell_symmetric():
-                raise SpecError(f"covariance pattern {role!r} must be cell-symmetric")
+                    f"pattern {role!r} has shape {pat.shape}, expected {shape}")
             self.patterns[role] = pat
-            self._layouts[role] = _RoleLayout(pat, role in _SYM_ROLES)
-
-        for i in range(self.k2):
-            cell = self.patterns["b"][i, i]
-            if not (isinstance(cell, Fixed) and cell.value == 0.0):
-                raise SpecError("diagonal of the b pattern must be fixed at zero")
-
-        seen: dict[int, str] = {}
-        for role in _ROLES:
-            lay = self._layouts[role]
-            for k, cons in zip(lay.idx, lay.constraints):
-                if k in seen:
-                    raise SpecError(f"theta index {k} used in both {seen[k]} and {role}")
-                seen[int(k)] = role
-        self.q = len(seen)
-        if self.q and sorted(seen) != list(range(self.q)):
+            r0, c0, sym = size[r0], size[c0], m >= 2
+            for i in range(pat.rows):
+                for j in range(i + 1 if sym else pat.cols):
+                    cell = pat[i, j]
+                    if sym and cell != pat[j, i]:
+                        raise SpecError(
+                            f"covariance pattern {role!r} must be cell-symmetric")
+                    if role == "b" and i == j and cell != Fixed(0.0):
+                        raise SpecError(
+                            "diagonal of the b pattern must be fixed at zero")
+                    at = {(r0 + i, c0 + j)}
+                    if sym:
+                        at.add((r0 + j, c0 + i))
+                    if isinstance(cell, Fixed):
+                        for r, c in at:
+                            self._bases[m][r, c] = cell.value
+                    elif cell.index in free:
+                        raise SpecError(f"theta index {cell.index} used in both "
+                                        f"{free[cell.index][0]} and {role}")
+                    else:  # a covariance diagonal is a variance
+                        positive = cell.constraint == "positive" or (sym and i == j)
+                        free[cell.index] = (role, m, at, positive)
+        self.q = len(free)
+        if sorted(free) != list(range(self.q)):
             raise SpecError("theta indices must cover 0..q-1 exactly once")
 
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
         if self.lower.shape != (self.q,) or self.upper.shape != (self.q,):
             raise SpecError(f"bounds must have length q={self.q}")
-        if np.any(self.lower >= self.upper):
+        if not np.all(self.lower < self.upper):
             raise SpecError("lower bounds must be strictly below upper bounds")
 
-        # Parameters that must stay positive: diagonal cells of covariance
-        # patterns and anything with an explicit 'positive' constraint.
         self.positive_mask = np.zeros(self.q, dtype=bool)
-        for role in _ROLES:
-            lay = self._layouts[role]
-            for r, c, k, cons in zip(lay.rows, lay.cols, lay.idx, lay.constraints):
-                if cons == "positive" or (role in _SYM_ROLES and r == c):
-                    self.positive_mask[k] = True
+        self._units = [np.zeros((self.q,) + base.shape) for base in self._bases]
+        for idx, (_, m, at, positive) in free.items():
+            self.positive_mask[idx] = positive
+            for r, c in at:
+                self._units[m][idx, r, c] = 1.0
         if np.any(self.lower[self.positive_mask] <= 0.0):
             raise SpecError("variance-parameter bounds need positive lower ends")
-
-        # All-y form: Lam = diag(L1, L2), Beta = [[0, 0], [G, B]],
-        # P = diag(Phi, S_zz), U = diag(S_dd, S_ee).  Each is its fixed
-        # base plus theta contracted with its unit stack d(matrix)/d(theta).
-        p1, k1, k = self.p1, self.k1, self.k1 + self.k2
-        shapes = ((self.p, k), (k, k), (k, k), (self.p, self.p))
-        place = {"lambda_x1": (0, 0, 0), "lambda_x2": (0, p1, k1),
-                 "gamma": (1, k1, 0), "b": (1, k1, k1),
-                 "sigma_xixi": (2, 0, 0), "sigma_zz": (2, k1, k1),
-                 "sigma_dd": (3, 0, 0), "sigma_ee": (3, p1, p1)}
-        self._bases = [np.zeros(s) for s in shapes]
-        self._units = [np.zeros((self.q,) + s) for s in shapes]
-        for role, (m, r0, c0) in place.items():
-            lay = self._layouts[role]
-            rows, cols = lay.base.shape
-            self._bases[m][r0:r0 + rows, c0:c0 + cols] = lay.base
-            unit = self._units[m]
-            unit[lay.idx, r0 + lay.rows, c0 + lay.cols] = 1.0
-            if lay.symmetric:
-                unit[lay.idx, r0 + lay.cols, c0 + lay.rows] = 1.0
 
         self._curved = np.flatnonzero(~self._units[3].any(axis=(1, 2)))
 
         # A fixed b is checked once here; a free one on every pass.
         self._psi_inv = None
-        if not self._layouts["b"].idx.size:
+        if not self._units[1][:, self.k1:, self.k1:].any():
             try:
-                self._psi_inv = _invert_psi(self._layouts["b"].base, self.name)
+                self._psi_inv = _invert_psi(self._bases[1][self.k1:, self.k1:],
+                                            self.name)
             except SingularStructureError as exc:
                 raise SpecError(str(exc)) from exc
 
@@ -378,30 +365,41 @@ class SemSpec:
     def from_dict(cls, doc: dict) -> "SemSpec":
         if doc.get("schema") != SCHEMA_VERSION:
             raise SpecError(f"unsupported schema {doc.get('schema')!r}")
+        _check_fields(doc, ("schema", "name", "dims", "bounds") + _ROLES, "spec")
 
-        def cell_in(obj: dict) -> Fixed | Free:
+        def cell_in(obj) -> Fixed | Free:
+            if not (isinstance(obj, dict) and len(obj) == 1
+                    and obj.keys() <= {"fixed", "free"}):
+                raise SpecError("cell must have exactly one key, 'fixed' or "
+                                f"'free', got {obj!r}")
             if "fixed" in obj:
-                return Fixed(float(obj["fixed"]))
-            if "free" in obj:
-                f = obj["free"]
-                if "index" not in f:
-                    raise SpecError(f"free cell without 'index': {obj!r}")
-                return Free(int(f["index"]), str(f.get("constraint", "none")))
-            raise SpecError(f"cell must have 'fixed' or 'free', got {obj!r}")
+                return Fixed(obj["fixed"])
+            f = obj["free"]
+            _check_fields(f, ("index", "constraint"), "free cell")
+            if "index" not in f:
+                raise SpecError(f"free cell without 'index': {obj!r}")
+            return Free(f["index"], f.get("constraint", "none"))
 
         patterns = {}
         for role in _ROLES:
             if role not in doc:
                 raise SpecError(f"missing pattern {role!r}")
-            patterns[role] = PatternMatrix(
-                [[cell_in(c) for c in row] for row in doc[role]])
+            grid = doc[role]
+            if not (isinstance(grid, list) and all(isinstance(r, list) for r in grid)):
+                raise SpecError(f"pattern {role!r} must be a list of rows")
+            patterns[role] = PatternMatrix([[cell_in(c) for c in row] for row in grid])
         for key in ("dims", "bounds"):
             if key not in doc:
                 raise SpecError(f"missing field {key!r}")
+        _check_fields(doc["dims"], _DIMS, "dims")
         bounds = doc["bounds"]
+        _check_fields(bounds, ("lower", "upper"), "bounds")
         for key in ("lower", "upper"):
             if key not in bounds:
                 raise SpecError(f"missing field 'bounds.{key}'")
+            if not (isinstance(bounds[key], list)
+                    and all(_is_number(v) for v in bounds[key])):
+                raise SpecError(f"bounds.{key} must be a list of numbers")
         return cls(dims=doc["dims"], patterns=patterns,
                    lower=bounds["lower"], upper=bounds["upper"],
                    name=doc.get("name", "model"))

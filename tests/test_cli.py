@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hfsem import harness
+from hfsem import harness, models
 from hfsem.cli import main
 from hfsem.diffsim import simulate_true_model
 from hfsem.qlik import quad_var
@@ -199,26 +199,41 @@ class TestFitAndCriteria:
     ["quadvar", "--in", "{time_only}", "--T", "1", "--out", "{out}"],
     ["criteria", "--fits", "{q_null_fit}", "--out", "{out}"],
     ["criteria", "--fits", "{text_theta_fit}", "--out", "{out}"],
+    ["fit", "--spec", "{nan_spec}", "--data", "{path}", "--T", "1",
+     "--out", "{out}"],
+    ["fit", "--spec", "{index_float_spec}", "--data", "{path}", "--T", "1",
+     "--out", "{out}"],
+    ["criteria", "--fits", "{flag_text_fit}", "--out", "{out}"],
+    ["table1", "--config", "{unknown_key_config}", "--out-dir", "{out}"],
 ], ids=["quadvar-T0", "quadvar-Tinf", "fit-nosuch-spec", "fit-starts0",
         "priors-not-numbers", "priors-one-of-three", "priors-sum",
         "table1-replications", "quadvar-one-row-headed",
         "quadvar-one-row-bare", "fit-init-length", "priors-nan",
         "criteria-fit-missing-fields", "quadvar-time-column-only",
-        "criteria-fit-q-null", "criteria-fit-theta-text"])
+        "criteria-fit-q-null", "criteria-fit-theta-text", "fit-spec-nan",
+        "fit-spec-index-float", "criteria-fit-flag-text",
+        "table1-unknown-key"])
 def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
     _, path, fits = fit_files
     fit_doc = json.loads(fits[0].read_text())
     doc = harness.ExperimentConfig(
         n_values=[100], T=1.0, replications=1, master_seed=5,
         model_spec_paths=["model1"]).to_dict()
-    doc["replications"] = 2.5
     config = tmp_path / "exp.json"
-    config.write_text(json.dumps(doc))
+    config.write_text(json.dumps({**doc, "replications": 2.5}))
+    nan_spec, index_float_spec = (models.load_builtin("model1").to_dict()
+                                  for _ in range(2))
+    nan_spec["b"][1][0] = {"fixed": "nan"}
+    index_float_spec["gamma"][0][0] = {"free": {"index": 7.0}}
     files = {"{one_row_headed}": "t,x1,x2\n0,1,2\n", "{one_row_bare}": "0,1,2\n",
              "{short_init}": "2.0\n", "{partial_fit}": '{"model": "m"}',
              "{time_only}": "0\n1\n2\n",
              "{q_null_fit}": json.dumps({**fit_doc, "q": None}),
-             "{text_theta_fit}": json.dumps({**fit_doc, "theta_hat": ["a"]})}
+             "{text_theta_fit}": json.dumps({**fit_doc, "theta_hat": ["a"]}),
+             "{nan_spec}": json.dumps(nan_spec),
+             "{index_float_spec}": json.dumps(index_float_spec),
+             "{flag_text_fit}": json.dumps({**fit_doc, "j_flag": "false"}),
+             "{unknown_key_config}": json.dumps({**doc, "worker": 2})}
     fill = {"{path}": [str(path)], "{out}": [str(tmp_path / "out")],
             "{config}": [str(config)],
             "{fits}": [a for f in fits for a in ("--fits", str(f))]}

@@ -96,6 +96,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="n=6 .*p=10"):
             harness.gap_growth_probe(config, "model1", "model2")
 
+    def test_unknown_keys_rejected(self):
+        doc = {**small_config().to_dict(), "init_mod": "moment", "worker": 2}
+        with pytest.raises(ValueError,
+                           match=r"unknown keys \['init_mod', 'worker'\]"):
+            harness.ExperimentConfig.from_dict(doc)
+
+    def test_defaults_filled(self):
+        required = ("schema", "n_values", "T", "replications", "master_seed",
+                    "model_spec_paths")
+        doc = {k: v for k, v in small_config().to_dict().items() if k in required}
+        assert harness.ExperimentConfig.from_dict(doc) == small_config()
+
     def test_missing_key_named(self):
         doc = small_config().to_dict()
         del doc["T"]

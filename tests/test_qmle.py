@@ -155,8 +155,14 @@ class TestFit:
         ("theta_hat", ["a"] * 22),
         ("hessian", [[1.0, 2.0], [3.0]]),
         ("iterations", "many"),
+        ("j_flag", "false"),
+        ("converged", 1),
+        ("boundary_hit", None),
+        ("n", 1000.5),
+        ("restarts", True),
     ], ids=["q-null", "theta-text", "theta-strings", "hessian-ragged",
-            "iterations-text"])
+            "iterations-text", "j_flag-text", "converged-int",
+            "boundary_hit-null", "n-float", "restarts-bool"])
     def test_report_dict_types_checked(self, surface_1e3, key, bad):
         doc = qmle.fit(surface_1e3, init=models.THETA1_TRUE).to_dict()
         doc[key] = bad

@@ -254,6 +254,58 @@ class TestSpecValidation:
                     scalar_model.patterns, [1e-6], [1e4])
 
 
+    @staticmethod
+    def _scalar(lower=(), upper=(), dims=None, **cells):
+        """p1 = p2 = k1 = k2 = 1 patterns: every cell fixed (b at 0, the
+        rest at 1) except the given ``role=cell`` ones."""
+        patterns = {role: PatternMatrix([[Fixed(0.0 if role == "b" else 1.0)]])
+                    for role in ("lambda_x1", "lambda_x2", "b", "gamma",
+                                 "sigma_xixi", "sigma_dd", "sigma_ee", "sigma_zz")}
+        patterns.update({role: PatternMatrix([[cell]]) for role, cell in cells.items()})
+        return SemSpec(dims or {"p1": 1, "p2": 1, "k1": 1, "k2": 1}, patterns,
+                       lower, upper)
+
+    def test_index_gap_rejected(self):
+        with pytest.raises(SpecError, match=r"cover 0\.\.q-1"):
+            self._scalar([-1, -1], [1, 1], lambda_x1=Free(0), lambda_x2=Free(2))
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, "1", None])
+    def test_dimensions_must_be_integers(self, value):
+        dims = {"p1": 1, "p2": 1, "k1": value, "k2": 1}
+        with pytest.raises(SpecError, match="dimension 'k1' must be an integer"):
+            self._scalar(dims=dims)
+        assert self._scalar(dims={**dims, "k1": np.int64(1)}).k1 == 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "1.0", True, None])
+    def test_fixed_value_must_be_finite_number(self, value):
+        with pytest.raises(SpecError, match="fixed value must be a finite number"):
+            Fixed(value)
+
+    @pytest.mark.parametrize("index", [0.9, 0.0, True, "0", None])
+    def test_free_index_must_be_integer(self, index):
+        with pytest.raises(SpecError, match="free index must be an integer"):
+            Free(index)
+
+    def test_bounds_nan_rejected_infinite_allowed(self):
+        spec = self._scalar([-np.inf], [np.inf], gamma=Free(0))
+        assert spec.sigma([2.0])[1, 1] == 6.0
+        for lower, upper in (([np.nan], [1.0]), ([-1.0], [np.nan]),
+                             ([np.inf], [np.inf])):
+            with pytest.raises(SpecError, match="strictly below"):
+                self._scalar(lower, upper, gamma=Free(0))
+
+    def test_free_off_diagonal_covariance_mirrored(self):
+        # index 9 is the free sigma_dd[0, 1] = sigma_dd[1, 0] cell: Sigma is
+        # linear in it, with derivative E01 + E10 in the sigma_dd block
+        spec = make_structural_spec()
+        theta = interior_theta(spec, np.random.default_rng(5))
+        expected = np.zeros((spec.p, spec.p))
+        expected[0, 1] = expected[1, 0] = 1.0
+        assert np.array_equal(spec.forward(theta, 1)[1][9], expected)
+        assert not spec.positive_mask[9]
+        assert spec.positive_mask[[8, 10]].all()
+
+
 class TestIdentifiability:
     def test_model1_passes(self, model1):
         report = check_identifiability(model1, models.THETA1_TRUE,
@@ -358,9 +410,59 @@ class TestJson:
             SemSpec.from_dict(doc)
 
     def test_malformed_cell_rejected(self, model1):
+        # gamma[0][0] is model1's free index 7
+        for cell, message in [
+                ({"frobnicate": 1}, "exactly one key"),
+                ({"fixed": 1.0, "free": {"index": 7}}, "exactly one key"),
+                ({"free": {"index": 7}, "note": "x"}, "exactly one key"),
+                ({}, "exactly one key"),
+                (7, "exactly one key"),
+                ({"fixed": "nan"}, "finite number"),
+                ({"fixed": "1.0"}, "finite number"),
+                ({"free": 7}, "free cell must be an object"),
+                ({"free": {"index": 7.0}}, "free index must be an integer"),
+                ({"free": {"index": 7.9}}, "free index must be an integer"),
+                ({"free": {"index": 7, "constrant": "positive"}}, "unknown keys"),
+                ({"free": {"index": 7, "constraint": "positve"}}, "constraint")]:
+            doc = model1.to_dict()
+            doc["gamma"][0][0] = cell
+            with pytest.raises(SpecError, match=message):
+                SemSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("role, cells", [
+        ("b", [(1, 0)]), ("sigma_dd", [(1, 0), (0, 1)]),
+        ("lambda_x1", [(0, 0)])], ids=["b", "covariance-pair", "loading"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "nan"],
+                             ids=["nan", "inf", "nan-text"])
+    def test_nonfinite_fixed_value_rejected(self, model1, role, cells, value):
         doc = model1.to_dict()
-        doc["gamma"][0][0] = {"frobnicate": 1}
-        with pytest.raises(SpecError):
+        for i, j in cells:
+            doc[role][i][j] = {"fixed": value}
+        with pytest.raises(SpecError, match="fixed value must be a finite number"):
+            SemSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("where, value, message", [
+        ("dims.p1", 4.5, "dimension 'p1' must be an integer"),
+        ("dims.p1", True, "dimension 'p1' must be an integer"),
+        ("dims.p3", 1, r"dims has unknown keys \['p3'\]"),
+        ("bounds.middle", [], r"bounds has unknown keys \['middle'\]"),
+        ("comment", "x", r"spec has unknown keys \['comment'\]"),
+        ("gamma", 5, "pattern 'gamma' must be a list of rows"),
+        ("gamma", [5, 6], "pattern 'gamma' must be a list of rows"),
+        ("bounds.lower", ["-1000.0"] * 22, "bounds.lower must be a list of numbers"),
+        ("bounds.upper", [True] * 22, "bounds.upper must be a list of numbers"),
+        ("bounds.upper", 1000.0, "bounds.upper must be a list of numbers")],
+        ids=["dim-float", "dim-bool", "dims-extra", "bounds-extra", "spec-extra",
+             "grid-number", "grid-row-number", "bound-text", "bound-bool",
+             "bounds-number"])
+    def test_document_fields_checked(self, model1, where, value, message):
+        doc = model1.to_dict()
+        *parents, key = where.split(".")
+        part = doc
+        for parent in parents:
+            part = part[parent]
+        part[key] = value
+        with pytest.raises(SpecError, match=message):
             SemSpec.from_dict(doc)
 
     def test_resolve_spec_unknown(self):

@@ -2,9 +2,12 @@
 
 import ast
 import importlib
+import json
 import pathlib
 
 import pytest
+
+from hfsem.semspec import SemSpec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hfsem"
@@ -70,3 +73,12 @@ def test_perfbench_targets_exist(monkeypatch):
                for owner, attr, _, _ in layers.targets()
                if not hasattr(owner, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "model_files").glob("*.json")),
+                         ids=lambda p: p.name)
+def test_model_files_are_canonical(path):
+    # Every key of a bundled spec is one the reader uses, in the form the
+    # writer gives back.
+    doc = json.loads(path.read_text())
+    assert SemSpec.from_dict(doc).to_dict() == doc
