@@ -9,14 +9,13 @@ table and posterior probabilities over fitted models), and ``table1``
 
 from __future__ import annotations
 
-import json
 import logging
 import sys
 
 import click
 import numpy as np
 
-from . import diffsim, harness, infocrit, models
+from . import _doc, diffsim, harness, infocrit, models
 from .errors import HfsemError
 from .qlik import LikelihoodSurface, quad_var
 from .qmle import FitReport, fit, fit_multistart
@@ -141,9 +140,7 @@ def fit_command(spec_path: str, data_path: str, horizon: float,
         report = fit(surface, init=init)
     else:
         report = fit_multistart(surface, starts=starts, seed=seed, init=init)
-    with open(out, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _doc.write_json(report.to_dict(), out)
     click.echo(f"wrote {out} (loglik {report.h_at_hat:.4f}, "
                f"converged={report.converged})")
 
@@ -158,10 +155,7 @@ def fit_command(spec_path: str, data_path: str, horizon: float,
 @click.option("--out", type=click.Path(), required=True)
 def criteria(fit_paths, criterion: str, priors, out: str) -> None:
     """Criteria table over fitted models, with posterior probabilities."""
-    reports = []
-    for path in fit_paths:
-        with open(path) as fh:
-            reports.append(FitReport.from_dict(json.load(fh)))
+    reports = [FitReport.from_dict(_doc.read_json(path)) for path in fit_paths]
     if len({r.n for r in reports}) != 1:
         raise click.ClickException("fits were computed on different grids")
     rows = [infocrit.criteria_row(r) for r in reports]

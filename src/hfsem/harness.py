@@ -21,18 +21,16 @@ implied covariance share one formula.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import multiprocessing
-import numbers
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import diffsim, models
+from . import _doc, diffsim, models
 from .errors import (AllStartsFailedError, NotPositiveDefiniteError,
                      SingularStructureError, SpecError)
 from .infocrit import CRITERIA, criteria_row, select
@@ -67,13 +65,6 @@ def split_seed(master_seed: int, n: int, rep: int, tag: int = 0) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _check_count(key: str, value, least: int) -> None:
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
-        raise ValueError(f"{key}: expected an integer of at least {least}, "
-                         f"got {value!r}")
-
-
 @dataclass
 class ExperimentConfig:
     n_values: list[int]
@@ -88,53 +79,40 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> None:
-        _check_count("replications", self.replications, 1)
-        _check_count("master_seed", self.master_seed, 0)
-        if not self.n_values:
-            raise ValueError("n_values must not be empty")
-        for n in self.n_values:
-            _check_count("n_values", n, 2)
-        if (isinstance(self.T, bool) or not isinstance(self.T, numbers.Real)
-                or not (math.isfinite(self.T) and self.T > 0)):
-            raise ValueError(f"T: horizon must be positive and finite, "
-                             f"got {self.T!r}")
-        if not self.criteria:
-            raise ValueError("need at least one criterion")
-        unknown = set(self.criteria) - set(CRITERIA)
+        _doc.integer(self.replications, "replications", 1)
+        _doc.integer(self.master_seed, "master_seed", 0)
+        _doc.items(self.n_values, "n_values", _doc.integer, 2)
+        if not (math.isfinite(_doc.number(self.T, "T")) and self.T > 0):
+            raise ValueError(f"T must be a positive finite horizon, got {self.T!r}")
+        unknown = set(_doc.items(self.criteria, "criteria", _doc.text)) - set(CRITERIA)
         if unknown:
             raise ValueError(f"unknown criteria {sorted(unknown)}")
         if self.init_mode not in ("true", "moment"):
             raise ValueError("init_mode must be 'true' or 'moment'")
-        _check_count("starts", self.starts, 1)
-        _check_count("workers", self.workers, 1)
-        if not self.model_spec_paths:
-            raise ValueError("need at least one model spec")
+        _doc.integer(self.starts, "starts", 1)
+        _doc.integer(self.workers, "workers", 1)
+        _doc.items(self.model_spec_paths, "model_spec_paths", _doc.text)
+        _truth_blocks(self.true_model)
 
     def to_dict(self) -> dict:
         return {"schema": CONFIG_SCHEMA, **asdict(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if doc.get("schema") != CONFIG_SCHEMA:
-            raise ValueError(f"unsupported schema {doc.get('schema')!r}")
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)} - {"schema"})
-        if unknown:
-            raise ValueError(f"config has unknown keys {unknown}")
-        _require_keys(doc, [f.name for f in fields(cls) if f.default is MISSING
-                            and f.default_factory is MISSING], "config")
+        _doc.fields(doc, "config", [f.name for f in fields(cls)
+                                    if f.default is MISSING
+                                    and f.default_factory is MISSING],
+                    [f.name for f in fields(cls)], schema=CONFIG_SCHEMA)
         config = cls(**{k: v for k, v in doc.items() if k != "schema"})
         config.validate()
         return config
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_doc.read_json(path))
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _doc.write_json(self.to_dict(), path)
 
 
 @dataclass
@@ -167,39 +145,28 @@ class SelectionTable:
 
 # -- truth handling ------------------------------------------------------------
 
-_TRUTH_KEYS = ("xi", "delta", "eps", "zeta", "lambda_x1", "lambda_x2", "gamma")
-_TRUTH_BLOCK_KEYS = ("mean_reversion", "level", "dispersion")
-
-
-def _require_keys(doc: dict, keys: Sequence[str], where: str) -> None:
-    missing = [k for k in keys if k not in doc]
-    if missing:
-        raise ValueError(f"{where} is missing required keys {missing}")
-
-
 def _truth_blocks(true_model: Union[str, dict]) -> dict:
     if isinstance(true_model, str):
         if true_model != diffsim.TRUE_MODEL_NAME:
             raise ValueError(f"unknown true model {true_model!r}")
         return diffsim.true_blocks()
-    tm = dict(true_model)
-    _require_keys(tm, _TRUTH_KEYS, "custom truth")
+    latent = ("xi", "delta", "eps", "zeta")
+    _doc.fields(true_model, "true_model",
+                latent + ("lambda_x1", "lambda_x2", "gamma"), ("b0",))
     blocks = {}
-    for key in ("xi", "delta", "eps", "zeta"):
-        spec = tm[key]
-        _require_keys(spec, _TRUTH_BLOCK_KEYS, f"custom truth block {key!r}")
-        level = np.atleast_1d(np.asarray(spec["level"], dtype=float))
-        blocks[key] = diffsim.OuBlock(
-            dim=level.size,
-            mean_reversion=spec["mean_reversion"],
-            level=level,
-            dispersion=spec["dispersion"],
-            init=spec.get("init", np.zeros(level.size)))
-    blocks["lambda_x1"] = np.atleast_2d(np.asarray(tm["lambda_x1"], float))
-    blocks["lambda_x2"] = np.atleast_2d(np.asarray(tm["lambda_x2"], float))
-    blocks["gamma"] = np.atleast_2d(np.asarray(tm["gamma"], float))
+    for key in latent:
+        where = f"true_model.{key}"
+        block = _doc.fields(true_model[key], where,
+                            ("mean_reversion", "level", "dispersion"), ("init",))
+        arrays = {k: _doc.array(v, f"{where}.{k}") for k, v in block.items()}
+        dim = np.atleast_1d(arrays["level"]).size
+        blocks[key] = diffsim.OuBlock(dim=dim, **{"init": np.zeros(dim), **arrays})
+    for key in ("lambda_x1", "lambda_x2", "gamma", "b0"):
+        if key in true_model:
+            blocks[key] = np.atleast_2d(
+                _doc.array(true_model[key], f"true_model.{key}"))
     k2 = blocks["lambda_x2"].shape[1]
-    blocks["b0"] = np.atleast_2d(np.asarray(tm.get("b0", np.zeros((k2, k2))), float))
+    blocks.setdefault("b0", np.zeros((k2, k2)))
     return blocks
 
 

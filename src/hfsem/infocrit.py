@@ -114,7 +114,7 @@ def gamma_zero(spec: SemSpec, theta0: np.ndarray,
     Raises :class:`RankDeficientError` when the covariance Jacobian loses
     column rank, :class:`NotPositiveDefiniteError` when sigma0 is not PD.
     """
-    sigma0 = matkit.check_symmetric(np.asarray(sigma0, dtype=float))
+    _, sigma0_inv = matkit.chol_logdet(sigma0)
     d_sigma = spec.forward(theta0, 1)[1]
     rows, cols = matkit.vech_indices(spec.p)
     delta0 = d_sigma[:, rows, cols].T
@@ -122,7 +122,6 @@ def gamma_zero(spec: SemSpec, theta0: np.ndarray,
     if rank < spec.q:
         raise RankDeficientError(
             f"covariance Jacobian of {spec.name!r} has rank {rank} < q={spec.q}")
-    _, sigma0_inv = matkit.chol_logdet(sigma0)
     return GammaZero(gamma0=fisher_information(d_sigma, sigma0_inv),
                      delta0=delta0)
 

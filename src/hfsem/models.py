@@ -21,7 +21,6 @@ accepts either a file path or a builtin name.
 from __future__ import annotations
 
 import importlib.resources
-import json
 import os
 
 import numpy as np
@@ -62,12 +61,15 @@ def builtin_file(name: str):
 
 def load_builtin(name: str) -> SemSpec:
     """Load one of the bundled model documents by name."""
-    with builtin_file(name).open() as fh:
-        return SemSpec.from_dict(json.load(fh))
+    return SemSpec.from_json(builtin_file(name))
 
 
 def resolve_spec(path_or_name: str) -> SemSpec:
     """Load a model spec from a JSON file path or a builtin name."""
+    # os.path.exists takes an integer as an open file descriptor.
+    if not isinstance(path_or_name, (str, os.PathLike)):
+        raise SpecError(f"model spec must be a path or a builtin name, "
+                        f"got {path_or_name!r}")
     if os.path.exists(path_or_name):
         return SemSpec.from_json(path_or_name)
     if path_or_name in builtin_names():

@@ -15,13 +15,13 @@ starts drawn on the moment start's scale and keeps the best run, and
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 from scipy.stats import qmc
 
+from . import _doc
 from .errors import (AllStartsFailedError, NotPositiveDefiniteError,
                      SingularStructureError)
 from .qlik import LikelihoodSurface, QuadVar
@@ -79,42 +79,17 @@ class FitReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FitReport":
-        missing = {f.name for f in fields(cls)} - set(doc) - {"hessian"}
-        if missing:
-            raise ValueError(f"fit report is missing fields {sorted(missing)}")
-
-        def read(key, convert):
-            try:
-                return convert(doc[key])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"fit report field {key!r}: {exc}") from None
-
-        def array(value):
-            return np.asarray(value, dtype=float)
-
-        def integer(value):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"expected an integer, got {value!r}")
-            return int(value)
-
-        def flag(value):
-            if not isinstance(value, bool):
-                raise TypeError(f"expected true or false, got {value!r}")
-            return value
-
-        q = read("q", integer)
-        hessian = (np.full((q, q), np.nan) if doc.get("hessian") is None
-                   else read("hessian", array))
-        return cls(model=doc["model"], n=read("n", integer), q=q,
-                   theta_hat=read("theta_hat", array),
-                   h_at_hat=read("h_at_hat", float),
-                   grad_norm=read("grad_norm", float),
-                   hessian=hessian, j_flag=read("j_flag", flag),
-                   gamma_tilde=read("gamma_tilde", array),
-                   iterations=read("iterations", integer),
-                   restarts=read("restarts", integer),
-                   converged=read("converged", flag),
-                   boundary_hit=read("boundary_hit", flag))
+        """Each field is read by the reader of its declared type."""
+        _doc.fields(doc, "fit report", [f.name for f in fields(cls)
+                                        if f.name != "hessian"], ["hessian"])
+        read = {"str": _doc.text, "int": _doc.integer, "float": _doc.number,
+                "bool": _doc.flag, "np.ndarray": _doc.array}
+        values = {f.name: read[f.type](doc[f.name], f"fit report field {f.name!r}")
+                  for f in fields(cls)
+                  if f.name != "hessian" or doc.get("hessian") is not None}
+        q = values["q"]
+        values.setdefault("hessian", np.full((q, q), np.nan))
+        return cls(**values)
 
 
 def _free_mask(spec: SemSpec, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ that forward pass.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -35,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.optimize
 
-from . import matkit
+from . import _doc, matkit
 from .errors import SingularStructureError, SpecError
 
 __all__ = [
@@ -74,27 +73,13 @@ _PREIMAGE_TOL = 1e-8        # check_identifiability: Sigma reproduced
 _WITNESS_MIN_DIST = 1e-6    # check_identifiability: a distinct preimage
 
 
-def _check_fields(obj, allowed: Sequence[str], where: str) -> None:
-    """A document part must be an object with no keys beyond ``allowed``."""
-    if not isinstance(obj, dict):
-        raise SpecError(f"{where} must be an object, got {obj!r}")
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise SpecError(f"{where} has unknown keys {unknown}")
-
-
-def _is_number(value, kind=numbers.Real) -> bool:
-    """Whether ``value`` is a number of ``kind``; a bool is not."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class Fixed:
     """A cell pinned to a constant, finite value."""
     value: float
 
     def __post_init__(self):
-        if not (_is_number(self.value) and math.isfinite(self.value)):
+        if not (_doc.is_number(self.value) and math.isfinite(self.value)):
             raise SpecError(f"fixed value must be a finite number, got {self.value!r}")
 
 
@@ -110,7 +95,7 @@ class Free:
     constraint: str = "none"
 
     def __post_init__(self):
-        if not _is_number(self.index, numbers.Integral):
+        if not _doc.is_number(self.index, numbers.Integral):
             raise SpecError(f"free index must be an integer, got {self.index!r}")
         if self.constraint not in CONSTRAINTS:
             raise SpecError(f"unknown constraint {self.constraint!r}")
@@ -162,8 +147,8 @@ class SemSpec:
 
     Parameters
     ----------
-    dims : Mapping with integer values for p1, p2, k1, k2.
-    patterns : Mapping from role name to :class:`PatternMatrix`; roles are
+    dims : dict with positive integer values for p1, p2, k1, k2.
+    patterns : dict from role name to :class:`PatternMatrix`; roles are
         lambda_x1 (p1 x k1), lambda_x2 (p2 x k2), b (k2 x k2, zero
         diagonal), gamma (k2 x k1), sigma_xixi (k1 x k1), sigma_dd
         (p1 x p1), sigma_ee (p2 x p2), sigma_zz (k2 x k2).  Covariance
@@ -180,16 +165,13 @@ class SemSpec:
 
     def __init__(self, dims, patterns, lower, upper, name: str = "model"):
         self.name = str(name)
-        for key in _DIMS:
-            try:
-                value = dims[key]
-            except KeyError as exc:
-                raise SpecError(f"missing dimension {exc}") from exc
-            if not _is_number(value, numbers.Integral):
-                raise SpecError(f"dimension {key!r} must be an integer, got {value!r}")
-            setattr(self, key, int(value))
-        if min(self.p1, self.p2, self.k1, self.k2) < 1:
-            raise SpecError("all dimensions must be positive")
+        try:
+            _doc.fields(dims, "dims", _DIMS)
+            _doc.fields(patterns, "patterns", _ROLES)
+            for key in _DIMS:
+                setattr(self, key, _doc.integer(dims[key], f"dimension {key!r}", 1))
+        except ValueError as exc:
+            raise SpecError(str(exc)) from exc
         if self.k1 > self.p1 or self.k2 > self.p2:
             raise SpecError("factor dimensions cannot exceed observed dimensions")
         self.p = self.p1 + self.p2
@@ -203,10 +185,7 @@ class SemSpec:
         # theta index -> (role, matrix, positions in it, positive)
         free: dict[int, tuple] = {}
         for role, (m, (r0, rows), (c0, cols)) in _LAYOUT.items():
-            try:
-                pat = patterns[role]
-            except KeyError as exc:
-                raise SpecError(f"missing pattern {role!r}") from exc
+            pat = patterns[role]
             shape = (size[rows], size[cols])
             if pat.shape != shape:
                 raise SpecError(
@@ -363,56 +342,39 @@ class SemSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SemSpec":
-        if doc.get("schema") != SCHEMA_VERSION:
-            raise SpecError(f"unsupported schema {doc.get('schema')!r}")
-        _check_fields(doc, ("schema", "name", "dims", "bounds") + _ROLES, "spec")
-
         def cell_in(obj) -> Fixed | Free:
-            if not (isinstance(obj, dict) and len(obj) == 1
-                    and obj.keys() <= {"fixed", "free"}):
-                raise SpecError("cell must have exactly one key, 'fixed' or "
-                                f"'free', got {obj!r}")
-            if "fixed" in obj:
-                return Fixed(obj["fixed"])
-            f = obj["free"]
-            _check_fields(f, ("index", "constraint"), "free cell")
-            if "index" not in f:
-                raise SpecError(f"free cell without 'index': {obj!r}")
-            return Free(f["index"], f.get("constraint", "none"))
+            key, value = _doc.one_key(obj, "cell", ("fixed", "free"))
+            if key == "fixed":
+                return Fixed(value)
+            free = _doc.fields(value, "free cell", ("index",), ("constraint",))
+            return Free(free["index"], free.get("constraint", "none"))
 
-        patterns = {}
-        for role in _ROLES:
-            if role not in doc:
-                raise SpecError(f"missing pattern {role!r}")
-            grid = doc[role]
-            if not (isinstance(grid, list) and all(isinstance(r, list) for r in grid)):
-                raise SpecError(f"pattern {role!r} must be a list of rows")
-            patterns[role] = PatternMatrix([[cell_in(c) for c in row] for row in grid])
-        for key in ("dims", "bounds"):
-            if key not in doc:
-                raise SpecError(f"missing field {key!r}")
-        _check_fields(doc["dims"], _DIMS, "dims")
-        bounds = doc["bounds"]
-        _check_fields(bounds, ("lower", "upper"), "bounds")
-        for key in ("lower", "upper"):
-            if key not in bounds:
-                raise SpecError(f"missing field 'bounds.{key}'")
-            if not (isinstance(bounds[key], list)
-                    and all(_is_number(v) for v in bounds[key])):
-                raise SpecError(f"bounds.{key} must be a list of numbers")
-        return cls(dims=doc["dims"], patterns=patterns,
-                   lower=bounds["lower"], upper=bounds["upper"],
-                   name=doc.get("name", "model"))
+        try:
+            _doc.fields(doc, "spec", ("dims", "bounds") + _ROLES, ("name",),
+                        schema=SCHEMA_VERSION)
+            patterns = {}
+            for role in _ROLES:
+                grid = doc[role]
+                if not (isinstance(grid, list)
+                        and all(isinstance(r, list) for r in grid)):
+                    raise SpecError(f"pattern {role!r} must be a list of rows")
+                patterns[role] = PatternMatrix([[cell_in(c) for c in row]
+                                                for row in grid])
+            bounds = _doc.fields(doc["bounds"], "bounds", ("lower", "upper"))
+            lower, upper = (_doc.array(bounds[key], f"bounds.{key}", ndim=1)
+                            for key in ("lower", "upper"))
+            name = _doc.text(doc.get("name", "model"), "name")
+        except ValueError as exc:
+            raise SpecError(str(exc)) from exc
+        return cls(dims=doc["dims"], patterns=patterns, lower=lower,
+                   upper=upper, name=name)
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _doc.write_json(self.to_dict(), path)
 
     @classmethod
     def from_json(cls, path) -> "SemSpec":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_doc.read_json(path))
 
 
 # -- identifiability ---------------------------------------------------------

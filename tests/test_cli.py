@@ -205,6 +205,15 @@ class TestFitAndCriteria:
      "--out", "{out}"],
     ["criteria", "--fits", "{flag_text_fit}", "--out", "{out}"],
     ["table1", "--config", "{unknown_key_config}", "--out-dir", "{out}"],
+    ["fit", "--spec", "{list_doc}", "--data", "{path}", "--T", "1",
+     "--out", "{out}"],
+    ["table1", "--config", "{list_doc}", "--out-dir", "{out}"],
+    ["criteria", "--fits", "{number_doc}", "--out", "{out}"],
+    ["criteria", "--fits", "{text_loglik_fit}", "--out", "{out}"],
+    ["table1", "--config", "{number_n_values_config}", "--out-dir", "{out}"],
+    ["table1", "--config", "{number_truth_config}", "--out-dir", "{out}"],
+    ["table1", "--config", "{nested_criteria_config}", "--out-dir", "{out}"],
+    ["table1", "--config", "{nested_paths_config}", "--out-dir", "{out}"],
 ], ids=["quadvar-T0", "quadvar-Tinf", "fit-nosuch-spec", "fit-starts0",
         "priors-not-numbers", "priors-one-of-three", "priors-sum",
         "table1-replications", "quadvar-one-row-headed",
@@ -212,7 +221,10 @@ class TestFitAndCriteria:
         "criteria-fit-missing-fields", "quadvar-time-column-only",
         "criteria-fit-q-null", "criteria-fit-theta-text", "fit-spec-nan",
         "fit-spec-index-float", "criteria-fit-flag-text",
-        "table1-unknown-key"])
+        "table1-unknown-key", "fit-spec-list", "table1-config-list",
+        "criteria-fit-number", "criteria-fit-loglik-text",
+        "table1-n_values-number", "table1-true_model-number",
+        "table1-criteria-nested", "table1-model_spec_paths-nested"])
 def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
     _, path, fits = fit_files
     fit_doc = json.loads(fits[0].read_text())
@@ -233,7 +245,14 @@ def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
              "{nan_spec}": json.dumps(nan_spec),
              "{index_float_spec}": json.dumps(index_float_spec),
              "{flag_text_fit}": json.dumps({**fit_doc, "j_flag": "false"}),
-             "{unknown_key_config}": json.dumps({**doc, "worker": 2})}
+             "{unknown_key_config}": json.dumps({**doc, "worker": 2}),
+             "{list_doc}": "[1, 2]", "{number_doc}": "5",
+             "{text_loglik_fit}": json.dumps({**fit_doc, "h_at_hat": "-3649.5"}),
+             "{number_n_values_config}": json.dumps({**doc, "n_values": 100}),
+             "{number_truth_config}": json.dumps({**doc, "true_model": 5}),
+             "{nested_criteria_config}": json.dumps({**doc, "criteria": [["qbic1"]]}),
+             "{nested_paths_config}": json.dumps(
+                 {**doc, "model_spec_paths": [["model1"]]})}
     fill = {"{path}": [str(path)], "{out}": [str(tmp_path / "out")],
             "{config}": [str(config)],
             "{fits}": [a for f in fits for a in ("--fits", str(f))]}

@@ -73,9 +73,11 @@ class TestConfig:
         ("replications", 2.5), ("replications", True), ("starts", 1.5),
         ("workers", "2"), ("master_seed", 7.9), ("master_seed", -1),
         ("T", np.nan), ("T", np.inf), ("T", 0.0),
-        ("T", "1")])
+        ("T", "1"), ("n_values", 100), ("n_values", []),
+        ("criteria", [["qbic1"]]), ("model_spec_paths", [["model1"]]),
+        ("model_spec_paths", [0]), ("true_model", 5)])
     def test_numbers_checked(self, key, value):
-        with pytest.raises(ValueError, match=f"^{key}:"):
+        with pytest.raises(ValueError, match=rf"^{key}(\[\d+\])? must be"):
             small_config(**{key: value}).validate()
 
     def test_schema_enforced(self, tmp_path):
@@ -235,6 +237,21 @@ class TestRunExperiment:
         truth = custom_truth()
         del (truth if where is None else truth[where])[key]
         with pytest.raises(ValueError, match=key):
+            harness._truth_blocks(truth)
+
+    @pytest.mark.parametrize("where, key, value, message", [
+        (None, "bo", [[0.0]], r"true_model has unknown keys \['bo'\]"),
+        ("xi", "inti", [0.0], r"true_model.xi has unknown keys \['inti'\]"),
+        ("xi", "level", ["5"], r"true_model.xi.level must be"),
+        ("zeta", "level", [True], r"true_model.zeta.level must be"),
+        (None, "delta", 5, r"true_model.delta must be an object"),
+        (None, "gamma", [["1.5"]], r"true_model.gamma must be")],
+        ids=["misspelt-b0", "misspelt-init", "level-text", "level-bool",
+             "block-number", "gamma-text"])
+    def test_custom_truth_malformed_named(self, where, key, value, message):
+        truth = custom_truth()
+        (truth if where is None else truth[where])[key] = value
+        with pytest.raises(ValueError, match=message):
             harness._truth_blocks(truth)
 
 

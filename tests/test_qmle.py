@@ -160,9 +160,16 @@ class TestFit:
         ("boundary_hit", None),
         ("n", 1000.5),
         ("restarts", True),
+        ("h_at_hat", "-3649.5"),
+        ("grad_norm", True),
+        ("theta_hat", ["3.0"] * 22),
+        ("gamma_tilde", [[True] * 22] * 22),
+        ("model", 5),
     ], ids=["q-null", "theta-text", "theta-strings", "hessian-ragged",
             "iterations-text", "j_flag-text", "converged-int",
-            "boundary_hit-null", "n-float", "restarts-bool"])
+            "boundary_hit-null", "n-float", "restarts-bool", "h_at_hat-text",
+            "grad_norm-bool", "theta-numeric-strings", "gamma_tilde-bools",
+            "model-number"])
     def test_report_dict_types_checked(self, surface_1e3, key, bad):
         doc = qmle.fit(surface_1e3, init=models.THETA1_TRUE).to_dict()
         doc[key] = bad

@@ -1,4 +1,6 @@
+import contextlib
 import json
+import os
 import pathlib
 
 import numpy as np
@@ -400,13 +402,16 @@ class TestJson:
                                        "bounds.upper", "index"])
     def test_missing_field_named(self, model1, field):
         doc = model1.to_dict()
+        match = field
         if field == "index":
             del doc["gamma"][0][0]["free"]["index"]
         elif field.startswith("bounds."):
-            del doc["bounds"][field.split(".")[1]]
+            key = field.split(".")[1]
+            del doc["bounds"][key]
+            match = rf"bounds is missing fields \['{key}'\]"
         else:
             del doc[field]
-        with pytest.raises(SpecError, match=field):
+        with pytest.raises(SpecError, match=match):
             SemSpec.from_dict(doc)
 
     def test_malformed_cell_rejected(self, model1):
@@ -451,10 +456,11 @@ class TestJson:
         ("gamma", [5, 6], "pattern 'gamma' must be a list of rows"),
         ("bounds.lower", ["-1000.0"] * 22, "bounds.lower must be a list of numbers"),
         ("bounds.upper", [True] * 22, "bounds.upper must be a list of numbers"),
-        ("bounds.upper", 1000.0, "bounds.upper must be a list of numbers")],
+        ("bounds.upper", 1000.0, "bounds.upper must be a list of numbers"),
+        ("name", 5, "name must be a string")],
         ids=["dim-float", "dim-bool", "dims-extra", "bounds-extra", "spec-extra",
              "grid-number", "grid-row-number", "bound-text", "bound-bool",
-             "bounds-number"])
+             "bounds-number", "name-number"])
     def test_document_fields_checked(self, model1, where, value, message):
         doc = model1.to_dict()
         *parents, key = where.split(".")
@@ -468,3 +474,16 @@ class TestJson:
     def test_resolve_spec_unknown(self):
         with pytest.raises(SpecError):
             models.resolve_spec("no-such-model")
+
+    def test_resolve_spec_rejects_non_path(self, model1, tmp_path):
+        # os.path.exists takes an integer as an open file descriptor
+        path = tmp_path / "m1.json"
+        model1.to_json(path)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            for value in (fd, 1.5, None):
+                with pytest.raises(SpecError, match="path or a builtin name"):
+                    models.resolve_spec(value)
+        finally:
+            with contextlib.suppress(OSError):
+                os.close(fd)

@@ -4,9 +4,11 @@ import ast
 import importlib
 import json
 import pathlib
+import re
 
 import pytest
 
+from hfsem import harness
 from hfsem.semspec import SemSpec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -82,3 +84,31 @@ def test_model_files_are_canonical(path):
     # writer gives back.
     doc = json.loads(path.read_text())
     assert SemSpec.from_dict(doc).to_dict() == doc
+
+
+def test_json_read_and_written_in_one_module():
+    # Every JSON document goes through hfsem._doc's read_json/write_json.
+    importers = sorted(path.name for path in SRC.glob("*.py")
+                       if re.search(r"^import json$", path.read_text(), re.M))
+    assert importers == ["_doc.py"]
+
+
+README_JSON = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(),
+                         re.DOTALL)
+
+
+@pytest.mark.parametrize("text", README_JSON,
+                         ids=[f"block{i}" for i in range(len(README_JSON))])
+def test_readme_json_loads(text):
+    # A config example loads as a config; the custom-truth example gives
+    # the truth's covariance.
+    doc = json.loads(text)
+    if doc.get("schema") == harness.CONFIG_SCHEMA:
+        harness.ExperimentConfig.from_dict(doc)
+    else:
+        assert harness.truth_sigma(doc).shape == (4, 4)
+
+
+def test_readme_has_config_and_truth_examples():
+    schemas = [json.loads(text).get("schema") for text in README_JSON]
+    assert schemas.count(harness.CONFIG_SCHEMA) == 1 and None in schemas
