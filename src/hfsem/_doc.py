@@ -90,8 +90,11 @@ def items(value, where: str, read, *args) -> list:
 
 
 def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def write_json(doc, path) -> None:

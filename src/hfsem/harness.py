@@ -160,7 +160,10 @@ def _truth_blocks(true_model: Union[str, dict]) -> dict:
                             ("mean_reversion", "level", "dispersion"), ("init",))
         arrays = {k: _doc.array(v, f"{where}.{k}") for k, v in block.items()}
         dim = np.atleast_1d(arrays["level"]).size
-        blocks[key] = diffsim.OuBlock(dim=dim, **{"init": np.zeros(dim), **arrays})
+        try:
+            blocks[key] = diffsim.OuBlock(dim=dim, **{"init": np.zeros(dim), **arrays})
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     for key in ("lambda_x1", "lambda_x2", "gamma", "b0"):
         if key in true_model:
             blocks[key] = np.atleast_2d(

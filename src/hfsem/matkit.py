@@ -15,7 +15,7 @@ The duplication matrix is built for exactly these orderings, so
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import NotPositiveDefiniteError
 
@@ -82,20 +82,21 @@ def duplication_matrix(p: int) -> np.ndarray:
 
 
 def chol_logdet(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Log-determinant and inverse of a symmetric positive definite matrix.
+    """``(logdet, inverse)`` of a symmetric positive definite matrix from one
+    Cholesky factorization.  Raises :class:`NotPositiveDefiniteError` when it
+    fails; callers probing a parameter space treat that as out of region."""
+    return _chol_logdet(check_symmetric(a))
 
-    Returns ``(logdet, inverse)`` computed from a single Cholesky
-    factorization.  Raises :class:`NotPositiveDefiniteError` when the
-    factorization fails; callers probing a parameter space treat that as
-    an out-of-region signal.
-    """
-    a = check_symmetric(a)
-    try:
-        c, low = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
+
+def _chol_logdet(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """``chol_logdet`` of a matrix symmetric by construction: no symmetry check."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    c, info = lapack.dpotrf(a, lower=1, clean=0)
+    if info != 0:
+        raise NotPositiveDefiniteError(f"leading minor {info} is not positive definite")
     logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
-    inv = scipy.linalg.cho_solve((c, low), np.eye(a.shape[0]), check_finite=False)
+    inv = lapack.dpotrs(c, np.eye(a.shape[0]), lower=1)[0]
     return logdet, 0.5 * (inv + inv.T)
 
 

@@ -12,8 +12,8 @@ limit replaces Q by the true covariance and drops the n factor: the
 surface of ``QuadVar(sigma0, n=1, T=1)``.
 
 The gradient, the Fisher information and the observed Hessian are all
-analytic, built from one forward pass of the spec (``SemSpec.forward``)
-and one Cholesky factorization per call.
+analytic, with one pass per evaluation: one forward pass of the spec
+(``SemSpec.forward``) and one Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def fisher_information(d_sigma: np.ndarray, sigma_inv: np.ndarray) -> np.ndarray
 
 def _loglik(sigma: np.ndarray, target: np.ndarray):
     """Per-increment value against ``target`` and inv(Sigma)."""
-    logdet, inv = matkit.chol_logdet(sigma)
+    logdet, inv = matkit._chol_logdet(sigma)
     return -0.5 * float(np.sum(inv * target)) - 0.5 * logdet, inv
 
 
@@ -90,10 +90,10 @@ class LikelihoodSurface:
     """The quasi-log-likelihood of one candidate model on one dataset.
 
     Immutable and shareable; evaluations at equal theta are identical.
-    ``value``/``grad``, the Fisher ``information`` and the observed
-    ``hessian`` are analytic; each call makes one forward pass of the spec
-    (first order, second order for the Hessian) and one Cholesky
-    factorization.
+    ``value``/``grad``, ``score`` (adding the Fisher information) and the
+    observed ``hessian`` are analytic, with one pass per evaluation: one
+    forward pass of the spec (second order for the Hessian) and one
+    Cholesky factorization.
     """
 
     def __init__(self, spec: SemSpec, quadvar: QuadVar):
@@ -109,29 +109,30 @@ class LikelihoodSurface:
         v, _ = _loglik(self.spec.sigma(theta), self.quadvar.q_xx)
         return self.n * v
 
-    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    def _first_order(self, theta: np.ndarray) -> tuple:
         # d value = n tr(M dSigma) / 2, M = inv Q inv - inv.
         sigma, d1 = self.spec.forward(theta, 1)
         v, inv = _loglik(sigma, self.quadvar.q_xx)
         m = inv @ self.quadvar.q_xx @ inv - inv
-        return self.n * v, 0.5 * self.n * np.tensordot(d1, m, 2)
+        return self.n * v, 0.5 * self.n * np.tensordot(d1, m, 2), d1, inv
+
+    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        return self._first_order(theta)[:2]
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         return self.value_and_grad(theta)[1]
 
-    def information(self, theta: np.ndarray) -> np.ndarray:
-        """Fisher information of the surface at ``theta`` (n times the
-        per-increment information)."""
-        sigma, d1 = self.spec.forward(theta, 1)
-        _, inv = matkit.chol_logdet(sigma)
-        return self.n * fisher_information(d1, inv)
+    def score(self, theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """``value_and_grad`` and the information n * ``fisher_information``."""
+        value, grad, d1, inv = self._first_order(theta)
+        return value, grad, self.n * fisher_information(d1, inv)
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         """Analytic observed Hessian, the derivative of ``n tr(M Sigma_i)/2``:
         ``n [tr(dM_j Sigma_i) + tr(M Sigma_ij)] / 2`` with
         ``dM_j = inv Sigma_j inv - 2 sym(inv Sigma_j inv Q inv)``."""
         sigma, d1, d2 = self.spec.forward(theta, 2)
-        _, inv = matkit.chol_logdet(sigma)
+        _, inv = matkit._chol_logdet(sigma)
         r = inv @ self.quadvar.q_xx @ inv
         a = inv @ d1
         dm = _trace_products(a, a) - 2.0 * _trace_products(a, r @ d1)

@@ -3,9 +3,10 @@
 Maximization is active-set Fisher scoring on the raw parameters, the
 Gauss-Newton method for covariance structures (Lee & Jennrich 1979): steps
 solve ``(Delta' W Delta) step = grad`` on the coordinates not held at a
-bound, are clipped into the box and halved until the value increases.  A
-fit has converged when its projected gradient passes the KKT test, so a
-valid optimum on a bound counts as converged.
+bound (by Cholesky; by least squares if that block is singular), are
+clipped into the box and halved until the value increases, one ``score``
+pass per trial.  A fit has converged when its projected gradient passes
+the KKT test, so a valid optimum on a bound counts as converged.
 
 ``fit`` performs a single start, ``fit_multistart`` adds Latin-hypercube
 starts drawn on the moment start's scale and keeps the best run, and
@@ -19,6 +20,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.stats import qmc
 
 from . import _doc
@@ -105,6 +107,17 @@ def _kkt(grad: np.ndarray, free: np.ndarray, value: float) -> tuple[float, bool]
     return residual, residual < _GRAD_TOL * (1.0 + abs(value))
 
 
+def _scoring_step(info: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """``info @ step = grad`` by Cholesky; by least squares, which drops null
+    directions, when the block is empty or singular to working precision."""
+    c, failed = lapack.dpotrf(info, lower=1, clean=0)
+    if not failed and grad.size:
+        rcond = lapack.dpocon(c, np.abs(info).sum(axis=0).max(), uplo="L")[0]
+        if rcond > np.finfo(float).eps * grad.size:
+            return lapack.dpotrs(c, grad, lower=1)[0]
+    return np.linalg.lstsq(info, grad, rcond=None)[0]
+
+
 def _optimize_once(surface: LikelihoodSurface, init: np.ndarray,
                    iterate_hook=None):
     """Active-set Fisher scoring from one start; returns ``(theta, value,
@@ -125,7 +138,7 @@ def _optimize_once(surface: LikelihoodSurface, init: np.ndarray,
     spec = surface.spec
     theta = np.clip(spec._check_theta(init), spec.lower, spec.upper)
     try:
-        value, grad = surface.value_and_grad(theta)
+        value, grad, info = surface.score(theta)
     except _OUT_OF_REGION:
         return None
     if not np.isfinite(value):
@@ -134,15 +147,14 @@ def _optimize_once(surface: LikelihoodSurface, init: np.ndarray,
     iterations = 0
     while iterations < _MAX_ITER:
         free = _free_mask(spec, theta, grad)
-        info = surface.information(theta)[np.ix_(free, free)]
         step = np.zeros(spec.q)
-        step[free] = np.linalg.lstsq(info, grad[free], rcond=None)[0]
+        step[free] = _scoring_step(info[np.ix_(free, free)], grad[free])
         if value + 0.5 * (grad @ step) == value:
             break
         for _ in range(1 if _kkt(grad, free, value)[1] else _MAX_HALVINGS):
             trial = np.clip(theta + step, spec.lower, spec.upper)
             try:
-                v, g = surface.value_and_grad(trial)
+                v, g, fi = surface.score(trial)
             except _OUT_OF_REGION:
                 v = -np.inf
             if v > value:
@@ -150,7 +162,7 @@ def _optimize_once(surface: LikelihoodSurface, init: np.ndarray,
             step *= 0.5
         else:
             break
-        theta, value, grad = trial, v, g
+        theta, value, grad, info = trial, v, g, fi
         iterations += 1
         if iterate_hook is not None:
             iterate_hook(theta)

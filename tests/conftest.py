@@ -153,6 +153,31 @@ def make_structural_spec():
                    lower, upper, name="structural")
 
 
+def make_sign_flip_spec():
+    """One factor measured by three free loadings with its variance fixed
+    at 1 and no factor regression (q=8): full rank, yet the loadings and
+    their negatives give the same covariance, so the spec is locally but
+    not globally identified."""
+    patterns = {
+        "lambda_x1": PatternMatrix([[Free(0)], [Free(1)], [Free(2)]]),
+        "lambda_x2": PatternMatrix([[Fixed(1.0)], [Fixed(2.0)]]),
+        "b": PatternMatrix([[Fixed(0.0)]]),
+        "gamma": PatternMatrix([[Fixed(0.0)]]),
+        "sigma_xixi": PatternMatrix([[Fixed(1.0)]]),
+        "sigma_dd": PatternMatrix([
+            [Free(3, "positive"), Fixed(0.0), Fixed(0.0)],
+            [Fixed(0.0), Free(4, "positive"), Fixed(0.0)],
+            [Fixed(0.0), Fixed(0.0), Free(5, "positive")]]),
+        "sigma_ee": PatternMatrix([[Free(6, "positive"), Fixed(0.0)],
+                                   [Fixed(0.0), Free(7, "positive")]]),
+        "sigma_zz": PatternMatrix([[Fixed(1.0)]]),
+    }
+    lower = np.array([-1e3] * 3 + [1e-6] * 5)
+    upper = np.array([1e3] * 3 + [1e4] * 5)
+    return SemSpec({"p1": 3, "p2": 2, "k1": 1, "k2": 1}, patterns,
+                   lower, upper, name="sign_flip")
+
+
 def fd_hessian(surface, theta, rel_step=1e-5):
     """Reference Hessian: symmetrized central differences of the analytic
     gradient with relative steps, 2q gradient calls."""

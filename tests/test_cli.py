@@ -214,6 +214,8 @@ class TestFitAndCriteria:
     ["table1", "--config", "{number_truth_config}", "--out-dir", "{out}"],
     ["table1", "--config", "{nested_criteria_config}", "--out-dir", "{out}"],
     ["table1", "--config", "{nested_paths_config}", "--out-dir", "{out}"],
+    ["fit", "--spec", "{dir}", "--data", "{path}", "--T", "1", "--out", "{out}"],
+    ["table1", "--config", "{dir}", "--out-dir", "{out}"],
 ], ids=["quadvar-T0", "quadvar-Tinf", "fit-nosuch-spec", "fit-starts0",
         "priors-not-numbers", "priors-one-of-three", "priors-sum",
         "table1-replications", "quadvar-one-row-headed",
@@ -224,7 +226,8 @@ class TestFitAndCriteria:
         "table1-unknown-key", "fit-spec-list", "table1-config-list",
         "criteria-fit-number", "criteria-fit-loglik-text",
         "table1-n_values-number", "table1-true_model-number",
-        "table1-criteria-nested", "table1-model_spec_paths-nested"])
+        "table1-criteria-nested", "table1-model_spec_paths-nested",
+        "fit-spec-directory", "table1-config-directory"])
 def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
     _, path, fits = fit_files
     fit_doc = json.loads(fits[0].read_text())
@@ -254,7 +257,7 @@ def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
              "{nested_paths_config}": json.dumps(
                  {**doc, "model_spec_paths": [["model1"]]})}
     fill = {"{path}": [str(path)], "{out}": [str(tmp_path / "out")],
-            "{config}": [str(config)],
+            "{config}": [str(config)], "{dir}": [str(tmp_path)],
             "{fits}": [a for f in fits for a in ("--fits", str(f))]}
     for key, text in files.items():
         target = tmp_path / key.strip("{}")

@@ -245,9 +245,11 @@ class TestRunExperiment:
         ("xi", "level", ["5"], r"true_model.xi.level must be"),
         ("zeta", "level", [True], r"true_model.zeta.level must be"),
         (None, "delta", 5, r"true_model.delta must be an object"),
-        (None, "gamma", [["1.5"]], r"true_model.gamma must be")],
+        (None, "gamma", [["1.5"]], r"true_model.gamma must be"),
+        ("delta", "mean_reversion", [[1.0]],
+         r"true_model.delta: mean_reversion must be 2x2")],
         ids=["misspelt-b0", "misspelt-init", "level-text", "level-bool",
-             "block-number", "gamma-text"])
+             "block-number", "gamma-text", "block-shapes-disagree"])
     def test_custom_truth_malformed_named(self, where, key, value, message):
         truth = custom_truth()
         (truth if where is None else truth[where])[key] = value

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,6 +109,34 @@ class TestCholLogdet:
     def test_signals_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
             matkit.chol_logdet(np.diag([1.0, -1.0]))
+
+
+class TestUncheckedKernel:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        a = np.eye(3)
+        a[1, 2] = a[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            matkit._chol_logdet(a)
+
+    def test_indefinite_signalled(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            matkit._chol_logdet(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_equals_scipy_cholesky(self, model1):
+        # the LAPACK calls of scipy's cho_factor/cho_solve, made directly
+        sigma = model1.sigma(models.THETA1_TRUE)
+        c = scipy.linalg.cho_factor(sigma, lower=True, check_finite=False)
+        inv = scipy.linalg.cho_solve(c, np.eye(10), check_finite=False)
+        logdet, kernel_inv = matkit._chol_logdet(sigma)
+        assert logdet == 2.0 * float(np.sum(np.log(np.diag(c[0]))))
+        assert np.array_equal(kernel_inv, 0.5 * (inv + inv.T))
+        assert matkit.chol_logdet(sigma)[0] == logdet
+        assert np.array_equal(matkit.chol_logdet(sigma)[1], kernel_inv)
+
+    def test_public_entry_checks_symmetry(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            matkit.chol_logdet(np.array([[2.0, 1.0], [0.0, 2.0]]))
 
 
 class TestNumericRank:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hfsem import diffsim, models
+from hfsem import diffsim, matkit, models
 from hfsem.errors import NotPositiveDefiniteError
-from hfsem.qlik import LikelihoodSurface, QuadVar, quad_var
+from hfsem.qlik import LikelihoodSurface, QuadVar, fisher_information, quad_var
 from tests.conftest import fd_hessian, interior_theta, make_structural_spec
 
 
@@ -208,6 +208,36 @@ class TestHessian:
             hess = surface.hessian(theta)
             fd = fd_hessian(surface, theta)
             assert np.abs(hess - fd).max() < 1e-6 * np.abs(fd).max()
+
+
+class TestScore:
+    @pytest.mark.parametrize("fixture", ["model1", "model2", "model3",
+                                         "structural"])
+    def test_equals_value_grad_and_information(self, fixture, request,
+                                               quadvar_1e4):
+        # one pass gives exactly what the separate evaluations give
+        rng = np.random.default_rng(29)
+        if fixture == "structural":
+            spec = make_structural_spec()
+            around = np.where(spec.positive_mask, 4.0, 1.5)
+            x = rng.standard_normal((501, spec.p)).cumsum(axis=0)
+            quadvar = quad_var(x / np.sqrt(500), 1.0)
+        else:
+            spec = request.getfixturevalue(fixture)
+            around = {"model1": models.THETA1_TRUE,
+                      "model2": models.THETA2_TRUE, "model3": None}[fixture]
+            quadvar = quadvar_1e4
+        surface = LikelihoodSurface(spec, quadvar)
+        for _ in range(3):
+            theta = interior_theta(spec, rng, around=around)
+            value, grad, info = surface.score(theta)
+            sigma, d1 = spec.forward(theta, 1)
+            expected = quadvar.n * fisher_information(
+                d1, matkit.chol_logdet(sigma)[1])
+            v, g = surface.value_and_grad(theta)
+            assert value == v
+            assert np.array_equal(grad, g)
+            assert np.array_equal(info, expected)
 
 
 def limit_value(spec, theta, sigma0):

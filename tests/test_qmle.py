@@ -90,20 +90,21 @@ class TestFit:
     def test_value_and_grad_calls(self, surface_1e3, monkeypatch):
         # The L-BFGS-B estimator that scoring replaced (log-scaled variances,
         # run until its line search stalled) made 87 value_and_grad calls
-        # for this fit, the Hessian left out.
+        # for this fit, the Hessian left out.  Scoring evaluates through
+        # ``score``, one call per trial.
         calls = []
-        original = LikelihoodSurface.value_and_grad
-        monkeypatch.setattr(LikelihoodSurface, "value_and_grad",
+        original = LikelihoodSurface.score
+        monkeypatch.setattr(LikelihoodSurface, "score",
                             lambda self, theta: calls.append(1)
                             or original(self, theta))
         qmle.fit(surface_1e3, init=models.THETA1_TRUE,
                  options=qmle.FitOptions(compute_hessian=False))
-        assert len(calls) <= 87 // 3
+        assert 0 < len(calls) <= 87 // 3
 
     def test_one_forward_pass_per_evaluation(self, surface_1e3, monkeypatch):
-        # One forward pass per value_and_grad or information call and one
-        # for the Hessian; a central-difference Hessian of this model makes
-        # 2q = 44 gradient calls, 88 Sigma/Jacobian builds.
+        # One forward pass per score or value_and_grad call and one for the
+        # Hessian; a central-difference Hessian of this model makes 2q = 44
+        # gradient calls, 88 Sigma/Jacobian builds.
         calls = collections.Counter()
 
         def count(owner, name):
@@ -111,13 +112,14 @@ class TestFit:
             monkeypatch.setattr(owner, name, lambda *args: calls.update([name])
                                 or original(*args))
 
-        for name in ("value_and_grad", "information", "hessian"):
+        for name in ("score", "value_and_grad", "hessian"):
             count(LikelihoodSurface, name)
         count(SemSpec, "forward")
         report = qmle.fit(surface_1e3, init=models.THETA1_TRUE)
         assert calls["hessian"] == 1
+        assert calls["score"] > 0
         assert (calls["forward"]
-                <= calls["value_and_grad"] + calls["information"] + 1)
+                <= calls["score"] + calls["value_and_grad"] + 1)
         before = calls["forward"]
         surface_1e3.hessian(report.theta_hat)
         assert calls["forward"] - before == 1
@@ -131,6 +133,45 @@ class TestFit:
         assert report.boundary_hit
         assert report.converged
         assert abs(report.theta_hat[0] - scalar_model.lower[0]) < 1e-12
+
+    def test_singular_information_falls_back_to_lstsq(self, degenerate_model,
+                                                      monkeypatch):
+        # Two free parameters share one Jacobian column, so every scoring
+        # system is singular and the step comes from least squares.  The all-least-squares estimator reached
+        # -1273.0702524547814 on these data; theta may move along the flat
+        # direction, the value may not.
+        spec = degenerate_model
+        rng = np.random.default_rng(0)
+        chol = np.linalg.cholesky(spec.sigma(np.array([2.0] + [1.0] * 6)))
+        x = (rng.standard_normal((400, spec.p)) @ chol.T).cumsum(axis=0)
+        surface = LikelihoodSurface(spec, quad_var(x / np.sqrt(399), 1.0))
+        solves = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **k: solves.append(1) or lstsq(*a, **k))
+        report = qmle.fit(surface, init=np.array([1.5, 2.0, 0.5, 2.0, 1.5,
+                                                  0.8, 0.7]))
+        assert solves
+        assert report.converged
+        assert abs(report.h_at_hat / -1273.0702524547814 - 1.0) < 1e-10
+
+    def test_scoring_step_solves_by_cholesky(self):
+        rng = np.random.default_rng(4)
+        b = rng.standard_normal((6, 6))
+        info, grad = b @ b.T + np.eye(6), rng.standard_normal(6)
+        step = qmle._scoring_step(info, grad)
+        assert np.abs(info @ step - grad).max() < 1e-12
+        assert qmle._scoring_step(np.empty((0, 0)), np.empty(0)).shape == (0,)
+
+    def test_scoring_step_drops_numerically_null_directions(self):
+        # Cholesky factors this block, but it is singular to working
+        # precision: the step must be least squares' (no move along the
+        # null direction), not a 1e20-sized one
+        info = np.diag([2.0, 1.0, 3.0, 1e-20])
+        grad = np.ones(4)
+        step = qmle._scoring_step(info, grad)
+        assert np.array_equal(step, np.linalg.lstsq(info, grad, rcond=None)[0])
+        assert step[3] == 0.0
 
     @pytest.mark.parametrize("length", [1, 21, 23])
     def test_init_of_wrong_length_rejected(self, surface_1e3, length):
@@ -242,6 +283,20 @@ class TestMultistart:
 
 
 class TestLimitOptimum:
+    def test_no_start_runs_to_the_iteration_cap(self, model1, sigma0_oracle,
+                                                monkeypatch):
+        # One Latin-hypercube start of this seed drifts into a region where
+        # the information is singular to working precision; a Cholesky step
+        # there runs the start to the iteration cap, the least-squares
+        # step leaves it after 128 iterations.
+        runs = []
+        once = qmle._optimize_once
+        monkeypatch.setattr(qmle, "_optimize_once",
+                            lambda *a, **k: runs.append(once(*a, **k)) or runs[-1])
+        qmle.limit_optimum(model1, sigma0_oracle, starts=8, seed=13000)
+        assert len(runs) == 8
+        assert max(run[3] for run in runs) < qmle._MAX_ITER
+
     def test_model1_recovers_truth(self, model1, sigma0_oracle):
         theta_bar, value = qmle.limit_optimum(model1, sigma0_oracle,
                                               starts=4, seed=0)

@@ -11,7 +11,8 @@ from hfsem.errors import SingularStructureError, SpecError
 from hfsem.qlik import LikelihoodSurface
 from hfsem.semspec import (Fixed, Free, PatternMatrix, SemSpec,
                            check_identifiability, nested_embedding)
-from tests.conftest import interior_theta, make_structural_spec
+from tests.conftest import (interior_theta, make_sign_flip_spec,
+                            make_structural_spec)
 
 
 class TestPack:
@@ -333,6 +334,20 @@ class TestIdentifiability:
         d = degenerate_model.jacobian(theta)
         # the witness columns really are collinear
         assert matkit.numeric_rank(d[:, [i, j]]) == 1
+
+
+    def test_sign_flip_witnessed(self):
+        # full rank, but negated loadings reproduce the covariance; ten
+        # trials found two or more witnesses for each of seeds 0-7
+        spec = make_sign_flip_spec()
+        theta = np.array([1.0, 2.0, 1.5, 1.0, 2.0, 1.5, 1.0, 2.0])
+        report = check_identifiability(spec, theta, trials=10, seed=0)
+        assert report.rank == 8 and report.rank_ok
+        assert report.witnesses
+        assert not report.passed
+        flipped = np.concatenate([-theta[:3], theta[3:]])
+        for witness in report.witnesses:
+            assert np.abs(witness["theta"] - flipped).max() < 1e-6
 
 
 class TestNestedEmbedding:
