@@ -6,8 +6,8 @@ candidate models by quasi-maximum likelihood, and compare them with the
 quasi-Bayesian information criteria.
 """
 
-from .diffsim import (OuBlock, PathBundle, simulate_custom, simulate_ou,
-                      simulate_true_model)
+from .diffsim import (OuBlock, PathBundle, load_truth, simulate_custom,
+                      simulate_ou, simulate_true_model)
 from .errors import (AllStartsFailedError, HfsemError, NotPositiveDefiniteError,
                      RankDeficientError, SingularStructureError, SpecError)
 from .harness import (ExperimentConfig, GapProbeResult, SelectionTable,

@@ -1,14 +1,18 @@
 """Field rules of the JSON documents (model specs, experiment configs,
-custom truths and fit reports), each written once.  A check raises
-``ValueError`` naming the field; ``SemSpec`` re-raises it as ``SpecError``.
+truths and fit reports), each written once, and the one lookup of the
+documents bundled with the package by name.  A check raises ``ValueError``
+naming the field; ``SemSpec`` re-raises it as ``SpecError``.
 """
 
 from __future__ import annotations
 
+import importlib.resources
 import json
 import numbers
 
 import numpy as np
+
+_PACKAGE = importlib.resources.files(__package__)
 
 
 def _expect(ok: bool, value, where: str, what: str):
@@ -95,6 +99,20 @@ def read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def bundled_names(folder: str) -> list[str]:
+    """Stems of the JSON documents bundled in the package's ``folder``, sorted."""
+    return sorted(f.name[:-len(".json")] for f in _PACKAGE.joinpath(folder).iterdir()
+                  if f.name.endswith(".json"))
+
+
+def read_bundled(folder: str, name: str, what: str):
+    """The bundled ``<folder>/<name>.json``; an unknown name is a ValueError."""
+    names = bundled_names(folder)
+    if name not in names:
+        raise ValueError(f"unknown {what} {name!r}; have {names}")
+    return read_json(_PACKAGE.joinpath(folder).joinpath(f"{name}.json"))
 
 
 def write_json(doc, path) -> None:

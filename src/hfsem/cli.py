@@ -84,7 +84,7 @@ def _read_path_csv(path) -> np.ndarray:
 
 @main.command()
 @click.option("--model", "model_name", default=diffsim.TRUE_MODEL_NAME,
-              show_default=True, help="Truth to simulate.")
+              show_default=True, help="Name of the bundled truth to simulate.")
 @click.option("--n", type=int, required=True, help="Number of grid steps.")
 @click.option("--T", "horizon", type=float, default=1.0, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -92,12 +92,10 @@ def _read_path_csv(path) -> np.ndarray:
 @click.option("--with-latents", is_flag=True, help="Also dump latent paths.")
 def simulate(model_name: str, n: int, horizon: float, seed: int, out: str,
              with_latents: bool) -> None:
-    """Simulate the bundled truth and write the sampled path as CSV."""
-    if model_name != diffsim.TRUE_MODEL_NAME:
-        raise click.ClickException(
-            f"unknown model {model_name!r}; available: {diffsim.TRUE_MODEL_NAME}")
-    bundle = diffsim.simulate_true_model(n=n, T=horizon, seed=seed,
-                                         keep_latents=with_latents)
+    """Simulate a bundled truth and write the sampled path as CSV."""
+    bundle = diffsim.simulate_custom(**diffsim.load_truth(model_name), n=n,
+                                     T=horizon, seed=seed,
+                                     keep_latents=with_latents)
     _write_path_csv(out, bundle, with_latents)
     click.echo(f"wrote {out} ({n} steps, horizon {horizon}, seed {seed})")
 

@@ -1,4 +1,11 @@
-"""Simulation of the latent factor diffusions and the observed process.
+"""Truths of the latent-diffusion SEM, read, checked and simulated here only.
+
+A truth holds the latent OU blocks xi, delta, eps and zeta, the loadings
+lambda_x1 and lambda_x2, and the structural matrices gamma and b0.
+:func:`load_truth` reads one from its name (the stem of a bundled
+``truth_files/*.json`` document) or from such a document, and ends with
+the cross-checks :func:`simulate_custom` also runs.  :func:`implied_sigma`
+is a truth's covariance Sigma0, computed as an all-fixed ``SemSpec``.
 
 Latent blocks follow affine SDEs ``dx = -(B x - mu) dt + S dW``, sampled
 exactly from their Gaussian conditional transitions (the matrix
@@ -18,10 +25,6 @@ chunk's observations are written into the one preallocated ``x_obs``.
 The result is bit-for-bit the whole-path computation (one draw of all
 steps, then the recursion), which ``tests/conftest.py`` keeps as the
 reference.
-
-This module only simulates.  The diffusion covariance a truth implies is
-computed by ``harness.truth_sigma``, which evaluates the truth as an
-all-fixed ``SemSpec``.
 """
 
 from __future__ import annotations
@@ -33,22 +36,24 @@ import numpy as np
 import scipy.linalg
 import scipy.signal
 
-from .errors import SingularStructureError
+from . import _doc
+from .semspec import PatternMatrix, SemSpec, _invert_psi
 
 __all__ = [
     "OuBlock",
     "PathBundle",
+    "load_truth",
+    "implied_sigma",
     "simulate_ou",
     "simulate_custom",
     "grid_transitions",
     "simulate_true_model",
-    "true_blocks",
     "TRUE_MODEL_NAME",
 ]
 
 TRUE_MODEL_NAME = "true4-6"
 
-_PSI_COND_LIMIT = 1e12
+_LATENT = ("xi", "delta", "eps", "zeta")
 
 # Rows per chunk of a streamed path: a chunk's draws, products and
 # assembly stay in cache, and no n-sized temporary is made besides the
@@ -104,6 +109,76 @@ class PathBundle:
     @property
     def has_latents(self) -> bool:
         return self.xi is not None
+
+
+def _cross_checked(xi: OuBlock, delta: OuBlock, eps: OuBlock, zeta: OuBlock,
+                   lambda_x1, lambda_x2, gamma, b0, where: str = "") -> tuple:
+    """``(lambda_x1, lambda_x2, gamma, inv(I - b0))`` as float arrays, after
+    the checks of every truth: finite matrices, block dimensions and the
+    shapes of gamma and b0 against the loadings, a zero b0 diagonal and a
+    nonsingular I - b0.  Messages name the key after the prefix ``where``."""
+    mats = {key: np.atleast_2d(np.asarray(value, float)) for key, value in dict(
+        lambda_x1=lambda_x1, lambda_x2=lambda_x2, gamma=gamma, b0=b0).items()}
+    for key, value in mats.items():
+        if value.ndim != 2 or not np.all(np.isfinite(value)):
+            raise ValueError(f"{where}{key} must be a matrix of finite numbers")
+    (p1, k1), (p2, k2) = mats["lambda_x1"].shape, mats["lambda_x2"].shape
+    for key, block, dim in zip(_LATENT, (xi, delta, eps, zeta), (k1, p1, p2, k2)):
+        if block.dim != dim:
+            raise ValueError(f"{where}{key} has dimension {block.dim}, "
+                             f"expected {dim} by the loadings")
+    for key, shape in (("gamma", (k2, k1)), ("b0", (k2, k2))):
+        if mats[key].shape != shape:
+            raise ValueError(f"{where}{key} has shape {mats[key].shape}, "
+                             f"expected {shape}")
+    if np.any(np.diag(mats["b0"])):
+        raise ValueError(f"{where}b0 must have a zero diagonal")
+    return (mats["lambda_x1"], mats["lambda_x2"], mats["gamma"],
+            _invert_psi(mats["b0"], f"{where}b0"))
+
+
+def load_truth(truth) -> dict:
+    """A bundled truth's name or a truth document as four :class:`OuBlock`
+    and four float matrices (``b0`` and each ``init`` zeros if omitted);
+    ``ValueError`` names the ``true_model.<key>`` that breaks a rule."""
+    if isinstance(truth, str):
+        truth = _doc.read_bundled("truth_files", truth, "true model")
+    _doc.fields(truth, "true_model",
+                _LATENT + ("lambda_x1", "lambda_x2", "gamma"), ("b0",))
+    out = {}
+    for key in _LATENT:
+        where = f"true_model.{key}"
+        block = _doc.fields(truth[key], where,
+                            ("mean_reversion", "level", "dispersion"), ("init",))
+        arrays = {k: _doc.array(v, f"{where}.{k}") for k, v in block.items()}
+        dim = np.atleast_1d(arrays["level"]).size
+        try:
+            out[key] = OuBlock(dim=dim, **{"init": np.zeros(dim), **arrays})
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    for key in ("lambda_x1", "lambda_x2", "gamma", "b0"):
+        if key in truth:
+            out[key] = np.atleast_2d(_doc.array(truth[key], f"true_model.{key}"))
+    k2 = out["lambda_x2"].shape[1]
+    out.setdefault("b0", np.zeros((k2, k2)))
+    _cross_checked(**out, where="true_model.")
+    return out
+
+
+def implied_sigma(truth: dict) -> np.ndarray:
+    """Sigma0 of a truth from :func:`load_truth`, as an all-fixed SemSpec
+    (q = 0), so the one implied-covariance formula computes it."""
+    l1, l2 = truth["lambda_x1"], truth["lambda_x2"]
+    dims = {"p1": l1.shape[0], "p2": l2.shape[0],
+            "k1": l1.shape[1], "k2": l2.shape[1]}
+    values = {"lambda_x1": l1, "lambda_x2": l2, "b": truth["b0"],
+              "gamma": truth["gamma"]}
+    for role, key in zip(("sigma_xixi", "sigma_dd", "sigma_ee", "sigma_zz"),
+                         _LATENT):
+        values[role] = truth[key].noise_cov
+    patterns = {role: PatternMatrix.fixed(v) for role, v in values.items()}
+    spec = SemSpec(dims, patterns, lower=[], upper=[], name="truth")
+    return spec.sigma(np.empty(0))
 
 
 def _exact_transition(block: OuBlock, h: float):
@@ -208,8 +283,7 @@ def grid_transitions(truth: dict, n: int, T: float) -> tuple:
     """``(h, transitions)``: the step ``T / n`` and each latent block's exact
     transition at it, for :func:`simulate_custom`'s ``transitions``."""
     h = _grid_step(n, T)
-    return h, tuple(_exact_transition(truth[name], h)
-                    for name in ("xi", "delta", "eps", "zeta"))
+    return h, tuple(_exact_transition(truth[name], h) for name in _LATENT)
 
 
 def _block_streams(seed: int) -> list[np.random.Generator]:
@@ -222,8 +296,9 @@ def simulate_custom(xi: OuBlock, delta: OuBlock, eps: OuBlock, zeta: OuBlock,
                     gamma: np.ndarray, b0: np.ndarray, *, n: int, T: float,
                     seed: int, keep_latents: bool = True,
                     transitions: Optional[tuple] = None) -> PathBundle:
-    """Simulate a truth laid out as :func:`true_blocks` returns it; a truth
+    """Simulate a truth laid out as :func:`load_truth` returns it; a truth
     dict is passed as ``simulate_custom(**truth, n=n, T=T, seed=seed)``.
+    The arrays first pass the checks :func:`load_truth` ends with.
 
     The blocks are streamed together chunk by chunk and each chunk's
     observations are written into ``x_obs``; the latent paths are stored
@@ -231,25 +306,11 @@ def simulate_custom(xi: OuBlock, delta: OuBlock, eps: OuBlock, zeta: OuBlock,
     for this truth and grid, spares building the blocks' transitions here.
     """
     h = _grid_step(n, T)
-    lambda_x1 = np.atleast_2d(np.asarray(lambda_x1, float))
-    lambda_x2 = np.atleast_2d(np.asarray(lambda_x2, float))
-    gamma = np.atleast_2d(np.asarray(gamma, float))
-    p1, k1 = lambda_x1.shape
-    p2, k2 = lambda_x2.shape
-    b0 = np.atleast_2d(np.asarray(b0, float))
     blocks = (xi, delta, eps, zeta)
-    if tuple(b.dim for b in blocks) != (k1, p1, p2, k2):
-        raise ValueError("block dimensions do not match the loading matrices")
-    if gamma.shape != (k2, k1) or b0.shape != (k2, k2):
-        raise ValueError("gamma / b0 shapes do not match the factor dimensions")
-    for name, value in (("lambda_x1", lambda_x1), ("lambda_x2", lambda_x2),
-                        ("gamma", gamma), ("b0", b0)):
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} has non-finite entries")
-    psi = np.eye(k2) - b0
-    if np.linalg.cond(psi) > _PSI_COND_LIMIT:
-        raise SingularStructureError("I - b0 is numerically singular")
-    psi_inv_t = np.linalg.inv(psi).T
+    lambda_x1, lambda_x2, gamma, psi_inv = _cross_checked(
+        *blocks, lambda_x1, lambda_x2, gamma, b0)
+    (p1, k1), (p2, k2) = lambda_x1.shape, lambda_x2.shape
+    psi_inv_t = psi_inv.T
     built_h, built = transitions or (h, [_exact_transition(b, h) for b in blocks])
     if built_h != h:
         raise ValueError(f"transitions are for step {built_h}, not {h}")
@@ -274,34 +335,8 @@ def simulate_custom(xi: OuBlock, delta: OuBlock, eps: OuBlock, zeta: OuBlock,
     return PathBundle(n=n, T=T, h=h, seed=int(seed), x_obs=x_obs, **latents)
 
 
-# -- the benchmark truth -------------------------------------------------------
-
-def true_blocks() -> dict:
-    """Blocks and loadings of the bundled 4+6-dimensional truth.
-
-    One common factor drives the first block; two second-block factors load
-    on it with weights (3, 2).  Initial values follow the benchmark setup:
-    the common factor starts at 3, all unique factors at 0.
-    """
-    return {
-        "xi": OuBlock(1, [[2.0]], [5.0], [[3.0]], [3.0]),
-        "delta": OuBlock(4, np.diag([5.0, 2.0, 1.0, 3.0]), [4.0, 2.0, 1.0, 2.0],
-                         np.diag([2.0, 1.0, 2.0, 3.0]), np.zeros(4)),
-        "eps": OuBlock(6, np.diag([1.0, 5.0, 2.0, 3.0, 2.0, 2.0]),
-                       [2.0, 1.0, 3.0, 2.0, 1.0, 4.0],
-                       np.diag([5.0, 1.0, 2.0, 1.0, 3.0, 2.0]), np.zeros(6)),
-        "zeta": OuBlock(2, np.diag([3.0, 2.0]), [1.0, 2.0],
-                        np.diag([3.0, 1.0]), np.zeros(2)),
-        "lambda_x1": np.array([[1.0], [3.0], [4.0], [6.0]]),
-        "lambda_x2": np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0],
-                               [0.0, 1.0], [0.0, 2.0], [0.0, 4.0]]),
-        "gamma": np.array([[3.0], [2.0]]),
-        "b0": np.zeros((2, 2)),
-    }
-
-
 def simulate_true_model(n: int, T: float, seed: int,
                         keep_latents: bool = True) -> PathBundle:
-    """Simulate the bundled truth; deterministic given ``seed``."""
-    return simulate_custom(**true_blocks(), n=n, T=T, seed=seed,
+    """Simulate ``TRUE_MODEL_NAME``; deterministic given ``seed``."""
+    return simulate_custom(**load_truth(TRUE_MODEL_NAME), n=n, T=T, seed=seed,
                            keep_latents=keep_latents)

@@ -14,9 +14,8 @@ parameter point for correctly specified models).  ``init_mode="moment"``
 switches to data-driven moment starts with Latin-hypercube restarts drawn
 on the moment start's scale.
 
-The truth's covariance comes from :func:`truth_sigma`, which writes the
-truth as an all-fixed :class:`SemSpec`, so Sigma0 and every candidate's
-implied covariance share one formula.
+The config's ``true_model`` is read and checked by ``diffsim.load_truth``,
+the one reader of truths; :func:`truth_sigma` is its covariance Sigma0.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .errors import (AllStartsFailedError, NotPositiveDefiniteError,
 from .infocrit import CRITERIA, criteria_row, select
 from .qlik import LikelihoodSurface, quad_var
 from .qmle import fit, fit_multistart, limit_optimum
-from .semspec import PatternMatrix, SemSpec
+from .semspec import SemSpec, rank_screen
 
 __all__ = [
     "ExperimentConfig",
@@ -87,12 +86,15 @@ class ExperimentConfig:
         unknown = set(_doc.items(self.criteria, "criteria", _doc.text)) - set(CRITERIA)
         if unknown:
             raise ValueError(f"unknown criteria {sorted(unknown)}")
+        for key, values in (("n_values", self.n_values), ("criteria", self.criteria)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{key} must not repeat an entry, got {values!r}")
         if self.init_mode not in ("true", "moment"):
             raise ValueError("init_mode must be 'true' or 'moment'")
         _doc.integer(self.starts, "starts", 1)
         _doc.integer(self.workers, "workers", 1)
         _doc.items(self.model_spec_paths, "model_spec_paths", _doc.text)
-        _truth_blocks(self.true_model)
+        diffsim.load_truth(self.true_model)
 
     def to_dict(self) -> dict:
         return {"schema": CONFIG_SCHEMA, **asdict(self)}
@@ -143,83 +145,12 @@ class SelectionTable:
                         f"!= {self.replications} replications")
 
 
-# -- truth handling ------------------------------------------------------------
-
-def _truth_blocks(true_model: Union[str, dict]) -> dict:
-    if isinstance(true_model, str):
-        if true_model != diffsim.TRUE_MODEL_NAME:
-            raise ValueError(f"unknown true model {true_model!r}")
-        return diffsim.true_blocks()
-    latent = ("xi", "delta", "eps", "zeta")
-    _doc.fields(true_model, "true_model",
-                latent + ("lambda_x1", "lambda_x2", "gamma"), ("b0",))
-    blocks = {}
-    for key in latent:
-        where = f"true_model.{key}"
-        block = _doc.fields(true_model[key], where,
-                            ("mean_reversion", "level", "dispersion"), ("init",))
-        arrays = {k: _doc.array(v, f"{where}.{k}") for k, v in block.items()}
-        dim = np.atleast_1d(arrays["level"]).size
-        try:
-            blocks[key] = diffsim.OuBlock(dim=dim, **{"init": np.zeros(dim), **arrays})
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-    for key in ("lambda_x1", "lambda_x2", "gamma", "b0"):
-        if key in true_model:
-            blocks[key] = np.atleast_2d(
-                _doc.array(true_model[key], f"true_model.{key}"))
-    k2 = blocks["lambda_x2"].shape[1]
-    blocks.setdefault("b0", np.zeros((k2, k2)))
-    return blocks
-
-
-def _sigma_of_blocks(blocks: dict) -> np.ndarray:
-    """Sigma0 of parsed truth blocks: the truth written as an all-fixed
-    SemSpec (q = 0), so the one implied-covariance formula computes it."""
-    l1, l2 = blocks["lambda_x1"], blocks["lambda_x2"]
-    dims = {"p1": l1.shape[0], "p2": l2.shape[0],
-            "k1": l1.shape[1], "k2": l2.shape[1]}
-    values = {"lambda_x1": l1, "lambda_x2": l2, "b": blocks["b0"],
-              "gamma": blocks["gamma"],
-              "sigma_xixi": blocks["xi"].noise_cov,
-              "sigma_dd": blocks["delta"].noise_cov,
-              "sigma_ee": blocks["eps"].noise_cov,
-              "sigma_zz": blocks["zeta"].noise_cov}
-    patterns = {role: PatternMatrix.fixed(v) for role, v in values.items()}
-    spec = SemSpec(dims, patterns, lower=[], upper=[], name="truth")
-    return spec.sigma(np.empty(0))
-
-
 def truth_sigma(true_model: Union[str, dict]) -> np.ndarray:
     """Diffusion covariance Sigma0 of the observed process under a truth."""
-    return _sigma_of_blocks(_truth_blocks(true_model))
+    return diffsim.implied_sigma(diffsim.load_truth(true_model))
 
 
 # -- spec loading --------------------------------------------------------------
-
-_RANK_SCREEN_DRAWS = 3
-
-
-def _reference_rank_ok(spec: SemSpec) -> bool:
-    """Generic-point rank screen for a loaded spec.
-
-    The Jacobian rank is constant off a null set, so full rank at any of a
-    few random interior points certifies the spec; a structurally redundant
-    parameterization fails at every point.
-    """
-    from . import matkit
-    from .semspec import _probe_start
-
-    rng = np.random.default_rng(0)
-    for _ in range(_RANK_SCREEN_DRAWS):
-        theta = _probe_start(spec, rng)
-        try:
-            if matkit.numeric_rank(spec.jacobian(theta)) == spec.q:
-                return True
-        except (NotPositiveDefiniteError, SingularStructureError):
-            continue
-    return False
-
 
 def load_specs(paths: Sequence[str]) -> list[SemSpec]:
     specs = [models.resolve_spec(p) for p in paths]
@@ -227,7 +158,7 @@ def load_specs(paths: Sequence[str]) -> list[SemSpec]:
     if len(set(names)) != len(names):
         raise SpecError(f"duplicate model names in {names}")
     for spec in specs:
-        if not _reference_rank_ok(spec):
+        if not rank_screen(spec):
             raise SpecError(
                 f"model {spec.name!r} fails the identifiability rank screen")
     return specs
@@ -346,11 +277,11 @@ def run_experiment(config: ExperimentConfig):
     specs = load_specs(config.model_spec_paths)
     _check_grid(config.n_values, specs)
     model_ids = [s.name for s in specs]
-    truth = _truth_blocks(config.true_model)
+    truth = diffsim.load_truth(config.true_model)
 
     inits: list[Optional[np.ndarray]] = [None] * len(specs)
     if config.init_mode == "true":
-        optima = _limit_optima(specs, _sigma_of_blocks(truth), config)
+        optima = _limit_optima(specs, diffsim.implied_sigma(truth), config)
         inits = [theta_bar for theta_bar, _ in optima]
     results = _replicate(config, specs, inits, truth)
 
@@ -404,17 +335,19 @@ def gap_growth_probe(config: ExperimentConfig, model_a: str, model_b: str,
 
     ``model_a`` must be correctly specified for the configured truth (its
     limit optimum must reproduce the truth's covariance); the analytic
-    level is twice the difference of the limit-criterion values.  Both
-    models are fitted from their limit optima on :func:`run_experiment`'s
-    replications; a failed fit raises :class:`AllStartsFailedError`.
+    level is twice the difference of the limit-criterion values.  The specs
+    come from :func:`load_specs`, so a model probed against itself raises
+    :class:`SpecError`.  Both models are fitted from their limit optima on
+    :func:`run_experiment`'s replications; a failed fit raises
+    :class:`AllStartsFailedError`.
     """
     config.validate()
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
-    specs = [models.resolve_spec(model_a), models.resolve_spec(model_b)]
+    specs = load_specs([model_a, model_b])
     _check_grid(config.n_values, specs)
-    truth = _truth_blocks(config.true_model)
-    sigma0 = _sigma_of_blocks(truth)
+    truth = diffsim.load_truth(config.true_model)
+    sigma0 = diffsim.implied_sigma(truth)
 
     (theta_a, lim_a), (theta_b, lim_b) = _limit_optima(specs, sigma0, config)
     fit_gap = np.linalg.norm(specs[0].sigma(theta_a) - sigma0) / np.linalg.norm(sigma0)

@@ -29,7 +29,7 @@ from . import matkit
 from .errors import NotPositiveDefiniteError, RankDeficientError
 from .qlik import fisher_information
 from .qmle import FitReport
-from .semspec import SemSpec
+from .semspec import SemSpec, jacobian_rank
 
 __all__ = [
     "CriteriaRow",
@@ -115,13 +115,11 @@ def gamma_zero(spec: SemSpec, theta0: np.ndarray,
     column rank, :class:`NotPositiveDefiniteError` when sigma0 is not PD.
     """
     _, sigma0_inv = matkit.chol_logdet(sigma0)
-    d_sigma = spec.forward(theta0, 1)[1]
-    rows, cols = matkit.vech_indices(spec.p)
-    delta0 = d_sigma[:, rows, cols].T
-    rank = matkit.numeric_rank(delta0)
+    delta0, rank = jacobian_rank(spec, theta0)
     if rank < spec.q:
         raise RankDeficientError(
             f"covariance Jacobian of {spec.name!r} has rank {rank} < q={spec.q}")
+    d_sigma = spec.forward(theta0, 1)[1]
     return GammaZero(gamma0=fisher_information(d_sigma, sigma0_inv),
                      delta0=delta0)
 

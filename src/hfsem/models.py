@@ -20,11 +20,11 @@ accepts either a file path or a builtin name.
 
 from __future__ import annotations
 
-import importlib.resources
 import os
 
 import numpy as np
 
+from . import _doc
 from .errors import SpecError
 from .semspec import SemSpec
 
@@ -43,25 +43,19 @@ THETA2_TRUE = np.array(
     [3, 4, 6, 3, 2, 0, 2, 4, 3, 2, 9, 4, 1, 4, 9, 25, 1, 4, 1, 9, 4, 9, 1],
     dtype=float)
 
-_MODEL_FILES = importlib.resources.files("hfsem").joinpath("model_files")
-
 
 def builtin_names() -> list[str]:
     """Stems of the bundled ``model_files/*.json`` documents, sorted."""
-    return sorted(f.name[:-len(".json")] for f in _MODEL_FILES.iterdir()
-                  if f.name.endswith(".json"))
-
-
-def builtin_file(name: str):
-    """Path-like handle to the bundled JSON document for ``name``."""
-    if name not in builtin_names():
-        raise SpecError(f"unknown builtin model {name!r}; have {builtin_names()}")
-    return _MODEL_FILES.joinpath(f"{name}.json")
+    return _doc.bundled_names("model_files")
 
 
 def load_builtin(name: str) -> SemSpec:
     """Load one of the bundled model documents by name."""
-    return SemSpec.from_json(builtin_file(name))
+    try:
+        doc = _doc.read_bundled("model_files", name, "builtin model")
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
+    return SemSpec.from_dict(doc)
 
 
 def resolve_spec(path_or_name: str) -> SemSpec:

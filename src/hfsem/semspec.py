@@ -44,7 +44,9 @@ __all__ = [
     "SemSpec",
     "IdentifiabilityReport",
     "check_identifiability",
+    "jacobian_rank",
     "nested_embedding",
+    "rank_screen",
 ]
 
 SCHEMA_VERSION = "hfsem-spec-v1"
@@ -69,6 +71,7 @@ _ROLES = tuple(_LAYOUT)
 _DIMS = ("p1", "p2", "k1", "k2")
 
 _PSI_COND_LIMIT = 1e12
+_RANK_SCREEN_DRAWS = 3
 _PREIMAGE_TOL = 1e-8        # check_identifiability: Sigma reproduced
 _WITNESS_MIN_DIST = 1e-6    # check_identifiability: a distinct preimage
 
@@ -134,11 +137,11 @@ def _swap(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
-def _invert_psi(b: np.ndarray, name: str) -> np.ndarray:
+def _invert_psi(b: np.ndarray, what: str) -> np.ndarray:
+    """inv(I - b); ``SingularStructureError`` naming ``what`` for b."""
     psi = np.eye(b.shape[0]) - b
     if np.linalg.cond(psi) > _PSI_COND_LIMIT:
-        raise SingularStructureError(
-            f"I - b is numerically singular for model {name!r}")
+        raise SingularStructureError(f"I - {what} is numerically singular")
     return np.linalg.inv(psi)
 
 
@@ -240,7 +243,7 @@ class SemSpec:
         if not self._units[1][:, self.k1:, self.k1:].any():
             try:
                 self._psi_inv = _invert_psi(self._bases[1][self.k1:, self.k1:],
-                                            self.name)
+                                            f"b of model {self.name!r}")
             except SingularStructureError as exc:
                 raise SpecError(str(exc)) from exc
 
@@ -272,7 +275,7 @@ class SemSpec:
         k1 = self.k1
         psi_inv = self._psi_inv
         if psi_inv is None:
-            psi_inv = _invert_psi(beta[k1:, k1:], self.name)
+            psi_inv = _invert_psi(beta[k1:, k1:], f"b of model {self.name!r}")
         a = np.eye(k1 + self.k2)
         a[k1:, :k1] = psi_inv @ beta[k1:, :k1]
         a[k1:, k1:] = psi_inv
@@ -407,6 +410,27 @@ def _probe_start(spec: SemSpec, rng: np.random.Generator) -> np.ndarray:
     return theta
 
 
+def jacobian_rank(spec: SemSpec, theta: np.ndarray) -> tuple[np.ndarray, int]:
+    """``spec.jacobian(theta)`` and its numeric rank: the one rank test of
+    the rank screen, the identifiability check and ``gamma_zero``."""
+    jac = spec.jacobian(theta)
+    return jac, matkit.numeric_rank(jac)
+
+
+def rank_screen(spec: SemSpec) -> bool:
+    """Whether the Jacobian has full rank at one of a few random interior
+    points.  The rank is constant off a null set, so that certifies the
+    spec; a structurally redundant parameterization fails at every point."""
+    rng = np.random.default_rng(0)
+    for _ in range(_RANK_SCREEN_DRAWS):
+        try:
+            if jacobian_rank(spec, _probe_start(spec, rng))[1] == spec.q:
+                return True
+        except SingularStructureError:
+            continue
+    return False
+
+
 def check_identifiability(spec: SemSpec, theta0: np.ndarray, trials: int = 50,
                           seed: int = 0) -> IdentifiabilityReport:
     """Check the rank condition and probe local injectivity at ``theta0``.
@@ -419,8 +443,7 @@ def check_identifiability(spec: SemSpec, theta0: np.ndarray, trials: int = 50,
     least ``_WITNESS_MIN_DIST``) is recorded as a failure witness.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    delta0 = spec.jacobian(theta0)
-    rank = matkit.numeric_rank(delta0)
+    delta0, rank = jacobian_rank(spec, theta0)
     rank_ok = rank == spec.q
 
     collinear = None

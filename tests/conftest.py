@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -224,9 +227,9 @@ def oneshot_simulate_ou(block, n, T, rng):
 
 
 def oneshot_simulate_custom(tb, n, T, seed):
-    """Reference for ``diffsim.simulate_custom`` on a ``true_blocks()``-style
-    dict: whole latent paths, ``eta`` by ``solve`` and one stacked
-    assembly.  Returns the observed and latent arrays by name."""
+    """Reference for ``diffsim.simulate_custom`` on a truth from
+    ``diffsim.load_truth``: whole latent paths, ``eta`` by ``solve`` and one
+    stacked assembly.  Returns the observed and latent arrays by name."""
     streams = diffsim._block_streams(seed)
     paths = {name: oneshot_simulate_ou(tb[name], n, T, rng)
              for name, rng in zip(("xi", "delta", "eps", "zeta"), streams)}
@@ -237,6 +240,13 @@ def oneshot_simulate_custom(tb, n, T, seed):
     x_obs = np.hstack([xi @ tb["lambda_x1"].T + paths["delta"],
                        eta @ tb["lambda_x2"].T + paths["eps"]])
     return dict(paths, eta=eta, x_obs=x_obs)
+
+
+def bundled_truth_doc():
+    """The document of the study's bundled truth, as a dict."""
+    path = (pathlib.Path(diffsim.__file__).parent / "truth_files"
+            / f"{diffsim.TRUE_MODEL_NAME}.json")
+    return json.loads(path.read_text())
 
 
 def interior_theta(spec, rng, spread=0.3, around=None):

@@ -5,7 +5,7 @@ import pytest
 
 from hfsem import diffsim
 from hfsem.errors import SingularStructureError
-from tests.conftest import oneshot_simulate_custom
+from tests.conftest import bundled_truth_doc, oneshot_simulate_custom
 
 CHUNK = diffsim._CHUNK_ROWS
 # Path lengths on both sides of the one- and two-chunk boundaries.
@@ -111,13 +111,13 @@ class TestTrueModel:
         assert b.x_obs.shape == (401, 10)
 
     def test_assembly_identity(self, bundle_1e4):
-        tb = diffsim.true_blocks()
+        tb = diffsim.load_truth("true4-6")
         x1 = bundle_1e4.xi @ tb["lambda_x1"].T + bundle_1e4.delta
         x2 = bundle_1e4.eta @ tb["lambda_x2"].T + bundle_1e4.eps
         assert np.abs(bundle_1e4.x_obs - np.hstack([x1, x2])).max() < 1e-12
 
     def test_eta_is_structural_solution(self, bundle_1e4):
-        tb = diffsim.true_blocks()
+        tb = diffsim.load_truth("true4-6")
         resid = bundle_1e4.eta - (bundle_1e4.xi @ tb["gamma"].T + bundle_1e4.zeta)
         assert np.abs(resid).max() < 1e-12
 
@@ -156,19 +156,19 @@ class TestTrueModel:
 
 class TestSimulateCustom:
     def test_matches_true_model_bit_for_bit(self):
-        tb = diffsim.true_blocks()
+        tb = diffsim.load_truth("true4-6")
         a = diffsim.simulate_custom(**tb, n=200, T=1.0, seed=5)
         b = diffsim.simulate_true_model(200, 1.0, seed=5)
         assert np.array_equal(a.x_obs, b.x_obs)
 
     def test_zero_loadings_give_pure_noise_block(self):
-        tb = diffsim.true_blocks()
+        tb = diffsim.load_truth("true4-6")
         tb["lambda_x2"] = np.zeros((6, 2))
         out = diffsim.simulate_custom(**tb, n=100, T=1.0, seed=3)
         assert np.array_equal(out.x_obs[:, 4:], out.eps)
 
     def test_structural_feedback_solved_exactly(self):
-        tb = diffsim.true_blocks()
+        tb = diffsim.load_truth("true4-6")
         tb["b0"] = np.array([[0.0, 0.0], [0.6, 0.0]])  # strictly lower triangular
         out = diffsim.simulate_custom(**tb, n=100, T=1.0, seed=3)
         psi = np.eye(2) - tb["b0"]
@@ -176,13 +176,13 @@ class TestSimulateCustom:
         assert np.abs(resid).max() < 1e-12
 
     def test_singular_structure_rejected(self):
-        tb = diffsim.true_blocks()
+        tb = diffsim.load_truth("true4-6")
         tb["b0"] = np.array([[0.0, 1.0], [1.0, 0.0]])  # I - b0 singular
         with pytest.raises(SingularStructureError):
             diffsim.simulate_custom(**tb, n=10, T=1.0, seed=0)
 
     def test_dimension_mismatch_rejected(self):
-        tb = diffsim.true_blocks()
+        tb = diffsim.load_truth("true4-6")
         tb["xi"], tb["zeta"] = tb["zeta"], tb["xi"]
         with pytest.raises(ValueError):
             diffsim.simulate_custom(**tb, n=10, T=1.0, seed=0)
@@ -192,7 +192,7 @@ class TestSimulateCustom:
         params = inspect.signature(diffsim.simulate_custom).parameters
         for name in ("n", "T", "seed", "keep_latents", "transitions"):
             assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
-        tb = diffsim.true_blocks()
+        tb = diffsim.load_truth("true4-6")
         with pytest.raises(TypeError):
             diffsim.simulate_custom(*tb.values(), 10, 1.0, 0)
 
@@ -203,12 +203,99 @@ class TestSimulateCustom:
         ("b0", (1, 0, np.nan)),
     ])
     def test_non_finite_input_rejected(self, name, bad):
-        tb = diffsim.true_blocks()
+        tb = diffsim.load_truth("true4-6")
         row, col, value = bad
         tb[name] = np.array(tb[name], dtype=float)
         tb[name][row, col] = value
         with pytest.raises(ValueError, match=name):
             diffsim.simulate_custom(**tb, n=50, T=1.0, seed=0)
+
+
+# Edits of the bundled truth that break one cross-check, and the message
+# that names the key, after the reader's ``true_model.`` prefix.
+BROKEN_TRUTHS = {
+    "delta-vs-lambda_x1": ("lambda_x1", [[1.0], [3.0], [4.0]],
+                           r"delta has dimension 4, expected 3"),
+    "xi-vs-lambda_x1": ("lambda_x1", [[1.0, 0.0]] * 4,
+                        r"xi has dimension 1, expected 2"),
+    "gamma-shape": ("gamma", [[3.0, 1.0], [2.0, 1.0]],
+                    r"gamma has shape \(2, 2\), expected \(2, 1\)"),
+    "b0-shape": ("b0", [[0.0]], r"b0 has shape \(1, 1\), expected \(2, 2\)"),
+    "b0-diagonal": ("b0", [[0.5, 0.0], [0.0, 0.0]],
+                    r"b0 must have a zero diagonal"),
+    "gamma-nan": ("gamma", [[float("nan")], [2.0]],
+                  r"gamma must be a matrix of finite numbers"),
+    "lambda_x2-3d": ("lambda_x2", [[[1.0]]],
+                     r"lambda_x2 must be a matrix of finite numbers"),
+}
+
+
+class TestLoadTruth:
+    """The one reader of truths, and the cross-checks it shares with
+    ``simulate_custom``."""
+
+    def test_bundled_truth_is_the_study_truth(self):
+        # true4-6 as the package first wrote it, as Python literals
+        expected = {
+            "xi": diffsim.OuBlock(1, [[2.0]], [5.0], [[3.0]], [3.0]),
+            "delta": diffsim.OuBlock(
+                4, np.diag([5.0, 2.0, 1.0, 3.0]), [4.0, 2.0, 1.0, 2.0],
+                np.diag([2.0, 1.0, 2.0, 3.0]), np.zeros(4)),
+            "eps": diffsim.OuBlock(
+                6, np.diag([1.0, 5.0, 2.0, 3.0, 2.0, 2.0]),
+                [2.0, 1.0, 3.0, 2.0, 1.0, 4.0],
+                np.diag([5.0, 1.0, 2.0, 1.0, 3.0, 2.0]), np.zeros(6)),
+            "zeta": diffsim.OuBlock(2, np.diag([3.0, 2.0]), [1.0, 2.0],
+                                    np.diag([3.0, 1.0]), np.zeros(2)),
+            "lambda_x1": np.array([[1.0], [3.0], [4.0], [6.0]]),
+            "lambda_x2": np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0],
+                                   [0.0, 1.0], [0.0, 2.0], [0.0, 4.0]]),
+            "gamma": np.array([[3.0], [2.0]]),
+            "b0": np.zeros((2, 2)),
+        }
+        tb = diffsim.load_truth(diffsim.TRUE_MODEL_NAME)
+        assert list(tb) == list(expected)
+        for key, want in expected.items():
+            got = tb[key]
+            if isinstance(want, diffsim.OuBlock):
+                assert got.dim == want.dim
+                pairs = [(getattr(got, f), getattr(want, f)) for f in
+                         ("mean_reversion", "level", "dispersion", "init")]
+            else:
+                pairs = [(got, want)]
+            for g, w in pairs:
+                assert g.dtype == w.dtype and np.array_equal(g, w), key
+
+    def test_document_and_name_read_alike(self):
+        by_name = diffsim.load_truth(diffsim.TRUE_MODEL_NAME)
+        by_doc = diffsim.load_truth(bundled_truth_doc())
+        assert np.array_equal(diffsim.implied_sigma(by_name),
+                              diffsim.implied_sigma(by_doc))
+
+    def test_unknown_name_lists_the_bundled_truths(self):
+        with pytest.raises(ValueError, match=r"unknown true model 'true9'; "
+                                             r"have \['true4-6'"):
+            diffsim.load_truth("true9")
+
+    @pytest.mark.parametrize("case", BROKEN_TRUTHS)
+    def test_cross_checks_named(self, case):
+        key, value, message = BROKEN_TRUTHS[case]
+        doc = {**bundled_truth_doc(), key: value}
+        with pytest.raises(ValueError, match=rf"^true_model\.{message}"):
+            diffsim.load_truth(doc)
+
+    @pytest.mark.parametrize("case", BROKEN_TRUTHS)
+    def test_simulate_custom_runs_the_same_checks(self, case):
+        key, value, message = BROKEN_TRUTHS[case]
+        tb = {**diffsim.load_truth(diffsim.TRUE_MODEL_NAME), key: value}
+        with pytest.raises(ValueError, match=rf"^{message}"):
+            diffsim.simulate_custom(**tb, n=10, T=1.0, seed=0)
+
+    def test_singular_structure_named(self):
+        doc = {**bundled_truth_doc(), "b0": [[0.0, 1.0], [1.0, 0.0]]}
+        with pytest.raises(SingularStructureError,
+                           match=r"I - true_model\.b0 is numerically singular"):
+            diffsim.load_truth(doc)
 
 
 class TestGridTransitions:
@@ -235,7 +322,7 @@ class TestGridTransitions:
                                           getattr(own, name)), name
 
     def test_transitions_of_another_grid_rejected(self):
-        tb = diffsim.true_blocks()
+        tb = diffsim.load_truth("true4-6")
         transitions = diffsim.grid_transitions(tb, 200, 1.0)
         with pytest.raises(ValueError, match="step"):
             diffsim.simulate_custom(**tb, n=100, T=1.0, seed=0,
@@ -247,7 +334,7 @@ class TestGridTransitions:
 
 def truth_variant(kind):
     """The bundled truth with one change."""
-    tb = diffsim.true_blocks()
+    tb = diffsim.load_truth("true4-6")
     if kind == "non_diagonal":
         # a coupled block, and dense second-block loadings so every product
         # of the assembly sums two nonzero terms

@@ -1,14 +1,17 @@
 import functools
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from hfsem import diffsim, harness, models, qmle
-from hfsem.errors import AllStartsFailedError, SpecError
+from hfsem.errors import (AllStartsFailedError, SingularStructureError,
+                          SpecError)
 from hfsem.infocrit import criteria_row
 from hfsem.qlik import LikelihoodSurface, quad_var
-from tests.conftest import make_degenerate_model
+from tests.conftest import bundled_truth_doc, make_degenerate_model
 
 
 def small_config(**overrides):
@@ -45,6 +48,15 @@ def custom_truth():
     }
 
 
+def readme_truth():
+    """The custom truth of the README's example (p1 = p2 = 2, k1 = k2 = 1)."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md")
+    docs = [json.loads(text) for text in
+            re.findall(r"```json\n(.*?)```", readme.read_text(), re.DOTALL)]
+    (truth,) = [doc for doc in docs if "xi" in doc]
+    return truth
+
+
 class TestConfig:
     def test_json_round_trip(self, tmp_path):
         config = small_config(criteria=["qbic2"], starts=3, workers=2)
@@ -79,6 +91,31 @@ class TestConfig:
     def test_numbers_checked(self, key, value):
         with pytest.raises(ValueError, match=rf"^{key}(\[\d+\])? must be"):
             small_config(**{key: value}).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_values", [100, 1000, 100]), ("criteria", ["qbic1", "qbic1"])])
+    def test_repeats_rejected(self, key, value):
+        with pytest.raises(ValueError, match=rf"^{key} must not repeat"):
+            small_config(**{key: value}).validate()
+
+    @pytest.mark.parametrize("key, value, message", [
+        # a 3-dimensional delta against the two rows of lambda_x1
+        ("delta", {"mean_reversion": np.eye(3).tolist(), "level": [0.0] * 3,
+                   "dispersion": np.eye(3).tolist()},
+         r"^true_model\.delta has dimension 3"),
+        ("b0", [[0.0, 0.0], [0.0, 0.0]], r"^true_model\.b0 has shape")],
+        ids=["delta-3d", "b0-2x2"])
+    def test_truth_cross_checked(self, key, value, message):
+        doc = {**small_config().to_dict(),
+               "true_model": {**readme_truth(), key: value}}
+        with pytest.raises(ValueError, match=message) as err:
+            harness.ExperimentConfig.from_dict(doc)
+        assert "pattern" not in str(err.value)  # no model-spec role
+
+    def test_truth_singular_structure_rejected(self):
+        truth = {**bundled_truth_doc(), "b0": [[0.0, 1.0], [1.0, 0.0]]}
+        with pytest.raises(SingularStructureError, match=r"true_model\.b0"):
+            small_config(true_model=truth).validate()
 
     def test_schema_enforced(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -123,9 +160,9 @@ class TestTruthSigma:
         assert np.abs(sigma - sigma0_oracle).max() < 1e-12
 
     def test_nontrivial_structure_matrix(self):
-        tb = diffsim.true_blocks()
+        tb = diffsim.load_truth("true4-6")
         tb["b0"] = np.array([[0.0, 0.0], [0.5, 0.0]])
-        sigma = harness._sigma_of_blocks(tb)
+        sigma = diffsim.implied_sigma(tb)
         psi_inv = np.linalg.inv(np.eye(2) - tb["b0"])
         a2 = tb["lambda_x2"] @ psi_inv
         m = tb["gamma"] @ np.array([[9.0]]) @ tb["gamma"].T + np.diag([9.0, 1.0])
@@ -226,7 +263,7 @@ class TestRunExperiment:
         truth = custom_truth()
         sigma = harness.truth_sigma(truth)
         assert sigma.shape == (4, 4)
-        bundle = diffsim.simulate_custom(**harness._truth_blocks(truth),
+        bundle = diffsim.simulate_custom(**diffsim.load_truth(truth),
                                          n=50, T=1.0, seed=1)
         assert bundle.x_obs.shape == (51, 4)
 
@@ -237,7 +274,7 @@ class TestRunExperiment:
         truth = custom_truth()
         del (truth if where is None else truth[where])[key]
         with pytest.raises(ValueError, match=key):
-            harness._truth_blocks(truth)
+            diffsim.load_truth(truth)
 
     @pytest.mark.parametrize("where, key, value, message", [
         (None, "bo", [[0.0]], r"true_model has unknown keys \['bo'\]"),
@@ -254,7 +291,7 @@ class TestRunExperiment:
         truth = custom_truth()
         (truth if where is None else truth[where])[key] = value
         with pytest.raises(ValueError, match=message):
-            harness._truth_blocks(truth)
+            diffsim.load_truth(truth)
 
 
 class TestRendering:
@@ -289,7 +326,7 @@ class TestRendering:
 
 
 PROBE_CASES = [("model1", "model3", "qbic1"), ("model1", "model2", "qbic2"),
-               ("model1", "model1", "qaic")]
+               ("model2", "model1", "qaic")]
 
 
 def probe_config(**overrides):
@@ -304,8 +341,8 @@ def direct_gap_probe(model_a, model_b, criterion):
     in one plain loop."""
     config = probe_config()
     specs = [models.resolve_spec(m) for m in (model_a, model_b)]
-    truth = harness._truth_blocks(config.true_model)
-    sigma0 = harness._sigma_of_blocks(truth)
+    truth = diffsim.load_truth(config.true_model)
+    sigma0 = diffsim.implied_sigma(truth)
     (theta_a, lim_a), (theta_b, lim_b) = [
         qmle.limit_optimum(spec, sigma0, starts=max(config.starts, 4),
                            seed=config.master_seed) for spec in specs]
@@ -329,11 +366,28 @@ def direct_gap_probe(model_a, model_b, criterion):
 
 
 class TestGapProbe:
-    def test_same_model_level_zero(self):
+    def test_same_model_level_zero(self, tmp_path):
+        # model1 against a copy of itself under another name
+        copy = models.load_builtin("model1")
+        copy.name = "model1_copy"
+        copy.to_json(tmp_path / "copy.json")
         config = small_config(n_values=[2000], replications=3)
-        out = harness.gap_growth_probe(config, "model1", "model1")
+        out = harness.gap_growth_probe(config, "model1",
+                                       str(tmp_path / "copy.json"))
         assert out.analytic_level == 0.0
         assert abs(out.level) < 0.01
+
+    def test_same_model_rejected(self, monkeypatch):
+        monkeypatch.setattr(harness, "limit_optimum", lambda *args, **kwargs:
+                            pytest.fail("limit optimum ran before the check"))
+        with pytest.raises(SpecError, match="duplicate model names"):
+            harness.gap_growth_probe(small_config(), "model1", "model1")
+
+    def test_specs_rank_screened(self, tmp_path):
+        path = tmp_path / "degenerate.json"
+        make_degenerate_model().to_json(path)
+        with pytest.raises(SpecError, match="rank screen"):
+            harness.gap_growth_probe(small_config(), "model1", str(path))
 
     def test_both_correct_log_n_dominated(self):
         config = small_config(n_values=[2000], replications=4)
@@ -401,7 +455,7 @@ class TestSimulatorEntries:
 
     def test_gap_probe(self, entries):
         harness.gap_growth_probe(small_config(n_values=[100, 200], replications=2),
-                                 "model1", "model1", criterion="qaic")
+                                 "model1", "model2", criterion="qaic")
         assert entries == [100, 100, 200, 200]
 
 
@@ -432,5 +486,5 @@ class TestTransitionBuilds:
     def test_gap_probe(self, builds, replications):
         harness.gap_growth_probe(
             small_config(n_values=[100, 200], replications=replications),
-            "model1", "model1", criterion="qaic")
+            "model1", "model2", criterion="qaic")
         assert builds == [1 / 100] * 4 + [1 / 200] * 4

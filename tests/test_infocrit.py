@@ -82,6 +82,10 @@ class TestGammaZero:
         out = infocrit.gamma_zero(model2, models.THETA2_TRUE, sigma0_oracle)
         assert np.linalg.eigvalsh(out.gamma0).min() > 0
 
+    def test_delta0_is_the_jacobian(self, model1, sigma0_oracle):
+        out = infocrit.gamma_zero(model1, models.THETA1_TRUE, sigma0_oracle)
+        assert np.array_equal(out.delta0, model1.jacobian(models.THETA1_TRUE))
+
     def test_rank_deficient_spec_rejected(self, degenerate_model):
         theta = np.array([2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
         sigma = degenerate_model.sigma(theta)

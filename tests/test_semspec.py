@@ -10,7 +10,8 @@ from hfsem import matkit, models
 from hfsem.errors import SingularStructureError, SpecError
 from hfsem.qlik import LikelihoodSurface
 from hfsem.semspec import (Fixed, Free, PatternMatrix, SemSpec,
-                           check_identifiability, nested_embedding)
+                           check_identifiability, jacobian_rank,
+                           nested_embedding, rank_screen)
 from tests.conftest import (interior_theta, make_sign_flip_spec,
                             make_structural_spec)
 
@@ -307,6 +308,23 @@ class TestSpecValidation:
         assert np.array_equal(spec.forward(theta, 1)[1][9], expected)
         assert not spec.positive_mask[9]
         assert spec.positive_mask[[8, 10]].all()
+
+
+class TestJacobianRank:
+    """One rank test for the rank screen, the identifiability check and
+    ``gamma_zero``."""
+
+    def test_is_the_jacobian_and_its_rank(self, model1, degenerate_model):
+        jac, rank = jacobian_rank(model1, models.THETA1_TRUE)
+        assert np.array_equal(jac, model1.jacobian(models.THETA1_TRUE))
+        assert rank == 22
+        theta = np.array([2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        assert jacobian_rank(degenerate_model, theta)[1] < degenerate_model.q
+
+    def test_rank_screen_verdicts(self, model1, model2, model3,
+                                  degenerate_model):
+        assert all(map(rank_screen, (model1, model2, model3)))
+        assert not rank_screen(degenerate_model)
 
 
 class TestIdentifiability:

@@ -6,9 +6,10 @@ import json
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
-from hfsem import harness
+from hfsem import diffsim, harness
 from hfsem.semspec import SemSpec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -91,6 +92,18 @@ def test_json_read_and_written_in_one_module():
     importers = sorted(path.name for path in SRC.glob("*.py")
                        if re.search(r"^import json$", path.read_text(), re.M))
     assert importers == ["_doc.py"]
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "truth_files").glob("*.json")),
+                         ids=lambda p: p.name)
+def test_truth_files_load(path):
+    # A bundled truth is read by its stem, is a valid config's true_model,
+    # and implies a positive-definite covariance.
+    diffsim.load_truth(path.stem)
+    harness.ExperimentConfig(n_values=[100], T=1.0, replications=1,
+                             master_seed=0, model_spec_paths=["model1"],
+                             true_model=path.stem).validate()
+    assert np.linalg.eigvalsh(harness.truth_sigma(path.stem)).min() > 0
 
 
 README_JSON = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(),
