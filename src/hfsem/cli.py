@@ -18,7 +18,7 @@ import numpy as np
 from . import _doc, diffsim, harness, infocrit, models
 from .errors import HfsemError
 from .qlik import LikelihoodSurface, quad_var
-from .qmle import FitReport, fit, fit_multistart
+from .qmle import FitReport, fit_multistart
 
 logger = logging.getLogger(__name__)
 
@@ -134,10 +134,7 @@ def fit_command(spec_path: str, data_path: str, horizon: float,
         init = np.loadtxt(init_path, delimiter=",").ravel()
     if starts is None:
         starts = 1 if init is not None else 8
-    if starts == 1:
-        report = fit(surface, init=init)
-    else:
-        report = fit_multistart(surface, starts=starts, seed=seed, init=init)
+    report = fit_multistart(surface, starts=starts, seed=seed, init=init)
     _doc.write_json(report.to_dict(), out)
     click.echo(f"wrote {out} (loglik {report.h_at_hat:.4f}, "
                f"converged={report.converged})")

@@ -23,7 +23,6 @@ from __future__ import annotations
 import logging
 import math
 import multiprocessing
-import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional, Sequence, Union
 
@@ -125,7 +124,6 @@ class SelectionTable:
     counts: dict                      # (criterion, n) -> {model_id: count}
     failures: dict                    # n -> failed replications
     replications: int
-    runtime_seconds: float = 0.0
 
     def share(self, criterion: str, n: int, model_id: str) -> float:
         good = self.replications - self.failures.get(n, 0)
@@ -164,15 +162,25 @@ def load_specs(paths: Sequence[str]) -> list[SemSpec]:
     return specs
 
 
-def _check_grid(n_values: Sequence[int], specs: Sequence[SemSpec]) -> None:
-    """Reject grid sizes below a model's observed dimension: with n < p
+def _load_study(config: ExperimentConfig,
+                paths: Sequence[str]) -> tuple[list[SemSpec], dict]:
+    """The specs at ``paths`` and the config's truth, each spec checked
+    against the series the truth observes (the factor dimensions may
+    differ: candidates vary them) and against the grid: with n < p
     increments Q is singular and the fit runs off to the box."""
+    specs = load_specs(paths)
+    truth = diffsim.load_truth(config.true_model)
+    p = truth["lambda_x1"].shape[0] + truth["lambda_x2"].shape[0]
     for spec in specs:
-        for n in n_values:
+        if spec.p != p:
+            raise ValueError(f"model {spec.name!r} observes p={spec.p} "
+                             f"series, but true_model observes p={p}")
+        for n in config.n_values:
             if n < spec.p:
                 raise ValueError(
                     f"grid size n={n} is below p={spec.p}, the observed "
                     f"dimension of {spec.name!r}")
+    return specs, truth
 
 
 # -- per-replication work ------------------------------------------------------
@@ -273,11 +281,8 @@ def run_experiment(config: ExperimentConfig):
     merged in task order.
     """
     config.validate()
-    t0 = time.time()
-    specs = load_specs(config.model_spec_paths)
-    _check_grid(config.n_values, specs)
+    specs, truth = _load_study(config, config.model_spec_paths)
     model_ids = [s.name for s in specs]
-    truth = diffsim.load_truth(config.true_model)
 
     inits: list[Optional[np.ndarray]] = [None] * len(specs)
     if config.init_mode == "true":
@@ -301,8 +306,7 @@ def run_experiment(config: ExperimentConfig):
                            n_values=[int(n) for n in config.n_values],
                            model_ids=model_ids, counts=counts,
                            failures=failures,
-                           replications=config.replications,
-                           runtime_seconds=time.time() - t0)
+                           replications=config.replications)
     table.validate()
     return table, records
 
@@ -344,9 +348,7 @@ def gap_growth_probe(config: ExperimentConfig, model_a: str, model_b: str,
     config.validate()
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
-    specs = load_specs([model_a, model_b])
-    _check_grid(config.n_values, specs)
-    truth = diffsim.load_truth(config.true_model)
+    specs, truth = _load_study(config, [model_a, model_b])
     sigma0 = diffsim.implied_sigma(truth)
 
     (theta_a, lim_a), (theta_b, lim_b) = _limit_optima(specs, sigma0, config)

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-8
+_RANK_REL_TOL = 1e-8
 
 
 def check_symmetric(a: np.ndarray) -> np.ndarray:
@@ -100,14 +101,12 @@ def _chol_logdet(a: np.ndarray) -> tuple[float, np.ndarray]:
     return logdet, 0.5 * (inv + inv.T)
 
 
-def numeric_rank(a: np.ndarray, rel_tol: float = 1e-8) -> int:
-    """Number of singular values above ``rel_tol`` times the largest one."""
+def numeric_rank(a: np.ndarray) -> int:
+    """Number of singular values above ``_RANK_REL_TOL`` times the largest."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError("rel_tol must lie in (0, 1)")
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return int(np.sum(s > _RANK_REL_TOL * s[0]))

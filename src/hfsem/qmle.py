@@ -10,7 +10,9 @@ the KKT test, so a valid optimum on a bound counts as converged.
 
 ``fit`` performs a single start, ``fit_multistart`` adds Latin-hypercube
 starts drawn on the moment start's scale and keeps the best run, and
-``limit_optimum`` maximizes the in-fill limit criterion the same way.
+``limit_optimum`` maximizes the in-fill limit criterion the same way.  The
+moment start is ``semspec.moment_start``, so this module reads nothing of a
+spec's layout.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import _doc
 from .errors import (AllStartsFailedError, NotPositiveDefiniteError,
                      SingularStructureError)
 from .qlik import LikelihoodSurface, QuadVar
-from .semspec import SemSpec
+from .semspec import SemSpec, moment_start
 
 __all__ = [
     "FitOptions",
@@ -35,7 +37,6 @@ __all__ = [
     "fit",
     "fit_multistart",
     "limit_optimum",
-    "moment_start",
 ]
 
 logger = logging.getLogger(__name__)
@@ -270,39 +271,3 @@ def limit_optimum(spec: SemSpec, sigma0: np.ndarray, starts: int = 8,
     report = fit_multistart(surface, starts=starts, seed=seed,
                             options=FitOptions(compute_hessian=False))
     return report.theta_hat, report.h_at_hat
-
-
-def moment_start(spec: SemSpec, q_xx: np.ndarray) -> np.ndarray:
-    """Moment-style default start.
-
-    Loadings start at 1, factor regressions at 0.5, structural loadings at
-    0; unique variances take half the matching diagonal of ``q_xx`` and
-    common-factor variances half the mean diagonal of their block, so the
-    implied diagonal starts on the right scale.  The result is clipped into
-    the box.
-    """
-    from .semspec import Free
-
-    p1 = spec.p1
-    diag = np.diag(q_xx)
-    block1 = float(diag[:p1].mean())
-    block2 = float(diag[p1:].mean())
-    theta = np.zeros(spec.q)
-    defaults = {
-        "lambda_x1": lambda i, j: 1.0,
-        "lambda_x2": lambda i, j: 1.0,
-        "b": lambda i, j: 0.0,
-        "gamma": lambda i, j: 0.5,
-        "sigma_xixi": lambda i, j: 0.5 * block1 if i == j else 0.0,
-        "sigma_dd": lambda i, j: 0.5 * diag[i] if i == j else 0.0,
-        "sigma_ee": lambda i, j: 0.5 * diag[p1 + i] if i == j else 0.0,
-        "sigma_zz": lambda i, j: 0.5 * block2 if i == j else 0.0,
-    }
-    for role, rule in defaults.items():
-        pat = spec.patterns[role]
-        for i in range(pat.rows):
-            for j in range(pat.cols):
-                cell = pat[i, j]
-                if isinstance(cell, Free):
-                    theta[cell.index] = rule(i, j)
-    return np.clip(theta, spec.lower, spec.upper)

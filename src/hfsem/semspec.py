@@ -22,6 +22,10 @@ product rule once to unit stacks built at construction and returns Sigma
 with its first and, on request, second derivatives in theta; ``sigma``
 and ``jacobian`` (the vech rows of the first-derivative stack) come from
 that forward pass.
+
+The bases and unit stacks are the one record of the model layout:
+``moment_start`` and ``nested_embedding`` read them, not the pattern cells,
+and no other module reads either.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ __all__ = [
     "IdentifiabilityReport",
     "check_identifiability",
     "jacobian_rank",
+    "moment_start",
     "nested_embedding",
     "rank_screen",
 ]
@@ -505,54 +510,47 @@ def check_identifiability(spec: SemSpec, theta0: np.ndarray, trials: int = 50,
         collinear_columns=collinear)
 
 
-# -- nested embedding ---------------------------------------------------------
+# -- queries on the layout ----------------------------------------------------
+
+def _cell_means(spec: SemSpec, arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Each parameter's mean over its cells of four all-y ``arrays``."""
+    total = sum(np.tensordot(u, a, 2) for u, a in zip(spec._units, arrays))
+    return total / sum(u.sum(axis=(1, 2)) for u in spec._units)
+
+
+def moment_start(spec: SemSpec, q_xx: np.ndarray) -> np.ndarray:
+    """Moment-style default start, clipped into the box: each parameter's
+    mean over its cells of Lam = 1, Beta = 0.5 on its gamma block and 0 on
+    its b block, P = diag(half the mean of diag(q_xx) over each block) and
+    U = half diag(q_xx), so the implied diagonal starts on the right scale."""
+    diag, k1, k = np.diag(q_xx), spec.k1, spec.k1 + spec.k2
+    beta = np.zeros((k, k))
+    beta[k1:, :k1] = 0.5
+    means = np.repeat([diag[:spec.p1].mean(), diag[spec.p1:].mean()],
+                      [k1, spec.k2])
+    theta = _cell_means(spec, (np.ones((spec.p, k)), beta,
+                               np.diag(0.5 * means), np.diag(0.5 * diag)))
+    return np.clip(theta, spec.lower, spec.upper)
+
 
 def nested_embedding(inner: SemSpec, outer: SemSpec):
     """Structural embedding of ``inner`` into ``outer``, if one exists.
 
-    Returns ``(F, c)`` with ``F.T @ F = I`` such that evaluating the outer
-    model at ``F @ theta + c`` reproduces the inner model's matrices at
-    ``theta`` for every theta, or ``None`` when the patterns do not align.
-    Matched free cells become unit columns of ``F``; outer-only free cells
-    take the inner fixed value through ``c``.
-    """
+    Returns ``(F, c)`` with ``F.T @ F = I`` such that the outer model at
+    ``F @ theta + c`` reproduces the inner model's matrices at every
+    ``theta``, or ``None``.  Each inner unit stack must equal one outer
+    stack, a unit column of ``F``; ``c`` is the inner bases' mean over each
+    outer parameter's cells, and the outer bases plus ``c`` through the
+    outer stacks must equal the inner bases exactly."""
     if (inner.p1, inner.p2, inner.k1, inner.k2) != \
             (outer.p1, outer.p2, outer.k1, outer.k2):
         return None
-    if inner.q > outer.q:
+    f = np.all([(u_out[:, None] == u_in[None]).all(axis=(2, 3))
+                for u_out, u_in in zip(outer._units, inner._units)], axis=0)
+    if not np.all(f.sum(axis=0) == 1):
         return None
-
-    index_map: dict[int, int] = {}
-    offsets: dict[int, float] = {}
-    for role in _ROLES:
-        pin, pout = inner.patterns[role], outer.patterns[role]
-        for i in range(pin.rows):
-            for j in range(pin.cols):
-                ci, co = pin[i, j], pout[i, j]
-                if isinstance(ci, Fixed) and isinstance(co, Fixed):
-                    if ci.value != co.value:
-                        return None
-                elif isinstance(ci, Fixed):
-                    prev = offsets.get(co.index)
-                    if prev is not None and prev != ci.value:
-                        return None
-                    offsets[co.index] = ci.value
-                elif isinstance(co, Free):
-                    prev = index_map.get(ci.index)
-                    if prev is not None and prev != co.index:
-                        return None
-                    index_map[ci.index] = co.index
-                else:
-                    return None  # inner free where outer is pinned
-
-    if len(index_map) != inner.q or len(set(index_map.values())) != inner.q:
-        return None
-    f = np.zeros((outer.q, inner.q))
-    for i_inner, i_outer in index_map.items():
-        f[i_outer, i_inner] = 1.0
-    c = np.zeros(outer.q)
-    for i_outer, value in offsets.items():
-        if i_outer in index_map.values():
+    c = _cell_means(outer, inner._bases)
+    for base, unit, target in zip(outer._bases, outer._units, inner._bases):
+        if not np.array_equal(base + np.tensordot(c, unit, 1), target):
             return None
-        c[i_outer] = value
-    return f, c
+    return f.astype(float), c

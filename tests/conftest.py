@@ -1,3 +1,4 @@
+import copy
 import json
 import pathlib
 
@@ -179,6 +180,106 @@ def make_sign_flip_spec():
     upper = np.array([1e3] * 3 + [1e4] * 5)
     return SemSpec({"p1": 3, "p2": 2, "k1": 1, "k2": 1}, patterns,
                    lower, upper, name="sign_flip")
+
+
+def all_specs():
+    """The bundled models and the four hand-built specs above."""
+    return ([models.load_builtin(f"model{i}") for i in (1, 2, 3)]
+            + [make_scalar_model(), make_degenerate_model(),
+               make_structural_spec(), make_sign_flip_spec()])
+
+
+def cellwalk_moment_start(spec, q_xx):
+    """Reference moment start: a rule per role, applied cell by cell."""
+    p1 = spec.p1
+    diag = np.diag(q_xx)
+    block1 = float(diag[:p1].mean())
+    block2 = float(diag[p1:].mean())
+    theta = np.zeros(spec.q)
+    defaults = {
+        "lambda_x1": lambda i, j: 1.0,
+        "lambda_x2": lambda i, j: 1.0,
+        "b": lambda i, j: 0.0,
+        "gamma": lambda i, j: 0.5,
+        "sigma_xixi": lambda i, j: 0.5 * block1 if i == j else 0.0,
+        "sigma_dd": lambda i, j: 0.5 * diag[i] if i == j else 0.0,
+        "sigma_ee": lambda i, j: 0.5 * diag[p1 + i] if i == j else 0.0,
+        "sigma_zz": lambda i, j: 0.5 * block2 if i == j else 0.0,
+    }
+    for role, rule in defaults.items():
+        pat = spec.patterns[role]
+        for i in range(pat.rows):
+            for j in range(pat.cols):
+                cell = pat[i, j]
+                if isinstance(cell, Free):
+                    theta[cell.index] = rule(i, j)
+    return np.clip(theta, spec.lower, spec.upper)
+
+
+def cellwalk_nested_embedding(inner, outer):
+    """Reference embedding: the two specs' cells walked side by side."""
+    if (inner.p1, inner.p2, inner.k1, inner.k2) != \
+            (outer.p1, outer.p2, outer.k1, outer.k2):
+        return None
+    if inner.q > outer.q:
+        return None
+
+    index_map, offsets = {}, {}
+    for role in inner.patterns:
+        pin, pout = inner.patterns[role], outer.patterns[role]
+        for i in range(pin.rows):
+            for j in range(pin.cols):
+                ci, co = pin[i, j], pout[i, j]
+                if isinstance(ci, Fixed) and isinstance(co, Fixed):
+                    if ci.value != co.value:
+                        return None
+                elif isinstance(ci, Fixed):
+                    prev = offsets.get(co.index)
+                    if prev is not None and prev != ci.value:
+                        return None
+                    offsets[co.index] = ci.value
+                elif isinstance(co, Free):
+                    prev = index_map.get(ci.index)
+                    if prev is not None and prev != co.index:
+                        return None
+                    index_map[ci.index] = co.index
+                else:
+                    return None  # inner free where outer is pinned
+
+    if len(index_map) != inner.q or len(set(index_map.values())) != inner.q:
+        return None
+    f = np.zeros((outer.q, inner.q))
+    for i_inner, i_outer in index_map.items():
+        f[i_outer, i_inner] = 1.0
+    c = np.zeros(outer.q)
+    for i_outer, value in offsets.items():
+        if i_outer in index_map.values():
+            return None
+        c[i_outer] = value
+    return f, c
+
+
+def edited_spec(spec, cells, name):
+    """``spec`` with some cells replaced, each given as a JSON cell (a
+    covariance cell with its mirror).  Free indices keep their order and
+    close up; a free cell with an index of q or more is a new parameter,
+    boxed in [-10, 10]."""
+    doc = spec.to_dict()
+    for (role, i, j), cell in cells.items():
+        doc[role][i][j] = copy.deepcopy(cell)
+        if role.startswith("sigma"):
+            doc[role][j][i] = copy.deepcopy(cell)
+    free = [c["free"] for role in spec.patterns for row in doc[role]
+            for c in row if "free" in c]
+    old = sorted({c["index"] for c in free})
+    for c in free:
+        c["index"] = old.index(c["index"])
+    box = [(spec.lower[k], spec.upper[k]) if k < spec.q else (-10.0, 10.0)
+           for k in old]
+    doc["bounds"] = {"lower": [lo for lo, _ in box],
+                     "upper": [hi for _, hi in box]}
+    doc["name"] = name
+    return SemSpec.from_dict(doc)
 
 
 def fd_hessian(surface, theta, rel_step=1e-5):

@@ -135,6 +135,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="n=6 .*p=10"):
             harness.gap_growth_probe(config, "model1", "model2")
 
+    def test_truth_dimensions_checked_against_specs(self, monkeypatch):
+        # the README's truth observes p = 2 + 2 series, model1 p = 4 + 6
+        monkeypatch.setattr(harness, "limit_optimum", lambda *args, **kwargs:
+                            pytest.fail("limit optimum ran before the check"))
+        config = small_config(true_model=readme_truth())
+        message = ("model 'model1' observes p=10 series, "
+                   "but true_model observes p=4")
+        with pytest.raises(ValueError, match=message):
+            harness.run_experiment(config)
+        with pytest.raises(ValueError, match=message):
+            harness.gap_growth_probe(config, "model1", "model2")
+
     def test_unknown_keys_rejected(self):
         doc = {**small_config().to_dict(), "init_mod": "moment", "worker": 2}
         with pytest.raises(ValueError,

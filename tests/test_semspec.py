@@ -6,14 +6,28 @@ import pathlib
 import numpy as np
 import pytest
 
-from hfsem import matkit, models
+import hfsem
+from hfsem import matkit, models, qmle
 from hfsem.errors import SingularStructureError, SpecError
 from hfsem.qlik import LikelihoodSurface
 from hfsem.semspec import (Fixed, Free, PatternMatrix, SemSpec,
                            check_identifiability, jacobian_rank,
-                           nested_embedding, rank_screen)
-from tests.conftest import (interior_theta, make_sign_flip_spec,
+                           moment_start, nested_embedding, rank_screen)
+from tests.conftest import (all_specs, cellwalk_moment_start,
+                            cellwalk_nested_embedding, edited_spec,
+                            interior_theta, make_sign_flip_spec,
                             make_structural_spec)
+
+SPECS = all_specs()
+SPEC_IDS = [spec.name for spec in SPECS]
+
+
+def same_embedding(got, want) -> bool:
+    """Both None, or the same (F, c) arrays with the same dtypes."""
+    if got is None or want is None:
+        return got is want
+    return all(g.dtype == w.dtype and np.array_equal(g, w)
+               for g, w in zip(got, want))
 
 
 class TestPack:
@@ -405,6 +419,82 @@ class TestNestedEmbedding:
 
     def test_larger_into_smaller_gives_none(self, model1, model2):
         assert nested_embedding(model2, model1) is None
+
+
+    @pytest.mark.parametrize("outer", SPECS, ids=SPEC_IDS)
+    @pytest.mark.parametrize("inner", SPECS, ids=SPEC_IDS)
+    def test_matches_cell_walk(self, inner, outer):
+        assert same_embedding(nested_embedding(inner, outer),
+                              cellwalk_nested_embedding(inner, outer))
+
+
+class TestEmbeddingEdits:
+    """Embeddings between the structural spec and edits of it: cases no
+    pair of bundled models reaches.  Each agrees with the cell walk, and
+    an embedding reproduces the inner covariance."""
+
+    base = make_structural_spec()
+
+    def embed(self, inner, outer):
+        got = nested_embedding(inner, outer)
+        assert same_embedding(got, cellwalk_nested_embedding(inner, outer))
+        if got is not None:
+            f, c = got
+            rng = np.random.default_rng(4)
+            for _ in range(5):
+                theta = interior_theta(inner, rng)
+                np.testing.assert_allclose(outer.sigma(f @ theta + c),
+                                           inner.sigma(theta), rtol=1e-12)
+        return got
+
+    def test_outer_only_free_cell_takes_inner_value(self):
+        # lambda_x2[2, 1] is the second factor's scale loading, fixed at 1
+        freed = edited_spec(self.base, {("lambda_x2", 2, 1):
+                                        {"free": {"index": 18}}}, "freed")
+        f, c = self.embed(self.base, freed)
+        assert np.array_equal(f, np.eye(19)[:, :18])
+        assert np.array_equal(c, np.eye(19)[18])
+        assert self.embed(freed, self.base) is None
+
+    def test_fixed_values_differ(self):
+        rescaled = edited_spec(self.base, {("lambda_x2", 2, 1): {"fixed": 2.0}},
+                               "rescaled")
+        assert self.embed(self.base, rescaled) is None
+        assert self.embed(rescaled, self.base) is None
+
+    def test_inner_free_cell_fixed_by_outer(self):
+        # gamma[0, 0] is theta[5]
+        pinned = edited_spec(self.base, {("gamma", 0, 0): {"fixed": 0.5}},
+                             "pinned")
+        assert self.embed(self.base, pinned) is None
+        f, c = self.embed(pinned, self.base)
+        assert not f[5].any() and c[5] == 0.5 and np.count_nonzero(c) == 1
+
+    def test_symmetric_pair_fixed_by_inner(self):
+        # sigma_dd[0, 1] and its mirror are theta[9]
+        paired = edited_spec(self.base, {("sigma_dd", 0, 1): {"fixed": 0.3}},
+                             "paired")
+        f, c = self.embed(paired, self.base)
+        assert not f[9].any() and c[9] == 0.3 and np.count_nonzero(c) == 1
+        assert self.embed(self.base, paired) is None
+
+
+class TestMomentStart:
+    def test_one_function(self):
+        assert qmle.moment_start is hfsem.moment_start is moment_start
+
+    @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+    def test_matches_cell_walk(self, spec, sigma0_oracle):
+        rng = np.random.default_rng(spec.q)
+        targets = [sigma0_oracle] if spec.p == 10 else []
+        for _ in range(5):
+            # random scales, so some starts are clipped into the box
+            a = rng.standard_normal((spec.p, spec.p))
+            targets.append(10.0 ** rng.uniform(-3, 5)
+                           * (a @ a.T + np.diag(rng.uniform(0.1, 2.0, spec.p))))
+        for q_xx in targets:
+            got, want = moment_start(spec, q_xx), cellwalk_moment_start(spec, q_xx)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestJson:

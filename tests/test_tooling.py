@@ -67,6 +67,39 @@ def test_scan_catches_unused_names():
     assert unused_imports(source) == ["Callable", "os", "scipy.linalg"]
 
 
+LAYOUT_NAMES = {"patterns", "_units", "_bases", "Fixed", "Free"}
+
+
+def layout_reads(source: str) -> list[str]:
+    """The layout names a module reads as attributes (a spec's
+    ``patterns``, ``_units``, ``_bases``; ``semspec.Fixed``/``Free``) or
+    imports (the cell classes)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in LAYOUT_NAMES:
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found |= {a.name for a in node.names} & LAYOUT_NAMES
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in SRC.glob("*.py") if p.name not in ("semspec.py", "__init__.py")),
+    ids=lambda p: p.name)
+def test_layout_read_only_in_semspec(path):
+    # The pattern cells, bases and unit stacks are semspec's alone; the
+    # package's __init__ only re-exports the cell classes.
+    assert layout_reads(path.read_text()) == []
+
+
+def test_layout_scan_catches_reads():
+    source = ("from .semspec import Free, SemSpec\nfrom . import semspec\n"
+              "x = spec.patterns['b'], spec._units[0], spec._bases\n"
+              "y = semspec.Fixed(1.0)\n")
+    assert layout_reads(source) == ["Fixed", "Free", "_bases", "_units",
+                                    "patterns"]
+
+
 def test_perfbench_targets_exist(monkeypatch):
     # The traced benchmark wraps each callable where its caller looks it
     # up; a renamed or moved one would break the trace.
