@@ -93,12 +93,30 @@ def _chol_logdet(a: np.ndarray) -> tuple[float, np.ndarray]:
     """``chol_logdet`` of a matrix symmetric by construction: no symmetry check."""
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    c, info = lapack.dpotrf(a, lower=1, clean=0)
-    if info != 0:
-        raise NotPositiveDefiniteError(f"leading minor {info} is not positive definite")
-    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
-    inv = lapack.dpotrs(c, np.eye(a.shape[0]), lower=1)[0]
-    return logdet, 0.5 * (inv + inv.T)
+    logdet, inv, info = _chol_lanes(a[None])
+    if info[0] != 0:
+        raise NotPositiveDefiniteError(
+            f"leading minor {info[0]} is not positive definite")
+    return float(logdet[0]), inv[0]
+
+
+def _chol_lanes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(logdet, inverse, info)`` of each finite symmetric matrix of a
+    stack, from one LAPACK Cholesky factorization each.  ``info`` is
+    LAPACK's, nonzero where the matrix is not positive definite; such a
+    matrix gets logdet 0 and the identity as inverse."""
+    eye = np.eye(a.shape[-1])
+    factor, inv = np.empty_like(a), np.empty_like(a)
+    info = np.zeros(len(a), dtype=int)
+    for b, matrix in enumerate(a):
+        c, info[b] = lapack.dpotrf(matrix, lower=1, clean=0)
+        if info[b]:
+            factor[b] = inv[b] = eye
+            continue
+        factor[b] = c
+        inv[b] = lapack.dpotrs(c, eye, lower=1)[0]
+    logdet = 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
+    return logdet, 0.5 * (inv + np.swapaxes(inv, -1, -2)), info
 
 
 def numeric_rank(a: np.ndarray) -> int:

@@ -139,15 +139,25 @@ class PatternMatrix:
 
 def _swap(x: np.ndarray) -> np.ndarray:
     """Transpose of every matrix in a stack."""
-    return np.swapaxes(x, -1, -2)
+    return x.swapaxes(-1, -2)
+
+
+def _psi_inverse(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """inv(I - b) for each matrix of a stack, and which of them are
+    numerically singular (their inverse is left as the identity)."""
+    eye = np.eye(b.shape[-1])
+    psi = eye - b
+    singular = ~(np.linalg.cond(psi) <= _PSI_COND_LIMIT)
+    psi[singular] = eye
+    return np.linalg.inv(psi), singular
 
 
 def _invert_psi(b: np.ndarray, what: str) -> np.ndarray:
     """inv(I - b); ``SingularStructureError`` naming ``what`` for b."""
-    psi = np.eye(b.shape[0]) - b
-    if np.linalg.cond(psi) > _PSI_COND_LIMIT:
+    inv, singular = _psi_inverse(b[None])
+    if singular[0]:
         raise SingularStructureError(f"I - {what} is numerically singular")
-    return np.linalg.inv(psi)
+    return inv[0]
 
 
 class SemSpec:
@@ -241,7 +251,9 @@ class SemSpec:
         if np.any(self.lower[self.positive_mask] <= 0.0):
             raise SpecError("variance-parameter bounds need positive lower ends")
 
-        self._curved = np.flatnonzero(~self._units[3].any(axis=(1, 2)))
+        # Each parameter enters one of the four matrices: its group.
+        self._groups = [np.flatnonzero(unit.any(axis=(1, 2)))
+                        for unit in self._units]
 
         # A fixed b is checked once here; a free one on every pass.
         self._psi_inv = None
@@ -254,9 +266,12 @@ class SemSpec:
 
         self._vech_rows, self._vech_cols = matkit.vech_indices(self.p)
 
-    def _check_theta(self, theta: np.ndarray) -> np.ndarray:
+    def _check_theta(self, theta: np.ndarray, lanes: bool = False) -> np.ndarray:
+        """``theta`` as a float vector of length q (or, with ``lanes``, a
+        stack of them)."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.q,):
+        ndims = (1, 2) if lanes else (1,)
+        if theta.ndim not in ndims or theta.shape[-1] != self.q:
             raise SpecError(f"theta must have length q={self.q}, got {theta.shape}")
         if not np.all(np.isfinite(theta)):
             raise SpecError("theta has non-finite entries")
@@ -272,51 +287,91 @@ class SemSpec:
         ``d2[i, j] = d2 Sigma/dtheta_i dtheta_j`` (q x q x p x p), all from
         one application of the product rule to ``Lam C Lam' + U`` with
         ``C = A P A'`` and ``A = inv(I - Beta)`` on the unit stacks.
+
+        ``theta`` may also be a (B, q) stack of lanes; every output then
+        has a leading lane axis.  Each product acts on one lane at a time,
+        so a lane's outputs do not depend on the other lanes of the stack.
+        A numerically singular I - B raises ``SingularStructureError`` for
+        one vector; in a stack, that lane's outputs are all NaN.
         """
-        theta = self._check_theta(theta)
+        theta = self._check_theta(theta, lanes=True)
+        q, k1, k = self.q, self.k1, self.k1 + self.k2
+        n_lanes = 1 if theta.ndim == 1 else len(theta)
+        lanes = theta.reshape(n_lanes, 1, q)
         lam, beta, phi, u = (
-            base + (theta @ unit.reshape(self.q, base.size)).reshape(base.shape)
+            base + (lanes @ unit.reshape(q, base.size)).reshape(
+                (n_lanes,) + base.shape)
             for base, unit in zip(self._bases, self._units))
-        k1 = self.k1
+        singular = np.zeros(n_lanes, dtype=bool)
         psi_inv = self._psi_inv
         if psi_inv is None:
-            psi_inv = _invert_psi(beta[k1:, k1:], f"b of model {self.name!r}")
-        a = np.eye(k1 + self.k2)
-        a[k1:, :k1] = psi_inv @ beta[k1:, :k1]
-        a[k1:, k1:] = psi_inv
-        c = a @ phi @ a.T
-        c_lam = c @ lam.T
+            psi_inv, singular = _psi_inverse(beta[:, k1:, k1:])
+            if theta.ndim == 1 and singular[0]:
+                raise SingularStructureError(
+                    f"I - b of model {self.name!r} is numerically singular")
+        a = np.zeros((n_lanes, k, k))
+        a[:, :k1, :k1] = np.eye(k1)
+        a[:, k1:, :k1] = psi_inv @ beta[:, k1:, :k1]
+        a[:, k1:, k1:] = psi_inv
+        c = a @ phi @ _swap(a)
+        c_lam = c @ _swap(lam)
         sigma = lam @ c_lam + u
-        sigma = 0.5 * (sigma + sigma.T)
-        if order == 0:
-            return (sigma,)
+        out = [0.5 * (sigma + _swap(sigma))]
 
-        # dC_i = y_i + y_i', dSigma_i = z_i + z_i' (P, U and C symmetric).
-        d_lam, d_beta, d_phi, d_u = self._units
-        d_a = a @ d_beta @ a
-        phi_a = phi @ a.T
-        y = d_a @ phi_a + 0.5 * (a @ d_phi @ a.T)
-        d_c = y + _swap(y)
-        z = d_lam @ c_lam + lam @ y @ lam.T + 0.5 * d_u
-        d1 = z + _swap(z)
-        if order == 1:
-            return sigma, d1
+        if order >= 1:
+            # dC_i = y_i + y_i' and dSigma_i = z_i + z_i' (P, U and C
+            # symmetric), each parameter through the matrix it enters;
+            # parameters run on the axis after the lanes.
+            d_lam, d_beta, d_phi, d_u = self._units
+            g_lam, g_beta, g_phi, g_u = self._groups
+            g_c = np.concatenate([g_beta, g_phi])
+            a_, at_ = a[:, None], _swap(a)[:, None]
+            d_a = a_ @ d_beta[g_beta] @ a_
+            phi_a = phi @ _swap(a)
+            y = np.concatenate([d_a @ phi_a[:, None],
+                                0.5 * (a_ @ d_phi[g_phi] @ at_)], axis=1)
+            d1 = np.empty((n_lanes, q, self.p, self.p))
+            z = d_lam[g_lam] @ c_lam[:, None]
+            d1[:, g_lam] = z + _swap(z)
+            z = lam[:, None] @ y @ _swap(lam)[:, None]
+            d1[:, g_c] = z + _swap(z)
+            d1[:, g_u] = d_u[g_u]
+            out.append(d1)
 
-        # Second order.  Sigma is linear in U, so only the other parameters
-        # have second derivatives; their pairs (i, j) run on the two
-        # leading axes.
-        cv = self._curved
-        d_lam, d_beta, d_phi, d_a, d_c = (
-            x[cv] for x in (d_lam, d_beta, d_phi, d_a, d_c))
-        di, dj = (slice(None), None), (None, slice(None))
-        d2_a = d_a[dj] @ d_beta[di] @ a + a @ d_beta[di] @ d_a[dj]
-        y2 = (d2_a @ phi_a + d_a[di] @ d_phi[dj] @ a.T
-              + d_a[dj] @ d_phi[di] @ a.T + d_a[di] @ phi @ _swap(d_a)[dj])
-        z2 = (d_lam[di] @ c @ _swap(d_lam)[dj] + d_lam[di] @ d_c[dj] @ lam.T
-              + d_lam[dj] @ d_c[di] @ lam.T + lam @ y2 @ lam.T)
-        d2 = np.zeros((self.q, self.q, self.p, self.p))
-        d2[np.ix_(cv, cv)] = z2 + _swap(z2)
-        return sigma, d1, d2
+        if order >= 2:
+            # Second derivatives block by block of the groups: two loadings
+            # (through C), a loading and a parameter of C (through dC), and
+            # two parameters of C (through d2C = y2 + y2').  Pairs (i, j)
+            # run on the two axes after the lanes; the unit stacks have no
+            # lane axis.  All other pairs, those with a U parameter among
+            # them, are zero.
+            ui, uj = (slice(None), None), (None, slice(None))
+            li, lj = (slice(None), slice(None), None), (slice(None), None)
+            a_, at_ = a[:, None, None], _swap(a)[:, None, None]
+            lam_, lamt_ = lam[:, None, None], _swap(lam)[:, None, None]
+            d_l, d_b, d_p = d_lam[g_lam], d_beta[g_c], d_phi[g_c]
+            d_ac = np.zeros((n_lanes, len(g_c), k, k))
+            d_ac[:, :len(g_beta)] = d_a
+            d2_a = d_ac[lj] @ d_b[ui] @ a_ + a_ @ d_b[ui] @ d_ac[lj]
+            y2 = (d2_a @ phi_a[:, None, None] + d_ac[li] @ d_p[uj] @ at_
+                  + d_ac[lj] @ d_p[ui] @ at_
+                  + d_ac[li] @ phi[:, None, None] @ _swap(d_ac)[lj])
+            z_ll = d_l[ui] @ c[:, None, None] @ _swap(d_l)[uj]
+            z_lc = d_l[ui] @ (y + _swap(y))[lj] @ lamt_
+            z_cc = lam_ @ y2 @ lamt_
+            d2 = np.zeros((n_lanes, q, q, self.p, self.p))
+            d2[:, g_lam[:, None], g_lam] = z_ll + _swap(z_ll)
+            d2[:, g_lam[:, None], g_c] = z_lc + _swap(z_lc)
+            d2[:, g_c[:, None], g_lam] = d2[:, g_lam[:, None], g_c].swapaxes(1, 2)
+            d2[:, g_c[:, None], g_c] = z_cc + _swap(z_cc)
+            out.append(d2)
+
+        if singular.any():
+            for x in out:
+                x[singular] = np.nan
+        if theta.ndim == 1:
+            out = [x[0] for x in out]
+        return tuple(out)
 
     def sigma(self, theta: np.ndarray) -> np.ndarray:
         """The implied p x p covariance at ``theta``."""

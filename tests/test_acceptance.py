@@ -139,8 +139,8 @@ def test_criterion_6_identity_suite(model1, model2, quadvar_1e4):
         qmle.FitReport(model="off", n=100, q=3, theta_hat=np.zeros(3),
                        h_at_hat=-10.0, grad_norm=0.0,
                        hessian=np.full((3, 3), np.nan), j_flag=False,
-                       gamma_tilde=np.eye(3), iterations=1, restarts=0,
-                       converged=True, boundary_hit=False))
+                       gamma_tilde=np.eye(3), iterations=1, evaluations=2,
+                       restarts=0, converged=True, boundary_hit=False))
     identity_off = gated_off.qbic1 == gated_off.qbic2
 
     # duplication identity on 100 random symmetric matrices

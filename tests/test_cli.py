@@ -124,7 +124,7 @@ class TestFitAndCriteria:
         doc = json.loads(fits[0].read_text())
         for key in ("model", "n", "q", "theta_hat", "h_at_hat", "grad_norm",
                     "hessian", "j_flag", "gamma_tilde", "iterations",
-                    "restarts", "converged", "boundary_hit"):
+                    "evaluations", "restarts", "converged", "boundary_hit"):
             assert key in doc
         assert doc["n"] == 800 and doc["q"] == 22
 

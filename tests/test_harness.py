@@ -21,6 +21,20 @@ def small_config(**overrides):
     return harness.ExperimentConfig(**kwargs)
 
 
+def failing_fit_lanes(model):
+    """``harness.fit_lanes`` with every fit of ``model`` failed, as when
+    all its starts lie outside the admissible region."""
+    original = harness.fit_lanes
+
+    def fit_lanes(surfaces, start_sets):
+        reports = original(surfaces, start_sets)
+        if surfaces[0].spec.name == model:
+            return [None] * len(reports)
+        return reports
+
+    return fit_lanes
+
+
 @pytest.fixture(scope="module")
 def small_run():
     config = small_config()
@@ -225,23 +239,18 @@ class TestRunExperiment:
             assert set(harness.REPLICATION_COLUMNS) <= set(record)
             assert isinstance(record["boundary_hit"], bool)
             assert isinstance(record["iterations"], int)
+            assert isinstance(record["evaluations"], int)
+            assert record["evaluations"] > record["iterations"]
             assert isinstance(record["grad_norm"], float)
 
     def test_failed_fit_leaves_fit_columns_empty(self, monkeypatch):
-        original = harness.fit
-
-        def failing(surface, **kwargs):
-            if surface.spec.name == "model3":
-                raise AllStartsFailedError("forced")
-            return original(surface, **kwargs)
-
-        monkeypatch.setattr(harness, "fit", failing)
+        monkeypatch.setattr(harness, "fit_lanes", failing_fit_lanes("model3"))
         table, records = harness.run_experiment(small_config(replications=1))
         assert table.failures[100] == 1
         (failed,) = [r for r in records if r["selected_by"] == "fit_failed"]
         assert failed["model"] == "model3"
         for column in ("h_at_hat", "converged", "boundary_hit", "iterations",
-                       "grad_norm"):
+                       "evaluations", "grad_norm"):
             assert failed[column] == ""
 
     def test_single_replication_equals_its_selection(self):
@@ -265,6 +274,24 @@ class TestRunExperiment:
         table2, records2 = harness.run_experiment(small_config(workers=2))
         assert table2.counts == table.counts
         assert records2 == records
+
+    @pytest.mark.parametrize("init_mode", ["true", "moment"])
+    def test_chunking_does_not_change_records(self, init_mode, monkeypatch):
+        # Chunks of 4 cross from n=100 to n=200; a chunk's fits are lanes
+        # of one loop, yet every replication's records stay the same.
+        config = small_config(n_values=[100, 200], init_mode=init_mode,
+                              starts=2)
+        runs = []
+        for chunk, workers in ((harness._CHUNK, 1), (1, 1), (4, 1), (4, 2),
+                               (harness._CHUNK, 2)):
+            monkeypatch.setattr(harness, "_CHUNK", chunk)
+            config.workers = workers
+            runs.append(harness.run_experiment(config))
+        table, records = runs[0]
+        assert len(records) == 2 * config.replications * 3
+        for other_table, other_records in runs[1:]:
+            assert other_records == records
+            assert other_table.counts == table.counts
 
     def test_moment_init_mode_runs(self):
         config = small_config(replications=1, init_mode="moment", starts=2)
@@ -431,14 +458,7 @@ class TestGapProbe:
                                      criterion="bic")
 
     def test_failed_fit_names_replication(self, monkeypatch):
-        original = harness.fit
-
-        def failing(surface, **kwargs):
-            if surface.spec.name == "model2":
-                raise AllStartsFailedError("forced")
-            return original(surface, **kwargs)
-
-        monkeypatch.setattr(harness, "fit", failing)
+        monkeypatch.setattr(harness, "fit_lanes", failing_fit_lanes("model2"))
         with pytest.raises(AllStartsFailedError, match="n=100, rep 0"):
             harness.gap_growth_probe(small_config(replications=1),
                                      "model1", "model2")

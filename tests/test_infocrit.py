@@ -12,7 +12,7 @@ def fake_report(h=-1000.0, q=22, n=100, j_flag=True, gamma_tilde=None):
     return qmle.FitReport(
         model="fake", n=n, q=q, theta_hat=np.zeros(q), h_at_hat=h,
         grad_norm=0.0, hessian=-n * gamma_tilde, j_flag=j_flag,
-        gamma_tilde=gamma_tilde, iterations=1, restarts=0,
+        gamma_tilde=gamma_tilde, iterations=1, evaluations=2, restarts=0,
         converged=True, boundary_hit=False)
 
 

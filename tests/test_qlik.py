@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from hfsem import diffsim, matkit, models
-from hfsem.errors import NotPositiveDefiniteError
-from hfsem.qlik import LikelihoodSurface, QuadVar, fisher_information, quad_var
-from tests.conftest import fd_hessian, interior_theta, make_structural_spec
+from hfsem import diffsim, matkit, models, qlik
+from hfsem.errors import NotPositiveDefiniteError, SingularStructureError
+from hfsem.qlik import (LikelihoodSurface, QuadVar, fisher_information,
+                        quad_var, score_lanes)
+from tests.conftest import (edited_spec, fd_hessian, interior_theta,
+                            make_structural_spec)
 
 
 class TestQuadVar:
@@ -238,6 +240,100 @@ class TestScore:
             assert value == v
             assert np.array_equal(grad, g)
             assert np.array_equal(info, expected)
+
+
+class TestLanes:
+    """``score_lanes`` evaluates a stack of lanes in one pass; a lane's
+    results must not depend on the others, and a lane outside the region
+    must be rejected alone."""
+
+    @staticmethod
+    def two_way_b():
+        # The structural spec with b[0][1] freed as well (parameter 18), so
+        # that I - B = [[1, -b01], [-b10, 1]] is singular at b01 b10 = 1.
+        spec = make_structural_spec()
+        return edited_spec(spec, {("b", 0, 1): {"free": {"index": 18}}},
+                           "structural_b2")
+
+    def stack(self, spec, rng, lanes):
+        around = np.where(spec.positive_mask, 4.0, 0.3)
+        theta = np.array([interior_theta(spec, rng, around=around)
+                          for _ in range(lanes)])
+        q_xx = np.array([spec.sigma(t) * rng.uniform(0.8, 1.2) for t in theta])
+        n = rng.integers(50, 5000, size=lanes).astype(float)
+        return theta, q_xx, n
+
+    def assert_lane_alone(self, spec, theta, q_xx, n, order, full, lane):
+        alone = score_lanes(spec, theta[lane:lane + 1], q_xx[lane:lane + 1],
+                            n[lane:lane + 1], order)
+        assert alone.value[0] == full.value[lane]
+        for field in ("grad", "hessian")[:order]:
+            assert np.array_equal(getattr(alone, field)[0],
+                                  getattr(full, field)[lane])
+        if order:
+            assert np.array_equal(alone.information([0])[0],
+                                  full.information([lane])[0])
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_lanes_independent(self, model2, order):
+        rng = np.random.default_rng(31)
+        theta, q_xx, n = self.stack(model2, rng, 9)
+        full = score_lanes(model2, theta, q_xx, n, order)
+        assert full.ok.all()
+        for lane in (0, 4, 8):
+            self.assert_lane_alone(model2, theta, q_xx, n, order, full, lane)
+        part = score_lanes(model2, theta[2:7], q_xx[2:7], n[2:7], order)
+        assert np.array_equal(part.value, full.value[2:7])
+
+    def test_surface_is_one_lane(self, model1, quadvar_1e4):
+        surface = LikelihoodSurface(model1, quadvar_1e4)
+        theta = models.THETA1_TRUE
+        lane = score_lanes(model1, theta[None], quadvar_1e4.q_xx[None],
+                           [quadvar_1e4.n], 2)
+        value, grad, info = surface.score(theta)
+        assert value == surface.value(theta) == lane.value[0]
+        assert np.array_equal(grad, lane.grad[0])
+        assert np.array_equal(info, lane.information([0])[0])
+        assert np.array_equal(surface.hessian(theta), lane.hessian[0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_singular_structure_rejected_alone(self):
+        spec = self.two_way_b()
+        rng = np.random.default_rng(8)
+        theta, q_xx, n = self.stack(spec, rng, 3)
+        theta[1, 4], theta[1, 18] = 2.0, 0.5
+        full = score_lanes(spec, theta, q_xx, n, 2)
+        assert list(full.status) == [qlik.OK, qlik.SINGULAR, qlik.OK]
+        assert full.value[1] == -np.inf
+        for lane in (0, 2):
+            self.assert_lane_alone(spec, theta, q_xx, n, 2, full, lane)
+        surface = LikelihoodSurface(spec, QuadVar(q_xx[1], n=int(n[1]), T=1.0))
+        with pytest.raises(SingularStructureError):
+            surface.value(theta[1])
+
+    @pytest.mark.filterwarnings("error")
+    def test_indefinite_sigma_rejected_alone(self):
+        # parameter 9 is the free off-diagonal sigma_dd[0, 1] cell
+        spec = make_structural_spec()
+        rng = np.random.default_rng(9)
+        theta, q_xx, n = self.stack(spec, rng, 3)
+        theta[2, 9] = 500.0
+        full = score_lanes(spec, theta, q_xx, n, 1)
+        assert list(full.status) == [qlik.OK, qlik.OK,
+                                     qlik.NOT_POSITIVE_DEFINITE]
+        assert full.value[2] == -np.inf
+        for lane in (0, 1):
+            self.assert_lane_alone(spec, theta, q_xx, n, 1, full, lane)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_lane_rejected_alone(self, model1):
+        rng = np.random.default_rng(10)
+        theta, q_xx, n = self.stack(model1, rng, 3)
+        theta[0, 3] = np.inf
+        q_xx[1, 0, 0] = 1e308
+        full = score_lanes(model1, theta, q_xx, n, 1)
+        assert list(full.status) == [qlik.NON_FINITE, qlik.NON_FINITE, qlik.OK]
+        self.assert_lane_alone(model1, theta, q_xx, n, 1, full, 2)
 
 
 def limit_value(spec, theta, sigma0):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from hfsem import diffsim, models, qmle
+from hfsem import diffsim, models, qlik, qmle
 from hfsem.errors import AllStartsFailedError, SpecError
 from hfsem.qlik import LikelihoodSurface, QuadVar, quad_var
 from hfsem.semspec import SemSpec
+from tests.conftest import interior_theta, make_structural_spec
 
 
 @pytest.fixture(scope="module")
@@ -16,10 +17,18 @@ def surface_1e3(model1):
     return LikelihoodSurface(model1, quad_var(bundle.x_obs, 1.0))
 
 
+def one_lane(surface, init, **kwargs):
+    """``qmle._optimize`` on one lane: ``surface`` from ``init``."""
+    return qmle._optimize(surface.spec, surface.quadvar.q_xx[None],
+                          np.array([float(surface.n)]),
+                          np.asarray(init, dtype=float)[None], **kwargs)
+
+
 def reports_equal(a, b):
     return (np.array_equal(a.theta_hat, b.theta_hat)
             and a.h_at_hat == b.h_at_hat
             and a.iterations == b.iterations
+            and a.evaluations == b.evaluations
             and np.array_equal(a.hessian, b.hessian, equal_nan=True)
             and a.j_flag == b.j_flag
             and a.converged == b.converged
@@ -55,10 +64,10 @@ class TestFit:
 
     def test_monotone_accepted_iterates(self, surface_1e3, model1):
         values = []
-        hook = lambda theta: values.append(surface_1e3.value(theta))
-        qmle._optimize_once(surface_1e3,
-                            qmle.moment_start(model1, surface_1e3.quadvar.q_xx),
-                            iterate_hook=hook)
+        hook = lambda lane, theta: values.append(surface_1e3.value(theta))
+        one_lane(surface_1e3,
+                 qmle.moment_start(model1, surface_1e3.quadvar.q_xx),
+                 iterate_hook=hook)
         values = np.array(values)
         assert len(values) > 5
         assert np.all(np.diff(values) >= -1e-9 * (1 + np.abs(values[:-1])))
@@ -91,20 +100,20 @@ class TestFit:
         # The L-BFGS-B estimator that scoring replaced (log-scaled variances,
         # run until its line search stalled) made 87 value_and_grad calls
         # for this fit, the Hessian left out.  Scoring evaluates through
-        # ``score``, one call per trial.
-        calls = []
-        original = LikelihoodSurface.score
-        monkeypatch.setattr(LikelihoodSurface, "score",
-                            lambda self, theta: calls.append(1)
-                            or original(self, theta))
-        qmle.fit(surface_1e3, init=models.THETA1_TRUE,
-                 options=qmle.FitOptions(compute_hessian=False))
-        assert 0 < len(calls) <= 87 // 3
+        # the lane kernel, one lane per trial, and reports the count.
+        lanes = []
+        original = qmle.score_lanes
+        monkeypatch.setattr(qmle, "score_lanes",
+                            lambda spec, theta, *args: lanes.append(len(theta))
+                            or original(spec, theta, *args))
+        report = qmle.fit(surface_1e3, init=models.THETA1_TRUE,
+                          options=qmle.FitOptions(compute_hessian=False))
+        assert 0 < sum(lanes) == report.evaluations <= 87 // 3
 
     def test_one_forward_pass_per_evaluation(self, surface_1e3, monkeypatch):
-        # One forward pass per score or value_and_grad call and one for the
-        # Hessian; a central-difference Hessian of this model makes 2q = 44
-        # gradient calls, 88 Sigma/Jacobian builds.
+        # One forward pass per kernel pass and one for the Hessian; a
+        # central-difference Hessian of this model makes 2q = 44 gradient
+        # calls, 88 Sigma/Jacobian builds.
         calls = collections.Counter()
 
         def count(owner, name):
@@ -112,14 +121,13 @@ class TestFit:
             monkeypatch.setattr(owner, name, lambda *args: calls.update([name])
                                 or original(*args))
 
-        for name in ("score", "value_and_grad", "hessian"):
-            count(LikelihoodSurface, name)
+        count(qmle, "score_lanes")
+        count(LikelihoodSurface, "hessian")
         count(SemSpec, "forward")
         report = qmle.fit(surface_1e3, init=models.THETA1_TRUE)
         assert calls["hessian"] == 1
-        assert calls["score"] > 0
-        assert (calls["forward"]
-                <= calls["score"] + calls["value_and_grad"] + 1)
+        assert calls["score_lanes"] > 0
+        assert calls["forward"] <= calls["score_lanes"] + 1
         before = calls["forward"]
         surface_1e3.hessian(report.theta_hat)
         assert calls["forward"] - before == 1
@@ -159,9 +167,19 @@ class TestFit:
         rng = np.random.default_rng(4)
         b = rng.standard_normal((6, 6))
         info, grad = b @ b.T + np.eye(6), rng.standard_normal(6)
-        step = qmle._scoring_step(info, grad)
+        step = qmle._scoring_step(info[None], grad[None],
+                                  np.ones((1, 6), dtype=bool))[0]
         assert np.abs(info @ step - grad).max() < 1e-12
-        assert qmle._scoring_step(np.empty((0, 0)), np.empty(0)).shape == (0,)
+        # frozen coordinates do not move; the free block is solved alone
+        free = np.array([True, False, True, True, False, True])
+        step = qmle._scoring_step(info[None], grad[None], free[None])[0]
+        assert np.all(step[~free] == 0.0)
+        block = info[np.ix_(free, free)]
+        assert np.abs(block @ step[free] - grad[free]).max() < 1e-12
+        # with every coordinate frozen the step is zero
+        frozen = qmle._scoring_step(info[None], grad[None],
+                                    np.zeros((1, 6), dtype=bool))
+        assert np.array_equal(frozen, np.zeros((1, 6)))
 
     def test_scoring_step_drops_numerically_null_directions(self):
         # Cholesky factors this block, but it is singular to working
@@ -169,7 +187,8 @@ class TestFit:
         # null direction), not a 1e20-sized one
         info = np.diag([2.0, 1.0, 3.0, 1e-20])
         grad = np.ones(4)
-        step = qmle._scoring_step(info, grad)
+        step = qmle._scoring_step(info[None], grad[None],
+                                  np.ones((1, 4), dtype=bool))[0]
         assert np.array_equal(step, np.linalg.lstsq(info, grad, rcond=None)[0])
         assert step[3] == 0.0
 
@@ -206,11 +225,12 @@ class TestFit:
         ("theta_hat", ["3.0"] * 22),
         ("gamma_tilde", [[True] * 22] * 22),
         ("model", 5),
+        ("evaluations", 12.5),
     ], ids=["q-null", "theta-text", "theta-strings", "hessian-ragged",
             "iterations-text", "j_flag-text", "converged-int",
             "boundary_hit-null", "n-float", "restarts-bool", "h_at_hat-text",
             "grad_norm-bool", "theta-numeric-strings", "gamma_tilde-bools",
-            "model-number"])
+            "model-number", "evaluations-float"])
     def test_report_dict_types_checked(self, surface_1e3, key, bad):
         doc = qmle.fit(surface_1e3, init=models.THETA1_TRUE).to_dict()
         doc[key] = bad
@@ -256,16 +276,18 @@ class TestMultistart:
         assert report.boundary_hit
 
     def test_restarts_on_moment_scale(self, surface_1e3, model1, monkeypatch):
+        # every start is a lane of one lockstep loop
         drawn = []
-        original = qmle._optimize_once
-        monkeypatch.setattr(qmle, "_optimize_once",
-                            lambda surface, init: drawn.append(init)
-                            or original(surface, init))
+        original = qmle._optimize
+        monkeypatch.setattr(qmle, "_optimize",
+                            lambda spec, q_xx, n, inits: drawn.append(inits)
+                            or original(spec, q_xx, n, inits))
         qmle.fit_multistart(surface_1e3, starts=8, seed=3,
                             options=qmle.FitOptions(compute_hessian=False))
         centre = qmle.moment_start(model1, surface_1e3.quadvar.q_xx)
-        assert np.array_equal(drawn[0], centre)
-        restarts = np.array(drawn[1:])
+        (inits,) = drawn
+        assert np.array_equal(inits[0], centre)
+        restarts = inits[1:]
         assert restarts.shape == (7, model1.q)
         pos = model1.positive_mask
         width = np.maximum(1.0, np.abs(centre))
@@ -290,12 +312,14 @@ class TestLimitOptimum:
         # there runs the start to the iteration cap, the least-squares
         # step leaves it after 128 iterations.
         runs = []
-        once = qmle._optimize_once
-        monkeypatch.setattr(qmle, "_optimize_once",
-                            lambda *a, **k: runs.append(once(*a, **k)) or runs[-1])
+        optimize = qmle._optimize
+        monkeypatch.setattr(qmle, "_optimize",
+                            lambda *a, **k: runs.append(optimize(*a, **k))
+                            or runs[-1])
         qmle.limit_optimum(model1, sigma0_oracle, starts=8, seed=13000)
-        assert len(runs) == 8
-        assert max(run[3] for run in runs) < qmle._MAX_ITER
+        (lanes,) = runs
+        assert lanes.iterations.shape == (8,)
+        assert lanes.iterations.max() < qmle._MAX_ITER
 
     def test_model1_recovers_truth(self, model1, sigma0_oracle):
         theta_bar, value = qmle.limit_optimum(model1, sigma0_oracle,
@@ -319,6 +343,88 @@ class TestLimitOptimum:
         # stable across seeds: same optimum found
         assert abs(v3a - v3b) < 1e-8
         assert np.abs(theta3_a - theta3_b).max() < 1e-4
+
+
+class TestLanes:
+    """``fit_lanes`` runs many fits as lanes of one lockstep loop; each lane
+    must follow, bit for bit, the path its fit follows alone."""
+
+    @staticmethod
+    def assert_same_fit(lane, solo):
+        assert np.array_equal(lane.theta_hat, solo.theta_hat)
+        assert np.array_equal(lane.hessian, solo.hessian)
+        assert lane.h_at_hat == solo.h_at_hat
+        assert lane.iterations == solo.iterations
+        assert lane.evaluations == solo.evaluations
+
+    @pytest.mark.parametrize("fixture", ["model1", "model3"])
+    def test_each_lane_equals_its_solo_fit(self, fixture, request):
+        spec = request.getfixturevalue(fixture)
+        surfaces = [LikelihoodSurface(spec, quad_var(
+            diffsim.simulate_true_model(n, 1.0, seed=40 + k).x_obs, 1.0))
+            for k, n in enumerate([100, 1000, 100, 1000, 1000])]
+        inits = [qmle.moment_start(spec, s.quadvar.q_xx) for s in surfaces]
+        chunk = qmle.fit_lanes(surfaces, [[init] for init in inits])
+        part = qmle.fit_lanes(surfaces[1:4], [[init] for init in inits[1:4]])
+        for k, (surface, init) in enumerate(zip(surfaces, inits)):
+            solo = qmle.fit(surface, init=init)
+            self.assert_same_fit(chunk[k], solo)
+            if 1 <= k < 4:
+                self.assert_same_fit(part[k - 1], solo)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejected_trial_leaves_other_lanes_alone(self, monkeypatch):
+        # From the second start, one trial of this fit makes Sigma
+        # indefinite through the free off-diagonal unique covariance.
+        spec = make_structural_spec()
+        around = np.where(spec.positive_mask, 4.0, 1.5)
+        rng = np.random.default_rng(2)
+        chol = np.linalg.cholesky(spec.sigma(around))
+        x = (rng.standard_normal((201, spec.p)) @ chol.T).cumsum(axis=0)
+        surface = LikelihoodSurface(spec, quad_var(x / np.sqrt(200), 1.0))
+        wild = interior_theta(spec, np.random.default_rng(106), spread=0.9,
+                              around=around)
+        wild[[8, 10]] *= 0.05
+        wild[9] = 0.0
+        inits = [around, wild, 1.2 * around]
+        statuses = []
+        original = qmle.score_lanes
+
+        def spy(*args):
+            scores = original(*args)
+            statuses.append(scores.status)
+            return scores
+
+        monkeypatch.setattr(qmle, "score_lanes", spy)
+        chunk = qmle.fit_lanes([surface] * 3, [[init] for init in inits])
+        rejected = np.concatenate(statuses)
+        assert np.any(rejected == qlik.NOT_POSITIVE_DEFINITE)
+        for lane, init in zip(chunk, inits):
+            self.assert_same_fit(lane, qmle.fit(surface, init=init))
+
+    def test_information_only_for_accepted_trials(self, model1, sigma0_oracle,
+                                                   monkeypatch):
+        # The information is needed only where the next step is solved: at
+        # each start and each accepted trial.  Computed for every trial,
+        # this limit optimum made 1617 informations for 183 iterations.
+        informed, runs = [], []
+        information = qlik.fisher_information
+        monkeypatch.setattr(qlik, "fisher_information",
+                            lambda d_sigma, inv: informed.append(len(d_sigma))
+                            or information(d_sigma, inv))
+        optimize = qmle._optimize
+        monkeypatch.setattr(qmle, "_optimize",
+                            lambda *a: runs.append(optimize(*a)) or runs[-1])
+        qmle.limit_optimum(model1, sigma0_oracle, starts=8, seed=13000)
+        (lanes,) = runs
+        assert sum(informed) <= lanes.iterations.sum() + 8
+        assert lanes.evaluations.sum() > 2 * sum(informed)
+
+    def test_surfaces_of_one_spec(self, surface_1e3, model2):
+        other = LikelihoodSurface(model2, surface_1e3.quadvar)
+        with pytest.raises(ValueError, match="one spec"):
+            qmle.fit_lanes([surface_1e3, other],
+                           [[models.THETA1_TRUE], [models.THETA2_TRUE]])
 
 
 class TestMomentStart:

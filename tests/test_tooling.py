@@ -1,7 +1,9 @@
 """Static checks on the package source and the benchmark's hooks into it."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import json
 import pathlib
 import re
@@ -9,7 +11,8 @@ import re
 import numpy as np
 import pytest
 
-from hfsem import diffsim, harness
+from hfsem import diffsim, harness, models, qmle
+from hfsem.qlik import LikelihoodSurface
 from hfsem.semspec import SemSpec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -102,13 +105,34 @@ def test_layout_scan_catches_reads():
 
 def test_perfbench_targets_exist(monkeypatch):
     # The traced benchmark wraps each callable where its caller looks it
-    # up; a renamed or moved one would break the trace.
+    # up; a renamed or moved one would break the trace.  The tracer reads a
+    # method from its class's own __dict__, so an inherited one is missing.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     layers = importlib.import_module("layers")
     missing = [(getattr(owner, "__name__", owner), attr)
                for owner, attr, _, _ in layers.targets()
-               if not hasattr(owner, attr)]
+               if not (attr in owner.__dict__ if isinstance(owner, type)
+                       else hasattr(owner, attr))]
     assert missing == []
+
+
+def test_perfbench_fine_grid_call_binds(quadvar_1e4):
+    # fine_grid fits each path with exactly this call.
+    surface = LikelihoodSurface(models.load_builtin("model1"), quadvar_1e4)
+    call = dict(init=models.THETA1_TRUE,
+                options=qmle.FitOptions(compute_hessian=False))
+    inspect.signature(qmle.fit).bind(surface, **call)
+    report = qmle.fit(surface, **call)
+    assert isinstance(report, qmle.FitReport)
+    assert np.all(np.isnan(report.hessian))
+
+
+def test_experiment_config_fields():
+    # A run is set by these fields alone; the replication chunk size, for
+    # one, is a constant of the harness, not a setting.
+    assert [f.name for f in dataclasses.fields(harness.ExperimentConfig)] == [
+        "n_values", "T", "replications", "master_seed", "model_spec_paths",
+        "criteria", "starts", "true_model", "init_mode", "workers"]
 
 
 @pytest.mark.parametrize("path", sorted((SRC / "model_files").glob("*.json")),
