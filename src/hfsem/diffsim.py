@@ -46,7 +46,6 @@ __all__ = [
     "implied_sigma",
     "simulate_ou",
     "simulate_custom",
-    "grid_transitions",
     "simulate_true_model",
     "TRUE_MODEL_NAME",
 ]
@@ -181,7 +180,27 @@ def implied_sigma(truth: dict) -> np.ndarray:
     return spec.sigma(np.empty(0))
 
 
+# Exact transitions built so far, by block arrays and step: a grid's
+# transitions are built once per process, however many paths use them.
+# Their arrays are read-only, since every later path shares them.
+_TRANSITIONS: dict = {}
+
+
 def _exact_transition(block: OuBlock, h: float):
+    """:func:`_build_transition` of the block at step ``h``, memoized on the
+    arrays it reads and ``h``."""
+    key = (h,) + tuple((a.shape, a.tobytes()) for a in
+                       (block.mean_reversion, block.level, block.dispersion))
+    transition = _TRANSITIONS.get(key)
+    if transition is None:
+        transition = _build_transition(block, h)
+        for array in transition:
+            array.flags.writeable = False
+        _TRANSITIONS[key] = transition
+    return transition
+
+
+def _build_transition(block: OuBlock, h: float):
     """One-step transition: mean map ``x -> ad x + bd`` and noise factor.
 
     Uses augmented matrix exponentials, valid for any mean-reversion matrix
@@ -279,13 +298,6 @@ def simulate_ou(block: OuBlock, n: int, T: float,
     return path
 
 
-def grid_transitions(truth: dict, n: int, T: float) -> tuple:
-    """``(h, transitions)``: the step ``T / n`` and each latent block's exact
-    transition at it, for :func:`simulate_custom`'s ``transitions``."""
-    h = _grid_step(n, T)
-    return h, tuple(_exact_transition(truth[name], h) for name in _LATENT)
-
-
 def _block_streams(seed: int) -> list[np.random.Generator]:
     children = np.random.SeedSequence(seed).spawn(4)
     return [np.random.default_rng(c) for c in children]
@@ -294,16 +306,15 @@ def _block_streams(seed: int) -> list[np.random.Generator]:
 def simulate_custom(xi: OuBlock, delta: OuBlock, eps: OuBlock, zeta: OuBlock,
                     lambda_x1: np.ndarray, lambda_x2: np.ndarray,
                     gamma: np.ndarray, b0: np.ndarray, *, n: int, T: float,
-                    seed: int, keep_latents: bool = True,
-                    transitions: Optional[tuple] = None) -> PathBundle:
+                    seed: int, keep_latents: bool = True) -> PathBundle:
     """Simulate a truth laid out as :func:`load_truth` returns it; a truth
     dict is passed as ``simulate_custom(**truth, n=n, T=T, seed=seed)``.
     The arrays first pass the checks :func:`load_truth` ends with.
 
     The blocks are streamed together chunk by chunk and each chunk's
     observations are written into ``x_obs``; the latent paths are stored
-    only with ``keep_latents``.  ``transitions``, from :func:`grid_transitions`
-    for this truth and grid, spares building the blocks' transitions here.
+    only with ``keep_latents``.  The blocks' exact transitions are built
+    once per truth and grid in a process (see :func:`_exact_transition`).
     """
     h = _grid_step(n, T)
     blocks = (xi, delta, eps, zeta)
@@ -311,12 +322,8 @@ def simulate_custom(xi: OuBlock, delta: OuBlock, eps: OuBlock, zeta: OuBlock,
         *blocks, lambda_x1, lambda_x2, gamma, b0)
     (p1, k1), (p2, k2) = lambda_x1.shape, lambda_x2.shape
     psi_inv_t = psi_inv.T
-    built_h, built = transitions or (h, [_exact_transition(b, h) for b in blocks])
-    if built_h != h:
-        raise ValueError(f"transitions are for step {built_h}, not {h}")
-
-    chunks = zip(*[_path_chunks(block, n, tr, rng) for block, tr, rng
-                   in zip(blocks, built, _block_streams(seed))])
+    chunks = zip(*[_path_chunks(block, n, _exact_transition(block, h), rng)
+                   for block, rng in zip(blocks, _block_streams(seed))])
     x_obs = np.empty((n + 1, p1 + p2))
     latents = {}
     if keep_latents:

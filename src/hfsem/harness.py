@@ -203,8 +203,7 @@ def _realized(chunk: dict, rep: dict):
     """One replication's path, reduced to its realized covariation."""
     # Through the module attribute, where a benchmark hook can patch it.
     bundle = diffsim.simulate_custom(**chunk["truth"], n=rep["n"], T=chunk["T"],
-                                     seed=rep["seed"], keep_latents=False,
-                                     transitions=rep["transitions"])
+                                     seed=rep["seed"], keep_latents=False)
     return quad_var(bundle.x_obs, chunk["T"])
 
 
@@ -279,16 +278,11 @@ def _replicate(config: ExperimentConfig, specs: Sequence[SemSpec],
                inits: Sequence[Optional[np.ndarray]], truth: dict) -> list[dict]:
     """Each (n, rep) replication's result, in task order at any worker count
     and any chunking: contiguous chunks of ``_CHUNK`` replications go to
-    the workers, and a replication's fits do not depend on its chunk.  The
-    truth's block transitions are built once per n, for all its
-    replications."""
-    reps = []
-    for n in config.n_values:
-        transitions = diffsim.grid_transitions(truth, int(n), config.T)
-        reps += [{"n": int(n), "rep": rep, "transitions": transitions,
-                  "seed": split_seed(config.master_seed, n, rep),
-                  "start_seed": split_seed(config.master_seed, n, rep, tag=1)}
-                 for rep in range(config.replications)]
+    the workers, and a replication's fits do not depend on its chunk."""
+    reps = [{"n": int(n), "rep": rep,
+             "seed": split_seed(config.master_seed, n, rep),
+             "start_seed": split_seed(config.master_seed, n, rep, tag=1)}
+            for n in config.n_values for rep in range(config.replications)]
     chunks = [{"reps": reps[i:i + _CHUNK], "T": config.T, "truth": truth,
                "specs": specs, "inits": inits, "starts": config.starts,
                "criteria": list(config.criteria)}

@@ -112,6 +112,19 @@ class LaneScores:
     def ok(self) -> np.ndarray:
         return self.status == OK
 
+    def require(self, lane: int, model: str) -> None:
+        """Raise ``SingularStructureError`` or ``NotPositiveDefiniteError``
+        if ``lane`` was rejected; ``model`` names the spec."""
+        status = self.status[lane]
+        if status == SINGULAR:
+            raise SingularStructureError(
+                f"I - b of model {model!r} is numerically singular")
+        if status != OK:
+            raise NotPositiveDefiniteError(
+                "Sigma(theta) is not positive definite" if
+                status == NOT_POSITIVE_DEFINITE else
+                "the likelihood is not finite at theta")
+
     def information(self, lanes: np.ndarray) -> np.ndarray:
         """n * ``fisher_information`` of the given lanes, (len, q, q)."""
         return (self._n[lanes][:, None, None]
@@ -197,15 +210,7 @@ class LikelihoodSurface:
         theta = self.spec._check_theta(theta)
         lane = score_lanes(self.spec, theta[None], self.quadvar.q_xx[None],
                            np.array([self.n]), order)
-        status = lane.status[0]
-        if status == SINGULAR:
-            raise SingularStructureError(
-                f"I - b of model {self.spec.name!r} is numerically singular")
-        if status != OK:
-            raise NotPositiveDefiniteError(
-                "Sigma(theta) is not positive definite" if
-                status == NOT_POSITIVE_DEFINITE else
-                "the likelihood is not finite at theta")
+        lane.require(0, self.spec.name)
         return lane
 
     def value(self, theta: np.ndarray) -> float:

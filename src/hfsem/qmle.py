@@ -12,11 +12,14 @@ bound counts as converged.
 Every maximization runs as lanes of one lockstep loop, ``_optimize``, and
 each lane follows bit for bit the path it would follow alone.
 ``fit_lanes`` fits many surfaces of one spec, each from its own starts, in
-one loop; ``fit`` is one lane; ``fit_multistart`` runs its ``start_set``
-(the given or moment start, then Latin-hypercube starts drawn on the moment
-start's scale) as lanes and keeps the best; ``limit_optimum`` maximizes the
-in-fill limit criterion the same way.  The moment start is
-``semspec.moment_start``, so this module reads nothing of a spec's layout.
+one loop, then computes the observed Hessians of the surfaces' best lanes
+in order-2 kernel passes of at most ``_HESSIAN_LANES`` lanes, bit for bit
+``LikelihoodSurface.hessian``.  ``fit`` is one lane; ``fit_multistart``
+runs its ``start_set`` (the given or moment start, then Latin-hypercube
+starts drawn on the moment start's scale) as lanes and keeps the best;
+``limit_optimum`` maximizes the in-fill limit criterion the same way.  The
+moment start is ``semspec.moment_start``, so this module reads nothing of
+a spec's layout.
 """
 
 from __future__ import annotations
@@ -51,6 +54,13 @@ _MAX_ITER = 500
 _GRAD_TOL = 1e-6          # KKT: |projected grad|_inf < _GRAD_TOL*(1+|loglik|)
 _BOUNDARY_TOL = 1e-8      # absolute distance that counts as "on the bound"
 _MAX_HALVINGS = 30        # trials per iteration (full step, then halvings)
+_EPS = np.finfo(float).eps
+# Lanes per order-2 kernel pass of ``fit_lanes``, chosen by measurement on
+# model1-3 (2-vCPU VM): a lane costs 0.46-0.72 ms alone, 0.22-0.37 ms in a
+# pass of 4 and 0.19-0.33 ms in one of 16, while the pass's transient
+# memory grows by one q x q x p x p stack per lane (2.1-2.5 MB at 4 lanes,
+# 8-10 MB at 16).
+_HESSIAN_LANES = 4
 
 @dataclass
 class FitOptions:
@@ -122,15 +132,24 @@ def _scoring_step(info: np.ndarray, grad: np.ndarray,
     """Per lane, the step solving ``info @ step = grad`` on the ``free``
     coordinates, zero on the others: by Cholesky on the free block; by
     least squares, which drops null directions, when that block is empty,
-    not positive definite or singular to working precision."""
+    not positive definite or singular to working precision.
+
+    The free blocks' 1-norms come from one reduction over the lanes: the
+    frozen rows and columns add exact zeros to the column sums.  A lane
+    with every coordinate free solves on its whole matrix, ungathered."""
+    pair = free[:, :, None] & free[:, None, :]
+    norms = np.abs(np.where(pair, info, 0.0)).sum(axis=1).max(axis=1)
+    whole = free.all(axis=1)
     steps = np.zeros_like(grad)
     for lane, keep in enumerate(free):
-        block, g = info[lane][np.ix_(keep, keep)], grad[lane, keep]
+        if whole[lane]:
+            block, g, keep = info[lane], grad[lane], slice(None)
+        else:
+            block, g = info[lane][np.ix_(keep, keep)], grad[lane, keep]
         c, failed = lapack.dpotrf(block, lower=1, clean=0)
         if not failed and g.size:
-            norm = np.abs(block).sum(axis=0).max()
-            rcond = lapack.dpocon(c, norm, uplo="L")[0]
-            if rcond > np.finfo(float).eps * g.size:
+            rcond = lapack.dpocon(c, norms[lane], uplo="L")[0]
+            if rcond > _EPS * g.size:
                 steps[lane, keep] = lapack.dpotrs(c, g, lower=1)[0]
                 continue
         steps[lane, keep] = np.linalg.lstsq(block, g, rcond=None)[0]
@@ -215,28 +234,33 @@ def _optimize(spec: SemSpec, q_xx: np.ndarray, n: np.ndarray,
     return _Lanes(theta, value, grad, iterations, evaluations, started)
 
 
+def _hessians(spec: SemSpec, theta: np.ndarray, q_xx: np.ndarray,
+              n: np.ndarray) -> np.ndarray:
+    """The observed Hessian of each lane, in order-2 ``score_lanes`` passes
+    of at most ``_HESSIAN_LANES`` lanes.  Each theta is an accepted iterate,
+    so Sigma(theta) is positive definite and the Hessian exists; a lane the
+    pass rejects all the same raises the error of
+    ``LikelihoodSurface.hessian``."""
+    hessians = np.empty((len(theta), spec.q, spec.q))
+    for start in range(0, len(theta), _HESSIAN_LANES):
+        part = slice(start, start + _HESSIAN_LANES)
+        scores = score_lanes(spec, theta[part], q_xx[part], n[part], order=2)
+        for lane in range(len(scores.value)):
+            scores.require(lane, spec.name)
+        hessians[part] = scores.hessian
+    return hessians
+
+
 def _finalize(surface: LikelihoodSurface, lanes: _Lanes, best: int,
-              evaluations: int, restarts: int,
-              options: FitOptions) -> FitReport:
+              evaluations: int, restarts: int, hessian: np.ndarray,
+              j_flag: bool) -> FitReport:
     spec = surface.spec
     theta, grad = lanes.theta[best], lanes.grad[best]
     value = float(lanes.value[best])
     kkt, converged = _kkt(grad, _free_mask(spec, theta, grad), value)
     boundary_hit = bool(np.any(
         np.minimum(theta - spec.lower, spec.upper - theta) <= _BOUNDARY_TOL))
-
-    # theta is an accepted iterate, so Sigma(theta) is positive definite
-    # and the analytic Hessian exists.
-    hessian = np.full((spec.q, spec.q), np.nan)
-    if options.compute_hessian:
-        hessian = surface.hessian(theta)
-
-    j_flag = False
-    if np.all(np.isfinite(hessian)):
-        scaled = -hessian / surface.n
-        j_flag = bool(np.linalg.eigvalsh(scaled).min() > _JGATE_MIN_EIG)
     gamma_tilde = -hessian / surface.n if j_flag else np.eye(spec.q)
-
     return FitReport(model=spec.name, n=surface.n, q=spec.q,
                      theta_hat=theta, h_at_hat=value, grad_norm=float(kkt),
                      hessian=hessian, j_flag=j_flag, gamma_tilde=gamma_tilde,
@@ -249,7 +273,8 @@ def fit_lanes(surfaces: Sequence[LikelihoodSurface],
               start_sets: Sequence[Sequence[np.ndarray]],
               options: Optional[FitOptions] = None) -> list[Optional[FitReport]]:
     """Maximize each surface from each of its starts, every start of every
-    surface one lane of one lockstep ``_optimize`` loop.
+    surface one lane of one lockstep ``_optimize`` loop, then compute the
+    Hessians of the surfaces' best lanes in a few order-2 kernel passes.
 
     The surfaces share one spec.  Each report is that of the surface's best
     start (ties in the attained value keep the earliest), with
@@ -265,21 +290,31 @@ def fit_lanes(surfaces: Sequence[LikelihoodSurface],
     owner = np.repeat(np.arange(len(surfaces)), [len(s) for s in start_sets])
     inits = np.array([spec._check_theta(start) for starts in start_sets
                       for start in starts]).reshape(len(owner), spec.q)
-    lanes = _optimize(spec, np.array([s.quadvar.q_xx for s in surfaces])[owner],
-                      np.array([s.n for s in surfaces], dtype=float)[owner],
-                      inits)
-    reports = []
-    for k, surface in enumerate(surfaces):
-        mine = np.flatnonzero(owner == k)
-        usable = mine[lanes.started[mine]]
-        if not usable.size:
+    q_xx = np.array([s.quadvar.q_xx for s in surfaces])
+    n = np.array([s.n for s in surfaces], dtype=float)
+    lanes = _optimize(spec, q_xx[owner], n[owner], inits)
+
+    fitted, bests = [], []
+    for k in range(len(surfaces)):
+        mine = lanes.started & (owner == k)
+        if mine.any():
+            fitted.append(k)
+            bests.append(np.flatnonzero(mine)[np.argmax(lanes.value[mine])])
+        else:
             logger.debug("every start of %s failed", spec.name)
-            reports.append(None)
-            continue
-        best = usable[np.argmax(lanes.value[usable])]
-        reports.append(_finalize(surface, lanes, best,
-                                 int(lanes.evaluations[mine].sum()),
-                                 len(mine) - 1, options))
+    hessians = np.full((len(fitted), spec.q, spec.q), np.nan)
+    j_flags = np.zeros(len(fitted), dtype=bool)
+    if options.compute_hessian and fitted:
+        hessians = _hessians(spec, lanes.theta[bests], q_xx[fitted], n[fitted])
+        scaled = -hessians / n[fitted][:, None, None]
+        j_flags = np.linalg.eigvalsh(scaled).min(axis=1) > _JGATE_MIN_EIG
+
+    reports: list[Optional[FitReport]] = [None] * len(surfaces)
+    for k, best, hessian, j_flag in zip(fitted, bests, hessians, j_flags):
+        mine = owner == k
+        reports[k] = _finalize(surfaces[k], lanes, best,
+                               int(lanes.evaluations[mine].sum()),
+                               int(mine.sum()) - 1, hessian, bool(j_flag))
     return reports
 
 

@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 import scipy.signal
+from scipy.linalg import lapack
 
 from hfsem import diffsim, models, qlik
 from hfsem.semspec import Fixed, Free, PatternMatrix, SemSpec
@@ -322,7 +323,7 @@ def oneshot_simulate_ou(block, n, T, rng):
     """Reference sampler: every step's normals in one (n, dim) draw, the
     whole-path exact transition product, then the recursion over all n
     steps."""
-    ad, bd, noise_factor = diffsim._exact_transition(block, T / n)
+    ad, bd, noise_factor = diffsim._build_transition(block, T / n)
     u = rng.standard_normal((n, block.dim)) @ noise_factor.T + bd
     return _oneshot_recursion(ad, u, block.init)
 
@@ -341,6 +342,25 @@ def oneshot_simulate_custom(tb, n, T, seed):
     x_obs = np.hstack([xi @ tb["lambda_x1"].T + paths["delta"],
                        eta @ tb["lambda_x2"].T + paths["eps"]])
     return dict(paths, eta=eta, x_obs=x_obs)
+
+
+def per_lane_scoring_step(info, grad, free):
+    """Reference for ``qmle._scoring_step``: each lane's free block gathered
+    and its 1-norm taken on its own, before the Cholesky solve (least
+    squares when the block is empty, not positive definite or singular to
+    working precision)."""
+    steps = np.zeros_like(grad)
+    for lane, keep in enumerate(free):
+        block, g = info[lane][np.ix_(keep, keep)], grad[lane, keep]
+        c, failed = lapack.dpotrf(block, lower=1, clean=0)
+        if not failed and g.size:
+            norm = np.abs(block).sum(axis=0).max()
+            rcond = lapack.dpocon(c, norm, uplo="L")[0]
+            if rcond > np.finfo(float).eps * g.size:
+                steps[lane, keep] = lapack.dpotrs(c, g, lower=1)[0]
+                continue
+        steps[lane, keep] = np.linalg.lstsq(block, g, rcond=None)[0]
+    return steps
 
 
 def bundled_truth_doc():

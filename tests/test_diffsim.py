@@ -190,7 +190,7 @@ class TestSimulateCustom:
     def test_grid_arguments_keyword_only(self):
         # a benchmark hook reads the grid size as kwargs["n"]
         params = inspect.signature(diffsim.simulate_custom).parameters
-        for name in ("n", "T", "seed", "keep_latents", "transitions"):
+        for name in ("n", "T", "seed", "keep_latents"):
             assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
         tb = diffsim.load_truth("true4-6")
         with pytest.raises(TypeError):
@@ -298,38 +298,42 @@ class TestLoadTruth:
             diffsim.load_truth(doc)
 
 
-class TestGridTransitions:
-    """Transitions built once by ``grid_transitions`` and passed in give the
-    path ``simulate_custom`` builds on its own."""
+class TestTransitionMemo:
+    """``_exact_transition`` memoizes ``_build_transition`` per block arrays
+    and step: the memoized arrays are the fresh ones, made read-only."""
 
     @pytest.mark.parametrize("kind, n", [("exact", 100), ("exact", 20000),
                                          ("non_diagonal", 100),
                                          ("non_diagonal", 20000)])
-    def test_passed_transitions_change_nothing(self, kind, n):
+    def test_memoized_equals_fresh(self, kind, n, monkeypatch):
+        monkeypatch.setattr(diffsim, "_TRANSITIONS", {})
         tb = truth_variant(kind)
-        transitions = diffsim.grid_transitions(tb, n, 1.0)
-        assert transitions[0] == 1.0 / n
-        for keep_latents in (True, False):
-            own = diffsim.simulate_custom(**tb, n=n, T=1.0, seed=4,
-                                          keep_latents=keep_latents)
-            given = diffsim.simulate_custom(**tb, n=n, T=1.0, seed=4,
-                                            keep_latents=keep_latents,
-                                            transitions=transitions)
-            assert np.array_equal(given.x_obs, own.x_obs)
-            if keep_latents:
-                for name in LATENTS:
-                    assert np.array_equal(getattr(given, name),
-                                          getattr(own, name)), name
+        for name in LATENTS[:4]:
+            memo = diffsim._exact_transition(tb[name], 1.0 / n)
+            assert diffsim._exact_transition(tb[name], 1.0 / n) is memo
+            for kept, fresh in zip(memo, diffsim._build_transition(tb[name],
+                                                                   1.0 / n)):
+                assert np.array_equal(kept, fresh)
+                assert not kept.flags.writeable
+        warm = diffsim.simulate_custom(**tb, n=n, T=1.0, seed=4)
+        monkeypatch.setattr(diffsim, "_TRANSITIONS", {})
+        cold = diffsim.simulate_custom(**tb, n=n, T=1.0, seed=4)
+        for name in ("x_obs",) + LATENTS:
+            assert np.array_equal(getattr(warm, name), getattr(cold, name)), name
 
-    def test_transitions_of_another_grid_rejected(self):
-        tb = diffsim.load_truth("true4-6")
-        transitions = diffsim.grid_transitions(tb, 200, 1.0)
-        with pytest.raises(ValueError, match="step"):
-            diffsim.simulate_custom(**tb, n=100, T=1.0, seed=0,
-                                    transitions=transitions)
-        with pytest.raises(ValueError, match="step"):
-            diffsim.simulate_custom(**tb, n=200, T=2.0, seed=0,
-                                    transitions=transitions)
+    def test_keyed_on_block_arrays_and_step(self, monkeypatch):
+        monkeypatch.setattr(diffsim, "_TRANSITIONS", {})
+        block = scalar_xi_block()
+        memo = diffsim._exact_transition(block, 0.01)
+        # an equal block built anew shares the entry
+        assert diffsim._exact_transition(scalar_xi_block(), 0.01) is memo
+        moved = diffsim.OuBlock(1, [[2.0]], [6.0], [[3.0]], [3.0])
+        for other in (diffsim._exact_transition(moved, 0.01),
+                      diffsim._exact_transition(block, 0.02)):
+            assert not np.array_equal(other[1], memo[1])
+        assert len(diffsim._TRANSITIONS) == 3
+        with pytest.raises(ValueError, match="read-only"):
+            memo[0][0, 0] = 1.0
 
 
 def truth_variant(kind):

@@ -492,31 +492,35 @@ class TestSimulatorEntries:
 
 
 class TestTransitionBuilds:
-    """The truth's four block transitions are built once per grid size,
-    however many replications run on it."""
+    """Each of the truth's four block transitions is built once per grid
+    size in a process, however many replications and runs use it."""
 
     @pytest.fixture()
     def builds(self, monkeypatch):
         calls = []
-        original = diffsim._exact_transition
+        original = diffsim._build_transition
 
         def counted(block, h):
             calls.append(h)
             return original(block, h)
 
-        monkeypatch.setattr(diffsim, "_exact_transition", counted)
+        monkeypatch.setattr(diffsim, "_build_transition", counted)
+        monkeypatch.setattr(diffsim, "_TRANSITIONS", {})
         return calls
 
     @pytest.mark.parametrize("replications", [1, 3])
     def test_run_experiment(self, builds, replications):
-        harness.run_experiment(small_config(
-            n_values=[100, 200], replications=replications,
-            model_spec_paths=["model1"], workers=1))
+        config = small_config(n_values=[100, 200], replications=replications,
+                              model_spec_paths=["model1"], workers=1)
+        harness.run_experiment(config)
         assert builds == [1 / 100] * 4 + [1 / 200] * 4
+        harness.run_experiment(config)
+        assert len(builds) == 8
 
     @pytest.mark.parametrize("replications", [1, 3])
     def test_gap_probe(self, builds, replications):
-        harness.gap_growth_probe(
-            small_config(n_values=[100, 200], replications=replications),
-            "model1", "model2", criterion="qaic")
+        config = small_config(n_values=[100, 200], replications=replications)
+        harness.gap_growth_probe(config, "model1", "model2", criterion="qaic")
         assert builds == [1 / 100] * 4 + [1 / 200] * 4
+        harness.gap_growth_probe(config, "model1", "model2", criterion="qaic")
+        assert len(builds) == 8

@@ -1,14 +1,18 @@
 import collections
+import math
 
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.linalg import lapack
 
 from hfsem import diffsim, models, qlik, qmle
-from hfsem.errors import AllStartsFailedError, SpecError
+from hfsem.errors import (AllStartsFailedError, NotPositiveDefiniteError,
+                          SingularStructureError, SpecError)
 from hfsem.qlik import LikelihoodSurface, QuadVar, quad_var
 from hfsem.semspec import SemSpec
-from tests.conftest import interior_theta, make_structural_spec
+from tests.conftest import (interior_theta, make_structural_spec,
+                            per_lane_scoring_step)
 
 
 @pytest.fixture(scope="module")
@@ -111,25 +115,29 @@ class TestFit:
         assert 0 < sum(lanes) == report.evaluations <= 87 // 3
 
     def test_one_forward_pass_per_evaluation(self, surface_1e3, monkeypatch):
-        # One forward pass per kernel pass and one for the Hessian; a
-        # central-difference Hessian of this model makes 2q = 44 gradient
-        # calls, 88 Sigma/Jacobian builds.
+        # One forward pass per kernel pass, the Hessian's one order-2 pass
+        # included; a central-difference Hessian of this model makes
+        # 2q = 44 gradient calls, 88 Sigma/Jacobian builds.
         calls = collections.Counter()
 
-        def count(owner, name):
+        def count(owner, name, key=lambda *args, **kwargs: ""):
             original = getattr(owner, name)
-            monkeypatch.setattr(owner, name, lambda *args: calls.update([name])
-                                or original(*args))
+            monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.update(
+                [name + key(*args, **kwargs)]) or original(*args, **kwargs))
 
-        count(qmle, "score_lanes")
+        count(qmle, "score_lanes",
+              lambda spec, theta, q_xx, n, order=1: f" order {order}")
         count(LikelihoodSurface, "hessian")
         count(SemSpec, "forward")
         report = qmle.fit(surface_1e3, init=models.THETA1_TRUE)
-        assert calls["hessian"] == 1
-        assert calls["score_lanes"] > 0
-        assert calls["forward"] <= calls["score_lanes"] + 1
+        assert calls["hessian"] == 0
+        assert calls["score_lanes order 2"] == 1
+        assert calls["score_lanes order 1"] > 0
+        assert calls["forward"] == (calls["score_lanes order 1"]
+                                    + calls["score_lanes order 2"])
         before = calls["forward"]
-        surface_1e3.hessian(report.theta_hat)
+        assert np.array_equal(surface_1e3.hessian(report.theta_hat),
+                              report.hessian)
         assert calls["forward"] - before == 1
 
     def test_boundary_solution_reported(self, scalar_model):
@@ -191,6 +199,40 @@ class TestFit:
                                   np.ones((1, 4), dtype=bool))[0]
         assert np.array_equal(step, np.linalg.lstsq(info, grad, rcond=None)[0])
         assert step[3] == 0.0
+
+    def test_scoring_step_matches_per_lane_reference(self, monkeypatch):
+        # Lanes whose free block is whole, partial, empty, singular to
+        # working precision (whole and partial) and not positive definite:
+        # the stacked 1-norms and the ungathered whole-block solve give
+        # the per-lane code's steps bit for bit.
+        rng = np.random.default_rng(11)
+        q = 7
+        b = rng.standard_normal((6, q, q))
+        info = b @ np.swapaxes(b, 1, 2) + np.eye(q)
+        info = 0.5 * (info + np.swapaxes(info, 1, 2))
+        info[3] = np.diag([2.0, 1.0, 3.0, 1e-20, 5.0, 1.0, 4.0])
+        info[4] = info[3]
+        info[5, 0, 0] = -1.0
+        grad = rng.standard_normal((6, q))
+        free = np.ones((6, q), dtype=bool)
+        free[1] = [True, False, True, True, False, True, True]
+        free[2] = False
+        free[4, 0] = False
+        solves, norms = [], []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **k: solves.append(1) or lstsq(*a, **k))
+        dpocon = lapack.dpocon
+        monkeypatch.setattr(lapack, "dpocon", lambda c, anorm, **k:
+                            norms.append(anorm) or dpocon(c, anorm, **k))
+        step = qmle._scoring_step(info, grad, free)
+        assert len(solves) == 4       # the empty, singular and indefinite lanes
+        ours, norms[:] = list(norms), []
+        assert np.array_equal(step, per_lane_scoring_step(info, grad, free))
+        assert ours == norms          # the 1-norms, bit for bit
+        assert np.abs(info[0] @ step[0] - grad[0]).max() < 1e-12
+        assert np.array_equal(step[2], np.zeros(q))
+        assert step[3, 3] == 0.0 and step[4, 3] == 0.0
 
     @pytest.mark.parametrize("length", [1, 21, 23])
     def test_init_of_wrong_length_rejected(self, surface_1e3, length):
@@ -390,8 +432,8 @@ class TestLanes:
         statuses = []
         original = qmle.score_lanes
 
-        def spy(*args):
-            scores = original(*args)
+        def spy(*args, **kwargs):
+            scores = original(*args, **kwargs)
             statuses.append(scores.status)
             return scores
 
@@ -419,6 +461,56 @@ class TestLanes:
         (lanes,) = runs
         assert sum(informed) <= lanes.iterations.sum() + 8
         assert lanes.evaluations.sum() > 2 * sum(informed)
+
+    @pytest.mark.parametrize("count", [1, 3, 4, 5, 9])
+    def test_hessians_in_kernel_passes(self, model1, count, monkeypatch):
+        # The best lanes' Hessians come from order-2 kernel passes of at
+        # most four lanes, equal to the surface's own Hessian; no surface
+        # Hessian is called.
+        surfaces = [LikelihoodSurface(model1, quad_var(
+            diffsim.simulate_true_model(n, 1.0, seed=60 + k).x_obs, 1.0))
+            for k, n in enumerate([100, 1000] * 4 + [1000])][:count]
+        passes, hessians = [], []
+        original = qmle.score_lanes
+
+        def spy(spec, theta, *args, order=1):
+            if order == 2:
+                passes.append(len(theta))
+            return original(spec, theta, *args, order=order)
+
+        monkeypatch.setattr(qmle, "score_lanes", spy)
+        hessian = LikelihoodSurface.hessian
+        monkeypatch.setattr(LikelihoodSurface, "hessian",
+                            lambda *a: hessians.append(1) or hessian(*a))
+        reports = qmle.fit_lanes(surfaces, [[models.THETA1_TRUE]] * count)
+        assert not hessians
+        assert len(passes) == math.ceil(count / 4)
+        assert sum(passes) == count and max(passes) <= 4
+        for surface, report in zip(surfaces, reports):
+            assert np.array_equal(report.hessian,
+                                  surface.hessian(report.theta_hat))
+            assert np.array_equal(report.gamma_tilde,
+                                  -report.hessian / surface.n)
+
+    @pytest.mark.parametrize("status, error, message", [
+        (qlik.SINGULAR, SingularStructureError, "numerically singular"),
+        (qlik.NOT_POSITIVE_DEFINITE, NotPositiveDefiniteError,
+         "not positive definite"),
+        (qlik.NON_FINITE, NotPositiveDefiniteError, "not finite")],
+        ids=["SINGULAR", "NOT_POSITIVE_DEFINITE", "NON_FINITE"])
+    def test_rejected_hessian_lane_raises_as_the_surface_does(
+            self, surface_1e3, monkeypatch, status, error, message):
+        original = qmle.score_lanes
+
+        def spy(*args, order=1):
+            scores = original(*args, order=order)
+            if order == 2:
+                scores.status[-1] = status
+            return scores
+
+        monkeypatch.setattr(qmle, "score_lanes", spy)
+        with pytest.raises(error, match=message):
+            qmle.fit_lanes([surface_1e3] * 2, [[models.THETA1_TRUE]] * 2)
 
     def test_surfaces_of_one_spec(self, surface_1e3, model2):
         other = LikelihoodSurface(model2, surface_1e3.quadvar)
