@@ -17,8 +17,9 @@ from .infocrit import (CriteriaRow, GammaZero, criteria_row, gamma_zero,
                        posterior_probs, qaic, qbic1, qbic2, select)
 from .models import THETA1_TRUE, THETA2_TRUE, load_builtin, resolve_spec
 from .qlik import LikelihoodSurface, QuadVar, quad_var
-from .qmle import FitOptions, FitReport, fit, fit_multistart, limit_optimum
-from .semspec import (Fixed, Free, PatternMatrix, SemSpec,
-                      check_identifiability, moment_start, nested_embedding)
+from .qmle import (FitOptions, FitReport, check_identifiability, fit,
+                   fit_multistart, limit_optimum)
+from .semspec import (Fixed, Free, PatternMatrix, SemSpec, moment_start,
+                      nested_embedding)
 
 __version__ = "0.1.0"

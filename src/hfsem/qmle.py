@@ -19,13 +19,14 @@ runs its ``start_set`` (the given or moment start, then Latin-hypercube
 starts drawn on the moment start's scale) as lanes and keeps the best;
 ``limit_optimum`` maximizes the in-fill limit criterion the same way.  The
 moment start is ``semspec.moment_start``, so this module reads nothing of
-a spec's layout.
+a spec's layout.  ``_optimize`` takes its kernel as an argument, so the
+injectivity probe of ``check_identifiability`` runs on its lanes too.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -34,12 +35,15 @@ from scipy.stats import qmc
 
 from . import _doc
 from .errors import AllStartsFailedError
-from .qlik import LikelihoodSurface, QuadVar, score_lanes
-from .semspec import SemSpec, moment_start
+from .qlik import (NON_FINITE, OK, LaneScores, LikelihoodSurface, QuadVar,
+                   score_lanes)
+from .semspec import SemSpec, _probe_start, jacobian_rank, moment_start
 
 __all__ = [
     "FitOptions",
     "FitReport",
+    "IdentifiabilityReport",
+    "check_identifiability",
     "fit",
     "fit_lanes",
     "fit_multistart",
@@ -55,6 +59,8 @@ _GRAD_TOL = 1e-6          # KKT: |projected grad|_inf < _GRAD_TOL*(1+|loglik|)
 _BOUNDARY_TOL = 1e-8      # absolute distance that counts as "on the bound"
 _MAX_HALVINGS = 30        # trials per iteration (full step, then halvings)
 _EPS = np.finfo(float).eps
+_PREIMAGE_TOL = 1e-8        # check_identifiability: Sigma reproduced
+_WITNESS_MIN_DIST = 1e-6    # check_identifiability: a distinct preimage
 # Lanes per order-2 kernel pass of ``fit_lanes``, chosen by measurement on
 # model1-3 (2-vCPU VM): a lane costs 0.46-0.72 ms alone, 0.22-0.37 ms in a
 # pass of 4 and 0.19-0.33 ms in one of 16, while the pass's transient
@@ -95,7 +101,8 @@ class FitReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FitReport":
-        """Each field is read by the reader of its declared type."""
+        """Each field is read by the reader of its declared type; ``n`` must
+        be at least 1, and the arrays must have the shapes ``q`` gives."""
         _doc.fields(doc, "fit report", [f.name for f in fields(cls)
                                         if f.name != "hessian"], ["hessian"])
         read = {"str": _doc.text, "int": _doc.integer, "float": _doc.number,
@@ -103,8 +110,14 @@ class FitReport:
         values = {f.name: read[f.type](doc[f.name], f"fit report field {f.name!r}")
                   for f in fields(cls)
                   if f.name != "hessian" or doc.get("hessian") is not None}
+        _doc.integer(values["n"], "fit report field 'n'", 1)
         q = values["q"]
         values.setdefault("hessian", np.full((q, q), np.nan))
+        for key, shape in (("theta_hat", (q,)), ("gamma_tilde", (q, q)),
+                           ("hessian", (q, q))):
+            if values[key].shape != shape:
+                raise ValueError(f"fit report field {key!r} must have shape "
+                                 f"{shape} for q={q}, got {values[key].shape}")
         return cls(**values)
 
 
@@ -166,12 +179,12 @@ class _Lanes(NamedTuple):
     started: np.ndarray       # (L,) whether the start was admissible
 
 
-def _optimize(spec: SemSpec, q_xx: np.ndarray, n: np.ndarray,
-              inits: np.ndarray, iterate_hook=None) -> _Lanes:
-    """Active-set Fisher scoring from every start at once: lane l starts at
-    ``inits[l]`` on the surface of ``(q_xx[l], n[l])``.
+def _optimize(spec: SemSpec, score, inits: np.ndarray,
+              iterate_hook=None) -> _Lanes:
+    """Active-set Fisher scoring from every start at once, lane l from
+    ``inits[l]``; the kernel ``score(theta, at)`` scores lane at[b] at theta[b].
 
-    The lanes run in lockstep, one ``score_lanes`` pass per round for every
+    The lanes run in lockstep, one kernel pass per round for every
     lane still running, but each follows its own path, bit for bit the
     path it would follow alone.  An iteration freezes the coordinates held
     at a bound by an outward gradient, solves the scoring system on the
@@ -188,7 +201,7 @@ def _optimize(spec: SemSpec, q_xx: np.ndarray, n: np.ndarray,
     receives ``(lane, theta)`` for every accepted iterate.
     """
     theta = np.clip(inits, spec.lower, spec.upper)
-    first = score_lanes(spec, theta, q_xx, n)
+    first = score(theta, np.arange(len(theta)))
     value, grad = first.value, first.grad
     started = first.ok
     fresh = np.flatnonzero(started)      # lanes whose next step is due
@@ -216,7 +229,7 @@ def _optimize(spec: SemSpec, q_xx: np.ndarray, n: np.ndarray,
         if not trying.size:
             break
         trial = np.clip(theta[trying] + step[trying], spec.lower, spec.upper)
-        scores = score_lanes(spec, trial, q_xx[trying], n[trying])
+        scores = score(trial, trying)
         evaluations[trying] += 1
         up = scores.value > value[trying]
         fresh = trying[up]
@@ -292,7 +305,8 @@ def fit_lanes(surfaces: Sequence[LikelihoodSurface],
                       for start in starts]).reshape(len(owner), spec.q)
     q_xx = np.array([s.quadvar.q_xx for s in surfaces])
     n = np.array([s.n for s in surfaces], dtype=float)
-    lanes = _optimize(spec, q_xx[owner], n[owner], inits)
+    lanes = _optimize(spec, lambda theta, at: score_lanes(
+        spec, theta, q_xx[owner[at]], n[owner[at]]), inits)
 
     fitted, bests = [], []
     for k in range(len(surfaces)):
@@ -391,3 +405,84 @@ def limit_optimum(spec: SemSpec, sigma0: np.ndarray, starts: int = 8,
     report = fit_multistart(surface, starts=starts, seed=seed,
                             options=FitOptions(compute_hessian=False))
     return report.theta_hat, report.h_at_hat
+
+
+@dataclass
+class IdentifiabilityReport:
+    """Outcome of the rank check and the local-injectivity probe."""
+    model: str
+    q: int
+    rank: int
+    rank_ok: bool
+    trials: int
+    preimages_found: int
+    witnesses: list = field(default_factory=list)
+    collinear_columns: Optional[tuple[int, int]] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.rank_ok and not self.witnesses
+
+
+def _distance_scores(spec: SemSpec, theta: np.ndarray,
+                     sigma0: np.ndarray) -> LaneScores:
+    """The probe's kernel from one forward pass: value -|Sigma - sigma0|_F^2 / 2,
+    gradient -tr((Sigma - sigma0) Sigma_i) and, as information, the Gauss-Newton
+    matrix tr(Sigma_i Sigma_j) (twice ``fisher_information`` at inv(Sigma) = I).
+    A lane with a non-finite value, as where I - B is singular, is rejected."""
+    with np.errstate(all="ignore"):
+        sigma, d1 = spec.forward(theta, 1)
+        r = sigma - sigma0
+        value = -0.5 * np.sum(r * r, axis=(1, 2))
+        grad = -np.sum(d1 * r[:, None], axis=(2, 3))
+    ok = np.isfinite(value) & np.isfinite(grad).all(axis=1)
+    value[~ok] = -np.inf
+    return LaneScores(value, np.where(ok, OK, NON_FINITE), grad, None,
+                      np.full(len(theta), 2.0), d1,
+                      np.broadcast_to(np.eye(spec.p), sigma.shape))
+
+
+def check_identifiability(spec: SemSpec, theta0: np.ndarray, trials: int = 50,
+                          seed: int = 0) -> IdentifiabilityReport:
+    """Check the rank condition and probe local injectivity at ``theta0``.
+
+    The rank condition asks for a covariance Jacobian of full column rank q
+    at ``theta0``.  The probe minimizes ``|Sigma(theta) - Sigma(theta0)|_F``
+    from ``trials`` starts, as lanes of one ``_optimize`` loop on
+    ``_distance_scores``.  The starts alternate between perturbations of
+    ``theta0``, so that some land back on it and the distance test is
+    substantive, and random points in the box.  A minimizer that reproduces
+    the covariance (distance below ``_PREIMAGE_TOL``) at least
+    ``_WITNESS_MIN_DIST`` from ``theta0`` is a failure witness.
+    """
+    trials = _doc.integer(trials, "trials", 1)
+    rng = np.random.default_rng(_doc.integer(seed, "seed"))
+    theta0 = np.asarray(theta0, dtype=float)
+    delta0, rank = jacobian_rank(spec, theta0)
+    collinear = None
+    if rank < spec.q and spec.q >= 2:
+        # Surface one offending pair for the report.
+        norms = np.linalg.norm(delta0, axis=0)
+        unit = delta0 / np.where(norms > 0, norms, 1.0)
+        corr = np.abs(unit.T @ unit)
+        np.fill_diagonal(corr, 0.0)
+        i, j = np.unravel_index(np.argmax(corr), corr.shape)
+        if corr[i, j] > 1.0 - 1e-8:
+            collinear = (int(min(i, j)), int(max(i, j)))
+
+    starts = [_probe_start(spec, rng) if trial % 2 else np.where(
+        spec.positive_mask, theta0 * rng.uniform(0.7, 1.4, size=spec.q),
+        theta0 + rng.uniform(-0.5, 0.5, size=spec.q)) for trial in range(trials)]
+    sigma0 = spec.sigma(theta0)
+    lanes = _optimize(spec, lambda theta, at: _distance_scores(
+        spec, theta, sigma0), np.array(starts))
+    dist = np.sqrt(-2.0 * lanes.value)
+    gap = np.linalg.norm(lanes.theta - theta0, axis=1)
+    preimage = dist < _PREIMAGE_TOL
+    witnesses = [{"theta": lanes.theta[lane], "sigma_dist": float(dist[lane]),
+                  "theta_dist": float(gap[lane])}
+                 for lane in np.flatnonzero(preimage & (gap >= _WITNESS_MIN_DIST))]
+    return IdentifiabilityReport(
+        model=spec.name, q=spec.q, rank=rank, rank_ok=rank == spec.q, trials=trials,
+        preimages_found=int(preimage.sum()), witnesses=witnesses,
+        collinear_columns=collinear)

@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
 from . import _doc, matkit
 from .errors import SingularStructureError, SpecError
@@ -46,8 +45,6 @@ __all__ = [
     "Free",
     "PatternMatrix",
     "SemSpec",
-    "IdentifiabilityReport",
-    "check_identifiability",
     "jacobian_rank",
     "moment_start",
     "nested_embedding",
@@ -77,8 +74,6 @@ _DIMS = ("p1", "p2", "k1", "k2")
 
 _PSI_COND_LIMIT = 1e12
 _RANK_SCREEN_DRAWS = 3
-_PREIMAGE_TOL = 1e-8        # check_identifiability: Sigma reproduced
-_WITNESS_MIN_DIST = 1e-6    # check_identifiability: a distinct preimage
 
 
 @dataclass(frozen=True)
@@ -442,23 +437,6 @@ class SemSpec:
 
 # -- identifiability ---------------------------------------------------------
 
-@dataclass
-class IdentifiabilityReport:
-    """Outcome of the rank check and the local-injectivity probe."""
-    model: str
-    q: int
-    rank: int
-    rank_ok: bool
-    trials: int
-    preimages_found: int
-    witnesses: list = field(default_factory=list)
-    collinear_columns: Optional[tuple[int, int]] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.rank_ok and not self.witnesses
-
-
 def _probe_start(spec: SemSpec, rng: np.random.Generator) -> np.ndarray:
     """A random interior point; positive parameters drawn log-uniformly."""
     pos = spec.positive_mask
@@ -489,80 +467,6 @@ def rank_screen(spec: SemSpec) -> bool:
         except SingularStructureError:
             continue
     return False
-
-
-def check_identifiability(spec: SemSpec, theta0: np.ndarray, trials: int = 50,
-                          seed: int = 0) -> IdentifiabilityReport:
-    """Check the rank condition and probe local injectivity at ``theta0``.
-
-    The rank condition asks that the covariance Jacobian at ``theta0`` have
-    full column rank q.  The injectivity probe minimizes the squared
-    Frobenius distance ``|Sigma(theta) - Sigma(theta0)|_F^2`` from random
-    starts; any minimizer that reproduces the covariance (distance below
-    ``_PREIMAGE_TOL``) while sitting away from ``theta0`` (distance at
-    least ``_WITNESS_MIN_DIST``) is recorded as a failure witness.
-    """
-    theta0 = np.asarray(theta0, dtype=float)
-    delta0, rank = jacobian_rank(spec, theta0)
-    rank_ok = rank == spec.q
-
-    collinear = None
-    if not rank_ok and spec.q >= 2:
-        # Surface one offending pair for the report.
-        norms = np.linalg.norm(delta0, axis=0)
-        unit = delta0 / np.where(norms > 0, norms, 1.0)
-        corr = np.abs(unit.T @ unit)
-        np.fill_diagonal(corr, 0.0)
-        i, j = np.unravel_index(np.argmax(corr), corr.shape)
-        if corr[i, j] > 1.0 - 1e-8:
-            collinear = (int(min(i, j)), int(max(i, j)))
-
-    sigma0 = spec.sigma(theta0)
-    # Off-diagonal vech entries count twice in the Frobenius norm, so the
-    # weighted residual 2-norm equals the Frobenius distance exactly.
-    sqrt_w = np.sqrt(np.where(spec._vech_rows == spec._vech_cols, 1.0, 2.0))
-    pbar = sqrt_w.size
-
-    def residual(theta):
-        try:
-            return sqrt_w * matkit.vech(spec.sigma(theta) - sigma0)
-        except SingularStructureError:
-            return np.full(pbar, 1e50)
-
-    def residual_jac(theta):
-        try:
-            return sqrt_w[:, None] * spec.jacobian(theta)
-        except SingularStructureError:
-            return np.zeros((pbar, spec.q))
-
-    rng = np.random.default_rng(seed)
-    witnesses = []
-    found = 0
-    for trial in range(int(trials)):
-        if trial % 2 == 0:
-            # Local start: perturb theta0 so the minimization lands back on
-            # a genuine preimage, making the distance test substantive.
-            factor = rng.uniform(0.7, 1.4, size=spec.q)
-            shift = rng.uniform(-0.5, 0.5, size=spec.q)
-            start = np.where(spec.positive_mask, theta0 * factor, theta0 + shift)
-            start = np.clip(start, spec.lower, spec.upper)
-        else:
-            start = _probe_start(spec, rng)
-        res = scipy.optimize.least_squares(
-            residual, start, jac=residual_jac, method="trf",
-            bounds=(spec.lower, spec.upper),
-            xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=400)
-        dist = float(np.linalg.norm(res.fun))
-        if dist < _PREIMAGE_TOL:
-            found += 1
-            gap = float(np.linalg.norm(res.x - theta0))
-            if gap >= _WITNESS_MIN_DIST:
-                witnesses.append({"theta": res.x.copy(), "sigma_dist": dist,
-                                  "theta_dist": gap})
-    return IdentifiabilityReport(
-        model=spec.name, q=spec.q, rank=rank, rank_ok=rank_ok,
-        trials=int(trials), preimages_found=found, witnesses=witnesses,
-        collinear_columns=collinear)
 
 
 # -- queries on the layout ----------------------------------------------------

@@ -12,7 +12,8 @@ import pytest
 
 from hfsem import diffsim, harness, infocrit, matkit, models, qmle
 from hfsem.qlik import LikelihoodSurface, quad_var
-from hfsem.semspec import check_identifiability, nested_embedding
+from hfsem.qmle import check_identifiability
+from hfsem.semspec import nested_embedding
 from tests.conftest import interior_theta
 
 MASTER_SEED = 20240811

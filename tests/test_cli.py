@@ -216,6 +216,8 @@ class TestFitAndCriteria:
     ["table1", "--config", "{nested_paths_config}", "--out-dir", "{out}"],
     ["fit", "--spec", "{dir}", "--data", "{path}", "--T", "1", "--out", "{out}"],
     ["table1", "--config", "{dir}", "--out-dir", "{out}"],
+    ["criteria", "--fits", "{q_mismatch_fit}", "--out", "{out}"],
+    ["criteria", "--fits", "{n_zero_fit}", "--out", "{out}"],
 ], ids=["quadvar-T0", "quadvar-Tinf", "fit-nosuch-spec", "fit-starts0",
         "priors-not-numbers", "priors-one-of-three", "priors-sum",
         "table1-replications", "quadvar-one-row-headed",
@@ -227,7 +229,8 @@ class TestFitAndCriteria:
         "criteria-fit-number", "criteria-fit-loglik-text",
         "table1-n_values-number", "table1-true_model-number",
         "table1-criteria-nested", "table1-model_spec_paths-nested",
-        "fit-spec-directory", "table1-config-directory"])
+        "fit-spec-directory", "table1-config-directory",
+        "criteria-fit-q-mismatch", "criteria-fit-n-zero"])
 def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
     _, path, fits = fit_files
     fit_doc = json.loads(fits[0].read_text())
@@ -251,6 +254,8 @@ def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
              "{unknown_key_config}": json.dumps({**doc, "worker": 2}),
              "{list_doc}": "[1, 2]", "{number_doc}": "5",
              "{text_loglik_fit}": json.dumps({**fit_doc, "h_at_hat": "-3649.5"}),
+             "{q_mismatch_fit}": json.dumps({**fit_doc, "q": 5}),
+             "{n_zero_fit}": json.dumps({**fit_doc, "n": 0}),
              "{number_n_values_config}": json.dumps({**doc, "n_values": 100}),
              "{number_truth_config}": json.dumps({**doc, "true_model": 5}),
              "{nested_criteria_config}": json.dumps({**doc, "criteria": [["qbic1"]]}),

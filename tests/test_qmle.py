@@ -11,7 +11,7 @@ from hfsem.errors import (AllStartsFailedError, NotPositiveDefiniteError,
                           SingularStructureError, SpecError)
 from hfsem.qlik import LikelihoodSurface, QuadVar, quad_var
 from hfsem.semspec import SemSpec
-from tests.conftest import (interior_theta, make_structural_spec,
+from tests.conftest import (edited_spec, interior_theta, make_structural_spec,
                             per_lane_scoring_step)
 
 
@@ -23,9 +23,10 @@ def surface_1e3(model1):
 
 def one_lane(surface, init, **kwargs):
     """``qmle._optimize`` on one lane: ``surface`` from ``init``."""
-    return qmle._optimize(surface.spec, surface.quadvar.q_xx[None],
-                          np.array([float(surface.n)]),
-                          np.asarray(init, dtype=float)[None], **kwargs)
+    spec, q_xx, n = surface.spec, surface.quadvar.q_xx[None], float(surface.n)
+    return qmle._optimize(spec, lambda theta, at: qmle.score_lanes(
+        spec, theta, q_xx, np.array([n])), np.asarray(init, dtype=float)[None],
+        **kwargs)
 
 
 def reports_equal(a, b):
@@ -279,6 +280,23 @@ class TestFit:
         with pytest.raises(ValueError, match=f"field '{key}'"):
             qmle.FitReport.from_dict(doc)
 
+    @pytest.mark.parametrize("key, bad, named", [
+        ("n", 0, "n"),
+        ("q", 5, "theta_hat"),
+        ("theta_hat", [2.0] * 21, "theta_hat"),
+        ("theta_hat", [[2.0] * 22], "theta_hat"),
+        ("gamma_tilde", [[1.0]], "gamma_tilde"),
+        ("hessian", [[1.0] * 22] * 21, "hessian"),
+    ], ids=["n-zero", "q-short", "theta-short", "theta-matrix",
+            "gamma_tilde-1x1", "hessian-rows"])
+    def test_report_dict_cross_checked(self, surface_1e3, key, bad, named):
+        # Scored as it stands, each of these gives wrong criteria silently
+        # (or -inf with a divide-by-zero warning for n = 0).
+        doc = qmle.fit(surface_1e3, init=models.THETA1_TRUE).to_dict()
+        doc[key] = bad
+        with pytest.raises(ValueError, match=f"field '{named}'"):
+            qmle.FitReport.from_dict(doc)
+
 
 class TestMultistart:
     def test_single_start_with_init_equals_fit(self, surface_1e3):
@@ -322,8 +340,8 @@ class TestMultistart:
         drawn = []
         original = qmle._optimize
         monkeypatch.setattr(qmle, "_optimize",
-                            lambda spec, q_xx, n, inits: drawn.append(inits)
-                            or original(spec, q_xx, n, inits))
+                            lambda spec, score, inits: drawn.append(inits)
+                            or original(spec, score, inits))
         qmle.fit_multistart(surface_1e3, starts=8, seed=3,
                             options=qmle.FitOptions(compute_hessian=False))
         centre = qmle.moment_start(model1, surface_1e3.quadvar.q_xx)
@@ -538,3 +556,29 @@ class TestMomentStart:
         diag = np.diag(quadvar_1e4.q_xx)
         assert np.allclose(theta[10:14], diag[:4] / 2)
         assert np.allclose(theta[14:20], diag[4:] / 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_distance_kernel():
+    # The injectivity probe's kernel: value, gradient and Gauss-Newton
+    # matrix of -|Sigma - sigma0|_F^2 / 2, and a lane whose I - B is
+    # singular (b01 b10 = 1, with b01 freed as parameter 18) rejected alone.
+    spec = edited_spec(make_structural_spec(),
+                       {("b", 0, 1): {"free": {"index": 18}}}, "structural_b2")
+    rng = np.random.default_rng(8)
+    around = np.where(spec.positive_mask, 4.0, 0.3)
+    theta = np.array([interior_theta(spec, rng, around=around) for _ in range(3)])
+    theta[1, 4], theta[1, 18] = 2.0, 0.5
+    sigma0 = spec.sigma(interior_theta(spec, rng, around=around))
+    scores = qmle._distance_scores(spec, theta, sigma0)
+    assert list(scores.status) == [qlik.OK, qlik.NON_FINITE, qlik.OK]
+    assert scores.value[1] == -np.inf
+    for lane in (0, 2):
+        r = spec.sigma(theta[lane]) - sigma0
+        jac = spec.forward(theta[lane], 1)[1].reshape(spec.q, -1)
+        assert scores.value[lane] == -0.5 * np.sum(r * r)
+        grad = -jac @ r.ravel()
+        assert np.abs(scores.grad[lane] - grad).max() < 1e-12 * np.abs(grad).max()
+        gauss_newton = jac @ jac.T
+        assert (np.abs(scores.information([lane])[0] - gauss_newton).max()
+                < 1e-12 * np.abs(gauss_newton).max())

@@ -10,8 +10,8 @@ import hfsem
 from hfsem import matkit, models, qmle
 from hfsem.errors import SingularStructureError, SpecError
 from hfsem.qlik import LikelihoodSurface
-from hfsem.semspec import (Fixed, Free, PatternMatrix, SemSpec,
-                           check_identifiability, jacobian_rank,
+from hfsem.qmle import check_identifiability
+from hfsem.semspec import (Fixed, Free, PatternMatrix, SemSpec, jacobian_rank,
                            moment_start, nested_embedding, rank_screen)
 from tests.conftest import (all_specs, cellwalk_moment_start,
                             cellwalk_nested_embedding, edited_spec,
@@ -368,18 +368,33 @@ class TestIdentifiability:
         assert matkit.numeric_rank(d[:, [i, j]]) == 1
 
 
-    def test_sign_flip_witnessed(self):
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sign_flip_witnessed(self, seed):
         # full rank, but negated loadings reproduce the covariance; ten
-        # trials found two or more witnesses for each of seeds 0-7
+        # trials found one witness at seeds 0 and 3, two to four at the
+        # other seeds
         spec = make_sign_flip_spec()
         theta = np.array([1.0, 2.0, 1.5, 1.0, 2.0, 1.5, 1.0, 2.0])
-        report = check_identifiability(spec, theta, trials=10, seed=0)
+        report = check_identifiability(spec, theta, trials=10, seed=seed)
         assert report.rank == 8 and report.rank_ok
         assert report.witnesses
         assert not report.passed
         flipped = np.concatenate([-theta[:3], theta[3:]])
+        sigma0 = spec.sigma(theta)
         for witness in report.witnesses:
             assert np.abs(witness["theta"] - flipped).max() < 1e-6
+            assert np.linalg.norm(spec.sigma(witness["theta"]) - sigma0) < 1e-8
+
+    @pytest.mark.parametrize("key, bad", [
+        ("trials", 0), ("trials", -3), ("trials", 2.7), ("trials", True),
+        ("seed", -1), ("seed", 1.5), ("seed", "0"),
+    ])
+    def test_probe_arguments_checked(self, model1, key, bad):
+        # A count below 1 would pass with no probe run and a fraction would
+        # be truncated; each bad argument is a ValueError naming it.
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            check_identifiability(model1, models.THETA1_TRUE,
+                                  **{"trials": 2, "seed": 0, key: bad})
 
 
 class TestNestedEmbedding:

@@ -70,6 +70,32 @@ def test_scan_catches_unused_names():
     assert unused_imports(source) == ["Callable", "os", "scipy.linalg"]
 
 
+def optimizer_imports(source: str) -> list[str]:
+    """The ``scipy.optimize`` modules and names a module imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found += [f"{node.module}.{a.name}" for a in node.names]
+    return [name for name in found if (name + ".").startswith("scipy.optimize.")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_optimizer(path):
+    # qmle._optimize is the library's one optimizer: the likelihood fits
+    # and the injectivity probe run as its lanes.
+    assert optimizer_imports(path.read_text()) == []
+
+
+def test_optimizer_scan_catches_imports():
+    lines = ["import scipy.optimize as so", "from scipy import optimize",
+             "from scipy.optimize import least_squares",
+             "import numpy, scipy.optimize"]
+    assert [len(optimizer_imports(line)) for line in lines] == [1, 1, 1, 1]
+    assert optimizer_imports("from scipy import linalg\nimport scipy") == []
+
+
 LAYOUT_NAMES = {"patterns", "_units", "_bases", "Fixed", "Free"}
 
 
