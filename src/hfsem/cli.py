@@ -153,19 +153,23 @@ def criteria(fit_paths, criterion: str, priors, out: str) -> None:
     reports = [FitReport.from_dict(_doc.read_json(path)) for path in fit_paths]
     if len({r.n for r in reports}) != 1:
         raise click.ClickException("fits were computed on different grids")
+    ids = [r.model for r in reports]
+    if len(set(ids)) != len(ids):
+        repeated = max(ids, key=ids.count)
+        raise click.ClickException(f"two fits of model {repeated!r}")
     rows = [infocrit.criteria_row(r) for r in reports]
     prior_vec = None
     if priors is not None:
         prior_vec = np.array([float(v) for v in priors.split(",")])
     probs = infocrit.posterior_probs(rows, prior_vec, criterion)
     winner = infocrit.select(rows, criterion)
+    table = [["model_id", "q", "n", "h_at_hat", *infocrit.CRITERIA, "j_flag",
+              "posterior_prob", "selected"]]
+    table += [[row.model_id, row.q, row.n, row.h_at_hat,
+               *map(row.value, infocrit.CRITERIA), row.j_flag, prob,
+               row.model_id == winner] for row, prob in zip(rows, probs)]
     with open(out, "w") as fh:
-        fh.write("model_id,q,n,h_at_hat,qbic1,qbic2,qaic,j_flag,"
-                 "posterior_prob,selected\n")
-        for row, prob in zip(rows, probs):
-            fh.write(f"{row.model_id},{row.q},{row.n},{row.h_at_hat},"
-                     f"{row.qbic1},{row.qbic2},{row.qaic},{row.j_flag},"
-                     f"{prob},{row.model_id == winner}\n")
+        fh.writelines(",".join(map(str, line)) + "\n" for line in table)
     click.echo(f"wrote {out} (selected {winner} by {criterion})")
 
 

@@ -59,9 +59,9 @@ logger = logging.getLogger(__name__)
 
 CONFIG_SCHEMA = "hfsem-exp-v1"
 
-REPLICATION_COLUMNS = ("rep", "n", "model", "h_at_hat", "qbic1", "qbic2",
-                       "qaic", "j_flag", "converged", "boundary_hit",
-                       "iterations", "evaluations", "grad_norm", "selected_by")
+REPLICATION_COLUMNS = ("rep", "n", "model", "h_at_hat", *CRITERIA, "j_flag",
+                       "converged", "boundary_hit", "iterations",
+                       "evaluations", "grad_norm", "selected_by")
 
 
 def split_seed(master_seed: int, n: int, rep: int, tag: int = 0) -> int:
@@ -239,10 +239,7 @@ def _rep_result(chunk: dict, rep: dict, reports: list) -> dict:
     failed = any(report is None for report in reports)
     rows = [None if report is None else criteria_row(report)
             for report in reports]
-    selected: dict[str, str] = {}
-    if not failed:
-        for criterion in criteria:
-            selected[criterion] = select(rows, criterion)
+    selected = {} if failed else {c: select(rows, c) for c in criteria}
 
     records = []
     for spec, report, row in zip(chunk["specs"], reports, rows):
@@ -256,8 +253,8 @@ def _rep_result(chunk: dict, rep: dict, reports: list) -> dict:
             continue
         winner_of = [c for c in criteria if selected.get(c) == name]
         records.append({"rep": index, "n": n, "model": name,
-                        "h_at_hat": row.h_at_hat, "qbic1": row.qbic1,
-                        "qbic2": row.qbic2, "qaic": row.qaic,
+                        "h_at_hat": row.h_at_hat,
+                        **{c: row.value(c) for c in CRITERIA},
                         "j_flag": row.j_flag, "converged": report.converged,
                         "boundary_hit": report.boundary_hit,
                         "iterations": report.iterations,

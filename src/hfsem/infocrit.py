@@ -6,11 +6,16 @@ marginal quasi-likelihood:
     qbic1 = -2 loglik + log det(n * Gamma_tilde)
     qbic2 = -2 loglik + q log n
 
-with ``Gamma_tilde`` the negative scaled Hessian at the maximizer on the
-event that it is positive definite and the identity off it, so the two
-criteria coincide exactly when the gate fails.  The quasi-Akaike criterion
+with ``Gamma_tilde`` the negative scaled Hessian ``-H/n`` at the maximizer
+on the event J that it is positive definite and the identity off it, so
+the two criteria coincide exactly off J.  The quasi-Akaike criterion
 ``-2 loglik + 2q`` is included for comparison; it lacks selection
 consistency.
+
+``CRITERIA`` names the criteria, in the order of every table that lists
+them.  J and ``log det Gamma_tilde`` are computed here alone, from the
+Hessian a ``FitReport`` keeps: J holds when the smallest eigenvalue of
+``-H/n`` is above ``_JGATE_MIN_EIG``, and a non-finite Hessian is off J.
 
 ``gamma_zero`` builds the analytic information matrix from the covariance
 Jacobian and the fourth-moment weight of the limiting increment law, which
@@ -44,6 +49,7 @@ __all__ = [
 ]
 
 CRITERIA = ("qbic1", "qbic2", "qaic")
+_JGATE_MIN_EIG = 1e-10
 
 
 @dataclass
@@ -65,14 +71,18 @@ class CriteriaRow:
         return getattr(self, criterion)
 
 
-def _logdet_gamma_tilde(fit: FitReport) -> float:
-    if not fit.j_flag:
-        return 0.0
-    sign, logdet = np.linalg.slogdet(fit.gamma_tilde)
+def _gate(fit: FitReport) -> tuple[bool, float]:
+    """Whether the event J holds for ``fit``, and ``log det Gamma_tilde``:
+    that of ``-H/n`` on J, 0 (the identity's) off it."""
+    scaled = -fit.hessian / fit.n
+    if not (np.all(np.isfinite(scaled))
+            and np.linalg.eigvalsh(scaled).min() > _JGATE_MIN_EIG):
+        return False, 0.0
+    sign, logdet = np.linalg.slogdet(scaled)
     if sign <= 0:
         raise NotPositiveDefiniteError(
-            "gamma_tilde is not positive definite despite the gate")
-    return float(logdet)
+            "-H/n is not positive definite despite the gate")
+    return True, float(logdet)
 
 
 def qbic2(fit: FitReport) -> float:
@@ -82,7 +92,7 @@ def qbic2(fit: FitReport) -> float:
 def qbic1(fit: FitReport) -> float:
     # Written as qbic2 + logdet so the identity between the two criteria
     # holds to rounding, not just in exact arithmetic.
-    return qbic2(fit) + _logdet_gamma_tilde(fit)
+    return qbic2(fit) + _gate(fit)[1]
 
 
 def qaic(fit: FitReport) -> float:
@@ -90,11 +100,11 @@ def qaic(fit: FitReport) -> float:
 
 
 def criteria_row(fit: FitReport) -> CriteriaRow:
-    logdet = _logdet_gamma_tilde(fit)
+    j_flag, logdet = _gate(fit)
     base = qbic2(fit)
     return CriteriaRow(model_id=fit.model, q=fit.q, n=fit.n,
                        h_at_hat=fit.h_at_hat, qbic1=base + logdet,
-                       qbic2=base, qaic=qaic(fit), j_flag=fit.j_flag,
+                       qbic2=base, qaic=qaic(fit), j_flag=j_flag,
                        logdet_gamma_tilde=logdet)
 
 

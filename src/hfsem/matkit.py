@@ -86,14 +86,7 @@ def chol_logdet(a: np.ndarray) -> tuple[float, np.ndarray]:
     """``(logdet, inverse)`` of a symmetric positive definite matrix from one
     Cholesky factorization.  Raises :class:`NotPositiveDefiniteError` when it
     fails; callers probing a parameter space treat that as out of region."""
-    return _chol_logdet(check_symmetric(a))
-
-
-def _chol_logdet(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """``chol_logdet`` of a matrix symmetric by construction: no symmetry check."""
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    logdet, inv, info = _chol_lanes(a[None])
+    logdet, inv, info = _chol_lanes(check_symmetric(a)[None])
     if info[0] != 0:
         raise NotPositiveDefiniteError(
             f"leading minor {info[0]} is not positive definite")

@@ -14,13 +14,15 @@ each lane follows bit for bit the path it would follow alone.
 ``fit_lanes`` fits many surfaces of one spec, each from its own starts, in
 one loop, then computes the observed Hessians of the surfaces' best lanes
 in order-2 kernel passes of at most ``_HESSIAN_LANES`` lanes, bit for bit
-``LikelihoodSurface.hessian``.  ``fit`` is one lane; ``fit_multistart``
-runs its ``start_set`` (the given or moment start, then Latin-hypercube
-starts drawn on the moment start's scale) as lanes and keeps the best;
-``limit_optimum`` maximizes the in-fill limit criterion the same way.  The
-moment start is ``semspec.moment_start``, so this module reads nothing of
-a spec's layout.  ``_optimize`` takes its kernel as an argument, so the
-injectivity probe of ``check_identifiability`` runs on its lanes too.
+``LikelihoodSurface.hessian``; a ``FitReport`` keeps that Hessian, and
+``infocrit`` derives the criteria from it.  ``fit`` is one lane;
+``fit_multistart`` runs its ``start_set`` (the given or moment start, then
+Latin-hypercube starts drawn on the moment start's scale) as lanes and
+keeps the best; ``limit_optimum`` maximizes the in-fill limit criterion the
+same way.  The moment start is ``semspec.moment_start``, so this module
+reads nothing of a spec's layout.  ``_optimize`` takes its kernel as an
+argument, so the injectivity probe of ``check_identifiability`` runs on
+its lanes too.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_JGATE_MIN_EIG = 1e-10
 _MAX_ITER = 500
 _GRAD_TOL = 1e-6          # KKT: |projected grad|_inf < _GRAD_TOL*(1+|loglik|)
 _BOUNDARY_TOL = 1e-8      # absolute distance that counts as "on the bound"
@@ -82,9 +83,7 @@ class FitReport:
     theta_hat: np.ndarray
     h_at_hat: float
     grad_norm: float          # |projected gradient|_inf, the KKT residual
-    hessian: np.ndarray
-    j_flag: bool
-    gamma_tilde: np.ndarray
+    hessian: np.ndarray       # NaN when not computed
     iterations: int
     evaluations: int          # kernel passes over all the fit's starts
     restarts: int
@@ -93,16 +92,16 @@ class FitReport:
 
     def to_dict(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        for key in ("theta_hat", "hessian", "gamma_tilde"):
-            doc[key] = doc[key].tolist()
-        if not np.all(np.isfinite(self.hessian)):
-            doc["hessian"] = None
+        doc["theta_hat"] = self.theta_hat.tolist()
+        finite = np.all(np.isfinite(self.hessian))
+        doc["hessian"] = self.hessian.tolist() if finite else None
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FitReport":
         """Each field is read by the reader of its declared type; ``n`` must
-        be at least 1, and the arrays must have the shapes ``q`` gives."""
+        be at least 1, the arrays must have the shapes ``q`` gives, and the
+        floats and arrays must be finite (``hessian`` may be null)."""
         _doc.fields(doc, "fit report", [f.name for f in fields(cls)
                                         if f.name != "hessian"], ["hessian"])
         read = {"str": _doc.text, "int": _doc.integer, "float": _doc.number,
@@ -111,10 +110,12 @@ class FitReport:
                   for f in fields(cls)
                   if f.name != "hessian" or doc.get("hessian") is not None}
         _doc.integer(values["n"], "fit report field 'n'", 1)
+        for key in ("theta_hat", "h_at_hat", "grad_norm", "hessian"):
+            if key in values and not np.all(np.isfinite(values[key])):
+                raise ValueError(f"fit report field {key!r} must be finite")
         q = values["q"]
         values.setdefault("hessian", np.full((q, q), np.nan))
-        for key, shape in (("theta_hat", (q,)), ("gamma_tilde", (q, q)),
-                           ("hessian", (q, q))):
+        for key, shape in (("theta_hat", (q,)), ("hessian", (q, q))):
             if values[key].shape != shape:
                 raise ValueError(f"fit report field {key!r} must have shape "
                                  f"{shape} for q={q}, got {values[key].shape}")
@@ -265,19 +266,17 @@ def _hessians(spec: SemSpec, theta: np.ndarray, q_xx: np.ndarray,
 
 
 def _finalize(surface: LikelihoodSurface, lanes: _Lanes, best: int,
-              evaluations: int, restarts: int, hessian: np.ndarray,
-              j_flag: bool) -> FitReport:
+              evaluations: int, restarts: int,
+              hessian: np.ndarray) -> FitReport:
     spec = surface.spec
     theta, grad = lanes.theta[best], lanes.grad[best]
     value = float(lanes.value[best])
     kkt, converged = _kkt(grad, _free_mask(spec, theta, grad), value)
     boundary_hit = bool(np.any(
         np.minimum(theta - spec.lower, spec.upper - theta) <= _BOUNDARY_TOL))
-    gamma_tilde = -hessian / surface.n if j_flag else np.eye(spec.q)
     return FitReport(model=spec.name, n=surface.n, q=spec.q,
                      theta_hat=theta, h_at_hat=value, grad_norm=float(kkt),
-                     hessian=hessian, j_flag=j_flag, gamma_tilde=gamma_tilde,
-                     iterations=int(lanes.iterations[best]),
+                     hessian=hessian, iterations=int(lanes.iterations[best]),
                      evaluations=evaluations, restarts=restarts,
                      converged=bool(converged), boundary_hit=boundary_hit)
 
@@ -317,18 +316,15 @@ def fit_lanes(surfaces: Sequence[LikelihoodSurface],
         else:
             logger.debug("every start of %s failed", spec.name)
     hessians = np.full((len(fitted), spec.q, spec.q), np.nan)
-    j_flags = np.zeros(len(fitted), dtype=bool)
     if options.compute_hessian and fitted:
         hessians = _hessians(spec, lanes.theta[bests], q_xx[fitted], n[fitted])
-        scaled = -hessians / n[fitted][:, None, None]
-        j_flags = np.linalg.eigvalsh(scaled).min(axis=1) > _JGATE_MIN_EIG
 
     reports: list[Optional[FitReport]] = [None] * len(surfaces)
-    for k, best, hessian, j_flag in zip(fitted, bests, hessians, j_flags):
+    for k, best, hessian in zip(fitted, bests, hessians):
         mine = owner == k
         reports[k] = _finalize(surfaces[k], lanes, best,
                                int(lanes.evaluations[mine].sum()),
-                               int(mine.sum()) - 1, hessian, bool(j_flag))
+                               int(mine.sum()) - 1, hessian)
     return reports
 
 
@@ -369,8 +365,7 @@ def start_set(surface: LikelihoodSurface, starts: int = 8, seed: int = 0,
     moment start; the remainder are Latin-hypercube draws around the moment
     start (see ``_lhs_starts``).
     """
-    if starts < 1:
-        raise ValueError("need at least one start")
+    starts = _doc.integer(starts, "starts", 1)
     centre = moment_start(surface.spec, surface.quadvar.q_xx)
     first = centre if init is None else np.asarray(init, dtype=float)
     return [first] + _lhs_starts(surface.spec, centre, starts - 1, seed)

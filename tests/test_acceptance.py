@@ -132,16 +132,16 @@ def test_criterion_6_identity_suite(model1, model2, quadvar_1e4):
     for spec, theta in [(model1, models.THETA1_TRUE),
                         (model2, models.THETA2_TRUE)]:
         report = qmle.fit(LikelihoodSurface(spec, quadvar_1e4), init=theta)
-        assert report.j_flag
         row = infocrit.criteria_row(report)
-        logdet = np.linalg.slogdet(report.gamma_tilde)[1]
+        assert row.j_flag
+        logdet = np.linalg.slogdet(-report.hessian / report.n)[1]
         worst_gap = max(worst_gap, abs((row.qbic1 - row.qbic2) - logdet))
     gated_off = infocrit.criteria_row(
         qmle.FitReport(model="off", n=100, q=3, theta_hat=np.zeros(3),
                        h_at_hat=-10.0, grad_norm=0.0,
-                       hessian=np.full((3, 3), np.nan), j_flag=False,
-                       gamma_tilde=np.eye(3), iterations=1, evaluations=2,
-                       restarts=0, converged=True, boundary_hit=False))
+                       hessian=np.full((3, 3), np.nan), iterations=1,
+                       evaluations=2, restarts=0, converged=True,
+                       boundary_hit=False))
     identity_off = gated_off.qbic1 == gated_off.qbic2
 
     # duplication identity on 100 random symmetric matrices

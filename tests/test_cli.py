@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -122,10 +123,10 @@ class TestFitAndCriteria:
     def test_fit_report_fields(self, fit_files):
         _, _, fits = fit_files
         doc = json.loads(fits[0].read_text())
-        for key in ("model", "n", "q", "theta_hat", "h_at_hat", "grad_norm",
-                    "hessian", "j_flag", "gamma_tilde", "iterations",
-                    "evaluations", "restarts", "converged", "boundary_hit"):
-            assert key in doc
+        assert list(doc) == ["model", "n", "q", "theta_hat", "h_at_hat",
+                             "grad_norm", "hessian", "iterations",
+                             "evaluations", "restarts", "converged",
+                             "boundary_hit"]
         assert doc["n"] == 800 and doc["q"] == 22
 
     def test_fit_with_init_and_starts(self, runner, fit_files, tmp_path):
@@ -179,6 +180,18 @@ class TestFitAndCriteria:
                                       "--out", str(tmp_path / "c.csv")])
         assert result.exit_code != 0
 
+    def test_criteria_rejects_repeated_model(self, runner, fit_files, tmp_path):
+        # Two fits of one model would each be selected, with posterior 1/2.
+        _, _, fits = fit_files
+        out = tmp_path / "c.csv"
+        result = runner.invoke(main, ["criteria", "--fits", str(fits[0]),
+                                      "--fits", str(fits[1]),
+                                      "--fits", str(fits[0]),
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == "Error: two fits of model 'model1'\n"
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["quadvar", "--in", "{path}", "--T", "0", "--out", "{out}"],
@@ -218,6 +231,8 @@ class TestFitAndCriteria:
     ["table1", "--config", "{dir}", "--out-dir", "{out}"],
     ["criteria", "--fits", "{q_mismatch_fit}", "--out", "{out}"],
     ["criteria", "--fits", "{n_zero_fit}", "--out", "{out}"],
+    ["criteria", "{fits}", "--fits", "{nan_loglik_fit}", "--out", "{out}"],
+    ["criteria", "--fits", "{nan_hessian_fit}", "--out", "{out}"],
 ], ids=["quadvar-T0", "quadvar-Tinf", "fit-nosuch-spec", "fit-starts0",
         "priors-not-numbers", "priors-one-of-three", "priors-sum",
         "table1-replications", "quadvar-one-row-headed",
@@ -230,7 +245,8 @@ class TestFitAndCriteria:
         "table1-n_values-number", "table1-true_model-number",
         "table1-criteria-nested", "table1-model_spec_paths-nested",
         "fit-spec-directory", "table1-config-directory",
-        "criteria-fit-q-mismatch", "criteria-fit-n-zero"])
+        "criteria-fit-q-mismatch", "criteria-fit-n-zero",
+        "criteria-fit-loglik-nan", "criteria-fit-hessian-nan"])
 def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
     _, path, fits = fit_files
     fit_doc = json.loads(fits[0].read_text())
@@ -250,12 +266,16 @@ def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
              "{text_theta_fit}": json.dumps({**fit_doc, "theta_hat": ["a"]}),
              "{nan_spec}": json.dumps(nan_spec),
              "{index_float_spec}": json.dumps(index_float_spec),
-             "{flag_text_fit}": json.dumps({**fit_doc, "j_flag": "false"}),
+             "{flag_text_fit}": json.dumps({**fit_doc, "converged": "false"}),
              "{unknown_key_config}": json.dumps({**doc, "worker": 2}),
              "{list_doc}": "[1, 2]", "{number_doc}": "5",
              "{text_loglik_fit}": json.dumps({**fit_doc, "h_at_hat": "-3649.5"}),
              "{q_mismatch_fit}": json.dumps({**fit_doc, "q": 5}),
              "{n_zero_fit}": json.dumps({**fit_doc, "n": 0}),
+             "{nan_loglik_fit}": json.dumps({**fit_doc, "model": "m",
+                                             "h_at_hat": math.nan}),
+             "{nan_hessian_fit}": json.dumps(
+                 {**fit_doc, "hessian": [[math.nan] * 22] * 22}),
              "{number_n_values_config}": json.dumps({**doc, "n_values": 100}),
              "{number_truth_config}": json.dumps({**doc, "true_model": 5}),
              "{nested_criteria_config}": json.dumps({**doc, "criteria": [["qbic1"]]}),

@@ -6,14 +6,14 @@ from hfsem.errors import RankDeficientError
 from hfsem.qlik import LikelihoodSurface, quad_var
 
 
-def fake_report(h=-1000.0, q=22, n=100, j_flag=True, gamma_tilde=None):
-    if gamma_tilde is None:
-        gamma_tilde = np.eye(q)
+def fake_report(h=-1000.0, q=22, n=100, hessian=None):
+    """A report whose Hessian is ``-n I`` by default, so Gamma_tilde = I."""
+    if hessian is None:
+        hessian = -n * np.eye(q)
     return qmle.FitReport(
         model="fake", n=n, q=q, theta_hat=np.zeros(q), h_at_hat=h,
-        grad_norm=0.0, hessian=-n * gamma_tilde, j_flag=j_flag,
-        gamma_tilde=gamma_tilde, iterations=1, evaluations=2, restarts=0,
-        converged=True, boundary_hit=False)
+        grad_norm=0.0, hessian=hessian, iterations=1, evaluations=2,
+        restarts=0, converged=True, boundary_hit=False)
 
 
 @pytest.fixture(scope="module")
@@ -45,14 +45,25 @@ class TestCriteriaValues:
         assert infocrit.qaic(report) == 2044.0
 
     def test_equal_when_gate_fails(self):
-        report = fake_report(j_flag=False, gamma_tilde=np.eye(22))
+        # -H/n = diag(1, ..., 1, -1) is indefinite, so the event J fails.
+        hessian = -100.0 * np.diag([1.0] * 21 + [-1.0])
+        report = fake_report(hessian=hessian)
+        assert not infocrit.criteria_row(report).j_flag
+        assert infocrit.qbic1(report) == infocrit.qbic2(report)
+
+    def test_nan_hessian_is_off_the_event(self):
+        # A Hessian that was not computed (or read back as null) is NaN.
+        report = fake_report(hessian=np.full((22, 22), np.nan))
+        row = infocrit.criteria_row(report)
+        assert not row.j_flag
+        assert row.qbic1 == row.qbic2
         assert infocrit.qbic1(report) == infocrit.qbic2(report)
 
     def test_identity_with_gate(self, fitted_rows):
         rows, reports = fitted_rows
         for row, report in zip(rows, reports):
-            assert report.j_flag
-            sign, logdet = np.linalg.slogdet(report.gamma_tilde)
+            assert row.j_flag
+            sign, logdet = np.linalg.slogdet(-report.hessian / report.n)
             assert sign > 0
             assert abs((row.qbic1 - row.qbic2) - logdet) < 1e-10
             assert row.logdet_gamma_tilde == pytest.approx(logdet, abs=1e-12)

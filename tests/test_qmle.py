@@ -6,7 +6,7 @@ import pytest
 import scipy.optimize
 from scipy.linalg import lapack
 
-from hfsem import diffsim, models, qlik, qmle
+from hfsem import diffsim, infocrit, models, qlik, qmle
 from hfsem.errors import (AllStartsFailedError, NotPositiveDefiniteError,
                           SingularStructureError, SpecError)
 from hfsem.qlik import LikelihoodSurface, QuadVar, quad_var
@@ -35,7 +35,6 @@ def reports_equal(a, b):
             and a.iterations == b.iterations
             and a.evaluations == b.evaluations
             and np.array_equal(a.hessian, b.hessian, equal_nan=True)
-            and a.j_flag == b.j_flag
             and a.converged == b.converged
             and a.boundary_hit == b.boundary_hit)
 
@@ -55,8 +54,7 @@ class TestFit:
         report = qmle.fit(surface_1e3, init=models.THETA1_TRUE)
         assert report.converged
         assert np.abs(report.theta_hat - models.THETA1_TRUE).max() < 3.0
-        assert report.j_flag
-        assert np.array_equal(report.gamma_tilde, -report.hessian / 1000)
+        assert infocrit.criteria_row(report).j_flag
 
     def test_convergence_criterion_scales_with_value(self, surface_1e3):
         report = qmle.fit(surface_1e3, init=models.THETA1_TRUE)
@@ -258,7 +256,6 @@ class TestFit:
         ("theta_hat", ["a"] * 22),
         ("hessian", [[1.0, 2.0], [3.0]]),
         ("iterations", "many"),
-        ("j_flag", "false"),
         ("converged", 1),
         ("boundary_hit", None),
         ("n", 1000.5),
@@ -266,14 +263,18 @@ class TestFit:
         ("h_at_hat", "-3649.5"),
         ("grad_norm", True),
         ("theta_hat", ["3.0"] * 22),
-        ("gamma_tilde", [[True] * 22] * 22),
         ("model", 5),
         ("evaluations", 12.5),
+        ("h_at_hat", math.nan),
+        ("grad_norm", math.inf),
+        ("theta_hat", [2.0] * 21 + [-math.inf]),
+        ("hessian", [[math.nan] * 22] * 22),
     ], ids=["q-null", "theta-text", "theta-strings", "hessian-ragged",
-            "iterations-text", "j_flag-text", "converged-int",
+            "iterations-text", "converged-int",
             "boundary_hit-null", "n-float", "restarts-bool", "h_at_hat-text",
-            "grad_norm-bool", "theta-numeric-strings", "gamma_tilde-bools",
-            "model-number", "evaluations-float"])
+            "grad_norm-bool", "theta-numeric-strings", "model-number",
+            "evaluations-float", "h_at_hat-nan", "grad_norm-inf", "theta-inf",
+            "hessian-nan"])
     def test_report_dict_types_checked(self, surface_1e3, key, bad):
         doc = qmle.fit(surface_1e3, init=models.THETA1_TRUE).to_dict()
         doc[key] = bad
@@ -285,10 +286,9 @@ class TestFit:
         ("q", 5, "theta_hat"),
         ("theta_hat", [2.0] * 21, "theta_hat"),
         ("theta_hat", [[2.0] * 22], "theta_hat"),
-        ("gamma_tilde", [[1.0]], "gamma_tilde"),
         ("hessian", [[1.0] * 22] * 21, "hessian"),
     ], ids=["n-zero", "q-short", "theta-short", "theta-matrix",
-            "gamma_tilde-1x1", "hessian-rows"])
+            "hessian-rows"])
     def test_report_dict_cross_checked(self, surface_1e3, key, bad, named):
         # Scored as it stands, each of these gives wrong criteria silently
         # (or -inf with a divide-by-zero warning for n = 0).
@@ -296,6 +296,14 @@ class TestFit:
         doc[key] = bad
         with pytest.raises(ValueError, match=f"field '{named}'"):
             qmle.FitReport.from_dict(doc)
+
+    def test_report_dict_drops_the_criteria(self, surface_1e3):
+        # The event J and Gamma_tilde are infocrit's, computed from the
+        # Hessian; a document that still carries them is rejected.
+        doc = qmle.fit(surface_1e3, init=models.THETA1_TRUE).to_dict()
+        assert "j_flag" not in doc and "gamma_tilde" not in doc
+        with pytest.raises(ValueError, match=r"unknown keys \['j_flag'\]"):
+            qmle.FitReport.from_dict({**doc, "j_flag": True})
 
 
 class TestMultistart:
@@ -362,6 +370,11 @@ class TestMultistart:
     def test_rejects_nonpositive_starts(self, surface_1e3):
         with pytest.raises(ValueError):
             qmle.fit_multistart(surface_1e3, starts=0)
+
+    @pytest.mark.parametrize("starts", [2.5, True, 0])
+    def test_starts_must_be_a_positive_integer(self, surface_1e3, starts):
+        with pytest.raises(ValueError, match="starts must be an integer"):
+            qmle.fit_multistart(surface_1e3, starts=starts)
 
 
 class TestLimitOptimum:
@@ -507,8 +520,6 @@ class TestLanes:
         for surface, report in zip(surfaces, reports):
             assert np.array_equal(report.hessian,
                                   surface.hessian(report.theta_hat))
-            assert np.array_equal(report.gamma_tilde,
-                                  -report.hessian / surface.n)
 
     @pytest.mark.parametrize("status, error, message", [
         (qlik.SINGULAR, SingularStructureError, "numerically singular"),

@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from hfsem import diffsim, harness, models, qmle
+from hfsem import diffsim, harness, infocrit, models, qmle
 from hfsem.qlik import LikelihoodSurface
 from hfsem.semspec import SemSpec
 
@@ -127,6 +127,50 @@ def test_layout_scan_catches_reads():
               "y = semspec.Fixed(1.0)\n")
     assert layout_reads(source) == ["Fixed", "Free", "_bases", "_units",
                                     "patterns"]
+
+
+CRITERION_NAME = re.compile(r"\b(?:%s)\b" % "|".join(infocrit.CRITERIA))
+
+
+def criteria_lists(source: str) -> list[int]:
+    """Lines of the literals that name more than one criterion: a string
+    that names two or more, or a tuple, list or set literal that holds two
+    or more criterion names."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = CRITERION_NAME.findall(node.value)
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            names = [e.value for e in node.elts if isinstance(e, ast.Constant)
+                     and e.value in infocrit.CRITERIA]
+        else:
+            continue
+        if len(set(names)) > 1:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in SRC.glob("*.py") if p.name != "infocrit.py"),
+    ids=lambda p: p.name)
+def test_criteria_named_only_in_infocrit(path):
+    # infocrit.CRITERIA is the criterion set; the tables and records that
+    # list the criteria take it from there.
+    assert criteria_lists(path.read_text()) == []
+
+
+def test_criteria_scan_catches_lists():
+    source = ('"""Selects by qbic1."""\nHEADER = "h_at_hat,qbic1,qbic2"\n'
+              'COLUMNS = ("n", "qbic2", "qaic")\nx = ["qbic1", "qaic"]\n'
+              'y = {"qbic1", "qbic2"}\nz = ("qbic1", "n", "qbic1")\n')
+    assert criteria_lists(source) == [2, 3, 4, 5]
+
+
+def test_gate_is_infocrit_alone():
+    # The event J and Gamma_tilde are computed from the Hessian in
+    # infocrit; qmle only measures the Hessian.
+    assert re.findall(r"j_flag|gamma_tilde|JGATE",
+                      (SRC / "qmle.py").read_text()) == []
 
 
 def test_perfbench_targets_exist(monkeypatch):
