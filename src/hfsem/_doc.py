@@ -1,7 +1,7 @@
 """Field rules of the JSON documents (model specs, experiment configs,
-truths and fit reports), each written once, and the one lookup of the
-documents bundled with the package by name.  A check raises ``ValueError``
-naming the field; ``SemSpec`` re-raises it as ``SpecError``.
+truths and fit reports) and of grid sizes, horizons and seeds, each written
+once, and the one lookup of the bundled documents by name.  A check raises
+``ValueError`` naming the field; ``SemSpec`` re-raises it as ``SpecError``.
 """
 
 from __future__ import annotations
@@ -60,6 +60,11 @@ def integer(value, where: str, least: int = 0) -> int:
 
 def number(value, where: str) -> float:
     return float(_expect(is_number(value), value, where, "a number"))
+
+
+def horizon(value) -> float:
+    ok = is_number(value) and np.isfinite(value) and value > 0
+    return float(_expect(ok, value, "T", "a positive finite horizon"))
 
 
 def flag(value, where: str) -> bool:

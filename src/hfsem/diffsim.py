@@ -18,7 +18,8 @@ assembled from the latent paths:
 
 The four driving Wiener processes are independent; each block gets its own
 RNG substream spawned from the bundle seed, so equal seeds reproduce
-bundles bit-for-bit and distinct blocks never share randomness.
+bundles bit-for-bit and distinct blocks never share randomness.  Seeds,
+grid sizes n and horizons T are read by the one rule of each in ``_doc``.
 
 Paths are streamed: each block yields its path in row chunks, and each
 chunk's observations are written into the one preallocated ``x_obs``.
@@ -232,11 +233,7 @@ def _build_transition(block: OuBlock, h: float):
 
 def _grid_step(n: int, T: float) -> float:
     """The step ``T / n`` of the uniform grid, after checking both inputs."""
-    if n < 1:
-        raise ValueError("need at least one step")
-    if not (np.isfinite(T) and T > 0):
-        raise ValueError(f"horizon must be positive and finite, got {T}")
-    return T / n
+    return _doc.horizon(T) / _doc.integer(n, "n", 1)
 
 
 def _chunk_bounds(rows: int) -> list[tuple[int, int]]:
@@ -289,8 +286,8 @@ def _path_chunks(block: OuBlock, n: int, transition: tuple,
 def simulate_ou(block: OuBlock, n: int, T: float,
                 rng: np.random.Generator) -> np.ndarray:
     """Sample the block exactly on the grid; returns an (n+1, dim) array."""
-    path = np.empty((n + 1, block.dim))
     transition = _exact_transition(block, _grid_step(n, T))
+    path = np.empty((n + 1, block.dim))
     start = 0
     for rows in _path_chunks(block, n, transition, rng):
         path[start:start + len(rows)] = rows
@@ -299,7 +296,7 @@ def simulate_ou(block: OuBlock, n: int, T: float,
 
 
 def _block_streams(seed: int) -> list[np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(4)
+    children = np.random.SeedSequence(_doc.integer(seed, "seed")).spawn(4)
     return [np.random.default_rng(c) for c in children]
 
 

@@ -25,7 +25,6 @@ the one reader of truths; :func:`truth_sigma` is its covariance Sigma0.
 from __future__ import annotations
 
 import logging
-import math
 import multiprocessing
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional, Sequence, Union
@@ -87,8 +86,7 @@ class ExperimentConfig:
         _doc.integer(self.replications, "replications", 1)
         _doc.integer(self.master_seed, "master_seed", 0)
         _doc.items(self.n_values, "n_values", _doc.integer, 2)
-        if not (math.isfinite(_doc.number(self.T, "T")) and self.T > 0):
-            raise ValueError(f"T must be a positive finite horizon, got {self.T!r}")
+        _doc.horizon(self.T)
         unknown = set(_doc.items(self.criteria, "criteria", _doc.text)) - set(CRITERIA)
         if unknown:
             raise ValueError(f"unknown criteria {sorted(unknown)}")

@@ -1,7 +1,9 @@
 """Realized quadratic covariation and the quasi-log-likelihood surface.
 
 With increments ``dX_i`` over a uniform grid of n steps on [0, T], the
-realized quadratic covariation is ``Q = (1/T) sum_i dX_i dX_i'``.  The
+realized quadratic covariation is ``Q = (1/T) sum_i dX_i dX_i'``, held
+with n and T by a :class:`QuadVar` that checks all three (Q, which any
+non-finite sample reaches, must be finite and symmetric).  The
 quasi-log-likelihood of a candidate covariance ``Sigma(theta)`` reduces to
 
     loglik(theta) = n * (-tr(inv(Sigma) Q) - log det Sigma) / 2,
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matkit
+from . import _doc, matkit
 from .errors import NotPositiveDefiniteError, SingularStructureError
 from .semspec import SemSpec, _swap
 
@@ -41,10 +43,15 @@ __all__ = [
 
 @dataclass
 class QuadVar:
-    """Realized quadratic covariation with its grid metadata."""
+    """Realized covariation Q over n increments of [0, T]; checks itself."""
     q_xx: np.ndarray
     n: int
     T: float
+
+    def __post_init__(self):
+        self.q_xx = matkit.check_symmetric(self.q_xx)
+        self.n = _doc.integer(self.n, "n", 1)
+        self.T = _doc.horizon(self.T)
 
 
 def quad_var(x_obs: np.ndarray, T: float) -> QuadVar:
@@ -54,16 +61,11 @@ def quad_var(x_obs: np.ndarray, T: float) -> QuadVar:
         raise ValueError("need at least two rows of observations")
     if x_obs.shape[1] == 0:
         raise ValueError("path has no observed columns")
-    if not (np.isfinite(T) and T > 0):
-        raise ValueError(f"horizon must be positive and finite, got {T}")
+    T = _doc.horizon(T)
     dx = np.diff(x_obs, axis=0)
     with np.errstate(invalid="ignore", over="ignore"):
         q = dx.T @ dx / T
-    # Any non-finite sample reaches Q; checking the p x p result avoids an
-    # n-sized temporary.
-    if not np.all(np.isfinite(q)):
-        raise ValueError("path has non-finite values")
-    return QuadVar(q_xx=0.5 * (q + q.T), n=x_obs.shape[0] - 1, T=float(T))
+    return QuadVar(q_xx=q, n=x_obs.shape[0] - 1, T=T)
 
 
 def _trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:

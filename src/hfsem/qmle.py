@@ -366,6 +366,7 @@ def start_set(surface: LikelihoodSurface, starts: int = 8, seed: int = 0,
     start (see ``_lhs_starts``).
     """
     starts = _doc.integer(starts, "starts", 1)
+    seed = _doc.integer(seed, "seed")
     centre = moment_start(surface.spec, surface.quadvar.q_xx)
     first = centre if init is None else np.asarray(init, dtype=float)
     return [first] + _lhs_starts(surface.spec, centre, starts - 1, seed)
@@ -393,9 +394,6 @@ def limit_optimum(spec: SemSpec, sigma0: np.ndarray, starts: int = 8,
     the implied covariance equals ``sigma0``.  Returns ``(theta_bar,
     attained value)``.
     """
-    sigma0 = np.asarray(sigma0, dtype=float)
-    # The limit criterion is the n=1, T=1 likelihood surface with the
-    # target covariance standing in for the realized one.
     surface = LikelihoodSurface(spec, QuadVar(q_xx=sigma0, n=1, T=1.0))
     report = fit_multistart(surface, starts=starts, seed=seed,
                             options=FitOptions(compute_hessian=False))

@@ -183,11 +183,40 @@ def make_sign_flip_spec():
                    lower, upper, name="sign_flip")
 
 
+def make_label_switch_spec():
+    """Two uncorrelated unit-variance factors, the first item loading 1 on
+    both and the other four loading freely on both, and a one-item second
+    block with no factor regression (q=14): full rank, yet swapping the two
+    loading columns gives the same covariance, and no rotation keeps the
+    first row at (1, 1), so the spec is locally but not globally
+    identified."""
+    loadings = [[Fixed(1.0), Fixed(1.0)]] + [
+        [Free(2 * i), Free(2 * i + 1)] for i in range(4)]
+    uniques = [[Free(8 + i, "positive") if i == j else Fixed(0.0)
+                for j in range(5)] for i in range(5)]
+    patterns = {
+        "lambda_x1": PatternMatrix(loadings),
+        "lambda_x2": PatternMatrix([[Fixed(1.0)]]),
+        "b": PatternMatrix([[Fixed(0.0)]]),
+        "gamma": PatternMatrix([[Fixed(0.0), Fixed(0.0)]]),
+        "sigma_xixi": PatternMatrix([[Fixed(1.0), Fixed(0.0)],
+                                     [Fixed(0.0), Fixed(1.0)]]),
+        "sigma_dd": PatternMatrix(uniques),
+        "sigma_ee": PatternMatrix([[Free(13, "positive")]]),
+        "sigma_zz": PatternMatrix([[Fixed(1.0)]]),
+    }
+    lower = np.array([-1e3] * 8 + [1e-6] * 6)
+    upper = np.array([1e3] * 8 + [1e4] * 6)
+    return SemSpec({"p1": 5, "p2": 1, "k1": 2, "k2": 1}, patterns,
+                   lower, upper, name="label_switch")
+
+
 def all_specs():
-    """The bundled models and the four hand-built specs above."""
+    """The bundled models and the five hand-built specs above."""
     return ([models.load_builtin(f"model{i}") for i in (1, 2, 3)]
             + [make_scalar_model(), make_degenerate_model(),
-               make_structural_spec(), make_sign_flip_spec()])
+               make_structural_spec(), make_sign_flip_spec(),
+               make_label_switch_spec()])
 
 
 def cellwalk_moment_start(spec, q_xx):

@@ -95,6 +95,24 @@ class TestSimulateOu:
             diffsim.simulate_true_model(10, T, seed=0)
 
 
+GRID_ENTRIES = {
+    "simulate_ou": lambda n: diffsim.simulate_ou(
+        scalar_xi_block(), n, 1.0, np.random.default_rng(0)),
+    "simulate_custom": lambda n: diffsim.simulate_custom(
+        **diffsim.load_truth(diffsim.TRUE_MODEL_NAME), n=n, T=1.0, seed=0),
+    "simulate_true_model": lambda n: diffsim.simulate_true_model(n, 1.0, seed=0),
+}
+
+
+@pytest.mark.parametrize("entry", GRID_ENTRIES)
+@pytest.mark.parametrize("n", [100.5, "5", True], ids=repr)
+def test_grid_size_is_an_integer(entry, n):
+    # Unread, a fraction or a string fails as a bare TypeError inside
+    # numpy, and True runs a one-step grid.
+    with pytest.raises(ValueError, match="^n must be an integer of at least 1"):
+        GRID_ENTRIES[entry](n)
+
+
 class TestTrueModel:
     def test_seed_determinism(self):
         a = diffsim.simulate_true_model(500, 1.0, seed=42)

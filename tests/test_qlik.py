@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from hfsem import diffsim, matkit, models, qlik
+from hfsem import diffsim, harness, matkit, models, qlik
 from hfsem.errors import NotPositiveDefiniteError, SingularStructureError
 from hfsem.qlik import (LikelihoodSurface, QuadVar, fisher_information,
                         quad_var, score_lanes)
@@ -54,6 +56,56 @@ class TestQuadVar:
     def test_positive_semidefinite(self, quadvar_1e4):
         eig = np.linalg.eigvalsh(quadvar_1e4.q_xx)
         assert eig.min() >= -1e-10 * np.trace(quadvar_1e4.q_xx)
+
+    @pytest.mark.parametrize("n", [0, 1000.5, True], ids=repr)
+    def test_bad_increment_count_rejected(self, n):
+        # n = 0 would fit to a report whose criteria divide by zero, and a
+        # fraction to one that FitReport.from_dict rejects.
+        with pytest.raises(ValueError, match="^n must be an integer of at least 1"):
+            QuadVar(np.eye(2), n=n, T=1.0)
+
+    @pytest.mark.parametrize("q_xx, message", [
+        ([[1.0, np.nan], [np.nan, 1.0]], "non-finite"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "square"),
+        ([[1.0, 0.5], [0.4, 1.0]], "not symmetric")],
+        ids=["non_finite", "non_square", "asymmetric"])
+    def test_bad_covariation_rejected(self, q_xx, message):
+        with pytest.raises(ValueError, match=message):
+            QuadVar(np.array(q_xx), n=10, T=1.0)
+
+    def test_covariation_stored_symmetrized(self):
+        q = np.array([[2.0, 0.3], [0.3, 1.0]])
+        assert np.array_equal(QuadVar(q, n=10, T=1.0).q_xx, q)
+        nudged = q + np.array([[0.0, 1e-12], [0.0, 0.0]])
+        stored = QuadVar(nudged, n=10, T=1.0).q_xx
+        assert np.array_equal(stored, stored.T)
+        assert np.array_equal(stored, 0.5 * (nudged + nudged.T))
+
+
+# Every entry point that takes a horizon T, called with it.
+HORIZON_ENTRIES = {
+    "quad_var": lambda T: quad_var(np.arange(6.0).reshape(3, 2), T),
+    "QuadVar": lambda T: QuadVar(np.eye(2), n=10, T=T),
+    "simulate_ou": lambda T: diffsim.simulate_ou(
+        diffsim.OuBlock(1, [[2.0]], [5.0], [[3.0]], [3.0]), 10, T,
+        np.random.default_rng(0)),
+    "simulate_custom": lambda T: diffsim.simulate_custom(
+        **diffsim.load_truth(diffsim.TRUE_MODEL_NAME), n=10, T=T, seed=0),
+    "simulate_true_model": lambda T: diffsim.simulate_true_model(10, T, seed=0),
+    "ExperimentConfig.validate": lambda T: harness.ExperimentConfig(
+        n_values=[100], T=T, replications=1, master_seed=0,
+        model_spec_paths=["model1"]).validate(),
+}
+
+
+@pytest.mark.parametrize("entry", HORIZON_ENTRIES)
+@pytest.mark.parametrize("T", [np.nan, np.inf, 0, -1, True, "1"], ids=repr)
+def test_one_horizon_rule(entry, T):
+    # A bool or a string is no horizon, though a bare comparison takes True
+    # as 1.0; every entry point fails with the one message.
+    message = f"T must be a positive finite horizon, got {T!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        HORIZON_ENTRIES[entry](T)
 
 
 class TestLikelihoodValue:

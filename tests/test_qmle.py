@@ -417,6 +417,34 @@ class TestLimitOptimum:
         assert abs(v3a - v3b) < 1e-8
         assert np.abs(theta3_a - theta3_b).max() < 1e-4
 
+    @pytest.mark.parametrize("entry, shift, message", [
+        ((0, 0), np.nan, "non-finite"), ((0, 1), 0.1, "not symmetric")],
+        ids=["nan", "asymmetric"])
+    def test_bad_target_rejected(self, model1, sigma0_oracle, entry, shift,
+                                 message):
+        # The target is a QuadVar's q_xx and checked as one, before a NaN
+        # can surface as a SpecError on theta.
+        sigma0 = sigma0_oracle.copy()
+        sigma0[entry] += shift
+        with pytest.raises(ValueError, match=message) as err:
+            qmle.limit_optimum(model1, sigma0, starts=2, seed=0)
+        assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize("entry", ["simulate_custom", "start_set"])
+@pytest.mark.parametrize("seed", [1.5, -1, "0", True], ids=repr)
+def test_seed_is_an_integer(surface_1e3, entry, seed):
+    # start_set also reads the seed of fit_multistart and limit_optimum.
+    # Unread, these fail inside numpy or, for True, run as seed 1.
+    calls = {
+        "simulate_custom": lambda: diffsim.simulate_custom(
+            **diffsim.load_truth(diffsim.TRUE_MODEL_NAME), n=10, T=1.0,
+            seed=seed),
+        "start_set": lambda: qmle.start_set(surface_1e3, starts=2, seed=seed),
+    }
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        calls[entry]()
+
 
 class TestLanes:
     """``fit_lanes`` runs many fits as lanes of one lockstep loop; each lane

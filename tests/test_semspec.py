@@ -15,8 +15,8 @@ from hfsem.semspec import (Fixed, Free, PatternMatrix, SemSpec, jacobian_rank,
                            moment_start, nested_embedding, rank_screen)
 from tests.conftest import (all_specs, cellwalk_moment_start,
                             cellwalk_nested_embedding, edited_spec,
-                            interior_theta, make_sign_flip_spec,
-                            make_structural_spec)
+                            interior_theta, make_label_switch_spec,
+                            make_sign_flip_spec, make_structural_spec)
 
 SPECS = all_specs()
 SPEC_IDS = [spec.name for spec in SPECS]
@@ -383,6 +383,25 @@ class TestIdentifiability:
         sigma0 = spec.sigma(theta)
         for witness in report.witnesses:
             assert np.abs(witness["theta"] - flipped).max() < 1e-6
+            assert np.linalg.norm(spec.sigma(witness["theta"]) - sigma0) < 1e-8
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_label_switch_witnessed(self, seed):
+        # full rank, but the swapped loading columns reproduce the
+        # covariance; ten trials found one witness at seeds 2 and 5, two to
+        # five at the other seeds
+        spec = make_label_switch_spec()
+        loadings = np.array([[2.0, 0.5], [0.3, 1.5], [1.0, -0.7], [1.2, 0.4]])
+        tail = np.concatenate([np.linspace(0.5, 1.5, 5), [1.0]])
+        theta = np.concatenate([loadings.ravel(), tail])
+        report = check_identifiability(spec, theta, trials=10, seed=seed)
+        assert report.rank == spec.q == 14 and report.rank_ok
+        assert report.witnesses
+        assert not report.passed
+        swapped = np.concatenate([loadings[:, ::-1].ravel(), tail])
+        sigma0 = spec.sigma(theta)
+        for witness in report.witnesses:
+            assert np.abs(witness["theta"] - swapped).max() < 1e-6
             assert np.linalg.norm(spec.sigma(witness["theta"]) - sigma0) < 1e-8
 
     @pytest.mark.parametrize("key, bad", [

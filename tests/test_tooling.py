@@ -173,6 +173,29 @@ def test_gate_is_infocrit_alone():
                       (SRC / "qmle.py").read_text()) == []
 
 
+HAND_HORIZON = re.compile(r"isfinite\((?:self\.)?T\)|\bT\s*>\s*0\b")
+
+
+def horizon_checks(source: str) -> list[int]:
+    """Lines that check a horizon T by hand: ``isfinite(T)`` or ``T > 0``."""
+    return [number for number, line in enumerate(source.splitlines(), 1)
+            if HAND_HORIZON.search(line)]
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in SRC.glob("*.py") if p.name != "_doc.py"), ids=lambda p: p.name)
+def test_horizon_read_only_in_doc(path):
+    # _doc.horizon is the package's one horizon rule.
+    assert horizon_checks(path.read_text()) == []
+
+
+def test_horizon_scan_catches_comparisons():
+    source = ("if not (np.isfinite(T) and T > 0):\n    pass\n"
+              "ok = math.isfinite(self.T)\nok = self.T>0\n"
+              "x = a.T @ b\nTt > 0\n")
+    assert horizon_checks(source) == [1, 3, 4]
+
+
 def test_perfbench_targets_exist(monkeypatch):
     # The traced benchmark wraps each callable where its caller looks it
     # up; a renamed or moved one would break the trace.  The tracer reads a
