@@ -179,15 +179,11 @@ def criteria(fit_paths, criterion: str, priors, out: str) -> None:
 @click.option("--out-dir", type=click.Path(), required=True)
 @click.option("--workers", type=int, default=None,
               help="Override the config's worker count.")
-@click.option("--realistic", is_flag=True,
-              help="Moment starts with multistart instead of true-value inits.")
-def table1(config_path: str, out_dir: str, workers, realistic: bool) -> None:
+def table1(config_path: str, out_dir: str, workers) -> None:
     """Run the selection study and write table.txt/table.csv/replications.csv."""
     config = harness.ExperimentConfig.from_json(config_path)
     if workers is not None:
         config.workers = workers
-    if realistic:
-        config.init_mode = "moment"
     try:
         # run_experiment validates the counts invariant before returning.
         table, records = harness.run_experiment(config)

@@ -71,6 +71,7 @@ class OuBlock:
     init: np.ndarray
 
     def __post_init__(self):
+        self.dim = _doc.integer(self.dim, "dim", 1)
         self.mean_reversion = np.atleast_2d(np.asarray(self.mean_reversion, float))
         self.level = np.atleast_1d(np.asarray(self.level, float))
         self.dispersion = np.atleast_2d(np.asarray(self.dispersion, float))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -76,7 +76,6 @@ class ExperimentConfig:
     replications: int
     master_seed: int
     model_spec_paths: list[str]
-    criteria: list[str] = field(default_factory=lambda: list(CRITERIA))
     starts: int = 8
     true_model: Union[str, dict] = diffsim.TRUE_MODEL_NAME
     init_mode: str = "true"          # "true" | "moment"
@@ -87,12 +86,9 @@ class ExperimentConfig:
         _doc.integer(self.master_seed, "master_seed", 0)
         _doc.items(self.n_values, "n_values", _doc.integer, 2)
         _doc.horizon(self.T)
-        unknown = set(_doc.items(self.criteria, "criteria", _doc.text)) - set(CRITERIA)
-        if unknown:
-            raise ValueError(f"unknown criteria {sorted(unknown)}")
-        for key, values in (("n_values", self.n_values), ("criteria", self.criteria)):
-            if len(set(values)) != len(values):
-                raise ValueError(f"{key} must not repeat an entry, got {values!r}")
+        if len(set(self.n_values)) != len(self.n_values):
+            raise ValueError(
+                f"n_values must not repeat an entry, got {self.n_values!r}")
         if self.init_mode not in ("true", "moment"):
             raise ValueError("init_mode must be 'true' or 'moment'")
         _doc.integer(self.starts, "starts", 1)
@@ -106,8 +102,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         _doc.fields(doc, "config", [f.name for f in fields(cls)
-                                    if f.default is MISSING
-                                    and f.default_factory is MISSING],
+                                    if f.default is MISSING],
                     [f.name for f in fields(cls)], schema=CONFIG_SCHEMA)
         config = cls(**{k: v for k, v in doc.items() if k != "schema"})
         config.validate()
@@ -167,15 +162,17 @@ def load_specs(paths: Sequence[str]) -> list[SemSpec]:
     return specs
 
 
-def _load_study(config: ExperimentConfig,
-                paths: Sequence[str]) -> tuple[list[SemSpec], dict]:
-    """The specs at ``paths`` and the config's truth, each spec checked
-    against the series the truth observes (the factor dimensions may
-    differ: candidates vary them) and against the grid: with n < p
-    increments Q is singular and the fit runs off to the box."""
+def _load_study(config: ExperimentConfig, paths: Sequence[str]
+                ) -> tuple[list[SemSpec], dict, np.ndarray]:
+    """The specs at ``paths``, the config's truth and its covariance
+    Sigma0, each spec checked against the series the truth observes (the
+    factor dimensions may differ: candidates vary them) and against the
+    grid: with n < p increments Q is singular and the fit runs off to the
+    box."""
     specs = load_specs(paths)
     truth = diffsim.load_truth(config.true_model)
-    p = truth["lambda_x1"].shape[0] + truth["lambda_x2"].shape[0]
+    sigma0 = diffsim.implied_sigma(truth)
+    p = sigma0.shape[0]
     for spec in specs:
         if spec.p != p:
             raise ValueError(f"model {spec.name!r} observes p={spec.p} "
@@ -185,7 +182,7 @@ def _load_study(config: ExperimentConfig,
                 raise ValueError(
                     f"grid size n={n} is below p={spec.p}, the observed "
                     f"dimension of {spec.name!r}")
-    return specs, truth
+    return specs, truth, sigma0
 
 
 # -- replication chunks --------------------------------------------------------
@@ -233,11 +230,10 @@ def _rep_result(chunk: dict, rep: dict, reports: list) -> dict:
     """One replication's selections and records from its fit reports
     (``None`` for a failed fit)."""
     n, index = rep["n"], rep["rep"]
-    criteria = chunk["criteria"]
     failed = any(report is None for report in reports)
     rows = [None if report is None else criteria_row(report)
             for report in reports]
-    selected = {} if failed else {c: select(rows, c) for c in criteria}
+    selected = {} if failed else {c: select(rows, c) for c in CRITERIA}
 
     records = []
     for spec, report, row in zip(chunk["specs"], reports, rows):
@@ -249,7 +245,7 @@ def _rep_result(chunk: dict, rep: dict, reports: list) -> dict:
                             "rep": index, "n": n, "model": name,
                             "selected_by": "fit_failed"})
             continue
-        winner_of = [c for c in criteria if selected.get(c) == name]
+        winner_of = [c for c in CRITERIA if selected.get(c) == name]
         records.append({"rep": index, "n": n, "model": name,
                         "h_at_hat": row.h_at_hat,
                         **{c: row.value(c) for c in CRITERIA},
@@ -279,8 +275,7 @@ def _replicate(config: ExperimentConfig, specs: Sequence[SemSpec],
              "start_seed": split_seed(config.master_seed, n, rep, tag=1)}
             for n in config.n_values for rep in range(config.replications)]
     chunks = [{"reps": reps[i:i + _CHUNK], "T": config.T, "truth": truth,
-               "specs": specs, "inits": inits, "starts": config.starts,
-               "criteria": list(config.criteria)}
+               "specs": specs, "inits": inits, "starts": config.starts}
               for i in range(0, len(reps), _CHUNK)]
     if config.workers > 1:
         with multiprocessing.Pool(config.workers) as pool:
@@ -298,17 +293,17 @@ def run_experiment(config: ExperimentConfig):
     merged in task order.
     """
     config.validate()
-    specs, truth = _load_study(config, config.model_spec_paths)
+    specs, truth, sigma0 = _load_study(config, config.model_spec_paths)
     model_ids = [s.name for s in specs]
 
     inits: list[Optional[np.ndarray]] = [None] * len(specs)
     if config.init_mode == "true":
-        optima = _limit_optima(specs, diffsim.implied_sigma(truth), config)
+        optima = _limit_optima(specs, sigma0, config)
         inits = [theta_bar for theta_bar, _ in optima]
     results = _replicate(config, specs, inits, truth)
 
     counts = {(c, n): {m: 0 for m in model_ids}
-              for c in config.criteria for n in config.n_values}
+              for c in CRITERIA for n in config.n_values}
     failures = {n: 0 for n in config.n_values}
     records = []
     for res in results:
@@ -319,7 +314,7 @@ def run_experiment(config: ExperimentConfig):
         for criterion, winner in res["selected"].items():
             counts[(criterion, res["n"])][winner] += 1
 
-    table = SelectionTable(criteria=list(config.criteria),
+    table = SelectionTable(criteria=list(CRITERIA),
                            n_values=[int(n) for n in config.n_values],
                            model_ids=model_ids, counts=counts,
                            failures=failures,
@@ -365,8 +360,7 @@ def gap_growth_probe(config: ExperimentConfig, model_a: str, model_b: str,
     config.validate()
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
-    specs, truth = _load_study(config, [model_a, model_b])
-    sigma0 = diffsim.implied_sigma(truth)
+    specs, truth, sigma0 = _load_study(config, [model_a, model_b])
 
     (theta_a, lim_a), (theta_b, lim_b) = _limit_optima(specs, sigma0, config)
     fit_gap = np.linalg.norm(specs[0].sigma(theta_a) - sigma0) / np.linalg.norm(sigma0)

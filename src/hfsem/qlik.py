@@ -225,11 +225,6 @@ class LikelihoodSurface:
     def grad(self, theta: np.ndarray) -> np.ndarray:
         return self.value_and_grad(theta)[1]
 
-    def score(self, theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """``value_and_grad`` and the information n * ``fisher_information``."""
-        lane = self._one_lane(theta, 1)
-        return float(lane.value[0]), lane.grad[0], lane.information([0])[0]
-
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         """Analytic observed Hessian (see :func:`score_lanes`)."""
         return self._one_lane(theta, 2).hessian[0]

@@ -15,11 +15,11 @@ each lane follows bit for bit the path it would follow alone.
 one loop, then computes the observed Hessians of the surfaces' best lanes
 in order-2 kernel passes of at most ``_HESSIAN_LANES`` lanes, bit for bit
 ``LikelihoodSurface.hessian``; a ``FitReport`` keeps that Hessian, and
-``infocrit`` derives the criteria from it.  ``fit`` is one lane;
-``fit_multistart`` runs its ``start_set`` (the given or moment start, then
-Latin-hypercube starts drawn on the moment start's scale) as lanes and
-keeps the best; ``limit_optimum`` maximizes the in-fill limit criterion the
-same way.  The moment start is ``semspec.moment_start``, so this module
+``infocrit`` derives the criteria from it.  ``fit_multistart`` runs its
+``start_set`` (the given or moment start, then Latin-hypercube starts
+drawn on the moment start's scale) as lanes and keeps the best; ``fit`` is
+its one-start case; ``limit_optimum`` maximizes the in-fill limit criterion
+the same way.  The moment start is ``semspec.moment_start``, so this module
 reads nothing of a spec's layout.  ``_optimize`` takes its kernel as an
 argument, so the injectivity probe of ``check_identifiability`` runs on
 its lanes too.
@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.stats import qmc
 
-from . import _doc
+from . import _doc, matkit
 from .errors import AllStartsFailedError
 from .qlik import (NON_FINITE, OK, LaneScores, LikelihoodSurface, QuadVar,
                    score_lanes)
@@ -180,8 +180,7 @@ class _Lanes(NamedTuple):
     started: np.ndarray       # (L,) whether the start was admissible
 
 
-def _optimize(spec: SemSpec, score, inits: np.ndarray,
-              iterate_hook=None) -> _Lanes:
+def _optimize(spec: SemSpec, score, inits: np.ndarray) -> _Lanes:
     """Active-set Fisher scoring from every start at once, lane l from
     ``inits[l]``; the kernel ``score(theta, at)`` scores lane at[b] at theta[b].
 
@@ -198,8 +197,7 @@ def _optimize(spec: SemSpec, score, inits: np.ndarray,
     at ``_MAX_ITER`` iterations.  Stopping at the KKT test itself would
     leave weakly curved directions (model3's limit optimum) off by 2e-3.
     The information is computed only for the start and the accepted
-    trials, whose next step needs it.  ``iterate_hook``, when given,
-    receives ``(lane, theta)`` for every accepted iterate.
+    trials, whose next step needs it.
     """
     theta = np.clip(inits, spec.lower, spec.upper)
     first = score(theta, np.arange(len(theta)))
@@ -238,9 +236,6 @@ def _optimize(spec: SemSpec, score, inits: np.ndarray,
         grad[fresh] = scores.grad[up]
         info[fresh] = scores.information(np.flatnonzero(up))
         iterations[fresh] += 1
-        if iterate_hook is not None:
-            for lane in fresh:
-                iterate_hook(lane, theta[lane])
         down = trying[~up]
         step[down] *= 0.5
         budget[down] -= 1
@@ -330,20 +325,10 @@ def fit_lanes(surfaces: Sequence[LikelihoodSurface],
 
 def fit(surface: LikelihoodSurface, init: Optional[np.ndarray] = None,
         options: Optional[FitOptions] = None) -> FitReport:
-    """Maximize the quasi-log-likelihood from one start: ``fit_lanes`` on
-    one lane.
-
-    Without ``init`` the moment-style default start is used.  Raises
-    :class:`AllStartsFailedError` when the start lies outside the
-    admissible region.
-    """
-    if init is None:
-        init = moment_start(surface.spec, surface.quadvar.q_xx)
-    (report,) = fit_lanes([surface], [[init]], options)
-    if report is None:
-        raise AllStartsFailedError(
-            f"optimization of {surface.spec.name!r} failed from the given start")
-    return report
+    """Maximize the quasi-log-likelihood from one start, ``init`` or else
+    the moment start: ``fit_multistart`` with one start, which raises
+    :class:`AllStartsFailedError` when the start is not admissible."""
+    return fit_multistart(surface, 1, 0, init, options)
 
 
 def _lhs_starts(spec: SemSpec, centre: np.ndarray, count: int,
@@ -392,9 +377,12 @@ def limit_optimum(spec: SemSpec, sigma0: np.ndarray, starts: int = 8,
 
     For a correctly specified model this recovers the parameter at which
     the implied covariance equals ``sigma0``.  Returns ``(theta_bar,
-    attained value)``.
+    attained value)``.  A target that is not positive definite leaves the
+    criterion unbounded above and raises ``ValueError``.
     """
     surface = LikelihoodSurface(spec, QuadVar(q_xx=sigma0, n=1, T=1.0))
+    if matkit._chol_lanes(surface.quadvar.q_xx[None])[2][0]:
+        raise ValueError("limit_optimum target sigma0 is not positive definite")
     report = fit_multistart(surface, starts=starts, seed=seed,
                             options=FitOptions(compute_hessian=False))
     return report.theta_hat, report.h_at_hat

@@ -188,7 +188,6 @@ class SemSpec:
         if self.k1 > self.p1 or self.k2 > self.p2:
             raise SpecError("factor dimensions cannot exceed observed dimensions")
         self.p = self.p1 + self.p2
-        self.pbar = self.p * (self.p + 1) // 2
 
         size = {"": 0, "p1": self.p1, "p2": self.p2, "k1": self.k1, "k2": self.k2}
         k = self.k1 + self.k2

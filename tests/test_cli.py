@@ -318,8 +318,7 @@ class TestTable1:
     def test_full_run(self, runner, tmp_path):
         config = harness.ExperimentConfig(
             n_values=[100], T=1.0, replications=2, master_seed=5,
-            model_spec_paths=["model1", "model2", "model3"],
-            criteria=["qbic2"])
+            model_spec_paths=["model1", "model2", "model3"])
         config_path = tmp_path / "exp.json"
         config.to_json(config_path)
         out_dir = tmp_path / "results"

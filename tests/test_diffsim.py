@@ -86,6 +86,13 @@ class TestSimulateOu:
         with pytest.raises(ValueError):
             diffsim.OuBlock(2, np.eye(3), np.zeros(2), np.eye(2), np.zeros(2))
 
+    @pytest.mark.parametrize("dim", ["1", 1.0, True, 0], ids=repr)
+    def test_dim_is_a_positive_integer(self, dim):
+        # Unread, 1.0 and True pass here and fail in simulate_ou with a
+        # bare TypeError, and "1" fails as a mean_reversion shape error.
+        with pytest.raises(ValueError, match="^dim must be an integer"):
+            diffsim.OuBlock(dim, [[2.0]], [5.0], [[3.0]], [3.0])
+
     @pytest.mark.parametrize("T", [np.nan, np.inf])
     def test_non_finite_horizon_rejected(self, T):
         with pytest.raises(ValueError, match="horizon"):

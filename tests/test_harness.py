@@ -9,7 +9,7 @@ import pytest
 from hfsem import diffsim, harness, models, qmle
 from hfsem.errors import (AllStartsFailedError, SingularStructureError,
                           SpecError)
-from hfsem.infocrit import criteria_row
+from hfsem.infocrit import CRITERIA, criteria_row
 from hfsem.qlik import LikelihoodSurface, quad_var
 from tests.conftest import bundled_truth_doc, make_degenerate_model
 
@@ -73,7 +73,7 @@ def readme_truth():
 
 class TestConfig:
     def test_json_round_trip(self, tmp_path):
-        config = small_config(criteria=["qbic2"], starts=3, workers=2)
+        config = small_config(starts=3, workers=2)
         path = tmp_path / "exp.json"
         config.to_json(path)
         loaded = harness.ExperimentConfig.from_json(path)
@@ -86,10 +86,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(n_values=[1]).validate()
         with pytest.raises(ValueError):
-            small_config(criteria=[]).validate()
-        with pytest.raises(ValueError):
-            small_config(criteria=["bic"]).validate()
-        with pytest.raises(ValueError):
             small_config(init_mode="oracle").validate()
         with pytest.raises(ValueError):
             small_config(model_spec_paths=[]).validate()
@@ -100,14 +96,13 @@ class TestConfig:
         ("workers", "2"), ("master_seed", 7.9), ("master_seed", -1),
         ("T", np.nan), ("T", np.inf), ("T", 0.0),
         ("T", "1"), ("n_values", 100), ("n_values", []),
-        ("criteria", [["qbic1"]]), ("model_spec_paths", [["model1"]]),
+        ("starts", [8]), ("model_spec_paths", [["model1"]]),
         ("model_spec_paths", [0]), ("true_model", 5)])
     def test_numbers_checked(self, key, value):
         with pytest.raises(ValueError, match=rf"^{key}(\[\d+\])? must be"):
             small_config(**{key: value}).validate()
 
-    @pytest.mark.parametrize("key, value", [
-        ("n_values", [100, 1000, 100]), ("criteria", ["qbic1", "qbic1"])])
+    @pytest.mark.parametrize("key, value", [("n_values", [100, 1000, 100])])
     def test_repeats_rejected(self, key, value):
         with pytest.raises(ValueError, match=rf"^{key} must not repeat"):
             small_config(**{key: value}).validate()
@@ -162,9 +157,12 @@ class TestConfig:
             harness.gap_growth_probe(config, "model1", "model2")
 
     def test_unknown_keys_rejected(self):
-        doc = {**small_config().to_dict(), "init_mod": "moment", "worker": 2}
-        with pytest.raises(ValueError,
-                           match=r"unknown keys \['init_mod', 'worker'\]"):
+        # every study tallies every criterion: a config cannot pick some
+        doc = {**small_config().to_dict(), "init_mod": "moment", "worker": 2,
+               "criteria": ["qbic2"]}
+        with pytest.raises(
+                ValueError,
+                match=r"unknown keys \['criteria', 'init_mod', 'worker'\]"):
             harness.ExperimentConfig.from_dict(doc)
 
     def test_defaults_filled(self):
@@ -256,7 +254,7 @@ class TestRunExperiment:
     def test_single_replication_equals_its_selection(self):
         config = small_config(replications=1)
         table, records = harness.run_experiment(config)
-        for criterion in config.criteria:
+        for criterion in CRITERIA:
             winners = [r["model"] for r in records
                        if criterion in r["selected_by"].split("+")]
             assert len(winners) == 1

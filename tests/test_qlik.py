@@ -284,7 +284,10 @@ class TestScore:
         surface = LikelihoodSurface(spec, quadvar)
         for _ in range(3):
             theta = interior_theta(spec, rng, around=around)
-            value, grad, info = surface.score(theta)
+            lane = score_lanes(spec, theta[None], quadvar.q_xx[None],
+                               [quadvar.n])
+            value, grad = lane.value[0], lane.grad[0]
+            info = lane.information([0])[0]
             sigma, d1 = spec.forward(theta, 1)
             expected = quadvar.n * fisher_information(
                 d1, matkit.chol_logdet(sigma)[1])
@@ -342,10 +345,9 @@ class TestLanes:
         theta = models.THETA1_TRUE
         lane = score_lanes(model1, theta[None], quadvar_1e4.q_xx[None],
                            [quadvar_1e4.n], 2)
-        value, grad, info = surface.score(theta)
+        value, grad = surface.value_and_grad(theta)
         assert value == surface.value(theta) == lane.value[0]
         assert np.array_equal(grad, lane.grad[0])
-        assert np.array_equal(info, lane.information([0])[0])
         assert np.array_equal(surface.hessian(theta), lane.hessian[0])
 
     @pytest.mark.filterwarnings("error")

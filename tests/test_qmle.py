@@ -21,14 +21,6 @@ def surface_1e3(model1):
     return LikelihoodSurface(model1, quad_var(bundle.x_obs, 1.0))
 
 
-def one_lane(surface, init, **kwargs):
-    """``qmle._optimize`` on one lane: ``surface`` from ``init``."""
-    spec, q_xx, n = surface.spec, surface.quadvar.q_xx[None], float(surface.n)
-    return qmle._optimize(spec, lambda theta, at: qmle.score_lanes(
-        spec, theta, q_xx, np.array([n])), np.asarray(init, dtype=float)[None],
-        **kwargs)
-
-
 def reports_equal(a, b):
     return (np.array_equal(a.theta_hat, b.theta_hat)
             and a.h_at_hat == b.h_at_hat
@@ -66,12 +58,22 @@ class TestFit:
         assert reports_equal(a, b)
 
     def test_monotone_accepted_iterates(self, surface_1e3, model1):
-        values = []
-        hook = lambda lane, theta: values.append(surface_1e3.value(theta))
-        one_lane(surface_1e3,
-                 qmle.moment_start(model1, surface_1e3.quadvar.q_xx),
-                 iterate_hook=hook)
-        values = np.array(values)
+        # One lane from the moment start; a trial is accepted exactly when
+        # it is a new maximum of its lane.
+        q_xx, n = surface_1e3.quadvar.q_xx[None], np.array([surface_1e3.n])
+        best, accepted = -np.inf, []
+
+        def kernel(theta, at):
+            nonlocal best
+            scores = qmle.score_lanes(model1, theta, q_xx, n)
+            if scores.value[0] > best:
+                best = scores.value[0]
+                accepted.append(theta[0].copy())
+            return scores
+
+        qmle._optimize(model1, kernel,
+                       qmle.moment_start(model1, q_xx[0])[None])
+        values = np.array([surface_1e3.value(theta) for theta in accepted])
         assert len(values) > 5
         assert np.all(np.diff(values) >= -1e-9 * (1 + np.abs(values[:-1])))
 
@@ -307,12 +309,12 @@ class TestFit:
 
 
 class TestMultistart:
-    def test_single_start_with_init_equals_fit(self, surface_1e3):
-        a = qmle.fit(surface_1e3, init=models.THETA1_TRUE)
-        b = qmle.fit_multistart(surface_1e3, starts=1, seed=0,
-                                init=models.THETA1_TRUE)
-        assert np.array_equal(a.theta_hat, b.theta_hat)
-        assert a.h_at_hat == b.h_at_hat
+    @pytest.mark.parametrize("init", [None, models.THETA1_TRUE],
+                             ids=["moment", "given"])
+    def test_fit_is_one_start(self, surface_1e3, init):
+        a = qmle.fit(surface_1e3, init=init)
+        b = qmle.fit_multistart(surface_1e3, starts=1, seed=0, init=init)
+        assert a.to_dict() == b.to_dict()
 
     def test_determinism_given_seed(self, surface_1e3):
         a = qmle.fit_multistart(surface_1e3, starts=4, seed=11)
@@ -417,14 +419,19 @@ class TestLimitOptimum:
         assert abs(v3a - v3b) < 1e-8
         assert np.abs(theta3_a - theta3_b).max() < 1e-4
 
-    @pytest.mark.parametrize("entry, shift, message", [
-        ((0, 0), np.nan, "non-finite"), ((0, 1), 0.1, "not symmetric")],
-        ids=["nan", "asymmetric"])
-    def test_bad_target_rejected(self, model1, sigma0_oracle, entry, shift,
-                                 message):
+    @pytest.mark.parametrize("scale, entry, shift, message", [
+        (1.0, (0, 0), np.nan, "non-finite"),
+        (1.0, (0, 1), 0.1, "not symmetric"),
+        (-1.0, (0, 0), 0.0, "target sigma0 is not positive definite"),
+        (0.0, (0, 0), 0.0, "target sigma0 is not positive definite")],
+        ids=["nan", "asymmetric", "negated", "zero"])
+    def test_bad_target_rejected(self, model1, sigma0_oracle, scale, entry,
+                                 shift, message):
         # The target is a QuadVar's q_xx and checked as one, before a NaN
-        # can surface as a SpecError on theta.
-        sigma0 = sigma0_oracle.copy()
+        # can surface as a SpecError on theta; one that is not positive
+        # definite leaves the criterion unbounded, and a fit would end at
+        # the box's edge with a meaningless value.
+        sigma0 = scale * sigma0_oracle
         sigma0[entry] += shift
         with pytest.raises(ValueError, match=message) as err:
             qmle.limit_optimum(model1, sigma0, starts=2, seed=0)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hfsem import diffsim, harness, infocrit, models, qmle
+from hfsem.cli import table1
 from hfsem.qlik import LikelihoodSurface
 from hfsem.semspec import SemSpec
 
@@ -225,7 +226,15 @@ def test_experiment_config_fields():
     # one, is a constant of the harness, not a setting.
     assert [f.name for f in dataclasses.fields(harness.ExperimentConfig)] == [
         "n_values", "T", "replications", "master_seed", "model_spec_paths",
-        "criteria", "starts", "true_model", "init_mode", "workers"]
+        "starts", "true_model", "init_mode", "workers"]
+
+
+def test_table1_options():
+    # The config sets the study.  Besides the config and the output
+    # folder, the command line takes only the worker count, which changes
+    # how the study runs but not what it writes.
+    assert [param.opts for param in table1.params] == [
+        ["--config"], ["--out-dir"], ["--workers"]]
 
 
 @pytest.mark.parametrize("path", sorted((SRC / "model_files").glob("*.json")),
