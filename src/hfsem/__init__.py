@@ -19,7 +19,6 @@ from .models import THETA1_TRUE, THETA2_TRUE, load_builtin, resolve_spec
 from .qlik import LikelihoodSurface, QuadVar, quad_var
 from .qmle import (FitOptions, FitReport, check_identifiability, fit,
                    fit_multistart, limit_optimum)
-from .semspec import (Fixed, Free, PatternMatrix, SemSpec, moment_start,
-                      nested_embedding)
+from .semspec import SemSpec, moment_start, nested_embedding
 
 __version__ = "0.1.0"

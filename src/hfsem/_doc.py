@@ -104,6 +104,8 @@ def read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # not JSON, or not text
+        raise ValueError(f"cannot parse {path}: {exc}") from None
 
 
 def bundled_names(folder: str) -> list[str]:

@@ -38,7 +38,7 @@ import scipy.linalg
 import scipy.signal
 
 from . import _doc
-from .semspec import PatternMatrix, SemSpec, _invert_psi
+from .semspec import SemSpec, _invert_psi
 
 __all__ = [
     "OuBlock",
@@ -177,7 +177,8 @@ def implied_sigma(truth: dict) -> np.ndarray:
     for role, key in zip(("sigma_xixi", "sigma_dd", "sigma_ee", "sigma_zz"),
                          _LATENT):
         values[role] = truth[key].noise_cov
-    patterns = {role: PatternMatrix.fixed(v) for role, v in values.items()}
+    patterns = {role: [[{"fixed": v} for v in row] for row in a.tolist()]
+                for role, a in values.items()}
     spec = SemSpec(dims, patterns, lower=[], upper=[], name="truth")
     return spec.sigma(np.empty(0))
 

@@ -129,7 +129,11 @@ def gamma_zero(spec: SemSpec, theta0: np.ndarray,
     if rank < spec.q:
         raise RankDeficientError(
             f"covariance Jacobian of {spec.name!r} has rank {rank} < q={spec.q}")
-    d_sigma = spec.forward(theta0, 1)[1]
+    # The derivative stack is exactly symmetric, so its vech rows give it
+    # back whole, with no second forward pass.
+    d_sigma = np.empty((spec.q, spec.p, spec.p))
+    rows, cols = matkit.vech_indices(spec.p)
+    d_sigma[:, rows, cols] = d_sigma[:, cols, rows] = delta0.T
     return GammaZero(gamma0=fisher_information(d_sigma, sigma0_inv),
                      delta0=delta0)
 

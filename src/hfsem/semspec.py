@@ -6,6 +6,12 @@ matrices (``b``, ``gamma``) and the four latent covariance matrices are
 fixed constants and which are free parameters.  Each free cell reads its
 value from one entry of the parameter vector ``theta``, by index.
 
+A spec is its document (schema ``hfsem-spec-v1``).  Each matrix is the
+document's rows of cells, ``{"fixed": v}`` or
+``{"free": {"index": i, "constraint": c}}``; construction reads each cell
+once, by ``_doc``'s rules, and keeps the cells as given (a free cell's
+constraint filled in) as ``SemSpec.patterns``, so ``to_dict`` is a copy.
+
 The implied covariance of the observed process has three blocks::
 
     S11 = L1 @ Phi @ L1.T + S_dd
@@ -30,9 +36,8 @@ and no other module reads either.
 
 from __future__ import annotations
 
+import copy
 import math
-import numbers
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -41,9 +46,6 @@ from . import _doc, matkit
 from .errors import SingularStructureError, SpecError
 
 __all__ = [
-    "Fixed",
-    "Free",
-    "PatternMatrix",
     "SemSpec",
     "jacobian_rank",
     "moment_start",
@@ -76,60 +78,25 @@ _PSI_COND_LIMIT = 1e12
 _RANK_SCREEN_DRAWS = 3
 
 
-@dataclass(frozen=True)
-class Fixed:
-    """A cell pinned to a constant, finite value."""
-    value: float
-
-    def __post_init__(self):
-        if not (_doc.is_number(self.value) and math.isfinite(self.value)):
-            raise SpecError(f"fixed value must be a finite number, got {self.value!r}")
-
-
-@dataclass(frozen=True)
-class Free:
-    """A cell read from ``theta`` at the integer position ``index``.
-
-    ``"positive"`` puts the parameter in ``SemSpec.positive_mask``, as a
-    diagonal covariance cell is anyway.  ``"nonzero"`` is accepted as a
-    label only: the estimator does not enforce it.
-    """
-    index: int
-    constraint: str = "none"
-
-    def __post_init__(self):
-        if not _doc.is_number(self.index, numbers.Integral):
-            raise SpecError(f"free index must be an integer, got {self.index!r}")
-        if self.constraint not in CONSTRAINTS:
-            raise SpecError(f"unknown constraint {self.constraint!r}")
-
-
-class PatternMatrix:
-    """A rectangular grid of :class:`Fixed` / :class:`Free` cells."""
-
-    def __init__(self, cells: Sequence[Sequence[Fixed | Free]]):
-        self.cells = [list(row) for row in cells]
-        self.rows = len(self.cells)
-        self.cols = len(self.cells[0]) if self.rows else 0
-        for row in self.cells:
-            if len(row) != self.cols:
-                raise SpecError("ragged pattern matrix")
-            for cell in row:
-                if not isinstance(cell, (Fixed, Free)):
-                    raise SpecError(f"cell must be Fixed or Free, got {cell!r}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def __getitem__(self, rc: tuple[int, int]) -> Fixed | Free:
-        return self.cells[rc[0]][rc[1]]
-
-    @classmethod
-    def fixed(cls, array: np.ndarray) -> "PatternMatrix":
-        """All-fixed pattern holding the given values."""
-        a = np.asarray(array, dtype=float)
-        return cls([[Fixed(float(v)) for v in row] for row in a])
+def _read_cell(cell, where: str) -> dict:
+    """The pattern cell ``where`` read by ``_doc``'s rules: ``{"fixed": v}``
+    with ``v`` a finite number, kept as given, or ``{"free": {"index": i,
+    "constraint": c}}`` with ``c`` filled in."""
+    try:
+        key, value = _doc.one_key(cell, where, ("fixed", "free"))
+        if key == "fixed":
+            if not math.isfinite(_doc.number(value, f"{where}.fixed")):
+                raise ValueError(f"{where}.fixed must be a finite number, got {value!r}")
+            return {"fixed": value}
+        free = _doc.fields(value, f"{where}.free", ("index",), ("constraint",))
+        index = _doc.integer(free["index"], f"{where}.free.index")
+        constraint = free.get("constraint", "none")
+        if constraint not in CONSTRAINTS:
+            raise ValueError(f"{where}.free.constraint must be one of "
+                             f"{CONSTRAINTS}, got {constraint!r}")
+        return {"free": {"index": index, "constraint": constraint}}
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
 
 
 def _swap(x: np.ndarray) -> np.ndarray:
@@ -161,19 +128,26 @@ class SemSpec:
     Parameters
     ----------
     dims : dict with positive integer values for p1, p2, k1, k2.
-    patterns : dict from role name to :class:`PatternMatrix`; roles are
-        lambda_x1 (p1 x k1), lambda_x2 (p2 x k2), b (k2 x k2, zero
-        diagonal), gamma (k2 x k1), sigma_xixi (k1 x k1), sigma_dd
-        (p1 x p1), sigma_ee (p2 x p2), sigma_zz (k2 x k2).  Covariance
-        patterns must be cell-symmetric, and the free indices must cover
-        ``0..q-1``, each in one cell (and its mirror).
+    patterns : dict from role name to the document's list of rows of
+        cells, ``{"fixed": v}`` (v a finite number) or
+        ``{"free": {"index": i, "constraint": c}}`` (i an integer, c one of
+        ``CONSTRAINTS``, "none" if left out); roles are lambda_x1
+        (p1 x k1), lambda_x2 (p2 x k2), b (k2 x k2, zero diagonal), gamma
+        (k2 x k1), sigma_xixi (k1 x k1), sigma_dd (p1 x p1), sigma_ee
+        (p2 x p2), sigma_zz (k2 x k2).  Covariance patterns must be
+        cell-symmetric, and the free indices must cover ``0..q-1``, each in
+        one cell (and its mirror).  ``"positive"`` puts the parameter in
+        ``positive_mask``, as a diagonal covariance cell is anyway;
+        ``"nonzero"`` is a label only, which the estimator does not enforce.
     lower, upper : per-parameter closed bounds, length q; lower < upper,
         and infinite ends are allowed.
     name : identifier used in reports and file output.
 
-    Construction walks each pattern once (the lower triangle of a
-    covariance pattern) into the fixed bases and the unit stacks
-    ``d(matrix)/d(theta)`` of the all-y matrices.
+    Construction walks each pattern once, reading every cell and placing
+    those of the lower triangle of a covariance pattern (each with its
+    mirror) into the fixed bases and the unit stacks ``d(matrix)/d(theta)``
+    of the all-y matrices.  A malformed cell raises ``SpecError`` naming
+    it, ``role[i][j]``.
     """
 
     def __init__(self, dims, patterns, lower, upper, name: str = "model"):
@@ -193,38 +167,45 @@ class SemSpec:
         k = self.k1 + self.k2
         self._bases = [np.zeros(s) for s in
                        ((self.p, k), (k, k), (k, k), (self.p, self.p))]
-        self.patterns: dict[str, PatternMatrix] = {}
+        self.patterns: dict[str, list] = {}
         # theta index -> (role, matrix, positions in it, positive)
         free: dict[int, tuple] = {}
         for role, (m, (r0, rows), (c0, cols)) in _LAYOUT.items():
-            pat = patterns[role]
-            shape = (size[rows], size[cols])
-            if pat.shape != shape:
-                raise SpecError(
-                    f"pattern {role!r} has shape {pat.shape}, expected {shape}")
-            self.patterns[role] = pat
-            r0, c0, sym = size[r0], size[c0], m >= 2
-            for i in range(pat.rows):
-                for j in range(i + 1 if sym else pat.cols):
-                    cell = pat[i, j]
-                    if sym and cell != pat[j, i]:
-                        raise SpecError(
-                            f"covariance pattern {role!r} must be cell-symmetric")
-                    if role == "b" and i == j and cell != Fixed(0.0):
-                        raise SpecError(
-                            "diagonal of the b pattern must be fixed at zero")
+            grid = patterns[role]
+            r0, rows, c0, cols = size[r0], size[rows], size[c0], size[cols]
+            if not (isinstance(grid, list) and len(grid) == rows):
+                raise SpecError(f"pattern {role!r} must be a list of {rows} rows")
+            sym = m >= 2
+            cells = self.patterns[role] = [[] for _ in grid]
+            for i, row in enumerate(grid):
+                if not (isinstance(row, list) and len(row) == cols):
+                    raise SpecError(f"{role}[{i}] must be a list of {cols} cells")
+                for j, cell in enumerate(row):
+                    where = f"{role}[{i}][{j}]"
+                    cell = _read_cell(cell, where)
+                    cells[i].append(cell)
+                    if sym and j > i:
+                        continue  # placed with its mirror
+                    if sym and cell != cells[j][i]:
+                        raise SpecError(f"covariance cell {where} must equal "
+                                        f"its mirror {role}[{j}][{i}]")
+                    if role == "b" and i == j and cell != {"fixed": 0.0}:
+                        raise SpecError(f"diagonal cell {where} must be fixed at zero")
                     at = {(r0 + i, c0 + j)}
                     if sym:
                         at.add((r0 + j, c0 + i))
-                    if isinstance(cell, Fixed):
+                    if "fixed" in cell:
                         for r, c in at:
-                            self._bases[m][r, c] = cell.value
-                    elif cell.index in free:
-                        raise SpecError(f"theta index {cell.index} used in both "
-                                        f"{free[cell.index][0]} and {role}")
-                    else:  # a covariance diagonal is a variance
-                        positive = cell.constraint == "positive" or (sym and i == j)
-                        free[cell.index] = (role, m, at, positive)
+                            self._bases[m][r, c] = cell["fixed"]
+                        continue
+                    index = cell["free"]["index"]
+                    if index in free:
+                        raise SpecError(f"theta index {index} used in both "
+                                        f"{free[index][0]} and {role}")
+                    # a covariance diagonal is a variance
+                    positive = (cell["free"]["constraint"] == "positive"
+                                or (sym and i == j))
+                    free[index] = (role, m, at, positive)
         self.q = len(free)
         if sorted(free) != list(range(self.q)):
             raise SpecError("theta indices must cover 0..q-1 exactly once")
@@ -380,51 +361,27 @@ class SemSpec:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        def cell_out(cell: Fixed | Free) -> dict:
-            if isinstance(cell, Fixed):
-                return {"fixed": cell.value}
-            return {"free": {"index": cell.index, "constraint": cell.constraint}}
-
-        doc = {
+        return {
             "schema": SCHEMA_VERSION,
             "name": self.name,
             "dims": {"p1": self.p1, "p2": self.p2, "k1": self.k1, "k2": self.k2},
             "bounds": {"lower": self.lower.tolist(), "upper": self.upper.tolist()},
+            **copy.deepcopy(self.patterns),
         }
-        for role in _ROLES:
-            pat = self.patterns[role]
-            doc[role] = [[cell_out(pat[i, j]) for j in range(pat.cols)]
-                         for i in range(pat.rows)]
-        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SemSpec":
-        def cell_in(obj) -> Fixed | Free:
-            key, value = _doc.one_key(obj, "cell", ("fixed", "free"))
-            if key == "fixed":
-                return Fixed(value)
-            free = _doc.fields(value, "free cell", ("index",), ("constraint",))
-            return Free(free["index"], free.get("constraint", "none"))
-
         try:
             _doc.fields(doc, "spec", ("dims", "bounds") + _ROLES, ("name",),
                         schema=SCHEMA_VERSION)
-            patterns = {}
-            for role in _ROLES:
-                grid = doc[role]
-                if not (isinstance(grid, list)
-                        and all(isinstance(r, list) for r in grid)):
-                    raise SpecError(f"pattern {role!r} must be a list of rows")
-                patterns[role] = PatternMatrix([[cell_in(c) for c in row]
-                                                for row in grid])
             bounds = _doc.fields(doc["bounds"], "bounds", ("lower", "upper"))
             lower, upper = (_doc.array(bounds[key], f"bounds.{key}", ndim=1)
                             for key in ("lower", "upper"))
             name = _doc.text(doc.get("name", "model"), "name")
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
-        return cls(dims=doc["dims"], patterns=patterns, lower=lower,
-                   upper=upper, name=name)
+        return cls(dims=doc["dims"], patterns={role: doc[role] for role in _ROLES},
+                   lower=lower, upper=upper, name=name)
 
     def to_json(self, path) -> None:
         _doc.write_json(self.to_dict(), path)

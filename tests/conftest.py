@@ -8,7 +8,17 @@ import scipy.signal
 from scipy.linalg import lapack
 
 from hfsem import diffsim, models, qlik
-from hfsem.semspec import Fixed, Free, PatternMatrix, SemSpec
+from hfsem.semspec import SemSpec
+
+
+def fixed(value):
+    """A document cell pinned to ``value``."""
+    return {"fixed": value}
+
+
+def free(index, constraint="none"):
+    """A document cell read from ``theta[index]``."""
+    return {"free": {"index": index, "constraint": constraint}}
 
 
 @pytest.fixture(scope="session")
@@ -72,14 +82,14 @@ def make_scalar_model():
     unit block contributing constants only.
     """
     patterns = {
-        "lambda_x1": PatternMatrix([[Fixed(0.0)]]),
-        "lambda_x2": PatternMatrix([[Fixed(0.0)]]),
-        "b": PatternMatrix([[Fixed(0.0)]]),
-        "gamma": PatternMatrix([[Fixed(0.0)]]),
-        "sigma_xixi": PatternMatrix([[Fixed(1.0)]]),
-        "sigma_dd": PatternMatrix([[Free(0, "positive")]]),
-        "sigma_ee": PatternMatrix([[Fixed(1.0)]]),
-        "sigma_zz": PatternMatrix([[Fixed(1.0)]]),
+        "lambda_x1": [[fixed(0.0)]],
+        "lambda_x2": [[fixed(0.0)]],
+        "b": [[fixed(0.0)]],
+        "gamma": [[fixed(0.0)]],
+        "sigma_xixi": [[fixed(1.0)]],
+        "sigma_dd": [[free(0, "positive")]],
+        "sigma_ee": [[fixed(1.0)]],
+        "sigma_zz": [[fixed(1.0)]],
     }
     return SemSpec({"p1": 1, "p2": 1, "k1": 1, "k2": 1}, patterns,
                    lower=[1e-6], upper=[1e4], name="scalar")
@@ -99,18 +109,18 @@ def make_degenerate_model():
     indistinguishable: their Jacobian columns are identical.
     """
     patterns = {
-        "lambda_x1": PatternMatrix([[Fixed(1.0)], [Free(0)]]),
-        "lambda_x2": PatternMatrix([[Fixed(1.0)], [Fixed(0.0)]]),
-        "b": PatternMatrix([[Fixed(0.0)]]),
-        "gamma": PatternMatrix([[Fixed(0.0)]]),
-        "sigma_xixi": PatternMatrix([[Free(1, "positive")]]),
-        "sigma_dd": PatternMatrix([
-            [Free(2, "positive"), Fixed(0.0)],
-            [Fixed(0.0), Free(3, "positive")]]),
-        "sigma_ee": PatternMatrix([
-            [Free(4, "positive"), Fixed(0.0)],
-            [Fixed(0.0), Free(5, "positive")]]),
-        "sigma_zz": PatternMatrix([[Free(6, "positive")]]),
+        "lambda_x1": [[fixed(1.0)], [free(0)]],
+        "lambda_x2": [[fixed(1.0)], [fixed(0.0)]],
+        "b": [[fixed(0.0)]],
+        "gamma": [[fixed(0.0)]],
+        "sigma_xixi": [[free(1, "positive")]],
+        "sigma_dd": [
+            [free(2, "positive"), fixed(0.0)],
+            [fixed(0.0), free(3, "positive")]],
+        "sigma_ee": [
+            [free(4, "positive"), fixed(0.0)],
+            [fixed(0.0), free(5, "positive")]],
+        "sigma_zz": [[free(6, "positive")]],
     }
     lower = np.array([-1e3] + [1e-6] * 6)
     upper = np.array([1e3] + [1e4] * 6)
@@ -128,26 +138,26 @@ def make_structural_spec():
     off-diagonal unique covariance: free b and symmetric off-diagonal
     cells, which the bundled models never have."""
     patterns = {
-        "lambda_x1": PatternMatrix([[Fixed(1.0)], [Free(0)], [Free(1)]]),
-        "lambda_x2": PatternMatrix([[Fixed(1.0), Fixed(0.0)],
-                                    [Free(2), Fixed(0.0)],
-                                    [Fixed(0.0), Fixed(1.0)],
-                                    [Fixed(0.0), Free(3)]]),
-        "b": PatternMatrix([[Fixed(0.0), Fixed(0.0)],
-                            [Free(4), Fixed(0.0)]]),
-        "gamma": PatternMatrix([[Free(5)], [Free(6)]]),
-        "sigma_xixi": PatternMatrix([[Free(7, "positive")]]),
-        "sigma_dd": PatternMatrix([
-            [Free(8, "positive"), Free(9), Fixed(0.0)],
-            [Free(9), Free(10, "positive"), Fixed(0.0)],
-            [Fixed(0.0), Fixed(0.0), Free(11, "positive")]]),
-        "sigma_ee": PatternMatrix([
-            [Free(12, "positive"), Fixed(0.0), Fixed(0.0), Fixed(0.0)],
-            [Fixed(0.0), Free(13, "positive"), Fixed(0.0), Fixed(0.0)],
-            [Fixed(0.0), Fixed(0.0), Free(14, "positive"), Fixed(0.0)],
-            [Fixed(0.0), Fixed(0.0), Fixed(0.0), Free(15, "positive")]]),
-        "sigma_zz": PatternMatrix([[Free(16, "positive"), Fixed(0.0)],
-                                   [Fixed(0.0), Free(17, "positive")]]),
+        "lambda_x1": [[fixed(1.0)], [free(0)], [free(1)]],
+        "lambda_x2": [[fixed(1.0), fixed(0.0)],
+                      [free(2), fixed(0.0)],
+                      [fixed(0.0), fixed(1.0)],
+                      [fixed(0.0), free(3)]],
+        "b": [[fixed(0.0), fixed(0.0)],
+              [free(4), fixed(0.0)]],
+        "gamma": [[free(5)], [free(6)]],
+        "sigma_xixi": [[free(7, "positive")]],
+        "sigma_dd": [
+            [free(8, "positive"), free(9), fixed(0.0)],
+            [free(9), free(10, "positive"), fixed(0.0)],
+            [fixed(0.0), fixed(0.0), free(11, "positive")]],
+        "sigma_ee": [
+            [free(12, "positive"), fixed(0.0), fixed(0.0), fixed(0.0)],
+            [fixed(0.0), free(13, "positive"), fixed(0.0), fixed(0.0)],
+            [fixed(0.0), fixed(0.0), free(14, "positive"), fixed(0.0)],
+            [fixed(0.0), fixed(0.0), fixed(0.0), free(15, "positive")]],
+        "sigma_zz": [[free(16, "positive"), fixed(0.0)],
+                     [fixed(0.0), free(17, "positive")]],
     }
     lower = np.full(18, -1e3)
     upper = np.full(18, 1e3)
@@ -164,18 +174,18 @@ def make_sign_flip_spec():
     their negatives give the same covariance, so the spec is locally but
     not globally identified."""
     patterns = {
-        "lambda_x1": PatternMatrix([[Free(0)], [Free(1)], [Free(2)]]),
-        "lambda_x2": PatternMatrix([[Fixed(1.0)], [Fixed(2.0)]]),
-        "b": PatternMatrix([[Fixed(0.0)]]),
-        "gamma": PatternMatrix([[Fixed(0.0)]]),
-        "sigma_xixi": PatternMatrix([[Fixed(1.0)]]),
-        "sigma_dd": PatternMatrix([
-            [Free(3, "positive"), Fixed(0.0), Fixed(0.0)],
-            [Fixed(0.0), Free(4, "positive"), Fixed(0.0)],
-            [Fixed(0.0), Fixed(0.0), Free(5, "positive")]]),
-        "sigma_ee": PatternMatrix([[Free(6, "positive"), Fixed(0.0)],
-                                   [Fixed(0.0), Free(7, "positive")]]),
-        "sigma_zz": PatternMatrix([[Fixed(1.0)]]),
+        "lambda_x1": [[free(0)], [free(1)], [free(2)]],
+        "lambda_x2": [[fixed(1.0)], [fixed(2.0)]],
+        "b": [[fixed(0.0)]],
+        "gamma": [[fixed(0.0)]],
+        "sigma_xixi": [[fixed(1.0)]],
+        "sigma_dd": [
+            [free(3, "positive"), fixed(0.0), fixed(0.0)],
+            [fixed(0.0), free(4, "positive"), fixed(0.0)],
+            [fixed(0.0), fixed(0.0), free(5, "positive")]],
+        "sigma_ee": [[free(6, "positive"), fixed(0.0)],
+                     [fixed(0.0), free(7, "positive")]],
+        "sigma_zz": [[fixed(1.0)]],
     }
     lower = np.array([-1e3] * 3 + [1e-6] * 5)
     upper = np.array([1e3] * 3 + [1e4] * 5)
@@ -190,20 +200,20 @@ def make_label_switch_spec():
     loading columns gives the same covariance, and no rotation keeps the
     first row at (1, 1), so the spec is locally but not globally
     identified."""
-    loadings = [[Fixed(1.0), Fixed(1.0)]] + [
-        [Free(2 * i), Free(2 * i + 1)] for i in range(4)]
-    uniques = [[Free(8 + i, "positive") if i == j else Fixed(0.0)
+    loadings = [[fixed(1.0), fixed(1.0)]] + [
+        [free(2 * i), free(2 * i + 1)] for i in range(4)]
+    uniques = [[free(8 + i, "positive") if i == j else fixed(0.0)
                 for j in range(5)] for i in range(5)]
     patterns = {
-        "lambda_x1": PatternMatrix(loadings),
-        "lambda_x2": PatternMatrix([[Fixed(1.0)]]),
-        "b": PatternMatrix([[Fixed(0.0)]]),
-        "gamma": PatternMatrix([[Fixed(0.0), Fixed(0.0)]]),
-        "sigma_xixi": PatternMatrix([[Fixed(1.0), Fixed(0.0)],
-                                     [Fixed(0.0), Fixed(1.0)]]),
-        "sigma_dd": PatternMatrix(uniques),
-        "sigma_ee": PatternMatrix([[Free(13, "positive")]]),
-        "sigma_zz": PatternMatrix([[Fixed(1.0)]]),
+        "lambda_x1": loadings,
+        "lambda_x2": [[fixed(1.0)]],
+        "b": [[fixed(0.0)]],
+        "gamma": [[fixed(0.0), fixed(0.0)]],
+        "sigma_xixi": [[fixed(1.0), fixed(0.0)],
+                       [fixed(0.0), fixed(1.0)]],
+        "sigma_dd": uniques,
+        "sigma_ee": [[free(13, "positive")]],
+        "sigma_zz": [[fixed(1.0)]],
     }
     lower = np.array([-1e3] * 8 + [1e-6] * 6)
     upper = np.array([1e3] * 8 + [1e4] * 6)
@@ -237,12 +247,10 @@ def cellwalk_moment_start(spec, q_xx):
         "sigma_zz": lambda i, j: 0.5 * block2 if i == j else 0.0,
     }
     for role, rule in defaults.items():
-        pat = spec.patterns[role]
-        for i in range(pat.rows):
-            for j in range(pat.cols):
-                cell = pat[i, j]
-                if isinstance(cell, Free):
-                    theta[cell.index] = rule(i, j)
+        for i, row in enumerate(spec.patterns[role]):
+            for j, cell in enumerate(row):
+                if "free" in cell:
+                    theta[cell["free"]["index"]] = rule(i, j)
     return np.clip(theta, spec.lower, spec.upper)
 
 
@@ -256,23 +264,21 @@ def cellwalk_nested_embedding(inner, outer):
 
     index_map, offsets = {}, {}
     for role in inner.patterns:
-        pin, pout = inner.patterns[role], outer.patterns[role]
-        for i in range(pin.rows):
-            for j in range(pin.cols):
-                ci, co = pin[i, j], pout[i, j]
-                if isinstance(ci, Fixed) and isinstance(co, Fixed):
-                    if ci.value != co.value:
+        for row_in, row_out in zip(inner.patterns[role], outer.patterns[role]):
+            for ci, co in zip(row_in, row_out):
+                if "fixed" in ci and "fixed" in co:
+                    if ci["fixed"] != co["fixed"]:
                         return None
-                elif isinstance(ci, Fixed):
-                    prev = offsets.get(co.index)
-                    if prev is not None and prev != ci.value:
+                elif "fixed" in ci:
+                    prev = offsets.get(co["free"]["index"])
+                    if prev is not None and prev != ci["fixed"]:
                         return None
-                    offsets[co.index] = ci.value
-                elif isinstance(co, Free):
-                    prev = index_map.get(ci.index)
-                    if prev is not None and prev != co.index:
+                    offsets[co["free"]["index"]] = ci["fixed"]
+                elif "free" in co:
+                    prev = index_map.get(ci["free"]["index"])
+                    if prev is not None and prev != co["free"]["index"]:
                         return None
-                    index_map[ci.index] = co.index
+                    index_map[ci["free"]["index"]] = co["free"]["index"]
                 else:
                     return None  # inner free where outer is pinned
 

@@ -233,6 +233,10 @@ class TestFitAndCriteria:
     ["criteria", "--fits", "{n_zero_fit}", "--out", "{out}"],
     ["criteria", "{fits}", "--fits", "{nan_loglik_fit}", "--out", "{out}"],
     ["criteria", "--fits", "{nan_hessian_fit}", "--out", "{out}"],
+    ["fit", "--spec", "{bad_json}", "--data", "{path}", "--T", "1",
+     "--out", "{out}"],
+    ["table1", "--config", "{bad_json}", "--out-dir", "{out}"],
+    ["criteria", "{fits}", "--fits", "{bad_json}", "--out", "{out}"],
 ], ids=["quadvar-T0", "quadvar-Tinf", "fit-nosuch-spec", "fit-starts0",
         "priors-not-numbers", "priors-one-of-three", "priors-sum",
         "table1-replications", "quadvar-one-row-headed",
@@ -246,7 +250,8 @@ class TestFitAndCriteria:
         "table1-criteria-nested", "table1-model_spec_paths-nested",
         "fit-spec-directory", "table1-config-directory",
         "criteria-fit-q-mismatch", "criteria-fit-n-zero",
-        "criteria-fit-loglik-nan", "criteria-fit-hessian-nan"])
+        "criteria-fit-loglik-nan", "criteria-fit-hessian-nan",
+        "fit-spec-not-json", "table1-config-not-json", "criteria-fit-not-json"])
 def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
     _, path, fits = fit_files
     fit_doc = json.loads(fits[0].read_text())
@@ -269,6 +274,7 @@ def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
              "{flag_text_fit}": json.dumps({**fit_doc, "converged": "false"}),
              "{unknown_key_config}": json.dumps({**doc, "worker": 2}),
              "{list_doc}": "[1, 2]", "{number_doc}": "5",
+             "{bad_json}": '{"schema": }',
              "{text_loglik_fit}": json.dumps({**fit_doc, "h_at_hat": "-3649.5"}),
              "{q_mismatch_fit}": json.dumps({**fit_doc, "q": 5}),
              "{n_zero_fit}": json.dumps({**fit_doc, "n": 0}),
@@ -295,6 +301,9 @@ def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
     assert result.output.startswith("Error: ")
     assert len(result.output.strip().splitlines()) == 1
     assert "Traceback" not in result.output
+    if "{bad_json}" in argv:  # the message names the file it cannot parse
+        named = f"Error: cannot parse {fill['{bad_json}'][0]}: "
+        assert result.output.startswith(named)
 
 
 class TestTable1:

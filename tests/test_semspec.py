@@ -11,11 +11,11 @@ from hfsem import matkit, models, qmle
 from hfsem.errors import SingularStructureError, SpecError
 from hfsem.qlik import LikelihoodSurface
 from hfsem.qmle import check_identifiability
-from hfsem.semspec import (Fixed, Free, PatternMatrix, SemSpec, jacobian_rank,
-                           moment_start, nested_embedding, rank_screen)
+from hfsem.semspec import (SemSpec, jacobian_rank, moment_start,
+                           nested_embedding, rank_screen)
 from tests.conftest import (all_specs, cellwalk_moment_start,
-                            cellwalk_nested_embedding, edited_spec,
-                            interior_theta, make_label_switch_spec,
+                            cellwalk_nested_embedding, edited_spec, fixed,
+                            free, interior_theta, make_label_switch_spec,
                             make_sign_flip_spec, make_structural_spec)
 
 SPECS = all_specs()
@@ -35,14 +35,14 @@ class TestPack:
 
     def test_all_fixed_spec_gives_empty_theta(self):
         patterns = {
-            "lambda_x1": PatternMatrix([[Fixed(1.0)]]),
-            "lambda_x2": PatternMatrix([[Fixed(1.0)]]),
-            "b": PatternMatrix([[Fixed(0.0)]]),
-            "gamma": PatternMatrix([[Fixed(2.0)]]),
-            "sigma_xixi": PatternMatrix([[Fixed(1.0)]]),
-            "sigma_dd": PatternMatrix([[Fixed(1.0)]]),
-            "sigma_ee": PatternMatrix([[Fixed(1.0)]]),
-            "sigma_zz": PatternMatrix([[Fixed(1.0)]]),
+            "lambda_x1": [[fixed(1.0)]],
+            "lambda_x2": [[fixed(1.0)]],
+            "b": [[fixed(0.0)]],
+            "gamma": [[fixed(2.0)]],
+            "sigma_xixi": [[fixed(1.0)]],
+            "sigma_dd": [[fixed(1.0)]],
+            "sigma_ee": [[fixed(1.0)]],
+            "sigma_zz": [[fixed(1.0)]],
         }
         spec = SemSpec({"p1": 1, "p2": 1, "k1": 1, "k2": 1}, patterns,
                        lower=[], upper=[], name="allfixed")
@@ -54,7 +54,7 @@ class TestPack:
 
     def test_shape_mismatch(self, model1):
         patterns = dict(model1.patterns)
-        patterns["gamma"] = PatternMatrix([[model1.patterns["gamma"][0, 0], Fixed(2.0)]])
+        patterns["gamma"] = [[model1.patterns["gamma"][0][0], fixed(2.0)]]
         dims = {"p1": model1.p1, "p2": model1.p2, "k1": model1.k1, "k2": model1.k2}
         with pytest.raises(SpecError, match="gamma"):
             SemSpec(dims, patterns, model1.lower, model1.upper)
@@ -62,14 +62,14 @@ class TestPack:
     @staticmethod
     def _one_loading(constraint, lower):
         patterns = {
-            "lambda_x1": PatternMatrix([[Fixed(1.0)], [Free(0, constraint)]]),
-            "lambda_x2": PatternMatrix([[Fixed(1.0)]]),
-            "b": PatternMatrix([[Fixed(0.0)]]),
-            "gamma": PatternMatrix([[Fixed(1.0)]]),
-            "sigma_xixi": PatternMatrix([[Fixed(1.0)]]),
-            "sigma_dd": PatternMatrix.fixed(np.eye(2)),
-            "sigma_ee": PatternMatrix([[Fixed(1.0)]]),
-            "sigma_zz": PatternMatrix([[Fixed(1.0)]]),
+            "lambda_x1": [[fixed(1.0)], [free(0, constraint)]],
+            "lambda_x2": [[fixed(1.0)]],
+            "b": [[fixed(0.0)]],
+            "gamma": [[fixed(1.0)]],
+            "sigma_xixi": [[fixed(1.0)]],
+            "sigma_dd": [[fixed(1.0), fixed(0.0)], [fixed(0.0), fixed(1.0)]],
+            "sigma_ee": [[fixed(1.0)]],
+            "sigma_zz": [[fixed(1.0)]],
         }
         return SemSpec({"p1": 2, "p2": 1, "k1": 1, "k2": 1}, patterns,
                        lower=[lower], upper=[10.0])
@@ -123,16 +123,16 @@ class TestImpliedCov:
 
     def test_zero_gamma_zero_loadings_kill_cross_block(self):
         patterns = {
-            "lambda_x1": PatternMatrix([[Fixed(1.0)], [Free(0)]]),
-            "lambda_x2": PatternMatrix([[Fixed(0.0)], [Fixed(0.0)]]),
-            "b": PatternMatrix([[Fixed(0.0)]]),
-            "gamma": PatternMatrix([[Fixed(0.0)]]),
-            "sigma_xixi": PatternMatrix([[Free(1, "positive")]]),
-            "sigma_dd": PatternMatrix([[Free(2, "positive"), Fixed(0.0)],
-                                       [Fixed(0.0), Free(3, "positive")]]),
-            "sigma_ee": PatternMatrix([[Free(4, "positive"), Fixed(0.0)],
-                                       [Fixed(0.0), Free(5, "positive")]]),
-            "sigma_zz": PatternMatrix([[Free(6, "positive")]]),
+            "lambda_x1": [[fixed(1.0)], [free(0)]],
+            "lambda_x2": [[fixed(0.0)], [fixed(0.0)]],
+            "b": [[fixed(0.0)]],
+            "gamma": [[fixed(0.0)]],
+            "sigma_xixi": [[free(1, "positive")]],
+            "sigma_dd": [[free(2, "positive"), fixed(0.0)],
+                         [fixed(0.0), free(3, "positive")]],
+            "sigma_ee": [[free(4, "positive"), fixed(0.0)],
+                         [fixed(0.0), free(5, "positive")]],
+            "sigma_zz": [[free(6, "positive")]],
         }
         spec = SemSpec({"p1": 2, "p2": 2, "k1": 1, "k2": 1}, patterns,
                        lower=[-1e3] + [1e-6] * 6, upper=[1e3] + [1e4] * 6)
@@ -191,18 +191,18 @@ class TestJacobian:
         spec.sigma(theta)
         # force singularity through a spec with both off-diagonal b cells free
         patterns = {
-            "lambda_x1": PatternMatrix([[Fixed(1.0)]]),
-            "lambda_x2": PatternMatrix([[Fixed(1.0), Fixed(0.0)],
-                                        [Fixed(0.0), Fixed(1.0)]]),
-            "b": PatternMatrix([[Fixed(0.0), Free(0)],
-                                [Free(1), Fixed(0.0)]]),
-            "gamma": PatternMatrix([[Fixed(1.0)], [Fixed(1.0)]]),
-            "sigma_xixi": PatternMatrix([[Fixed(1.0)]]),
-            "sigma_dd": PatternMatrix([[Fixed(1.0)]]),
-            "sigma_ee": PatternMatrix([[Fixed(1.0), Fixed(0.0)],
-                                       [Fixed(0.0), Fixed(1.0)]]),
-            "sigma_zz": PatternMatrix([[Fixed(1.0), Fixed(0.0)],
-                                       [Fixed(0.0), Fixed(1.0)]]),
+            "lambda_x1": [[fixed(1.0)]],
+            "lambda_x2": [[fixed(1.0), fixed(0.0)],
+                          [fixed(0.0), fixed(1.0)]],
+            "b": [[fixed(0.0), free(0)],
+                  [free(1), fixed(0.0)]],
+            "gamma": [[fixed(1.0)], [fixed(1.0)]],
+            "sigma_xixi": [[fixed(1.0)]],
+            "sigma_dd": [[fixed(1.0)]],
+            "sigma_ee": [[fixed(1.0), fixed(0.0)],
+                         [fixed(0.0), fixed(1.0)]],
+            "sigma_zz": [[fixed(1.0), fixed(0.0)],
+                         [fixed(0.0), fixed(1.0)]],
         }
         spec2 = SemSpec({"p1": 1, "p2": 2, "k1": 1, "k2": 2}, patterns,
                         lower=[-1e3, -1e3], upper=[1e3, 1e3], name="loopy")
@@ -214,14 +214,14 @@ class TestJacobian:
 class TestSpecValidation:
     def test_nonzero_b_diagonal_rejected(self):
         patterns = {
-            "lambda_x1": PatternMatrix([[Fixed(1.0)]]),
-            "lambda_x2": PatternMatrix([[Fixed(1.0)]]),
-            "b": PatternMatrix([[Fixed(0.5)]]),
-            "gamma": PatternMatrix([[Fixed(1.0)]]),
-            "sigma_xixi": PatternMatrix([[Fixed(1.0)]]),
-            "sigma_dd": PatternMatrix([[Fixed(1.0)]]),
-            "sigma_ee": PatternMatrix([[Fixed(1.0)]]),
-            "sigma_zz": PatternMatrix([[Fixed(1.0)]]),
+            "lambda_x1": [[fixed(1.0)]],
+            "lambda_x2": [[fixed(1.0)]],
+            "b": [[fixed(0.5)]],
+            "gamma": [[fixed(1.0)]],
+            "sigma_xixi": [[fixed(1.0)]],
+            "sigma_dd": [[fixed(1.0)]],
+            "sigma_ee": [[fixed(1.0)]],
+            "sigma_zz": [[fixed(1.0)]],
         }
         with pytest.raises(SpecError):
             SemSpec({"p1": 1, "p2": 1, "k1": 1, "k2": 1}, patterns, [], [])
@@ -229,18 +229,18 @@ class TestSpecValidation:
     def test_singular_fixed_b_rejected(self):
         # a fixed b is checked once at construction: I - b singular here
         patterns = {
-            "lambda_x1": PatternMatrix([[Fixed(1.0)]]),
-            "lambda_x2": PatternMatrix([[Fixed(1.0), Fixed(0.0)],
-                                        [Fixed(0.0), Fixed(1.0)]]),
-            "b": PatternMatrix([[Fixed(0.0), Fixed(1.0)],
-                                [Fixed(1.0), Fixed(0.0)]]),
-            "gamma": PatternMatrix([[Fixed(1.0)], [Fixed(1.0)]]),
-            "sigma_xixi": PatternMatrix([[Free(0, "positive")]]),
-            "sigma_dd": PatternMatrix([[Fixed(1.0)]]),
-            "sigma_ee": PatternMatrix([[Fixed(1.0), Fixed(0.0)],
-                                       [Fixed(0.0), Fixed(1.0)]]),
-            "sigma_zz": PatternMatrix([[Fixed(1.0), Fixed(0.0)],
-                                       [Fixed(0.0), Fixed(1.0)]]),
+            "lambda_x1": [[fixed(1.0)]],
+            "lambda_x2": [[fixed(1.0), fixed(0.0)],
+                          [fixed(0.0), fixed(1.0)]],
+            "b": [[fixed(0.0), fixed(1.0)],
+                  [fixed(1.0), fixed(0.0)]],
+            "gamma": [[fixed(1.0)], [fixed(1.0)]],
+            "sigma_xixi": [[free(0, "positive")]],
+            "sigma_dd": [[fixed(1.0)]],
+            "sigma_ee": [[fixed(1.0), fixed(0.0)],
+                         [fixed(0.0), fixed(1.0)]],
+            "sigma_zz": [[fixed(1.0), fixed(0.0)],
+                         [fixed(0.0), fixed(1.0)]],
         }
         with pytest.raises(SpecError, match="singular"):
             SemSpec({"p1": 1, "p2": 2, "k1": 1, "k2": 2}, patterns,
@@ -248,14 +248,14 @@ class TestSpecValidation:
 
     def test_duplicate_theta_index_rejected(self):
         patterns = {
-            "lambda_x1": PatternMatrix([[Free(0)]]),
-            "lambda_x2": PatternMatrix([[Free(0)]]),
-            "b": PatternMatrix([[Fixed(0.0)]]),
-            "gamma": PatternMatrix([[Fixed(1.0)]]),
-            "sigma_xixi": PatternMatrix([[Fixed(1.0)]]),
-            "sigma_dd": PatternMatrix([[Fixed(1.0)]]),
-            "sigma_ee": PatternMatrix([[Fixed(1.0)]]),
-            "sigma_zz": PatternMatrix([[Fixed(1.0)]]),
+            "lambda_x1": [[free(0)]],
+            "lambda_x2": [[free(0)]],
+            "b": [[fixed(0.0)]],
+            "gamma": [[fixed(1.0)]],
+            "sigma_xixi": [[fixed(1.0)]],
+            "sigma_dd": [[fixed(1.0)]],
+            "sigma_ee": [[fixed(1.0)]],
+            "sigma_zz": [[fixed(1.0)]],
         }
         with pytest.raises(SpecError):
             SemSpec({"p1": 1, "p2": 1, "k1": 1, "k2": 1}, patterns,
@@ -276,16 +276,16 @@ class TestSpecValidation:
     def _scalar(lower=(), upper=(), dims=None, **cells):
         """p1 = p2 = k1 = k2 = 1 patterns: every cell fixed (b at 0, the
         rest at 1) except the given ``role=cell`` ones."""
-        patterns = {role: PatternMatrix([[Fixed(0.0 if role == "b" else 1.0)]])
+        patterns = {role: [[fixed(0.0 if role == "b" else 1.0)]]
                     for role in ("lambda_x1", "lambda_x2", "b", "gamma",
                                  "sigma_xixi", "sigma_dd", "sigma_ee", "sigma_zz")}
-        patterns.update({role: PatternMatrix([[cell]]) for role, cell in cells.items()})
+        patterns.update({role: [[cell]] for role, cell in cells.items()})
         return SemSpec(dims or {"p1": 1, "p2": 1, "k1": 1, "k2": 1}, patterns,
                        lower, upper)
 
     def test_index_gap_rejected(self):
         with pytest.raises(SpecError, match=r"cover 0\.\.q-1"):
-            self._scalar([-1, -1], [1, 1], lambda_x1=Free(0), lambda_x2=Free(2))
+            self._scalar([-1, -1], [1, 1], lambda_x1=free(0), lambda_x2=free(2))
 
     @pytest.mark.parametrize("value", [1.5, 1.0, True, "1", None])
     def test_dimensions_must_be_integers(self, value):
@@ -296,21 +296,23 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "1.0", True, None])
     def test_fixed_value_must_be_finite_number(self, value):
-        with pytest.raises(SpecError, match="fixed value must be a finite number"):
-            Fixed(value)
+        with pytest.raises(SpecError,
+                           match=r"^gamma\[0\]\[0\]\.fixed must be a (finite )?number"):
+            self._scalar(gamma=fixed(value))
 
     @pytest.mark.parametrize("index", [0.9, 0.0, True, "0", None])
     def test_free_index_must_be_integer(self, index):
-        with pytest.raises(SpecError, match="free index must be an integer"):
-            Free(index)
+        with pytest.raises(SpecError,
+                           match=r"^gamma\[0\]\[0\]\.free\.index must be an integer"):
+            self._scalar([-1.0], [1.0], gamma=free(index))
 
     def test_bounds_nan_rejected_infinite_allowed(self):
-        spec = self._scalar([-np.inf], [np.inf], gamma=Free(0))
+        spec = self._scalar([-np.inf], [np.inf], gamma=free(0))
         assert spec.sigma([2.0])[1, 1] == 6.0
         for lower, upper in (([np.nan], [1.0]), ([-1.0], [np.nan]),
                              ([np.inf], [np.inf])):
             with pytest.raises(SpecError, match="strictly below"):
-                self._scalar(lower, upper, gamma=Free(0))
+                self._scalar(lower, upper, gamma=free(0))
 
     def test_free_off_diagonal_covariance_mirrored(self):
         # index 9 is the free sigma_dd[0, 1] = sigma_dd[1, 0] cell: Sigma is
@@ -579,11 +581,11 @@ class TestJson:
                 ({"free": {"index": 7}, "note": "x"}, "exactly one key"),
                 ({}, "exactly one key"),
                 (7, "exactly one key"),
-                ({"fixed": "nan"}, "finite number"),
-                ({"fixed": "1.0"}, "finite number"),
-                ({"free": 7}, "free cell must be an object"),
-                ({"free": {"index": 7.0}}, "free index must be an integer"),
-                ({"free": {"index": 7.9}}, "free index must be an integer"),
+                ({"fixed": "nan"}, "fixed must be a number"),
+                ({"fixed": "1.0"}, "fixed must be a number"),
+                ({"free": 7}, r"gamma\[0\]\[0\]\.free must be an object"),
+                ({"free": {"index": 7.0}}, "free.index must be an integer"),
+                ({"free": {"index": 7.9}}, "free.index must be an integer"),
                 ({"free": {"index": 7, "constrant": "positive"}}, "unknown keys"),
                 ({"free": {"index": 7, "constraint": "positve"}}, "constraint")]:
             doc = model1.to_dict()
@@ -600,7 +602,55 @@ class TestJson:
         doc = model1.to_dict()
         for i, j in cells:
             doc[role][i][j] = {"fixed": value}
-        with pytest.raises(SpecError, match="fixed value must be a finite number"):
+        with pytest.raises(SpecError, match=r"\]\.fixed must be a (finite )?number"):
+            SemSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("role, at, cell, message", [
+        ("lambda_x1", (0, 0), {"fixed": True},
+         r"lambda_x1\[0\]\[0\]\.fixed must be a number, got True"),
+        ("lambda_x1", (0, 0), {"fixed": float("nan")},
+         r"lambda_x1\[0\]\[0\]\.fixed must be a finite number, got nan"),
+        ("lambda_x1", (0, 0), {"fixed": -float("inf")},
+         r"lambda_x1\[0\]\[0\]\.fixed must be a finite number, got -inf"),
+        ("lambda_x1", (0, 0), {"fixed": "1"},
+         r"lambda_x1\[0\]\[0\]\.fixed must be a number, got '1'"),
+        ("lambda_x1", (0, 0), {"fixed": None},
+         r"lambda_x1\[0\]\[0\]\.fixed must be a number, got None"),
+        ("gamma", (1, 0), {"free": {"index": 1.0}},
+         r"gamma\[1\]\[0\]\.free\.index must be an integer of at least 0, got 1\.0"),
+        ("gamma", (1, 0), {"free": {"index": -1}},
+         r"gamma\[1\]\[0\]\.free\.index must be an integer of at least 0, got -1"),
+        ("gamma", (1, 0), {"free": {"index": True}},
+         r"gamma\[1\]\[0\]\.free\.index must be an integer of at least 0, got True"),
+        ("gamma", (1, 0), {"free": {"index": "8"}},
+         r"gamma\[1\]\[0\]\.free\.index must be an integer of at least 0, got '8'"),
+        ("gamma", (1, 0), {"free": {"index": 8, "constraint": "big"}},
+         r"gamma\[1\]\[0\]\.free\.constraint must be one of .*, got 'big'"),
+        ("gamma", (1, 0), {"free": {"index": 8, "note": "x"}},
+         r"gamma\[1\]\[0\]\.free has unknown keys \['note'\]"),
+        ("gamma", (1, 0), {"free": {"index": 8}, "note": "x"},
+         r"gamma\[1\]\[0\] must be an object with exactly one key"),
+        ("gamma", (1, 0), {"fixed": 1.0, "free": {"index": 8}},
+         r"gamma\[1\]\[0\] must be an object with exactly one key"),
+        ("gamma", (1,), [free(8), fixed(0.0)], r"gamma\[1\] must be a list of 1 cells"),
+        ("gamma", (1,), free(8), r"gamma\[1\] must be a list of 1 cells"),
+        ("sigma_dd", (0, 1), {"fixed": 1.0},
+         r"covariance cell sigma_dd\[1\]\[0\] must equal its mirror sigma_dd\[0\]\[1\]"),
+        ("b", (1, 1), {"fixed": 0.5}, r"diagonal cell b\[1\]\[1\] must be fixed at zero")],
+        ids=["fixed-bool", "fixed-nan", "fixed-inf", "fixed-text", "fixed-null",
+             "index-float", "index-negative", "index-bool", "index-text",
+             "constraint-unknown", "free-extra-key", "cell-extra-key",
+             "cell-both-keys", "row-ragged", "row-not-list",
+             "covariance-asymmetric", "b-diagonal-nonzero"])
+    def test_malformed_cell_named(self, model1, role, at, cell, message):
+        # Each cell is read by _doc's rules as the spec is built; the error
+        # names the role and the cell (or row).
+        doc = model1.to_dict()
+        target = doc[role]
+        for key in at[:-1]:
+            target = target[key]
+        target[at[-1]] = cell
+        with pytest.raises(SpecError, match="^" + message):
             SemSpec.from_dict(doc)
 
     @pytest.mark.parametrize("where, value, message", [
@@ -609,8 +659,8 @@ class TestJson:
         ("dims.p3", 1, r"dims has unknown keys \['p3'\]"),
         ("bounds.middle", [], r"bounds has unknown keys \['middle'\]"),
         ("comment", "x", r"spec has unknown keys \['comment'\]"),
-        ("gamma", 5, "pattern 'gamma' must be a list of rows"),
-        ("gamma", [5, 6], "pattern 'gamma' must be a list of rows"),
+        ("gamma", 5, "pattern 'gamma' must be a list of 2 rows"),
+        ("gamma", [5, 6], r"gamma\[0\] must be a list of 1 cells"),
         ("bounds.lower", ["-1000.0"] * 22, "bounds.lower must be a list of numbers"),
         ("bounds.upper", [True] * 22, "bounds.upper must be a list of numbers"),
         ("bounds.upper", 1000.0, "bounds.upper must be a list of numbers"),

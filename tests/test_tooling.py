@@ -97,13 +97,12 @@ def test_optimizer_scan_catches_imports():
     assert optimizer_imports("from scipy import linalg\nimport scipy") == []
 
 
-LAYOUT_NAMES = {"patterns", "_units", "_bases", "Fixed", "Free"}
+LAYOUT_NAMES = {"patterns", "_units", "_bases"}
 
 
 def layout_reads(source: str) -> list[str]:
-    """The layout names a module reads as attributes (a spec's
-    ``patterns``, ``_units``, ``_bases``; ``semspec.Fixed``/``Free``) or
-    imports (the cell classes)."""
+    """The layout names a module reads as attributes of a spec
+    (``patterns``, ``_units``, ``_bases``) or imports."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr in LAYOUT_NAMES:
@@ -114,20 +113,52 @@ def layout_reads(source: str) -> list[str]:
 
 
 @pytest.mark.parametrize("path", sorted(
-    p for p in SRC.glob("*.py") if p.name not in ("semspec.py", "__init__.py")),
-    ids=lambda p: p.name)
+    p for p in SRC.glob("*.py") if p.name != "semspec.py"), ids=lambda p: p.name)
 def test_layout_read_only_in_semspec(path):
-    # The pattern cells, bases and unit stacks are semspec's alone; the
-    # package's __init__ only re-exports the cell classes.
+    # The pattern cells, bases and unit stacks are semspec's alone.
     assert layout_reads(path.read_text()) == []
 
 
 def test_layout_scan_catches_reads():
-    source = ("from .semspec import Free, SemSpec\nfrom . import semspec\n"
+    source = ("from .semspec import _units, SemSpec\nfrom . import semspec\n"
               "x = spec.patterns['b'], spec._units[0], spec._bases\n"
-              "y = semspec.Fixed(1.0)\n")
-    assert layout_reads(source) == ["Fixed", "Free", "_bases", "_units",
-                                    "patterns"]
+              "y = spec.name, semspec.SemSpec\n")
+    assert layout_reads(source) == ["_bases", "_units", "patterns"]
+
+
+NUMBER_KINDS = {"numbers.Integral", "numbers.Real"}
+
+
+def number_kind_uses(source: str) -> list[int]:
+    """Lines that import ``numbers`` or read ``numbers.Integral`` or
+    ``numbers.Real``: a number rule written outside ``_doc``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(a.name == "numbers" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "numbers"
+        else:
+            hit = isinstance(node, ast.Attribute) and _dotted(node) in NUMBER_KINDS
+        if hit:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in SRC.glob("*.py") if p.name != "_doc.py"), ids=lambda p: p.name)
+def test_number_rules_only_in_doc(path):
+    # _doc.number, _doc.integer and _doc.is_number are the package's
+    # number rules; a module that needs one calls them.
+    assert number_kind_uses(path.read_text()) == []
+
+
+def test_number_scan_catches_rules():
+    source = ("import math\nimport numbers\n\n"
+              "ok = _doc.is_number(self.index, numbers.Integral)\n"
+              "from numbers import Real\nx = isinstance(v, numbers.Real)\n"
+              "y = numbers.Complex, self.numbers.Integral\n")
+    assert number_kind_uses(source) == [2, 4, 5, 6]
 
 
 CRITERION_NAME = re.compile(r"\b(?:%s)\b" % "|".join(infocrit.CRITERIA))
