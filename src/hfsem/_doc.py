@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 import numbers
 
 import numpy as np
@@ -58,12 +59,22 @@ def integer(value, where: str, least: int = 0) -> int:
     return int(_expect(ok, value, where, f"an integer of at least {least}"))
 
 
+def _beyond_float(where: str) -> ValueError:
+    """The error for a JSON integer too large for a float."""
+    return ValueError(f"{where} must be a number within float range, "
+                      "got an integer beyond it")
+
+
 def number(value, where: str) -> float:
-    return float(_expect(is_number(value), value, where, "a number"))
+    _expect(is_number(value), value, where, "a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise _beyond_float(where) from None
 
 
 def horizon(value) -> float:
-    ok = is_number(value) and np.isfinite(value) and value > 0
+    ok = is_number(value) and math.isfinite(number(value, "T")) and value > 0
     return float(_expect(ok, value, "T", "a positive finite horizon"))
 
 
@@ -85,6 +96,8 @@ def array(value, where: str, ndim=None) -> np.ndarray:
         a = np.array(value, dtype=float) if numeric(value) else None
     except ValueError:  # ragged rows
         a = None
+    except OverflowError:
+        raise _beyond_float(where) from None
     what = ("a list of numbers" if ndim == 1
             else "a number or rectangular nested lists of numbers")
     _expect(a is not None and ndim in (None, a.ndim), value, where, what)

@@ -17,8 +17,11 @@ The gradient, the Fisher information and the observed Hessian are all
 analytic.  One kernel, :func:`score_lanes`, computes them for a stack of
 lanes of one spec, each lane its own theta against its own (Q, n), in one
 forward pass of the spec (``SemSpec.forward`` on the stack of theta) and
-one Cholesky factorization per lane; the estimator runs many fits through
-it at once.  :class:`LikelihoodSurface` is its one-lane case.
+one Cholesky factorization per lane; the information and the Hessian,
+whose second-derivative term the forward pass contracts in factor space,
+are computed only for the lanes that ask.  The estimator runs many fits
+through it at once, and each fit's Hessian is the one its last accepted
+pass gives.  :class:`LikelihoodSurface` is its one-lane case.
 """
 
 from __future__ import annotations
@@ -98,17 +101,19 @@ class LaneScores:
     """One kernel pass over B lanes of one spec (see :func:`score_lanes`).
 
     ``value`` (B,) is -inf on a rejected lane and ``status`` says why;
-    ``grad`` (B, q) and ``hessian`` (B, q, q) are present up to the pass's
-    order.  :meth:`information` gives the Fisher information of chosen
-    lanes from what the pass kept, with no second forward pass.
+    ``grad`` (B, q) is present at order 1.  :meth:`information` and
+    :meth:`hessian` give the Fisher information and the observed Hessian
+    of chosen lanes from what the pass kept, with no second forward pass,
+    so a lane pays for them only when asked; ``hessian`` gives None for a
+    pass that keeps no second-order term.
     """
 
-    def __init__(self, value, status, grad, hessian, n, d1, inv):
+    def __init__(self, value, status, grad, n, d1, inv, r=None, contract=None):
         self.value = value
         self.status = status
         self.grad = grad
-        self.hessian = hessian
         self._n, self._d1, self._inv = n, d1, inv
+        self._r, self._contract = r, contract
 
     @property
     def ok(self) -> np.ndarray:
@@ -132,21 +137,38 @@ class LaneScores:
         return (self._n[lanes][:, None, None]
                 * fisher_information(self._d1[lanes], self._inv[lanes]))
 
+    def hessian(self, lanes: np.ndarray) -> np.ndarray | None:
+        """The observed Hessian of the given lanes, (len, q, q), or None
+        for a pass that keeps no second-order term:
+        ``n [tr(inv Sigma_i (inv - 2R) Sigma_j) + tr(M Sigma_ij)] / 2``
+        with ``R = inv Q inv``, both traces from ``SemSpec.forward``'s
+        contraction in factor space, symmetrized."""
+        if self._contract is None:
+            return None
+        with np.errstate(all="ignore"):
+            inv, r = self._inv[lanes], self._r[lanes]
+            hessian = 0.5 * self._n[lanes][:, None, None] * self._contract(
+                lanes, inv, inv - 2.0 * r, r - inv)
+        return 0.5 * (hessian + _swap(hessian))
+
 
 def score_lanes(spec: SemSpec, theta: np.ndarray, q_xx: np.ndarray,
                 n: np.ndarray, order: int = 1) -> LaneScores:
     """The likelihood kernel: lane b is ``theta[b]`` against
     ``(q_xx[b], n[b])``, all of one spec, in one forward pass of the stack.
 
-    Up to ``order`` it gives each lane's value, gradient
-    ``n tr(M dSigma_i) / 2`` with ``M = inv Q inv - inv``, and observed
-    Hessian ``n [tr(dM_j Sigma_i) + tr(M Sigma_ij)] / 2`` with
-    ``dM_j = inv Sigma_j inv - 2 sym(inv Sigma_j inv Q inv)``; the Fisher
-    information comes from :meth:`LaneScores.information`.  A lane outside
-    the admissible region (I - B singular, Sigma not positive definite, a
-    non-finite value or gradient) is rejected on its own and raises
-    nothing.  Every step acts on one lane at a time, so a lane's results
-    are bit-identical whichever lanes share its pass.
+    It gives each lane's value and, at order 1, its gradient
+    ``n tr(M dSigma_i) / 2`` with ``M = inv Q inv - inv``.  An order-1
+    pass also keeps the second-order contraction of ``SemSpec.forward``,
+    so that :meth:`LaneScores.hessian` gives the observed Hessian
+    ``n [tr(dM_j Sigma_i) + tr(M Sigma_ij)] / 2`` with
+    ``dM_j = inv Sigma_j inv - 2 sym(inv Sigma_j inv Q inv)``, and
+    :meth:`LaneScores.information` the Fisher information, of the lanes
+    asked for; a lane the caller does not ask for costs nothing more.  A
+    lane outside the admissible region (I - B singular, Sigma not positive
+    definite, a non-finite value or gradient) is rejected on its own and
+    raises nothing.  Every step acts on one lane at a time, so a lane's
+    results are bit-identical whichever lanes share its pass.
     """
     theta = np.asarray(theta, dtype=float)
     q_xx = np.asarray(q_xx, dtype=float)
@@ -156,7 +178,7 @@ def score_lanes(spec: SemSpec, theta: np.ndarray, q_xx: np.ndarray,
         finite = np.isfinite(theta).all(axis=1)
         if not finite.all():
             theta = np.where(finite[:, None], theta, 0.0)
-        out = spec.forward(theta, order)
+        out = spec.forward(theta, 2 if order else 0)
         sigma = out[0]
         status = np.full(len(n), OK)
         finite &= np.isfinite(sigma).all(axis=(1, 2))
@@ -168,25 +190,17 @@ def score_lanes(spec: SemSpec, theta: np.ndarray, q_xx: np.ndarray,
         status[(status == OK) & (info != 0)] = NOT_POSITIVE_DEFINITE
         value = n * (-0.5 * np.sum(inv * q_xx, axis=(1, 2)) - 0.5 * logdet)
         good = np.isfinite(value)
-        grad = hessian = d1 = None
-        if order >= 1:
-            d1 = out[1]
+        grad = d1 = r = contract = None
+        if order:
+            _, d1, contract = out
             r = inv @ q_xx @ inv
             m = (r - inv).reshape(len(n), p * p, 1)
             grad = 0.5 * n[:, None] * (
                 d1.reshape(len(n), spec.q, p * p) @ m)[..., 0]
             good &= np.isfinite(grad).all(axis=1)
-        if order >= 2:
-            a = inv[:, None] @ d1
-            dm = (_trace_products(a, a)
-                  - 2.0 * _trace_products(a, r[:, None] @ d1))
-            d2m = out[2].reshape(len(n), spec.q ** 2, p * p) @ m
-            hessian = 0.5 * n[:, None, None] * (dm + d2m.reshape(dm.shape))
-            hessian = 0.5 * (hessian + _swap(hessian))
-            good &= np.isfinite(hessian).all(axis=(1, 2))
     status[(status == OK) & ~good] = NON_FINITE
     value[status != OK] = -np.inf
-    return LaneScores(value, status, grad, hessian, n, d1, inv)
+    return LaneScores(value, status, grad, n, d1, inv, r, contract)
 
 
 class LikelihoodSurface:
@@ -227,4 +241,7 @@ class LikelihoodSurface:
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         """Analytic observed Hessian (see :func:`score_lanes`)."""
-        return self._one_lane(theta, 2).hessian[0]
+        hessian = self._one_lane(theta, 1).hessian([0])[0]
+        if not np.all(np.isfinite(hessian)):
+            raise NotPositiveDefiniteError("the likelihood is not finite at theta")
+        return hessian

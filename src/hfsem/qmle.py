@@ -1,28 +1,34 @@
 """Quasi-maximum-likelihood estimation over the parameter box.
 
-Maximization is active-set Fisher scoring on the raw parameters, the
-Gauss-Newton method for covariance structures (Lee & Jennrich 1979): steps
-solve ``(Delta' W Delta) step = grad`` on the coordinates not held at a
-bound (by Cholesky; by least squares if that block is singular), are
-clipped into the box and halved until the value increases, one pass of the
-likelihood kernel ``qlik.score_lanes`` per trial.  A fit has converged
-when its projected gradient passes the KKT test, so a valid optimum on a
-bound counts as converged.
+Maximization is an active-set Newton iteration on the raw parameters.
+Each step solves ``-H step = grad`` on the coordinates not held at a bound,
+with ``H`` the observed Hessian of the kernel pass that accepted the
+iterate, by Cholesky.  Where that block of ``-H`` is not positive definite
+or is ill-conditioned, as far from an optimum, the step is Fisher
+scoring's instead, the Gauss-Newton method for covariance structures (Lee
+& Jennrich 1979): it solves ``(Delta' W Delta) step = grad`` on the
+information of the same pass (by Cholesky; by least squares if that block
+is singular).  Newton converges quadratically where scoring converges
+only linearly when the information differs from ``-H``, as for a
+misspecified model.  Steps are clipped into the box and halved until the
+value increases, one pass of the likelihood kernel ``qlik.score_lanes``
+per trial.  A fit has converged when its projected gradient passes the
+KKT test, so a valid optimum on a bound counts as converged.
 
 Every maximization runs as lanes of one lockstep loop, ``_optimize``, and
 each lane follows bit for bit the path it would follow alone.
 ``fit_lanes`` fits many surfaces of one spec, each from its own starts, in
-one loop, then computes the observed Hessians of the surfaces' best lanes
-in order-2 kernel passes of at most ``_HESSIAN_LANES`` lanes, bit for bit
-``LikelihoodSurface.hessian``; a ``FitReport`` keeps that Hessian, and
-``infocrit`` derives the criteria from it.  ``fit_multistart`` runs its
-``start_set`` (the given or moment start, then Latin-hypercube starts
-drawn on the moment start's scale) as lanes and keeps the best; ``fit`` is
-its one-start case; ``limit_optimum`` maximizes the in-fill limit criterion
-the same way.  The moment start is ``semspec.moment_start``, so this module
-reads nothing of a spec's layout.  ``_optimize`` takes its kernel as an
-argument, so the injectivity probe of ``check_identifiability`` runs on
-its lanes too.
+one loop; a ``FitReport`` keeps the observed Hessian of its best lane's
+last accepted pass, bit for bit ``LikelihoodSurface.hessian`` at
+``theta_hat`` and with no kernel pass after the loop, and ``infocrit``
+derives the criteria from it.  ``fit_multistart`` runs its ``start_set``
+(the given or moment start, then Latin-hypercube starts drawn on the
+moment start's scale) as lanes and keeps the best; ``fit`` is its
+one-start case; ``limit_optimum`` maximizes the in-fill limit criterion
+the same way.  The moment start is ``semspec.moment_start``, so this
+module reads nothing of a spec's layout.  ``_optimize`` takes its kernel
+as an argument, so the injectivity probe of ``check_identifiability``
+runs on its lanes too, by Gauss-Newton: its kernel has no Hessian.
 """
 
 from __future__ import annotations
@@ -62,16 +68,10 @@ _MAX_HALVINGS = 30        # trials per iteration (full step, then halvings)
 _EPS = np.finfo(float).eps
 _PREIMAGE_TOL = 1e-8        # check_identifiability: Sigma reproduced
 _WITNESS_MIN_DIST = 1e-6    # check_identifiability: a distinct preimage
-# Lanes per order-2 kernel pass of ``fit_lanes``, chosen by measurement on
-# model1-3 (2-vCPU VM): a lane costs 0.46-0.72 ms alone, 0.22-0.37 ms in a
-# pass of 4 and 0.19-0.33 ms in one of 16, while the pass's transient
-# memory grows by one q x q x p x p stack per lane (2.1-2.5 MB at 4 lanes,
-# 8-10 MB at 16).
-_HESSIAN_LANES = 4
 
 @dataclass
 class FitOptions:
-    compute_hessian: bool = True
+    compute_hessian: bool = True     # whether the report keeps its Hessian
 
 
 @dataclass
@@ -141,32 +141,64 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _scoring_step(info: np.ndarray, grad: np.ndarray,
-                  free: np.ndarray) -> np.ndarray:
-    """Per lane, the step solving ``info @ step = grad`` on the ``free``
-    coordinates, zero on the others: by Cholesky on the free block; by
-    least squares, which drops null directions, when that block is empty,
-    not positive definite or singular to working precision.
+def _cholesky_steps(matrix: np.ndarray, grad: np.ndarray,
+                    free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per lane, the step solving ``matrix @ step = grad`` on the ``free``
+    coordinates by Cholesky on the free block, zero on the others; and
+    which lanes it could not solve: an empty block, one that is not
+    positive definite, or one singular to working precision (as a block
+    with a non-finite entry is, to ``dpotrf`` or ``dpocon``).
 
     The free blocks' 1-norms come from one reduction over the lanes: the
     frozen rows and columns add exact zeros to the column sums.  A lane
     with every coordinate free solves on its whole matrix, ungathered."""
     pair = free[:, :, None] & free[:, None, :]
-    norms = np.abs(np.where(pair, info, 0.0)).sum(axis=1).max(axis=1)
+    norms = np.abs(np.where(pair, matrix, 0.0)).sum(axis=1).max(axis=1)
     whole = free.all(axis=1)
     steps = np.zeros_like(grad)
+    failed = np.zeros(len(grad), dtype=bool)
     for lane, keep in enumerate(free):
         if whole[lane]:
-            block, g, keep = info[lane], grad[lane], slice(None)
+            block, g, keep = matrix[lane], grad[lane], slice(None)
         else:
-            block, g = info[lane][np.ix_(keep, keep)], grad[lane, keep]
-        c, failed = lapack.dpotrf(block, lower=1, clean=0)
-        if not failed and g.size:
+            block, g = matrix[lane][np.ix_(keep, keep)], grad[lane, keep]
+        c, bad = lapack.dpotrf(block, lower=1, clean=0)
+        if not bad and g.size:
             rcond = lapack.dpocon(c, norms[lane], uplo="L")[0]
             if rcond > _EPS * g.size:
                 steps[lane, keep] = lapack.dpotrs(c, g, lower=1)[0]
                 continue
-        steps[lane, keep] = np.linalg.lstsq(block, g, rcond=None)[0]
+        failed[lane] = True
+    return steps, failed
+
+
+def _scoring_step(info: np.ndarray, grad: np.ndarray,
+                  free: np.ndarray) -> np.ndarray:
+    """Per lane, the step solving ``info @ step = grad`` on the ``free``
+    coordinates, zero on the others: by Cholesky on the free block; by
+    least squares, which drops null directions, when that block is empty,
+    not positive definite or singular to working precision."""
+    steps, failed = _cholesky_steps(info, grad, free)
+    for lane in np.flatnonzero(failed):
+        keep = free[lane]
+        steps[lane, keep] = np.linalg.lstsq(info[lane][np.ix_(keep, keep)],
+                                            grad[lane, keep], rcond=None)[0]
+    return steps
+
+
+def _ascent_step(scores: LaneScores, at: np.ndarray, hessian,
+                 grad: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """The steps of lanes ``at`` of the pass ``scores``: Newton's, solving
+    ``-hessian @ step = grad`` on the free coordinates, where that block is
+    positive definite and well conditioned; elsewhere, or with no Hessian
+    (None), the scoring step on the pass's information, computed for those
+    lanes alone."""
+    if hessian is None:
+        return _scoring_step(scores.information(at), grad, free)
+    steps, failed = _cholesky_steps(-hessian, grad, free)
+    if failed.any():
+        steps[failed] = _scoring_step(scores.information(at[failed]),
+                                      grad[failed], free[failed])
     return steps
 
 
@@ -175,37 +207,43 @@ class _Lanes(NamedTuple):
     theta: np.ndarray         # (L, q) last accepted iterate
     value: np.ndarray         # (L,) its value; -inf for a start outside
     grad: np.ndarray          # (L, q)
+    hessian: np.ndarray       # (L, q, q) its observed Hessian; NaN if none
     iterations: np.ndarray    # (L,) accepted steps
     evaluations: np.ndarray   # (L,) kernel passes, the start's included
     started: np.ndarray       # (L,) whether the start was admissible
 
 
 def _optimize(spec: SemSpec, score, inits: np.ndarray) -> _Lanes:
-    """Active-set Fisher scoring from every start at once, lane l from
+    """Active-set Newton iteration from every start at once, lane l from
     ``inits[l]``; the kernel ``score(theta, at)`` scores lane at[b] at theta[b].
 
     The lanes run in lockstep, one kernel pass per round for every
     lane still running, but each follows its own path, bit for bit the
     path it would follow alone.  An iteration freezes the coordinates held
-    at a bound by an outward gradient, solves the scoring system on the
-    rest, clips the step into the box and halves it until the value
-    strictly increases; a trial outside the admissible region is simply
-    rejected.  A lane stops when its step's predicted increase no longer
-    changes the value in floating point, or when no trial increases it:
-    one trial at a KKT point, where the scoring model is accurate and a
-    failed full step can only be rounding, ``_MAX_HALVINGS`` elsewhere; or
-    at ``_MAX_ITER`` iterations.  Stopping at the KKT test itself would
-    leave weakly curved directions (model3's limit optimum) off by 2e-3.
-    The information is computed only for the start and the accepted
-    trials, whose next step needs it.
+    at a bound by an outward gradient and solves for a step on the rest:
+    Newton's, on the observed Hessian of the pass that accepted the
+    iterate, where its negated free block is positive definite and well
+    conditioned, and otherwise Fisher scoring's, on the information of the
+    same pass (Gauss-Newton for the probe's kernel, which has no Hessian).
+    It clips the step into the box and halves it until the value strictly
+    increases; a trial outside the admissible region is simply rejected.
+    A lane stops when its step's predicted increase no longer changes the
+    value in floating point, or when no trial increases it: one trial at a
+    KKT point, where the quadratic model is accurate and a failed full
+    step can only be rounding, ``_MAX_HALVINGS`` elsewhere; or at
+    ``_MAX_ITER`` iterations.  Stopping at the KKT test itself would leave
+    weakly curved directions (model3's limit optimum) off by 2e-3.  The
+    Hessian and the information are computed only for the start and the
+    accepted trials, whose next step needs them, and each lane keeps the
+    Hessian of its last accepted iterate.
     """
     theta = np.clip(inits, spec.lower, spec.upper)
-    first = score(theta, np.arange(len(theta)))
-    value, grad = first.value, first.grad
-    started = first.ok
+    scores = score(theta, np.arange(len(theta)))
+    value, grad = scores.value, scores.grad
+    started = scores.ok
     fresh = np.flatnonzero(started)      # lanes whose next step is due
-    info = np.zeros((len(theta), spec.q, spec.q))
-    info[fresh] = first.information(fresh)
+    at = fresh                           # and their places in the last pass
+    hessian = np.full((len(theta), spec.q, spec.q), np.nan)
     iterations = np.zeros(len(theta), dtype=int)
     evaluations = np.ones(len(theta), dtype=int)
     step = np.zeros_like(theta)
@@ -213,12 +251,18 @@ def _optimize(spec: SemSpec, score, inits: np.ndarray) -> _Lanes:
     running = started.copy()
 
     while True:
-        capped = iterations[fresh] >= _MAX_ITER
-        running[fresh[capped]] = False
-        fresh = fresh[~capped]
+        if fresh.size:
+            newton = scores.hessian(at)     # None for a kernel without one
+            if newton is not None:
+                hessian[fresh] = newton
+            go = iterations[fresh] < _MAX_ITER
+            running[fresh[~go]] = False
+            fresh, at = fresh[go], at[go]
         if fresh.size:
             free = _free_mask(spec, theta[fresh], grad[fresh])
-            step[fresh] = _scoring_step(info[fresh], grad[fresh], free)
+            step[fresh] = _ascent_step(
+                scores, at, None if newton is None else hessian[fresh],
+                grad[fresh], free)
             base = value[fresh]
             stalled = base + 0.5 * _row_dot(grad[fresh], step[fresh]) == base
             running[fresh[stalled]] = False
@@ -231,33 +275,15 @@ def _optimize(spec: SemSpec, score, inits: np.ndarray) -> _Lanes:
         scores = score(trial, trying)
         evaluations[trying] += 1
         up = scores.value > value[trying]
-        fresh = trying[up]
+        fresh, at = trying[up], np.flatnonzero(up)
         theta[fresh], value[fresh] = trial[up], scores.value[up]
         grad[fresh] = scores.grad[up]
-        info[fresh] = scores.information(np.flatnonzero(up))
         iterations[fresh] += 1
         down = trying[~up]
         step[down] *= 0.5
         budget[down] -= 1
         running[down[budget[down] == 0]] = False
-    return _Lanes(theta, value, grad, iterations, evaluations, started)
-
-
-def _hessians(spec: SemSpec, theta: np.ndarray, q_xx: np.ndarray,
-              n: np.ndarray) -> np.ndarray:
-    """The observed Hessian of each lane, in order-2 ``score_lanes`` passes
-    of at most ``_HESSIAN_LANES`` lanes.  Each theta is an accepted iterate,
-    so Sigma(theta) is positive definite and the Hessian exists; a lane the
-    pass rejects all the same raises the error of
-    ``LikelihoodSurface.hessian``."""
-    hessians = np.empty((len(theta), spec.q, spec.q))
-    for start in range(0, len(theta), _HESSIAN_LANES):
-        part = slice(start, start + _HESSIAN_LANES)
-        scores = score_lanes(spec, theta[part], q_xx[part], n[part], order=2)
-        for lane in range(len(scores.value)):
-            scores.require(lane, spec.name)
-        hessians[part] = scores.hessian
-    return hessians
+    return _Lanes(theta, value, grad, hessian, iterations, evaluations, started)
 
 
 def _finalize(surface: LikelihoodSurface, lanes: _Lanes, best: int,
@@ -280,8 +306,9 @@ def fit_lanes(surfaces: Sequence[LikelihoodSurface],
               start_sets: Sequence[Sequence[np.ndarray]],
               options: Optional[FitOptions] = None) -> list[Optional[FitReport]]:
     """Maximize each surface from each of its starts, every start of every
-    surface one lane of one lockstep ``_optimize`` loop, then compute the
-    Hessians of the surfaces' best lanes in a few order-2 kernel passes.
+    surface one lane of one lockstep ``_optimize`` loop, and read each
+    report's Hessian from the loop: that of its best lane's last accepted
+    pass (NaN with ``compute_hessian`` off).
 
     The surfaces share one spec.  Each report is that of the surface's best
     start (ties in the attained value keep the earliest), with
@@ -310,9 +337,8 @@ def fit_lanes(surfaces: Sequence[LikelihoodSurface],
             bests.append(np.flatnonzero(mine)[np.argmax(lanes.value[mine])])
         else:
             logger.debug("every start of %s failed", spec.name)
-    hessians = np.full((len(fitted), spec.q, spec.q), np.nan)
-    if options.compute_hessian and fitted:
-        hessians = _hessians(spec, lanes.theta[bests], q_xx[fitted], n[fitted])
+    hessians = lanes.hessian[bests] if options.compute_hessian else \
+        np.full((len(fitted), spec.q, spec.q), np.nan)
 
     reports: list[Optional[FitReport]] = [None] * len(surfaces)
     for k, best, hessian in zip(fitted, bests, hessians):
@@ -418,7 +444,7 @@ def _distance_scores(spec: SemSpec, theta: np.ndarray,
         grad = -np.sum(d1 * r[:, None], axis=(2, 3))
     ok = np.isfinite(value) & np.isfinite(grad).all(axis=1)
     value[~ok] = -np.inf
-    return LaneScores(value, np.where(ok, OK, NON_FINITE), grad, None,
+    return LaneScores(value, np.where(ok, OK, NON_FINITE), grad,
                       np.full(len(theta), 2.0), d1,
                       np.broadcast_to(np.eye(spec.p), sigma.shape))
 

@@ -25,7 +25,8 @@ covariances.  These are the blocks of ``Lam A P A' Lam' + U`` with
 ``P = diag(Phi, S_zz)`` and ``U = diag(S_dd, S_ee)``.  Each of these four
 matrices is affine in ``theta``, so ``SemSpec.forward`` applies the
 product rule once to unit stacks built at construction and returns Sigma
-with its first and, on request, second derivatives in theta; ``sigma``
+with its first derivatives in theta and, on request, the second-order
+terms of a likelihood's Hessian, contracted in factor space; ``sigma``
 and ``jacobian`` (the vech rows of the first-derivative stack) come from
 that forward pass.
 
@@ -219,10 +220,31 @@ class SemSpec:
 
         self.positive_mask = np.zeros(self.q, dtype=bool)
         self._units = [np.zeros((self.q,) + base.shape) for base in self._bases]
+        # Each parameter is one cell (r, c) of its matrix (with its mirror
+        # in P and U), so its dSigma is h + h' with h = w u v', u and v
+        # columns of the basis [I, Lam A, Lam C] (p x (p + 2k)): (e_r,
+        # Lam C e_c) for Lam, (Lam A e_r, Lam C e_c) for Beta, (Lam A e_r,
+        # Lam A e_c) for P and (e_r, e_c) for U; w is 1/2 on the diagonal
+        # of P and U, 1 elsewhere.
+        offsets = [(0, self.p + k), (self.p, self.p + k), (self.p, self.p), (0, 0)]
+        u, v, w = (np.zeros(self.q, dtype=int), np.zeros(self.q, dtype=int),
+                   np.ones(self.q))
         for idx, (_, m, at, positive) in free.items():
             self.positive_mask[idx] = positive
             for r, c in at:
                 self._units[m][idx, r, c] = 1.0
+            r, c = min(at)
+            u[idx], v[idx] = offsets[m][0] + r, offsets[m][1] + c
+            w[idx] = 0.5 if m >= 2 and r == c else 1.0
+        # tr(s Sigma_i t Sigma_j) = w_i w_j sum_x G_s[x] G_t[x'] over four
+        # pairs of entries of the Gram matrices G = basis' s basis (and t):
+        # ([u_i, v_j], [v_i, u_j]), ([u_i, u_j], [v_i, v_j]) and these two
+        # with u and v swapped; here as flat indices into G.
+        size, ui, vi = self.p + 2 * k, u[:, None], v[:, None]
+        self._gram_pairs = (
+            np.stack([ui * size + v, ui * size + u, vi * size + v, vi * size + u]),
+            np.stack([vi * size + u, vi * size + v, ui * size + u, ui * size + v]),
+            np.outer(w, w))
         if np.any(self.lower[self.positive_mask] <= 0.0):
             raise SpecError("variance-parameter bounds need positive lower ends")
 
@@ -257,17 +279,34 @@ class SemSpec:
     def forward(self, theta: np.ndarray, order: int = 0) -> tuple:
         """The implied covariance and its derivative stacks at ``theta``.
 
-        Returns ``(sigma,)``, ``(sigma, d1)`` or ``(sigma, d1, d2)`` up to
-        ``order``: ``d1[i] = dSigma/dtheta_i`` (q x p x p) and
-        ``d2[i, j] = d2 Sigma/dtheta_i dtheta_j`` (q x q x p x p), all from
-        one application of the product rule to ``Lam C Lam' + U`` with
-        ``C = A P A'`` and ``A = inv(I - Beta)`` on the unit stacks.
+        Returns ``(sigma,)``, ``(sigma, d1)`` or ``(sigma, d1, contract)``
+        up to ``order``, all from one application of the product rule to
+        ``Lam C Lam' + U`` with ``C = A P A'`` and ``A = inv(I - Beta)`` on
+        the unit stacks.  ``d1[i] = dSigma/dtheta_i`` (q x p x p).
+
+        The second-order terms of a likelihood's Hessian are never built as
+        (q, q, p, p) or (q, p, p) products: ``contract(lanes, s, t, m)``
+        gives, for stacks ``s``, ``t`` and ``m`` of symmetric p x p
+        matrices, one per lane of ``lanes``, the (len(lanes), q, q) stack
+        ``tr(s Sigma_i t Sigma_j) + tr(m Sigma_ij)``, with ``Sigma_i`` and
+        ``Sigma_ij`` the first and second derivatives.  Both terms are
+        formed in factor space.  The first comes from the Gram matrices
+        ``basis' s basis`` and ``basis' t basis`` of ``basis = [I, Lam A,
+        Lam C]``, since every ``Sigma_i`` is ``h + h'`` with ``h`` a
+        rank-one product of two basis columns.  The second, with ``D_i``
+        the loading unit stacks, ``dC_j = y_j + y_j'`` and
+        ``d2C_ij = y2_ij + y2_ij'``, has the blocks ``2 <m D_i C, D_j>``
+        (two loadings), ``2 <Lam' m D_i, dC_j>`` (a loading and a
+        parameter of C) and ``2 <Lam' m Lam, y2_ij>`` (two parameters of
+        C); pairs with a parameter of U are zero.  It works only on the
+        lanes asked for, so a caller pays only for the lanes it needs.
 
         ``theta`` may also be a (B, q) stack of lanes; every output then
         has a leading lane axis.  Each product acts on one lane at a time,
         so a lane's outputs do not depend on the other lanes of the stack.
         A numerically singular I - B raises ``SingularStructureError`` for
-        one vector; in a stack, that lane's outputs are all NaN.
+        one vector; in a stack, that lane's outputs are all NaN.  For one
+        vector, ``contract`` still takes lanes (``[0]``) and stacks.
         """
         theta = self._check_theta(theta, lanes=True)
         q, k1, k = self.q, self.k1, self.k1 + self.k2
@@ -313,39 +352,58 @@ class SemSpec:
             d1[:, g_u] = d_u[g_u]
             out.append(d1)
 
-        if order >= 2:
-            # Second derivatives block by block of the groups: two loadings
-            # (through C), a loading and a parameter of C (through dC), and
-            # two parameters of C (through d2C = y2 + y2').  Pairs (i, j)
-            # run on the two axes after the lanes; the unit stacks have no
-            # lane axis.  All other pairs, those with a U parameter among
-            # them, are zero.
-            ui, uj = (slice(None), None), (None, slice(None))
-            li, lj = (slice(None), slice(None), None), (slice(None), None)
-            a_, at_ = a[:, None, None], _swap(a)[:, None, None]
-            lam_, lamt_ = lam[:, None, None], _swap(lam)[:, None, None]
-            d_l, d_b, d_p = d_lam[g_lam], d_beta[g_c], d_phi[g_c]
-            d_ac = np.zeros((n_lanes, len(g_c), k, k))
-            d_ac[:, :len(g_beta)] = d_a
-            d2_a = d_ac[lj] @ d_b[ui] @ a_ + a_ @ d_b[ui] @ d_ac[lj]
-            y2 = (d2_a @ phi_a[:, None, None] + d_ac[li] @ d_p[uj] @ at_
-                  + d_ac[lj] @ d_p[ui] @ at_
-                  + d_ac[li] @ phi[:, None, None] @ _swap(d_ac)[lj])
-            z_ll = d_l[ui] @ c[:, None, None] @ _swap(d_l)[uj]
-            z_lc = d_l[ui] @ (y + _swap(y))[lj] @ lamt_
-            z_cc = lam_ @ y2 @ lamt_
-            d2 = np.zeros((n_lanes, q, q, self.p, self.p))
-            d2[:, g_lam[:, None], g_lam] = z_ll + _swap(z_ll)
-            d2[:, g_lam[:, None], g_c] = z_lc + _swap(z_lc)
-            d2[:, g_c[:, None], g_lam] = d2[:, g_lam[:, None], g_c].swapaxes(1, 2)
-            d2[:, g_c[:, None], g_c] = z_cc + _swap(z_cc)
-            out.append(d2)
-
         if singular.any():
             for x in out:
                 x[singular] = np.nan
         if theta.ndim == 1:
             out = [x[0] for x in out]
+
+        if order >= 2:
+            # A loading parameter is one cell (rows, cols) of Lam; d_b and
+            # d_p are the unit stacks of the parameters of Beta and of P.
+            _, rows, cols = np.nonzero(d_lam[g_lam])
+            d_b, d_p = d_beta[g_beta], d_phi[g_phi]
+            nl, nb, kk = len(g_lam), len(g_beta), k * k
+            pair_s, pair_t, weight = self._gram_pairs
+            eye = np.eye(self.p)
+
+            def contract(at, s, t, m: np.ndarray) -> np.ndarray:
+                b, lam_, a_, c_, d_a_ = len(at), lam[at], a[at], c[at], d_a[at]
+                basis = np.concatenate([np.broadcast_to(eye, (b,) + eye.shape),
+                                        lam_ @ a_, lam_ @ c_], axis=2)
+                g_s = (_swap(basis) @ s @ basis).reshape(b, -1)
+                g_t = (_swap(basis) @ t @ basis).reshape(b, -1)
+                first = weight * (g_s[:, pair_s] * g_t[:, pair_t]).sum(axis=1)
+                second = np.zeros((b, q, q))
+                # <m D_i C, D_j> = m[r_i, r_j] C[c_i, c_j] for cells (r, c)
+                second[:, g_lam[:, None], g_lam] = (m[:, rows[:, None], rows]
+                                                    * c_[:, cols[:, None], cols])
+                # <Lam' m D_i, dC_j> = sum_a (m Lam)[r_i, a] dC_j[a, c_i]
+                d_c = y[at] + _swap(y[at])
+                lc = ((m @ lam_)[:, None, rows] @ d_c)[:, :, np.arange(nl), cols]
+                second[:, g_lam[:, None], g_c] = _swap(lc)
+                second[:, g_c[:, None], g_lam] = lc
+                # <Lam' m Lam, y2_ij> by the cyclic trace, with
+                # y2_ij = d2A_ij P A' + dA_i dP_j A' + dA_j dP_i A'
+                # + dA_i P dA_j' and d2A_ij = dA_j dB_i A + A dB_i dA_j:
+                # <dB_i, (C X dA_j + dA_j P A' X A)'> + <X dA_i P, dA_j> for
+                # two parameters of Beta, <A' X dA_i, dP_j> for one of Beta
+                # and one of P, and 0 for two of P (X = Lam' m Lam).
+                x = _swap(lam_) @ m @ lam_
+                w = (c_ @ x)[:, None] @ d_a_ + d_a_ @ (phi_a[at] @ x @ a_)[:, None]
+                bb = (d_b.reshape(nb, kk) @ _swap(_swap(w).reshape(b, nb, kk))
+                      + (x[:, None] @ d_a_ @ phi[at][:, None]).reshape(b, nb, kk)
+                      @ _swap(d_a_.reshape(b, nb, kk)))
+                bp = ((_swap(a_) @ x)[:, None] @ d_a_).reshape(b, nb, kk) @ \
+                    d_p.reshape(len(g_phi), kk).T
+                second[:, g_beta[:, None], g_beta] = bb
+                second[:, g_beta[:, None], g_phi] = bp
+                second[:, g_phi[:, None], g_beta] = _swap(bp)
+                total = first + 2.0 * second
+                total[singular[at]] = np.nan
+                return total
+
+            out.append(contract)
         return tuple(out)
 
     def sigma(self, theta: np.ndarray) -> np.ndarray:

@@ -333,6 +333,59 @@ def fd_hessian(surface, theta, rel_step=1e-5):
     return 0.5 * (hess + hess.T)
 
 
+def stacked_d2(spec, theta):
+    """Reference second derivatives: the (q, q, p, p) stack
+    ``d2 Sigma/dtheta_i dtheta_j``, built block by block of the groups by
+    the product rule on the unit stacks: two loadings (through C), a
+    loading and a parameter of C (through dC), and two parameters of C
+    (through d2C = y2 + y2')."""
+    theta = np.asarray(theta, dtype=float)
+    q, k1, k = spec.q, spec.k1, spec.k1 + spec.k2
+    lam, beta, phi, _ = (base + np.tensordot(theta, unit, 1)
+                         for base, unit in zip(spec._bases, spec._units))
+    a = np.eye(k)
+    a[k1:, k1:] = np.linalg.inv(np.eye(k - k1) - beta[k1:, k1:])
+    a[k1:, :k1] = a[k1:, k1:] @ beta[k1:, :k1]
+    c = a @ phi @ a.T
+    d_lam, d_beta, d_phi, _ = spec._units
+    g_lam, g_beta, g_phi, _ = spec._groups
+    g_c = np.concatenate([g_beta, g_phi])
+    d_a = a @ d_beta[g_beta] @ a
+    y = np.concatenate([d_a @ phi @ a.T, 0.5 * (a @ d_phi[g_phi] @ a.T)])
+    ui, uj = (slice(None), None), (None, slice(None))
+    d_l, d_b, d_p = d_lam[g_lam], d_beta[g_c], d_phi[g_c]
+    d_ac = np.zeros((len(g_c), k, k))
+    d_ac[:len(g_beta)] = d_a
+    d2_a = d_ac[uj] @ d_b[ui] @ a + a @ d_b[ui] @ d_ac[uj]
+    y2 = (d2_a @ phi @ a.T + d_ac[ui] @ d_p[uj] @ a.T
+          + d_ac[uj] @ d_p[ui] @ a.T
+          + d_ac[ui] @ phi @ np.swapaxes(d_ac, -1, -2)[uj])
+    z_ll = d_l[ui] @ c @ np.swapaxes(d_l, -1, -2)[uj]
+    z_lc = d_l[ui] @ (y + np.swapaxes(y, -1, -2))[uj] @ lam.T
+    z_cc = lam @ y2 @ lam.T
+    d2 = np.zeros((q, q, spec.p, spec.p))
+    d2[g_lam[:, None], g_lam] = z_ll + np.swapaxes(z_ll, -1, -2)
+    d2[g_lam[:, None], g_c] = z_lc + np.swapaxes(z_lc, -1, -2)
+    d2[g_c[:, None], g_lam] = d2[g_lam[:, None], g_c].swapaxes(0, 1)
+    d2[g_c[:, None], g_c] = z_cc + np.swapaxes(z_cc, -1, -2)
+    return d2
+
+
+def stacked_hessian(surface, theta):
+    """Reference observed Hessian from the (q, q, p, p) stack of
+    :func:`stacked_d2`: ``n [tr(dM_j Sigma_i) + tr(M Sigma_ij)] / 2`` with
+    ``M = inv Q inv - inv``, each trace taken on p x p matrices."""
+    spec, q_xx, n = surface.spec, surface.quadvar.q_xx, surface.n
+    sigma, d1 = spec.forward(theta, 1)
+    inv = np.linalg.inv(sigma)
+    r = inv @ q_xx @ inv
+    a, b = inv @ d1, r @ d1
+    dm = (np.einsum("iab,jba->ij", a, a) - 2.0 * np.einsum("iab,jba->ij", a, b))
+    d2m = np.einsum("ijab,ab->ij", stacked_d2(spec, theta), r - inv)
+    hessian = 0.5 * n * (dm + d2m)
+    return 0.5 * (hessian + hessian.T)
+
+
 def _oneshot_recursion(ad, u, x0):
     """x_{i+1} = ad x_i + u_i over the whole path: one scalar AR filter per
     coordinate when ``ad`` is diagonal, the step loop otherwise."""

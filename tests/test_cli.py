@@ -237,6 +237,11 @@ class TestFitAndCriteria:
      "--out", "{out}"],
     ["table1", "--config", "{bad_json}", "--out-dir", "{out}"],
     ["criteria", "{fits}", "--fits", "{bad_json}", "--out", "{out}"],
+    ["fit", "--spec", "{huge_fixed_spec}", "--data", "{path}", "--T", "1",
+     "--out", "{out}"],
+    ["fit", "--spec", "{huge_bound_spec}", "--data", "{path}", "--T", "1",
+     "--out", "{out}"],
+    ["table1", "--config", "{huge_T_config}", "--out-dir", "{out}"],
 ], ids=["quadvar-T0", "quadvar-Tinf", "fit-nosuch-spec", "fit-starts0",
         "priors-not-numbers", "priors-one-of-three", "priors-sum",
         "table1-replications", "quadvar-one-row-headed",
@@ -251,7 +256,8 @@ class TestFitAndCriteria:
         "fit-spec-directory", "table1-config-directory",
         "criteria-fit-q-mismatch", "criteria-fit-n-zero",
         "criteria-fit-loglik-nan", "criteria-fit-hessian-nan",
-        "fit-spec-not-json", "table1-config-not-json", "criteria-fit-not-json"])
+        "fit-spec-not-json", "table1-config-not-json", "criteria-fit-not-json",
+        "fit-spec-fixed-huge", "fit-spec-bound-huge", "table1-T-huge"])
 def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
     _, path, fits = fit_files
     fit_doc = json.loads(fits[0].read_text())
@@ -260,10 +266,13 @@ def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
         model_spec_paths=["model1"]).to_dict()
     config = tmp_path / "exp.json"
     config.write_text(json.dumps({**doc, "replications": 2.5}))
-    nan_spec, index_float_spec = (models.load_builtin("model1").to_dict()
-                                  for _ in range(2))
+    nan_spec, index_float_spec, huge_fixed_spec, huge_bound_spec = (
+        models.load_builtin("model1").to_dict() for _ in range(4))
     nan_spec["b"][1][0] = {"fixed": "nan"}
     index_float_spec["gamma"][0][0] = {"free": {"index": 7.0}}
+    # JSON integers beyond float range
+    huge_fixed_spec["b"][1][0] = {"fixed": 10 ** 400}
+    huge_bound_spec["bounds"]["lower"][0] = -10 ** 400
     files = {"{one_row_headed}": "t,x1,x2\n0,1,2\n", "{one_row_bare}": "0,1,2\n",
              "{short_init}": "2.0\n", "{partial_fit}": '{"model": "m"}',
              "{time_only}": "0\n1\n2\n",
@@ -286,7 +295,10 @@ def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
              "{number_truth_config}": json.dumps({**doc, "true_model": 5}),
              "{nested_criteria_config}": json.dumps({**doc, "criteria": [["qbic1"]]}),
              "{nested_paths_config}": json.dumps(
-                 {**doc, "model_spec_paths": [["model1"]]})}
+                 {**doc, "model_spec_paths": [["model1"]]}),
+             "{huge_fixed_spec}": json.dumps(huge_fixed_spec),
+             "{huge_bound_spec}": json.dumps(huge_bound_spec),
+             "{huge_T_config}": json.dumps({**doc, "T": 10 ** 400})}
     fill = {"{path}": [str(path)], "{out}": [str(tmp_path / "out")],
             "{config}": [str(config)], "{dir}": [str(tmp_path)],
             "{fits}": [a for f in fits for a in ("--fits", str(f))]}
@@ -304,6 +316,12 @@ def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
     if "{bad_json}" in argv:  # the message names the file it cannot parse
         named = f"Error: cannot parse {fill['{bad_json}'][0]}: "
         assert result.output.startswith(named)
+    huge = {"{huge_fixed_spec}": "b[1][0].fixed", "{huge_bound_spec}": "bounds.lower",
+            "{huge_T_config}": "T"}
+    for key, field in huge.items():
+        if key in argv:  # the message names the field
+            assert result.output == (f"Error: {field} must be a number within "
+                                     "float range, got an integer beyond it\n")
 
 
 class TestTable1:

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from hfsem import diffsim, harness, models, qmle
 from hfsem.errors import (AllStartsFailedError, SingularStructureError,
@@ -522,3 +523,64 @@ class TestTransitionBuilds:
         assert builds == [1 / 100] * 4 + [1 / 200] * 4
         harness.gap_growth_probe(config, "model1", "model2", criterion="qaic")
         assert len(builds) == 8
+
+
+# -- the asymptotic law of the fitted value -------------------------------------
+
+CHI2_N, CHI2_REPS = 10_000, 200
+
+
+@pytest.fixture(scope="module")
+def chi2_study():
+    """The true-init study of model1-3 at n = 10^4, each replication's Q
+    recorded as ``harness._realized`` gives it to the fits."""
+    realized, seen = harness._realized, {}
+
+    def record(chunk, rep):
+        seen[rep["rep"]] = realized(chunk, rep)
+        return seen[rep["rep"]]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_realized", record)
+        table, records = harness.run_experiment(small_config(
+            n_values=[CHI2_N], replications=CHI2_REPS, master_seed=1))
+    # lr_sat = 2 (l_sat - l(theta_hat)) with l_sat = n (-p - log det Q) / 2
+    sat = {rep: CHI2_N * (-len(qv.q_xx) - np.linalg.slogdet(qv.q_xx)[1]) / 2
+           for rep, qv in seen.items()}
+    lr_sat = {model: np.array([2.0 * (sat[r["rep"]] - r["h_at_hat"])
+                               for r in records if r["model"] == model])
+              for model in ("model1", "model2", "model3")}
+    return table, lr_sat
+
+
+class TestChiSquareOracle:
+    """At large n the quasi-likelihood ratio against the saturated model,
+    ``lr_sat``, is chi-square with p(p+1)/2 - q degrees of freedom for a
+    correct model: 33 for model1, 32 for model2.  The nested statistic
+    ``lr_sat(model1) - lr_sat(model2)`` is chi-square with 1, so model2, the
+    overfit, is picked with probability P(chi2_1 > log n) by qbic2 and
+    P(chi2_1 > 2) = 0.157 by qaic.  This tests that the fits reach the
+    optimum: with ``_MAX_ITER = 2`` the KS p-values fall to about 0.
+
+    The bounds were set after master seeds 1-8 at 200 replications, which
+    gave KS p-values of 0.087-0.943 (model1) and 0.140-0.997 (model2),
+    qbic2 shares of 0-0.010 and qaic shares of 0.110-0.205."""
+
+    @pytest.mark.parametrize("model, df", [("model1", 33), ("model2", 32)])
+    def test_correct_models_follow_their_law(self, chi2_study, model, df):
+        _, lr_sat = chi2_study
+        assert stats.kstest(lr_sat[model], stats.chi2(df).cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("criterion, threshold", [
+        ("qbic2", np.log(CHI2_N)), ("qaic", 2.0)], ids=["qbic2", "qaic"])
+    def test_overfit_share_predicted(self, chi2_study, criterion, threshold):
+        table, _ = chi2_study
+        predicted = stats.chi2(1).sf(threshold)
+        share = table.share(criterion, CHI2_N, "model2")
+        error = np.sqrt(predicted * (1.0 - predicted) / CHI2_REPS)
+        assert abs(share - predicted) <= 3.0 * error
+
+    def test_misspecified_model_rejected(self, chi2_study):
+        table, lr_sat = chi2_study
+        assert all(table.share(c, CHI2_N, "model3") == 0.0 for c in CRITERIA)
+        assert lr_sat["model3"].min() > 1000.0

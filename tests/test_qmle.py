@@ -116,26 +116,24 @@ class TestFit:
         assert 0 < sum(lanes) == report.evaluations <= 87 // 3
 
     def test_one_forward_pass_per_evaluation(self, surface_1e3, monkeypatch):
-        # One forward pass per kernel pass, the Hessian's one order-2 pass
-        # included; a central-difference Hessian of this model makes
-        # 2q = 44 gradient calls, 88 Sigma/Jacobian builds.
+        # One forward pass per kernel pass, and none after the loop: the
+        # report's Hessian is that of its last accepted pass.  A
+        # central-difference Hessian of this model makes 2q = 44 gradient
+        # calls, 88 Sigma/Jacobian builds.
         calls = collections.Counter()
 
-        def count(owner, name, key=lambda *args, **kwargs: ""):
+        def count(owner, name):
             original = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.update(
-                [name + key(*args, **kwargs)]) or original(*args, **kwargs))
+                [name]) or original(*args, **kwargs))
 
-        count(qmle, "score_lanes",
-              lambda spec, theta, q_xx, n, order=1: f" order {order}")
+        count(qmle, "score_lanes")
         count(LikelihoodSurface, "hessian")
         count(SemSpec, "forward")
         report = qmle.fit(surface_1e3, init=models.THETA1_TRUE)
         assert calls["hessian"] == 0
-        assert calls["score_lanes order 2"] == 1
-        assert calls["score_lanes order 1"] > 0
-        assert calls["forward"] == (calls["score_lanes order 1"]
-                                    + calls["score_lanes order 2"])
+        assert calls["score_lanes"] == report.evaluations > 0
+        assert calls["forward"] == calls["score_lanes"]
         before = calls["forward"]
         assert np.array_equal(surface_1e3.hessian(report.theta_hat),
                               report.hessian)
@@ -171,6 +169,60 @@ class TestFit:
         assert solves
         assert report.converged
         assert abs(report.h_at_hat / -1273.0702524547814 - 1.0) < 1e-10
+
+    def test_indefinite_hessian_takes_scoring_step(self, degenerate_model,
+                                                   monkeypatch):
+        # From this start the free block of -H is indefinite for the first
+        # two steps: those take the scoring step on the information of the
+        # same pass, and the fit still reaches the value the all-scoring
+        # estimator reached.
+        spec = degenerate_model
+        rng = np.random.default_rng(0)
+        chol = np.linalg.cholesky(spec.sigma(np.array([2.0] + [1.0] * 6)))
+        x = (rng.standard_normal((400, spec.p)) @ chol.T).cumsum(axis=0)
+        surface = LikelihoodSurface(spec, quad_var(x / np.sqrt(399), 1.0))
+        indefinite = []
+        ascent = qmle._ascent_step
+
+        def spy(scores, at, hessian, grad, free):
+            steps = ascent(scores, at, hessian, grad, free)
+            for lane, keep in enumerate(free):
+                block = -hessian[lane][np.ix_(keep, keep)]
+                if np.linalg.eigvalsh(block).min() < 0.0:
+                    indefinite.append(lane)
+                    scoring = qmle._scoring_step(
+                        scores.information(at[lane:lane + 1]),
+                        grad[lane:lane + 1], free[lane:lane + 1])[0]
+                    assert np.array_equal(steps[lane], scoring)
+            return steps
+
+        monkeypatch.setattr(qmle, "_ascent_step", spy)
+        report = qmle.fit(surface, init=np.array([1.5, 2.0, 0.5, 2.0, 1.5,
+                                                  0.8, 0.7]))
+        assert len(indefinite) >= 2
+        assert report.converged
+        assert abs(report.h_at_hat / -1273.0702524547814 - 1.0) < 1e-10
+
+    def test_newton_step_where_hessian_is_negative_definite(self, surface_1e3):
+        # Lanes of one pass: one at the true value, where -H is positive
+        # definite and the step is Newton's, and one with a coordinate
+        # frozen, solved on the free block alone.
+        theta = np.array([models.THETA1_TRUE, models.THETA1_TRUE * 1.01])
+        scores = qlik.score_lanes(surface_1e3.spec, theta,
+                                  np.array([surface_1e3.quadvar.q_xx] * 2),
+                                  np.full(2, float(surface_1e3.n)))
+        at = np.arange(2)
+        hessian = scores.hessian(at)
+        free = np.ones((2, surface_1e3.spec.q), dtype=bool)
+        free[1, 3] = False
+        steps = qmle._ascent_step(scores, at, hessian, scores.grad, free)
+        assert np.all(np.linalg.eigvalsh(-hessian) > 0.0)
+        newton = np.linalg.solve(-hessian[0], scores.grad[0])
+        assert np.abs(steps[0] - newton).max() < 1e-10 * np.abs(newton).max()
+        keep = free[1]
+        block = -hessian[1][np.ix_(keep, keep)]
+        assert steps[1, 3] == 0.0
+        assert np.abs(block @ steps[1, keep] - scores.grad[1, keep]).max() < 1e-9
 
     def test_scoring_step_solves_by_cholesky(self):
         rng = np.random.default_rng(4)
@@ -530,51 +582,27 @@ class TestLanes:
 
     @pytest.mark.parametrize("count", [1, 3, 4, 5, 9])
     def test_hessians_in_kernel_passes(self, model1, count, monkeypatch):
-        # The best lanes' Hessians come from order-2 kernel passes of at
-        # most four lanes, equal to the surface's own Hessian; no surface
-        # Hessian is called.
+        # The best lanes' Hessians come from the loop's own kernel passes:
+        # no kernel pass and no surface Hessian after _optimize, and each
+        # equals the surface's own Hessian at theta_hat.
         surfaces = [LikelihoodSurface(model1, quad_var(
             diffsim.simulate_true_model(n, 1.0, seed=60 + k).x_obs, 1.0))
             for k, n in enumerate([100, 1000] * 4 + [1000])][:count]
-        passes, hessians = [], []
-        original = qmle.score_lanes
-
-        def spy(spec, theta, *args, order=1):
-            if order == 2:
-                passes.append(len(theta))
-            return original(spec, theta, *args, order=order)
-
-        monkeypatch.setattr(qmle, "score_lanes", spy)
+        late, hessians, done = [], [], []
+        score_lanes, optimize = qmle.score_lanes, qmle._optimize
+        monkeypatch.setattr(qmle, "score_lanes", lambda *a, **k: late.extend(
+            done) or score_lanes(*a, **k))
+        monkeypatch.setattr(qmle, "_optimize", lambda *a: (
+            optimize(*a), done.append(1))[0])
         hessian = LikelihoodSurface.hessian
         monkeypatch.setattr(LikelihoodSurface, "hessian",
                             lambda *a: hessians.append(1) or hessian(*a))
         reports = qmle.fit_lanes(surfaces, [[models.THETA1_TRUE]] * count)
-        assert not hessians
-        assert len(passes) == math.ceil(count / 4)
-        assert sum(passes) == count and max(passes) <= 4
+        assert done == [1]
+        assert not late and not hessians
         for surface, report in zip(surfaces, reports):
             assert np.array_equal(report.hessian,
                                   surface.hessian(report.theta_hat))
-
-    @pytest.mark.parametrize("status, error, message", [
-        (qlik.SINGULAR, SingularStructureError, "numerically singular"),
-        (qlik.NOT_POSITIVE_DEFINITE, NotPositiveDefiniteError,
-         "not positive definite"),
-        (qlik.NON_FINITE, NotPositiveDefiniteError, "not finite")],
-        ids=["SINGULAR", "NOT_POSITIVE_DEFINITE", "NON_FINITE"])
-    def test_rejected_hessian_lane_raises_as_the_surface_does(
-            self, surface_1e3, monkeypatch, status, error, message):
-        original = qmle.score_lanes
-
-        def spy(*args, order=1):
-            scores = original(*args, order=order)
-            if order == 2:
-                scores.status[-1] = status
-            return scores
-
-        monkeypatch.setattr(qmle, "score_lanes", spy)
-        with pytest.raises(error, match=message):
-            qmle.fit_lanes([surface_1e3] * 2, [[models.THETA1_TRUE]] * 2)
 
     def test_surfaces_of_one_spec(self, surface_1e3, model2):
         other = LikelihoodSurface(model2, surface_1e3.quadvar)

@@ -228,6 +228,49 @@ def test_horizon_scan_catches_comparisons():
     assert horizon_checks(source) == [1, 3, 4]
 
 
+# The argument that carries the order, by position, of each kernel call.
+ORDER_POSITIONS = {"forward": 1, "score_lanes": 4}
+
+
+def order2_requests(source: str) -> list[int]:
+    """Lines that ask for an order-2 pass: a call with ``order=2``, or a
+    call of ``forward`` or ``score_lanes`` with 2 in the order's place."""
+    def two(node) -> bool:
+        return isinstance(node, ast.Constant) and node.value == 2
+
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        at = ORDER_POSITIONS.get(name, len(node.args))
+        if (any(kw.arg == "order" and two(kw.value) for kw in node.keywords)
+                or (at < len(node.args) and two(node.args[at]))):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in SRC.glob("*.py") if p.name != "qlik.py"), ids=lambda p: p.name)
+def test_observed_hessian_owned_by_qlik(path):
+    # The observed Hessian is qlik's: its kernel passes keep the forward
+    # pass's second-order terms, and a fit reads each report's Hessian
+    # from its last accepted pass, with no Hessian pass of its own.
+    source = path.read_text()
+    assert order2_requests(source) == []
+    if path.name == "qmle.py":
+        assert re.findall(r"\b_hessians\b|\b_HESSIAN_LANES\b", source) == []
+
+
+def test_order_scan_catches_requests():
+    source = ("s = spec.forward(theta, 2)\nt = self.forward(theta, order=2)\n"
+              "u = score_lanes(spec, theta, q, n, 2)\n"
+              "v = qlik.score_lanes(spec, theta, q,\n    n, order=2)\n"
+              "w = spec.forward(theta, 1)\nx = score_lanes(spec, theta, q, 2)\n"
+              "y = f(2, 2)\nz = spec.forward(theta, 2 * order)\n")
+    assert order2_requests(source) == [1, 2, 3, 4]
+
+
 def test_perfbench_targets_exist(monkeypatch):
     # The traced benchmark wraps each callable where its caller looks it
     # up; a renamed or moved one would break the trace.  The tracer reads a
