@@ -58,8 +58,8 @@ logger = logging.getLogger(__name__)
 
 CONFIG_SCHEMA = "hfsem-exp-v1"
 
-REPLICATION_COLUMNS = ("rep", "n", "model", "h_at_hat", *CRITERIA, "j_flag",
-                       "converged", "boundary_hit", "iterations",
+REPLICATION_COLUMNS = ("rep", "n", "model", "h_at_hat", "lr_sat", *CRITERIA,
+                       "j_flag", "converged", "boundary_hit", "iterations",
                        "evaluations", "grad_norm", "selected_by")
 
 
@@ -222,14 +222,16 @@ def _chunk_worker(chunk: dict) -> list[dict]:
     qvs = [_realized(chunk, rep) for rep in chunk["reps"]]
     fits = [_fit_chunk(spec, init, qvs, chunk)
             for spec, init in zip(chunk["specs"], chunk["inits"])]
-    return [_rep_result(chunk, rep, [reports[i] for reports in fits])
-            for i, rep in enumerate(chunk["reps"])]
+    return [_rep_result(chunk, rep, qv, [reports[i] for reports in fits])
+            for i, (rep, qv) in enumerate(zip(chunk["reps"], qvs))]
 
 
-def _rep_result(chunk: dict, rep: dict, reports: list) -> dict:
-    """One replication's selections and records from its fit reports
-    (``None`` for a failed fit)."""
+def _rep_result(chunk: dict, rep: dict, qv, reports: list) -> dict:
+    """One replication's selections and records from its Q and fit reports
+    (``None`` for a failed fit); ``lr_sat`` is the quasi-likelihood ratio
+    against the saturated model, ``2 (n (-p - log det Q) / 2 - h_at_hat)``."""
     n, index = rep["n"], rep["rep"]
+    saturated = n * (-len(qv.q_xx) - np.linalg.slogdet(qv.q_xx)[1]) / 2
     failed = any(report is None for report in reports)
     rows = [None if report is None else criteria_row(report)
             for report in reports]
@@ -248,6 +250,7 @@ def _rep_result(chunk: dict, rep: dict, reports: list) -> dict:
         winner_of = [c for c in CRITERIA if selected.get(c) == name]
         records.append({"rep": index, "n": n, "model": name,
                         "h_at_hat": row.h_at_hat,
+                        "lr_sat": 2.0 * (saturated - row.h_at_hat),
                         **{c: row.value(c) for c in CRITERIA},
                         "j_flag": row.j_flag, "converged": report.converged,
                         "boundary_hit": report.boundary_hit,

@@ -17,10 +17,9 @@ them.  J and ``log det Gamma_tilde`` are computed here alone, from the
 Hessian a ``FitReport`` keeps: J holds when the smallest eigenvalue of
 ``-H/n`` is above ``_JGATE_MIN_EIG``, and a non-finite Hessian is off J.
 
-``gamma_zero`` builds the analytic information matrix from the covariance
-Jacobian and the fourth-moment weight of the limiting increment law, which
-the negative scaled Hessian approaches as the grid refines.  It is the
-same Fisher information that drives the estimator's scoring steps.
+``gamma_zero`` builds the analytic information matrix, which the negative
+scaled Hessian approaches as the grid refines, from the spec's factor
+record, as the estimator's scoring steps build the Fisher information.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import numpy as np
 
 from . import matkit
 from .errors import NotPositiveDefiniteError, RankDeficientError
-from .qlik import fisher_information
 from .qmle import FitReport
 from .semspec import SemSpec, jacobian_rank
 
@@ -117,25 +115,21 @@ class GammaZero:
 
 def gamma_zero(spec: SemSpec, theta0: np.ndarray,
                sigma0: np.ndarray) -> GammaZero:
-    """Information matrix ``gamma0 = delta0' W delta0`` at ``theta0``, with
-    ``delta0`` the vech covariance Jacobian and ``W`` the weight of
-    :func:`~hfsem.qlik.fisher_information` at ``sigma0``.
+    """Information matrix ``gamma0 = tr(S Sigma_i S Sigma_j) / 2`` at
+    ``theta0`` with ``S = inv(sigma0)``, or ``delta0' W delta0`` with
+    ``delta0`` the vech covariance Jacobian and ``W = D' (S kron S) D / 2``,
+    both from the factor record of one forward pass.
 
     Raises :class:`RankDeficientError` when the covariance Jacobian loses
     column rank, :class:`NotPositiveDefiniteError` when sigma0 is not PD.
     """
     _, sigma0_inv = matkit.chol_logdet(sigma0)
-    delta0, rank = jacobian_rank(spec, theta0)
+    delta0, rank, record = jacobian_rank(spec, theta0)
     if rank < spec.q:
         raise RankDeficientError(
             f"covariance Jacobian of {spec.name!r} has rank {rank} < q={spec.q}")
-    # The derivative stack is exactly symmetric, so its vech rows give it
-    # back whole, with no second forward pass.
-    d_sigma = np.empty((spec.q, spec.p, spec.p))
-    rows, cols = matkit.vech_indices(spec.p)
-    d_sigma[:, rows, cols] = d_sigma[:, cols, rows] = delta0.T
-    return GammaZero(gamma0=fisher_information(d_sigma, sigma0_inv),
-                     delta0=delta0)
+    info = 0.5 * record.trace_products([0], sigma0_inv, sigma0_inv)[0]
+    return GammaZero(gamma0=0.5 * (info + info.T), delta0=delta0)
 
 
 def posterior_probs(rows: Sequence[CriteriaRow],

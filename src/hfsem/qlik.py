@@ -17,11 +17,12 @@ The gradient, the Fisher information and the observed Hessian are all
 analytic.  One kernel, :func:`score_lanes`, computes them for a stack of
 lanes of one spec, each lane its own theta against its own (Q, n), in one
 forward pass of the spec (``SemSpec.forward`` on the stack of theta) and
-one Cholesky factorization per lane; the information and the Hessian,
-whose second-derivative term the forward pass contracts in factor space,
-are computed only for the lanes that ask.  The estimator runs many fits
-through it at once, and each fit's Hessian is the one its last accepted
-pass gives.  :class:`LikelihoodSurface` is its one-lane case.
+one Cholesky factorization per lane, all three from the pass's factor
+record in factor space (the Hessian adds the pass's second-derivative
+term), and the information and the Hessian only for the lanes that ask.
+The estimator runs many fits through it at once, and each fit's Hessian
+is the one its last accepted pass gives.  :class:`LikelihoodSurface` is
+its one-lane case.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "LikelihoodSurface",
     "LaneScores",
     "score_lanes",
-    "fisher_information",
 ]
 
 
@@ -71,28 +71,6 @@ def quad_var(x_obs: np.ndarray, T: float) -> QuadVar:
     return QuadVar(q_xx=q, n=x_obs.shape[0] - 1, T=T)
 
 
-def _trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (..., q, q) stack of ``tr(a[..., i] @ b[..., j])`` for stacks of
-    q p x p matrices."""
-    shape = a.shape[:-2] + (a.shape[-2] * a.shape[-1],)
-    return a.reshape(shape) @ _swap(_swap(b).reshape(shape))
-
-
-def fisher_information(d_sigma: np.ndarray, sigma_inv: np.ndarray) -> np.ndarray:
-    """Fisher information per increment,
-    ``tr(inv(Sigma) Sigma_i inv(Sigma) Sigma_j) / 2``, for the derivative
-    stack ``d_sigma[i] = dSigma/dtheta_i``; a leading lane axis on both
-    arguments gives one information per lane.
-
-    This is ``Delta' W Delta`` with ``Delta`` the vech Jacobian and
-    ``W = D' (inv(Sigma) kron inv(Sigma)) D / 2``, ``D`` the duplication
-    matrix, computed on the p x p stack instead.
-    """
-    a = sigma_inv[..., None, :, :] @ d_sigma
-    info = 0.5 * _trace_products(a, a)
-    return 0.5 * (info + _swap(info))
-
-
 # Why the kernel rejects a lane.
 OK, SINGULAR, NOT_POSITIVE_DEFINITE, NON_FINITE = range(4)
 
@@ -102,18 +80,16 @@ class LaneScores:
 
     ``value`` (B,) is -inf on a rejected lane and ``status`` says why;
     ``grad`` (B, q) is present at order 1.  :meth:`information` and
-    :meth:`hessian` give the Fisher information and the observed Hessian
-    of chosen lanes from what the pass kept, with no second forward pass,
-    so a lane pays for them only when asked; ``hessian`` gives None for a
-    pass that keeps no second-order term.
+    :meth:`hessian` give those of chosen lanes from what the pass kept,
+    with no second forward pass, so a lane pays for them only when asked;
+    ``hessian`` gives None for a pass that keeps no second-order term.
     """
 
-    def __init__(self, value, status, grad, n, d1, inv, r=None, contract=None):
+    def __init__(self, value, status, grad, information=None, hessian=None):
         self.value = value
         self.status = status
         self.grad = grad
-        self._n, self._d1, self._inv = n, d1, inv
-        self._r, self._contract = r, contract
+        self._information, self._hessian = information, hessian
 
     @property
     def ok(self) -> np.ndarray:
@@ -132,24 +108,20 @@ class LaneScores:
                 status == NOT_POSITIVE_DEFINITE else
                 "the likelihood is not finite at theta")
 
-    def information(self, lanes: np.ndarray) -> np.ndarray:
-        """n * ``fisher_information`` of the given lanes, (len, q, q)."""
-        return (self._n[lanes][:, None, None]
-                * fisher_information(self._d1[lanes], self._inv[lanes]))
+    def information(self, lanes) -> np.ndarray:
+        """The information of the given lanes, (len, q, q)."""
+        return _symmetrized(self._information, lanes)
 
-    def hessian(self, lanes: np.ndarray) -> np.ndarray | None:
-        """The observed Hessian of the given lanes, (len, q, q), or None
-        for a pass that keeps no second-order term:
-        ``n [tr(inv Sigma_i (inv - 2R) Sigma_j) + tr(M Sigma_ij)] / 2``
-        with ``R = inv Q inv``, both traces from ``SemSpec.forward``'s
-        contraction in factor space, symmetrized."""
-        if self._contract is None:
-            return None
-        with np.errstate(all="ignore"):
-            inv, r = self._inv[lanes], self._r[lanes]
-            hessian = 0.5 * self._n[lanes][:, None, None] * self._contract(
-                lanes, inv, inv - 2.0 * r, r - inv)
-        return 0.5 * (hessian + _swap(hessian))
+    def hessian(self, lanes) -> np.ndarray | None:
+        """The observed Hessian of the given lanes, (len, q, q), or None."""
+        return None if self._hessian is None else _symmetrized(self._hessian, lanes)
+
+
+def _symmetrized(term, lanes) -> np.ndarray:
+    """``term(lanes)``, a (len, q, q) stack, symmetrized."""
+    with np.errstate(all="ignore"):
+        x = term(lanes)
+    return 0.5 * (x + _swap(x))
 
 
 def score_lanes(spec: SemSpec, theta: np.ndarray, q_xx: np.ndarray,
@@ -158,17 +130,17 @@ def score_lanes(spec: SemSpec, theta: np.ndarray, q_xx: np.ndarray,
     ``(q_xx[b], n[b])``, all of one spec, in one forward pass of the stack.
 
     It gives each lane's value and, at order 1, its gradient
-    ``n tr(M dSigma_i) / 2`` with ``M = inv Q inv - inv``.  An order-1
-    pass also keeps the second-order contraction of ``SemSpec.forward``,
-    so that :meth:`LaneScores.hessian` gives the observed Hessian
-    ``n [tr(dM_j Sigma_i) + tr(M Sigma_ij)] / 2`` with
-    ``dM_j = inv Sigma_j inv - 2 sym(inv Sigma_j inv Q inv)``, and
-    :meth:`LaneScores.information` the Fisher information, of the lanes
-    asked for; a lane the caller does not ask for costs nothing more.  A
-    lane outside the admissible region (I - B singular, Sigma not positive
-    definite, a non-finite value or gradient) is rejected on its own and
-    raises nothing.  Every step acts on one lane at a time, so a lane's
-    results are bit-identical whichever lanes share its pass.
+    ``n tr(M Sigma_i) / 2`` with ``M = R - inv`` and ``R = inv Q inv``,
+    from the pass's factor record (``SemSpec.forward``); from the same
+    record and second-order term, :meth:`LaneScores.information` gives the
+    Fisher information ``n tr(inv Sigma_i inv Sigma_j) / 2`` and
+    :meth:`LaneScores.hessian` the observed Hessian ``n [tr(inv Sigma_i
+    (inv - 2R) Sigma_j) + tr(M Sigma_ij)] / 2`` of the lanes asked for,
+    and of no others.  A lane outside the admissible region (I - B
+    singular, Sigma not positive definite, a non-finite value or gradient)
+    is rejected on its own and raises nothing.  Every step acts on one
+    lane at a time, so a lane's results are bit-identical whichever lanes
+    share its pass.
     """
     theta = np.asarray(theta, dtype=float)
     q_xx = np.asarray(q_xx, dtype=float)
@@ -190,17 +162,26 @@ def score_lanes(spec: SemSpec, theta: np.ndarray, q_xx: np.ndarray,
         status[(status == OK) & (info != 0)] = NOT_POSITIVE_DEFINITE
         value = n * (-0.5 * np.sum(inv * q_xx, axis=(1, 2)) - 0.5 * logdet)
         good = np.isfinite(value)
-        grad = d1 = r = contract = None
+        grad = information = hessian = None
         if order:
-            _, d1, contract = out
+            _, record, second = out
             r = inv @ q_xx @ inv
-            m = (r - inv).reshape(len(n), p * p, 1)
-            grad = 0.5 * n[:, None] * (
-                d1.reshape(len(n), spec.q, p * p) @ m)[..., 0]
+            grad = 0.5 * n[:, None] * record.trace(slice(None), r - inv)
             good &= np.isfinite(grad).all(axis=1)
+
+            def information(lanes):
+                s = inv[lanes]
+                return (0.5 * n[lanes][:, None, None]
+                        * record.trace_products(lanes, s, s))
+
+            def hessian(lanes):
+                s, r_ = inv[lanes], r[lanes]
+                return 0.5 * n[lanes][:, None, None] * (
+                    record.trace_products(lanes, s, s - 2.0 * r_)
+                    + second(lanes, r_ - s))
     status[(status == OK) & ~good] = NON_FINITE
     value[status != OK] = -np.inf
-    return LaneScores(value, status, grad, n, d1, inv, r, contract)
+    return LaneScores(value, status, grad, information, hessian)
 
 
 class LikelihoodSurface:

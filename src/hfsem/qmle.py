@@ -435,18 +435,18 @@ def _distance_scores(spec: SemSpec, theta: np.ndarray,
                      sigma0: np.ndarray) -> LaneScores:
     """The probe's kernel from one forward pass: value -|Sigma - sigma0|_F^2 / 2,
     gradient -tr((Sigma - sigma0) Sigma_i) and, as information, the Gauss-Newton
-    matrix tr(Sigma_i Sigma_j) (twice ``fisher_information`` at inv(Sigma) = I).
-    A lane with a non-finite value, as where I - B is singular, is rejected."""
+    matrix tr(Sigma_i Sigma_j), both from the pass's factor record.  A lane
+    with a non-finite value, as where I - B is singular, is rejected."""
+    eye = np.eye(spec.p)
     with np.errstate(all="ignore"):
-        sigma, d1 = spec.forward(theta, 1)
+        sigma, record = spec.forward(theta, 1)
         r = sigma - sigma0
         value = -0.5 * np.sum(r * r, axis=(1, 2))
-        grad = -np.sum(d1 * r[:, None], axis=(2, 3))
+        grad = -record.trace(slice(None), r)
     ok = np.isfinite(value) & np.isfinite(grad).all(axis=1)
     value[~ok] = -np.inf
     return LaneScores(value, np.where(ok, OK, NON_FINITE), grad,
-                      np.full(len(theta), 2.0), d1,
-                      np.broadcast_to(np.eye(spec.p), sigma.shape))
+                      lambda lanes: record.trace_products(lanes, eye, eye))
 
 
 def check_identifiability(spec: SemSpec, theta0: np.ndarray, trials: int = 50,
@@ -465,7 +465,7 @@ def check_identifiability(spec: SemSpec, theta0: np.ndarray, trials: int = 50,
     trials = _doc.integer(trials, "trials", 1)
     rng = np.random.default_rng(_doc.integer(seed, "seed"))
     theta0 = np.asarray(theta0, dtype=float)
-    delta0, rank = jacobian_rank(spec, theta0)
+    delta0, rank, _ = jacobian_rank(spec, theta0)
     collinear = None
     if rank < spec.q and spec.q >= 2:
         # Surface one offending pair for the report.

@@ -23,16 +23,17 @@ factor regression matrix, and ``S_dd``, ``S_ee``, ``S_zz`` the unique
 covariances.  These are the blocks of ``Lam A P A' Lam' + U`` with
 ``Lam = diag(L1, L2)``, ``A = inv(I - Beta)``, ``Beta = [[0, 0], [G, B]]``,
 ``P = diag(Phi, S_zz)`` and ``U = diag(S_dd, S_ee)``.  Each of these four
-matrices is affine in ``theta``, so ``SemSpec.forward`` applies the
-product rule once to unit stacks built at construction and returns Sigma
-with its first derivatives in theta and, on request, the second-order
-terms of a likelihood's Hessian, contracted in factor space; ``sigma``
-and ``jacobian`` (the vech rows of the first-derivative stack) come from
-that forward pass.
+matrices is affine in ``theta`` and each parameter is one cell of one of
+them, so ``dSigma/dtheta_i`` is ``h + h'`` with ``h`` a product of two
+columns of the basis ``[I, Lam A, Lam C]``.  ``SemSpec.forward`` returns
+Sigma with, on request, the :class:`FactorRecord` of these bases, the one
+record of the first derivatives, and the second-derivative term of a
+likelihood's Hessian, all in factor space; ``sigma`` and ``jacobian``
+come from that forward pass.
 
 The bases and unit stacks are the one record of the model layout:
 ``moment_start`` and ``nested_embedding`` read them, not the pattern cells,
-and no other module reads either.
+and no other module reads either, nor the factor tables built from them.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from . import _doc, matkit
 from .errors import SingularStructureError, SpecError
 
 __all__ = [
+    "FactorRecord",
     "SemSpec",
     "jacobian_rank",
     "moment_start",
@@ -121,6 +123,47 @@ def _invert_psi(b: np.ndarray, what: str) -> np.ndarray:
     if singular[0]:
         raise SingularStructureError(f"I - {what} is numerically singular")
     return inv[0]
+
+
+class FactorRecord:
+    """The first derivatives ``Sigma_i = dSigma/dtheta_i`` of one forward
+    pass in factor form, ``h_i + h_i'`` with ``h_i = w_i b_u b_v'`` for
+    columns ``u_i`` and ``v_i`` of the basis ``[I, Lam A, Lam C]`` (see
+    ``SemSpec``); only the bases are kept, one per lane.  Each method works
+    on the lanes given (an index array or a slice), and a lane whose I - B
+    is singular gives NaN."""
+
+    def __init__(self, spec: "SemSpec", basis: np.ndarray):
+        self._spec, self._basis = spec, basis
+
+    def _gram(self, lanes, m: np.ndarray) -> np.ndarray:
+        b = self._basis[lanes]
+        return _swap(b) @ m @ b
+
+    def trace(self, lanes, m: np.ndarray) -> np.ndarray:
+        """(len, q) ``tr(m Sigma_i) = w_i (G[u_i, v_i] + G[v_i, u_i])`` for
+        a stack of p x p ``m``, one per lane, and ``G = basis' m basis``."""
+        u, v, w = self._spec._factors
+        g = self._gram(lanes, m)
+        return w * (g[:, u, v] + g[:, v, u])
+
+    def trace_products(self, lanes, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """(len, q, q) ``tr(s Sigma_i t Sigma_j)`` for stacks of symmetric
+        p x p ``s`` and ``t``, from their Gram matrices (one if ``t is s``)."""
+        pair_s, pair_t, weight = self._spec._gram_pairs
+        g_s = self._gram(lanes, s)
+        g_s = g_s.reshape(len(g_s), -1)
+        g_t = g_s if t is s else self._gram(lanes, t).reshape(g_s.shape)
+        return weight * (g_s[:, pair_s] * g_t[:, pair_t]).sum(axis=1)
+
+    def jacobian(self, lanes) -> np.ndarray:
+        """(len, p(p+1)/2, q) ``d vech(Sigma)/d theta``, whose row (a, b) is
+        ``w_i (B[a, u_i] B[b, v_i] + B[b, u_i] B[a, v_i])`` for the basis B."""
+        u, v, w = self._spec._factors
+        rows, cols = self._spec._vech_rows, self._spec._vech_cols
+        b = self._basis[lanes]
+        b_u, b_v = b[:, :, u], b[:, :, v]
+        return w * (b_u[:, rows] * b_v[:, cols] + b_u[:, cols] * b_v[:, rows])
 
 
 class SemSpec:
@@ -241,6 +284,7 @@ class SemSpec:
         # ([u_i, v_j], [v_i, u_j]), ([u_i, u_j], [v_i, v_j]) and these two
         # with u and v swapped; here as flat indices into G.
         size, ui, vi = self.p + 2 * k, u[:, None], v[:, None]
+        self._factors = (u, v, w)
         self._gram_pairs = (
             np.stack([ui * size + v, ui * size + u, vi * size + v, vi * size + u]),
             np.stack([vi * size + u, vi * size + v, ui * size + u, ui * size + v]),
@@ -277,39 +321,31 @@ class SemSpec:
     # -- implied covariance ------------------------------------------------
 
     def forward(self, theta: np.ndarray, order: int = 0) -> tuple:
-        """The implied covariance and its derivative stacks at ``theta``.
+        """The implied covariance and its derivatives at ``theta``.
 
-        Returns ``(sigma,)``, ``(sigma, d1)`` or ``(sigma, d1, contract)``
-        up to ``order``, all from one application of the product rule to
-        ``Lam C Lam' + U`` with ``C = A P A'`` and ``A = inv(I - Beta)`` on
-        the unit stacks.  ``d1[i] = dSigma/dtheta_i`` (q x p x p).
+        Returns ``(sigma,)``, ``(sigma, record)`` or ``(sigma, record,
+        second)`` up to ``order``, all from one pass over ``Lam C Lam' + U``
+        with ``C = A P A'`` and ``A = inv(I - Beta)``: ``record`` is the
+        :class:`FactorRecord` of the first derivatives, and
+        ``second(lanes, m)`` the (len(lanes), q, q) stack ``tr(m Sigma_ij)``
+        for a stack ``m`` of symmetric p x p matrices, one per lane, with
+        ``Sigma_ij`` the second derivatives.  Neither builds a (q, p, p) or
+        (q, q, p, p) product.  With ``D_i`` the loading unit stacks,
+        ``dC_j = y_j + y_j'`` and ``d2C_ij = y2_ij + y2_ij'``,
+        ``tr(m Sigma_ij)`` has the blocks ``2 <m D_i C, D_j>`` (two
+        loadings), ``2 <Lam' m D_i, dC_j>`` (a loading and a parameter of C)
+        and ``2 <Lam' m Lam, y2_ij>`` (two parameters of C); pairs with a
+        parameter of U are zero.  Both work only on the lanes asked for.
 
-        The second-order terms of a likelihood's Hessian are never built as
-        (q, q, p, p) or (q, p, p) products: ``contract(lanes, s, t, m)``
-        gives, for stacks ``s``, ``t`` and ``m`` of symmetric p x p
-        matrices, one per lane of ``lanes``, the (len(lanes), q, q) stack
-        ``tr(s Sigma_i t Sigma_j) + tr(m Sigma_ij)``, with ``Sigma_i`` and
-        ``Sigma_ij`` the first and second derivatives.  Both terms are
-        formed in factor space.  The first comes from the Gram matrices
-        ``basis' s basis`` and ``basis' t basis`` of ``basis = [I, Lam A,
-        Lam C]``, since every ``Sigma_i`` is ``h + h'`` with ``h`` a
-        rank-one product of two basis columns.  The second, with ``D_i``
-        the loading unit stacks, ``dC_j = y_j + y_j'`` and
-        ``d2C_ij = y2_ij + y2_ij'``, has the blocks ``2 <m D_i C, D_j>``
-        (two loadings), ``2 <Lam' m D_i, dC_j>`` (a loading and a
-        parameter of C) and ``2 <Lam' m Lam, y2_ij>`` (two parameters of
-        C); pairs with a parameter of U are zero.  It works only on the
-        lanes asked for, so a caller pays only for the lanes it needs.
-
-        ``theta`` may also be a (B, q) stack of lanes; every output then
-        has a leading lane axis.  Each product acts on one lane at a time,
-        so a lane's outputs do not depend on the other lanes of the stack.
-        A numerically singular I - B raises ``SingularStructureError`` for
+        ``theta`` may also be a (B, q) stack of lanes; ``sigma`` then has a
+        leading lane axis.  Each product acts on one lane at a time, so a
+        lane's outputs do not depend on the other lanes of the stack.  A
+        numerically singular I - B raises ``SingularStructureError`` for
         one vector; in a stack, that lane's outputs are all NaN.  For one
-        vector, ``contract`` still takes lanes (``[0]``) and stacks.
+        vector, the record and ``second`` still take lanes (``[0]``).
         """
         theta = self._check_theta(theta, lanes=True)
-        q, k1, k = self.q, self.k1, self.k1 + self.k2
+        q, p, k1, k = self.q, self.p, self.k1, self.k1 + self.k2
         n_lanes = 1 if theta.ndim == 1 else len(theta)
         lanes = theta.reshape(n_lanes, 1, q)
         lam, beta, phi, u = (
@@ -328,61 +364,43 @@ class SemSpec:
         a[:, k1:, :k1] = psi_inv @ beta[:, k1:, :k1]
         a[:, k1:, k1:] = psi_inv
         c = a @ phi @ _swap(a)
-        c_lam = c @ _swap(lam)
-        sigma = lam @ c_lam + u
-        out = [0.5 * (sigma + _swap(sigma))]
+        sigma = lam @ (c @ _swap(lam)) + u
+        sigma = 0.5 * (sigma + _swap(sigma))
+        sigma[singular] = np.nan
+        out = [sigma[0] if theta.ndim == 1 else sigma]
 
         if order >= 1:
-            # dC_i = y_i + y_i' and dSigma_i = z_i + z_i' (P, U and C
-            # symmetric), each parameter through the matrix it enters;
-            # parameters run on the axis after the lanes.
-            d_lam, d_beta, d_phi, d_u = self._units
-            g_lam, g_beta, g_phi, g_u = self._groups
-            g_c = np.concatenate([g_beta, g_phi])
-            a_, at_ = a[:, None], _swap(a)[:, None]
-            d_a = a_ @ d_beta[g_beta] @ a_
-            phi_a = phi @ _swap(a)
-            y = np.concatenate([d_a @ phi_a[:, None],
-                                0.5 * (a_ @ d_phi[g_phi] @ at_)], axis=1)
-            d1 = np.empty((n_lanes, q, self.p, self.p))
-            z = d_lam[g_lam] @ c_lam[:, None]
-            d1[:, g_lam] = z + _swap(z)
-            z = lam[:, None] @ y @ _swap(lam)[:, None]
-            d1[:, g_c] = z + _swap(z)
-            d1[:, g_u] = d_u[g_u]
-            out.append(d1)
-
-        if singular.any():
-            for x in out:
-                x[singular] = np.nan
-        if theta.ndim == 1:
-            out = [x[0] for x in out]
+            basis = np.concatenate([np.broadcast_to(np.eye(p), (n_lanes, p, p)),
+                                    lam @ a, lam @ c], axis=2)
+            basis[singular] = np.nan
+            out.append(FactorRecord(self, basis))
 
         if order >= 2:
             # A loading parameter is one cell (rows, cols) of Lam; d_b and
-            # d_p are the unit stacks of the parameters of Beta and of P.
+            # d_p are the unit stacks of the parameters of Beta and of P,
+            # whose dC_i = y_i + y_i' (P and C symmetric).
+            d_lam, d_beta, d_phi, _ = self._units
+            g_lam, g_beta, g_phi, _ = self._groups
+            g_c = np.concatenate([g_beta, g_phi])
             _, rows, cols = np.nonzero(d_lam[g_lam])
             d_b, d_p = d_beta[g_beta], d_phi[g_phi]
             nl, nb, kk = len(g_lam), len(g_beta), k * k
-            pair_s, pair_t, weight = self._gram_pairs
-            eye = np.eye(self.p)
 
-            def contract(at, s, t, m: np.ndarray) -> np.ndarray:
-                b, lam_, a_, c_, d_a_ = len(at), lam[at], a[at], c[at], d_a[at]
-                basis = np.concatenate([np.broadcast_to(eye, (b,) + eye.shape),
-                                        lam_ @ a_, lam_ @ c_], axis=2)
-                g_s = (_swap(basis) @ s @ basis).reshape(b, -1)
-                g_t = (_swap(basis) @ t @ basis).reshape(b, -1)
-                first = weight * (g_s[:, pair_s] * g_t[:, pair_t]).sum(axis=1)
-                second = np.zeros((b, q, q))
+            def second(at, m: np.ndarray) -> np.ndarray:
+                b, lam_, a_, c_, phi_ = len(at), lam[at], a[at], c[at], phi[at]
+                d_a = a_[:, None] @ d_b @ a_[:, None]
+                phi_a = phi_ @ _swap(a_)
+                y = np.concatenate([d_a @ phi_a[:, None], 0.5 * (
+                    a_[:, None] @ d_p @ _swap(a_)[:, None])], axis=1)
+                total = np.zeros((b, q, q))
                 # <m D_i C, D_j> = m[r_i, r_j] C[c_i, c_j] for cells (r, c)
-                second[:, g_lam[:, None], g_lam] = (m[:, rows[:, None], rows]
-                                                    * c_[:, cols[:, None], cols])
+                total[:, g_lam[:, None], g_lam] = (m[:, rows[:, None], rows]
+                                                   * c_[:, cols[:, None], cols])
                 # <Lam' m D_i, dC_j> = sum_a (m Lam)[r_i, a] dC_j[a, c_i]
-                d_c = y[at] + _swap(y[at])
+                d_c = y + _swap(y)
                 lc = ((m @ lam_)[:, None, rows] @ d_c)[:, :, np.arange(nl), cols]
-                second[:, g_lam[:, None], g_c] = _swap(lc)
-                second[:, g_c[:, None], g_lam] = lc
+                total[:, g_lam[:, None], g_c] = _swap(lc)
+                total[:, g_c[:, None], g_lam] = lc
                 # <Lam' m Lam, y2_ij> by the cyclic trace, with
                 # y2_ij = d2A_ij P A' + dA_i dP_j A' + dA_j dP_i A'
                 # + dA_i P dA_j' and d2A_ij = dA_j dB_i A + A dB_i dA_j:
@@ -390,20 +408,20 @@ class SemSpec:
                 # two parameters of Beta, <A' X dA_i, dP_j> for one of Beta
                 # and one of P, and 0 for two of P (X = Lam' m Lam).
                 x = _swap(lam_) @ m @ lam_
-                w = (c_ @ x)[:, None] @ d_a_ + d_a_ @ (phi_a[at] @ x @ a_)[:, None]
+                w = (c_ @ x)[:, None] @ d_a + d_a @ (phi_a @ x @ a_)[:, None]
                 bb = (d_b.reshape(nb, kk) @ _swap(_swap(w).reshape(b, nb, kk))
-                      + (x[:, None] @ d_a_ @ phi[at][:, None]).reshape(b, nb, kk)
-                      @ _swap(d_a_.reshape(b, nb, kk)))
-                bp = ((_swap(a_) @ x)[:, None] @ d_a_).reshape(b, nb, kk) @ \
+                      + (x[:, None] @ d_a @ phi_[:, None]).reshape(b, nb, kk)
+                      @ _swap(d_a.reshape(b, nb, kk)))
+                bp = ((_swap(a_) @ x)[:, None] @ d_a).reshape(b, nb, kk) @ \
                     d_p.reshape(len(g_phi), kk).T
-                second[:, g_beta[:, None], g_beta] = bb
-                second[:, g_beta[:, None], g_phi] = bp
-                second[:, g_phi[:, None], g_beta] = _swap(bp)
-                total = first + 2.0 * second
+                total[:, g_beta[:, None], g_beta] = bb
+                total[:, g_beta[:, None], g_phi] = bp
+                total[:, g_phi[:, None], g_beta] = _swap(bp)
+                total *= 2.0
                 total[singular[at]] = np.nan
                 return total
 
-            out.append(contract)
+            out.append(second)
         return tuple(out)
 
     def sigma(self, theta: np.ndarray) -> np.ndarray:
@@ -411,10 +429,9 @@ class SemSpec:
         return self.forward(theta)[0]
 
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
-        """d vech(Sigma) / d theta, a (p(p+1)/2 x q) matrix: the vech rows
-        of the forward pass's first-derivative stack."""
-        d1 = self.forward(theta, 1)[1]
-        return d1[:, self._vech_rows, self._vech_cols].T
+        """d vech(Sigma) / d theta, a (p(p+1)/2 x q) matrix, from the
+        forward pass's factor record."""
+        return self.forward(theta, 1)[1].jacobian([0])[0]
 
     # -- serialization -------------------------------------------------------
 
@@ -462,11 +479,15 @@ def _probe_start(spec: SemSpec, rng: np.random.Generator) -> np.ndarray:
     return theta
 
 
-def jacobian_rank(spec: SemSpec, theta: np.ndarray) -> tuple[np.ndarray, int]:
-    """``spec.jacobian(theta)`` and its numeric rank: the one rank test of
-    the rank screen, the identifiability check and ``gamma_zero``."""
-    jac = spec.jacobian(theta)
-    return jac, matkit.numeric_rank(jac)
+def jacobian_rank(spec: SemSpec, theta: np.ndarray
+                  ) -> tuple[np.ndarray, int, FactorRecord]:
+    """``spec.jacobian(theta)``, its numeric rank and the factor record of
+    the forward pass they come from: the one rank test of the rank screen,
+    the identifiability check and ``gamma_zero``, which reads its
+    information from the same record."""
+    record = spec.forward(theta, 1)[1]
+    jac = record.jacobian([0])[0]
+    return jac, matkit.numeric_rank(jac), record
 
 
 def rank_screen(spec: SemSpec) -> bool:

@@ -333,25 +333,62 @@ def fd_hessian(surface, theta, rel_step=1e-5):
     return 0.5 * (hess + hess.T)
 
 
-def stacked_d2(spec, theta):
-    """Reference second derivatives: the (q, q, p, p) stack
-    ``d2 Sigma/dtheta_i dtheta_j``, built block by block of the groups by
-    the product rule on the unit stacks: two loadings (through C), a
-    loading and a parameter of C (through dC), and two parameters of C
-    (through d2C = y2 + y2')."""
+def _product_rule_parts(spec, theta):
+    """Lam, P, A, C = A P A', dA for the parameters of B and y for those of
+    C (dC_i = y_i + y_i') at one ``theta``, from the unit stacks."""
     theta = np.asarray(theta, dtype=float)
-    q, k1, k = spec.q, spec.k1, spec.k1 + spec.k2
+    k1, k = spec.k1, spec.k1 + spec.k2
     lam, beta, phi, _ = (base + np.tensordot(theta, unit, 1)
                          for base, unit in zip(spec._bases, spec._units))
     a = np.eye(k)
     a[k1:, k1:] = np.linalg.inv(np.eye(k - k1) - beta[k1:, k1:])
     a[k1:, :k1] = a[k1:, k1:] @ beta[k1:, :k1]
     c = a @ phi @ a.T
+    _, d_beta, d_phi, _ = spec._units
+    _, g_beta, g_phi, _ = spec._groups
+    d_a = a @ d_beta[g_beta] @ a
+    y = np.concatenate([d_a @ phi @ a.T, 0.5 * (a @ d_phi[g_phi] @ a.T)])
+    return lam, phi, a, c, d_a, y
+
+
+def stacked_d1(spec, theta):
+    """Reference first derivatives: the (q, p, p) stack
+    ``dSigma/dtheta_i`` by the product rule on the unit stacks, each
+    parameter through the matrix it enters: ``z_i + z_i'`` with
+    ``z_i = D_i C Lam'`` for a loading and ``Lam y_i Lam'`` for a parameter
+    of C, and the unit stack itself for a parameter of U."""
+    lam, _, _, c, _, y = _product_rule_parts(spec, theta)
+    d_lam, _, _, d_u = spec._units
+    g_lam, g_beta, g_phi, g_u = spec._groups
+    d1 = np.empty((spec.q, spec.p, spec.p))
+    z = d_lam[g_lam] @ c @ lam.T
+    d1[g_lam] = z + np.swapaxes(z, -1, -2)
+    z = lam @ y @ lam.T
+    d1[np.concatenate([g_beta, g_phi])] = z + np.swapaxes(z, -1, -2)
+    d1[g_u] = d_u[g_u]
+    return d1
+
+
+def stacked_information(spec, theta, sigma_inv):
+    """Reference information per increment from the stack of
+    :func:`stacked_d1`: ``tr(S Sigma_i S Sigma_j) / 2`` with
+    ``S = sigma_inv``, each trace taken on p x p matrices, symmetrized."""
+    a = sigma_inv @ stacked_d1(spec, theta)
+    info = 0.5 * np.einsum("iab,jba->ij", a, a)
+    return 0.5 * (info + info.T)
+
+
+def stacked_d2(spec, theta):
+    """Reference second derivatives: the (q, q, p, p) stack
+    ``d2 Sigma/dtheta_i dtheta_j``, built block by block of the groups by
+    the product rule on the unit stacks: two loadings (through C), a
+    loading and a parameter of C (through dC), and two parameters of C
+    (through d2C = y2 + y2')."""
+    lam, phi, a, c, d_a, y = _product_rule_parts(spec, theta)
+    q, k = spec.q, spec.k1 + spec.k2
     d_lam, d_beta, d_phi, _ = spec._units
     g_lam, g_beta, g_phi, _ = spec._groups
     g_c = np.concatenate([g_beta, g_phi])
-    d_a = a @ d_beta[g_beta] @ a
-    y = np.concatenate([d_a @ phi @ a.T, 0.5 * (a @ d_phi[g_phi] @ a.T)])
     ui, uj = (slice(None), None), (None, slice(None))
     d_l, d_b, d_p = d_lam[g_lam], d_beta[g_c], d_phi[g_c]
     d_ac = np.zeros((len(g_c), k, k))
@@ -372,12 +409,12 @@ def stacked_d2(spec, theta):
 
 
 def stacked_hessian(surface, theta):
-    """Reference observed Hessian from the (q, q, p, p) stack of
-    :func:`stacked_d2`: ``n [tr(dM_j Sigma_i) + tr(M Sigma_ij)] / 2`` with
-    ``M = inv Q inv - inv``, each trace taken on p x p matrices."""
+    """Reference observed Hessian from the stacks of :func:`stacked_d1`
+    and :func:`stacked_d2`: ``n [tr(dM_j Sigma_i) + tr(M Sigma_ij)] / 2``
+    with ``M = inv Q inv - inv``, each trace taken on p x p matrices."""
     spec, q_xx, n = surface.spec, surface.quadvar.q_xx, surface.n
-    sigma, d1 = spec.forward(theta, 1)
-    inv = np.linalg.inv(sigma)
+    d1 = stacked_d1(spec, theta)
+    inv = np.linalg.inv(spec.sigma(theta))
     r = inv @ q_xx @ inv
     a, b = inv @ d1, r @ d1
     dm = (np.einsum("iab,jba->ij", a, a) - 2.0 * np.einsum("iab,jba->ij", a, b))

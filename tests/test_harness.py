@@ -248,9 +248,22 @@ class TestRunExperiment:
         assert table.failures[100] == 1
         (failed,) = [r for r in records if r["selected_by"] == "fit_failed"]
         assert failed["model"] == "model3"
-        for column in ("h_at_hat", "converged", "boundary_hit", "iterations",
-                       "evaluations", "grad_norm"):
+        for column in ("h_at_hat", "lr_sat", "converged", "boundary_hit",
+                       "iterations", "evaluations", "grad_norm"):
             assert failed[column] == ""
+
+    def test_lr_sat_is_its_definition(self, monkeypatch):
+        # lr_sat = 2 (l_sat - h_at_hat) with l_sat = n (-p - log det Q) / 2,
+        # Q as harness._realized gives it to the fits.
+        realized, seen = harness._realized, {}
+        monkeypatch.setattr(harness, "_realized", lambda chunk, rep: seen.setdefault(
+            (rep["n"], rep["rep"]), realized(chunk, rep)))
+        _, records = harness.run_experiment(small_config(n_values=[100, 400]))
+        assert len(seen) == 6 and len(records) == 18
+        for r in records:
+            q_xx = seen[(r["n"], r["rep"])].q_xx
+            sat = r["n"] * (-len(q_xx) - np.linalg.slogdet(q_xx)[1]) / 2
+            assert r["lr_sat"] == 2.0 * (sat - r["h_at_hat"])
 
     def test_single_replication_equals_its_selection(self):
         config = small_config(replications=1)
@@ -532,23 +545,12 @@ CHI2_N, CHI2_REPS = 10_000, 200
 
 @pytest.fixture(scope="module")
 def chi2_study():
-    """The true-init study of model1-3 at n = 10^4, each replication's Q
-    recorded as ``harness._realized`` gives it to the fits."""
-    realized, seen = harness._realized, {}
-
-    def record(chunk, rep):
-        seen[rep["rep"]] = realized(chunk, rep)
-        return seen[rep["rep"]]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "_realized", record)
-        table, records = harness.run_experiment(small_config(
-            n_values=[CHI2_N], replications=CHI2_REPS, master_seed=1))
-    # lr_sat = 2 (l_sat - l(theta_hat)) with l_sat = n (-p - log det Q) / 2
-    sat = {rep: CHI2_N * (-len(qv.q_xx) - np.linalg.slogdet(qv.q_xx)[1]) / 2
-           for rep, qv in seen.items()}
-    lr_sat = {model: np.array([2.0 * (sat[r["rep"]] - r["h_at_hat"])
-                               for r in records if r["model"] == model])
+    """The true-init study of model1-3 at n = 10^4, with each model's
+    ``lr_sat`` column."""
+    table, records = harness.run_experiment(small_config(
+        n_values=[CHI2_N], replications=CHI2_REPS, master_seed=1))
+    lr_sat = {model: np.array([r["lr_sat"] for r in records
+                               if r["model"] == model])
               for model in ("model1", "model2", "model3")}
     return table, lr_sat
 

@@ -3,13 +3,12 @@ import re
 import numpy as np
 import pytest
 
-from hfsem import diffsim, harness, matkit, models, qlik
+from hfsem import diffsim, harness, matkit, models, qlik, qmle
 from hfsem.errors import NotPositiveDefiniteError, SingularStructureError
-from hfsem.qlik import (LikelihoodSurface, QuadVar, fisher_information,
-                        quad_var, score_lanes)
+from hfsem.qlik import LikelihoodSurface, QuadVar, quad_var, score_lanes
 from tests.conftest import (all_specs, edited_spec, fd_hessian,
                             interior_theta, make_structural_spec,
-                            stacked_hessian)
+                            stacked_d1, stacked_hessian, stacked_information)
 
 
 class TestQuadVar:
@@ -316,13 +315,55 @@ class TestScore:
                                [quadvar.n])
             value, grad = lane.value[0], lane.grad[0]
             info = lane.information([0])[0]
-            sigma, d1 = spec.forward(theta, 1)
-            expected = quadvar.n * fisher_information(
-                d1, matkit.chol_logdet(sigma)[1])
+            sigma, record = spec.forward(theta, 1)
+            inv = matkit.chol_logdet(sigma)[1]
+            alone = 0.5 * quadvar.n * record.trace_products([0], inv, inv)[0]
+            expected = quadvar.n * stacked_information(spec, theta, inv)
             v, g = surface.value_and_grad(theta)
             assert value == v
             assert np.array_equal(grad, g)
-            assert np.array_equal(info, expected)
+            assert np.array_equal(info, 0.5 * (alone + alone.T))
+            assert np.abs(info - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+class TestFirstOrder:
+    @pytest.mark.parametrize("spec", all_specs(), ids=lambda spec: spec.name)
+    def test_matches_stacked_oracle(self, spec):
+        # The factor record's gradient, information and Jacobian, and the
+        # probe's gradient and Gauss-Newton matrix, against the product-rule
+        # (q, p, p) stack of stacked_d1: one lane per spread in one pass,
+        # so a free b goes through _psi_inverse on the stack.
+        rng = np.random.default_rng(47)
+        around = np.where(spec.positive_mask, 4.0, 0.7)
+        theta = np.array([interior_theta(spec, rng, spread=spread, around=around)
+                          for spread in (0.3, 0.6, 0.9)])
+        q_xx = np.array([spec.sigma(interior_theta(spec, rng, around=around))
+                         for _ in theta])
+        n = np.array([100.0, 1000.0, 10000.0])
+        scores = score_lanes(spec, theta, q_xx, n)
+        probe = qmle._distance_scores(spec, theta, q_xx[0])
+        jacobian = spec.forward(theta, 1)[1].jacobian(slice(None))
+        assert scores.ok.all() and probe.ok.all()
+        rows, cols = matkit.vech_indices(spec.p)
+        for lane, point in enumerate(theta):
+            d1 = stacked_d1(spec, point)
+            sigma = spec.sigma(point)
+            inv = np.linalg.inv(sigma)
+            m = inv @ q_xx[lane] @ inv - inv
+            pairs = {
+                "gradient": (scores.grad[lane],
+                             0.5 * n[lane] * np.einsum("iab,ab->i", d1, m)),
+                "information": (scores.information([lane])[0],
+                                n[lane] * stacked_information(spec, point, inv)),
+                "jacobian": (jacobian[lane], d1[:, rows, cols].T),
+                "probe gradient": (probe.grad[lane], -np.einsum(
+                    "iab,ab->i", d1, sigma - q_xx[0])),
+                "gauss-newton": (probe.information([lane])[0],
+                                 np.einsum("iab,jab->ij", d1, d1)),
+            }
+            for name, (got, expected) in pairs.items():
+                scale = np.abs(expected).max()
+                assert np.abs(got - expected).max() <= 1e-10 * scale, name
 
 
 class TestLanes:

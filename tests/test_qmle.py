@@ -12,7 +12,7 @@ from hfsem.errors import (AllStartsFailedError, NotPositiveDefiniteError,
 from hfsem.qlik import LikelihoodSurface, QuadVar, quad_var
 from hfsem.semspec import SemSpec
 from tests.conftest import (edited_spec, interior_theta, make_structural_spec,
-                            per_lane_scoring_step)
+                            per_lane_scoring_step, stacked_d1)
 
 
 @pytest.fixture(scope="module")
@@ -568,10 +568,10 @@ class TestLanes:
         # each start and each accepted trial.  Computed for every trial,
         # this limit optimum made 1617 informations for 183 iterations.
         informed, runs = [], []
-        information = qlik.fisher_information
-        monkeypatch.setattr(qlik, "fisher_information",
-                            lambda d_sigma, inv: informed.append(len(d_sigma))
-                            or information(d_sigma, inv))
+        information = qlik.LaneScores.information
+        monkeypatch.setattr(qlik.LaneScores, "information",
+                            lambda scores, lanes: informed.append(len(lanes))
+                            or information(scores, lanes))
         optimize = qmle._optimize
         monkeypatch.setattr(qmle, "_optimize",
                             lambda *a: runs.append(optimize(*a)) or runs[-1])
@@ -649,7 +649,7 @@ def test_distance_kernel():
     assert scores.value[1] == -np.inf
     for lane in (0, 2):
         r = spec.sigma(theta[lane]) - sigma0
-        jac = spec.forward(theta[lane], 1)[1].reshape(spec.q, -1)
+        jac = stacked_d1(spec, theta[lane]).reshape(spec.q, -1)
         assert scores.value[lane] == -0.5 * np.sum(r * r)
         grad = -jac @ r.ravel()
         assert np.abs(scores.grad[lane] - grad).max() < 1e-12 * np.abs(grad).max()

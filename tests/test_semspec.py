@@ -321,7 +321,7 @@ class TestSpecValidation:
         theta = interior_theta(spec, np.random.default_rng(5))
         expected = np.zeros((spec.p, spec.p))
         expected[0, 1] = expected[1, 0] = 1.0
-        assert np.array_equal(spec.forward(theta, 1)[1][9], expected)
+        assert np.array_equal(spec.jacobian(theta)[:, 9], matkit.vech(expected))
         assert not spec.positive_mask[9]
         assert spec.positive_mask[[8, 10]].all()
 
@@ -331,8 +331,9 @@ class TestJacobianRank:
     ``gamma_zero``."""
 
     def test_is_the_jacobian_and_its_rank(self, model1, degenerate_model):
-        jac, rank = jacobian_rank(model1, models.THETA1_TRUE)
+        jac, rank, record = jacobian_rank(model1, models.THETA1_TRUE)
         assert np.array_equal(jac, model1.jacobian(models.THETA1_TRUE))
+        assert np.array_equal(record.jacobian([0])[0], jac)
         assert rank == 22
         theta = np.array([2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
         assert jacobian_rank(degenerate_model, theta)[1] < degenerate_model.q

@@ -15,6 +15,7 @@ from hfsem import diffsim, harness, infocrit, models, qmle
 from hfsem.cli import table1
 from hfsem.qlik import LikelihoodSurface
 from hfsem.semspec import SemSpec
+from tests.conftest import all_specs, interior_theta
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hfsem"
@@ -97,12 +98,13 @@ def test_optimizer_scan_catches_imports():
     assert optimizer_imports("from scipy import linalg\nimport scipy") == []
 
 
-LAYOUT_NAMES = {"patterns", "_units", "_bases"}
+LAYOUT_NAMES = {"patterns", "_units", "_bases", "_factors", "_gram_pairs"}
 
 
 def layout_reads(source: str) -> list[str]:
     """The layout names a module reads as attributes of a spec
-    (``patterns``, ``_units``, ``_bases``) or imports."""
+    (``patterns``, ``_units``, ``_bases`` and the factor tables
+    ``_factors`` and ``_gram_pairs``) or imports."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr in LAYOUT_NAMES:
@@ -115,15 +117,32 @@ def layout_reads(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(
     p for p in SRC.glob("*.py") if p.name != "semspec.py"), ids=lambda p: p.name)
 def test_layout_read_only_in_semspec(path):
-    # The pattern cells, bases and unit stacks are semspec's alone.
+    # The pattern cells, bases and unit stacks, and the factor tables of
+    # the derivative record, are semspec's alone.
     assert layout_reads(path.read_text()) == []
 
 
 def test_layout_scan_catches_reads():
     source = ("from .semspec import _units, SemSpec\nfrom . import semspec\n"
               "x = spec.patterns['b'], spec._units[0], spec._bases\n"
-              "y = spec.name, semspec.SemSpec\n")
-    assert layout_reads(source) == ["_bases", "_units", "patterns"]
+              "u, v, w = self._spec._factors\nfrom .semspec import _gram_pairs\n"
+              "y = spec.name, semspec.SemSpec, spec.factors, gram_pairs\n")
+    assert layout_reads(source) == ["_bases", "_factors", "_gram_pairs",
+                                    "_units", "patterns"]
+
+
+@pytest.mark.parametrize("spec", all_specs(), ids=lambda spec: spec.name)
+def test_first_order_pass_builds_no_stack(spec):
+    # The factor record is the one first-derivative record: an order-1
+    # pass over a stack of lanes returns, and its record keeps, no array
+    # with a trailing (q, p, p) shape.
+    rng = np.random.default_rng(3)
+    theta = np.array([interior_theta(spec, rng) for _ in range(3)])
+    shapes = [value.shape for x in spec.forward(theta, 1)
+              for value in [x, *getattr(x, "__dict__", {}).values()]
+              if isinstance(value, np.ndarray)]
+    assert len(shapes) == 2
+    assert all(shape[-3:] != (spec.q, spec.p, spec.p) for shape in shapes)
 
 
 NUMBER_KINDS = {"numbers.Integral", "numbers.Real"}
