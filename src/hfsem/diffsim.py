@@ -112,19 +112,39 @@ class PathBundle:
         return self.xi is not None
 
 
+# Checked truths, by the blocks' dimensions and the matrices' bytes: a
+# truth is checked once per process, however many paths it drives, and
+# one that fails is never stored.  Shared arrays, so read-only.
+_CHECKED: dict = {}
+
+
 def _cross_checked(xi: OuBlock, delta: OuBlock, eps: OuBlock, zeta: OuBlock,
                    lambda_x1, lambda_x2, gamma, b0, where: str = "") -> tuple:
     """``(lambda_x1, lambda_x2, gamma, inv(I - b0))`` as float arrays, after
     the checks of every truth: finite matrices, block dimensions and the
     shapes of gamma and b0 against the loadings, a zero b0 diagonal and a
     nonsingular I - b0.  Messages name the key after the prefix ``where``."""
-    mats = {key: np.atleast_2d(np.asarray(value, float)) for key, value in dict(
+    blocks = (xi, delta, eps, zeta)
+    mats = {key: np.array(value, float, ndmin=2) for key, value in dict(
         lambda_x1=lambda_x1, lambda_x2=lambda_x2, gamma=gamma, b0=b0).items()}
+    key = tuple(block.dim for block in blocks) + tuple(
+        (value.shape, value.tobytes()) for value in mats.values())
+    checked = _CHECKED.get(key)
+    if checked is None:
+        checked = _check_truth(blocks, mats, where)
+        for array in checked:
+            array.flags.writeable = False
+        _CHECKED[key] = checked
+    return checked
+
+
+def _check_truth(blocks: tuple, mats: dict, where: str) -> tuple:
+    """The checks and result of :func:`_cross_checked`."""
     for key, value in mats.items():
         if value.ndim != 2 or not np.all(np.isfinite(value)):
             raise ValueError(f"{where}{key} must be a matrix of finite numbers")
     (p1, k1), (p2, k2) = mats["lambda_x1"].shape, mats["lambda_x2"].shape
-    for key, block, dim in zip(_LATENT, (xi, delta, eps, zeta), (k1, p1, p2, k2)):
+    for key, block, dim in zip(_LATENT, blocks, (k1, p1, p2, k2)):
         if block.dim != dim:
             raise ValueError(f"{where}{key} has dimension {block.dim}, "
                              f"expected {dim} by the loadings")
@@ -313,7 +333,8 @@ def simulate_custom(xi: OuBlock, delta: OuBlock, eps: OuBlock, zeta: OuBlock,
     The blocks are streamed together chunk by chunk and each chunk's
     observations are written into ``x_obs``; the latent paths are stored
     only with ``keep_latents``.  The blocks' exact transitions are built
-    once per truth and grid in a process (see :func:`_exact_transition`).
+    once per truth and grid in a process (see :func:`_exact_transition`),
+    and the checks run once per truth (see :func:`_cross_checked`).
     """
     h = _grid_step(n, T)
     blocks = (xi, delta, eps, zeta)

@@ -3,7 +3,9 @@
 With increments ``dX_i`` over a uniform grid of n steps on [0, T], the
 realized quadratic covariation is ``Q = (1/T) sum_i dX_i dX_i'``, held
 with n and T by a :class:`QuadVar` that checks all three (Q, which any
-non-finite sample reaches, must be finite and symmetric).  The
+non-finite sample reaches, must be finite and symmetric).
+:func:`quad_var` sums the increments' Gram over blocks of rows of the
+path, so between a path and its Q no other n-sized array is made.  The
 quasi-log-likelihood of a candidate covariance ``Sigma(theta)`` reduces to
 
     loglik(theta) = n * (-tr(inv(Sigma) Q) - log det Sigma) / 2,
@@ -57,18 +59,34 @@ class QuadVar:
         self.T = _doc.horizon(self.T)
 
 
+# Increments per block of the Gram sum in ``quad_var`` (5 MB at p = 10).
+_GRAM_BLOCK = 1 << 16
+
+
 def quad_var(x_obs: np.ndarray, T: float) -> QuadVar:
-    """Realized quadratic covariation of sampled paths (rows = grid points)."""
+    """Realized quadratic covariation of sampled paths (rows = grid points).
+
+    The increment Gram is summed block by block, each block the increments
+    of ``_GRAM_BLOCK + 1`` rows (a block's last row is the next one's
+    first), so the only n-sized array is the path itself.  A path of at
+    most ``_GRAM_BLOCK`` increments is one block, whose Q is that of the
+    whole-path product bit for bit.
+    """
     x_obs = np.asarray(x_obs, dtype=float)
     if x_obs.ndim != 2 or x_obs.shape[0] < 2:
         raise ValueError("need at least two rows of observations")
     if x_obs.shape[1] == 0:
         raise ValueError("path has no observed columns")
     T = _doc.horizon(T)
-    dx = np.diff(x_obs, axis=0)
+    n = x_obs.shape[0] - 1
+    gram = np.zeros((x_obs.shape[1],) * 2)
     with np.errstate(invalid="ignore", over="ignore"):
-        q = dx.T @ dx / T
-    return QuadVar(q_xx=q, n=x_obs.shape[0] - 1, T=T)
+        for start in range(0, n, _GRAM_BLOCK):
+            dx = np.diff(x_obs[start:start + _GRAM_BLOCK + 1], axis=0)
+            gram += dx.T @ dx
+            del dx  # so that one block at a time is held
+        q = gram / T
+    return QuadVar(q_xx=q, n=n, T=T)
 
 
 # Why the kernel rejects a lane.

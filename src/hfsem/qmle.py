@@ -39,7 +39,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.stats import qmc
 
 from . import _doc, matkit
 from .errors import AllStartsFailedError
@@ -357,12 +356,25 @@ def fit(surface: LikelihoodSurface, init: Optional[np.ndarray] = None,
     return fit_multistart(surface, 1, 0, init, options)
 
 
+def _latin_hypercube(d: int, count: int, seed) -> np.ndarray:
+    """(count, d) Latin-hypercube sample of [0, 1)^d: each column puts one
+    point in each of ``count`` equal strata, uniformly within it.  Draws as
+    ``scipy.stats.qmc.LatinHypercube(d, seed=seed).random(count)`` does, so
+    the two agree bit for bit."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(size=(count, d))
+    perms = np.tile(np.arange(1, count + 1), (d, 1))
+    for row in perms:
+        rng.shuffle(row)
+    return (perms.T - u) / count
+
+
 def _lhs_starts(spec: SemSpec, centre: np.ndarray, count: int,
                 seed) -> list[np.ndarray]:
     """Latin-hypercube starts on the scale of ``centre``: positive
     parameters in ``[m/4, 4m]`` (log-uniform), the others in
     ``m +- max(1, |m|)``, clipped into the box."""
-    u = 2.0 * qmc.LatinHypercube(d=spec.q, seed=seed).random(count) - 1.0
+    u = 2.0 * _latin_hypercube(spec.q, count, seed) - 1.0
     starts = np.where(spec.positive_mask, centre * 4.0 ** u,
                       centre + u * np.maximum(1.0, np.abs(centre)))
     return list(np.clip(starts, spec.lower, spec.upper))

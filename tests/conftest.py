@@ -74,6 +74,15 @@ def quadvar_1e5(bundle_1e5):
     return qlik.quad_var(bundle_1e5.x_obs, bundle_1e5.T)
 
 
+def whole_path_quad_var(x_obs, T):
+    """Reference for ``qlik.quad_var``: the Gram of all n increments in one
+    product, from one (n, p) array of increments."""
+    dx = np.diff(np.asarray(x_obs, dtype=float), axis=0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        q = dx.T @ dx / T
+    return qlik.QuadVar(q_xx=q, n=len(dx), T=T)
+
+
 def make_scalar_model():
     """p=2 spec whose only free parameter is the first observed variance.
 

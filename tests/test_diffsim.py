@@ -361,6 +361,64 @@ class TestTransitionMemo:
             memo[0][0, 0] = 1.0
 
 
+class TestTruthMemo:
+    """``_cross_checked`` checks a truth once per process: memoized on the
+    blocks' dimensions and the matrices' bytes, never for a truth that
+    fails."""
+
+    def test_checked_once_per_truth(self, monkeypatch):
+        monkeypatch.setattr(diffsim, "_CHECKED", {})
+        calls = []
+        check = diffsim._check_truth
+        monkeypatch.setattr(diffsim, "_check_truth",
+                            lambda *args: calls.append(1) or check(*args))
+        tb = diffsim.load_truth(diffsim.TRUE_MODEL_NAME)
+        warm = [diffsim.simulate_custom(**tb, n=50, T=1.0, seed=seed)
+                for seed in (1, 1, 2)]
+        assert len(calls) == 1
+        assert np.array_equal(warm[0].x_obs, warm[1].x_obs)
+        # an equal truth read anew shares the entry; an edited one does not
+        diffsim.load_truth(bundled_truth_doc())
+        diffsim.simulate_custom(**truth_variant("structural"), n=50, T=1.0,
+                                seed=1)
+        assert len(calls) == 2 and len(diffsim._CHECKED) == 2
+        monkeypatch.setattr(diffsim, "_CHECKED", {})
+        cold = diffsim.simulate_custom(**tb, n=50, T=1.0, seed=1)
+        assert np.array_equal(cold.x_obs, warm[0].x_obs)
+
+    def test_memoized_arrays_read_only(self, monkeypatch):
+        monkeypatch.setattr(diffsim, "_CHECKED", {})
+        tb = diffsim.load_truth(diffsim.TRUE_MODEL_NAME)
+        memo = diffsim._cross_checked(**tb)
+        assert diffsim._cross_checked(**tb) is memo
+        for array, want in zip(memo, (tb["lambda_x1"], tb["lambda_x2"],
+                                      tb["gamma"], np.eye(2))):
+            assert np.array_equal(array, want)
+            assert not array.flags.writeable
+            assert not np.shares_memory(array, want)
+
+    @pytest.mark.parametrize("case", ["b0-diagonal", "gamma-nan",
+                                      "delta-vs-lambda_x1"])
+    def test_bad_truth_fails_every_call(self, case, monkeypatch):
+        monkeypatch.setattr(diffsim, "_CHECKED", {})
+        key, value, message = BROKEN_TRUTHS[case]
+        tb = {**diffsim.load_truth(diffsim.TRUE_MODEL_NAME), key: value}
+        assert len(diffsim._CHECKED) == 1
+        for _ in range(2):
+            with pytest.raises(ValueError, match=rf"^{message}"):
+                diffsim.simulate_custom(**tb, n=10, T=1.0, seed=0)
+        assert len(diffsim._CHECKED) == 1
+
+    def test_edit_in_place_is_checked(self, monkeypatch):
+        # the entry is keyed on the values, not on the array objects
+        monkeypatch.setattr(diffsim, "_CHECKED", {})
+        tb = diffsim.load_truth(diffsim.TRUE_MODEL_NAME)
+        diffsim.simulate_custom(**tb, n=10, T=1.0, seed=0)
+        tb["b0"][0, 0] = 0.5
+        with pytest.raises(ValueError, match="b0 must have a zero diagonal"):
+            diffsim.simulate_custom(**tb, n=10, T=1.0, seed=0)
+
+
 def truth_variant(kind):
     """The bundled truth with one change."""
     tb = diffsim.load_truth("true4-6")

@@ -8,7 +8,8 @@ from hfsem.errors import NotPositiveDefiniteError, SingularStructureError
 from hfsem.qlik import LikelihoodSurface, QuadVar, quad_var, score_lanes
 from tests.conftest import (all_specs, edited_spec, fd_hessian,
                             interior_theta, make_structural_spec,
-                            stacked_d1, stacked_hessian, stacked_information)
+                            stacked_d1, stacked_hessian, stacked_information,
+                            whole_path_quad_var)
 
 
 class TestQuadVar:
@@ -80,6 +81,56 @@ class TestQuadVar:
         stored = QuadVar(nudged, n=10, T=1.0).q_xx
         assert np.array_equal(stored, stored.T)
         assert np.array_equal(stored, 0.5 * (nudged + nudged.T))
+
+
+class TestBlockedGram:
+    """``quad_var`` sums the increment Gram in blocks of ``_GRAM_BLOCK``
+    increments; the whole-path product is the reference."""
+
+    BLOCK = 8
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK,
+                                   2 * BLOCK + 1, 3 * BLOCK + 17])
+    def test_matches_whole_path(self, n, monkeypatch):
+        monkeypatch.setattr(qlik, "_GRAM_BLOCK", self.BLOCK)
+        x = np.random.default_rng(n).standard_normal((n + 1, 4)).cumsum(axis=0)
+        got, want = quad_var(x, 2.0), whole_path_quad_var(x, 2.0)
+        assert (got.n, got.T) == (want.n, want.T) == (n, 2.0)
+        if n <= self.BLOCK:
+            assert np.array_equal(got.q_xx, want.q_xx)
+        else:
+            scale = np.abs(want.q_xx).max()
+            assert np.abs(got.q_xx - want.q_xx).max() <= 1e-13 * scale
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("row", [BLOCK, 2 * BLOCK])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_boundary_row_rejected(self, row, bad, monkeypatch):
+        # the row ends one block and starts the next
+        monkeypatch.setattr(qlik, "_GRAM_BLOCK", self.BLOCK)
+        x = np.random.default_rng(0).standard_normal((3 * self.BLOCK, 3))
+        x[row, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            quad_var(x, 1.0)
+
+    def test_long_path_matches_whole_path(self, bundle_1e5, quadvar_1e5):
+        # n = 1e5 spans two blocks of the package's own size
+        assert bundle_1e5.n > qlik._GRAM_BLOCK
+        want = whole_path_quad_var(bundle_1e5.x_obs, bundle_1e5.T).q_xx
+        assert (np.abs(quadvar_1e5.q_xx - want).max()
+                <= 1e-13 * np.abs(want).max())
+
+    def test_one_block_held_at_a_time(self):
+        import tracemalloc
+
+        x = np.random.default_rng(1).standard_normal((400_001, 10))
+        tracemalloc.start()
+        try:
+            quad_var(x, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 3
 
 
 # Every entry point that takes a horizon T, called with it.

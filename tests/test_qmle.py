@@ -505,6 +505,29 @@ def test_seed_is_an_integer(surface_1e3, entry, seed):
         calls[entry]()
 
 
+# (d, count) cases of the Latin-hypercube check: the bundled models' q,
+# many strata, one stratum and no points.
+LHS_CASES = [(22, 7), (23, 7), (14, 49), (5, 1), (3, 0), (22, 3)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123456789, 2**63 + 5, 3001, 13000])
+def test_latin_hypercube_matches_scipy(seed):
+    from scipy.stats import qmc
+
+    for d, count in LHS_CASES:
+        want = qmc.LatinHypercube(d=d, seed=seed).random(count)
+        got = qmle._latin_hypercube(d, count, seed)
+        assert got.shape == want.shape == (count, d)
+        assert np.array_equal(got, want), (d, count)
+
+
+def test_latin_hypercube_one_point_per_stratum():
+    sample = qmle._latin_hypercube(6, 40, seed=5)
+    assert sample.min() >= 0.0 and sample.max() < 1.0
+    for column in sample.T:
+        assert sorted(np.floor(column * 40).astype(int)) == list(range(40))
+
+
 class TestLanes:
     """``fit_lanes`` runs many fits as lanes of one lockstep loop; each lane
     must follow, bit for bit, the path its fit follows alone."""

@@ -72,30 +72,50 @@ def test_scan_catches_unused_names():
     assert unused_imports(source) == ["Callable", "os", "scipy.linalg"]
 
 
-def optimizer_imports(source: str) -> list[str]:
-    """The ``scipy.optimize`` modules and names a module imports."""
+def module_imports(source: str, module: str) -> list[str]:
+    """The modules and names of ``module`` (say ``scipy.optimize``) that a
+    module imports."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found += [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module:
             found += [f"{node.module}.{a.name}" for a in node.names]
-    return [name for name in found if (name + ".").startswith("scipy.optimize.")]
+    return [name for name in found if (name + ".").startswith(module + ".")]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_one_optimizer(path):
     # qmle._optimize is the library's one optimizer: the likelihood fits
     # and the injectivity probe run as its lanes.
-    assert optimizer_imports(path.read_text()) == []
+    assert module_imports(path.read_text(), "scipy.optimize") == []
 
 
 def test_optimizer_scan_catches_imports():
     lines = ["import scipy.optimize as so", "from scipy import optimize",
              "from scipy.optimize import least_squares",
              "import numpy, scipy.optimize"]
-    assert [len(optimizer_imports(line)) for line in lines] == [1, 1, 1, 1]
-    assert optimizer_imports("from scipy import linalg\nimport scipy") == []
+    assert [len(module_imports(line, "scipy.optimize"))
+            for line in lines] == [1, 1, 1, 1]
+    assert module_imports("from scipy import linalg\nimport scipy",
+                          "scipy.optimize") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_stats(path):
+    # Latin-hypercube starts are drawn in numpy (qmle._latin_hypercube),
+    # so no module needs scipy.stats, a large import of its own.
+    assert module_imports(path.read_text(), "scipy.stats") == []
+
+
+def test_stats_scan_catches_imports():
+    lines = ["import scipy.stats as st", "from scipy import stats",
+             "from scipy.stats import qmc", "from scipy.stats.qmc import Sobol",
+             "import numpy, scipy.stats"]
+    assert [len(module_imports(line, "scipy.stats"))
+            for line in lines] == [1, 1, 1, 1, 1]
+    assert module_imports("from scipy import linalg, signal\nimport scipy",
+                          "scipy.stats") == []
 
 
 LAYOUT_NAMES = {"patterns", "_units", "_bases", "_factors", "_gram_pairs"}
