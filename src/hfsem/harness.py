@@ -5,12 +5,14 @@ A run is described by an :class:`ExperimentConfig` (JSON schema
 fresh path with a seed split deterministically from the master seed, fits
 each candidate model, evaluates the criteria, and tallies the per-criterion
 winners into a :class:`SelectionTable`.  Replications run in contiguous
-chunks, the unit of work of a worker pool: each replication's path is
-reduced to its realized covariation, then each model is fitted to every
-replication of the chunk as the lanes of one lockstep loop
-(``qmle.fit_lanes``).  A lane's fit does not depend on the others, so the
-records and the table are identical for any worker count and chunking;
-results merge in replication order.
+chunks, the unit of work of a worker pool: the fewest chunks of at most
+``_CHUNK`` replications whose count the workers share evenly, so a study
+smaller than one chunk still keeps every worker busy.  In a chunk, each
+replication's path is reduced to its realized covariation, then each
+model is fitted to every replication of the chunk as the lanes of one
+lockstep loop (``qmle.fit_lanes``).  A lane's fit does not depend on the
+others, so the records and the table are identical for any worker count
+and chunking; results merge in replication order.
 
 Initialization follows the benchmark protocol by default: each model starts
 from its limit-criterion optimum against the truth's covariance (the true
@@ -187,11 +189,25 @@ def _load_study(config: ExperimentConfig, paths: Sequence[str]
 
 # -- replication chunks --------------------------------------------------------
 
-# Replications per chunk: the unit of work handed to a worker, and the
-# lanes of each spec's lockstep fit.  Chosen by measurement on the desk
-# study: 16 was as fast per replication as 32 or 64 and faster than 4 or
-# 8, while peak memory grows with the chunk.
-_CHUNK = 16
+# Most replications per chunk: the unit of work handed to a worker, and
+# the lanes of each spec's lockstep fit.  A round of the loop costs a fixed
+# part plus a part per lane, so more lanes spread the fixed part.  Chosen
+# by measurement on the desk study (n 100 and 1000, 128 replications,
+# model1-3, true init, one worker, 16 rotated runs in fresh processes):
+# CPU time of run_experiment, set-up included, was 0.79, 0.72, 0.67, 0.62
+# and 0.62 s in the median at 16, 32, 64, 128 and 256.  128 ties 256 with
+# half the lanes' working arrays, which raise peak memory by about 4 MB.
+_CHUNK = 128
+
+
+def _chunk_cuts(tasks: int, workers: int) -> list[int]:
+    """Where a study's ``tasks`` replications are cut into chunks: the
+    fewest chunks of at most ``_CHUNK`` whose count the workers share
+    evenly (fewer if there are fewer tasks), sizes differing by one at
+    most."""
+    count = -(-tasks // _CHUNK)
+    count = -(-count // workers) * workers
+    return sorted({tasks * i // count for i in range(count + 1)})
 
 
 def _realized(chunk: dict, rep: dict):
@@ -271,15 +287,16 @@ def _limit_optima(specs: Sequence[SemSpec], sigma0: np.ndarray,
 def _replicate(config: ExperimentConfig, specs: Sequence[SemSpec],
                inits: Sequence[Optional[np.ndarray]], truth: dict) -> list[dict]:
     """Each (n, rep) replication's result, in task order at any worker count
-    and any chunking: contiguous chunks of ``_CHUNK`` replications go to
-    the workers, and a replication's fits do not depend on its chunk."""
+    and any chunking: contiguous chunks of at most ``_CHUNK`` replications
+    go to the workers, and a replication's fits do not depend on its chunk."""
     reps = [{"n": int(n), "rep": rep,
              "seed": split_seed(config.master_seed, n, rep),
              "start_seed": split_seed(config.master_seed, n, rep, tag=1)}
             for n in config.n_values for rep in range(config.replications)]
-    chunks = [{"reps": reps[i:i + _CHUNK], "T": config.T, "truth": truth,
+    cuts = _chunk_cuts(len(reps), config.workers)
+    chunks = [{"reps": reps[a:b], "T": config.T, "truth": truth,
                "specs": specs, "inits": inits, "starts": config.starts}
-              for i in range(0, len(reps), _CHUNK)]
+              for a, b in zip(cuts, cuts[1:])]
     if config.workers > 1:
         with multiprocessing.Pool(config.workers) as pool:
             results = pool.map(_chunk_worker, chunks)

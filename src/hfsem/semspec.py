@@ -79,6 +79,11 @@ _DIMS = ("p1", "p2", "k1", "k2")
 
 _PSI_COND_LIMIT = 1e12
 _RANK_SCREEN_DRAWS = 3
+# Lanes per block of ``FactorRecord.trace_products``: its gathers take
+# 4 q^2 doubles a lane (15 KB at q = 22).  At 16 lanes the cost per lane
+# held from 16 to 128 lanes; the whole stack at once cost 2.3x as much per
+# lane at 64 lanes as at 16.
+_LANE_BLOCK = 16
 
 
 def _read_cell(cell, where: str) -> dict:
@@ -149,12 +154,25 @@ class FactorRecord:
 
     def trace_products(self, lanes, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """(len, q, q) ``tr(s Sigma_i t Sigma_j)`` for stacks of symmetric
-        p x p ``s`` and ``t``, from their Gram matrices (one if ``t is s``)."""
+        p x p ``s`` and ``t`` (or one matrix for every lane), from their
+        Gram matrices (one if ``t is s``).
+
+        The lanes are contracted ``_LANE_BLOCK`` at a time, so the (block,
+        4, q, q) gathers stay in cache whatever the lane count; each lane's
+        arithmetic is that of a one-lane call."""
         pair_s, pair_t, weight = self._spec._gram_pairs
-        g_s = self._gram(lanes, s)
-        g_s = g_s.reshape(len(g_s), -1)
-        g_t = g_s if t is s else self._gram(lanes, t).reshape(g_s.shape)
-        return weight * (g_s[:, pair_s] * g_t[:, pair_t]).sum(axis=1)
+        lanes = np.arange(len(self._basis))[lanes]
+        one = t is s
+        s, t = (np.broadcast_to(m, lanes.shape + m.shape[-2:]) for m in (s, t))
+        out = np.empty(lanes.shape + weight.shape)
+        for start in range(0, len(lanes), _LANE_BLOCK):
+            block = slice(start, start + _LANE_BLOCK)
+            g_s = self._gram(lanes[block], s[block])
+            g_s = g_s.reshape(len(g_s), -1)
+            g_t = g_s if one else \
+                self._gram(lanes[block], t[block]).reshape(g_s.shape)
+            out[block] = weight * (g_s[:, pair_s] * g_t[:, pair_t]).sum(axis=1)
+        return out
 
     def jacobian(self, lanes) -> np.ndarray:
         """(len, p(p+1)/2, q) ``d vech(Sigma)/d theta``, whose row (a, b) is
@@ -295,6 +313,13 @@ class SemSpec:
         # Each parameter enters one of the four matrices: its group.
         self._groups = [np.flatnonzero(unit.any(axis=(1, 2)))
                         for unit in self._units]
+        # ``forward``'s order-2 tables, which hang on the layout alone: the
+        # loading cells (rows, cols), the parameters of C (Beta's, then
+        # P's), and the unit stacks d_b and d_p.
+        g_lam, g_beta, g_phi, _ = self._groups
+        _, rows, cols = np.nonzero(self._units[0][g_lam])
+        self._second_tables = (rows, cols, np.concatenate([g_beta, g_phi]),
+                               self._units[1][g_beta], self._units[2][g_phi])
 
         # A fixed b is checked once here; a free one on every pass.
         self._psi_inv = None
@@ -379,11 +404,8 @@ class SemSpec:
             # A loading parameter is one cell (rows, cols) of Lam; d_b and
             # d_p are the unit stacks of the parameters of Beta and of P,
             # whose dC_i = y_i + y_i' (P and C symmetric).
-            d_lam, d_beta, d_phi, _ = self._units
             g_lam, g_beta, g_phi, _ = self._groups
-            g_c = np.concatenate([g_beta, g_phi])
-            _, rows, cols = np.nonzero(d_lam[g_lam])
-            d_b, d_p = d_beta[g_beta], d_phi[g_phi]
+            rows, cols, g_c, d_b, d_p = self._second_tables
             nl, nb, kk = len(g_lam), len(g_beta), k * k
 
             def second(at, m: np.ndarray) -> np.ndarray:

@@ -289,13 +289,18 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("init_mode", ["true", "moment"])
     def test_chunking_does_not_change_records(self, init_mode, monkeypatch):
-        # Chunks of 4 cross from n=100 to n=200; a chunk's fits are lanes
-        # of one loop, yet every replication's records stay the same.
+        # Chunks of 2 cross from n=100 to n=200; a chunk's fits are lanes
+        # of one loop, yet every replication's records stay the same.  The
+        # study's 6 replications are fewer than the default chunk, which
+        # takes them all on one worker and splits them 3 + 3 on two.
         config = small_config(n_values=[100, 200], init_mode=init_mode,
                               starts=2)
+        assert harness._CHUNK == 128
+        assert harness._chunk_cuts(6, 1) == [0, 6]
+        assert harness._chunk_cuts(6, 2) == [0, 3, 6]
         runs = []
-        for chunk, workers in ((harness._CHUNK, 1), (1, 1), (4, 1), (4, 2),
-                               (harness._CHUNK, 2)):
+        for chunk, workers in ((harness._CHUNK, 1), (1, 1), (2, 1), (2, 2),
+                               (harness._CHUNK, 2), (16, 1)):
             monkeypatch.setattr(harness, "_CHUNK", chunk)
             config.workers = workers
             runs.append(harness.run_experiment(config))
@@ -304,6 +309,19 @@ class TestRunExperiment:
         for other_table, other_records in runs[1:]:
             assert other_records == records
             assert other_table.counts == table.counts
+
+    @pytest.mark.parametrize("tasks, workers", [
+        (1, 1), (1, 2), (6, 2), (128, 1), (129, 1), (256, 2), (257, 2),
+        (498, 1), (1000, 3)])
+    def test_chunk_cuts(self, tasks, workers):
+        # The fewest chunks of at most _CHUNK, in a count the workers share
+        # evenly (fewer only with fewer tasks), sizes within one.
+        sizes = np.diff(harness._chunk_cuts(tasks, workers))
+        chunks = -(-tasks // harness._CHUNK)
+        assert sizes.sum() == tasks and sizes.min() >= 1
+        assert sizes.max() <= harness._CHUNK
+        assert sizes.max() - sizes.min() <= 1
+        assert len(sizes) == min(tasks, -(-chunks // workers) * workers)
 
     def test_moment_init_mode_runs(self):
         config = small_config(replications=1, init_mode="moment", starts=2)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from hfsem import diffsim, harness, matkit, models, qlik, qmle
+from hfsem import diffsim, harness, matkit, models, qlik, qmle, semspec
 from hfsem.errors import NotPositiveDefiniteError, SingularStructureError
 from hfsem.qlik import LikelihoodSurface, QuadVar, quad_var, score_lanes
 from tests.conftest import (all_specs, edited_spec, fd_hessian,
@@ -513,6 +513,55 @@ class TestLanes:
         full = score_lanes(model1, theta, q_xx, n, 1)
         assert list(full.status) == [qlik.NON_FINITE, qlik.NON_FINITE, qlik.OK]
         self.assert_lane_alone(model1, theta, q_xx, n, 1, full, 2)
+
+    def test_lane_blocks_match_lanes_alone(self, model2):
+        # trace_products contracts _LANE_BLOCK lanes at a time; 37 lanes
+        # end in a part block, and a permuted order mixes the blocks.
+        # The stack's trace products, information and Hessians are those
+        # of each lane asked alone.
+        assert 37 % semspec._LANE_BLOCK
+        rng = np.random.default_rng(37)
+        theta, q_xx, n = self.stack(model2, rng, 37)
+        full = score_lanes(model2, theta, q_xx, n)
+        assert full.ok.all()
+        sigma, record = model2.forward(theta, 1)
+        s = np.linalg.inv(sigma)
+        s = 0.5 * (s + s.swapaxes(1, 2))
+        t = s - q_xx
+        order = rng.permutation(37)
+        products = {"t is s": record.trace_products(order, s[order], s[order]),
+                    "t": record.trace_products(order, s[order], t[order])}
+        information, hessian = full.information(order), full.hessian(order)
+        for place, lane in enumerate(order):
+            one = slice(lane, lane + 1)
+            alone = model2.forward(theta[one], 1)[1]
+            assert np.array_equal(products["t is s"][place],
+                                  alone.trace_products([0], s[one], s[one])[0])
+            assert np.array_equal(products["t"][place],
+                                  alone.trace_products([0], s[one], t[one])[0])
+            scores = score_lanes(model2, theta[one], q_xx[one], n[one])
+            assert np.array_equal(information[place], scores.information([0])[0])
+            assert np.array_equal(hessian[place], scores.hessian([0])[0])
+
+    def test_lane_blocks_bound_memory(self, model2):
+        # The gathers of trace_products, 4 q^2 doubles a lane, are made one
+        # block at a time: 128 lanes take the result plus a few blocks'
+        # worth, where one whole-stack contraction takes about 24.
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        theta = self.stack(model2, rng, 128)[0]
+        sigma, record = model2.forward(theta, 1)
+        s = np.linalg.inv(sigma)
+        t = s - 0.1 * np.eye(model2.p)
+        block = semspec._LANE_BLOCK * 4 * model2.q ** 2 * 8
+        tracemalloc.start()
+        try:
+            out = record.trace_products(slice(None), s, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 4 * block
 
 
 def limit_value(spec, theta, sigma0):

@@ -118,13 +118,14 @@ def test_stats_scan_catches_imports():
                           "scipy.stats") == []
 
 
-LAYOUT_NAMES = {"patterns", "_units", "_bases", "_factors", "_gram_pairs"}
+LAYOUT_NAMES = {"patterns", "_units", "_bases", "_factors", "_gram_pairs",
+                "_second_tables"}
 
 
 def layout_reads(source: str) -> list[str]:
     """The layout names a module reads as attributes of a spec
     (``patterns``, ``_units``, ``_bases`` and the factor tables
-    ``_factors`` and ``_gram_pairs``) or imports."""
+    ``_factors``, ``_gram_pairs`` and ``_second_tables``) or imports."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr in LAYOUT_NAMES:
