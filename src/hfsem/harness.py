@@ -8,8 +8,8 @@ winners into a :class:`SelectionTable`.  Replications run in contiguous
 chunks, the unit of work of a worker pool: the fewest chunks of at most
 ``_CHUNK`` replications whose count the workers share evenly, so a study
 smaller than one chunk still keeps every worker busy.  In a chunk, each
-replication's path is reduced to its realized covariation, then each
-model is fitted to every replication of the chunk as the lanes of one
+replication's path is reduced to its realized covariation, one (R, p, p)
+Q stack, then each model is fitted to the stack as the lanes of one
 lockstep loop (``qmle.fit_lanes``).  A lane's fit does not depend on the
 others, so the records and the table are identical for any worker count
 and chunking; results merge in replication order.
@@ -36,7 +36,7 @@ import numpy as np
 from . import _doc, diffsim, models
 from .errors import AllStartsFailedError, SpecError
 from .infocrit import CRITERIA, criteria_row, select
-from .qlik import LikelihoodSurface, quad_var
+from .qlik import quad_var
 from .qmle import fit, fit_lanes, fit_multistart, limit_optimum, start_set
 from .semspec import SemSpec, rank_screen
 
@@ -218,36 +218,36 @@ def _realized(chunk: dict, rep: dict):
     return quad_var(bundle.x_obs, chunk["T"])
 
 
-def _fit_chunk(spec: SemSpec, init: Optional[np.ndarray], qvs: list,
-               chunk: dict) -> list:
-    """One spec fitted to every replication of a chunk in one lockstep
-    loop: from ``init``, or from each replication's multistart set."""
-    surfaces = [LikelihoodSurface(spec, qv) for qv in qvs]
+def _fit_chunk(spec: SemSpec, init: Optional[np.ndarray], q_xx: np.ndarray,
+               n: np.ndarray, chunk: dict) -> list:
+    """One spec fitted to a chunk's Q stack in one lockstep loop: from
+    ``init``, or from each replication's multistart set."""
     if init is not None:
-        start_sets = [[init]] * len(surfaces)
+        start_sets = [[init]] * len(q_xx)
     else:
-        start_sets = [start_set(surface, chunk["starts"], rep["start_seed"])
-                      for surface, rep in zip(surfaces, chunk["reps"])]
-    return fit_lanes(surfaces, start_sets)
+        start_sets = [start_set(spec, q, chunk["starts"], rep["start_seed"])
+                      for q, rep in zip(q_xx, chunk["reps"])]
+    return fit_lanes(spec, q_xx, n, start_sets)
 
 
 def _chunk_worker(chunk: dict) -> list[dict]:
     """A chunk of replications: each path reduced to Q, then each spec
-    fitted to all of the chunk's Q at once, then each replication's
+    fitted to the chunk's Q stack at once, then each replication's
     criteria, selections and records."""
-    qvs = [_realized(chunk, rep) for rep in chunk["reps"]]
-    fits = [_fit_chunk(spec, init, qvs, chunk)
+    q_xx = np.array([_realized(chunk, rep).q_xx for rep in chunk["reps"]])
+    n = np.array([rep["n"] for rep in chunk["reps"]])
+    fits = [_fit_chunk(spec, init, q_xx, n, chunk)
             for spec, init in zip(chunk["specs"], chunk["inits"])]
-    return [_rep_result(chunk, rep, qv, [reports[i] for reports in fits])
-            for i, (rep, qv) in enumerate(zip(chunk["reps"], qvs))]
+    return [_rep_result(chunk, rep, q_xx[i], [reports[i] for reports in fits])
+            for i, rep in enumerate(chunk["reps"])]
 
 
-def _rep_result(chunk: dict, rep: dict, qv, reports: list) -> dict:
+def _rep_result(chunk: dict, rep: dict, q_xx, reports: list) -> dict:
     """One replication's selections and records from its Q and fit reports
     (``None`` for a failed fit); ``lr_sat`` is the quasi-likelihood ratio
     against the saturated model, ``2 (n (-p - log det Q) / 2 - h_at_hat)``."""
     n, index = rep["n"], rep["rep"]
-    saturated = n * (-len(qv.q_xx) - np.linalg.slogdet(qv.q_xx)[1]) / 2
+    saturated = n * (-len(q_xx) - np.linalg.slogdet(q_xx)[1]) / 2
     failed = any(report is None for report in reports)
     rows = [None if report is None else criteria_row(report)
             for report in reports]

@@ -17,16 +17,16 @@ KKT test, so a valid optimum on a bound counts as converged.
 
 Every maximization runs as lanes of one lockstep loop, ``_optimize``, and
 each lane follows bit for bit the path it would follow alone.
-``fit_lanes`` fits many surfaces of one spec, each from its own starts, in
+``fit_lanes`` fits one spec to a stack of Q, each from its own starts, in
 one loop; a ``FitReport`` keeps the observed Hessian of its best lane's
 last accepted pass, bit for bit ``LikelihoodSurface.hessian`` at
 ``theta_hat`` and with no kernel pass after the loop, and ``infocrit``
-derives the criteria from it.  ``fit_multistart`` runs its ``start_set``
-(the given or moment start, then Latin-hypercube starts drawn on the
-moment start's scale) as lanes and keeps the best; ``fit`` is its
-one-start case; ``limit_optimum`` maximizes the in-fill limit criterion
-the same way.  The moment start is ``semspec.moment_start``, so this
-module reads nothing of a spec's layout.  ``_optimize`` takes its kernel
+derives the criteria from it.  ``fit_multistart`` runs a surface's
+``start_set`` (the given or moment start, then Latin-hypercube starts
+drawn on the moment start's scale) as lanes and keeps the best; ``fit``
+is its one-start case; ``limit_optimum`` maximizes the in-fill limit
+criterion the same way.  The moment start is ``semspec.moment_start``, so
+this module reads nothing of a spec's layout.  ``_optimize`` takes its kernel
 as an argument, so the injectivity probe of ``check_identifiability``
 runs on its lanes too, by Gauss-Newton: its kernel has no Hessian.
 """
@@ -82,7 +82,7 @@ class FitReport:
     theta_hat: np.ndarray
     h_at_hat: float
     grad_norm: float          # |projected gradient|_inf, the KKT residual
-    hessian: np.ndarray       # NaN when not computed
+    hessian: np.ndarray       # NaN if FitOptions blanks it or a dict lacks it
     iterations: int
     evaluations: int          # kernel passes over all the fit's starts
     restarts: int
@@ -285,66 +285,60 @@ def _optimize(spec: SemSpec, score, inits: np.ndarray) -> _Lanes:
     return _Lanes(theta, value, grad, hessian, iterations, evaluations, started)
 
 
-def _finalize(surface: LikelihoodSurface, lanes: _Lanes, best: int,
-              evaluations: int, restarts: int,
-              hessian: np.ndarray) -> FitReport:
-    spec = surface.spec
+def _finalize(spec: SemSpec, n: int, lanes: _Lanes, best: int,
+              evaluations: int, restarts: int) -> FitReport:
     theta, grad = lanes.theta[best], lanes.grad[best]
     value = float(lanes.value[best])
     kkt, converged = _kkt(grad, _free_mask(spec, theta, grad), value)
     boundary_hit = bool(np.any(
         np.minimum(theta - spec.lower, spec.upper - theta) <= _BOUNDARY_TOL))
-    return FitReport(model=spec.name, n=surface.n, q=spec.q,
+    return FitReport(model=spec.name, n=n, q=spec.q,
                      theta_hat=theta, h_at_hat=value, grad_norm=float(kkt),
-                     hessian=hessian, iterations=int(lanes.iterations[best]),
+                     # a copy, which leaves the loop's (L, q, q) stack free
+                     hessian=lanes.hessian[best].copy(),
+                     iterations=int(lanes.iterations[best]),
                      evaluations=evaluations, restarts=restarts,
                      converged=bool(converged), boundary_hit=boundary_hit)
 
 
-def fit_lanes(surfaces: Sequence[LikelihoodSurface],
-              start_sets: Sequence[Sequence[np.ndarray]],
-              options: Optional[FitOptions] = None) -> list[Optional[FitReport]]:
-    """Maximize each surface from each of its starts, every start of every
-    surface one lane of one lockstep ``_optimize`` loop, and read each
-    report's Hessian from the loop: that of its best lane's last accepted
-    pass (NaN with ``compute_hessian`` off).
+def fit_lanes(spec: SemSpec, q_xx: np.ndarray, n: np.ndarray,
+              start_sets: Sequence[Sequence[np.ndarray]]
+              ) -> list[Optional[FitReport]]:
+    """Fit ``spec`` to each realized covariation ``q_xx[k]`` of an (R, p, p)
+    stack, over ``n[k]`` increments, from each start of ``start_sets[k]``:
+    every start one lane of one lockstep ``_optimize`` loop.
 
-    The surfaces share one spec.  Each report is that of the surface's best
-    start (ties in the attained value keep the earliest), with
-    ``evaluations`` summed over all its starts and ``restarts`` the number
-    of starts after the first; it is ``None`` when every start lies outside
-    the admissible region.  A surface's report does not depend on which
-    other surfaces share the loop.
+    Each report is that of its best start (ties in the attained value keep
+    the earliest), with the observed Hessian of that lane's last accepted
+    pass, ``evaluations`` summed over all its starts and ``restarts`` the
+    number of starts after the first; it is ``None`` when every start lies
+    outside the admissible region.  A report does not depend on which
+    other fits share the loop.  Disagreeing shapes raise ``ValueError``.
     """
-    options = options or FitOptions()
-    spec = surfaces[0].spec
-    if any(surface.spec is not spec for surface in surfaces):
-        raise ValueError("fit_lanes needs surfaces of one spec")
-    owner = np.repeat(np.arange(len(surfaces)), [len(s) for s in start_sets])
+    q_xx, n = np.asarray(q_xx, dtype=float), np.asarray(n, dtype=float)
+    if (q_xx.shape[1:] != (spec.p, spec.p) or n.shape != q_xx.shape[:1]
+            or len(start_sets) != len(q_xx)):
+        raise ValueError(f"fit_lanes needs an (R, {spec.p}, {spec.p}) Q stack, "
+                         f"R values of n and R start sets; got Q {q_xx.shape}, "
+                         f"n {n.shape} and {len(start_sets)} start sets")
+    owner = np.repeat(np.arange(len(q_xx)), [len(s) for s in start_sets])
     inits = np.array([spec._check_theta(start) for starts in start_sets
                       for start in starts]).reshape(len(owner), spec.q)
-    q_xx = np.array([s.quadvar.q_xx for s in surfaces])
-    n = np.array([s.n for s in surfaces], dtype=float)
     lanes = _optimize(spec, lambda theta, at: score_lanes(
         spec, theta, q_xx[owner[at]], n[owner[at]]), inits)
 
-    fitted, bests = [], []
-    for k in range(len(surfaces)):
-        mine = lanes.started & (owner == k)
-        if mine.any():
-            fitted.append(k)
-            bests.append(np.flatnonzero(mine)[np.argmax(lanes.value[mine])])
-        else:
-            logger.debug("every start of %s failed", spec.name)
-    hessians = lanes.hessian[bests] if options.compute_hessian else \
-        np.full((len(fitted), spec.q, spec.q), np.nan)
-
-    reports: list[Optional[FitReport]] = [None] * len(surfaces)
-    for k, best, hessian in zip(fitted, bests, hessians):
+    reports: list[Optional[FitReport]] = []
+    for k in range(len(q_xx)):
         mine = owner == k
-        reports[k] = _finalize(surfaces[k], lanes, best,
-                               int(lanes.evaluations[mine].sum()),
-                               int(mine.sum()) - 1, hessian)
+        admissible = np.flatnonzero(mine & lanes.started)
+        if not admissible.size:
+            logger.debug("every start of %s failed", spec.name)
+            reports.append(None)
+            continue
+        best = admissible[np.argmax(lanes.value[admissible])]
+        reports.append(_finalize(spec, int(n[k]), lanes, best,
+                                 int(lanes.evaluations[mine].sum()),
+                                 int(mine.sum()) - 1))
     return reports
 
 
@@ -380,9 +374,10 @@ def _lhs_starts(spec: SemSpec, centre: np.ndarray, count: int,
     return list(np.clip(starts, spec.lower, spec.upper))
 
 
-def start_set(surface: LikelihoodSurface, starts: int = 8, seed: int = 0,
+def start_set(spec: SemSpec, q_xx: np.ndarray, starts: int = 8, seed: int = 0,
               init: Optional[np.ndarray] = None) -> list[np.ndarray]:
-    """The starts of ``fit_multistart``; deterministic given ``seed``.
+    """The ``starts`` starts of a fit of ``spec`` to the realized
+    covariation ``q_xx``; deterministic given ``seed``.
 
     The first start is the user-supplied ``init`` when given, otherwise the
     moment start; the remainder are Latin-hypercube draws around the moment
@@ -390,9 +385,9 @@ def start_set(surface: LikelihoodSurface, starts: int = 8, seed: int = 0,
     """
     starts = _doc.integer(starts, "starts", 1)
     seed = _doc.integer(seed, "seed")
-    centre = moment_start(surface.spec, surface.quadvar.q_xx)
+    centre = moment_start(spec, q_xx)
     first = centre if init is None else np.asarray(init, dtype=float)
-    return [first] + _lhs_starts(surface.spec, centre, starts - 1, seed)
+    return [first] + _lhs_starts(spec, centre, starts - 1, seed)
 
 
 def fit_multistart(surface: LikelihoodSurface, starts: int = 8, seed: int = 0,
@@ -400,12 +395,16 @@ def fit_multistart(surface: LikelihoodSurface, starts: int = 8, seed: int = 0,
                    options: Optional[FitOptions] = None) -> FitReport:
     """Best fit over the ``start_set`` of ``starts`` starts, all run as
     lanes of one ``fit_lanes`` loop; ties in the attained value keep the
-    earliest start."""
-    (report,) = fit_lanes([surface], [start_set(surface, starts, seed, init)],
-                          options)
+    earliest start.  With ``compute_hessian`` off the report's Hessian is
+    NaN."""
+    spec, q_xx = surface.spec, surface.quadvar.q_xx
+    (report,) = fit_lanes(spec, q_xx[None], [surface.n],
+                          [start_set(spec, q_xx, starts, seed, init)])
     if report is None:
         raise AllStartsFailedError(
-            f"all {starts} starts failed for {surface.spec.name!r}")
+            f"all {starts} starts failed for {spec.name!r}")
+    if options is not None and not options.compute_hessian:
+        report.hessian[...] = np.nan
     return report
 
 
@@ -421,8 +420,7 @@ def limit_optimum(spec: SemSpec, sigma0: np.ndarray, starts: int = 8,
     surface = LikelihoodSurface(spec, QuadVar(q_xx=sigma0, n=1, T=1.0))
     if matkit._chol_lanes(surface.quadvar.q_xx[None])[2][0]:
         raise ValueError("limit_optimum target sigma0 is not positive definite")
-    report = fit_multistart(surface, starts=starts, seed=seed,
-                            options=FitOptions(compute_hessian=False))
+    report = fit_multistart(surface, starts=starts, seed=seed)
     return report.theta_hat, report.h_at_hat
 
 

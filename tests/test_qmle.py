@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import math
 
 import numpy as np
@@ -499,7 +500,8 @@ def test_seed_is_an_integer(surface_1e3, entry, seed):
         "simulate_custom": lambda: diffsim.simulate_custom(
             **diffsim.load_truth(diffsim.TRUE_MODEL_NAME), n=10, T=1.0,
             seed=seed),
-        "start_set": lambda: qmle.start_set(surface_1e3, starts=2, seed=seed),
+        "start_set": lambda: qmle.start_set(
+            surface_1e3.spec, surface_1e3.quadvar.q_xx, starts=2, seed=seed),
     }
     with pytest.raises(ValueError, match="^seed must be an integer"):
         calls[entry]()
@@ -528,6 +530,13 @@ def test_latin_hypercube_one_point_per_stratum():
         assert sorted(np.floor(column * 40).astype(int)) == list(range(40))
 
 
+def fit_surfaces(surfaces, start_sets):
+    """``fit_lanes`` on the stacked Q and n of surfaces of one spec."""
+    return qmle.fit_lanes(surfaces[0].spec,
+                          np.array([s.quadvar.q_xx for s in surfaces]),
+                          np.array([s.n for s in surfaces]), start_sets)
+
+
 class TestLanes:
     """``fit_lanes`` runs many fits as lanes of one lockstep loop; each lane
     must follow, bit for bit, the path its fit follows alone."""
@@ -547,8 +556,8 @@ class TestLanes:
             diffsim.simulate_true_model(n, 1.0, seed=40 + k).x_obs, 1.0))
             for k, n in enumerate([100, 1000, 100, 1000, 1000])]
         inits = [qmle.moment_start(spec, s.quadvar.q_xx) for s in surfaces]
-        chunk = qmle.fit_lanes(surfaces, [[init] for init in inits])
-        part = qmle.fit_lanes(surfaces[1:4], [[init] for init in inits[1:4]])
+        chunk = fit_surfaces(surfaces, [[init] for init in inits])
+        part = fit_surfaces(surfaces[1:4], [[init] for init in inits[1:4]])
         for k, (surface, init) in enumerate(zip(surfaces, inits)):
             solo = qmle.fit(surface, init=init)
             self.assert_same_fit(chunk[k], solo)
@@ -579,7 +588,7 @@ class TestLanes:
             return scores
 
         monkeypatch.setattr(qmle, "score_lanes", spy)
-        chunk = qmle.fit_lanes([surface] * 3, [[init] for init in inits])
+        chunk = fit_surfaces([surface] * 3, [[init] for init in inits])
         rejected = np.concatenate(statuses)
         assert np.any(rejected == qlik.NOT_POSITIVE_DEFINITE)
         for lane, init in zip(chunk, inits):
@@ -620,18 +629,58 @@ class TestLanes:
         hessian = LikelihoodSurface.hessian
         monkeypatch.setattr(LikelihoodSurface, "hessian",
                             lambda *a: hessians.append(1) or hessian(*a))
-        reports = qmle.fit_lanes(surfaces, [[models.THETA1_TRUE]] * count)
+        reports = fit_surfaces(surfaces, [[models.THETA1_TRUE]] * count)
         assert done == [1]
         assert not late and not hessians
         for surface, report in zip(surfaces, reports):
             assert np.array_equal(report.hessian,
                                   surface.hessian(report.theta_hat))
 
-    def test_surfaces_of_one_spec(self, surface_1e3, model2):
-        other = LikelihoodSurface(model2, surface_1e3.quadvar)
-        with pytest.raises(ValueError, match="one spec"):
-            qmle.fit_lanes([surface_1e3, other],
-                           [[models.THETA1_TRUE], [models.THETA2_TRUE]])
+    @pytest.mark.parametrize("p, count, sets, shapes", [
+        (9, 2, 2, r"Q \(2, 9, 9\), n \(2,\) and 2 "),
+        (10, 3, 2, r"Q \(2, 10, 10\), n \(3,\) and 2 "),
+        (10, 2, 1, r"Q \(2, 10, 10\), n \(2,\) and 1 ")],
+        ids=["p", "n", "start_sets"])
+    def test_shapes_checked_before_any_pass(self, surface_1e3, p, count, sets,
+                                            shapes, monkeypatch):
+        # A Q stack of the wrong p, or an n or start-set list of another
+        # length than the stack, is named before the loop scores a lane.
+        passes = []
+        monkeypatch.setattr(qmle, "score_lanes", lambda *a: passes.append(a))
+        q_xx = np.array([surface_1e3.quadvar.q_xx[-p:, -p:]] * 2)
+        with pytest.raises(ValueError, match=r"\(R, 10, 10\) Q stack.*" + shapes):
+            qmle.fit_lanes(surface_1e3.spec, q_xx, [1000] * count,
+                           [[models.THETA1_TRUE]] * sets)
+        assert passes == []
+
+
+class TestFitOptions:
+    """``compute_hessian=False`` only blanks the report's Hessian."""
+
+    @pytest.mark.parametrize("run", [
+        qmle.fit, lambda surface, **kw: qmle.fit_multistart(surface, 4, 5, **kw)],
+        ids=["fit", "fit_multistart"])
+    def test_only_the_hessian_is_blanked(self, surface_1e3, run):
+        full = run(surface_1e3)
+        blank = run(surface_1e3, options=qmle.FitOptions(compute_hessian=False))
+        assert np.all(np.isfinite(full.hessian))
+        assert blank.hessian.shape == full.hessian.shape
+        assert np.all(np.isnan(blank.hessian))
+        assert blank.to_dict() == {**full.to_dict(), "hessian": None}
+
+    @pytest.mark.parametrize("seed, digest", [
+        (7, "b35b60428bcf736936eca0a313831672f22f944724a3a0ea1e7ec414adb4afa5"),
+        (13000, "ab5acba55c7cb71223f5d01f72a3ced88b45ce7a88172ca46c1cc0fa2efca6cf"),
+    ], ids=["7", "13000"])
+    def test_limit_optimum_unchanged(self, model1, sigma0_oracle, seed, digest):
+        # (theta_bar, value) as recorded while limit_optimum still asked
+        # fit_multistart for no Hessian: the SHA-256 of theta_bar's bytes
+        # and the value in hex.  Seed 13000 draws a long Latin-hypercube
+        # start.
+        theta, value = qmle.limit_optimum(model1, sigma0_oracle, starts=8,
+                                          seed=seed)
+        assert hashlib.sha256(theta.tobytes()).hexdigest() == digest
+        assert value.hex() == "-0x1.167fd78cec506p+4"
 
 
 class TestMomentStart:

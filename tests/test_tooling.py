@@ -311,6 +311,40 @@ def test_order_scan_catches_requests():
     assert order2_requests(source) == [1, 2, 3, 4]
 
 
+def names_of(source: str, name: str) -> list[int]:
+    """The lines of a module that name ``name``: as a name read or bound,
+    an attribute or an import."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.ImportFrom)
+                and name in {a.name for a in node.names}):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_chunk_fits_arrays():
+    # A chunk holds one Q stack and one n vector, and fit_lanes takes
+    # them: LikelihoodSurface is the one-lane library type.
+    assert names_of((SRC / "harness.py").read_text(), "LikelihoodSurface") == []
+    assert list(inspect.signature(qmle.fit_lanes).parameters) == [
+        "spec", "q_xx", "n", "start_sets"]
+    assert list(inspect.signature(qmle.start_set).parameters) == [
+        "spec", "q_xx", "starts", "seed", "init"]
+
+
+def test_surface_scan_catches_names():
+    # The chunk stage of harness.py as it was while fit_lanes took surfaces.
+    source = ("from .qlik import LikelihoodSurface, quad_var\n"
+              "def _fit_chunk(spec, init, qvs, chunk):\n"
+              "    surfaces = [LikelihoodSurface(spec, qv) for qv in qvs]\n"
+              "    return fit_lanes(surfaces, start_sets)\n"
+              "kind = qlik.LikelihoodSurface\n"
+              "surface = 'LikelihoodSurface'  # a string is no name\n")
+    assert names_of(source, "LikelihoodSurface") == [1, 3, 5]
+
+
 def test_perfbench_targets_exist(monkeypatch):
     # The traced benchmark wraps each callable where its caller looks it
     # up; a renamed or moved one would break the trace.  The tracer reads a
