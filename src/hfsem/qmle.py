@@ -8,12 +8,13 @@ or is ill-conditioned, as far from an optimum, the step is Fisher
 scoring's instead, the Gauss-Newton method for covariance structures (Lee
 & Jennrich 1979): it solves ``(Delta' W Delta) step = grad`` on the
 information of the same pass (by Cholesky; by least squares if that block
-is singular).  Newton converges quadratically where scoring converges
-only linearly when the information differs from ``-H``, as for a
-misspecified model.  Steps are clipped into the box and halved until the
-value increases, one pass of the likelihood kernel ``qlik.score_lanes``
-per trial.  A fit has converged when its projected gradient passes the
-KKT test, so a valid optimum on a bound counts as converged.
+is singular).  Both steps are one per-lane solve, ``_free_steps``.  Newton
+converges quadratically where scoring converges only linearly when the
+information differs from ``-H``, as for a misspecified model.  Steps are
+clipped into the box and halved until the value increases, one pass of
+the likelihood kernel ``qlik.score_lanes`` per trial.  A fit has converged
+when its projected gradient passes the KKT test, so a valid optimum on a
+bound counts as converged.
 
 Every maximization runs as lanes of one lockstep loop, ``_optimize``, and
 each lane follows bit for bit the path it would follow alone.
@@ -113,9 +114,10 @@ class FitReport:
             if key in values and not np.all(np.isfinite(values[key])):
                 raise ValueError(f"fit report field {key!r} must be finite")
         q = values["q"]
-        values.setdefault("hessian", np.full((q, q), np.nan))
         for key, shape in (("theta_hat", (q,)), ("hessian", (q, q))):
-            if values[key].shape != shape:
+            if key not in values:     # a null Hessian, once theta_hat fits q
+                values[key] = np.full(shape, np.nan)
+            elif values[key].shape != shape:
                 raise ValueError(f"fit report field {key!r} must have shape "
                                  f"{shape} for q={q}, got {values[key].shape}")
         return cls(**values)
@@ -140,49 +142,39 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _cholesky_steps(matrix: np.ndarray, grad: np.ndarray,
-                    free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _free_steps(matrix: np.ndarray, grad: np.ndarray, free: np.ndarray,
+                least_squares: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Per lane, the step solving ``matrix @ step = grad`` on the ``free``
     coordinates by Cholesky on the free block, zero on the others; and
-    which lanes it could not solve: an empty block, one that is not
+    which lanes Cholesky could not solve: an empty block, one that is not
     positive definite, or one singular to working precision (as a block
-    with a non-finite entry is, to ``dpotrf`` or ``dpocon``).
+    with a non-finite entry is, to ``dpotrf`` or ``dpocon``).  With
+    ``least_squares`` such a lane's step is least squares' on its block,
+    which drops null directions; without, it stays zero.
 
-    The free blocks' 1-norms come from one reduction over the lanes: the
-    frozen rows and columns add exact zeros to the column sums.  A lane
-    with every coordinate free solves on its whole matrix, ungathered."""
-    pair = free[:, :, None] & free[:, None, :]
-    norms = np.abs(np.where(pair, matrix, 0.0)).sum(axis=1).max(axis=1)
+    A lane with a frozen coordinate gathers its free block once, and a lane
+    with every coordinate free solves on its whole matrix, ungathered; each
+    takes the 1-norm for ``dpocon`` from its own block."""
     whole = free.all(axis=1)
     steps = np.zeros_like(grad)
     failed = np.zeros(len(grad), dtype=bool)
     for lane, keep in enumerate(free):
         if whole[lane]:
-            block, g, keep = matrix[lane], grad[lane], slice(None)
+            block, keep = matrix[lane], slice(None)
         else:
-            block, g = matrix[lane][np.ix_(keep, keep)], grad[lane, keep]
+            keep = np.flatnonzero(keep)
+            block = matrix[lane].take(keep, 0).take(keep, 1)
+        g = grad[lane, keep]
         c, bad = lapack.dpotrf(block, lower=1, clean=0)
         if not bad and g.size:
-            rcond = lapack.dpocon(c, norms[lane], uplo="L")[0]
+            rcond = lapack.dpocon(c, lapack.dlange("1", block), uplo="L")[0]
             if rcond > _EPS * g.size:
                 steps[lane, keep] = lapack.dpotrs(c, g, lower=1)[0]
                 continue
         failed[lane] = True
+        if least_squares:
+            steps[lane, keep] = np.linalg.lstsq(block, g, rcond=None)[0]
     return steps, failed
-
-
-def _scoring_step(info: np.ndarray, grad: np.ndarray,
-                  free: np.ndarray) -> np.ndarray:
-    """Per lane, the step solving ``info @ step = grad`` on the ``free``
-    coordinates, zero on the others: by Cholesky on the free block; by
-    least squares, which drops null directions, when that block is empty,
-    not positive definite or singular to working precision."""
-    steps, failed = _cholesky_steps(info, grad, free)
-    for lane in np.flatnonzero(failed):
-        keep = free[lane]
-        steps[lane, keep] = np.linalg.lstsq(info[lane][np.ix_(keep, keep)],
-                                            grad[lane, keep], rcond=None)[0]
-    return steps
 
 
 def _ascent_step(scores: LaneScores, at: np.ndarray, hessian,
@@ -190,14 +182,14 @@ def _ascent_step(scores: LaneScores, at: np.ndarray, hessian,
     """The steps of lanes ``at`` of the pass ``scores``: Newton's, solving
     ``-hessian @ step = grad`` on the free coordinates, where that block is
     positive definite and well conditioned; elsewhere, or with no Hessian
-    (None), the scoring step on the pass's information, computed for those
-    lanes alone."""
+    (None), the scoring step, ``_free_steps`` with least squares on the
+    pass's information, computed for those lanes alone."""
     if hessian is None:
-        return _scoring_step(scores.information(at), grad, free)
-    steps, failed = _cholesky_steps(-hessian, grad, free)
+        return _free_steps(scores.information(at), grad, free, True)[0]
+    steps, failed = _free_steps(-hessian, grad, free)
     if failed.any():
-        steps[failed] = _scoring_step(scores.information(at[failed]),
-                                      grad[failed], free[failed])
+        steps[failed] = _free_steps(scores.information(at[failed]),
+                                    grad[failed], free[failed], True)[0]
     return steps
 
 

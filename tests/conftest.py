@@ -478,23 +478,27 @@ def oneshot_simulate_custom(tb, n, T, seed):
     return dict(paths, eta=eta, x_obs=x_obs)
 
 
-def per_lane_scoring_step(info, grad, free):
-    """Reference for ``qmle._scoring_step``: each lane's free block gathered
-    and its 1-norm taken on its own, before the Cholesky solve (least
-    squares when the block is empty, not positive definite or singular to
-    working precision)."""
+def per_lane_free_steps(matrix, grad, free, least_squares=False):
+    """Reference for ``qmle._free_steps``: each lane's free block gathered
+    by ``np.ix_`` and its 1-norm taken by numpy, before the Cholesky solve.
+    A lane whose block is empty, not positive definite or singular to
+    working precision is flagged, and solved by least squares with
+    ``least_squares``."""
     steps = np.zeros_like(grad)
+    failed = np.zeros(len(grad), dtype=bool)
     for lane, keep in enumerate(free):
-        block, g = info[lane][np.ix_(keep, keep)], grad[lane, keep]
-        c, failed = lapack.dpotrf(block, lower=1, clean=0)
-        if not failed and g.size:
+        block, g = matrix[lane][np.ix_(keep, keep)], grad[lane, keep]
+        c, bad = lapack.dpotrf(block, lower=1, clean=0)
+        if not bad and g.size:
             norm = np.abs(block).sum(axis=0).max()
             rcond = lapack.dpocon(c, norm, uplo="L")[0]
             if rcond > np.finfo(float).eps * g.size:
                 steps[lane, keep] = lapack.dpotrs(c, g, lower=1)[0]
                 continue
-        steps[lane, keep] = np.linalg.lstsq(block, g, rcond=None)[0]
-    return steps
+        failed[lane] = True
+        if least_squares:
+            steps[lane, keep] = np.linalg.lstsq(block, g, rcond=None)[0]
+    return steps, failed
 
 
 def bundled_truth_doc():

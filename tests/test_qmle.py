@@ -13,13 +13,20 @@ from hfsem.errors import (AllStartsFailedError, NotPositiveDefiniteError,
 from hfsem.qlik import LikelihoodSurface, QuadVar, quad_var
 from hfsem.semspec import SemSpec
 from tests.conftest import (edited_spec, interior_theta, make_structural_spec,
-                            per_lane_scoring_step, stacked_d1)
+                            per_lane_free_steps, stacked_d1)
 
 
 @pytest.fixture(scope="module")
 def surface_1e3(model1):
     bundle = diffsim.simulate_true_model(1000, 1.0, seed=314)
     return LikelihoodSurface(model1, quad_var(bundle.x_obs, 1.0))
+
+
+def scoring_step(info, grad, free):
+    """The scoring step of one lane: ``qmle._free_steps`` with least squares
+    on a one-lane stack."""
+    return qmle._free_steps(info[None], grad[None], free[None],
+                            least_squares=True)[0][0]
 
 
 def reports_equal(a, b):
@@ -191,9 +198,9 @@ class TestFit:
                 block = -hessian[lane][np.ix_(keep, keep)]
                 if np.linalg.eigvalsh(block).min() < 0.0:
                     indefinite.append(lane)
-                    scoring = qmle._scoring_step(
-                        scores.information(at[lane:lane + 1]),
-                        grad[lane:lane + 1], free[lane:lane + 1])[0]
+                    scoring = scoring_step(
+                        scores.information(at[lane:lane + 1])[0],
+                        grad[lane], keep)
                     assert np.array_equal(steps[lane], scoring)
             return steps
 
@@ -229,19 +236,17 @@ class TestFit:
         rng = np.random.default_rng(4)
         b = rng.standard_normal((6, 6))
         info, grad = b @ b.T + np.eye(6), rng.standard_normal(6)
-        step = qmle._scoring_step(info[None], grad[None],
-                                  np.ones((1, 6), dtype=bool))[0]
+        step = scoring_step(info, grad, np.ones(6, dtype=bool))
         assert np.abs(info @ step - grad).max() < 1e-12
         # frozen coordinates do not move; the free block is solved alone
         free = np.array([True, False, True, True, False, True])
-        step = qmle._scoring_step(info[None], grad[None], free[None])[0]
+        step = scoring_step(info, grad, free)
         assert np.all(step[~free] == 0.0)
         block = info[np.ix_(free, free)]
         assert np.abs(block @ step[free] - grad[free]).max() < 1e-12
         # with every coordinate frozen the step is zero
-        frozen = qmle._scoring_step(info[None], grad[None],
-                                    np.zeros((1, 6), dtype=bool))
-        assert np.array_equal(frozen, np.zeros((1, 6)))
+        frozen = scoring_step(info, grad, np.zeros(6, dtype=bool))
+        assert np.array_equal(frozen, np.zeros(6))
 
     def test_scoring_step_drops_numerically_null_directions(self):
         # Cholesky factors this block, but it is singular to working
@@ -249,16 +254,17 @@ class TestFit:
         # null direction), not a 1e20-sized one
         info = np.diag([2.0, 1.0, 3.0, 1e-20])
         grad = np.ones(4)
-        step = qmle._scoring_step(info[None], grad[None],
-                                  np.ones((1, 4), dtype=bool))[0]
+        step = scoring_step(info, grad, np.ones(4, dtype=bool))
         assert np.array_equal(step, np.linalg.lstsq(info, grad, rcond=None)[0])
         assert step[3] == 0.0
 
     def test_scoring_step_matches_per_lane_reference(self, monkeypatch):
         # Lanes whose free block is whole, partial, empty, singular to
         # working precision (whole and partial) and not positive definite:
-        # the stacked 1-norms and the ungathered whole-block solve give
-        # the per-lane code's steps bit for bit.
+        # the gathers, the blocks' 1-norms and the ungathered whole-block
+        # solve give the per-lane code's steps and flags bit for bit, in
+        # the Newton mode (failed lanes keep a zero step) and the scoring
+        # mode (failed lanes solved by least squares).
         rng = np.random.default_rng(11)
         q = 7
         b = rng.standard_normal((6, q, q))
@@ -279,14 +285,45 @@ class TestFit:
         dpocon = lapack.dpocon
         monkeypatch.setattr(lapack, "dpocon", lambda c, anorm, **k:
                             norms.append(anorm) or dpocon(c, anorm, **k))
-        step = qmle._scoring_step(info, grad, free)
-        assert len(solves) == 4       # the empty, singular and indefinite lanes
-        ours, norms[:] = list(norms), []
-        assert np.array_equal(step, per_lane_scoring_step(info, grad, free))
-        assert ours == norms          # the 1-norms, bit for bit
-        assert np.abs(info[0] @ step[0] - grad[0]).max() < 1e-12
-        assert np.array_equal(step[2], np.zeros(q))
-        assert step[3, 3] == 0.0 and step[4, 3] == 0.0
+        for least_squares in (False, True):
+            solves[:], norms[:] = [], []
+            step, failed = qmle._free_steps(info, grad, free, least_squares)
+            # the empty, singular and indefinite lanes
+            assert failed.tolist() == [False, False, True, True, True, True]
+            assert len(solves) == (4 if least_squares else 0)
+            ours, norms[:] = list(norms), []
+            reference = per_lane_free_steps(info, grad, free, least_squares)
+            assert np.array_equal(step, reference[0])
+            assert np.array_equal(failed, reference[1])
+            assert len(ours) == 4 and ours == norms  # 1-norms, bit for bit
+            assert np.abs(info[0] @ step[0] - grad[0]).max() < 1e-12
+            assert np.array_equal(step[2], np.zeros(q))
+            assert step[3, 3] == 0.0 and step[4, 3] == 0.0
+            # Newton's failed lanes keep a zero step; scoring solves them
+            assert np.all(step[3:].any(axis=1) == least_squares)
+
+    def test_free_steps_hold_no_stack(self):
+        # A 128-lane round at q = 23, half its lanes with a frozen
+        # coordinate: the solve gathers one block at a time and makes no
+        # (L, q, q) copy for the 1-norms.
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        lanes, q = 128, 23
+        b = rng.standard_normal((lanes, q, q))
+        matrix = b @ np.swapaxes(b, 1, 2) + q * np.eye(q)
+        matrix = 0.5 * (matrix + np.swapaxes(matrix, 1, 2))
+        grad = rng.standard_normal((lanes, q))
+        free = np.ones((lanes, q), dtype=bool)
+        free[np.arange(0, lanes, 2), rng.integers(q, size=lanes // 2)] = False
+        tracemalloc.start()
+        try:
+            steps, failed = qmle._free_steps(matrix, grad, free)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not failed.any()
+        assert peak < matrix.nbytes / 2
 
     @pytest.mark.parametrize("length", [1, 21, 23])
     def test_init_of_wrong_length_rejected(self, surface_1e3, length):
@@ -351,6 +388,25 @@ class TestFit:
         doc[key] = bad
         with pytest.raises(ValueError, match=f"field '{named}'"):
             qmle.FitReport.from_dict(doc)
+
+    @pytest.mark.parametrize("hessian", [None, [[1.0, 0.0], [0.0, 1.0]]],
+                             ids=["null", "given"])
+    def test_report_dict_checks_q_before_allocating(self, surface_1e3,
+                                                    hessian):
+        # A q that theta_hat does not match is named before anything of
+        # size q * q is built: no 72 MB NaN Hessian for q = 3000.
+        import tracemalloc
+
+        doc = qmle.fit(surface_1e3, init=models.THETA1_TRUE).to_dict()
+        doc.update(q=3000, theta_hat=[1.0, 2.0], hessian=hessian)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="field 'theta_hat'"):
+                qmle.FitReport.from_dict(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_report_dict_drops_the_criteria(self, surface_1e3):
         # The event J and Gamma_tilde are infocrit's, computed from the
