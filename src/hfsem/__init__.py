@@ -6,7 +6,7 @@ candidate models by quasi-maximum likelihood, and compare them with the
 quasi-Bayesian information criteria.
 """
 
-from .diffsim import (OuBlock, PathBundle, load_truth, simulate_custom,
+from .diffsim import (OuBlock, PathBundle, Truth, load_truth, simulate_custom,
                       simulate_ou, simulate_true_model)
 from .errors import (AllStartsFailedError, HfsemError, NotPositiveDefiniteError,
                      RankDeficientError, SingularStructureError, SpecError)

@@ -10,6 +10,7 @@ table and posterior probabilities over fitted models), and ``table1``
 from __future__ import annotations
 
 import logging
+import os
 import sys
 
 import click
@@ -24,14 +25,18 @@ logger = logging.getLogger(__name__)
 
 
 class _Group(click.Group):
-    """The one error boundary: the library's ``ValueError``s and package
-    errors become a one-line ``Error:`` message with exit code 1."""
+    """The one error boundary: ``ValueError``s, package errors and
+    ``OSError``s become a one-line ``Error:`` message with exit code 1."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except (ValueError, HfsemError) as exc:
             raise click.ClickException(str(exc)) from exc
+        except OSError as exc:
+            message = (f"{exc.filename}: {exc.strerror}" if exc.filename
+                       else str(exc))
+            raise click.ClickException(message) from exc
 
 
 @click.group(cls=_Group)
@@ -43,14 +48,12 @@ def main(verbose: bool) -> None:
         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _write_path_csv(path, bundle: diffsim.PathBundle, with_latents: bool) -> None:
+def _write_path_csv(path, bundle: diffsim.PathBundle) -> None:
     t = np.arange(bundle.n + 1) * bundle.h
     p = bundle.x_obs.shape[1]
     columns = ["t"] + [f"x{i + 1}" for i in range(p)]
     data = [t[:, None], bundle.x_obs]
-    if with_latents:
-        if not bundle.has_latents:
-            raise click.ClickException("bundle was simulated without latents")
+    if bundle.has_latents:
         for name, block in (("xi", bundle.xi), ("delta", bundle.delta),
                             ("eps", bundle.eps), ("zeta", bundle.zeta),
                             ("eta", bundle.eta)):
@@ -93,10 +96,10 @@ def _read_path_csv(path) -> np.ndarray:
 def simulate(model_name: str, n: int, horizon: float, seed: int, out: str,
              with_latents: bool) -> None:
     """Simulate a bundled truth and write the sampled path as CSV."""
-    bundle = diffsim.simulate_custom(**diffsim.load_truth(model_name), n=n,
+    bundle = diffsim.simulate_custom(diffsim.load_truth(model_name), n=n,
                                      T=horizon, seed=seed,
                                      keep_latents=with_latents)
-    _write_path_csv(out, bundle, with_latents)
+    _write_path_csv(out, bundle)
     click.echo(f"wrote {out} ({n} steps, horizon {horizon}, seed {seed})")
 
 
@@ -184,6 +187,8 @@ def table1(config_path: str, out_dir: str, workers) -> None:
     config = harness.ExperimentConfig.from_json(config_path)
     if workers is not None:
         config.workers = workers
+    # Made before the study runs, so an unusable path stops it at once.
+    os.makedirs(out_dir, exist_ok=True)
     try:
         # run_experiment validates the counts invariant before returning.
         table, records = harness.run_experiment(config)

@@ -1,11 +1,11 @@
 """Truths of the latent-diffusion SEM, read, checked and simulated here only.
 
-A truth holds the latent OU blocks xi, delta, eps and zeta, the loadings
-lambda_x1 and lambda_x2, and the structural matrices gamma and b0.
+A :class:`Truth` holds the latent OU blocks xi, delta, eps and zeta, the
+loadings lambda_x1 and lambda_x2, and the structural matrices gamma and
+b0, checked when it is built, so :func:`simulate_custom` checks nothing.
 :func:`load_truth` reads one from its name (the stem of a bundled
-``truth_files/*.json`` document) or from such a document, and ends with
-the cross-checks :func:`simulate_custom` also runs.  :func:`implied_sigma`
-is a truth's covariance Sigma0, computed as an all-fixed ``SemSpec``.
+``truth_files/*.json`` document) or from such a document.
+:func:`implied_sigma` is its covariance Sigma0, as an all-fixed ``SemSpec``.
 
 Latent blocks follow affine SDEs ``dx = -(B x - mu) dt + S dW``, sampled
 exactly from their Gaussian conditional transitions (the matrix
@@ -30,7 +30,7 @@ reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
@@ -43,6 +43,7 @@ from .semspec import SemSpec, _invert_psi
 __all__ = [
     "OuBlock",
     "PathBundle",
+    "Truth",
     "load_truth",
     "implied_sigma",
     "simulate_ou",
@@ -54,6 +55,7 @@ __all__ = [
 TRUE_MODEL_NAME = "true4-6"
 
 _LATENT = ("xi", "delta", "eps", "zeta")
+_MATRICES = ("lambda_x1", "lambda_x2", "gamma", "b0")
 
 # Rows per chunk of a streamed path: a chunk's draws, products and
 # assembly stay in cache, and no n-sized temporary is made besides the
@@ -81,8 +83,8 @@ class OuBlock:
             raise ValueError(f"mean_reversion must be {d}x{d}")
         if self.level.shape != (d,) or self.init.shape != (d,):
             raise ValueError(f"level and init must have length {d}")
-        if self.dispersion.shape[0] != d:
-            raise ValueError(f"dispersion must have {d} rows")
+        if self.dispersion.ndim != 2 or self.dispersion.shape[0] != d:
+            raise ValueError(f"dispersion must be a {d}-row matrix")
         for name in ("mean_reversion", "level", "dispersion", "init"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} has non-finite entries")
@@ -112,56 +114,54 @@ class PathBundle:
         return self.xi is not None
 
 
-# Checked truths, by the blocks' dimensions and the matrices' bytes: a
-# truth is checked once per process, however many paths it drives, and
-# one that fails is never stored.  Shared arrays, so read-only.
-_CHECKED: dict = {}
+@dataclass(frozen=True, eq=False)
+class Truth:
+    """Four latent blocks, the loadings and the structural matrices,
+    checked as they are built (messages name ``true_model.<key>``) and kept
+    as read-only float copies beside ``psi_inv = inv(I - b0)``: a truth is
+    checked once, however many paths it drives."""
+    xi: OuBlock
+    delta: OuBlock
+    eps: OuBlock
+    zeta: OuBlock
+    lambda_x1: np.ndarray
+    lambda_x2: np.ndarray
+    gamma: np.ndarray
+    b0: np.ndarray
+    psi_inv: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for key in _MATRICES:
+            value = np.array(getattr(self, key), float, ndmin=2)
+            if value.ndim != 2 or not np.all(np.isfinite(value)):
+                raise ValueError(
+                    f"true_model.{key} must be a matrix of finite numbers")
+            object.__setattr__(self, key, value)
+        (p1, k1), (p2, k2) = self.lambda_x1.shape, self.lambda_x2.shape
+        for key, dim in zip(_LATENT, (k1, p1, p2, k2)):
+            if (got := getattr(self, key).dim) != dim:
+                raise ValueError(f"true_model.{key} has dimension {got}, "
+                                 f"expected {dim} by the loadings")
+        for key, shape in (("gamma", (k2, k1)), ("b0", (k2, k2))):
+            if (got := getattr(self, key).shape) != shape:
+                raise ValueError(f"true_model.{key} has shape {got}, "
+                                 f"expected {shape}")
+        if np.any(np.diag(self.b0)):
+            raise ValueError("true_model.b0 must have a zero diagonal")
+        object.__setattr__(self, "psi_inv",
+                           _invert_psi(self.b0, "true_model.b0"))
+        for key in _MATRICES + ("psi_inv",):
+            getattr(self, key).flags.writeable = False
+
+    def __reduce__(self):
+        # A copy is built anew, so its matrices are checked and read-only too.
+        return Truth, tuple(getattr(self, key) for key in _LATENT + _MATRICES)
 
 
-def _cross_checked(xi: OuBlock, delta: OuBlock, eps: OuBlock, zeta: OuBlock,
-                   lambda_x1, lambda_x2, gamma, b0, where: str = "") -> tuple:
-    """``(lambda_x1, lambda_x2, gamma, inv(I - b0))`` as float arrays, after
-    the checks of every truth: finite matrices, block dimensions and the
-    shapes of gamma and b0 against the loadings, a zero b0 diagonal and a
-    nonsingular I - b0.  Messages name the key after the prefix ``where``."""
-    blocks = (xi, delta, eps, zeta)
-    mats = {key: np.array(value, float, ndmin=2) for key, value in dict(
-        lambda_x1=lambda_x1, lambda_x2=lambda_x2, gamma=gamma, b0=b0).items()}
-    key = tuple(block.dim for block in blocks) + tuple(
-        (value.shape, value.tobytes()) for value in mats.values())
-    checked = _CHECKED.get(key)
-    if checked is None:
-        checked = _check_truth(blocks, mats, where)
-        for array in checked:
-            array.flags.writeable = False
-        _CHECKED[key] = checked
-    return checked
-
-
-def _check_truth(blocks: tuple, mats: dict, where: str) -> tuple:
-    """The checks and result of :func:`_cross_checked`."""
-    for key, value in mats.items():
-        if value.ndim != 2 or not np.all(np.isfinite(value)):
-            raise ValueError(f"{where}{key} must be a matrix of finite numbers")
-    (p1, k1), (p2, k2) = mats["lambda_x1"].shape, mats["lambda_x2"].shape
-    for key, block, dim in zip(_LATENT, blocks, (k1, p1, p2, k2)):
-        if block.dim != dim:
-            raise ValueError(f"{where}{key} has dimension {block.dim}, "
-                             f"expected {dim} by the loadings")
-    for key, shape in (("gamma", (k2, k1)), ("b0", (k2, k2))):
-        if mats[key].shape != shape:
-            raise ValueError(f"{where}{key} has shape {mats[key].shape}, "
-                             f"expected {shape}")
-    if np.any(np.diag(mats["b0"])):
-        raise ValueError(f"{where}b0 must have a zero diagonal")
-    return (mats["lambda_x1"], mats["lambda_x2"], mats["gamma"],
-            _invert_psi(mats["b0"], f"{where}b0"))
-
-
-def load_truth(truth) -> dict:
-    """A bundled truth's name or a truth document as four :class:`OuBlock`
-    and four float matrices (``b0`` and each ``init`` zeros if omitted);
-    ``ValueError`` names the ``true_model.<key>`` that breaks a rule."""
+def load_truth(truth) -> Truth:
+    """A bundled truth's name or a truth document as a :class:`Truth`
+    (``b0`` and each ``init`` zeros if omitted); ``ValueError`` names the
+    ``true_model.<key>`` that breaks a rule."""
     if isinstance(truth, str):
         truth = _doc.read_bundled("truth_files", truth, "true model")
     _doc.fields(truth, "true_model",
@@ -177,26 +177,25 @@ def load_truth(truth) -> dict:
             out[key] = OuBlock(dim=dim, **{"init": np.zeros(dim), **arrays})
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-    for key in ("lambda_x1", "lambda_x2", "gamma", "b0"):
+    for key in _MATRICES:
         if key in truth:
             out[key] = np.atleast_2d(_doc.array(truth[key], f"true_model.{key}"))
     k2 = out["lambda_x2"].shape[1]
     out.setdefault("b0", np.zeros((k2, k2)))
-    _cross_checked(**out, where="true_model.")
-    return out
+    return Truth(**out)
 
 
-def implied_sigma(truth: dict) -> np.ndarray:
-    """Sigma0 of a truth from :func:`load_truth`, as an all-fixed SemSpec
-    (q = 0), so the one implied-covariance formula computes it."""
-    l1, l2 = truth["lambda_x1"], truth["lambda_x2"]
+def implied_sigma(truth: Truth) -> np.ndarray:
+    """Sigma0 of a truth, as an all-fixed SemSpec (q = 0), so the one
+    implied-covariance formula computes it."""
+    l1, l2 = truth.lambda_x1, truth.lambda_x2
     dims = {"p1": l1.shape[0], "p2": l2.shape[0],
             "k1": l1.shape[1], "k2": l2.shape[1]}
-    values = {"lambda_x1": l1, "lambda_x2": l2, "b": truth["b0"],
-              "gamma": truth["gamma"]}
+    values = {"lambda_x1": l1, "lambda_x2": l2, "b": truth.b0,
+              "gamma": truth.gamma}
     for role, key in zip(("sigma_xixi", "sigma_dd", "sigma_ee", "sigma_zz"),
                          _LATENT):
-        values[role] = truth[key].noise_cov
+        values[role] = getattr(truth, key).noise_cov
     patterns = {role: [[{"fixed": v} for v in row] for row in a.tolist()]
                 for role, a in values.items()}
     spec = SemSpec(dims, patterns, lower=[], upper=[], name="truth")
@@ -322,26 +321,18 @@ def _block_streams(seed: int) -> list[np.random.Generator]:
     return [np.random.default_rng(c) for c in children]
 
 
-def simulate_custom(xi: OuBlock, delta: OuBlock, eps: OuBlock, zeta: OuBlock,
-                    lambda_x1: np.ndarray, lambda_x2: np.ndarray,
-                    gamma: np.ndarray, b0: np.ndarray, *, n: int, T: float,
-                    seed: int, keep_latents: bool = True) -> PathBundle:
-    """Simulate a truth laid out as :func:`load_truth` returns it; a truth
-    dict is passed as ``simulate_custom(**truth, n=n, T=T, seed=seed)``.
-    The arrays first pass the checks :func:`load_truth` ends with.
+def simulate_custom(truth: Truth, *, n: int, T: float, seed: int,
+                    keep_latents: bool = True) -> PathBundle:
+    """Simulate a checked truth on the grid of ``n`` steps over ``T``.
 
     The blocks are streamed together chunk by chunk and each chunk's
     observations are written into ``x_obs``; the latent paths are stored
     only with ``keep_latents``.  The blocks' exact transitions are built
-    once per truth and grid in a process (see :func:`_exact_transition`),
-    and the checks run once per truth (see :func:`_cross_checked`).
+    once per truth and grid in a process (see :func:`_exact_transition`).
     """
     h = _grid_step(n, T)
-    blocks = (xi, delta, eps, zeta)
-    lambda_x1, lambda_x2, gamma, psi_inv = _cross_checked(
-        *blocks, lambda_x1, lambda_x2, gamma, b0)
-    (p1, k1), (p2, k2) = lambda_x1.shape, lambda_x2.shape
-    psi_inv_t = psi_inv.T
+    blocks = (truth.xi, truth.delta, truth.eps, truth.zeta)
+    (p1, k1), (p2, k2) = truth.lambda_x1.shape, truth.lambda_x2.shape
     chunks = zip(*[_path_chunks(block, n, _exact_transition(block, h), rng)
                    for block, rng in zip(blocks, _block_streams(seed))])
     x_obs = np.empty((n + 1, p1 + p2))
@@ -353,9 +344,9 @@ def simulate_custom(xi: OuBlock, delta: OuBlock, eps: OuBlock, zeta: OuBlock,
     start = 0
     for xi, delta, eps, zeta in chunks:
         stop = start + len(xi)
-        eta = (xi @ gamma.T + zeta) @ psi_inv_t
-        x_obs[start:stop, :p1] = xi @ lambda_x1.T + delta
-        x_obs[start:stop, p1:] = eta @ lambda_x2.T + eps
+        eta = (xi @ truth.gamma.T + zeta) @ truth.psi_inv.T
+        x_obs[start:stop, :p1] = xi @ truth.lambda_x1.T + delta
+        x_obs[start:stop, p1:] = eta @ truth.lambda_x2.T + eps
         for name, rows in zip(latents, (xi, delta, eps, zeta, eta)):
             latents[name][start:stop] = rows
         start = stop
@@ -365,5 +356,5 @@ def simulate_custom(xi: OuBlock, delta: OuBlock, eps: OuBlock, zeta: OuBlock,
 def simulate_true_model(n: int, T: float, seed: int,
                         keep_latents: bool = True) -> PathBundle:
     """Simulate ``TRUE_MODEL_NAME``; deterministic given ``seed``."""
-    return simulate_custom(**load_truth(TRUE_MODEL_NAME), n=n, T=T, seed=seed,
+    return simulate_custom(load_truth(TRUE_MODEL_NAME), n=n, T=T, seed=seed,
                            keep_latents=keep_latents)

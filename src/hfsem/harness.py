@@ -165,7 +165,7 @@ def load_specs(paths: Sequence[str]) -> list[SemSpec]:
 
 
 def _load_study(config: ExperimentConfig, paths: Sequence[str]
-                ) -> tuple[list[SemSpec], dict, np.ndarray]:
+                ) -> tuple[list[SemSpec], diffsim.Truth, np.ndarray]:
     """The specs at ``paths``, the config's truth and its covariance
     Sigma0, each spec checked against the series the truth observes (the
     factor dimensions may differ: candidates vary them) and against the
@@ -213,7 +213,7 @@ def _chunk_cuts(tasks: int, workers: int) -> list[int]:
 def _realized(chunk: dict, rep: dict):
     """One replication's path, reduced to its realized covariation."""
     # Through the module attribute, where a benchmark hook can patch it.
-    bundle = diffsim.simulate_custom(**chunk["truth"], n=rep["n"], T=chunk["T"],
+    bundle = diffsim.simulate_custom(chunk["truth"], n=rep["n"], T=chunk["T"],
                                      seed=rep["seed"], keep_latents=False)
     return quad_var(bundle.x_obs, chunk["T"])
 
@@ -285,7 +285,8 @@ def _limit_optima(specs: Sequence[SemSpec], sigma0: np.ndarray,
 
 
 def _replicate(config: ExperimentConfig, specs: Sequence[SemSpec],
-               inits: Sequence[Optional[np.ndarray]], truth: dict) -> list[dict]:
+               inits: Sequence[Optional[np.ndarray]],
+               truth: diffsim.Truth) -> list[dict]:
     """Each (n, rep) replication's result, in task order at any worker count
     and any chunking: contiguous chunks of at most ``_CHUNK`` replications
     go to the workers, and a replication's fits do not depend on its chunk."""

@@ -167,7 +167,8 @@ def _free_steps(matrix: np.ndarray, grad: np.ndarray, free: np.ndarray,
         g = grad[lane, keep]
         c, bad = lapack.dpotrf(block, lower=1, clean=0)
         if not bad and g.size:
-            rcond = lapack.dpocon(c, lapack.dlange("1", block), uplo="L")[0]
+            # The block is symmetric: f2py passes its transpose uncopied.
+            rcond = lapack.dpocon(c, lapack.dlange("1", block.T), uplo="L")[0]
             if rcond > _EPS * g.size:
                 steps[lane, keep] = lapack.dpotrs(c, g, lower=1)[0]
                 continue

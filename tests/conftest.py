@@ -467,14 +467,13 @@ def oneshot_simulate_custom(tb, n, T, seed):
     ``diffsim.load_truth``: whole latent paths, ``eta`` by ``solve`` and one
     stacked assembly.  Returns the observed and latent arrays by name."""
     streams = diffsim._block_streams(seed)
-    paths = {name: oneshot_simulate_ou(tb[name], n, T, rng)
+    paths = {name: oneshot_simulate_ou(getattr(tb, name), n, T, rng)
              for name, rng in zip(("xi", "delta", "eps", "zeta"), streams)}
-    b0 = np.asarray(tb["b0"], float)
-    psi = np.eye(b0.shape[0]) - b0
+    psi = np.eye(tb.b0.shape[0]) - tb.b0
     xi = paths["xi"]
-    eta = np.linalg.solve(psi, (xi @ tb["gamma"].T + paths["zeta"]).T).T
-    x_obs = np.hstack([xi @ tb["lambda_x1"].T + paths["delta"],
-                       eta @ tb["lambda_x2"].T + paths["eps"]])
+    eta = np.linalg.solve(psi, (xi @ tb.gamma.T + paths["zeta"]).T).T
+    x_obs = np.hstack([xi @ tb.lambda_x1.T + paths["delta"],
+                       eta @ tb.lambda_x2.T + paths["eps"]])
     return dict(paths, eta=eta, x_obs=x_obs)
 
 

@@ -324,6 +324,37 @@ def test_library_error_is_one_line(runner, fit_files, tmp_path, argv):
                                      "float range, got an integer beyond it\n")
 
 
+@pytest.mark.parametrize("argv, culprit, reason", [
+    (["simulate", "--n", "5", "--out", "{missing}"], "{missing}", "missing"),
+    (["quadvar", "--in", "{path}", "--T", "1", "--out", "{missing}"],
+     "{missing}", "missing"),
+    (["fit", "--spec", "model1", "--data", "{path}", "--T", "1",
+      "--out", "{missing}"], "{missing}", "missing"),
+    (["criteria", "{fits}", "--out", "{missing}"], "{missing}", "missing"),
+    (["quadvar", "--in", "{dir}", "--T", "1", "--out", "{out}"], "{dir}",
+     "directory"),
+    (["fit", "--spec", "model1", "--data", "{dir}", "--T", "1",
+      "--out", "{out}"], "{dir}", "directory"),
+    (["fit", "--spec", "model1", "--data", "{path}", "--T", "1",
+      "--init", "{dir}", "--out", "{out}"], "{dir}", "directory"),
+], ids=["simulate-out", "quadvar-out", "fit-out", "criteria-out",
+        "quadvar-in-directory", "fit-data-directory", "fit-init-directory"])
+def test_path_error_is_one_line(runner, fit_files, tmp_path, argv, culprit,
+                                reason):
+    _, path, fits = fit_files
+    fill = {"{path}": [str(path)], "{out}": [str(tmp_path / "out")],
+            "{missing}": [str(tmp_path / "nodir" / "x.csv")],
+            "{dir}": [str(tmp_path)],
+            "{fits}": [a for f in fits for a in ("--fits", str(f))]}
+    args = [a for arg in argv for a in fill.get(arg, [arg])]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    strerror = {"missing": "No such file or directory",
+                "directory": "Is a directory"}[reason]
+    assert result.output == f"Error: {fill[culprit][0]}: {strerror}\n"
+
+
 class TestTable1:
     def test_invariant_violation_reported(self, runner, tmp_path, monkeypatch):
         def broken(table):
@@ -340,7 +371,23 @@ class TestTable1:
                                       "--out-dir", str(out_dir)])
         assert result.exit_code == 1
         assert "invariant violation: count leak" in result.output
-        assert not out_dir.exists()
+        assert not any(out_dir.iterdir())  # made before the run, left empty
+
+    def test_unusable_out_dir_stops_before_the_study(self, runner, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(harness, "run_experiment", lambda *args, **kw:
+                            pytest.fail("the study ran"))
+        config_path = tmp_path / "exp.json"
+        harness.ExperimentConfig(n_values=[100], T=1.0, replications=1,
+                                 master_seed=5,
+                                 model_spec_paths=["model1"]).to_json(config_path)
+        blocker = tmp_path / "p.csv"
+        blocker.write_text("")
+        out_dir = blocker / "out"
+        result = runner.invoke(main, ["table1", "--config", str(config_path),
+                                      "--out-dir", str(out_dir)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {out_dir}: Not a directory\n"
 
     def test_full_run(self, runner, tmp_path):
         config = harness.ExperimentConfig(

@@ -1,4 +1,6 @@
+import dataclasses
 import inspect
+import pickle
 
 import numpy as np
 import pytest
@@ -106,7 +108,7 @@ GRID_ENTRIES = {
     "simulate_ou": lambda n: diffsim.simulate_ou(
         scalar_xi_block(), n, 1.0, np.random.default_rng(0)),
     "simulate_custom": lambda n: diffsim.simulate_custom(
-        **diffsim.load_truth(diffsim.TRUE_MODEL_NAME), n=n, T=1.0, seed=0),
+        diffsim.load_truth(diffsim.TRUE_MODEL_NAME), n=n, T=1.0, seed=0),
     "simulate_true_model": lambda n: diffsim.simulate_true_model(n, 1.0, seed=0),
 }
 
@@ -137,13 +139,13 @@ class TestTrueModel:
 
     def test_assembly_identity(self, bundle_1e4):
         tb = diffsim.load_truth("true4-6")
-        x1 = bundle_1e4.xi @ tb["lambda_x1"].T + bundle_1e4.delta
-        x2 = bundle_1e4.eta @ tb["lambda_x2"].T + bundle_1e4.eps
+        x1 = bundle_1e4.xi @ tb.lambda_x1.T + bundle_1e4.delta
+        x2 = bundle_1e4.eta @ tb.lambda_x2.T + bundle_1e4.eps
         assert np.abs(bundle_1e4.x_obs - np.hstack([x1, x2])).max() < 1e-12
 
     def test_eta_is_structural_solution(self, bundle_1e4):
         tb = diffsim.load_truth("true4-6")
-        resid = bundle_1e4.eta - (bundle_1e4.xi @ tb["gamma"].T + bundle_1e4.zeta)
+        resid = bundle_1e4.eta - (bundle_1e4.xi @ tb.gamma.T + bundle_1e4.zeta)
         assert np.abs(resid).max() < 1e-12
 
     def test_initial_values(self):
@@ -182,44 +184,43 @@ class TestTrueModel:
 class TestSimulateCustom:
     def test_matches_true_model_bit_for_bit(self):
         tb = diffsim.load_truth("true4-6")
-        a = diffsim.simulate_custom(**tb, n=200, T=1.0, seed=5)
+        a = diffsim.simulate_custom(tb, n=200, T=1.0, seed=5)
         b = diffsim.simulate_true_model(200, 1.0, seed=5)
         assert np.array_equal(a.x_obs, b.x_obs)
 
     def test_zero_loadings_give_pure_noise_block(self):
-        tb = diffsim.load_truth("true4-6")
-        tb["lambda_x2"] = np.zeros((6, 2))
-        out = diffsim.simulate_custom(**tb, n=100, T=1.0, seed=3)
+        tb = dataclasses.replace(diffsim.load_truth("true4-6"),
+                                 lambda_x2=np.zeros((6, 2)))
+        out = diffsim.simulate_custom(tb, n=100, T=1.0, seed=3)
         assert np.array_equal(out.x_obs[:, 4:], out.eps)
 
     def test_structural_feedback_solved_exactly(self):
-        tb = diffsim.load_truth("true4-6")
-        tb["b0"] = np.array([[0.0, 0.0], [0.6, 0.0]])  # strictly lower triangular
-        out = diffsim.simulate_custom(**tb, n=100, T=1.0, seed=3)
-        psi = np.eye(2) - tb["b0"]
-        resid = out.eta @ psi.T - (out.xi @ tb["gamma"].T + out.zeta)
+        tb = dataclasses.replace(diffsim.load_truth("true4-6"),  # strictly
+                                 b0=[[0.0, 0.0], [0.6, 0.0]])  # lower triangular
+        out = diffsim.simulate_custom(tb, n=100, T=1.0, seed=3)
+        psi = np.eye(2) - tb.b0
+        resid = out.eta @ psi.T - (out.xi @ tb.gamma.T + out.zeta)
         assert np.abs(resid).max() < 1e-12
 
     def test_singular_structure_rejected(self):
         tb = diffsim.load_truth("true4-6")
-        tb["b0"] = np.array([[0.0, 1.0], [1.0, 0.0]])  # I - b0 singular
-        with pytest.raises(SingularStructureError):
-            diffsim.simulate_custom(**tb, n=10, T=1.0, seed=0)
+        with pytest.raises(SingularStructureError):  # I - b0 singular
+            dataclasses.replace(tb, b0=[[0.0, 1.0], [1.0, 0.0]])
 
     def test_dimension_mismatch_rejected(self):
         tb = diffsim.load_truth("true4-6")
-        tb["xi"], tb["zeta"] = tb["zeta"], tb["xi"]
         with pytest.raises(ValueError):
-            diffsim.simulate_custom(**tb, n=10, T=1.0, seed=0)
+            dataclasses.replace(tb, xi=tb.zeta, zeta=tb.xi)
 
     def test_grid_arguments_keyword_only(self):
         # a benchmark hook reads the grid size as kwargs["n"]
         params = inspect.signature(diffsim.simulate_custom).parameters
+        assert list(params) == ["truth", "n", "T", "seed", "keep_latents"]
         for name in ("n", "T", "seed", "keep_latents"):
             assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
         tb = diffsim.load_truth("true4-6")
         with pytest.raises(TypeError):
-            diffsim.simulate_custom(*tb.values(), 10, 1.0, 0)
+            diffsim.simulate_custom(tb, 10, 1.0, 0)
 
     @pytest.mark.parametrize("name, bad", [
         ("lambda_x1", (0, 0, np.inf)),
@@ -230,10 +231,10 @@ class TestSimulateCustom:
     def test_non_finite_input_rejected(self, name, bad):
         tb = diffsim.load_truth("true4-6")
         row, col, value = bad
-        tb[name] = np.array(tb[name], dtype=float)
-        tb[name][row, col] = value
+        matrix = getattr(tb, name).copy()
+        matrix[row, col] = value
         with pytest.raises(ValueError, match=name):
-            diffsim.simulate_custom(**tb, n=50, T=1.0, seed=0)
+            dataclasses.replace(tb, **{name: matrix})
 
 
 # Edits of the bundled truth that break one cross-check, and the message
@@ -256,8 +257,8 @@ BROKEN_TRUTHS = {
 
 
 class TestLoadTruth:
-    """The one reader of truths, and the cross-checks it shares with
-    ``simulate_custom``."""
+    """The one reader of truths, and the cross-checks every ``Truth`` runs
+    as it is built."""
 
     def test_bundled_truth_is_the_study_truth(self):
         # true4-6 as the package first wrote it, as Python literals
@@ -279,9 +280,9 @@ class TestLoadTruth:
             "b0": np.zeros((2, 2)),
         }
         tb = diffsim.load_truth(diffsim.TRUE_MODEL_NAME)
-        assert list(tb) == list(expected)
+        assert [f.name for f in dataclasses.fields(tb) if f.init] == list(expected)
         for key, want in expected.items():
-            got = tb[key]
+            got = getattr(tb, key)
             if isinstance(want, diffsim.OuBlock):
                 assert got.dim == want.dim
                 pairs = [(getattr(got, f), getattr(want, f)) for f in
@@ -311,10 +312,24 @@ class TestLoadTruth:
 
     @pytest.mark.parametrize("case", BROKEN_TRUTHS)
     def test_simulate_custom_runs_the_same_checks(self, case):
+        # simulate_custom takes a built Truth, which ran the checks: an
+        # edited truth fails them as it is built, with the same message
         key, value, message = BROKEN_TRUTHS[case]
-        tb = {**diffsim.load_truth(diffsim.TRUE_MODEL_NAME), key: value}
-        with pytest.raises(ValueError, match=rf"^{message}"):
-            diffsim.simulate_custom(**tb, n=10, T=1.0, seed=0)
+        tb = diffsim.load_truth(diffsim.TRUE_MODEL_NAME)
+        with pytest.raises(ValueError, match=rf"^true_model\.{message}"):
+            dataclasses.replace(tb, **{key: value})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("dispersion", [[[3.0]]], "dispersion must be a 1-row matrix"),
+        ("mean_reversion", [[[2.0]]], "mean_reversion must be 1x1"),
+        ("level", [[5.0]], "level and init must have length 1"),
+        ("init", [[3.0]], "level and init must have length 1")],
+        ids=["dispersion-3d", "mean_reversion-3d", "level-2d", "init-2d"])
+    def test_block_field_shapes_named(self, key, value, message):
+        doc = bundled_truth_doc()
+        doc["xi"] = {**doc["xi"], key: value}
+        with pytest.raises(ValueError, match=rf"^true_model\.xi: {message}$"):
+            diffsim.load_truth(doc)
 
     def test_singular_structure_named(self):
         doc = {**bundled_truth_doc(), "b0": [[0.0, 1.0], [1.0, 0.0]]}
@@ -334,15 +349,16 @@ class TestTransitionMemo:
         monkeypatch.setattr(diffsim, "_TRANSITIONS", {})
         tb = truth_variant(kind)
         for name in LATENTS[:4]:
-            memo = diffsim._exact_transition(tb[name], 1.0 / n)
-            assert diffsim._exact_transition(tb[name], 1.0 / n) is memo
-            for kept, fresh in zip(memo, diffsim._build_transition(tb[name],
+            block = getattr(tb, name)
+            memo = diffsim._exact_transition(block, 1.0 / n)
+            assert diffsim._exact_transition(block, 1.0 / n) is memo
+            for kept, fresh in zip(memo, diffsim._build_transition(block,
                                                                    1.0 / n)):
                 assert np.array_equal(kept, fresh)
                 assert not kept.flags.writeable
-        warm = diffsim.simulate_custom(**tb, n=n, T=1.0, seed=4)
+        warm = diffsim.simulate_custom(tb, n=n, T=1.0, seed=4)
         monkeypatch.setattr(diffsim, "_TRANSITIONS", {})
-        cold = diffsim.simulate_custom(**tb, n=n, T=1.0, seed=4)
+        cold = diffsim.simulate_custom(tb, n=n, T=1.0, seed=4)
         for name in ("x_obs",) + LATENTS:
             assert np.array_equal(getattr(warm, name), getattr(cold, name)), name
 
@@ -361,62 +377,71 @@ class TestTransitionMemo:
             memo[0][0, 0] = 1.0
 
 
-class TestTruthMemo:
-    """``_cross_checked`` checks a truth once per process: memoized on the
-    blocks' dimensions and the matrices' bytes, never for a truth that
-    fails."""
+class TestTruth:
+    """A ``Truth`` is checked once, when it is built: its matrices are
+    read-only float copies, a truth that fails a check is never built, and
+    a pickled copy is built anew."""
 
-    def test_checked_once_per_truth(self, monkeypatch):
-        monkeypatch.setattr(diffsim, "_CHECKED", {})
-        calls = []
-        check = diffsim._check_truth
-        monkeypatch.setattr(diffsim, "_check_truth",
-                            lambda *args: calls.append(1) or check(*args))
+    def test_checked_once_when_built(self, monkeypatch):
+        # with the checks' last step broken, a built truth still simulates
+        # the same path, and no truth can be built
         tb = diffsim.load_truth(diffsim.TRUE_MODEL_NAME)
-        warm = [diffsim.simulate_custom(**tb, n=50, T=1.0, seed=seed)
-                for seed in (1, 1, 2)]
-        assert len(calls) == 1
-        assert np.array_equal(warm[0].x_obs, warm[1].x_obs)
-        # an equal truth read anew shares the entry; an edited one does not
-        diffsim.load_truth(bundled_truth_doc())
-        diffsim.simulate_custom(**truth_variant("structural"), n=50, T=1.0,
-                                seed=1)
-        assert len(calls) == 2 and len(diffsim._CHECKED) == 2
-        monkeypatch.setattr(diffsim, "_CHECKED", {})
-        cold = diffsim.simulate_custom(**tb, n=50, T=1.0, seed=1)
-        assert np.array_equal(cold.x_obs, warm[0].x_obs)
+        before = diffsim.simulate_custom(tb, n=50, T=1.0, seed=1)
 
-    def test_memoized_arrays_read_only(self, monkeypatch):
-        monkeypatch.setattr(diffsim, "_CHECKED", {})
+        def broken(*args):
+            raise AssertionError("checked again")
+
+        monkeypatch.setattr(diffsim, "_invert_psi", broken)
+        after = diffsim.simulate_custom(tb, n=50, T=1.0, seed=1)
+        assert np.array_equal(before.x_obs, after.x_obs)
+        with pytest.raises(AssertionError, match="checked again"):
+            dataclasses.replace(tb)
+
+    def test_matrices_are_read_only_copies(self):
         tb = diffsim.load_truth(diffsim.TRUE_MODEL_NAME)
-        memo = diffsim._cross_checked(**tb)
-        assert diffsim._cross_checked(**tb) is memo
-        for array, want in zip(memo, (tb["lambda_x1"], tb["lambda_x2"],
-                                      tb["gamma"], np.eye(2))):
-            assert np.array_equal(array, want)
-            assert not array.flags.writeable
-            assert not np.shares_memory(array, want)
+        given = {"lambda_x1": tb.lambda_x1.astype(int),
+                 "lambda_x2": tb.lambda_x2.copy(), "gamma": tb.gamma.tolist(),
+                 "b0": tb.b0.copy()}
+        built = dataclasses.replace(tb, **given)
+        for key, value in given.items():
+            kept = getattr(built, key)
+            assert kept.dtype == float and np.array_equal(kept, value), key
+            assert not kept.flags.writeable, key
+            assert not np.shares_memory(kept, np.asarray(value)), key
+        assert np.array_equal(built.psi_inv, np.eye(2))
+        assert not built.psi_inv.flags.writeable
+
+    def test_edit_in_place_refused(self):
+        tb = diffsim.load_truth(diffsim.TRUE_MODEL_NAME)
+        for key in ("lambda_x1", "lambda_x2", "gamma", "b0", "psi_inv"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(tb, key)[0, 0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tb.b0 = np.full((2, 2), 0.5)
 
     @pytest.mark.parametrize("case", ["b0-diagonal", "gamma-nan",
                                       "delta-vs-lambda_x1"])
-    def test_bad_truth_fails_every_call(self, case, monkeypatch):
-        monkeypatch.setattr(diffsim, "_CHECKED", {})
+    def test_bad_truth_never_built(self, case):
+        # the constructor raises on every call, as load_truth does
         key, value, message = BROKEN_TRUTHS[case]
-        tb = {**diffsim.load_truth(diffsim.TRUE_MODEL_NAME), key: value}
-        assert len(diffsim._CHECKED) == 1
-        for _ in range(2):
-            with pytest.raises(ValueError, match=rf"^{message}"):
-                diffsim.simulate_custom(**tb, n=10, T=1.0, seed=0)
-        assert len(diffsim._CHECKED) == 1
-
-    def test_edit_in_place_is_checked(self, monkeypatch):
-        # the entry is keyed on the values, not on the array objects
-        monkeypatch.setattr(diffsim, "_CHECKED", {})
         tb = diffsim.load_truth(diffsim.TRUE_MODEL_NAME)
-        diffsim.simulate_custom(**tb, n=10, T=1.0, seed=0)
-        tb["b0"][0, 0] = 0.5
-        with pytest.raises(ValueError, match="b0 must have a zero diagonal"):
-            diffsim.simulate_custom(**tb, n=10, T=1.0, seed=0)
+        given = {f.name: getattr(tb, f.name) for f in dataclasses.fields(tb)
+                 if f.init}
+        for _ in range(2):
+            with pytest.raises(ValueError, match=rf"^true_model\.{message}"):
+                diffsim.Truth(**{**given, key: value})
+
+    def test_pickle_round_trip(self):
+        tb = truth_variant("structural")
+        copy = pickle.loads(pickle.dumps(tb))
+        assert isinstance(copy, diffsim.Truth) and copy is not tb
+        for key in ("lambda_x1", "lambda_x2", "gamma", "b0", "psi_inv"):
+            assert np.array_equal(getattr(copy, key), getattr(tb, key)), key
+            assert not getattr(copy, key).flags.writeable, key
+        ours, theirs = (diffsim.simulate_custom(t, n=300, T=1.0, seed=2)
+                        for t in (tb, copy))
+        for name in ("x_obs",) + LATENTS:
+            assert np.array_equal(getattr(ours, name), getattr(theirs, name))
 
 
 def truth_variant(kind):
@@ -425,17 +450,18 @@ def truth_variant(kind):
     if kind == "non_diagonal":
         # a coupled block, and dense second-block loadings so every product
         # of the assembly sums two nonzero terms
-        tb["zeta"] = diffsim.OuBlock(2, [[2.0, 0.7], [0.0, 1.5]], [1.0, 2.0],
-                                     [[1.0, 0.0], [0.3, 0.8]], [0.5, -0.5])
-        tb["lambda_x2"] = np.array([[1.0, 0.5], [3.0, -0.2], [2.0, 0.7],
-                                    [0.3, 1.0], [-0.4, 2.0], [0.6, 4.0]])
-    elif kind == "structural":
-        tb["b0"] = np.array([[0.0, 0.0], [0.5, 0.0]])
+        return dataclasses.replace(
+            tb, zeta=diffsim.OuBlock(2, [[2.0, 0.7], [0.0, 1.5]], [1.0, 2.0],
+                                     [[1.0, 0.0], [0.3, 0.8]], [0.5, -0.5]),
+            lambda_x2=[[1.0, 0.5], [3.0, -0.2], [2.0, 0.7],
+                       [0.3, 1.0], [-0.4, 2.0], [0.6, 4.0]])
+    if kind == "structural":
+        return dataclasses.replace(tb, b0=[[0.0, 0.0], [0.5, 0.0]])
     return tb
 
 
 def simulate_variant(tb, n, keep_latents):
-    return diffsim.simulate_custom(**tb, n=n, T=1.0, seed=11,
+    return diffsim.simulate_custom(tb, n=n, T=1.0, seed=11,
                                    keep_latents=keep_latents)
 
 

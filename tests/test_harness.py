@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import pathlib
@@ -185,12 +186,12 @@ class TestTruthSigma:
         assert np.abs(sigma - sigma0_oracle).max() < 1e-12
 
     def test_nontrivial_structure_matrix(self):
-        tb = diffsim.load_truth("true4-6")
-        tb["b0"] = np.array([[0.0, 0.0], [0.5, 0.0]])
+        tb = dataclasses.replace(diffsim.load_truth("true4-6"),
+                                 b0=[[0.0, 0.0], [0.5, 0.0]])
         sigma = diffsim.implied_sigma(tb)
-        psi_inv = np.linalg.inv(np.eye(2) - tb["b0"])
-        a2 = tb["lambda_x2"] @ psi_inv
-        m = tb["gamma"] @ np.array([[9.0]]) @ tb["gamma"].T + np.diag([9.0, 1.0])
+        psi_inv = np.linalg.inv(np.eye(2) - tb.b0)
+        a2 = tb.lambda_x2 @ psi_inv
+        m = tb.gamma @ np.array([[9.0]]) @ tb.gamma.T + np.diag([9.0, 1.0])
         expected_22 = a2 @ m @ a2.T + np.diag([25.0, 1.0, 4.0, 1.0, 9.0, 4.0])
         assert np.abs(sigma[4:, 4:] - expected_22).max() < 1e-12
 
@@ -332,7 +333,7 @@ class TestRunExperiment:
         truth = custom_truth()
         sigma = harness.truth_sigma(truth)
         assert sigma.shape == (4, 4)
-        bundle = diffsim.simulate_custom(**diffsim.load_truth(truth),
+        bundle = diffsim.simulate_custom(diffsim.load_truth(truth),
                                          n=50, T=1.0, seed=1)
         assert bundle.x_obs.shape == (51, 4)
 
@@ -419,7 +420,7 @@ def direct_gap_probe(model_a, model_b, criterion):
     for n in config.n_values:
         for rep in range(config.replications):
             seed = harness.split_seed(config.master_seed, n, rep)
-            qv = quad_var(diffsim.simulate_custom(**truth, n=n, T=config.T,
+            qv = quad_var(diffsim.simulate_custom(truth, n=n, T=config.T,
                                                   seed=seed).x_obs, config.T)
             row_a, row_b = [
                 criteria_row(qmle.fit(LikelihoodSurface(spec, qv), init=theta))

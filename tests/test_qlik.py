@@ -141,7 +141,7 @@ HORIZON_ENTRIES = {
         diffsim.OuBlock(1, [[2.0]], [5.0], [[3.0]], [3.0]), 10, T,
         np.random.default_rng(0)),
     "simulate_custom": lambda T: diffsim.simulate_custom(
-        **diffsim.load_truth(diffsim.TRUE_MODEL_NAME), n=10, T=T, seed=0),
+        diffsim.load_truth(diffsim.TRUE_MODEL_NAME), n=10, T=T, seed=0),
     "simulate_true_model": lambda T: diffsim.simulate_true_model(10, T, seed=0),
     "ExperimentConfig.validate": lambda T: harness.ExperimentConfig(
         n_values=[100], T=T, replications=1, master_seed=0,

@@ -285,8 +285,12 @@ class TestFit:
         dpocon = lapack.dpocon
         monkeypatch.setattr(lapack, "dpocon", lambda c, anorm, **k:
                             norms.append(anorm) or dpocon(c, anorm, **k))
+        # the blocks reach dlange in Fortran order, which f2py does not copy
+        dlange, orders = lapack.dlange, []
+        monkeypatch.setattr(lapack, "dlange", lambda norm, a: orders.append(
+            a.flags.f_contiguous) or dlange(norm, a))
         for least_squares in (False, True):
-            solves[:], norms[:] = [], []
+            solves[:], norms[:], orders[:] = [], [], []
             step, failed = qmle._free_steps(info, grad, free, least_squares)
             # the empty, singular and indefinite lanes
             assert failed.tolist() == [False, False, True, True, True, True]
@@ -296,6 +300,7 @@ class TestFit:
             assert np.array_equal(step, reference[0])
             assert np.array_equal(failed, reference[1])
             assert len(ours) == 4 and ours == norms  # 1-norms, bit for bit
+            assert orders == [True] * 4
             assert np.abs(info[0] @ step[0] - grad[0]).max() < 1e-12
             assert np.array_equal(step[2], np.zeros(q))
             assert step[3, 3] == 0.0 and step[4, 3] == 0.0
@@ -554,7 +559,7 @@ def test_seed_is_an_integer(surface_1e3, entry, seed):
     # Unread, these fail inside numpy or, for True, run as seed 1.
     calls = {
         "simulate_custom": lambda: diffsim.simulate_custom(
-            **diffsim.load_truth(diffsim.TRUE_MODEL_NAME), n=10, T=1.0,
+            diffsim.load_truth(diffsim.TRUE_MODEL_NAME), n=10, T=1.0,
             seed=seed),
         "start_set": lambda: qmle.start_set(
             surface_1e3.spec, surface_1e3.quadvar.q_xx, starts=2, seed=seed),
