@@ -1,8 +1,9 @@
 """Truths of the latent-diffusion SEM, read, checked and simulated here only.
 
-A :class:`Truth` holds the latent OU blocks xi, delta, eps and zeta, the
-loadings lambda_x1 and lambda_x2, and the structural matrices gamma and
-b0, checked when it is built, so :func:`simulate_custom` checks nothing.
+A :class:`Truth` holds the latent OU blocks (:class:`OuBlock`) xi, delta,
+eps and zeta, the loadings lambda_x1 and lambda_x2, and the structural
+matrices gamma and b0.  Truths and blocks are checked when they are built
+and keep read-only arrays, so :func:`simulate_custom` checks nothing.
 :func:`load_truth` reads one from its name (the stem of a bundled
 ``truth_files/*.json`` document) or from such a document.
 :func:`implied_sigma` is its covariance Sigma0, as an all-fixed ``SemSpec``.
@@ -24,13 +25,12 @@ grid sizes n and horizons T are read by the one rule of each in ``_doc``.
 Paths are streamed: each block yields its path in row chunks, and each
 chunk's observations are written into the one preallocated ``x_obs``.
 The result is bit-for-bit the whole-path computation (one draw of all
-steps, then the recursion), which ``tests/conftest.py`` keeps as the
-reference.
+steps, then the recursion) that ``tests/conftest.py`` keeps as reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
 
 import numpy as np
@@ -56,6 +56,7 @@ TRUE_MODEL_NAME = "true4-6"
 
 _LATENT = ("xi", "delta", "eps", "zeta")
 _MATRICES = ("lambda_x1", "lambda_x2", "gamma", "b0")
+_BLOCK = ("mean_reversion", "level", "dispersion", "init")
 
 # Rows per chunk of a streamed path: a chunk's draws, products and
 # assembly stay in cache, and no n-sized temporary is made besides the
@@ -63,31 +64,52 @@ _MATRICES = ("lambda_x1", "lambda_x2", "gamma", "b0")
 _CHUNK_ROWS = 8192
 
 
-@dataclass
-class OuBlock:
-    """One latent block ``dx = -(mean_reversion x - level) dt + dispersion dW``."""
-    dim: int
+class _Frozen:
+    """A frozen dataclass of read-only float arrays, checked as it is built."""
+
+    def _keep(self, key: str, ndmin: int) -> np.ndarray:
+        value = np.array(getattr(self, key), float, ndmin=ndmin)
+        value.flags.writeable = False
+        object.__setattr__(self, key, value)
+        return value
+
+    def __reduce__(self):  # built anew: numpy unpickles arrays writeable
+        return type(self), tuple(getattr(self, f.name)
+                                 for f in fields(self) if f.init)
+
+
+@dataclass(frozen=True, eq=False)
+class OuBlock(_Frozen):
+    """One latent block ``dx = -(mean_reversion x - level) dt + dispersion dW``
+    from ``init`` (zeros if omitted), of dimension ``level.size``."""
     mean_reversion: np.ndarray
     level: np.ndarray
     dispersion: np.ndarray
-    init: np.ndarray
+    init: Optional[np.ndarray] = None
+    _key: tuple = field(init=False, repr=False)  # of its memoized transitions
 
     def __post_init__(self):
-        self.dim = _doc.integer(self.dim, "dim", 1)
-        self.mean_reversion = np.atleast_2d(np.asarray(self.mean_reversion, float))
-        self.level = np.atleast_1d(np.asarray(self.level, float))
-        self.dispersion = np.atleast_2d(np.asarray(self.dispersion, float))
-        self.init = np.atleast_1d(np.asarray(self.init, float))
-        d = self.dim
+        if self.init is None:
+            object.__setattr__(self, "init", np.zeros(np.size(self.level)))
+        for name, ndmin in zip(_BLOCK, (2, 1, 2, 1)):
+            self._keep(name, ndmin)
+        if not (d := self.dim):
+            raise ValueError("level must not be empty")
         if self.mean_reversion.shape != (d, d):
             raise ValueError(f"mean_reversion must be {d}x{d}")
         if self.level.shape != (d,) or self.init.shape != (d,):
             raise ValueError(f"level and init must have length {d}")
         if self.dispersion.ndim != 2 or self.dispersion.shape[0] != d:
             raise ValueError(f"dispersion must be a {d}-row matrix")
-        for name in ("mean_reversion", "level", "dispersion", "init"):
+        for name in _BLOCK:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} has non-finite entries")
+        object.__setattr__(self, "_key", tuple((a.shape, a.tobytes()) for a in (
+            self.mean_reversion, self.level, self.dispersion)))
+
+    @property
+    def dim(self) -> int:
+        return self.level.size
 
     @property
     def noise_cov(self) -> np.ndarray:
@@ -115,7 +137,7 @@ class PathBundle:
 
 
 @dataclass(frozen=True, eq=False)
-class Truth:
+class Truth(_Frozen):
     """Four latent blocks, the loadings and the structural matrices,
     checked as they are built (messages name ``true_model.<key>``) and kept
     as read-only float copies beside ``psi_inv = inv(I - b0)``: a truth is
@@ -132,11 +154,10 @@ class Truth:
 
     def __post_init__(self):
         for key in _MATRICES:
-            value = np.array(getattr(self, key), float, ndmin=2)
+            value = self._keep(key, 2)
             if value.ndim != 2 or not np.all(np.isfinite(value)):
                 raise ValueError(
                     f"true_model.{key} must be a matrix of finite numbers")
-            object.__setattr__(self, key, value)
         (p1, k1), (p2, k2) = self.lambda_x1.shape, self.lambda_x2.shape
         for key, dim in zip(_LATENT, (k1, p1, p2, k2)):
             if (got := getattr(self, key).dim) != dim:
@@ -148,14 +169,8 @@ class Truth:
                                  f"expected {shape}")
         if np.any(np.diag(self.b0)):
             raise ValueError("true_model.b0 must have a zero diagonal")
-        object.__setattr__(self, "psi_inv",
-                           _invert_psi(self.b0, "true_model.b0"))
-        for key in _MATRICES + ("psi_inv",):
-            getattr(self, key).flags.writeable = False
-
-    def __reduce__(self):
-        # A copy is built anew, so its matrices are checked and read-only too.
-        return Truth, tuple(getattr(self, key) for key in _LATENT + _MATRICES)
+        object.__setattr__(self, "psi_inv", _invert_psi(self.b0, "true_model.b0"))
+        self._keep("psi_inv", 2)
 
 
 def load_truth(truth) -> Truth:
@@ -169,12 +184,10 @@ def load_truth(truth) -> Truth:
     out = {}
     for key in _LATENT:
         where = f"true_model.{key}"
-        block = _doc.fields(truth[key], where,
-                            ("mean_reversion", "level", "dispersion"), ("init",))
+        block = _doc.fields(truth[key], where, _BLOCK[:3], _BLOCK[3:])
         arrays = {k: _doc.array(v, f"{where}.{k}") for k, v in block.items()}
-        dim = np.atleast_1d(arrays["level"]).size
         try:
-            out[key] = OuBlock(dim=dim, **{"init": np.zeros(dim), **arrays})
+            out[key] = OuBlock(**arrays)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     for key in _MATRICES:
@@ -202,23 +215,21 @@ def implied_sigma(truth: Truth) -> np.ndarray:
     return spec.sigma(np.empty(0))
 
 
-# Exact transitions built so far, by block arrays and step: a grid's
-# transitions are built once per process, however many paths use them.
-# Their arrays are read-only, since every later path shares them.
+# Exact transitions built so far, by step and block key: each is built once
+# per process, however many paths share it, so its arrays are read-only.
 _TRANSITIONS: dict = {}
 
 
 def _exact_transition(block: OuBlock, h: float):
-    """:func:`_build_transition` of the block at step ``h``, memoized on the
-    arrays it reads and ``h``."""
-    key = (h,) + tuple((a.shape, a.tobytes()) for a in
-                       (block.mean_reversion, block.level, block.dispersion))
-    transition = _TRANSITIONS.get(key)
+    """:func:`_build_transition` at step ``h``, memoized on ``h`` and the
+    block's key, plus ``diag(ad)`` for a diagonal ``ad`` (else None)."""
+    transition = _TRANSITIONS.get((h, block._key))
     if transition is None:
-        transition = _build_transition(block, h)
-        for array in transition:
+        ad, bd, noise = _build_transition(block, h)
+        decay = None if np.any(ad - np.diag(np.diag(ad))) else np.diag(ad)
+        transition = _TRANSITIONS[h, block._key] = (ad, bd, noise, decay)
+        for array in (ad, bd, noise):
             array.flags.writeable = False
-        _TRANSITIONS[key] = transition
     return transition
 
 
@@ -269,19 +280,17 @@ def _chunk_bounds(rows: int) -> list[tuple[int, int]]:
     return list(zip(starts, [*starts[1:], rows]))
 
 
-def _path_chunks(block: OuBlock, n: int, transition: tuple,
+def _path_chunks(block: OuBlock, n: int, h: float,
                  rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """The block's path on the grid, rows 0..n, under its exact
-    ``transition`` (``_exact_transition(block, h)``), in the row chunks of
+    """The block's path on the grid of step ``h``, rows 0..n, under its
+    exact transition (:func:`_exact_transition`), in the row chunks of
     ``_chunk_bounds(n + 1)``; the first chunk starts with ``block.init``.
 
     Drawing chunk by chunk consumes ``rng`` exactly as one ``(n, dim)``
     draw does, and the recursion's state is carried from chunk to chunk,
     so the chunks are the rows of the whole-path computation, bit for bit.
     """
-    ad, bd, noise = transition
-    a = np.diag(ad)
-    decoupled = not np.any(ad - np.diag(a))
+    ad, bd, noise, decay = _exact_transition(block, h)
     x = block.init
     for start, stop in _chunk_bounds(n + 1):
         rows = np.empty((stop - start, block.dim))
@@ -290,12 +299,12 @@ def _path_chunks(block: OuBlock, n: int, transition: tuple,
             rows[0] = x
             steps = rows[1:]
         u = rng.standard_normal((len(steps), block.dim)) @ noise.T + bd
-        if decoupled:
-            # One scalar AR(1) filter per coordinate; its state a*x carries
-            # the previous row into the chunk.
+        if decay is not None:
+            # One scalar AR(1) filter per coordinate; its state decay*x
+            # carries the previous row into the chunk.
             for j in range(block.dim):
                 steps[:, j], _ = scipy.signal.lfilter(
-                    [1.0], [1.0, -a[j]], u[:, j], zi=[a[j] * x[j]])
+                    [1.0], [1.0, -decay[j]], u[:, j], zi=[decay[j] * x[j]])
         else:
             for i, ui in enumerate(u):
                 x = ad @ x + ui
@@ -307,10 +316,10 @@ def _path_chunks(block: OuBlock, n: int, transition: tuple,
 def simulate_ou(block: OuBlock, n: int, T: float,
                 rng: np.random.Generator) -> np.ndarray:
     """Sample the block exactly on the grid; returns an (n+1, dim) array."""
-    transition = _exact_transition(block, _grid_step(n, T))
+    h = _grid_step(n, T)
     path = np.empty((n + 1, block.dim))
     start = 0
-    for rows in _path_chunks(block, n, transition, rng):
+    for rows in _path_chunks(block, n, h, rng):
         path[start:start + len(rows)] = rows
         start += len(rows)
     return path
@@ -331,10 +340,9 @@ def simulate_custom(truth: Truth, *, n: int, T: float, seed: int,
     once per truth and grid in a process (see :func:`_exact_transition`).
     """
     h = _grid_step(n, T)
-    blocks = (truth.xi, truth.delta, truth.eps, truth.zeta)
     (p1, k1), (p2, k2) = truth.lambda_x1.shape, truth.lambda_x2.shape
-    chunks = zip(*[_path_chunks(block, n, _exact_transition(block, h), rng)
-                   for block, rng in zip(blocks, _block_streams(seed))])
+    chunks = zip(*[_path_chunks(getattr(truth, key), n, h, rng)
+                   for key, rng in zip(_LATENT, _block_streams(seed))])
     x_obs = np.empty((n + 1, p1 + p2))
     latents = {}
     if keep_latents:

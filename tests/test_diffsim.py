@@ -14,11 +14,12 @@ CHUNK = diffsim._CHUNK_ROWS
 CHUNK_EDGES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK,
                2 * CHUNK + 1]
 LATENTS = ("xi", "delta", "eps", "zeta", "eta")
+BLOCK_ARRAYS = ("mean_reversion", "level", "dispersion", "init")
 
 
 def scalar_xi_block():
     # the benchmark's common factor: dx = -(2x - 5)dt + 3 dW, x0 = 3
-    return diffsim.OuBlock(1, [[2.0]], [5.0], [[3.0]], [3.0])
+    return diffsim.OuBlock([[2.0]], [5.0], [[3.0]], [3.0])
 
 
 def draw_endpoints(block, n, T, count, seed):
@@ -29,8 +30,8 @@ def draw_endpoints(block, n, T, count, seed):
 
 class TestSimulateOu:
     def test_degenerate_constant_path(self):
-        block = diffsim.OuBlock(2, np.zeros((2, 2)), np.zeros(2),
-                                np.zeros((2, 1)), [3.0, 3.0])
+        block = diffsim.OuBlock(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 1)),
+                                [3.0, 3.0])
         path = diffsim.simulate_ou(block, 50, 1.0, np.random.default_rng(0))
         assert np.array_equal(path, np.full((51, 2), 3.0))
 
@@ -60,7 +61,7 @@ class TestSimulateOu:
         # stationary-style covariance computed by quadrature
         b = np.array([[2.0, 0.7], [0.0, 1.5]])
         s = np.array([[1.0, 0.0], [0.3, 0.8]])
-        block = diffsim.OuBlock(2, b, [0.0, 0.0], s, [0.0, 0.0])
+        block = diffsim.OuBlock(b, [0.0, 0.0], s, [0.0, 0.0])
         count = 4000
         finals = np.array([diffsim.simulate_ou(block, 1, 1.0,
                                                np.random.default_rng(10_000 + k))[-1]
@@ -86,14 +87,7 @@ class TestSimulateOu:
         with pytest.raises(ValueError):
             diffsim.simulate_ou(block, 10, -1.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            diffsim.OuBlock(2, np.eye(3), np.zeros(2), np.eye(2), np.zeros(2))
-
-    @pytest.mark.parametrize("dim", ["1", 1.0, True, 0], ids=repr)
-    def test_dim_is_a_positive_integer(self, dim):
-        # Unread, 1.0 and True pass here and fail in simulate_ou with a
-        # bare TypeError, and "1" fails as a mean_reversion shape error.
-        with pytest.raises(ValueError, match="^dim must be an integer"):
-            diffsim.OuBlock(dim, [[2.0]], [5.0], [[3.0]], [3.0])
+            diffsim.OuBlock(np.eye(3), np.zeros(2), np.eye(2), np.zeros(2))
 
     @pytest.mark.parametrize("T", [np.nan, np.inf])
     def test_non_finite_horizon_rejected(self, T):
@@ -102,6 +96,60 @@ class TestSimulateOu:
                                 np.random.default_rng(0))
         with pytest.raises(ValueError, match="horizon"):
             diffsim.simulate_true_model(10, T, seed=0)
+
+
+class TestOuBlock:
+    """A block is checked once, when it is built: its arrays are read-only
+    float copies, its dimension is its level's, and a pickled copy is built
+    anew."""
+
+    def test_read_only_float_copies(self):
+        given = {"mean_reversion": [[2]], "level": np.array([5.0]),
+                 "dispersion": [[3]], "init": np.array([3.0])}
+        block = diffsim.OuBlock(**given)
+        for key, value in given.items():
+            kept = getattr(block, key)
+            assert kept.dtype == float and np.array_equal(kept, value), key
+            assert not np.shares_memory(kept, np.asarray(value)), key
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 0.5
+
+    def test_init_defaults_to_zeros(self):
+        block = diffsim.OuBlock(np.diag([1.0, 2.0]), [3.0, 4.0], np.eye(2))
+        assert block.dim == 2 and np.array_equal(block.init, np.zeros(2))
+        assert not block.init.flags.writeable
+
+    @pytest.mark.parametrize("key", BLOCK_ARRAYS + ("dim",))
+    def test_fields_and_dim_refused(self, key):
+        block = scalar_xi_block()
+        with pytest.raises(AttributeError):
+            setattr(block, key, np.zeros((3, 3)))
+        assert block.dim == 1
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("mean_reversion", np.eye(2), "mean_reversion must be 1x1"),
+        ("level", [np.nan], "level has non-finite entries"),
+        ("dispersion", [[3.0], [1.0]], "dispersion must be a 1-row matrix"),
+        ("init", [3.0, 3.0], "level and init must have length 1"),
+        ("level", [], "level must not be empty")],
+        ids=["mean_reversion", "level", "dispersion", "init", "level-empty"])
+    def test_bad_block_never_built(self, key, value, message):
+        given = {k: getattr(scalar_xi_block(), k) for k in BLOCK_ARRAYS}
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                diffsim.OuBlock(**{**given, key: value})
+
+    def test_pickle_round_trip(self):
+        block = truth_variant("non_diagonal").zeta
+        copy = pickle.loads(pickle.dumps(block))
+        assert isinstance(copy, diffsim.OuBlock) and copy is not block
+        for key in BLOCK_ARRAYS:
+            assert np.array_equal(getattr(copy, key), getattr(block, key))
+            assert not getattr(copy, key).flags.writeable, key
+        ours, theirs = (diffsim.simulate_ou(b, 300, 1.0,
+                                            np.random.default_rng(3))
+                        for b in (block, copy))
+        assert np.array_equal(ours, theirs)
 
 
 GRID_ENTRIES = {
@@ -263,16 +311,16 @@ class TestLoadTruth:
     def test_bundled_truth_is_the_study_truth(self):
         # true4-6 as the package first wrote it, as Python literals
         expected = {
-            "xi": diffsim.OuBlock(1, [[2.0]], [5.0], [[3.0]], [3.0]),
+            "xi": diffsim.OuBlock([[2.0]], [5.0], [[3.0]], [3.0]),
             "delta": diffsim.OuBlock(
-                4, np.diag([5.0, 2.0, 1.0, 3.0]), [4.0, 2.0, 1.0, 2.0],
+                np.diag([5.0, 2.0, 1.0, 3.0]), [4.0, 2.0, 1.0, 2.0],
                 np.diag([2.0, 1.0, 2.0, 3.0]), np.zeros(4)),
             "eps": diffsim.OuBlock(
-                6, np.diag([1.0, 5.0, 2.0, 3.0, 2.0, 2.0]),
+                np.diag([1.0, 5.0, 2.0, 3.0, 2.0, 2.0]),
                 [2.0, 1.0, 3.0, 2.0, 1.0, 4.0],
                 np.diag([5.0, 1.0, 2.0, 1.0, 3.0, 2.0]), np.zeros(6)),
-            "zeta": diffsim.OuBlock(2, np.diag([3.0, 2.0]), [1.0, 2.0],
-                                    np.diag([3.0, 1.0]), np.zeros(2)),
+            "zeta": diffsim.OuBlock(np.diag([3.0, 2.0]), [1.0, 2.0],
+                                    np.diag([3.0, 1.0])),
             "lambda_x1": np.array([[1.0], [3.0], [4.0], [6.0]]),
             "lambda_x2": np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0],
                                    [0.0, 1.0], [0.0, 2.0], [0.0, 4.0]]),
@@ -366,15 +414,90 @@ class TestTransitionMemo:
         monkeypatch.setattr(diffsim, "_TRANSITIONS", {})
         block = scalar_xi_block()
         memo = diffsim._exact_transition(block, 0.01)
-        # an equal block built anew shares the entry
-        assert diffsim._exact_transition(scalar_xi_block(), 0.01) is memo
-        moved = diffsim.OuBlock(1, [[2.0]], [6.0], [[3.0]], [3.0])
+        # an equal block built anew shares the entry, from integers, from a
+        # pickle or with another init (which the transition does not read)
+        for equal in (scalar_xi_block(), diffsim.OuBlock([[2]], 5, [[3]]),
+                      pickle.loads(pickle.dumps(block))):
+            assert diffsim._exact_transition(equal, 0.01) is memo
+        moved = diffsim.OuBlock([[2.0]], [6.0], [[3.0]], [3.0])
         for other in (diffsim._exact_transition(moved, 0.01),
                       diffsim._exact_transition(block, 0.02)):
             assert not np.array_equal(other[1], memo[1])
         assert len(diffsim._TRANSITIONS) == 3
         with pytest.raises(ValueError, match="read-only"):
             memo[0][0, 0] = 1.0
+
+    @pytest.mark.parametrize("kind", ["exact", "non_diagonal"])
+    def test_decay_of_a_decoupled_block(self, kind, monkeypatch):
+        # the fourth entry is diag(ad) where ad is diagonal, else None
+        monkeypatch.setattr(diffsim, "_TRANSITIONS", {})
+        tb = truth_variant(kind)
+        for name in LATENTS[:4]:
+            ad, _, _, decay = diffsim._exact_transition(getattr(tb, name), 0.01)
+            if kind == "non_diagonal" and name == "zeta":
+                assert ad[0, 1] != 0.0 and decay is None
+            else:
+                assert np.array_equal(ad, np.diag(decay))
+                assert not decay.flags.writeable
+
+
+# Diagonal mean reversion kappa, a level and a dense dispersion: the exact
+# transition has a closed form in expm1, term by term.
+ORACLE_KAPPA = np.array([0.0, 0.5, 2.0, 5.0])
+ORACLE_LEVEL = np.array([1.0, -2.0, 3.0, 0.5])
+ORACLE_DISPERSION = np.array([[1.0, 0.2, -0.3, 0.1], [0.4, 1.5, 0.2, -0.2],
+                              [-0.1, 0.3, 0.8, 0.5], [0.2, -0.4, 0.1, 1.2]])
+ORACLE_STEPS = [1.0, 1e-2, 1e-3, 1e-6]
+
+
+def integrated_decay(rate, h):
+    """``integral_0^h exp(-rate u) du``, elementwise: h where rate is 0, so
+    the first coordinate's ``bd`` is ``h * level``."""
+    rate = np.asarray(rate)
+    safe = np.where(rate > 0, rate, 1.0)
+    return np.where(rate > 0, -np.expm1(-safe * h) / safe, h)
+
+
+def closed_form_transition(h):
+    """``ad`` (its diagonal), ``bd`` and ``qd`` of the oracle block."""
+    k = ORACLE_KAPPA
+    q = ORACLE_DISPERSION @ ORACLE_DISPERSION.T
+    return (np.exp(-k * h), integrated_decay(k, h) * ORACLE_LEVEL,
+            q * integrated_decay(k[:, None] + k[None, :], h))
+
+
+def relative_error(got, want):
+    return np.max(np.abs(got - want) / np.abs(want))
+
+
+class TestTransitionOracle:
+    """``_build_transition`` on diagonal blocks against the closed form:
+    ``ad = exp(-kappa h)``, ``bd = -expm1(-kappa h) / kappa * level`` and
+    ``qd_ij = q_ij * -expm1(-(kappa_i + kappa_j) h) / (kappa_i + kappa_j)``,
+    each term within 1e-13 relative."""
+
+    TOL = 1e-13
+
+    @pytest.mark.parametrize("h", ORACLE_STEPS)
+    def test_matches_closed_form(self, h):
+        block = diffsim.OuBlock(np.diag(ORACLE_KAPPA), ORACLE_LEVEL,
+                                ORACLE_DISPERSION)
+        ad, bd, noise = diffsim._build_transition(block, h)
+        decay, drift, qd = closed_form_transition(h)
+        assert np.array_equal(ad, np.diag(np.diag(ad)))
+        assert relative_error(np.diag(ad), decay) <= self.TOL
+        assert relative_error(bd, drift) <= self.TOL
+        assert relative_error(noise @ noise.T, qd) <= self.TOL
+
+    @pytest.mark.parametrize("h", ORACLE_STEPS)
+    def test_one_term_off_by_1e_10_is_seen(self, h):
+        # the tolerance is tight enough that a single term moved by 1e-10
+        # relative, in any of the three closed forms, fails the check
+        for want in closed_form_transition(h):
+            for index in np.ndindex(want.shape):
+                off = want.copy()
+                off[index] *= 1.0 + 1e-10
+                assert relative_error(off, want) > self.TOL
 
 
 class TestTruth:
@@ -438,6 +561,11 @@ class TestTruth:
         for key in ("lambda_x1", "lambda_x2", "gamma", "b0", "psi_inv"):
             assert np.array_equal(getattr(copy, key), getattr(tb, key)), key
             assert not getattr(copy, key).flags.writeable, key
+        for name in LATENTS[:4]:
+            block = getattr(copy, name)
+            assert isinstance(block, diffsim.OuBlock), name
+            for key in BLOCK_ARRAYS:
+                assert not getattr(block, key).flags.writeable, (name, key)
         ours, theirs = (diffsim.simulate_custom(t, n=300, T=1.0, seed=2)
                         for t in (tb, copy))
         for name in ("x_obs",) + LATENTS:
@@ -451,7 +579,7 @@ def truth_variant(kind):
         # a coupled block, and dense second-block loadings so every product
         # of the assembly sums two nonzero terms
         return dataclasses.replace(
-            tb, zeta=diffsim.OuBlock(2, [[2.0, 0.7], [0.0, 1.5]], [1.0, 2.0],
+            tb, zeta=diffsim.OuBlock([[2.0, 0.7], [0.0, 1.5]], [1.0, 2.0],
                                      [[1.0, 0.0], [0.3, 0.8]], [0.5, -0.5]),
             lambda_x2=[[1.0, 0.5], [3.0, -0.2], [2.0, 0.7],
                        [0.3, 1.0], [-0.4, 2.0], [0.6, 4.0]])

@@ -138,7 +138,7 @@ HORIZON_ENTRIES = {
     "quad_var": lambda T: quad_var(np.arange(6.0).reshape(3, 2), T),
     "QuadVar": lambda T: QuadVar(np.eye(2), n=10, T=T),
     "simulate_ou": lambda T: diffsim.simulate_ou(
-        diffsim.OuBlock(1, [[2.0]], [5.0], [[3.0]], [3.0]), 10, T,
+        diffsim.OuBlock([[2.0]], [5.0], [[3.0]], [3.0]), 10, T,
         np.random.default_rng(0)),
     "simulate_custom": lambda T: diffsim.simulate_custom(
         diffsim.load_truth(diffsim.TRUE_MODEL_NAME), n=10, T=T, seed=0),

@@ -118,6 +118,25 @@ def test_stats_scan_catches_imports():
                           "scipy.stats") == []
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_scipy_signal_in_diffsim_alone(path):
+    # diffsim's AR(1) filter is the package's one use of scipy.signal, so
+    # deferring that import to the first simulated path changes one module.
+    want = ["scipy.signal"] if path.name == "diffsim.py" else []
+    assert module_imports(path.read_text(), "scipy.signal") == want
+
+
+def test_signal_scan_catches_imports():
+    lines = ["import scipy.signal as ss", "from scipy import signal",
+             "from scipy.signal import lfilter",
+             "from scipy.signal.windows import hann",
+             "import numpy, scipy.signal"]
+    assert [len(module_imports(line, "scipy.signal"))
+            for line in lines] == [1, 1, 1, 1, 1]
+    assert module_imports("from scipy import linalg, stats\nimport scipy",
+                          "scipy.signal") == []
+
+
 LAYOUT_NAMES = {"patterns", "_units", "_bases", "_factors", "_gram_pairs",
                 "_second_tables"}
 
