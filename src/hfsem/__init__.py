@@ -14,7 +14,7 @@ from .harness import (ExperimentConfig, GapProbeResult, SelectionTable,
                       gap_growth_probe, render_table, run_experiment,
                       truth_sigma, write_outputs)
 from .infocrit import (CriteriaRow, GammaZero, criteria_row, gamma_zero,
-                       posterior_probs, qaic, qbic1, qbic2, select)
+                       posterior_probs, select)
 from .models import THETA1_TRUE, THETA2_TRUE, load_builtin, resolve_spec
 from .qlik import LikelihoodSurface, QuadVar, quad_var
 from .qmle import (FitOptions, FitReport, check_identifiability, fit,

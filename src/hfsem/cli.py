@@ -131,7 +131,9 @@ def fit_command(spec_path: str, data_path: str, horizon: float,
     """Fit one model to a path CSV and write the full fit report as JSON."""
     spec = models.resolve_spec(spec_path)
     x_obs = _read_path_csv(data_path)
-    surface = LikelihoodSurface(spec, quad_var(x_obs, horizon))
+    quadvar = quad_var(x_obs, horizon)
+    spec.check_grid(quadvar.n)
+    surface = LikelihoodSurface(spec, quadvar)
     init = None
     if init_path is not None:
         init = np.loadtxt(init_path, delimiter=",").ravel()

@@ -3,16 +3,18 @@
 A run is described by an :class:`ExperimentConfig` (JSON schema
 ``hfsem-exp-v1``).  For every grid size and replication the driver draws a
 fresh path with a seed split deterministically from the master seed, fits
-each candidate model, evaluates the criteria, and tallies the per-criterion
-winners into a :class:`SelectionTable`.  Replications run in contiguous
-chunks, the unit of work of a worker pool: the fewest chunks of at most
-``_CHUNK`` replications whose count the workers share evenly, so a study
-smaller than one chunk still keeps every worker busy.  In a chunk, each
-replication's path is reduced to its realized covariation, one (R, p, p)
-Q stack, then each model is fitted to the stack as the lanes of one
-lockstep loop (``qmle.fit_lanes``).  A lane's fit does not depend on the
-others, so the records and the table are identical for any worker count
-and chunking; results merge in replication order.
+each candidate model and evaluates the criteria.  A study's result is its
+records, one per replication and model; the :class:`SelectionTable` of
+per-criterion winners is counted from them.  Replications run in
+contiguous chunks, the unit of work of a worker pool: the fewest chunks of
+at most ``_CHUNK`` replications whose count the workers share evenly, so a
+study smaller than one chunk still keeps every worker busy.  A chunk gets
+the study's shared values and its (n, rep) tasks; it splits each task's
+seeds where it uses them, reduces each path to its realized covariation,
+one (R, p, p) Q stack, and fits each model to the stack as the lanes of
+one lockstep loop (``qmle.fit_lanes``).  A lane's fit does not depend on
+the others, so the records and the table are identical for any worker
+count and chunking; records merge in replication order.
 
 Initialization follows the benchmark protocol by default: each model starts
 from its limit-criterion optimum against the truth's covariance (the true
@@ -168,9 +170,8 @@ def _load_study(config: ExperimentConfig, paths: Sequence[str]
                 ) -> tuple[list[SemSpec], diffsim.Truth, np.ndarray]:
     """The specs at ``paths``, the config's truth and its covariance
     Sigma0, each spec checked against the series the truth observes (the
-    factor dimensions may differ: candidates vary them) and against the
-    grid: with n < p increments Q is singular and the fit runs off to the
-    box."""
+    factor dimensions may differ: candidates vary them) and against each
+    grid size (``SemSpec.check_grid``)."""
     specs = load_specs(paths)
     truth = diffsim.load_truth(config.true_model)
     sigma0 = diffsim.implied_sigma(truth)
@@ -180,10 +181,7 @@ def _load_study(config: ExperimentConfig, paths: Sequence[str]
             raise ValueError(f"model {spec.name!r} observes p={spec.p} "
                              f"series, but true_model observes p={p}")
         for n in config.n_values:
-            if n < spec.p:
-                raise ValueError(
-                    f"grid size n={n} is below p={spec.p}, the observed "
-                    f"dimension of {spec.name!r}")
+            spec.check_grid(n)
     return specs, truth, sigma0
 
 
@@ -210,61 +208,61 @@ def _chunk_cuts(tasks: int, workers: int) -> list[int]:
     return sorted({tasks * i // count for i in range(count + 1)})
 
 
-def _realized(chunk: dict, rep: dict):
-    """One replication's path, reduced to its realized covariation."""
+def _realized(config: ExperimentConfig, truth: diffsim.Truth, n, rep):
+    """Replication ``rep`` at grid size ``n``: its path, drawn from the seed
+    split from (master_seed, n, rep), reduced to its realized covariation."""
     # Through the module attribute, where a benchmark hook can patch it.
-    bundle = diffsim.simulate_custom(chunk["truth"], n=rep["n"], T=chunk["T"],
-                                     seed=rep["seed"], keep_latents=False)
-    return quad_var(bundle.x_obs, chunk["T"])
+    bundle = diffsim.simulate_custom(
+        truth, n=n, T=config.T, seed=split_seed(config.master_seed, n, rep),
+        keep_latents=False)
+    return quad_var(bundle.x_obs, config.T)
 
 
-def _fit_chunk(spec: SemSpec, init: Optional[np.ndarray], q_xx: np.ndarray,
-               n: np.ndarray, chunk: dict) -> list:
-    """One spec fitted to a chunk's Q stack in one lockstep loop: from
-    ``init``, or from each replication's multistart set."""
-    if init is not None:
-        start_sets = [[init]] * len(q_xx)
-    else:
-        start_sets = [start_set(spec, q, chunk["starts"], rep["start_seed"])
-                      for q, rep in zip(q_xx, chunk["reps"])]
-    return fit_lanes(spec, q_xx, n, start_sets)
+def _chunk_worker(chunk: tuple) -> list[dict]:
+    """The records of a chunk's (n, rep) replications: each path reduced
+    to Q, then each spec fitted to the chunk's Q stack at once, from its
+    init or from each replication's multistart set, seeded by the split
+    of (master_seed, n, rep, 1)."""
+    config, truth, specs, inits, tasks = chunk
+    q_xx = np.array([_realized(config, truth, *task).q_xx for task in tasks])
+    n = np.array([n for n, _ in tasks])
+    fits = []
+    for spec, init in zip(specs, inits):
+        if init is None:
+            start_sets = [start_set(spec, q, config.starts,
+                                    split_seed(config.master_seed, *task, tag=1))
+                          for q, task in zip(q_xx, tasks)]
+        else:
+            start_sets = [[init]] * len(tasks)
+        fits.append(fit_lanes(spec, q_xx, n, start_sets))
+    return [record for i, task in enumerate(tasks)
+            for record in _records(specs, task, q_xx[i],
+                                   [reports[i] for reports in fits])]
 
 
-def _chunk_worker(chunk: dict) -> list[dict]:
-    """A chunk of replications: each path reduced to Q, then each spec
-    fitted to the chunk's Q stack at once, then each replication's
-    criteria, selections and records."""
-    q_xx = np.array([_realized(chunk, rep).q_xx for rep in chunk["reps"]])
-    n = np.array([rep["n"] for rep in chunk["reps"]])
-    fits = [_fit_chunk(spec, init, q_xx, n, chunk)
-            for spec, init in zip(chunk["specs"], chunk["inits"])]
-    return [_rep_result(chunk, rep, q_xx[i], [reports[i] for reports in fits])
-            for i, rep in enumerate(chunk["reps"])]
-
-
-def _rep_result(chunk: dict, rep: dict, q_xx, reports: list) -> dict:
-    """One replication's selections and records from its Q and fit reports
-    (``None`` for a failed fit); ``lr_sat`` is the quasi-likelihood ratio
-    against the saturated model, ``2 (n (-p - log det Q) / 2 - h_at_hat)``."""
-    n, index = rep["n"], rep["rep"]
+def _records(specs: Sequence[SemSpec], task: tuple, q_xx,
+             reports: list) -> list[dict]:
+    """One replication's records from its Q and fit reports (``None`` for
+    a failed fit: then no record names a winner); ``lr_sat`` is the
+    quasi-likelihood ratio against the saturated model,
+    ``2 (n (-p - log det Q) / 2 - h_at_hat)``."""
+    n, rep = task
     saturated = n * (-len(q_xx) - np.linalg.slogdet(q_xx)[1]) / 2
-    failed = any(report is None for report in reports)
     rows = [None if report is None else criteria_row(report)
             for report in reports]
-    selected = {} if failed else {c: select(rows, c) for c in CRITERIA}
+    winners = ([] if any(row is None for row in rows)
+               else [select(rows, c) for c in CRITERIA])
 
     records = []
-    for spec, report, row in zip(chunk["specs"], reports, rows):
-        name = spec.name
+    for spec, report, row in zip(specs, reports, rows):
         if report is None:
-            logger.warning("rep %d n=%d: every start of %s failed",
-                           index, n, name)
+            logger.warning("rep %d n=%d: every start of %s failed", rep, n,
+                           spec.name)
             records.append({**dict.fromkeys(REPLICATION_COLUMNS, ""),
-                            "rep": index, "n": n, "model": name,
+                            "rep": rep, "n": n, "model": spec.name,
                             "selected_by": "fit_failed"})
             continue
-        winner_of = [c for c in CRITERIA if selected.get(c) == name]
-        records.append({"rep": index, "n": n, "model": name,
+        records.append({"rep": rep, "n": n, "model": spec.name,
                         "h_at_hat": row.h_at_hat,
                         "lr_sat": 2.0 * (saturated - row.h_at_hat),
                         **{c: row.value(c) for c in CRITERIA},
@@ -273,9 +271,10 @@ def _rep_result(chunk: dict, rep: dict, q_xx, reports: list) -> dict:
                         "iterations": report.iterations,
                         "evaluations": report.evaluations,
                         "grad_norm": report.grad_norm,
-                        "selected_by": "+".join(winner_of)})
-    return {"n": n, "rep": index, "failed": failed, "selected": selected,
-            "records": records}
+                        "selected_by": "+".join(
+                            c for c, winner in zip(CRITERIA, winners)
+                            if winner == spec.name)})
+    return records
 
 
 def _limit_optima(specs: Sequence[SemSpec], sigma0: np.ndarray,
@@ -287,31 +286,30 @@ def _limit_optima(specs: Sequence[SemSpec], sigma0: np.ndarray,
 def _replicate(config: ExperimentConfig, specs: Sequence[SemSpec],
                inits: Sequence[Optional[np.ndarray]],
                truth: diffsim.Truth) -> list[dict]:
-    """Each (n, rep) replication's result, in task order at any worker count
-    and any chunking: contiguous chunks of at most ``_CHUNK`` replications
-    go to the workers, and a replication's fits do not depend on its chunk."""
-    reps = [{"n": int(n), "rep": rep,
-             "seed": split_seed(config.master_seed, n, rep),
-             "start_seed": split_seed(config.master_seed, n, rep, tag=1)}
-            for n in config.n_values for rep in range(config.replications)]
-    cuts = _chunk_cuts(len(reps), config.workers)
-    chunks = [{"reps": reps[a:b], "T": config.T, "truth": truth,
-               "specs": specs, "inits": inits, "starts": config.starts}
+    """Each (n, rep) replication's records, in task order at any worker
+    count and any chunking: contiguous chunks of at most ``_CHUNK``
+    replications go to the workers, and a replication's seeds and fits do
+    not depend on its chunk."""
+    tasks = [(int(n), rep) for n in config.n_values
+             for rep in range(config.replications)]
+    cuts = _chunk_cuts(len(tasks), config.workers)
+    chunks = [(config, truth, specs, inits, tasks[a:b])
               for a, b in zip(cuts, cuts[1:])]
     if config.workers > 1:
         with multiprocessing.Pool(config.workers) as pool:
             results = pool.map(_chunk_worker, chunks)
     else:
-        results = [_chunk_worker(chunk) for chunk in chunks]
-    return [result for chunk in results for result in chunk]
+        results = map(_chunk_worker, chunks)
+    return [record for chunk in results for record in chunk]
 
 
 def run_experiment(config: ExperimentConfig):
     """Run the full study; returns ``(SelectionTable, replication records)``.
 
-    Deterministic given the master seed regardless of worker count: each
-    replication's seed is split from (master_seed, n, rep) and results are
-    merged in task order.
+    The table is counted from the records: a ``fit_failed`` record makes
+    its (n, rep) a failure, and every other record adds one for each
+    criterion its ``selected_by`` names.  Deterministic given the master
+    seed regardless of worker count and chunking.
     """
     config.validate()
     specs, truth, sigma0 = _load_study(config, config.model_spec_paths)
@@ -321,19 +319,17 @@ def run_experiment(config: ExperimentConfig):
     if config.init_mode == "true":
         optima = _limit_optima(specs, sigma0, config)
         inits = [theta_bar for theta_bar, _ in optima]
-    results = _replicate(config, specs, inits, truth)
+    records = _replicate(config, specs, inits, truth)
 
     counts = {(c, n): {m: 0 for m in model_ids}
               for c in CRITERIA for n in config.n_values}
-    failures = {n: 0 for n in config.n_values}
-    records = []
-    for res in results:
-        records.extend(res["records"])
-        if res["failed"]:
-            failures[res["n"]] += 1
-            continue
-        for criterion, winner in res["selected"].items():
-            counts[(criterion, res["n"])][winner] += 1
+    failed = {(r["n"], r["rep"]) for r in records
+              if r["selected_by"] == "fit_failed"}
+    failures = {n: sum(m == n for m, _ in failed) for n in config.n_values}
+    for record in records:
+        if record["selected_by"] != "fit_failed":
+            for criterion in filter(None, record["selected_by"].split("+")):
+                counts[(criterion, record["n"])][record["model"]] += 1
 
     table = SelectionTable(criteria=list(CRITERIA),
                            n_values=[int(n) for n in config.n_values],
@@ -391,13 +387,14 @@ def gap_growth_probe(config: ExperimentConfig, model_a: str, model_b: str,
             f"(relative covariance gap {fit_gap:.2e})")
     analytic = 2.0 * (lim_a - lim_b)
 
+    records = _replicate(config, specs, [theta_a, theta_b], truth)
     diffs: dict[int, list[float]] = {int(n): [] for n in config.n_values}
-    for res in _replicate(config, specs, [theta_a, theta_b], truth):
-        if res["failed"]:
+    for rec_a, rec_b in zip(records[::2], records[1::2]):
+        if "fit_failed" in (rec_a["selected_by"], rec_b["selected_by"]):
             raise AllStartsFailedError(
-                f"a fit failed at n={res['n']}, rep {res['rep']}")
-        rec_a, rec_b = res["records"]
-        diffs[res["n"]].append((rec_b[criterion] - rec_a[criterion]) / res["n"])
+                f"a fit failed at n={rec_a['n']}, rep {rec_a['rep']}")
+        n = rec_a["n"]
+        diffs[n].append((rec_b[criterion] - rec_a[criterion]) / n)
 
     all_diffs = [d for vals in diffs.values() for d in vals]
     return GapProbeResult(

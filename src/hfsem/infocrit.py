@@ -37,9 +37,6 @@ from .semspec import SemSpec, jacobian_rank
 __all__ = [
     "CriteriaRow",
     "GammaZero",
-    "qbic1",
-    "qbic2",
-    "qaic",
     "criteria_row",
     "gamma_zero",
     "posterior_probs",
@@ -83,27 +80,16 @@ def _gate(fit: FitReport) -> tuple[bool, float]:
     return True, float(logdet)
 
 
-def qbic2(fit: FitReport) -> float:
-    return -2.0 * fit.h_at_hat + fit.q * np.log(fit.n)
-
-
-def qbic1(fit: FitReport) -> float:
-    # Written as qbic2 + logdet so the identity between the two criteria
-    # holds to rounding, not just in exact arithmetic.
-    return qbic2(fit) + _gate(fit)[1]
-
-
-def qaic(fit: FitReport) -> float:
-    return -2.0 * fit.h_at_hat + 2.0 * fit.q
-
-
 def criteria_row(fit: FitReport) -> CriteriaRow:
+    """The criteria of one fit, computed here alone."""
     j_flag, logdet = _gate(fit)
-    base = qbic2(fit)
+    # qbic1 is qbic2 plus the log-determinant, so the identity between the
+    # two criteria holds to rounding, not just in exact arithmetic.
+    base = -2.0 * fit.h_at_hat + fit.q * np.log(fit.n)
     return CriteriaRow(model_id=fit.model, q=fit.q, n=fit.n,
                        h_at_hat=fit.h_at_hat, qbic1=base + logdet,
-                       qbic2=base, qaic=qaic(fit), j_flag=j_flag,
-                       logdet_gamma_tilde=logdet)
+                       qbic2=base, qaic=-2.0 * fit.h_at_hat + 2.0 * fit.q,
+                       j_flag=j_flag, logdet_gamma_tilde=logdet)
 
 
 @dataclass

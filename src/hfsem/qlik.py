@@ -12,8 +12,9 @@ quasi-log-likelihood of a candidate covariance ``Sigma(theta)`` reduces to
 
 identical (up to floating point) to summing the Gaussian increment
 densities, because Q is sufficient for the diffusion part.  Its in-fill
-limit replaces Q by the true covariance and drops the n factor: the
-surface of ``QuadVar(sigma0, n=1, T=1)``.
+limit replaces Q by the true covariance and drops the n factor, which is
+the quasi-log-likelihood at n = 1 with sigma0 as Q (``qmle.limit_optimum``
+maximizes it).
 
 The gradient, the Fisher information and the observed Hessian are all
 analytic.  One kernel, :func:`score_lanes`, computes them for a stack of

@@ -26,8 +26,9 @@ derives the criteria from it.  ``fit_multistart`` runs a surface's
 ``start_set`` (the given or moment start, then Latin-hypercube starts
 drawn on the moment start's scale) as lanes and keeps the best; ``fit``
 is its one-start case; ``limit_optimum`` maximizes the in-fill limit
-criterion the same way.  The moment start is ``semspec.moment_start``, so
-this module reads nothing of a spec's layout.  ``_optimize`` takes its kernel
+criterion the same way, by ``fit_lanes`` on sigma0 as Q with n = 1.  The
+moment start is ``semspec.moment_start``, so this module reads nothing of
+a spec's layout.  ``_optimize`` takes its kernel
 as an argument, so the injectivity probe of ``check_identifiability``
 runs on its lanes too, by Gauss-Newton: its kernel has no Hessian.
 """
@@ -43,8 +44,7 @@ from scipy.linalg import lapack
 
 from . import _doc, matkit
 from .errors import AllStartsFailedError
-from .qlik import (NON_FINITE, OK, LaneScores, LikelihoodSurface, QuadVar,
-                   score_lanes)
+from .qlik import NON_FINITE, OK, LaneScores, LikelihoodSurface, score_lanes
 from .semspec import SemSpec, _probe_start, jacobian_rank, moment_start
 
 __all__ = [
@@ -407,13 +407,19 @@ def limit_optimum(spec: SemSpec, sigma0: np.ndarray, starts: int = 8,
 
     For a correctly specified model this recovers the parameter at which
     the implied covariance equals ``sigma0``.  Returns ``(theta_bar,
-    attained value)``.  A target that is not positive definite leaves the
-    criterion unbounded above and raises ``ValueError``.
+    attained value)``.  A target that is not finite, symmetric and
+    positive definite raises ``ValueError`` (one that is not positive
+    definite leaves the criterion unbounded above), and one on which every
+    start fails raises :class:`AllStartsFailedError`.
     """
-    surface = LikelihoodSurface(spec, QuadVar(q_xx=sigma0, n=1, T=1.0))
-    if matkit._chol_lanes(surface.quadvar.q_xx[None])[2][0]:
+    sigma0 = matkit.check_symmetric(sigma0)
+    if matkit._chol_lanes(sigma0[None])[2][0]:
         raise ValueError("limit_optimum target sigma0 is not positive definite")
-    report = fit_multistart(surface, starts=starts, seed=seed)
+    (report,) = fit_lanes(spec, sigma0[None], np.ones(1),
+                          [start_set(spec, sigma0, starts, seed)])
+    if report is None:
+        raise AllStartsFailedError(
+            f"all {starts} starts failed for {spec.name!r}")
     return report.theta_hat, report.h_at_hat
 
 

@@ -455,6 +455,13 @@ class SemSpec:
         forward pass's factor record."""
         return self.forward(theta, 1)[1].jacobian([0])[0]
 
+    def check_grid(self, n: int) -> None:
+        """Refuse a fit over ``n`` increments when n < p: the realized
+        covariation is then singular and the fit runs off to the box."""
+        if n < self.p:
+            raise ValueError(f"grid size n={n} is below p={self.p}, the "
+                             f"observed dimension of {self.name!r}")
+
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -140,6 +140,28 @@ class TestFitAndCriteria:
         doc = json.loads(out.read_text())
         assert doc["restarts"] == 0
 
+    def test_fit_rejects_grid_below_observed_dimension(self, runner, tmp_path):
+        # 5 increments of p = 10 series give a rank-5 Q, whose fit ran off
+        # to the box; fit and table1 refuse it with the same message.
+        message = ("Error: grid size n=5 is below p=10, the observed "
+                   "dimension of 'model1'\n")
+        path, out = tmp_path / "path.csv", tmp_path / "fit.json"
+        invoke(runner, ["simulate", "--n", "5", "--T", "1", "--seed", "3",
+                        "--out", str(path)])
+        result = runner.invoke(main, ["fit", "--spec", "model1", "--data",
+                                      str(path), "--T", "1", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == message
+        assert not out.exists()
+        config = tmp_path / "exp.json"
+        harness.ExperimentConfig(n_values=[5], T=1.0, replications=1,
+                                 master_seed=5,
+                                 model_spec_paths=["model1"]).to_json(config)
+        result = runner.invoke(main, ["table1", "--config", str(config),
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert result.output == message
+
     def test_criteria_csv(self, runner, fit_files, tmp_path):
         _, _, fits = fit_files
         out = tmp_path / "criteria.csv"

@@ -1,3 +1,5 @@
+import collections
+import csv
 import dataclasses
 import functools
 import json
@@ -23,15 +25,17 @@ def small_config(**overrides):
     return harness.ExperimentConfig(**kwargs)
 
 
-def failing_fit_lanes(model):
-    """``harness.fit_lanes`` with every fit of ``model`` failed, as when
-    all its starts lie outside the admissible region."""
+def failing_fit_lanes(model, lanes=slice(None)):
+    """``harness.fit_lanes`` with the fits of ``model`` in ``lanes`` (all,
+    by default) failed, as when all their starts lie outside the
+    admissible region."""
     original = harness.fit_lanes
 
     def fit_lanes(spec, q_xx, n, start_sets):
         reports = original(spec, q_xx, n, start_sets)
         if spec.name == model:
-            return [None] * len(reports)
+            for k in range(len(reports))[lanes]:
+                reports[k] = None
         return reports
 
     return fit_lanes
@@ -257,14 +261,66 @@ class TestRunExperiment:
         # lr_sat = 2 (l_sat - h_at_hat) with l_sat = n (-p - log det Q) / 2,
         # Q as harness._realized gives it to the fits.
         realized, seen = harness._realized, {}
-        monkeypatch.setattr(harness, "_realized", lambda chunk, rep: seen.setdefault(
-            (rep["n"], rep["rep"]), realized(chunk, rep)))
+        monkeypatch.setattr(harness, "_realized",
+                            lambda config, truth, n, rep: seen.setdefault(
+                                (n, rep), realized(config, truth, n, rep)))
         _, records = harness.run_experiment(small_config(n_values=[100, 400]))
         assert len(seen) == 6 and len(records) == 18
         for r in records:
             q_xx = seen[(r["n"], r["rep"])].q_xx
             sat = r["n"] * (-len(q_xx) - np.linalg.slogdet(q_xx)[1]) / 2
             assert r["lr_sat"] == 2.0 * (sat - r["h_at_hat"])
+
+    def test_seeds_split_in_the_chunk(self, monkeypatch):
+        # 300 replications make 3 chunks of 100; the first path may wait
+        # only on seeds of the first chunk, not on the study's 600.
+        class FirstPath(Exception):
+            pass
+
+        split, splits = harness.split_seed, []
+        monkeypatch.setattr(harness, "split_seed", lambda *args, **kw:
+                            splits.append(args) or split(*args, **kw))
+
+        def first_path(*args, **kwargs):
+            raise FirstPath(len(splits))
+
+        monkeypatch.setattr(diffsim, "simulate_custom", first_path)
+        config = small_config(n_values=[100, 200], replications=150,
+                              model_spec_paths=["model1"])
+        first_chunk = harness._chunk_cuts(300, config.workers)[1]
+        assert first_chunk == 100
+        with pytest.raises(FirstPath) as stop:
+            harness.run_experiment(config)
+        assert stop.value.args[0] <= 2 * first_chunk
+
+    def test_table_is_the_records_grouped(self, tmp_path, monkeypatch):
+        # replications.csv, grouped by selected_by, gives table.csv: a
+        # fit_failed row fails its (n, rep), and every other row counts
+        # once for each criterion it names.
+        monkeypatch.setattr(harness, "fit_lanes",
+                            failing_fit_lanes("model2", slice(None, None, 2)))
+        config = small_config(n_values=[100, 200], replications=3)
+        table, records = harness.run_experiment(config)
+        paths = harness.write_outputs(table, records, tmp_path)
+        with open(paths["replications_csv"]) as fh:
+            rows = list(csv.DictReader(fh))
+        failed = {(r["n"], r["rep"]) for r in rows
+                  if r["selected_by"] == "fit_failed"}
+        assert failed == {("100", "0"), ("100", "2"), ("200", "1")}
+        failures = {n: sum(m == n for m, _ in failed) for n in ("100", "200")}
+        counts = collections.Counter(
+            (c, r["n"], r["model"]) for r in rows
+            if r["selected_by"] != "fit_failed"
+            for c in r["selected_by"].split("+") if c)
+        with open(paths["table_csv"]) as fh:
+            lines = list(csv.DictReader(fh))
+        assert len(lines) == 18
+        for line in lines:
+            count = counts[(line["criterion"], line["n"], line["model_id"])]
+            assert int(line["count"]) == count
+            good = config.replications - failures[line["n"]]
+            assert line["share"] == f"{count / good:.6f}"
+        assert table.failures == {100: 2, 200: 1}
 
     def test_single_replication_equals_its_selection(self):
         config = small_config(replications=1)

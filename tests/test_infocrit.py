@@ -33,23 +33,23 @@ def fitted_rows(model1, model2, model3, sigma0_oracle):
 
 class TestCriteriaValues:
     def test_qbic1_arithmetic(self):
-        report = fake_report(h=-1000.0, q=22, n=100)
-        assert abs(infocrit.qbic1(report) - (2000 + 22 * np.log(100))) < 1e-10
+        row = infocrit.criteria_row(fake_report(h=-1000.0, q=22, n=100))
+        assert abs(row.qbic1 - (2000 + 22 * np.log(100))) < 1e-10
 
     def test_qbic2_arithmetic(self):
-        report = fake_report(h=-1000.0, q=23, n=100)
-        assert abs(infocrit.qbic2(report) - (2000 + 23 * np.log(100))) < 1e-10
+        row = infocrit.criteria_row(fake_report(h=-1000.0, q=23, n=100))
+        assert abs(row.qbic2 - (2000 + 23 * np.log(100))) < 1e-10
 
     def test_qaic_arithmetic(self):
-        report = fake_report(h=-1000.0, q=22)
-        assert infocrit.qaic(report) == 2044.0
+        assert infocrit.criteria_row(fake_report(h=-1000.0, q=22)).qaic == 2044.0
 
     def test_equal_when_gate_fails(self):
         # -H/n = diag(1, ..., 1, -1) is indefinite, so the event J fails.
         hessian = -100.0 * np.diag([1.0] * 21 + [-1.0])
-        report = fake_report(hessian=hessian)
-        assert not infocrit.criteria_row(report).j_flag
-        assert infocrit.qbic1(report) == infocrit.qbic2(report)
+        row = infocrit.criteria_row(fake_report(hessian=hessian))
+        assert not row.j_flag
+        assert row.logdet_gamma_tilde == 0.0
+        assert row.qbic1 == row.qbic2
 
     def test_nan_hessian_is_off_the_event(self):
         # A Hessian that was not computed (or read back as null) is NaN.
@@ -57,7 +57,6 @@ class TestCriteriaValues:
         row = infocrit.criteria_row(report)
         assert not row.j_flag
         assert row.qbic1 == row.qbic2
-        assert infocrit.qbic1(report) == infocrit.qbic2(report)
 
     def test_identity_with_gate(self, fitted_rows):
         rows, reports = fitted_rows
@@ -67,13 +66,6 @@ class TestCriteriaValues:
             assert sign > 0
             assert abs((row.qbic1 - row.qbic2) - logdet) < 1e-10
             assert row.logdet_gamma_tilde == pytest.approx(logdet, abs=1e-12)
-
-    def test_row_matches_functions(self, fitted_rows):
-        rows, reports = fitted_rows
-        for row, report in zip(rows, reports):
-            assert row.qbic1 == infocrit.qbic1(report)
-            assert row.qbic2 == infocrit.qbic2(report)
-            assert row.qaic == infocrit.qaic(report)
 
 
 class TestGammaZero:

@@ -541,7 +541,7 @@ class TestLimitOptimum:
         ids=["nan", "asymmetric", "negated", "zero"])
     def test_bad_target_rejected(self, model1, sigma0_oracle, scale, entry,
                                  shift, message):
-        # The target is a QuadVar's q_xx and checked as one, before a NaN
+        # The target is checked as a QuadVar's q_xx is, before a NaN
         # can surface as a SpecError on theta; one that is not positive
         # definite leaves the criterion unbounded, and a fit would end at
         # the box's edge with a meaningless value.
