@@ -24,8 +24,13 @@ grid sizes n and horizons T are read by the one rule of each in ``_doc``.
 
 Paths are streamed: each block yields its path in row chunks, and each
 chunk's observations are written into the one preallocated ``x_obs``.
-The result is bit-for-bit the whole-path computation (one draw of all
-steps, then the recursion) that ``tests/conftest.py`` keeps as reference.
+A decoupled block (diagonal mean reversion) steps each coordinate by the
+AR(1) recursion ``x_i = decay x_{i-1} + u_i``, and a chunk of it is one
+banded triangular solve (BLAS ``dtbsv``) over all its coordinates; each
+step rounds the product and the sum apart, as an AR(1) filter does.  A
+coupled block runs a step loop.  The result is bit-for-bit the whole-path
+computation (one draw of all steps, then the recursion) that
+``tests/conftest.py`` keeps as reference.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from typing import Iterator, Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
 
 from . import _doc
 from .semspec import SemSpec, _invert_psi
@@ -289,28 +293,66 @@ def _path_chunks(block: OuBlock, n: int, h: float,
     Drawing chunk by chunk consumes ``rng`` exactly as one ``(n, dim)``
     draw does, and the recursion's state is carried from chunk to chunk,
     so the chunks are the rows of the whole-path computation, bit for bit.
+    A chunk's draws are dropped before it is yielded, so only its rows
+    outlive it.
     """
-    ad, bd, noise, decay = _exact_transition(block, h)
+    transition = _exact_transition(block, h)
     x = block.init
     for start, stop in _chunk_bounds(n + 1):
-        rows = np.empty((stop - start, block.dim))
-        steps = rows
-        if start == 0:
-            rows[0] = x
-            steps = rows[1:]
-        u = rng.standard_normal((len(steps), block.dim)) @ noise.T + bd
-        if decay is not None:
-            # One scalar AR(1) filter per coordinate; its state decay*x
-            # carries the previous row into the chunk.
-            for j in range(block.dim):
-                steps[:, j], _ = scipy.signal.lfilter(
-                    [1.0], [1.0, -decay[j]], u[:, j], zi=[decay[j] * x[j]])
-        else:
-            for i, ui in enumerate(u):
-                x = ad @ x + ui
-                steps[i] = x
+        m = stop - start + (start > 0)      # the carried row, then the steps
+        path = _chunk_path(transition, x,
+                           rng.standard_normal((m - 1, block.dim)))
+        rows = path[1:] if start else path
         x = rows[-1]
         yield rows
+
+
+def _chunk_path(transition: tuple, x: np.ndarray,
+                z: np.ndarray) -> np.ndarray:
+    """The ``(len(z) + 1, dim)`` path from row ``x``, one exact step per row
+    of standard normals ``z``: a step loop if the block is coupled, else
+    one banded solve.
+
+    The solve's ``(dim, m)`` drive holds ``x`` in column 0 and the steps'
+    drive ``noise z + bd`` after it.  Each coordinate's recursion
+    ``x_i = decay x_{i-1} + u_i`` is then a unit lower-bidiagonal system,
+    the transpose of :func:`_decay_band`'s, which one ``dtbsv`` call solves
+    for all coordinates in place.  Each step subtracts a product of length
+    one, ``u_i - (-decay) x_{i-1}``: the multiply and the add that an AR(1)
+    filter rounds, with no fused multiply-add, so the path is the filter's
+    bit for bit.  ``x`` is an unknown of the system, not folded into
+    ``u_1``, so a path carried over chunks is exact too.  The band is
+    built for the call and dropped with it, and the path returned is a
+    transposed view of the solution.
+    """
+    ad, bd, noise, decay = transition
+    if decay is None:
+        path = np.empty((len(z) + 1, x.size))
+        path[0] = x
+        for i, ui in enumerate(z @ noise.T + bd, start=1):
+            x = ad @ x + ui
+            path[i] = x
+        return path
+    drive = np.empty((x.size, len(z) + 1))
+    drive[:, 0] = x
+    np.matmul(noise, z.T, out=drive[:, 1:])
+    drive[:, 1:] += bd[:, None]
+    return scipy.linalg.blas.dtbsv(
+        1, _decay_band(decay, drive.shape[1]), drive.ravel(), lower=0,
+        trans=1, diag=1, overwrite_x=1).reshape(drive.shape).T
+
+
+def _decay_band(decay: np.ndarray, m: int) -> np.ndarray:
+    """The upper band of the unit bidiagonal matrix whose transpose runs
+    ``x_i = decay_j x_{i-1} + u_i`` along each coordinate j's ``m``
+    entries, in ``dtbsv``'s Fortran-ordered ``(2, dim * m)`` storage: the
+    superdiagonal row is ``-decay_j`` along run j and 0 where each run
+    starts.  The diagonal row is left unset: ``diag=1`` never reads it."""
+    band = np.empty((2, decay.size * m), order="F")
+    superdiagonal = band[0].reshape(decay.size, m)
+    superdiagonal[:, 0] = 0.0
+    superdiagonal[:, 1:] = -decay[:, None]
+    return band
 
 
 def simulate_ou(block: OuBlock, n: int, T: float,

@@ -588,6 +588,63 @@ def truth_variant(kind):
     return tb
 
 
+class TestBandedSolve:
+    """A decoupled block's chunk is one ``dtbsv`` solve, bit for bit the
+    AR(1) filter that ``scipy.signal.lfilter`` runs per coordinate."""
+
+    # no decay, a unit decay (no mean reversion), mean reversion from slow
+    # to fast, and decays above 1 (a negative mean reversion)
+    DECAYS = [0.0, 1.0, 0.999998, 0.9, 0.5, 1.01, 1.05]
+
+    @pytest.mark.parametrize("steps", [1, 2, CHUNK - 1, CHUNK + 1])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_matches_lfilter_bit_for_bit(self, steps, scale):
+        import scipy.signal
+
+        rng = np.random.default_rng(steps)
+        decay = np.array(self.DECAYS)
+        d = decay.size
+        bd = scale * rng.standard_normal(d)
+        x = scale * rng.standard_normal(d)      # a non-zero carried row
+        z = scale * rng.standard_normal((steps, d))
+        # a unit noise factor makes the drive z + bd exactly, so the solve
+        # alone is compared
+        transition = (np.diag(decay), bd, np.eye(d), decay)
+        path = diffsim._chunk_path(transition, x, z)
+        assert path.shape == (steps + 1, d)
+        assert np.array_equal(path[0], x)
+        u = z + bd
+        for j, a in enumerate(decay):
+            want, _ = scipy.signal.lfilter([1.0], [1.0, -a], u[:, j],
+                                           zi=[a * x[j]])
+            assert np.array_equal(path[1:, j], want), a
+
+    @pytest.mark.parametrize("kind", ["exact", "non_diagonal"])
+    def test_one_solve_per_block_and_chunk(self, kind, monkeypatch):
+        # one call for all of a block's coordinates; the coupled block of
+        # the non-diagonal variant makes none
+        import scipy.linalg.blas
+
+        solve, sizes = scipy.linalg.blas.dtbsv, []
+
+        def spy(k, band, drive, **options):
+            sizes.append(drive.size)
+            return solve(k, band, drive, **options)
+
+        monkeypatch.setattr(scipy.linalg.blas, "dtbsv", spy)
+        tb = truth_variant(kind)
+        n = 2 * CHUNK + 1
+        diffsim.simulate_custom(tb, n=n, T=1.0, seed=3, keep_latents=False)
+        decoupled = [block.dim for block in (getattr(tb, name)
+                                             for name in LATENTS[:4])
+                     if diffsim._exact_transition(block, 1.0 / n)[3]
+                     is not None]
+        assert len(decoupled) == (4 if kind == "exact" else 3)
+        assert sizes == [d * (stop - start + (start > 0))
+                         for start, stop in diffsim._chunk_bounds(n + 1)
+                         for d in decoupled]
+
+
 def simulate_variant(tb, n, keep_latents):
     return diffsim.simulate_custom(tb, n=n, T=1.0, seed=11,
                                    keep_latents=keep_latents)

@@ -7,6 +7,8 @@ import inspect
 import json
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -119,11 +121,10 @@ def test_stats_scan_catches_imports():
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_scipy_signal_in_diffsim_alone(path):
-    # diffsim's AR(1) filter is the package's one use of scipy.signal, so
-    # deferring that import to the first simulated path changes one module.
-    want = ["scipy.signal"] if path.name == "diffsim.py" else []
-    assert module_imports(path.read_text(), "scipy.signal") == want
+def test_no_scipy_signal(path):
+    # A decoupled block's path is one banded BLAS solve (diffsim._chunk_path),
+    # so no module needs scipy.signal, which also loads scipy.stats.
+    assert module_imports(path.read_text(), "scipy.signal") == []
 
 
 def test_signal_scan_catches_imports():
@@ -135,6 +136,20 @@ def test_signal_scan_catches_imports():
             for line in lines] == [1, 1, 1, 1, 1]
     assert module_imports("from scipy import linalg, stats\nimport scipy",
                           "scipy.signal") == []
+
+
+def test_runtime_loads_no_scipy_signal_or_stats():
+    # The scans above see a module's own imports; a fresh interpreter also
+    # sees what those import in turn, on a simulated path and its Q.
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import hfsem; "
+             "from hfsem import diffsim, qlik; "
+             "bundle = diffsim.simulate_true_model(100, 1.0, seed=0); "
+             "qlik.quad_var(bundle.x_obs, bundle.T); "
+             "print(sorted(m for m in sys.modules if m == 'scipy.signal' "
+             "or m.startswith(('scipy.signal.', 'scipy.stats'))))")
+    out = subprocess.run([sys.executable, "-c", probe, str(SRC.parent)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 LAYOUT_NAMES = {"patterns", "_units", "_bases", "_factors", "_gram_pairs",
