@@ -86,6 +86,12 @@ def text(value, where: str) -> str:
     return _expect(isinstance(value, str), value, where, "a string")
 
 
+def model_name(value, where: str) -> str:
+    """A model name, which the CSV outputs write as a bare cell."""
+    return _expect(isinstance(value, str) and not set(value) & set(',"\r\n'),
+                   value, where, "a string with no comma, double quote or line break")
+
+
 def array(value, where: str, ndim=None) -> np.ndarray:
     """A number or rectangular nested lists of numbers as a float array,
     of ``ndim`` dimensions when that is given."""

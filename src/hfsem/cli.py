@@ -9,6 +9,7 @@ table and posterior probabilities over fitted models), and ``table1``
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import os
 import sys
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import _doc, diffsim, harness, infocrit, models
 from .errors import HfsemError
-from .qlik import LikelihoodSurface, quad_var
+from .qlik import quad_var
 from .qmle import FitReport, fit_multistart
 
 logger = logging.getLogger(__name__)
@@ -130,16 +131,13 @@ def fit_command(spec_path: str, data_path: str, horizon: float,
                 init_path, starts, seed: int, out: str) -> None:
     """Fit one model to a path CSV and write the full fit report as JSON."""
     spec = models.resolve_spec(spec_path)
-    x_obs = _read_path_csv(data_path)
-    quadvar = quad_var(x_obs, horizon)
+    quadvar = quad_var(_read_path_csv(data_path), horizon)
     spec.check_grid(quadvar.n)
-    surface = LikelihoodSurface(spec, quadvar)
-    init = None
-    if init_path is not None:
-        init = np.loadtxt(init_path, delimiter=",").ravel()
+    init = (None if init_path is None
+            else np.loadtxt(init_path, delimiter=",").ravel())
     if starts is None:
         starts = 1 if init is not None else 8
-    report = fit_multistart(surface, starts=starts, seed=seed, init=init)
+    report = fit_multistart(spec, quadvar, starts, seed, init)
     _doc.write_json(report.to_dict(), out)
     click.echo(f"wrote {out} (loglik {report.h_at_hat:.4f}, "
                f"converged={report.converged})")
@@ -188,7 +186,7 @@ def table1(config_path: str, out_dir: str, workers) -> None:
     """Run the selection study and write table.txt/table.csv/replications.csv."""
     config = harness.ExperimentConfig.from_json(config_path)
     if workers is not None:
-        config.workers = workers
+        config = dataclasses.replace(config, workers=workers)
     # Made before the study runs, so an unusable path stops it at once.
     os.makedirs(out_dir, exist_ok=True)
     try:

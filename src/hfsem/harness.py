@@ -1,9 +1,10 @@
 """Monte Carlo experiment driver: simulate, fit every model, tally selections.
 
 A run is described by an :class:`ExperimentConfig` (JSON schema
-``hfsem-exp-v1``).  For every grid size and replication the driver draws a
-fresh path with a seed split deterministically from the master seed, fits
-each candidate model and evaluates the criteria.  A study's result is its
+``hfsem-exp-v1``), a frozen value checked when it is built.  For every
+grid size and replication the driver draws a fresh path with a seed
+split deterministically from the master seed, fits each candidate model
+and evaluates the criteria.  A study's result is its
 records, one per replication and model; the :class:`SelectionTable` of
 per-criterion winners is counted from them.  Replications run in
 contiguous chunks, the unit of work of a worker pool: the fewest chunks of
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import os
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional, Sequence, Union
 
@@ -73,7 +75,7 @@ def split_seed(master_seed: int, n: int, rep: int, tag: int = 0) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     n_values: list[int]
     T: float
@@ -85,7 +87,7 @@ class ExperimentConfig:
     init_mode: str = "true"          # "true" | "moment"
     workers: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _doc.integer(self.replications, "replications", 1)
         _doc.integer(self.master_seed, "master_seed", 0)
         _doc.items(self.n_values, "n_values", _doc.integer, 2)
@@ -108,9 +110,7 @@ class ExperimentConfig:
         _doc.fields(doc, "config", [f.name for f in fields(cls)
                                     if f.default is MISSING],
                     [f.name for f in fields(cls)], schema=CONFIG_SCHEMA)
-        config = cls(**{k: v for k, v in doc.items() if k != "schema"})
-        config.validate()
-        return config
+        return cls(**{k: v for k, v in doc.items() if k != "schema"})
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -311,14 +311,12 @@ def run_experiment(config: ExperimentConfig):
     criterion its ``selected_by`` names.  Deterministic given the master
     seed regardless of worker count and chunking.
     """
-    config.validate()
     specs, truth, sigma0 = _load_study(config, config.model_spec_paths)
     model_ids = [s.name for s in specs]
 
     inits: list[Optional[np.ndarray]] = [None] * len(specs)
     if config.init_mode == "true":
-        optima = _limit_optima(specs, sigma0, config)
-        inits = [theta_bar for theta_bar, _ in optima]
+        inits = [theta for theta, _ in _limit_optima(specs, sigma0, config)]
     records = _replicate(config, specs, inits, truth)
 
     counts = {(c, n): {m: 0 for m in model_ids}
@@ -374,7 +372,6 @@ def gap_growth_probe(config: ExperimentConfig, model_a: str, model_b: str,
     :func:`run_experiment`'s replications; a failed fit raises
     :class:`AllStartsFailedError`.
     """
-    config.validate()
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
     specs, truth, sigma0 = _load_study(config, [model_a, model_b])
@@ -444,8 +441,6 @@ def render_table(table: SelectionTable, fmt: str = "text") -> str:
 
 def write_outputs(table: SelectionTable, records: list[dict], out_dir) -> dict:
     """Write table.txt, table.csv and replications.csv into ``out_dir``."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "table_txt": os.path.join(out_dir, "table.txt"),

@@ -13,8 +13,8 @@ quasi-log-likelihood of a candidate covariance ``Sigma(theta)`` reduces to
 identical (up to floating point) to summing the Gaussian increment
 densities, because Q is sufficient for the diffusion part.  Its in-fill
 limit replaces Q by the true covariance and drops the n factor, which is
-the quasi-log-likelihood at n = 1 with sigma0 as Q (``qmle.limit_optimum``
-maximizes it).
+the quasi-log-likelihood of sigma0 as the ``QuadVar`` of one increment
+(``qmle.limit_optimum`` maximizes it).
 
 The gradient, the Fisher information and the observed Hessian are all
 analytic.  One kernel, :func:`score_lanes`, computes them for a stack of
@@ -25,7 +25,7 @@ record in factor space (the Hessian adds the pass's second-derivative
 term), and the information and the Hessian only for the lanes that ask.
 The estimator runs many fits through it at once, and each fit's Hessian
 is the one its last accepted pass gives.  :class:`LikelihoodSurface` is
-its one-lane case.
+its one-lane case, which of the estimator's entries only ``qmle.fit`` takes.
 """
 
 from __future__ import annotations

@@ -22,15 +22,16 @@ each lane follows bit for bit the path it would follow alone.
 one loop; a ``FitReport`` keeps the observed Hessian of its best lane's
 last accepted pass, bit for bit ``LikelihoodSurface.hessian`` at
 ``theta_hat`` and with no kernel pass after the loop, and ``infocrit``
-derives the criteria from it.  ``fit_multistart`` runs a surface's
-``start_set`` (the given or moment start, then Latin-hypercube starts
-drawn on the moment start's scale) as lanes and keeps the best; ``fit``
-is its one-start case; ``limit_optimum`` maximizes the in-fill limit
-criterion the same way, by ``fit_lanes`` on sigma0 as Q with n = 1.  The
-moment start is ``semspec.moment_start``, so this module reads nothing of
-a spec's layout.  ``_optimize`` takes its kernel
-as an argument, so the injectivity probe of ``check_identifiability``
-runs on its lanes too, by Gauss-Newton: its kernel has no Hessian.
+derives the criteria from it.  ``fit_multistart(spec, quadvar)``, the one
+single-Q fit and the one to raise ``AllStartsFailedError``, runs a
+``QuadVar``'s ``start_set`` (the given or moment start, then Latin-hypercube
+starts on the moment start's scale) as lanes and keeps the best; ``fit`` is
+its one-start view of a ``LikelihoodSurface``, and ``limit_optimum`` its
+case on sigma0 as the Q of one increment.  The moment start is
+``semspec.moment_start``, so this module reads nothing of a spec's layout.
+``_optimize`` takes its kernel as an argument, so the injectivity probe of
+``check_identifiability`` runs on its lanes too, by Gauss-Newton: its
+kernel has no Hessian.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from scipy.linalg import lapack
 
 from . import _doc, matkit
 from .errors import AllStartsFailedError
-from .qlik import NON_FINITE, OK, LaneScores, LikelihoodSurface, score_lanes
+from .qlik import (NON_FINITE, OK, LaneScores, LikelihoodSurface, QuadVar,
+                   score_lanes)
 from .semspec import SemSpec, _probe_start, jacobian_rank, moment_start
 
 __all__ = [
@@ -99,12 +101,13 @@ class FitReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FitReport":
-        """Each field is read by the reader of its declared type; ``n`` must
-        be at least 1, the arrays must have the shapes ``q`` gives, and the
-        floats and arrays must be finite (``hessian`` may be null)."""
+        """Each field is read by the reader of its declared type, the one
+        string, ``model``, as a model name; ``n`` must be at least 1, the
+        arrays must have the shapes ``q`` gives, and the floats and arrays
+        must be finite (``hessian`` may be null)."""
         _doc.fields(doc, "fit report", [f.name for f in fields(cls)
                                         if f.name != "hessian"], ["hessian"])
-        read = {"str": _doc.text, "int": _doc.integer, "float": _doc.number,
+        read = {"str": _doc.model_name, "int": _doc.integer, "float": _doc.number,
                 "bool": _doc.flag, "np.ndarray": _doc.array}
         values = {f.name: read[f.type](doc[f.name], f"fit report field {f.name!r}")
                   for f in fields(cls)
@@ -337,10 +340,12 @@ def fit_lanes(spec: SemSpec, q_xx: np.ndarray, n: np.ndarray,
 
 def fit(surface: LikelihoodSurface, init: Optional[np.ndarray] = None,
         options: Optional[FitOptions] = None) -> FitReport:
-    """Maximize the quasi-log-likelihood from one start, ``init`` or else
-    the moment start: ``fit_multistart`` with one start, which raises
-    :class:`AllStartsFailedError` when the start is not admissible."""
-    return fit_multistart(surface, 1, 0, init, options)
+    """``fit_multistart`` on the surface from one start, ``init`` or else
+    the moment start; with ``compute_hessian`` off its Hessian is NaN."""
+    report = fit_multistart(surface.spec, surface.quadvar, 1, 0, init)
+    if options is not None and not options.compute_hessian:
+        report.hessian[...] = np.nan
+    return report
 
 
 def _latin_hypercube(d: int, count: int, seed) -> np.ndarray:
@@ -383,43 +388,40 @@ def start_set(spec: SemSpec, q_xx: np.ndarray, starts: int = 8, seed: int = 0,
     return [first] + _lhs_starts(spec, centre, starts - 1, seed)
 
 
-def fit_multistart(surface: LikelihoodSurface, starts: int = 8, seed: int = 0,
-                   init: Optional[np.ndarray] = None,
-                   options: Optional[FitOptions] = None) -> FitReport:
-    """Best fit over the ``start_set`` of ``starts`` starts, all run as
-    lanes of one ``fit_lanes`` loop; ties in the attained value keep the
-    earliest start.  With ``compute_hessian`` off the report's Hessian is
-    NaN."""
-    spec, q_xx = surface.spec, surface.quadvar.q_xx
-    (report,) = fit_lanes(spec, q_xx[None], [surface.n],
-                          [start_set(spec, q_xx, starts, seed, init)])
+def fit_multistart(spec: SemSpec, quadvar: QuadVar, starts: int = 8,
+                   seed: int = 0, init: Optional[np.ndarray] = None) -> FitReport:
+    """Best fit of ``spec`` to ``quadvar`` over the ``start_set`` of
+    ``starts`` starts, all run as lanes of one ``fit_lanes`` loop; ties in
+    the attained value keep the earliest start.  The one single-Q fit:
+    when every start lies outside the admissible region it raises
+    :class:`AllStartsFailedError`."""
+    if quadvar.q_xx.shape != (spec.p, spec.p):
+        raise ValueError(f"quadratic covariation is {quadvar.q_xx.shape}, "
+                         f"model observes p={spec.p}")
+    (report,) = fit_lanes(spec, quadvar.q_xx[None], [quadvar.n],
+                          [start_set(spec, quadvar.q_xx, starts, seed, init)])
     if report is None:
         raise AllStartsFailedError(
             f"all {starts} starts failed for {spec.name!r}")
-    if options is not None and not options.compute_hessian:
-        report.hessian[...] = np.nan
     return report
 
 
 def limit_optimum(spec: SemSpec, sigma0: np.ndarray, starts: int = 8,
                   seed: int = 0) -> tuple[np.ndarray, float]:
-    """Maximize the in-fill limit criterion against a target covariance.
+    """Maximize the in-fill limit criterion against a target covariance,
+    by ``fit_multistart`` on sigma0 as the Q of one increment of [0, 1].
 
     For a correctly specified model this recovers the parameter at which
-    the implied covariance equals ``sigma0``.  Returns ``(theta_bar,
+    the implied covariance equals ``sigma0``; returns ``(theta_bar,
     attained value)``.  A target that is not finite, symmetric and
     positive definite raises ``ValueError`` (one that is not positive
     definite leaves the criterion unbounded above), and one on which every
     start fails raises :class:`AllStartsFailedError`.
     """
-    sigma0 = matkit.check_symmetric(sigma0)
-    if matkit._chol_lanes(sigma0[None])[2][0]:
+    target = QuadVar(sigma0, n=1, T=1.0)
+    if matkit._chol_lanes(target.q_xx[None])[2][0]:
         raise ValueError("limit_optimum target sigma0 is not positive definite")
-    (report,) = fit_lanes(spec, sigma0[None], np.ones(1),
-                          [start_set(spec, sigma0, starts, seed)])
-    if report is None:
-        raise AllStartsFailedError(
-            f"all {starts} starts failed for {spec.name!r}")
+    report = fit_multistart(spec, target, starts, seed)
     return report.theta_hat, report.h_at_hat
 
 

@@ -203,7 +203,7 @@ class SemSpec:
         ``"nonzero"`` is a label only, which the estimator does not enforce.
     lower, upper : per-parameter closed bounds, length q; lower < upper,
         and infinite ends are allowed.
-    name : identifier used in reports and file output.
+    name : identifier in reports and CSV cells: no comma, quote or line break.
 
     Construction walks each pattern once, reading every cell and placing
     those of the lower triangle of a covariance pattern (each with its
@@ -213,8 +213,8 @@ class SemSpec:
     """
 
     def __init__(self, dims, patterns, lower, upper, name: str = "model"):
-        self.name = str(name)
         try:
+            self.name = _doc.model_name(name, "name")
             _doc.fields(dims, "dims", _DIMS)
             _doc.fields(patterns, "patterns", _ROLES)
             for key in _DIMS:
@@ -481,11 +481,10 @@ class SemSpec:
             bounds = _doc.fields(doc["bounds"], "bounds", ("lower", "upper"))
             lower, upper = (_doc.array(bounds[key], f"bounds.{key}", ndim=1)
                             for key in ("lower", "upper"))
-            name = _doc.text(doc.get("name", "model"), "name")
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
         return cls(dims=doc["dims"], patterns={role: doc[role] for role in _ROLES},
-                   lower=lower, upper=upper, name=name)
+                   lower=lower, upper=upper, name=doc.get("name", "model"))
 
     def to_json(self, path) -> None:
         _doc.write_json(self.to_dict(), path)

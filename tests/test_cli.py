@@ -103,6 +103,20 @@ class TestQuadvar:
                            np.loadtxt(qb, delimiter=","), atol=1e-12)
 
 
+@pytest.mark.parametrize("command", [["quadvar", "--in"],
+                                     ["fit", "--spec", "model1", "--data"]],
+                         ids=["quadvar", "fit"])
+def test_headed_path_without_x_columns(runner, tmp_path, command):
+    # A header names the columns; without an x* column there is no path.
+    data, out = tmp_path / "path.csv", tmp_path / "out"
+    data.write_text("t,y1,y2\n0,1,2\n1,2,4\n")
+    result = runner.invoke(main, [*command, str(data), "--T", "1",
+                                  "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: no x* columns in {data}\n"
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def fit_files(tmp_path_factory):
     runner = CliRunner()
@@ -212,6 +226,28 @@ class TestFitAndCriteria:
                                       "--out", str(out)])
         assert result.exit_code == 1
         assert result.output == "Error: two fits of model 'model1'\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["m,1", 'm"1', "m\n1"],
+                         ids=["comma", "quote", "newline"])
+def test_model_name_is_a_bare_csv_cell(runner, fit_files, tmp_path, name):
+    # The criteria CSV, like a study's table.csv and replications.csv,
+    # writes a model name as a bare cell, where a comma would shift every
+    # later column of its row: a spec and a fit report refuse such a name.
+    _, path, fits = fit_files
+    spec, fit, out = tmp_path / "spec.json", tmp_path / "fit.json", tmp_path / "out"
+    spec.write_text(json.dumps({**models.load_builtin("model1").to_dict(),
+                                "name": name}))
+    fit.write_text(json.dumps({**json.loads(fits[0].read_text()), "model": name}))
+    rule = f"must be a string with no comma, double quote or line break, got {name!r}"
+    for argv, field in (
+            (["fit", "--spec", str(spec), "--data", str(path), "--T", "1"], "name"),
+            (["criteria", "--fits", str(fit), "--fits", str(fits[1])],
+             "fit report field 'model'")):
+        result = runner.invoke(main, [*argv, "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {field} {rule}\n"
         assert not out.exists()
 
 
@@ -410,6 +446,29 @@ class TestTable1:
                                       "--out-dir", str(out_dir)])
         assert result.exit_code == 1
         assert result.output == f"Error: {out_dir}: Not a directory\n"
+
+    def test_workers_override(self, runner, tmp_path):
+        # --workers replaces the config's worker count, and the config
+        # checks the new count; the files do not depend on it.
+        config_path = tmp_path / "exp.json"
+        harness.ExperimentConfig(
+            n_values=[100], T=1.0, replications=3, master_seed=5,
+            model_spec_paths=["model1", "model3"]).to_json(config_path)
+        files = ("table.txt", "table.csv", "replications.csv")
+        written = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"workers{workers}"
+            invoke(runner, ["table1", "--config", str(config_path),
+                            "--out-dir", str(out_dir), "--workers", workers])
+            written.append([(out_dir / name).read_bytes() for name in files])
+        assert written[0] == written[1]
+        out_dir = tmp_path / "workers0"
+        result = runner.invoke(main, ["table1", "--config", str(config_path),
+                                      "--out-dir", str(out_dir), "--workers", "0"])
+        assert result.exit_code == 1
+        assert result.output == ("Error: workers must be an integer of at "
+                                 "least 1, got 0\n")
+        assert not out_dir.exists()
 
     def test_full_run(self, runner, tmp_path):
         config = harness.ExperimentConfig(

@@ -88,13 +88,13 @@ class TestConfig:
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
-            small_config(replications=0).validate()
+            small_config(replications=0)
         with pytest.raises(ValueError):
-            small_config(n_values=[1]).validate()
+            small_config(n_values=[1])
         with pytest.raises(ValueError):
-            small_config(init_mode="oracle").validate()
+            small_config(init_mode="oracle")
         with pytest.raises(ValueError):
-            small_config(model_spec_paths=[]).validate()
+            small_config(model_spec_paths=[])
 
     @pytest.mark.parametrize("key, value", [
         ("n_values", [100.5]), ("n_values", [100, 1000.0]),
@@ -106,12 +106,12 @@ class TestConfig:
         ("model_spec_paths", [0]), ("true_model", 5)])
     def test_numbers_checked(self, key, value):
         with pytest.raises(ValueError, match=rf"^{key}(\[\d+\])? must be"):
-            small_config(**{key: value}).validate()
+            small_config(**{key: value})
 
     @pytest.mark.parametrize("key, value", [("n_values", [100, 1000, 100])])
     def test_repeats_rejected(self, key, value):
         with pytest.raises(ValueError, match=rf"^{key} must not repeat"):
-            small_config(**{key: value}).validate()
+            small_config(**{key: value})
 
     @pytest.mark.parametrize("key, value, message", [
         # a 3-dimensional delta against the two rows of lambda_x1
@@ -130,7 +130,18 @@ class TestConfig:
     def test_truth_singular_structure_rejected(self):
         truth = {**bundled_truth_doc(), "b0": [[0.0, 1.0], [1.0, 0.0]]}
         with pytest.raises(SingularStructureError, match=r"true_model\.b0"):
-            small_config(true_model=truth).validate()
+            small_config(true_model=truth)
+
+    def test_checked_when_built_and_frozen(self):
+        # A config is checked once, when it is built; replace builds anew
+        # and so checks again, and no field can change after the check.
+        config = small_config()
+        assert not hasattr(config, "validate")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.workers = 0
+        with pytest.raises(ValueError, match="^workers must be"):
+            dataclasses.replace(config, workers=0)
+        assert dataclasses.replace(config, workers=2).workers == 2
 
     def test_schema_enforced(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -359,7 +370,7 @@ class TestRunExperiment:
         for chunk, workers in ((harness._CHUNK, 1), (1, 1), (2, 1), (2, 2),
                                (harness._CHUNK, 2), (16, 1)):
             monkeypatch.setattr(harness, "_CHUNK", chunk)
-            config.workers = workers
+            config = dataclasses.replace(config, workers=workers)
             runs.append(harness.run_experiment(config))
         table, records = runs[0]
         assert len(records) == 2 * config.replications * 3

@@ -143,9 +143,10 @@ HORIZON_ENTRIES = {
     "simulate_custom": lambda T: diffsim.simulate_custom(
         diffsim.load_truth(diffsim.TRUE_MODEL_NAME), n=10, T=T, seed=0),
     "simulate_true_model": lambda T: diffsim.simulate_true_model(10, T, seed=0),
+    # Named for the method that once checked T; the config checks it when built.
     "ExperimentConfig.validate": lambda T: harness.ExperimentConfig(
         n_values=[100], T=T, replications=1, master_seed=0,
-        model_spec_paths=["model1"]).validate(),
+        model_spec_paths=["model1"]),
 }
 
 

@@ -335,7 +335,8 @@ class TestFit:
         with pytest.raises(SpecError, match="length q=22"):
             qmle.fit(surface_1e3, init=np.full(length, 2.0))
         with pytest.raises(SpecError, match="length q=22"):
-            qmle.fit_multistart(surface_1e3, starts=2, init=np.full(length, 2.0))
+            qmle.fit_multistart(surface_1e3.spec, surface_1e3.quadvar, starts=2,
+                                init=np.full(length, 2.0))
 
     def test_report_dict_fields_checked(self, surface_1e3):
         doc = qmle.fit(surface_1e3, init=models.THETA1_TRUE).to_dict()
@@ -422,29 +423,68 @@ class TestFit:
             qmle.FitReport.from_dict({**doc, "j_flag": True})
 
 
+def structural_b2():
+    """The structural spec with b01 freed as parameter 18: I - B is
+    singular where b01 b10 = 1 (b10 is parameter 4)."""
+    return edited_spec(make_structural_spec(),
+                       {("b", 0, 1): {"free": {"index": 18}}}, "structural_b2")
+
+
+class TestAllStartsFailed:
+    """The one failure exit of a single-Q fit: a start where I - B is
+    singular scores outside the admissible region, and with no other start
+    the fit raises AllStartsFailedError; limit_optimum raises it there."""
+
+    message = "^all 1 starts failed for 'structural_b2'$"
+
+    @pytest.fixture()
+    def case(self):
+        spec = structural_b2()
+        rng = np.random.default_rng(8)
+        around = np.where(spec.positive_mask, 4.0, 0.3)
+        singular = interior_theta(spec, rng, around=around)
+        singular[4], singular[18] = 2.0, 0.5
+        sigma0 = spec.sigma(interior_theta(spec, rng, around=around))
+        return spec, singular, sigma0
+
+    def test_fit_multistart(self, case):
+        spec, singular, sigma0 = case
+        qv = QuadVar(sigma0, n=1000, T=1.0)
+        with pytest.raises(AllStartsFailedError, match=self.message):
+            qmle.fit_multistart(spec, qv, starts=1, init=singular)
+
+    def test_limit_optimum(self, case, monkeypatch):
+        # With one start the moment start is the only one; made singular,
+        # it fails the limit optimum through the same raise.
+        spec, singular, sigma0 = case
+        monkeypatch.setattr(qmle, "moment_start", lambda *args: singular)
+        with pytest.raises(AllStartsFailedError, match=self.message):
+            qmle.limit_optimum(spec, sigma0, starts=1, seed=0)
+
+
 class TestMultistart:
     @pytest.mark.parametrize("init", [None, models.THETA1_TRUE],
                              ids=["moment", "given"])
     def test_fit_is_one_start(self, surface_1e3, init):
         a = qmle.fit(surface_1e3, init=init)
-        b = qmle.fit_multistart(surface_1e3, starts=1, seed=0, init=init)
+        b = qmle.fit_multistart(surface_1e3.spec, surface_1e3.quadvar, starts=1,
+                                seed=0, init=init)
         assert a.to_dict() == b.to_dict()
 
     def test_determinism_given_seed(self, surface_1e3):
-        a = qmle.fit_multistart(surface_1e3, starts=4, seed=11)
-        b = qmle.fit_multistart(surface_1e3, starts=4, seed=11)
+        a, b = (qmle.fit_multistart(surface_1e3.spec, surface_1e3.quadvar,
+                                    starts=4, seed=11) for _ in range(2))
         assert reports_equal(a, b)
         assert a.restarts == 3
 
     def test_agrees_with_true_value_start(self, model1):
         # reduced version of the 100-replication protocol study
         agree = 0
-        opts = qmle.FitOptions(compute_hessian=False)
         for rep in range(8):
             bundle = diffsim.simulate_true_model(1000, 1.0, seed=500 + rep)
-            surface = LikelihoodSurface(model1, quad_var(bundle.x_obs, 1.0))
-            ref = qmle.fit(surface, init=models.THETA1_TRUE, options=opts)
-            ms = qmle.fit_multistart(surface, starts=8, seed=rep, options=opts)
+            qv = quad_var(bundle.x_obs, 1.0)
+            ref = qmle.fit(LikelihoodSurface(model1, qv), init=models.THETA1_TRUE)
+            ms = qmle.fit_multistart(model1, qv, starts=8, seed=rep)
             agree += np.abs(ms.theta_hat - ref.theta_hat).max() < 1e-4
         assert agree >= 7
 
@@ -452,9 +492,9 @@ class TestMultistart:
         # two increments of ten series: wildly rank-deficient
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 10))
-        surface = LikelihoodSurface(model1, quad_var(x, 1.0))
         try:
-            report = qmle.fit_multistart(surface, starts=2, seed=0)
+            report = qmle.fit_multistart(model1, quad_var(x, 1.0), starts=2,
+                                         seed=0)
         except AllStartsFailedError:
             return
         assert report.boundary_hit
@@ -466,8 +506,7 @@ class TestMultistart:
         monkeypatch.setattr(qmle, "_optimize",
                             lambda spec, score, inits: drawn.append(inits)
                             or original(spec, score, inits))
-        qmle.fit_multistart(surface_1e3, starts=8, seed=3,
-                            options=qmle.FitOptions(compute_hessian=False))
+        qmle.fit_multistart(model1, surface_1e3.quadvar, starts=8, seed=3)
         centre = qmle.moment_start(model1, surface_1e3.quadvar.q_xx)
         (inits,) = drawn
         assert np.array_equal(inits[0], centre)
@@ -485,12 +524,13 @@ class TestMultistart:
 
     def test_rejects_nonpositive_starts(self, surface_1e3):
         with pytest.raises(ValueError):
-            qmle.fit_multistart(surface_1e3, starts=0)
+            qmle.fit_multistart(surface_1e3.spec, surface_1e3.quadvar, starts=0)
 
     @pytest.mark.parametrize("starts", [2.5, True, 0])
     def test_starts_must_be_a_positive_integer(self, surface_1e3, starts):
         with pytest.raises(ValueError, match="starts must be an integer"):
-            qmle.fit_multistart(surface_1e3, starts=starts)
+            qmle.fit_multistart(surface_1e3.spec, surface_1e3.quadvar,
+                                starts=starts)
 
 
 class TestLimitOptimum:
@@ -718,9 +758,7 @@ class TestLanes:
 class TestFitOptions:
     """``compute_hessian=False`` only blanks the report's Hessian."""
 
-    @pytest.mark.parametrize("run", [
-        qmle.fit, lambda surface, **kw: qmle.fit_multistart(surface, 4, 5, **kw)],
-        ids=["fit", "fit_multistart"])
+    @pytest.mark.parametrize("run", [qmle.fit], ids=["fit"])
     def test_only_the_hessian_is_blanked(self, surface_1e3, run):
         full = run(surface_1e3)
         blank = run(surface_1e3, options=qmle.FitOptions(compute_hessian=False))
@@ -770,8 +808,7 @@ def test_distance_kernel():
     # The injectivity probe's kernel: value, gradient and Gauss-Newton
     # matrix of -|Sigma - sigma0|_F^2 / 2, and a lane whose I - B is
     # singular (b01 b10 = 1, with b01 freed as parameter 18) rejected alone.
-    spec = edited_spec(make_structural_spec(),
-                       {("b", 0, 1): {"free": {"index": 18}}}, "structural_b2")
+    spec = structural_b2()
     rng = np.random.default_rng(8)
     around = np.where(spec.positive_mask, 4.0, 0.3)
     theta = np.array([interior_theta(spec, rng, around=around) for _ in range(3)])

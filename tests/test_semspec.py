@@ -2,6 +2,7 @@ import contextlib
 import json
 import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,20 @@ class TestJacobian:
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("name", ["m,1", 'm"1', "m\n1", "m\r1", 5],
+                             ids=["comma", "quote", "newline", "return",
+                                  "number"])
+    def test_name_is_a_bare_csv_cell(self, model1, name):
+        # The CSV outputs write a model name as a bare cell, where a comma
+        # would shift every later column of its row.
+        dims = {"p1": model1.p1, "p2": model1.p2, "k1": model1.k1, "k2": model1.k2}
+        message = ("^name must be a string with no comma, double quote or "
+                   f"line break, got {re.escape(repr(name))}$")
+        with pytest.raises(SpecError, match=message):
+            SemSpec(dims, model1.patterns, model1.lower, model1.upper, name=name)
+        with pytest.raises(SpecError, match=message):
+            SemSpec.from_dict({**model1.to_dict(), "name": name})
+
     def test_nonzero_b_diagonal_rejected(self):
         patterns = {
             "lambda_x1": [[fixed(1.0)]],
