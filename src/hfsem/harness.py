@@ -4,18 +4,21 @@ A run is described by an :class:`ExperimentConfig` (JSON schema
 ``hfsem-exp-v1``), a frozen value checked when it is built.  For every
 grid size and replication the driver draws a fresh path with a seed
 split deterministically from the master seed, fits each candidate model
-and evaluates the criteria.  A study's result is its
-records, one per replication and model; the :class:`SelectionTable` of
-per-criterion winners is counted from them.  Replications run in
-contiguous chunks, the unit of work of a worker pool: the fewest chunks of
-at most ``_CHUNK`` replications whose count the workers share evenly, so a
-study smaller than one chunk still keeps every worker busy.  A chunk gets
+and evaluates the criteria.  A study's result is its records, one row
+per replication and model, held as columns: one array per
+``REPLICATION_COLUMNS`` entry (:class:`Records`).  The
+:class:`SelectionTable` of per-criterion winners is counted from them.
+Replications run in contiguous chunks, the unit of work of a worker pool:
+the fewest chunks of at most ``_CHUNK`` replications whose count the
+workers share evenly, so a study smaller than one chunk still keeps every
+worker busy.  A chunk gets
 the study's shared values and its (n, rep) tasks; it splits each task's
 seeds where it uses them, reduces each path to its realized covariation,
 one (R, p, p) Q stack, and fits each model to the stack as the lanes of
 one lockstep loop (``qmle.fit_lanes``).  A lane's fit does not depend on
 the others, so the records and the table are identical for any worker
-count and chunking; records merge in replication order.
+count and chunking: each chunk returns its own columns, concatenated in
+replication order.
 
 Initialization follows the benchmark protocol by default: each model starts
 from its limit-criterion optimum against the truth's covariance (the true
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import operator
 import os
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional, Sequence, Union
@@ -47,6 +51,7 @@ from .semspec import SemSpec, rank_screen
 __all__ = [
     "ExperimentConfig",
     "SelectionTable",
+    "Records",
     "GapProbeResult",
     "run_experiment",
     "gap_growth_probe",
@@ -64,9 +69,15 @@ logger = logging.getLogger(__name__)
 
 CONFIG_SCHEMA = "hfsem-exp-v1"
 
-REPLICATION_COLUMNS = ("rep", "n", "model", "h_at_hat", "lr_sat", *CRITERIA,
-                       "j_flag", "converged", "boundary_hit", "iterations",
-                       "evaluations", "grad_norm", "selected_by")
+# The columns of a study's records with the type of each row's cell;
+# selected_by, one row per (n, rep), comes last.
+_ROW_TYPES = {"rep": np.int64, "n": np.int64, "model": np.intp,
+              "h_at_hat": float, "lr_sat": float,
+              **dict.fromkeys(CRITERIA, float), "j_flag": bool,
+              "converged": bool, "boundary_hit": bool,
+              "iterations": np.int64, "evaluations": np.int64,
+              "grad_norm": float}
+REPLICATION_COLUMNS = (*_ROW_TYPES, "selected_by")
 
 
 def split_seed(master_seed: int, n: int, rep: int, tag: int = 0) -> int:
@@ -147,6 +158,72 @@ class SelectionTable:
                         f"!= {self.replications} replications")
 
 
+@dataclass(frozen=True, eq=False)
+class Records:
+    """A study's records as columns: one array per ``REPLICATION_COLUMNS``
+    entry, rows in (task, spec) order, a task being an (n, rep)
+    replication.
+
+    ``model`` is an index into ``model_ids``.  ``selected_by`` has one row
+    per task, the index of each criterion's winner, -1 when a fit of the
+    task failed.  ``failed`` flags a row whose fit failed; its fit columns
+    hold NaN, 0 or False, which no reader takes for a value.
+
+    It is also a sequence of row dicts, built one at a time by ``len``,
+    iteration and integer indexing: the keys of ``REPLICATION_COLUMNS``
+    and Python scalars, a failed fit's cells ``""`` and its
+    ``selected_by`` ``"fit_failed"``, the others' ``selected_by`` the
+    criteria it wins joined by ``+``.
+    """
+    model_ids: tuple
+    columns: dict
+    failed: np.ndarray
+
+    @classmethod
+    def allocate(cls, model_ids: Sequence[str], tasks: list) -> "Records":
+        """Records of ``tasks`` for ``model_ids`` with every fit failed,
+        for the caller to fill."""
+        width = len(model_ids)
+        rows = len(tasks) * width
+        n, rep = np.array(tasks, dtype=np.int64).T
+        columns = {c: np.full(rows, np.nan if t is float else 0, t)
+                   for c, t in _ROW_TYPES.items()}
+        columns.update(rep=np.repeat(rep, width), n=np.repeat(n, width),
+                       model=np.tile(np.arange(width), len(tasks)),
+                       selected_by=np.full((len(tasks), len(CRITERIA)), -1))
+        return cls(tuple(model_ids), columns, np.ones(rows, dtype=bool))
+
+    @classmethod
+    def concat(cls, parts: Sequence["Records"]) -> "Records":
+        """The records of ``parts`` in their order; they share model ids."""
+        return cls(parts[0].model_ids,
+                   {c: np.concatenate([part.columns[c] for part in parts])
+                    for c in REPLICATION_COLUMNS},
+                   np.concatenate([part.failed for part in parts]))
+
+    def __len__(self) -> int:
+        return len(self.failed)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, i: int) -> dict:
+        i = range(len(self))[operator.index(i)]
+        columns, model = self.columns, int(self.columns["model"][i])
+        row = dict.fromkeys(REPLICATION_COLUMNS, "")
+        row.update(rep=int(columns["rep"][i]), n=int(columns["n"][i]),
+                   model=self.model_ids[model])
+        if self.failed[i]:
+            row["selected_by"] = "fit_failed"
+            return row
+        for c in REPLICATION_COLUMNS[3:-1]:          # the fit's columns
+            row[c] = columns[c][i].item()
+        winners = columns["selected_by"][i // len(self.model_ids)]
+        row["selected_by"] = "+".join(
+            c for c, winner in zip(CRITERIA, winners) if winner == model)
+        return row
+
+
 def truth_sigma(true_model: Union[str, dict]) -> np.ndarray:
     """Diffusion covariance Sigma0 of the observed process under a truth."""
     return diffsim.implied_sigma(diffsim.load_truth(true_model))
@@ -218,11 +295,11 @@ def _realized(config: ExperimentConfig, truth: diffsim.Truth, n, rep):
     return quad_var(bundle.x_obs, config.T)
 
 
-def _chunk_worker(chunk: tuple) -> list[dict]:
-    """The records of a chunk's (n, rep) replications: each path reduced
-    to Q, then each spec fitted to the chunk's Q stack at once, from its
-    init or from each replication's multistart set, seeded by the split
-    of (master_seed, n, rep, 1)."""
+def _chunk_worker(chunk: tuple) -> Records:
+    """The records of a chunk's (n, rep) replications, as its own
+    :class:`Records`: each path reduced to Q, then each spec fitted to the
+    chunk's Q stack at once, from its init or from each replication's
+    multistart set, seeded by the split of (master_seed, n, rep, 1)."""
     config, truth, specs, inits, tasks = chunk
     q_xx = np.array([_realized(config, truth, *task).q_xx for task in tasks])
     n = np.array([n for n, _ in tasks])
@@ -235,45 +312,42 @@ def _chunk_worker(chunk: tuple) -> list[dict]:
         else:
             start_sets = [[init]] * len(tasks)
         fits.append(fit_lanes(spec, q_xx, n, start_sets))
-    return [record for i, task in enumerate(tasks)
-            for record in _records(specs, task, q_xx[i],
-                                   [reports[i] for reports in fits])]
+    return _records(specs, tasks, q_xx, fits)
 
 
-def _records(specs: Sequence[SemSpec], task: tuple, q_xx,
-             reports: list) -> list[dict]:
-    """One replication's records from its Q and fit reports (``None`` for
-    a failed fit: then no record names a winner); ``lr_sat`` is the
-    quasi-likelihood ratio against the saturated model,
-    ``2 (n (-p - log det Q) / 2 - h_at_hat)``."""
-    n, rep = task
-    saturated = n * (-len(q_xx) - np.linalg.slogdet(q_xx)[1]) / 2
-    rows = [None if report is None else criteria_row(report)
-            for report in reports]
-    winners = ([] if any(row is None for row in rows)
-               else [select(rows, c) for c in CRITERIA])
-
-    records = []
-    for spec, report, row in zip(specs, reports, rows):
-        if report is None:
-            logger.warning("rep %d n=%d: every start of %s failed", rep, n,
-                           spec.name)
-            records.append({**dict.fromkeys(REPLICATION_COLUMNS, ""),
-                            "rep": rep, "n": n, "model": spec.name,
-                            "selected_by": "fit_failed"})
-            continue
-        records.append({"rep": rep, "n": n, "model": spec.name,
-                        "h_at_hat": row.h_at_hat,
-                        "lr_sat": 2.0 * (saturated - row.h_at_hat),
-                        **{c: row.value(c) for c in CRITERIA},
-                        "j_flag": row.j_flag, "converged": report.converged,
-                        "boundary_hit": report.boundary_hit,
-                        "iterations": report.iterations,
-                        "evaluations": report.evaluations,
-                        "grad_norm": report.grad_norm,
-                        "selected_by": "+".join(
-                            c for c, winner in zip(CRITERIA, winners)
-                            if winner == spec.name)})
+def _records(specs: Sequence[SemSpec], tasks: list, q_xx: np.ndarray,
+             fits: list) -> Records:
+    """A chunk's records from its Q stack and each spec's fit reports
+    (``None`` for a failed fit: its row is flagged, and its (n, rep)
+    names no winner); ``lr_sat`` is the quasi-likelihood ratio against
+    the saturated model, ``2 (n (-p - log det Q) / 2 - h_at_hat)``."""
+    records = Records.allocate([spec.name for spec in specs], tasks)
+    columns = records.columns
+    for i, (n, rep) in enumerate(tasks):
+        saturated = n * (-len(q_xx[i]) - np.linalg.slogdet(q_xx[i])[1]) / 2
+        reports = [lanes[i] for lanes in fits]
+        rows = [None if report is None else criteria_row(report)
+                for report in reports]
+        if all(row is not None for row in rows):
+            columns["selected_by"][i] = [records.model_ids.index(select(rows, c))
+                                         for c in CRITERIA]
+        for k, (spec, report, row) in enumerate(zip(specs, reports, rows),
+                                                i * len(specs)):
+            if report is None:
+                logger.warning("rep %d n=%d: every start of %s failed", rep,
+                               n, spec.name)
+                continue
+            records.failed[k] = False
+            for column, value in (
+                    ("h_at_hat", row.h_at_hat),
+                    ("lr_sat", 2.0 * (saturated - row.h_at_hat)),
+                    *((c, row.value(c)) for c in CRITERIA),
+                    ("j_flag", row.j_flag), ("converged", report.converged),
+                    ("boundary_hit", report.boundary_hit),
+                    ("iterations", report.iterations),
+                    ("evaluations", report.evaluations),
+                    ("grad_norm", report.grad_norm)):
+                columns[column][k] = value
     return records
 
 
@@ -285,11 +359,12 @@ def _limit_optima(specs: Sequence[SemSpec], sigma0: np.ndarray,
 
 def _replicate(config: ExperimentConfig, specs: Sequence[SemSpec],
                inits: Sequence[Optional[np.ndarray]],
-               truth: diffsim.Truth) -> list[dict]:
+               truth: diffsim.Truth) -> Records:
     """Each (n, rep) replication's records, in task order at any worker
     count and any chunking: contiguous chunks of at most ``_CHUNK``
-    replications go to the workers, and a replication's seeds and fits do
-    not depend on its chunk."""
+    replications go to the workers, a replication's seeds and fits do
+    not depend on its chunk, and the chunks' columns are concatenated in
+    task order."""
     tasks = [(int(n), rep) for n in config.n_values
              for rep in range(config.replications)]
     cuts = _chunk_cuts(len(tasks), config.workers)
@@ -300,15 +375,15 @@ def _replicate(config: ExperimentConfig, specs: Sequence[SemSpec],
             results = pool.map(_chunk_worker, chunks)
     else:
         results = map(_chunk_worker, chunks)
-    return [record for chunk in results for record in chunk]
+    return Records.concat(list(results))
 
 
 def run_experiment(config: ExperimentConfig):
-    """Run the full study; returns ``(SelectionTable, replication records)``.
+    """Run the full study; returns ``(SelectionTable, Records)``.
 
-    The table is counted from the records: a ``fit_failed`` record makes
-    its (n, rep) a failure, and every other record adds one for each
-    criterion its ``selected_by`` names.  Deterministic given the master
+    The table is counted from the records' columns: a failed fit makes
+    its (n, rep) a failure, and every other (n, rep) adds one to each
+    criterion's winner in ``selected_by``.  Deterministic given the master
     seed regardless of worker count and chunking.
     """
     specs, truth, sigma0 = _load_study(config, config.model_spec_paths)
@@ -319,15 +394,14 @@ def run_experiment(config: ExperimentConfig):
         inits = [theta for theta, _ in _limit_optima(specs, sigma0, config)]
     records = _replicate(config, specs, inits, truth)
 
-    counts = {(c, n): {m: 0 for m in model_ids}
-              for c in CRITERIA for n in config.n_values}
-    failed = {(r["n"], r["rep"]) for r in records
-              if r["selected_by"] == "fit_failed"}
-    failures = {n: sum(m == n for m, _ in failed) for n in config.n_values}
-    for record in records:
-        if record["selected_by"] != "fit_failed":
-            for criterion in filter(None, record["selected_by"].split("+")):
-                counts[(criterion, record["n"])][record["model"]] += 1
+    grid = records.columns["n"][::len(specs)]
+    winners = records.columns["selected_by"]
+    failed = records.failed.reshape(-1, len(specs)).any(axis=1)
+    counts = {(c, n): {m: int(np.count_nonzero(winners[grid == n, j] == k))
+                       for k, m in enumerate(model_ids)}
+              for j, c in enumerate(CRITERIA) for n in config.n_values}
+    failures = {n: int(np.count_nonzero(failed[grid == n]))
+                for n in config.n_values}
 
     table = SelectionTable(criteria=list(CRITERIA),
                            n_values=[int(n) for n in config.n_values],
@@ -385,20 +459,20 @@ def gap_growth_probe(config: ExperimentConfig, model_a: str, model_b: str,
     analytic = 2.0 * (lim_a - lim_b)
 
     records = _replicate(config, specs, [theta_a, theta_b], truth)
-    diffs: dict[int, list[float]] = {int(n): [] for n in config.n_values}
-    for rec_a, rec_b in zip(records[::2], records[1::2]):
-        if "fit_failed" in (rec_a["selected_by"], rec_b["selected_by"]):
-            raise AllStartsFailedError(
-                f"a fit failed at n={rec_a['n']}, rep {rec_a['rep']}")
-        n = rec_a["n"]
-        diffs[n].append((rec_b[criterion] - rec_a[criterion]) / n)
+    grid, reps = (records.columns[c][::2] for c in ("n", "rep"))
+    failed = np.flatnonzero(records.failed.reshape(-1, 2).any(axis=1))
+    if failed.size:
+        raise AllStartsFailedError(
+            f"a fit failed at n={grid[failed[0]]}, rep {reps[failed[0]]}")
+    value_a, value_b = records.columns[criterion].reshape(-1, 2).T
+    diffs = (value_b - value_a) / grid
 
-    all_diffs = [d for vals in diffs.values() for d in vals]
     return GapProbeResult(
         criterion=criterion,
-        level=float(np.mean(all_diffs)),
+        level=float(np.mean(diffs)),
         analytic_level=float(analytic),
-        per_n={n: float(np.mean(v)) for n, v in diffs.items()},
+        per_n={int(n): float(np.mean(diffs[grid == n]))
+               for n in config.n_values},
         n_values=[int(n) for n in config.n_values],
         replications=config.replications,
         limit_value_a=float(lim_a), limit_value_b=float(lim_b))
@@ -439,8 +513,10 @@ def render_table(table: SelectionTable, fmt: str = "text") -> str:
     return "\n".join(out) + "\n"
 
 
-def write_outputs(table: SelectionTable, records: list[dict], out_dir) -> dict:
-    """Write table.txt, table.csv and replications.csv into ``out_dir``."""
+def write_outputs(table: SelectionTable, records: Records, out_dir) -> dict:
+    """Write table.txt, table.csv and replications.csv into ``out_dir``;
+    a cell of replications.csv is ``str()`` of its row's Python scalar,
+    each row built from the records' arrays (see :class:`Records`)."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "table_txt": os.path.join(out_dir, "table.txt"),

@@ -379,7 +379,8 @@ def start_set(spec: SemSpec, q_xx: np.ndarray, starts: int = 8, seed: int = 0,
 
     The first start is the user-supplied ``init`` when given, otherwise the
     moment start; the remainder are Latin-hypercube draws around the moment
-    start (see ``_lhs_starts``).
+    start (see ``_lhs_starts``).  ``moment_start`` checks that ``q_xx`` is
+    (p, p), for this and for ``fit_multistart``.
     """
     starts = _doc.integer(starts, "starts", 1)
     seed = _doc.integer(seed, "seed")
@@ -395,9 +396,6 @@ def fit_multistart(spec: SemSpec, quadvar: QuadVar, starts: int = 8,
     the attained value keep the earliest start.  The one single-Q fit:
     when every start lies outside the admissible region it raises
     :class:`AllStartsFailedError`."""
-    if quadvar.q_xx.shape != (spec.p, spec.p):
-        raise ValueError(f"quadratic covariation is {quadvar.q_xx.shape}, "
-                         f"model observes p={spec.p}")
     (report,) = fit_lanes(spec, quadvar.q_xx[None], [quadvar.n],
                           [start_set(spec, quadvar.q_xx, starts, seed, init)])
     if report is None:

@@ -41,6 +41,17 @@ def failing_fit_lanes(model, lanes=slice(None)):
     return fit_lanes
 
 
+def assert_same_records(got, want):
+    """The same records, column by column and row by row."""
+    assert got.model_ids == want.model_ids
+    assert np.array_equal(got.failed, want.failed)
+    for column in harness.REPLICATION_COLUMNS:
+        assert got.columns[column].dtype == want.columns[column].dtype
+        assert np.array_equal(got.columns[column], want.columns[column],
+                              equal_nan=True)
+    assert list(got) == list(want)
+
+
 @pytest.fixture(scope="module")
 def small_run():
     config = small_config()
@@ -250,8 +261,19 @@ class TestRunExperiment:
     def test_records_shape(self, small_run):
         config, (table, records) = small_run
         assert len(records) == config.replications * 3
-        for record in records:
-            assert set(harness.REPLICATION_COLUMNS) <= set(record)
+        assert records.model_ids == ("model1", "model2", "model3")
+        for column, values in records.columns.items():
+            rows = config.replications * (1 if column == "selected_by" else 3)
+            assert len(values) == rows
+        assert records.columns["selected_by"].shape[1] == len(CRITERIA)
+        assert list(records.columns["model"]) == [0, 1, 2] * 3
+        for i, record in enumerate(records):
+            assert record == records[i] == records[i - len(records)]
+            assert tuple(record) == harness.REPLICATION_COLUMNS
+            assert record["converged"] is True
+            assert isinstance(record["j_flag"], bool)
+            assert type(record["h_at_hat"]) is float
+            assert type(record["n"]) is type(record["rep"]) is int
             assert isinstance(record["boundary_hit"], bool)
             assert isinstance(record["iterations"], int)
             assert isinstance(record["evaluations"], int)
@@ -267,6 +289,9 @@ class TestRunExperiment:
         for column in ("h_at_hat", "lr_sat", "converged", "boundary_hit",
                        "iterations", "evaluations", "grad_norm"):
             assert failed[column] == ""
+        assert list(records.failed) == [False, False, True]
+        assert list(records.columns["selected_by"][0]) == [-1] * len(CRITERIA)
+        assert [records[k]["selected_by"] for k in (0, 1)] == ["", ""]
 
     def test_lr_sat_is_its_definition(self, monkeypatch):
         # lr_sat = 2 (l_sat - h_at_hat) with l_sat = n (-p - log det Q) / 2,
@@ -281,6 +306,24 @@ class TestRunExperiment:
             q_xx = seen[(r["n"], r["rep"])].q_xx
             sat = r["n"] * (-len(q_xx) - np.linalg.slogdet(q_xx)[1]) / 2
             assert r["lr_sat"] == 2.0 * (sat - r["h_at_hat"])
+
+    def test_records_held_per_replication(self):
+        # The records run_experiment returns hold at most 0.6 KB per
+        # (n, rep) over three models: columns, not a dict per row.
+        import gc
+        import tracemalloc
+        config = small_config(n_values=[100, 200], replications=64)
+        tracemalloc.start()
+        try:
+            _, records = harness.run_experiment(config)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del records
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held / (2 * config.replications) <= 600
 
     def test_seeds_split_in_the_chunk(self, monkeypatch):
         # 300 replications make 3 chunks of 100; the first path may wait
@@ -347,13 +390,13 @@ class TestRunExperiment:
         table2, records2 = harness.run_experiment(small_config())
         assert table2.counts == table.counts
         assert table2.failures == table.failures
-        assert records2 == records
+        assert_same_records(records2, records)
 
     def test_worker_count_does_not_change_results(self, small_run):
         config, (table, records) = small_run
         table2, records2 = harness.run_experiment(small_config(workers=2))
         assert table2.counts == table.counts
-        assert records2 == records
+        assert_same_records(records2, records)
 
     @pytest.mark.parametrize("init_mode", ["true", "moment"])
     def test_chunking_does_not_change_records(self, init_mode, monkeypatch):
@@ -375,7 +418,7 @@ class TestRunExperiment:
         table, records = runs[0]
         assert len(records) == 2 * config.replications * 3
         for other_table, other_records in runs[1:]:
-            assert other_records == records
+            assert_same_records(other_records, records)
             assert other_table.counts == table.counts
 
     @pytest.mark.parametrize("tasks, workers", [
@@ -451,6 +494,51 @@ class TestRendering:
         _, (table, _) = small_run
         with pytest.raises(ValueError):
             harness.render_table(table, "latex")
+
+    def test_replications_csv_cell_text(self, tmp_path):
+        # Each cell reads as str() of a Python float or np.float64 (the
+        # record dicts' values), True/False, an int, or "" on a failed row.
+        floats = [0.1 + 0.2, 1e-7, 1e16, 1e22, -0.0, 5e-324,
+                  1.7976931348623157e308]
+        text = ["0.30000000000000004", "1e-07", "1e+16", "1e+22", "-0.0",
+                "5e-324", "1.7976931348623157e+308"]
+        records = harness.Records.allocate(["m1", "m2"], [(100, 0), (1000, 7)])
+        values = [dict(zip(("h_at_hat", "lr_sat", *CRITERIA, "grad_norm"),
+                           floats[k:] + floats[:k]),
+                       j_flag=k == 0, converged=True, boundary_hit=k == 1,
+                       iterations=12 + k, evaluations=2 ** 40 + k)
+                  for k in range(3)]
+        for k, row in enumerate(values):
+            for column, value in row.items():
+                records.columns[column][k] = value
+            records.failed[k] = False
+        records.columns["selected_by"][0] = [0, 0, 1]
+        table = harness.SelectionTable(
+            criteria=list(CRITERIA), n_values=[100, 1000],
+            model_ids=["m1", "m2"],
+            counts={(c, n): {"m1": int(n == 100 and c != "qaic"),
+                             "m2": int(n == 100 and c == "qaic")}
+                    for c in CRITERIA for n in (100, 1000)},
+            failures={1000: 1}, replications=1)
+        path = harness.write_outputs(table, records, tmp_path)["replications_csv"]
+        lines = pathlib.Path(path).read_text().splitlines()
+        assert lines == [
+            ",".join(harness.REPLICATION_COLUMNS),
+            "0,100,m1,0.30000000000000004,1e-07,1e+16,1e+22,-0.0,True,True,"
+            "False,12,1099511627776,5e-324,qbic1+qbic2",
+            "0,100,m2,1e-07,1e+16,1e+22,-0.0,5e-324,False,True,True,13,"
+            "1099511627777,1.7976931348623157e+308,qaic",
+            "7,1000,m1,1e+16,1e+22,-0.0,5e-324,1.7976931348623157e+308,False,"
+            "True,False,14,1099511627778,0.30000000000000004,",
+            "7,1000,m2,,,,,,,,,,,,fit_failed"]
+        # The dict records wrote str() of Python floats and np.float64 alike.
+        assert [str(v) for v in floats] == text
+        assert [str(np.float64(v)) for v in floats] == text
+        assert [records[k] for k in range(3)] == [
+            {"rep": 7 if k == 2 else 0, "n": 1000 if k == 2 else 100,
+             "model": "m2" if k == 1 else "m1", **row,
+             "selected_by": ["qbic1+qbic2", "qaic", ""][k]}
+            for k, row in enumerate(values)]
 
     def test_write_outputs(self, small_run, tmp_path):
         _, (table, records) = small_run

@@ -10,7 +10,7 @@ import pytest
 import hfsem
 from hfsem import matkit, models, qmle
 from hfsem.errors import SingularStructureError, SpecError
-from hfsem.qlik import LikelihoodSurface
+from hfsem.qlik import LikelihoodSurface, QuadVar
 from hfsem.qmle import check_identifiability
 from hfsem.semspec import (SemSpec, jacobian_rank, moment_start,
                            nested_embedding, rank_screen)
@@ -547,6 +547,22 @@ class TestMomentStart:
         for q_xx in targets:
             got, want = moment_start(spec, q_xx), cellwalk_moment_start(spec, q_xx)
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("q_xx", [np.eye(4), np.eye(12), np.ones((10, 3))],
+                             ids=["4x4", "12x12", "10x3"])
+    def test_q_shape_checked(self, model1, q_xx):
+        # One check, in moment_start, names Q's shape and p before any
+        # arithmetic for every entry that starts from it.
+        message = (rf"^quadratic covariation is \({q_xx.shape[0]}, "
+                   rf"{q_xx.shape[1]}\), model observes p=10$")
+        with pytest.raises(ValueError, match=message):
+            moment_start(model1, q_xx)
+        with pytest.raises(ValueError, match=message):
+            qmle.start_set(model1, q_xx, starts=3, seed=1)
+        if q_xx.shape[0] == q_xx.shape[1]:
+            with pytest.raises(ValueError, match=message):
+                qmle.fit_multistart(model1, QuadVar(q_xx, n=100, T=1.0))
 
 
 class TestJson:

@@ -406,6 +406,21 @@ def test_perfbench_targets_exist(monkeypatch):
     assert missing == []
 
 
+def test_perfbench_desk_verify_reads_records(monkeypatch):
+    # The desk workloads read run_experiment's records by key and count
+    # rec["converged"] is True, so a numpy scalar in a row would make
+    # converged_share read 0 with every check still passing.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    desk, clock = workloads.WORKLOADS["desk_true"], workloads.EntryClock()
+    with clock.installed():
+        out = desk.fixed(1, clock)
+    desk.verify(out)
+    assert [name for name, ok, _ in out.checks if not ok] == []
+    assert out.fits == 3 * out.reps > 0
+    assert out.converged == out.fits
+
+
 def test_perfbench_fine_grid_call_binds(quadvar_1e4):
     # fine_grid fits each path with exactly this call.
     surface = LikelihoodSurface(models.load_builtin("model1"), quadvar_1e4)
