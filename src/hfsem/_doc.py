@@ -92,14 +92,17 @@ def model_name(value, where: str) -> str:
                    value, where, "a string with no comma, double quote or line break")
 
 
+def _numeric(value) -> bool:
+    """Whether ``value`` is a number or nested lists of numbers only."""
+    return (all(map(_numeric, value)) if isinstance(value, list)
+            else is_number(value))
+
+
 def array(value, where: str, ndim=None) -> np.ndarray:
     """A number or rectangular nested lists of numbers as a float array,
     of ``ndim`` dimensions when that is given."""
-    def numeric(v) -> bool:
-        return all(map(numeric, v)) if isinstance(v, list) else is_number(v)
-
     try:
-        a = np.array(value, dtype=float) if numeric(value) else None
+        a = np.array(value, dtype=float) if _numeric(value) else None
     except ValueError:  # ragged rows
         a = None
     except OverflowError:

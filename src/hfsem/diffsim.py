@@ -22,19 +22,31 @@ RNG substream spawned from the bundle seed, so equal seeds reproduce
 bundles bit-for-bit and distinct blocks never share randomness.  Seeds,
 grid sizes n and horizons T are read by the one rule of each in ``_doc``.
 
-Paths are streamed: each block yields its path in row chunks, and each
-chunk's observations are written into the one preallocated ``x_obs``.
-A decoupled block (diagonal mean reversion) steps each coordinate by the
-AR(1) recursion ``x_i = decay x_{i-1} + u_i``, and a chunk of it is one
-banded triangular solve (BLAS ``dtbsv``) over all its coordinates; each
-step rounds the product and the sum apart, as an AR(1) filter does.  A
-coupled block runs a step loop.  The result is bit-for-bit the whole-path
-computation (one draw of all steps, then the recursion) that
-``tests/conftest.py`` keeps as reference.
+Paths are streamed: each block's normals are drawn in row chunks, each
+block steps its path chunk by chunk, and each chunk's observations are
+written into the one preallocated ``x_obs``.  A decoupled block (diagonal
+mean reversion) steps each coordinate by the AR(1) recursion
+``x_i = decay x_{i-1} + u_i``, and a chunk of it is one banded triangular
+solve (BLAS ``dtbsv``) over all its coordinates; each step rounds the
+product and the sum apart, as an AR(1) filter does.  A coupled block runs
+a step loop.  The result is bit-for-bit the whole-path computation (one
+draw of all steps, then the recursion) that ``tests/conftest.py`` keeps as
+reference.
+
+A path of two or more chunks draws the next chunk's normals of all four
+blocks on one helper thread while the calling thread solves and assembles
+the current chunk: NumPy's fill releases the interpreter lock, and the
+solve holds it.  Each block's generator is used by one thread at a time,
+in the order of the serial draws, so the path does not depend on the
+thread.  The helper ends before :func:`simulate_custom` returns or raises,
+and a one-chunk path starts none.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
 
@@ -284,27 +296,63 @@ def _chunk_bounds(rows: int) -> list[tuple[int, int]]:
     return list(zip(starts, [*starts[1:], rows]))
 
 
+def _normals(block: OuBlock, n: int,
+             rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The standard normals of the block's ``n`` steps, one ``(steps,
+    dim)`` draw per chunk of ``_chunk_bounds(n + 1)``: ``rng`` is consumed
+    exactly as by one ``(n, dim)`` draw."""
+    for start, stop in _chunk_bounds(n + 1):
+        yield rng.standard_normal((stop - start - (start == 0), block.dim))
+
+
 def _path_chunks(block: OuBlock, n: int, h: float,
-                 rng: np.random.Generator) -> Iterator[np.ndarray]:
+                 draws: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
     """The block's path on the grid of step ``h``, rows 0..n, under its
     exact transition (:func:`_exact_transition`), in the row chunks of
     ``_chunk_bounds(n + 1)``; the first chunk starts with ``block.init``.
 
-    Drawing chunk by chunk consumes ``rng`` exactly as one ``(n, dim)``
-    draw does, and the recursion's state is carried from chunk to chunk,
-    so the chunks are the rows of the whole-path computation, bit for bit.
-    A chunk's draws are dropped before it is yielded, so only its rows
-    outlive it.
+    Each chunk's steps take their normals from ``draws``, as
+    :func:`_normals` yields them, and the recursion's state is carried from
+    chunk to chunk, so the chunks are the rows of the whole-path
+    computation, bit for bit.  A chunk's normals are dropped before it is
+    yielded, so only its rows outlive it.
     """
     transition = _exact_transition(block, h)
     x = block.init
-    for start, stop in _chunk_bounds(n + 1):
-        m = stop - start + (start > 0)      # the carried row, then the steps
-        path = _chunk_path(transition, x,
-                           rng.standard_normal((m - 1, block.dim)))
+    for start, _ in _chunk_bounds(n + 1):
+        path = _chunk_path(transition, x, next(draws))
         rows = path[1:] if start else path
         x = rows[-1]
         yield rows
+
+
+def _drawn_ahead(items: Iterator, pool: ThreadPoolExecutor) -> Iterator:
+    """``items``, each next one taken on ``pool``'s thread while the caller
+    works on the one before; ``items`` is advanced by one thread at a
+    time, in order."""
+    pending = pool.submit(next, items, None)
+    while (item := pending.result()) is not None:
+        pending = pool.submit(next, items, None)
+        yield item
+
+
+def _columns(rows: Iterator[tuple], width: int) -> list[Iterator]:
+    """``width`` iterators over the items of ``rows``' tuples, for a caller
+    that takes one item from each in turn: the first of them to need a row
+    reads it and queues the others' items, so one row is held at a time."""
+    queues = [collections.deque() for _ in range(width)]
+
+    def column(queue):
+        while True:
+            if not queue:
+                row = next(rows, None)
+                if row is None:
+                    return
+                for each, item in zip(queues, row):
+                    each.append(item)
+            yield queue.popleft()
+
+    return [column(queue) for queue in queues]
 
 
 def _chunk_path(transition: tuple, x: np.ndarray,
@@ -361,7 +409,7 @@ def simulate_ou(block: OuBlock, n: int, T: float,
     h = _grid_step(n, T)
     path = np.empty((n + 1, block.dim))
     start = 0
-    for rows in _path_chunks(block, n, h, rng):
+    for rows in _path_chunks(block, n, h, _normals(block, n, rng)):
         path[start:start + len(rows)] = rows
         start += len(rows)
     return path
@@ -380,26 +428,41 @@ def simulate_custom(truth: Truth, *, n: int, T: float, seed: int,
     observations are written into ``x_obs``; the latent paths are stored
     only with ``keep_latents``.  The blocks' exact transitions are built
     once per truth and grid in a process (see :func:`_exact_transition`).
+
+    With two or more chunks, the four blocks' normals of the next chunk
+    are drawn on a one-thread executor, opened for the call and shut down
+    when it returns or raises, while this thread solves the current
+    chunk.  The observations are assembled in the solve's ``(dim, rows)``
+    layout and written into ``x_obs`` through its transpose.
     """
     h = _grid_step(n, T)
     (p1, k1), (p2, k2) = truth.lambda_x1.shape, truth.lambda_x2.shape
-    chunks = zip(*[_path_chunks(getattr(truth, key), n, h, rng)
-                   for key, rng in zip(_LATENT, _block_streams(seed))])
+    blocks = [getattr(truth, key) for key in _LATENT]
+    draws = zip(*[_normals(block, n, rng)
+                  for block, rng in zip(blocks, _block_streams(seed))])
     x_obs = np.empty((n + 1, p1 + p2))
     latents = {}
     if keep_latents:
         latents = {name: np.empty((n + 1, dim)) for name, dim in
                    zip(("xi", "delta", "eps", "zeta", "eta"),
                        (k1, p1, p2, k2, k2))}
-    start = 0
-    for xi, delta, eps, zeta in chunks:
-        stop = start + len(xi)
-        eta = (xi @ truth.gamma.T + zeta) @ truth.psi_inv.T
-        x_obs[start:stop, :p1] = xi @ truth.lambda_x1.T + delta
-        x_obs[start:stop, p1:] = eta @ truth.lambda_x2.T + eps
-        for name, rows in zip(latents, (xi, delta, eps, zeta, eta)):
-            latents[name][start:stop] = rows
-        start = stop
+    with contextlib.ExitStack() as stack:
+        if len(_chunk_bounds(n + 1)) > 1:
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=1))
+            draws = _drawn_ahead(draws, pool)
+        chunks = zip(*[_path_chunks(block, n, h, column) for block, column
+                       in zip(blocks, _columns(draws, len(blocks)))])
+        start = 0
+        for xi, delta, eps, zeta in chunks:
+            stop = start + len(xi)
+            obs = x_obs[start:stop].T
+            xi, delta, eps, zeta = xi.T, delta.T, eps.T, zeta.T
+            eta = truth.psi_inv @ (truth.gamma @ xi + zeta)
+            obs[:p1] = truth.lambda_x1 @ xi + delta
+            obs[p1:] = truth.lambda_x2 @ eta + eps
+            for name, path in zip(latents, (xi, delta, eps, zeta, eta)):
+                latents[name][start:stop] = path.T
+            start = stop
     return PathBundle(n=n, T=T, h=h, seed=int(seed), x_obs=x_obs, **latents)
 
 

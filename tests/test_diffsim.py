@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import inspect
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from hfsem.errors import SingularStructureError
 from tests.conftest import bundled_truth_doc, oneshot_simulate_custom
 
 CHUNK = diffsim._CHUNK_ROWS
-# Path lengths on both sides of the one- and two-chunk boundaries.
+# Path lengths on both sides of the one- and two-chunk boundaries, and one
+# of three chunks, so a chunk is solved while a drawn one waits.
 CHUNK_EDGES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK,
-               2 * CHUNK + 1]
+               2 * CHUNK + 1, 3 * CHUNK + 5]
 LATENTS = ("xi", "delta", "eps", "zeta", "eta")
 BLOCK_ARRAYS = ("mean_reversion", "level", "dispersion", "init")
 
@@ -385,6 +388,20 @@ class TestLoadTruth:
                            match=r"I - true_model\.b0 is numerically singular"):
             diffsim.load_truth(doc)
 
+    def test_leaves_no_reference_cycle(self):
+        # a truth's arrays are read without garbage that only the cycle
+        # collector frees
+        diffsim.load_truth(diffsim.TRUE_MODEL_NAME)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            diffsim.load_truth(diffsim.TRUE_MODEL_NAME)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class TestTransitionMemo:
     """``_exact_transition`` memoizes ``_build_transition`` per block arrays
@@ -672,8 +689,10 @@ class TestStreaming:
         tb = truth_variant("structural")
         ref = oneshot_simulate_custom(tb, n, 1.0, seed=11)
         out = simulate_variant(tb, n, keep_latents=True)
+        slim = simulate_variant(tb, n, keep_latents=False)
         for name in ("x_obs",) + LATENTS:
             assert np.abs(getattr(out, name) - ref[name]).max() <= 1e-12, name
+        assert np.array_equal(slim.x_obs, out.x_obs)
 
     def test_peak_memory_near_output_size(self):
         import tracemalloc
@@ -686,3 +705,56 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * bundle.x_obs.nbytes
+
+
+class TestDrawnAhead:
+    """A path of two or more chunks draws the next chunk's normals on one
+    helper thread while the current chunk is solved; the thread ends with
+    the call, and a one-chunk path starts none."""
+
+    N = 3 * CHUNK + 5
+
+    @staticmethod
+    def count_starts(monkeypatch):
+        starts, start = [], threading.Thread.start
+
+        def spy(thread):
+            starts.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        return starts
+
+    def test_one_thread_joined_by_the_call(self, monkeypatch):
+        starts = self.count_starts(monkeypatch)
+        before = threading.active_count()
+        diffsim.simulate_custom(truth_variant("exact"), n=self.N, T=1.0,
+                                seed=3, keep_latents=False)
+        assert len(starts) == 1
+        assert threading.active_count() == before
+
+    def test_thread_joined_when_a_solve_raises(self, monkeypatch):
+        solve, calls = diffsim._chunk_path, []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise FloatingPointError("second solve")
+            return solve(*args)
+
+        monkeypatch.setattr(diffsim, "_chunk_path", failing)
+        starts = self.count_starts(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="second solve"):
+            diffsim.simulate_custom(truth_variant("exact"), n=self.N, T=1.0,
+                                    seed=3, keep_latents=False)
+        assert len(calls) == 2 and len(starts) == 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [1000, 2 * CHUNK - 2])
+    def test_one_chunk_starts_no_thread(self, n, monkeypatch):
+        starts = self.count_starts(monkeypatch)
+        diffsim.simulate_custom(truth_variant("exact"), n=n, T=1.0, seed=3,
+                                keep_latents=False)
+        assert len(diffsim._chunk_bounds(n + 1)) == 1
+        assert starts == []

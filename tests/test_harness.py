@@ -398,6 +398,16 @@ class TestRunExperiment:
         assert table2.counts == table.counts
         assert_same_records(records2, records)
 
+    def test_drawn_ahead_paths_same_across_workers(self):
+        # n = 20000 takes two path chunks, so each worker draws on a helper
+        # thread while it solves
+        config = small_config(n_values=[100, 20000], replications=4)
+        table, records = harness.run_experiment(config)
+        table2, records2 = harness.run_experiment(
+            dataclasses.replace(config, workers=2))
+        assert table2.counts == table.counts
+        assert_same_records(records2, records)
+
     @pytest.mark.parametrize("init_mode", ["true", "moment"])
     def test_chunking_does_not_change_records(self, init_mode, monkeypatch):
         # Chunks of 2 cross from n=100 to n=200; a chunk's fits are lanes

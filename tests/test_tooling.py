@@ -138,6 +138,77 @@ def test_signal_scan_catches_imports():
                           "scipy.signal") == []
 
 
+def thread_imports(source: str) -> list[str]:
+    """The ``threading`` and ``concurrent.futures`` names a module imports."""
+    return (module_imports(source, "threading")
+            + module_imports(source, "concurrent.futures"))
+
+
+# Callables that start threads or processes, or pools of either.
+WORKER_BUILDER = re.compile(
+    r"(?:Executor|Thread|ThreadPool|Pool|Process|Timer)$")
+
+
+def import_time_workers(source: str) -> list[int]:
+    """Lines that build an executor, pool, thread or process when the module
+    is imported: in the module's or a class's body, a decorator or a
+    default value, not in a function's body."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            parts = [*node.decorator_list, *node.args.defaults,
+                     *filter(None, node.args.kw_defaults)]
+        elif isinstance(node, ast.Lambda):
+            parts = [*node.args.defaults, *filter(None, node.args.kw_defaults)]
+        else:
+            parts = ast.iter_child_nodes(node)
+            callee = node.func if isinstance(node, ast.Call) else None
+            name = getattr(callee, "attr", getattr(callee, "id", ""))
+            if WORKER_BUILDER.search(name):
+                found.append(node.lineno)
+        for part in parts:
+            visit(part)
+
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_threads_in_diffsim_alone(path):
+    # The simulator draws a long path's next chunk on a helper thread that
+    # lives for one call; no other module runs threads, and importing a
+    # module starts no worker of any kind.
+    if path.name != "diffsim.py":
+        assert thread_imports(path.read_text()) == []
+    assert import_time_workers(path.read_text()) == []
+
+
+def test_thread_scan_catches_imports_and_workers():
+    lines = ["import threading", "from threading import Thread",
+             "import concurrent.futures as cf", "from concurrent import futures",
+             "from concurrent.futures import ThreadPoolExecutor",
+             "import numpy, threading"]
+    assert [len(thread_imports(line)) for line in lines] == [1, 1, 1, 1, 1, 1]
+    assert thread_imports("import queue\nfrom concurrent import interpreters"
+                          ) == []
+    source = "\n".join([
+        "POOL = ThreadPoolExecutor(max_workers=1)",              # 1
+        "class Holder:",                                          # 2
+        "    pool = multiprocessing.get_context('spawn').Pool(2)",  # 3
+        "def run(pool=cf.ProcessPoolExecutor()):",                # 4
+        "    with ThreadPoolExecutor(max_workers=1) as pool:",    # 5
+        "        threading.Thread(target=print).start()",         # 6
+        "@functools.lru_cache(maxsize=None)",                     # 7
+        "def cached(): return threading.Timer(1.0, print)",       # 8
+        "late = lambda pool=ThreadPool(2): multiprocessing.Process()",  # 9
+        "helper = threading.Thread(target=print)",                # 10
+    ])
+    assert import_time_workers(source) == [1, 3, 4, 9, 10]
+    assert thread_imports((SRC / "diffsim.py").read_text()) == [
+        "concurrent.futures.ThreadPoolExecutor"]
+
+
 def test_runtime_loads_no_scipy_signal_or_stats():
     # The scans above see a module's own imports; a fresh interpreter also
     # sees what those import in turn, on a simulated path and its Q.
