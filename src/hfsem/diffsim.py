@@ -3,7 +3,7 @@
 A :class:`Truth` holds the latent OU blocks (:class:`OuBlock`) xi, delta,
 eps and zeta, the loadings lambda_x1 and lambda_x2, and the structural
 matrices gamma and b0.  Truths and blocks are checked when they are built
-and keep read-only arrays, so :func:`simulate_custom` checks nothing.
+and keep read-only arrays, so :func:`simulate_custom` checks only its type.
 :func:`load_truth` reads one from its name (the stem of a bundled
 ``truth_files/*.json`` document) or from such a document.
 :func:`implied_sigma` is its covariance Sigma0, as an all-fixed ``SemSpec``.
@@ -22,33 +22,33 @@ RNG substream spawned from the bundle seed, so equal seeds reproduce
 bundles bit-for-bit and distinct blocks never share randomness.  Seeds,
 grid sizes n and horizons T are read by the one rule of each in ``_doc``.
 
-Paths are streamed: each block's normals are drawn in row chunks, each
-block steps its path chunk by chunk, and each chunk's observations are
-written into the one preallocated ``x_obs``.  A decoupled block (diagonal
-mean reversion) steps each coordinate by the AR(1) recursion
-``x_i = decay x_{i-1} + u_i``, and a chunk of it is one banded triangular
-solve (BLAS ``dtbsv``) over all its coordinates; each step rounds the
-product and the sum apart, as an AR(1) filter does.  A coupled block runs
-a step loop.  The result is bit-for-bit the whole-path computation (one
-draw of all steps, then the recursion) that ``tests/conftest.py`` keeps as
-reference.
+Paths are streamed: :func:`simulate_custom` and :func:`simulate_ou` are
+each one loop over a path's row chunks.  Each pass draws the chunk's
+normals, solves each block from the last row of its previous chunk, drops
+the normals and writes the rows into the preallocated outputs.  A
+decoupled block (diagonal mean reversion) steps each coordinate by the
+AR(1) recursion ``x_i = decay x_{i-1} + u_i``, and a chunk of it is one
+banded triangular solve (BLAS ``dtbsv``) over all its coordinates; each
+step rounds the product and the sum apart, as an AR(1) filter does.  A
+coupled block runs a step loop.  The result is bit-for-bit the whole-path
+computation (one draw of all steps, then the recursion) that
+``tests/conftest.py`` keeps as reference.
 
-A path of two or more chunks draws the next chunk's normals of all four
-blocks on one helper thread while the calling thread solves and assembles
-the current chunk: NumPy's fill releases the interpreter lock, and the
-solve holds it.  Each block's generator is used by one thread at a time,
-in the order of the serial draws, so the path does not depend on the
-thread.  The helper ends before :func:`simulate_custom` returns or raises,
-and a one-chunk path starts none.
+In a path of two or more chunks, :func:`simulate_custom` draws the next
+chunk's normals of all four blocks as a future on a one-worker executor
+while the calling thread solves and assembles the current chunk: NumPy's
+fill releases the interpreter lock, and the solve holds it.  Each block's
+generator is used by one thread at a time, in the order of the serial
+draws, so the path does not depend on the thread.  The executor is shut
+down before the call returns or raises, and a one-chunk path opens none.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -296,70 +296,13 @@ def _chunk_bounds(rows: int) -> list[tuple[int, int]]:
     return list(zip(starts, [*starts[1:], rows]))
 
 
-def _normals(block: OuBlock, n: int,
-             rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """The standard normals of the block's ``n`` steps, one ``(steps,
-    dim)`` draw per chunk of ``_chunk_bounds(n + 1)``: ``rng`` is consumed
-    exactly as by one ``(n, dim)`` draw."""
-    for start, stop in _chunk_bounds(n + 1):
-        yield rng.standard_normal((stop - start - (start == 0), block.dim))
-
-
-def _path_chunks(block: OuBlock, n: int, h: float,
-                 draws: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-    """The block's path on the grid of step ``h``, rows 0..n, under its
-    exact transition (:func:`_exact_transition`), in the row chunks of
-    ``_chunk_bounds(n + 1)``; the first chunk starts with ``block.init``.
-
-    Each chunk's steps take their normals from ``draws``, as
-    :func:`_normals` yields them, and the recursion's state is carried from
-    chunk to chunk, so the chunks are the rows of the whole-path
-    computation, bit for bit.  A chunk's normals are dropped before it is
-    yielded, so only its rows outlive it.
-    """
-    transition = _exact_transition(block, h)
-    x = block.init
-    for start, _ in _chunk_bounds(n + 1):
-        path = _chunk_path(transition, x, next(draws))
-        rows = path[1:] if start else path
-        x = rows[-1]
-        yield rows
-
-
-def _drawn_ahead(items: Iterator, pool: ThreadPoolExecutor) -> Iterator:
-    """``items``, each next one taken on ``pool``'s thread while the caller
-    works on the one before; ``items`` is advanced by one thread at a
-    time, in order."""
-    pending = pool.submit(next, items, None)
-    while (item := pending.result()) is not None:
-        pending = pool.submit(next, items, None)
-        yield item
-
-
-def _columns(rows: Iterator[tuple], width: int) -> list[Iterator]:
-    """``width`` iterators over the items of ``rows``' tuples, for a caller
-    that takes one item from each in turn: the first of them to need a row
-    reads it and queues the others' items, so one row is held at a time."""
-    queues = [collections.deque() for _ in range(width)]
-
-    def column(queue):
-        while True:
-            if not queue:
-                row = next(rows, None)
-                if row is None:
-                    return
-                for each, item in zip(queues, row):
-                    each.append(item)
-            yield queue.popleft()
-
-    return [column(queue) for queue in queues]
-
-
 def _chunk_path(transition: tuple, x: np.ndarray,
                 z: np.ndarray) -> np.ndarray:
     """The ``(len(z) + 1, dim)`` path from row ``x``, one exact step per row
     of standard normals ``z``: a step loop if the block is coupled, else
-    one banded solve.
+    one banded solve.  Row 0 is ``x``, the block's ``init`` or the last
+    row of its previous chunk, so a simulator keeps it for a path's first
+    chunk only.
 
     The solve's ``(dim, m)`` drive holds ``x`` in column 0 and the steps'
     drive ``noise z + bd`` after it.  Each coordinate's recursion
@@ -403,15 +346,35 @@ def _decay_band(decay: np.ndarray, m: int) -> np.ndarray:
     return band
 
 
+def _draw(rngs: list, blocks: list, start: int, stop: int) -> list:
+    """Each block's standard normals for the steps into rows ``start`` to
+    ``stop - 1`` of a path, one ``(steps, dim)`` array each (row 0 takes
+    none): drawn chunk by chunk, a stream is consumed exactly as by one
+    ``(n, dim)`` draw."""
+    return [rng.standard_normal((stop - start - (start == 0), block.dim))
+            for rng, block in zip(rngs, blocks)]
+
+
+def _expect(value, kind: type, rule: str):
+    if not isinstance(value, kind):
+        raise TypeError(f"{rule}, not {type(value).__name__}")
+
+
 def simulate_ou(block: OuBlock, n: int, T: float,
                 rng: np.random.Generator) -> np.ndarray:
-    """Sample the block exactly on the grid; returns an (n+1, dim) array."""
-    h = _grid_step(n, T)
+    """Sample the block exactly on the grid; returns an (n+1, dim) array.
+
+    One loop over the path's chunks: each draws its normals from ``rng``,
+    is solved from the row carried over from the chunk before (``init``
+    for the first) and is written into the path."""
+    _expect(block, OuBlock, "block must be an OuBlock")
+    _expect(rng, np.random.Generator, "rng must be a numpy.random.Generator")
+    transition = _exact_transition(block, _grid_step(n, T))
     path = np.empty((n + 1, block.dim))
-    start = 0
-    for rows in _path_chunks(block, n, h, _normals(block, n, rng)):
-        path[start:start + len(rows)] = rows
-        start += len(rows)
+    for start, stop in _chunk_bounds(n + 1):
+        (z,) = _draw([rng], [block], start, stop)
+        x = path[start - 1] if start else block.init
+        path[start:stop] = _chunk_path(transition, x, z)[start > 0:]
     return path
 
 
@@ -424,45 +387,49 @@ def simulate_custom(truth: Truth, *, n: int, T: float, seed: int,
                     keep_latents: bool = True) -> PathBundle:
     """Simulate a checked truth on the grid of ``n`` steps over ``T``.
 
-    The blocks are streamed together chunk by chunk and each chunk's
-    observations are written into ``x_obs``; the latent paths are stored
-    only with ``keep_latents``.  The blocks' exact transitions are built
-    once per truth and grid in a process (see :func:`_exact_transition`).
+    One loop over the path's chunks.  Each pass takes the four blocks'
+    normals of its chunk, solves each block from the row carried over from
+    the chunk before (``init`` for the first), drops the normals and
+    writes the chunk's observations into ``x_obs``, assembled in the
+    solve's ``(dim, rows)`` layout; the latent paths are stored only with
+    ``keep_latents``.  The blocks' exact transitions are built once per
+    truth and grid in a process (see :func:`_exact_transition`).
 
-    With two or more chunks, the four blocks' normals of the next chunk
-    are drawn on a one-thread executor, opened for the call and shut down
-    when it returns or raises, while this thread solves the current
-    chunk.  The observations are assembled in the solve's ``(dim, rows)``
-    layout and written into ``x_obs`` through its transpose.
+    With two or more chunks, each pass first hands the draw of the next
+    chunk to a one-thread executor, opened for the call and shut down when
+    it returns or raises; a one-chunk path starts no thread.
     """
+    _expect(truth, Truth, "truth must be a Truth, as load_truth returns")
     h = _grid_step(n, T)
     (p1, k1), (p2, k2) = truth.lambda_x1.shape, truth.lambda_x2.shape
     blocks = [getattr(truth, key) for key in _LATENT]
-    draws = zip(*[_normals(block, n, rng)
-                  for block, rng in zip(blocks, _block_streams(seed))])
+    transitions = [_exact_transition(block, h) for block in blocks]
+    rngs = _block_streams(seed)
+    bounds = _chunk_bounds(n + 1)
     x_obs = np.empty((n + 1, p1 + p2))
     latents = {}
     if keep_latents:
         latents = {name: np.empty((n + 1, dim)) for name, dim in
                    zip(("xi", "delta", "eps", "zeta", "eta"),
                        (k1, p1, p2, k2, k2))}
-    with contextlib.ExitStack() as stack:
-        if len(_chunk_bounds(n + 1)) > 1:
-            pool = stack.enter_context(ThreadPoolExecutor(max_workers=1))
-            draws = _drawn_ahead(draws, pool)
-        chunks = zip(*[_path_chunks(block, n, h, column) for block, column
-                       in zip(blocks, _columns(draws, len(blocks)))])
-        start = 0
-        for xi, delta, eps, zeta in chunks:
-            stop = start + len(xi)
+    last = [block.init for block in blocks]
+    with (ThreadPoolExecutor(max_workers=1) if len(bounds) > 1
+          else contextlib.nullcontext()) as pool:
+        for (start, stop), following in zip(bounds, [*bounds[1:], None]):
+            normals = ahead.result() if start else _draw(rngs, blocks, 0, stop)
+            ahead = (pool.submit(_draw, rngs, blocks, *following)
+                     if following else None)
+            xi, delta, eps, zeta = [
+                _chunk_path(transition, x, z)[start > 0:].T
+                for transition, x, z in zip(transitions, last, normals)]
+            del normals
+            last = [path[:, -1] for path in (xi, delta, eps, zeta)]
             obs = x_obs[start:stop].T
-            xi, delta, eps, zeta = xi.T, delta.T, eps.T, zeta.T
             eta = truth.psi_inv @ (truth.gamma @ xi + zeta)
             obs[:p1] = truth.lambda_x1 @ xi + delta
             obs[p1:] = truth.lambda_x2 @ eta + eps
             for name, path in zip(latents, (xi, delta, eps, zeta, eta)):
                 latents[name][start:stop] = path.T
-            start = stop
     return PathBundle(n=n, T=T, h=h, seed=int(seed), x_obs=x_obs, **latents)
 
 

@@ -9,7 +9,8 @@ import pytest
 
 from hfsem import diffsim
 from hfsem.errors import SingularStructureError
-from tests.conftest import bundled_truth_doc, oneshot_simulate_custom
+from tests.conftest import (bundled_truth_doc, oneshot_simulate_custom,
+                            oneshot_simulate_ou)
 
 CHUNK = diffsim._CHUNK_ROWS
 # Path lengths on both sides of the one- and two-chunk boundaries, and one
@@ -91,6 +92,13 @@ class TestSimulateOu:
             diffsim.simulate_ou(block, 10, -1.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             diffsim.OuBlock(np.eye(3), np.zeros(2), np.eye(2), np.zeros(2))
+
+    def test_wrong_argument_types_refused(self):
+        block, rng = scalar_xi_block(), np.random.default_rng(0)
+        with pytest.raises(TypeError, match="OuBlock, not dict"):
+            diffsim.simulate_ou(bundled_truth_doc()["xi"], 10, 1.0, rng)
+        with pytest.raises(TypeError, match="numpy.random.Generator, not int"):
+            diffsim.simulate_ou(block, 10, 1.0, 0)
 
     @pytest.mark.parametrize("T", [np.nan, np.inf])
     def test_non_finite_horizon_rejected(self, T):
@@ -262,6 +270,11 @@ class TestSimulateCustom:
         tb = diffsim.load_truth("true4-6")
         with pytest.raises(ValueError):
             dataclasses.replace(tb, xi=tb.zeta, zeta=tb.xi)
+
+    def test_truth_document_refused(self):
+        # the document is read by load_truth, once, not by each simulation
+        with pytest.raises(TypeError, match="as load_truth returns, not dict"):
+            diffsim.simulate_custom(bundled_truth_doc(), n=10, T=1.0, seed=0)
 
     def test_grid_arguments_keyword_only(self):
         # a benchmark hook reads the grid size as kwargs["n"]
@@ -694,6 +707,15 @@ class TestStreaming:
             assert np.abs(getattr(out, name) - ref[name]).max() <= 1e-12, name
         assert np.array_equal(slim.x_obs, out.x_obs)
 
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    @pytest.mark.parametrize("name", ["xi", "zeta"])
+    def test_simulate_ou_matches_oneshot_bit_for_bit(self, name, n):
+        # a decoupled block and the variant's coupled one
+        block = getattr(truth_variant("non_diagonal"), name)
+        path = diffsim.simulate_ou(block, n, 1.0, np.random.default_rng(n))
+        ref = oneshot_simulate_ou(block, n, 1.0, np.random.default_rng(n))
+        assert np.array_equal(path, ref)
+
     def test_peak_memory_near_output_size(self):
         import tracemalloc
 
@@ -758,3 +780,33 @@ class TestDrawnAhead:
                                 keep_latents=False)
         assert len(diffsim._chunk_bounds(n + 1)) == 1
         assert starts == []
+
+    def test_thread_joined_when_a_draw_raises(self, monkeypatch):
+        # one block's stream fails on the path's last chunk, whose draw
+        # always runs on the helper thread
+        chunks = len(diffsim._chunk_bounds(self.N + 1))
+        streams, draws = diffsim._block_streams, []
+
+        class Failing:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, shape):
+                draws.append(threading.current_thread())
+                if len(draws) == chunks:
+                    raise FloatingPointError("last draw")
+                return self.rng.standard_normal(shape)
+
+        def failing_streams(seed):
+            rngs = streams(seed)
+            return [*rngs[:2], Failing(rngs[2]), rngs[3]]
+
+        monkeypatch.setattr(diffsim, "_block_streams", failing_streams)
+        starts = self.count_starts(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="last draw"):
+            diffsim.simulate_custom(truth_variant("exact"), n=self.N, T=1.0,
+                                    seed=3, keep_latents=False)
+        assert chunks == 3 and len(draws) == chunks and len(starts) == 1
+        assert draws[-1] is not threading.main_thread()
+        assert threading.active_count() == before

@@ -209,6 +209,51 @@ def test_thread_scan_catches_imports_and_workers():
         "concurrent.futures.ThreadPoolExecutor"]
 
 
+# Callables that build a thread, or an executor or pool of threads.
+THREAD_BUILDER = re.compile(r"(?:Executor|Thread|ThreadPool|Timer)$")
+
+
+def thread_sites(source: str) -> list[tuple]:
+    """``(function, line)`` of each call that builds a thread or a thread
+    pool, by the innermost function around it (None outside any)."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            if THREAD_BUILDER.search(name):
+                found.append((owner, node.lineno))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_one_helper_pool_in_simulate_custom():
+    # A long path's draw-ahead runs on the one-worker pool simulate_custom
+    # opens; a chunk-level simulator is to reuse it, and build no second.
+    sites = [(path.name, owner) for path in sorted(SRC.glob("*.py"))
+             for owner, _ in thread_sites(path.read_text())]
+    assert sites == [("diffsim.py", "simulate_custom")]
+
+
+def test_thread_site_scan_catches_every_builder():
+    source = "\n".join([
+        "POOL = ThreadPoolExecutor(max_workers=1)",               # 1
+        "def simulate(pool=cf.ThreadPoolExecutor()):",            # 2
+        "    with multiprocessing.Pool(2) as workers:",           # 3
+        "        def draw(): return threading.Thread(target=print)",  # 4
+        "    threading.Timer(1.0, print).start()",                # 5
+        "class Holder:",                                          # 6
+        "    def run(self): return ThreadPool(2)",                # 7
+    ])
+    assert thread_sites(source) == [(None, 1), ("simulate", 2), ("draw", 4),
+                                    ("simulate", 5), ("run", 7)]
+
+
 def test_runtime_loads_no_scipy_signal_or_stats():
     # The scans above see a module's own imports; a fresh interpreter also
     # sees what those import in turn, on a simulated path and its Q.
