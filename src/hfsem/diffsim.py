@@ -25,7 +25,9 @@ grid sizes n and horizons T are read by the one rule of each in ``_doc``.
 Paths are streamed: :func:`simulate_custom` and :func:`simulate_ou` are
 each one loop over a path's row chunks.  Each pass draws the chunk's
 normals, solves each block from the last row of its previous chunk, drops
-the normals and writes the rows into the preallocated outputs.  A
+the normals and writes the rows into the preallocated outputs.  The
+calling thread allocates each chunk's normal arrays (:func:`_normals`),
+and a draw only fills them in place (:func:`_draw`).  A
 decoupled block (diagonal mean reversion) steps each coordinate by the
 AR(1) recursion ``x_i = decay x_{i-1} + u_i``, and a chunk of it is one
 banded triangular solve (BLAS ``dtbsv``) over all its coordinates; each
@@ -37,10 +39,14 @@ computation (one draw of all steps, then the recursion) that
 In a path of two or more chunks, :func:`simulate_custom` draws the next
 chunk's normals of all four blocks as a future on a one-worker executor
 while the calling thread solves and assembles the current chunk: NumPy's
-fill releases the interpreter lock, and the solve holds it.  Each block's
-generator is used by one thread at a time, in the order of the serial
-draws, so the path does not depend on the thread.  The executor is shut
-down before the call returns or raises, and a one-chunk path opens none.
+fill releases the interpreter lock, and the solve holds it.  The helper
+thread fills arrays the calling thread allocated and allocates none
+itself, so it never grows a malloc arena of its own, which would keep
+about 2 MB resident for the life of the process after a long path.  Each
+block's generator is used by one thread at a time, in the order of the
+serial draws, so the path does not depend on the thread.  The executor is
+shut down before the call returns or raises, and a one-chunk path opens
+none.
 """
 
 from __future__ import annotations
@@ -346,13 +352,22 @@ def _decay_band(decay: np.ndarray, m: int) -> np.ndarray:
     return band
 
 
-def _draw(rngs: list, blocks: list, start: int, stop: int) -> list:
-    """Each block's standard normals for the steps into rows ``start`` to
-    ``stop - 1`` of a path, one ``(steps, dim)`` array each (row 0 takes
-    none): drawn chunk by chunk, a stream is consumed exactly as by one
-    ``(n, dim)`` draw."""
-    return [rng.standard_normal((stop - start - (start == 0), block.dim))
-            for rng, block in zip(rngs, blocks)]
+def _normals(blocks: list, start: int, stop: int) -> list:
+    """Each block's unfilled ``(steps, dim)`` array for the standard normals
+    of the steps into rows ``start`` to ``stop - 1`` of a path (row 0
+    takes none), allocated by the calling thread for :func:`_draw`."""
+    return [np.empty((stop - start - (start == 0), block.dim))
+            for block in blocks]
+
+
+def _draw(rngs: list, normals: list) -> list:
+    """``normals``, each array filled in place with standard normals from
+    its block's stream, which allocates nothing: a thread that draws
+    leaves no heap of its own behind.  Drawn chunk by chunk into C-ordered
+    arrays, a stream is consumed exactly as by one ``(n, dim)`` draw."""
+    for rng, z in zip(rngs, normals):
+        rng.standard_normal(out=z)
+    return normals
 
 
 def _expect(value, kind: type, rule: str):
@@ -372,7 +387,7 @@ def simulate_ou(block: OuBlock, n: int, T: float,
     transition = _exact_transition(block, _grid_step(n, T))
     path = np.empty((n + 1, block.dim))
     for start, stop in _chunk_bounds(n + 1):
-        (z,) = _draw([rng], [block], start, stop)
+        (z,) = _draw([rng], _normals([block], start, stop))
         x = path[start - 1] if start else block.init
         path[start:stop] = _chunk_path(transition, x, z)[start > 0:]
     return path
@@ -395,9 +410,11 @@ def simulate_custom(truth: Truth, *, n: int, T: float, seed: int,
     ``keep_latents``.  The blocks' exact transitions are built once per
     truth and grid in a process (see :func:`_exact_transition`).
 
-    With two or more chunks, each pass first hands the draw of the next
-    chunk to a one-thread executor, opened for the call and shut down when
-    it returns or raises; a one-chunk path starts no thread.
+    With two or more chunks, each pass first allocates the next chunk's
+    normal arrays and hands their filling to a one-thread executor, opened
+    for the call and shut down when it returns or raises; a one-chunk path
+    starts no thread.  So the calling thread allocates every array of
+    normals, and a draw only fills them, on whichever thread it runs.
     """
     _expect(truth, Truth, "truth must be a Truth, as load_truth returns")
     h = _grid_step(n, T)
@@ -416,8 +433,9 @@ def simulate_custom(truth: Truth, *, n: int, T: float, seed: int,
     with (ThreadPoolExecutor(max_workers=1) if len(bounds) > 1
           else contextlib.nullcontext()) as pool:
         for (start, stop), following in zip(bounds, [*bounds[1:], None]):
-            normals = ahead.result() if start else _draw(rngs, blocks, 0, stop)
-            ahead = (pool.submit(_draw, rngs, blocks, *following)
+            normals = (ahead.result() if start
+                       else _draw(rngs, _normals(blocks, 0, stop)))
+            ahead = (pool.submit(_draw, rngs, _normals(blocks, *following))
                      if following else None)
             xi, delta, eps, zeta = [
                 _chunk_path(transition, x, z)[start > 0:].T

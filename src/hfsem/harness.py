@@ -299,56 +299,64 @@ def _chunk_worker(chunk: tuple) -> Records:
     """The records of a chunk's (n, rep) replications, as its own
     :class:`Records`: each path reduced to Q, then each spec fitted to the
     chunk's Q stack at once, from its init or from each replication's
-    multistart set, seeded by the split of (master_seed, n, rep, 1)."""
+    multistart set, seeded by the split of (master_seed, n, rep, 1).
+
+    A spec's rows are filled as soon as its fit returns, so its reports,
+    each with its (q, q) Hessian, are dropped before the next spec is
+    fitted; only their criteria rows are kept, and each (n, rep)'s
+    winners are selected from them once every spec is done."""
     config, truth, specs, inits, tasks = chunk
     q_xx = np.array([_realized(config, truth, *task).q_xx for task in tasks])
     n = np.array([n for n, _ in tasks])
-    fits = []
-    for spec, init in zip(specs, inits):
+    records = Records.allocate([spec.name for spec in specs], tasks)
+    rows = []
+    for k, (spec, init) in enumerate(zip(specs, inits)):
         if init is None:
             start_sets = [start_set(spec, q, config.starts,
                                     split_seed(config.master_seed, *task, tag=1))
                           for q, task in zip(q_xx, tasks)]
         else:
             start_sets = [[init]] * len(tasks)
-        fits.append(fit_lanes(spec, q_xx, n, start_sets))
-    return _records(specs, tasks, q_xx, fits)
-
-
-def _records(specs: Sequence[SemSpec], tasks: list, q_xx: np.ndarray,
-             fits: list) -> Records:
-    """A chunk's records from its Q stack and each spec's fit reports
-    (``None`` for a failed fit: its row is flagged, and its (n, rep)
-    names no winner); ``lr_sat`` is the quasi-likelihood ratio against
-    the saturated model, ``2 (n (-p - log det Q) / 2 - h_at_hat)``."""
-    records = Records.allocate([spec.name for spec in specs], tasks)
-    columns = records.columns
-    for i, (n, rep) in enumerate(tasks):
-        saturated = n * (-len(q_xx[i]) - np.linalg.slogdet(q_xx[i])[1]) / 2
-        reports = [lanes[i] for lanes in fits]
-        rows = [None if report is None else criteria_row(report)
-                for report in reports]
-        if all(row is not None for row in rows):
-            columns["selected_by"][i] = [records.model_ids.index(select(rows, c))
-                                         for c in CRITERIA]
-        for k, (spec, report, row) in enumerate(zip(specs, reports, rows),
-                                                i * len(specs)):
-            if report is None:
-                logger.warning("rep %d n=%d: every start of %s failed", rep,
-                               n, spec.name)
-                continue
-            records.failed[k] = False
-            for column, value in (
-                    ("h_at_hat", row.h_at_hat),
-                    ("lr_sat", 2.0 * (saturated - row.h_at_hat)),
-                    *((c, row.value(c)) for c in CRITERIA),
-                    ("j_flag", row.j_flag), ("converged", report.converged),
-                    ("boundary_hit", report.boundary_hit),
-                    ("iterations", report.iterations),
-                    ("evaluations", report.evaluations),
-                    ("grad_norm", report.grad_norm)):
-                columns[column][k] = value
+        rows.append(_fill(records, k, tasks, q_xx,
+                          fit_lanes(spec, q_xx, n, start_sets)))
+    for i, task_rows in enumerate(zip(*rows)):
+        if all(row is not None for row in task_rows):
+            records.columns["selected_by"][i] = [
+                records.model_ids.index(select(task_rows, c)) for c in CRITERIA]
     return records
+
+
+def _fill(records: Records, k: int, tasks: list, q_xx: np.ndarray,
+          reports: list) -> list:
+    """Fill spec ``k``'s rows of a chunk's records from its fit reports,
+    one per task (``None`` for a failed fit: its row stays flagged), and
+    return their criteria rows (``None`` where the fit failed); ``lr_sat``
+    is the quasi-likelihood ratio against the saturated model,
+    ``2 (n (-p - log det Q) / 2 - h_at_hat)``."""
+    columns, width = records.columns, len(records.model_ids)
+    rows = []
+    for i, ((n, rep), report) in enumerate(zip(tasks, reports)):
+        if report is None:
+            logger.warning("rep %d n=%d: every start of %s failed", rep, n,
+                           records.model_ids[k])
+            rows.append(None)
+            continue
+        row = criteria_row(report)
+        rows.append(row)
+        saturated = n * (-len(q_xx[i]) - np.linalg.slogdet(q_xx[i])[1]) / 2
+        at = i * width + k
+        records.failed[at] = False
+        for column, value in (
+                ("h_at_hat", row.h_at_hat),
+                ("lr_sat", 2.0 * (saturated - row.h_at_hat)),
+                *((c, row.value(c)) for c in CRITERIA),
+                ("j_flag", row.j_flag), ("converged", report.converged),
+                ("boundary_hit", report.boundary_hit),
+                ("iterations", report.iterations),
+                ("evaluations", report.evaluations),
+                ("grad_norm", report.grad_norm)):
+            columns[column][at] = value
+    return rows
 
 
 def _limit_optima(specs: Sequence[SemSpec], sigma0: np.ndarray,

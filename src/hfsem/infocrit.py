@@ -107,8 +107,12 @@ def gamma_zero(spec: SemSpec, theta0: np.ndarray,
     both from the factor record of one forward pass.
 
     Raises :class:`RankDeficientError` when the covariance Jacobian loses
-    column rank, :class:`NotPositiveDefiniteError` when sigma0 is not PD.
+    column rank, :class:`NotPositiveDefiniteError` when sigma0 is not PD,
+    and ``ValueError`` when it is not (p, p).
     """
+    if np.shape(sigma0) != (spec.p, spec.p):
+        raise ValueError(f"sigma0 is {np.shape(sigma0)}, "
+                         f"model observes p={spec.p}")
     _, sigma0_inv = matkit.chol_logdet(sigma0)
     delta0, rank, record = jacobian_rank(spec, theta0)
     if rank < spec.q:

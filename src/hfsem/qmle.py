@@ -146,18 +146,22 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _free_steps(matrix: np.ndarray, grad: np.ndarray, free: np.ndarray,
-                least_squares: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Per lane, the step solving ``matrix @ step = grad`` on the ``free``
-    coordinates by Cholesky on the free block, zero on the others; and
-    which lanes Cholesky could not solve: an empty block, one that is not
-    positive definite, or one singular to working precision (as a block
-    with a non-finite entry is, to ``dpotrf`` or ``dpocon``).  With
+                least_squares: bool = False, negate: bool = False
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Per lane, the step solving ``matrix @ step = grad`` (``-matrix``
+    with ``negate``) on the ``free`` coordinates by Cholesky on the free
+    block, zero on the others; and which lanes Cholesky could not solve:
+    an empty block, one that is not positive definite, or one singular to
+    working precision (as a block with a non-finite entry is, to
+    ``dpotrf`` or ``dpocon``).  With
     ``least_squares`` such a lane's step is least squares' on its block,
     which drops null directions; without, it stays zero.
 
     A lane with a frozen coordinate gathers its free block once, and a lane
     with every coordinate free solves on its whole matrix, ungathered; each
-    takes the 1-norm for ``dpocon`` from its own block."""
+    takes the 1-norm for ``dpocon`` from its own block.  With ``negate``
+    (Newton's step on a Hessian) each lane negates its own block, so no
+    negated copy of the ``(L, q, q)`` stack is made."""
     whole = free.all(axis=1)
     steps = np.zeros_like(grad)
     failed = np.zeros(len(grad), dtype=bool)
@@ -167,6 +171,8 @@ def _free_steps(matrix: np.ndarray, grad: np.ndarray, free: np.ndarray,
         else:
             keep = np.flatnonzero(keep)
             block = matrix[lane].take(keep, 0).take(keep, 1)
+        if negate:
+            block = -block
         g = grad[lane, keep]
         c, bad = lapack.dpotrf(block, lower=1, clean=0)
         if not bad and g.size:
@@ -187,10 +193,11 @@ def _ascent_step(scores: LaneScores, at: np.ndarray, hessian,
     ``-hessian @ step = grad`` on the free coordinates, where that block is
     positive definite and well conditioned; elsewhere, or with no Hessian
     (None), the scoring step, ``_free_steps`` with least squares on the
-    pass's information, computed for those lanes alone."""
+    pass's information, computed for those lanes alone.  ``hessian`` is
+    read, not changed: each lane negates its own block."""
     if hessian is None:
         return _free_steps(scores.information(at), grad, free, True)[0]
-    steps, failed = _free_steps(-hessian, grad, free)
+    steps, failed = _free_steps(hessian, grad, free, negate=True)
     if failed.any():
         steps[failed] = _free_steps(scores.information(at[failed]),
                                     grad[failed], free[failed], True)[0]
@@ -231,6 +238,12 @@ def _optimize(spec: SemSpec, score, inits: np.ndarray) -> _Lanes:
     Hessian and the information are computed only for the start and the
     accepted trials, whose next step needs them, and each lane keeps the
     Hessian of its last accepted iterate.
+
+    A round holds the ``(L, q, q)`` stack of kept Hessians and at most one
+    working copy: the pass's Hessians are written into the stack and
+    dropped, the step reads the running lanes' gather from the stack (each
+    lane negating its own block), and the pass itself is dropped before
+    the kernel scores the next one.
     """
     theta = np.clip(inits, spec.lower, spec.upper)
     scores = score(theta, np.arange(len(theta)))
@@ -247,16 +260,18 @@ def _optimize(spec: SemSpec, score, inits: np.ndarray) -> _Lanes:
 
     while True:
         if fresh.size:
-            newton = scores.hessian(at)     # None for a kernel without one
-            if newton is not None:
-                hessian[fresh] = newton
+            found = scores.hessian(at)      # None for a kernel without one
+            newton = found is not None
+            if newton:
+                hessian[fresh] = found
+            del found
             go = iterations[fresh] < _MAX_ITER
             running[fresh[~go]] = False
             fresh, at = fresh[go], at[go]
         if fresh.size:
             free = _free_mask(spec, theta[fresh], grad[fresh])
             step[fresh] = _ascent_step(
-                scores, at, None if newton is None else hessian[fresh],
+                scores, at, hessian[fresh] if newton else None,
                 grad[fresh], free)
             base = value[fresh]
             stalled = base + 0.5 * _row_dot(grad[fresh], step[fresh]) == base
@@ -267,6 +282,7 @@ def _optimize(spec: SemSpec, score, inits: np.ndarray) -> _Lanes:
         if not trying.size:
             break
         trial = np.clip(theta[trying] + step[trying], spec.lower, spec.upper)
+        del scores
         scores = score(trial, trying)
         evaluations[trying] += 1
         up = scores.value > value[trying]
@@ -309,7 +325,8 @@ def fit_lanes(spec: SemSpec, q_xx: np.ndarray, n: np.ndarray,
     pass, ``evaluations`` summed over all its starts and ``restarts`` the
     number of starts after the first; it is ``None`` when every start lies
     outside the admissible region.  A report does not depend on which
-    other fits share the loop.  Disagreeing shapes raise ``ValueError``.
+    other fits share the loop.  Disagreeing shapes, or an ``n`` that is
+    not an integer of at least 1, raise ``ValueError``.
     """
     q_xx, n = np.asarray(q_xx, dtype=float), np.asarray(n, dtype=float)
     if (q_xx.shape[1:] != (spec.p, spec.p) or n.shape != q_xx.shape[:1]
@@ -317,6 +334,8 @@ def fit_lanes(spec: SemSpec, q_xx: np.ndarray, n: np.ndarray,
         raise ValueError(f"fit_lanes needs an (R, {spec.p}, {spec.p}) Q stack, "
                          f"R values of n and R start sets; got Q {q_xx.shape}, "
                          f"n {n.shape} and {len(start_sets)} start sets")
+    if not np.all(np.isfinite(n) & (n >= 1) & (n == np.floor(n))):
+        raise ValueError(f"fit_lanes needs each n an integer >= 1, got {n}")
     owner = np.repeat(np.arange(len(q_xx)), [len(s) for s in start_sets])
     inits = np.array([spec._check_theta(start) for starts in start_sets
                       for start in starts]).reshape(len(owner), spec.q)

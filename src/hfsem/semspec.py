@@ -545,10 +545,12 @@ def moment_start(spec: SemSpec, q_xx: np.ndarray) -> np.ndarray:
     mean over its cells of Lam = 1, Beta = 0.5 on its gamma block and 0 on
     its b block, P = diag(half the mean of diag(q_xx) over each block) and
     U = half diag(q_xx), so the implied diagonal starts on the right scale.
-    A ``q_xx`` that is not (p, p) raises ``ValueError``."""
+    A ``q_xx`` that is not (p, p), or not finite, raises ``ValueError``."""
     if np.shape(q_xx) != (spec.p, spec.p):
         raise ValueError(f"quadratic covariation is {np.shape(q_xx)}, "
                          f"model observes p={spec.p}")
+    if not np.all(np.isfinite(q_xx)):
+        raise ValueError("quadratic covariation Q has non-finite entries")
     diag, k1, k = np.diag(q_xx), spec.k1, spec.k1 + spec.k2
     beta = np.zeros((k, k))
     beta[k1:, :k1] = 0.5

@@ -731,8 +731,9 @@ class TestStreaming:
 
 class TestDrawnAhead:
     """A path of two or more chunks draws the next chunk's normals on one
-    helper thread while the current chunk is solved; the thread ends with
-    the call, and a one-chunk path starts none."""
+    helper thread while the current chunk is solved, into arrays the
+    calling thread allocated; the thread ends with the call, and a
+    one-chunk path starts none."""
 
     N = 3 * CHUNK + 5
 
@@ -781,6 +782,46 @@ class TestDrawnAhead:
         assert len(diffsim._chunk_bounds(n + 1)) == 1
         assert starts == []
 
+    def test_draws_fill_arrays_the_caller_allocates(self, monkeypatch):
+        # Every draw fills an array the calling thread allocated, so the
+        # helper thread allocates no normals: a thread that allocates them
+        # leaves its own heap behind (2 MB of RSS on a 10**6-step path).
+        # Each filled array is kept, so any made off the main thread would
+        # still be traced, with the helper's bootstrap as its oldest frame.
+        import tracemalloc
+
+        want = diffsim.simulate_custom(truth_variant("exact"), n=self.N,
+                                       T=1.0, seed=3, keep_latents=False)
+        streams, calls, kept = diffsim._block_streams, [], []
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, *args, **kwargs):
+                calls.append((threading.current_thread(), args, set(kwargs)))
+                kept.append(self.rng.standard_normal(*args, **kwargs))
+                return kept[-1]
+
+        monkeypatch.setattr(diffsim, "_block_streams",
+                            lambda seed: [Spy(rng) for rng in streams(seed)])
+        tracemalloc.start(32)
+        try:
+            got = diffsim.simulate_custom(truth_variant("exact"), n=self.N,
+                                          T=1.0, seed=3, keep_latents=False)
+            traces = tracemalloc.take_snapshot().traces
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.x_obs, want.x_obs)
+        chunks = len(diffsim._chunk_bounds(self.N + 1))
+        assert chunks == 3 and len(calls) == 4 * chunks
+        assert all(args == () and keys == {"out"} for _, args, keys in calls)
+        off_main = [t for t, _, _ in calls if t is not threading.main_thread()]
+        assert len(off_main) == 4 * (chunks - 1)
+        by_helper = sum(trace.size for trace in traces
+                        if trace.traceback[0].filename == threading.__file__)
+        assert by_helper < min(z.nbytes for z in kept)
+
     def test_thread_joined_when_a_draw_raises(self, monkeypatch):
         # one block's stream fails on the path's last chunk, whose draw
         # always runs on the helper thread
@@ -791,11 +832,11 @@ class TestDrawnAhead:
             def __init__(self, rng):
                 self.rng = rng
 
-            def standard_normal(self, shape):
+            def standard_normal(self, *, out):
                 draws.append(threading.current_thread())
                 if len(draws) == chunks:
                     raise FloatingPointError("last draw")
-                return self.rng.standard_normal(shape)
+                return self.rng.standard_normal(out=out)
 
         def failing_streams(seed):
             rngs = streams(seed)

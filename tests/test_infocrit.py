@@ -95,6 +95,15 @@ class TestGammaZero:
         with pytest.raises(RankDeficientError):
             infocrit.gamma_zero(degenerate_model, theta, sigma)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (12, 12), (10, 3)])
+    def test_sigma0_shape_checked(self, model1, shape):
+        # Named as moment_start names a Q of the wrong shape, before the
+        # factor record meets it.
+        message = (rf"^sigma0 is \({shape[0]}, {shape[1]}\), "
+                   rf"model observes p=10$")
+        with pytest.raises(ValueError, match=message):
+            infocrit.gamma_zero(model1, models.THETA1_TRUE, np.eye(*shape))
+
     def test_matches_scaled_hessian(self, model1, sigma0_oracle, quadvar_1e4):
         out = infocrit.gamma_zero(model1, models.THETA1_TRUE, sigma0_oracle)
         report = qmle.fit(LikelihoodSurface(model1, quadvar_1e4),

@@ -754,6 +754,21 @@ class TestLanes:
                            [[models.THETA1_TRUE]] * sets)
         assert passes == []
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [0, 100.5, -3, np.inf, np.nan],
+                             ids=["0", "100.5", "-3", "inf", "nan"])
+    def test_n_not_a_grid_size_refused(self, surface_1e3, n, monkeypatch):
+        # Each n must be an integer of at least 1, as FitReport.from_dict
+        # requires: 0 fitted to a "converged" report with infinite
+        # criteria, and 100.5 was fitted as 100.5 but reported as 100.
+        passes = []
+        monkeypatch.setattr(qmle, "score_lanes", lambda *a: passes.append(a))
+        q_xx = np.array([surface_1e3.quadvar.q_xx] * 2)
+        with pytest.raises(ValueError, match=r"each n an integer >= 1"):
+            qmle.fit_lanes(surface_1e3.spec, q_xx, [1000, n],
+                           [[models.THETA1_TRUE]] * 2)
+        assert passes == []
+
 
 class TestFitOptions:
     """``compute_hessian=False`` only blanks the report's Hessian."""

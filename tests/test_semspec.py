@@ -564,6 +564,19 @@ class TestMomentStart:
             with pytest.raises(ValueError, match=message):
                 qmle.fit_multistart(model1, QuadVar(q_xx, n=100, T=1.0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_q_refused(self, model1, sigma0_oracle, bad):
+        # A non-finite Q is named, not turned into NaN starts that a fit
+        # later blames on theta.
+        q_xx = sigma0_oracle.copy()
+        q_xx[2, 2] = bad
+        message = r"^quadratic covariation Q has non-finite entries$"
+        with pytest.raises(ValueError, match=message):
+            moment_start(model1, q_xx)
+        with pytest.raises(ValueError, match=message):
+            qmle.start_set(model1, q_xx, starts=3, seed=1)
+
 
 class TestJson:
     def test_round_trip(self, model2, tmp_path):

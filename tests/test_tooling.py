@@ -254,6 +254,39 @@ def test_thread_site_scan_catches_every_builder():
                                     ("simulate", 5), ("run", 7)]
 
 
+def sized_draws(source: str) -> list[int]:
+    """Lines of the ``standard_normal(`` calls that pass no ``out=``, and
+    so allocate the array they return."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", ""))
+                  == "standard_normal"
+                  and not any(k.arg == "out" for k in node.keywords))
+
+
+def test_every_draw_fills_an_array():
+    # The thread that calls the simulator allocates the normals, and a draw
+    # only fills them, on whichever thread it runs: a helper thread that
+    # allocates keeps a heap of its own for the process's life.
+    draws = {path.name: sized_draws(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in draws.items() if lines} == {}
+    assert "standard_normal(out=" in (SRC / "diffsim.py").read_text()
+
+
+def test_draw_scan_catches_a_sized_draw():
+    source = "\n".join([
+        "def _draw(rngs, blocks, start, stop):",                        # 1
+        "    return [rng.standard_normal((stop - start - (start == 0), "
+        "block.dim))",                                                  # 2
+        "            for rng, block in zip(rngs, blocks)]",             # 3
+        "z = standard_normal(size=3)",                                  # 4
+        "rng.standard_normal(out=z)",                                   # 5
+        "np.random.default_rng(0).standard_normal()",                   # 6
+    ])
+    assert sized_draws(source) == [2, 4, 6]
+
+
 def test_runtime_loads_no_scipy_signal_or_stats():
     # The scans above see a module's own imports; a fresh interpreter also
     # sees what those import in turn, on a simulated path and its Q.
