@@ -55,9 +55,8 @@ def _write_path_csv(path, bundle: diffsim.PathBundle) -> None:
     columns = ["t"] + [f"x{i + 1}" for i in range(p)]
     data = [t[:, None], bundle.x_obs]
     if bundle.has_latents:
-        for name, block in (("xi", bundle.xi), ("delta", bundle.delta),
-                            ("eps", bundle.eps), ("zeta", bundle.zeta),
-                            ("eta", bundle.eta)):
+        for name in diffsim.LATENT_PATHS:
+            block = getattr(bundle, name)
             columns += [f"{name}{i + 1}" for i in range(block.shape[1])]
             data.append(block)
     full = np.hstack(data)

@@ -72,11 +72,15 @@ __all__ = [
     "simulate_custom",
     "simulate_true_model",
     "TRUE_MODEL_NAME",
+    "LATENT_PATHS",
 ]
 
 TRUE_MODEL_NAME = "true4-6"
 
 _LATENT = ("xi", "delta", "eps", "zeta")
+# The latent paths a bundle keeps, in the order of its fields and of a
+# path CSV's columns: the four blocks, then eta.
+LATENT_PATHS = (*_LATENT, "eta")
 _MATRICES = ("lambda_x1", "lambda_x2", "gamma", "b0")
 _BLOCK = ("mean_reversion", "level", "dispersion", "init")
 
@@ -427,8 +431,7 @@ def simulate_custom(truth: Truth, *, n: int, T: float, seed: int,
     latents = {}
     if keep_latents:
         latents = {name: np.empty((n + 1, dim)) for name, dim in
-                   zip(("xi", "delta", "eps", "zeta", "eta"),
-                       (k1, p1, p2, k2, k2))}
+                   zip(LATENT_PATHS, (k1, p1, p2, k2, k2))}
     last = [block.init for block in blocks]
     with (ThreadPoolExecutor(max_workers=1) if len(bounds) > 1
           else contextlib.nullcontext()) as pool:

@@ -7,11 +7,13 @@ split deterministically from the master seed, fits each candidate model
 and evaluates the criteria.  A study's result is its records, one row
 per replication and model, held as columns: one array per
 ``REPLICATION_COLUMNS`` entry (:class:`Records`).  The
-:class:`SelectionTable` of per-criterion winners is counted from them.
+:class:`SelectionTable` of each criterion's winners (the criteria of
+``infocrit.CRITERIA``) is counted from them.
 Replications run in contiguous chunks, the unit of work of a worker pool:
 the fewest chunks of at most ``_CHUNK`` replications whose count the
 workers share evenly, so a study smaller than one chunk still keeps every
-worker busy.  A chunk gets
+worker busy; a pool opens no more processes than there are chunks.  A
+chunk gets
 the study's shared values and its (n, rep) tasks; it splits each task's
 seeds where it uses them, reduces each path to its realized covariation,
 one (R, p, p) Q stack, and fits each model to the stack as the lanes of
@@ -27,7 +29,8 @@ switches to data-driven moment starts with Latin-hypercube restarts drawn
 on the moment start's scale.
 
 The config's ``true_model`` is read and checked by ``diffsim.load_truth``,
-the one reader of truths; :func:`truth_sigma` is its covariance Sigma0.
+the one reader of truths; :func:`truth_sigma` is its covariance Sigma0,
+which each spec checks by its shape rule before the study runs.
 """
 
 from __future__ import annotations
@@ -99,18 +102,24 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        _doc.integer(self.replications, "replications", 1)
-        _doc.integer(self.master_seed, "master_seed", 0)
-        _doc.items(self.n_values, "n_values", _doc.integer, 2)
-        _doc.horizon(self.T)
+        """Each field read by its rule, which keeps what the rule returns
+        (a NumPy scalar becomes its Python number)."""
+        def keep(key, value):
+            object.__setattr__(self, key, value)
+
+        keep("replications", _doc.integer(self.replications, "replications", 1))
+        keep("master_seed", _doc.integer(self.master_seed, "master_seed", 0))
+        keep("n_values", _doc.items(self.n_values, "n_values", _doc.integer, 2))
+        keep("T", _doc.horizon(self.T))
         if len(set(self.n_values)) != len(self.n_values):
             raise ValueError(
                 f"n_values must not repeat an entry, got {self.n_values!r}")
         if self.init_mode not in ("true", "moment"):
             raise ValueError("init_mode must be 'true' or 'moment'")
-        _doc.integer(self.starts, "starts", 1)
-        _doc.integer(self.workers, "workers", 1)
-        _doc.items(self.model_spec_paths, "model_spec_paths", _doc.text)
+        keep("starts", _doc.integer(self.starts, "starts", 1))
+        keep("workers", _doc.integer(self.workers, "workers", 1))
+        keep("model_spec_paths", _doc.items(self.model_spec_paths,
+                                            "model_spec_paths", _doc.text))
         diffsim.load_truth(self.true_model)
 
     def to_dict(self) -> dict:
@@ -133,7 +142,8 @@ class ExperimentConfig:
 
 @dataclass
 class SelectionTable:
-    criteria: list[str]
+    """Each criterion's winners per grid size; the criteria are
+    ``infocrit.CRITERIA``, as in every table."""
     n_values: list[int]
     model_ids: list[str]
     counts: dict                      # (criterion, n) -> {model_id: count}
@@ -148,7 +158,7 @@ class SelectionTable:
 
     def validate(self) -> None:
         """Counts conservation: selections + failures = replications."""
-        for criterion in self.criteria:
+        for criterion in CRITERIA:
             for n in self.n_values:
                 total = sum(self.counts[(criterion, n)].values())
                 if total + self.failures.get(n, 0) != self.replications:
@@ -252,11 +262,9 @@ def _load_study(config: ExperimentConfig, paths: Sequence[str]
     specs = load_specs(paths)
     truth = diffsim.load_truth(config.true_model)
     sigma0 = diffsim.implied_sigma(truth)
-    p = sigma0.shape[0]
     for spec in specs:
-        if spec.p != p:
-            raise ValueError(f"model {spec.name!r} observes p={spec.p} "
-                             f"series, but true_model observes p={p}")
+        spec.check_covariation(
+            sigma0, f"true_model's covariance (fitted by {spec.name!r})")
         for n in config.n_values:
             spec.check_grid(n)
     return specs, truth, sigma0
@@ -278,10 +286,11 @@ _CHUNK = 128
 def _chunk_cuts(tasks: int, workers: int) -> list[int]:
     """Where a study's ``tasks`` replications are cut into chunks: the
     fewest chunks of at most ``_CHUNK`` whose count the workers share
-    evenly (fewer if there are fewer tasks), sizes differing by one at
-    most."""
+    evenly (one a task if there are fewer tasks), sizes differing by one
+    at most.  At most ``tasks + 1`` cuts are tried, whatever the worker
+    count."""
     count = -(-tasks // _CHUNK)
-    count = -(-count // workers) * workers
+    count = min(-(-count // workers) * workers, tasks)
     return sorted({tasks * i // count for i in range(count + 1)})
 
 
@@ -307,6 +316,9 @@ def _chunk_worker(chunk: tuple) -> Records:
     winners are selected from them once every spec is done."""
     config, truth, specs, inits, tasks = chunk
     q_xx = np.array([_realized(config, truth, *task).q_xx for task in tasks])
+    # Each task's saturated log-likelihood, for every spec's lr_sat.
+    saturated = [n * (-len(q) - np.linalg.slogdet(q)[1]) / 2
+                 for (n, _), q in zip(tasks, q_xx)]
     n = np.array([n for n, _ in tasks])
     records = Records.allocate([spec.name for spec in specs], tasks)
     rows = []
@@ -317,7 +329,7 @@ def _chunk_worker(chunk: tuple) -> Records:
                           for q, task in zip(q_xx, tasks)]
         else:
             start_sets = [[init]] * len(tasks)
-        rows.append(_fill(records, k, tasks, q_xx,
+        rows.append(_fill(records, k, tasks, saturated,
                           fit_lanes(spec, q_xx, n, start_sets)))
     for i, task_rows in enumerate(zip(*rows)):
         if all(row is not None for row in task_rows):
@@ -326,13 +338,14 @@ def _chunk_worker(chunk: tuple) -> Records:
     return records
 
 
-def _fill(records: Records, k: int, tasks: list, q_xx: np.ndarray,
+def _fill(records: Records, k: int, tasks: list, saturated: list,
           reports: list) -> list:
     """Fill spec ``k``'s rows of a chunk's records from its fit reports,
     one per task (``None`` for a failed fit: its row stays flagged), and
     return their criteria rows (``None`` where the fit failed); ``lr_sat``
     is the quasi-likelihood ratio against the saturated model,
-    ``2 (n (-p - log det Q) / 2 - h_at_hat)``."""
+    ``2 (saturated - h_at_hat)`` with each task's ``saturated``
+    log-likelihood ``n (-p - log det Q) / 2``."""
     columns, width = records.columns, len(records.model_ids)
     rows = []
     for i, ((n, rep), report) in enumerate(zip(tasks, reports)):
@@ -343,12 +356,11 @@ def _fill(records: Records, k: int, tasks: list, q_xx: np.ndarray,
             continue
         row = criteria_row(report)
         rows.append(row)
-        saturated = n * (-len(q_xx[i]) - np.linalg.slogdet(q_xx[i])[1]) / 2
         at = i * width + k
         records.failed[at] = False
         for column, value in (
                 ("h_at_hat", row.h_at_hat),
-                ("lr_sat", 2.0 * (saturated - row.h_at_hat)),
+                ("lr_sat", 2.0 * (saturated[i] - row.h_at_hat)),
                 *((c, row.value(c)) for c in CRITERIA),
                 ("j_flag", row.j_flag), ("converged", report.converged),
                 ("boundary_hit", report.boundary_hit),
@@ -372,14 +384,14 @@ def _replicate(config: ExperimentConfig, specs: Sequence[SemSpec],
     count and any chunking: contiguous chunks of at most ``_CHUNK``
     replications go to the workers, a replication's seeds and fits do
     not depend on its chunk, and the chunks' columns are concatenated in
-    task order."""
+    task order.  A pool opens no more processes than there are chunks."""
     tasks = [(int(n), rep) for n in config.n_values
              for rep in range(config.replications)]
     cuts = _chunk_cuts(len(tasks), config.workers)
     chunks = [(config, truth, specs, inits, tasks[a:b])
               for a, b in zip(cuts, cuts[1:])]
     if config.workers > 1:
-        with multiprocessing.Pool(config.workers) as pool:
+        with multiprocessing.Pool(min(config.workers, len(chunks))) as pool:
             results = pool.map(_chunk_worker, chunks)
     else:
         results = map(_chunk_worker, chunks)
@@ -411,8 +423,7 @@ def run_experiment(config: ExperimentConfig):
     failures = {n: int(np.count_nonzero(failed[grid == n]))
                 for n in config.n_values}
 
-    table = SelectionTable(criteria=list(CRITERIA),
-                           n_values=[int(n) for n in config.n_values],
+    table = SelectionTable(n_values=[int(n) for n in config.n_values],
                            model_ids=model_ids, counts=counts,
                            failures=failures,
                            replications=config.replications)
@@ -493,7 +504,7 @@ def render_table(table: SelectionTable, fmt: str = "text") -> str:
     (criterion rows by model columns per grid size), 'csv' is long-form."""
     if fmt == "csv":
         lines = ["criterion,n,model_id,count,share"]
-        for criterion in table.criteria:
+        for criterion in CRITERIA:
             for n in table.n_values:
                 for model_id in table.model_ids:
                     count = table.counts[(criterion, n)].get(model_id, 0)
@@ -512,7 +523,7 @@ def render_table(table: SelectionTable, fmt: str = "text") -> str:
         header += "failures".rjust(width)
         out.append(header)
         out.append("-" * len(header))
-        for criterion in table.criteria:
+        for criterion in CRITERIA:
             line = criterion.ljust(12)
             for model_id in table.model_ids:
                 line += str(table.counts[(criterion, n)].get(model_id, 0)).rjust(width)

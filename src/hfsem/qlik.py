@@ -22,7 +22,8 @@ lanes of one spec, each lane its own theta against its own (Q, n), in one
 forward pass of the spec (``SemSpec.forward`` on the stack of theta) and
 one Cholesky factorization per lane, all three from the pass's factor
 record in factor space (the Hessian adds the pass's second-derivative
-term), and the information and the Hessian only for the lanes that ask.
+term), and the information and the Hessian only for the lanes that ask,
+each summed, scaled and symmetrized in one (lanes, q, q) stack.
 The estimator runs many fits through it at once, and each fit's Hessian
 is the one its last accepted pass gives.  :class:`LikelihoodSurface` is
 its one-lane case, which of the estimator's entries only ``qmle.fit`` takes.
@@ -137,10 +138,13 @@ class LaneScores:
 
 
 def _symmetrized(term, lanes) -> np.ndarray:
-    """``term(lanes)``, a (len, q, q) stack, symmetrized."""
+    """``term(lanes)``, a (len, q, q) stack, symmetrized: ``x + x'``
+    halved in place."""
     with np.errstate(all="ignore"):
         x = term(lanes)
-    return 0.5 * (x + _swap(x))
+    out = x + _swap(x)
+    out *= 0.5
+    return out
 
 
 def score_lanes(spec: SemSpec, theta: np.ndarray, q_xx: np.ndarray,
@@ -188,16 +192,23 @@ def score_lanes(spec: SemSpec, theta: np.ndarray, q_xx: np.ndarray,
             grad = 0.5 * n[:, None] * record.trace(slice(None), r - inv)
             good &= np.isfinite(grad).all(axis=1)
 
+            # Each term accumulates and scales its (len, q, q) stack in
+            # place: the values of ``0.5 n (a + b)``, one stack held.
             def information(lanes):
                 s = inv[lanes]
-                return (0.5 * n[lanes][:, None, None]
-                        * record.trace_products(lanes, s, s))
+                out = record.trace_products(lanes, s, s)
+                out *= 0.5 * n[lanes][:, None, None]
+                return out
 
             def hessian(lanes):
                 s, r_ = inv[lanes], r[lanes]
-                return 0.5 * n[lanes][:, None, None] * (
-                    record.trace_products(lanes, s, s - 2.0 * r_)
-                    + second(lanes, r_ - s))
+                t, m = s - 2.0 * r_, r_ - s
+                del r_
+                out = record.trace_products(lanes, s, t)
+                del s, t
+                out += second(lanes, m)
+                out *= 0.5 * n[lanes][:, None, None]
+                return out
     status[(status == OK) & ~good] = NON_FINITE
     value[status != OK] = -np.inf
     return LaneScores(value, status, grad, information, hessian)
@@ -210,14 +221,12 @@ class LikelihoodSurface:
     Each method is the one-lane case of :func:`score_lanes`, so it agrees
     bit for bit with the same lane in any stack; a theta outside the
     admissible region raises ``SingularStructureError`` or
-    ``NotPositiveDefiniteError``.
+    ``NotPositiveDefiniteError``.  A Q that is not (p, p) is refused when
+    the surface is built, by the spec's shape rule.
     """
 
     def __init__(self, spec: SemSpec, quadvar: QuadVar):
-        if quadvar.q_xx.shape != (spec.p, spec.p):
-            raise ValueError(
-                f"quadratic covariation is {quadvar.q_xx.shape}, "
-                f"model observes p={spec.p}")
+        spec.check_covariation(quadvar.q_xx, "quadratic covariation")
         self.spec = spec
         self.quadvar = quadvar
         self.n = quadvar.n

@@ -28,7 +28,9 @@ single-Q fit and the one to raise ``AllStartsFailedError``, runs a
 starts on the moment start's scale) as lanes and keeps the best; ``fit`` is
 its one-start view of a ``LikelihoodSurface``, and ``limit_optimum`` its
 case on sigma0 as the Q of one increment.  The moment start is
-``semspec.moment_start``, so this module reads nothing of a spec's layout.
+``semspec.moment_start``, so this module reads nothing of a spec's layout,
+and ``SemSpec.check_covariation`` checks each Q stack's shape; each grid
+size n is read by ``_doc.integer``.
 ``_optimize`` takes its kernel as an argument, so the injectivity probe of
 ``check_identifiability`` runs on its lanes too, by Gauss-Newton: its
 kernel has no Hessian.
@@ -325,17 +327,20 @@ def fit_lanes(spec: SemSpec, q_xx: np.ndarray, n: np.ndarray,
     pass, ``evaluations`` summed over all its starts and ``restarts`` the
     number of starts after the first; it is ``None`` when every start lies
     outside the admissible region.  A report does not depend on which
-    other fits share the loop.  Disagreeing shapes, or an ``n`` that is
-    not an integer of at least 1, raise ``ValueError``.
+    other fits share the loop.  Before any pass, ``ValueError`` refuses a
+    stack that is not (p, p) (``SemSpec.check_covariation``), an ``n`` or
+    ``start_sets`` not of length R, and an ``n`` that ``_doc.integer``
+    does not read as an integer of at least 1.
     """
-    q_xx, n = np.asarray(q_xx, dtype=float), np.asarray(n, dtype=float)
-    if (q_xx.shape[1:] != (spec.p, spec.p) or n.shape != q_xx.shape[:1]
+    q_xx = np.asarray(q_xx, dtype=float)
+    spec.check_covariation(q_xx, "Q stack")
+    if (q_xx.ndim != 3 or np.shape(n) != q_xx.shape[:1]
             or len(start_sets) != len(q_xx)):
         raise ValueError(f"fit_lanes needs an (R, {spec.p}, {spec.p}) Q stack, "
                          f"R values of n and R start sets; got Q {q_xx.shape}, "
-                         f"n {n.shape} and {len(start_sets)} start sets")
-    if not np.all(np.isfinite(n) & (n >= 1) & (n == np.floor(n))):
-        raise ValueError(f"fit_lanes needs each n an integer >= 1, got {n}")
+                         f"n {np.shape(n)} and {len(start_sets)} start sets")
+    n = np.array([_doc.integer(value, f"n[{k}]", 1) for k, value in enumerate(n)],
+                 dtype=float)
     owner = np.repeat(np.arange(len(q_xx)), [len(s) for s in start_sets])
     inits = np.array([spec._check_theta(start) for starts in start_sets
                       for start in starts]).reshape(len(owner), spec.q)
@@ -398,8 +403,8 @@ def start_set(spec: SemSpec, q_xx: np.ndarray, starts: int = 8, seed: int = 0,
 
     The first start is the user-supplied ``init`` when given, otherwise the
     moment start; the remainder are Latin-hypercube draws around the moment
-    start (see ``_lhs_starts``).  ``moment_start`` checks that ``q_xx`` is
-    (p, p), for this and for ``fit_multistart``.
+    start (see ``_lhs_starts``).  ``moment_start`` checks ``q_xx`` by the
+    spec's shape rule, for this and for ``fit_multistart``.
     """
     starts = _doc.integer(starts, "starts", 1)
     seed = _doc.integer(seed, "seed")

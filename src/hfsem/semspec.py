@@ -34,6 +34,11 @@ come from that forward pass.
 The bases and unit stacks are the one record of the model layout:
 ``moment_start`` and ``nested_embedding`` read them, not the pattern cells,
 and no other module reads either, nor the factor tables built from them.
+
+A spec checks what it is fitted to: ``check_grid`` refuses fewer grid
+increments than p, and ``check_covariation`` a covariance it meets (a Q, a
+stack of them, or the truth's Sigma0) that is not (p, p); no other module
+compares a shape with p.
 """
 
 from __future__ import annotations
@@ -171,7 +176,9 @@ class FactorRecord:
             g_s = g_s.reshape(len(g_s), -1)
             g_t = g_s if one else \
                 self._gram(lanes[block], t[block]).reshape(g_s.shape)
-            out[block] = weight * (g_s[:, pair_s] * g_t[:, pair_t]).sum(axis=1)
+            terms = g_s[:, pair_s]
+            terms *= g_t[:, pair_t]
+            np.multiply(weight, terms.sum(axis=1), out=out[block])
         return out
 
     def jacobian(self, lanes) -> np.ndarray:
@@ -462,6 +469,14 @@ class SemSpec:
             raise ValueError(f"grid size n={n} is below p={self.p}, the "
                              f"observed dimension of {self.name!r}")
 
+    def check_covariation(self, matrix, what: str) -> None:
+        """Refuse a covariance the model meets (a realized covariation Q,
+        the truth's Sigma0), or a stack of them, whose last two axes are
+        not (p, p): the shape rule of every entry that takes one."""
+        shape = np.shape(matrix)
+        if shape[-2:] != (self.p, self.p):
+            raise ValueError(f"{what} is {shape}, model observes p={self.p}")
+
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -546,9 +561,10 @@ def moment_start(spec: SemSpec, q_xx: np.ndarray) -> np.ndarray:
     its b block, P = diag(half the mean of diag(q_xx) over each block) and
     U = half diag(q_xx), so the implied diagonal starts on the right scale.
     A ``q_xx`` that is not (p, p), or not finite, raises ``ValueError``."""
-    if np.shape(q_xx) != (spec.p, spec.p):
+    if np.ndim(q_xx) != 2:
         raise ValueError(f"quadratic covariation is {np.shape(q_xx)}, "
-                         f"model observes p={spec.p}")
+                         "not one matrix")
+    spec.check_covariation(q_xx, "quadratic covariation")
     if not np.all(np.isfinite(q_xx)):
         raise ValueError("quadratic covariation Q has non-finite entries")
     diag, k1, k = np.diag(q_xx), spec.k1, spec.k1 + spec.k2

@@ -143,6 +143,24 @@ class TestConfig:
         with pytest.raises(SingularStructureError, match=r"true_model\.b0"):
             small_config(true_model=truth)
 
+    def test_numpy_scalars_kept_as_python_numbers(self, tmp_path):
+        # Each field keeps what its reader returns, so a config built from
+        # NumPy scalars writes JSON and reads back as the same config.
+        plain = small_config(n_values=[100, 1000], T=2.0, replications=3,
+                             master_seed=7, starts=4, workers=2)
+        config = small_config(
+            n_values=[np.int64(100), np.int32(1000)], T=np.float64(2.0),
+            replications=np.int64(3), master_seed=np.uint64(7),
+            starts=np.int16(4), workers=np.int64(2))
+        path = tmp_path / "exp.json"
+        config.to_json(path)
+        assert harness.ExperimentConfig.from_json(path) == plain == config
+        assert [type(v) for v in config.n_values] == [int, int]
+        assert {key: type(getattr(config, key)) for key in (
+            "T", "replications", "master_seed", "starts", "workers")} == {
+            "T": float, "replications": int, "master_seed": int,
+            "starts": int, "workers": int}
+
     def test_checked_when_built_and_frozen(self):
         # A config is checked once, when it is built; replace builds anew
         # and so checks again, and no field can change after the check.
@@ -177,8 +195,8 @@ class TestConfig:
         monkeypatch.setattr(harness, "limit_optimum", lambda *args, **kwargs:
                             pytest.fail("limit optimum ran before the check"))
         config = small_config(true_model=readme_truth())
-        message = ("model 'model1' observes p=10 series, "
-                   "but true_model observes p=4")
+        message = (r"^true_model's covariance \(fitted by 'model1'\) is "
+                   r"\(4, 4\), model observes p=10$")
         with pytest.raises(ValueError, match=message):
             harness.run_experiment(config)
         with pytest.raises(ValueError, match=message):
@@ -254,7 +272,7 @@ class TestRunExperiment:
     def test_counts_conservation(self, small_run):
         config, (table, records) = small_run
         table.validate()
-        for criterion in table.criteria:
+        for criterion in CRITERIA:
             total = sum(table.counts[(criterion, 100)].values())
             assert total + table.failures[100] == config.replications
 
@@ -306,6 +324,20 @@ class TestRunExperiment:
             q_xx = seen[(r["n"], r["rep"])].q_xx
             sat = r["n"] * (-len(q_xx) - np.linalg.slogdet(q_xx)[1]) / 2
             assert r["lr_sat"] == 2.0 * (sat - r["h_at_hat"])
+
+    def test_saturated_value_once_per_task(self, monkeypatch):
+        # lr_sat's saturated log-likelihood is one slogdet of each task's
+        # (p, p) Q, shared by every spec's row (the criteria's slogdets are
+        # of (q, q) Hessians).
+        slogdet, seen = np.linalg.slogdet, []
+        monkeypatch.setattr(np.linalg, "slogdet",
+                            lambda a: seen.append(np.shape(a)) or slogdet(a))
+        config = small_config(n_values=[100, 400])
+        specs = harness.load_specs(config.model_spec_paths)
+        assert all(spec.q != spec.p for spec in specs)
+        _, records = harness.run_experiment(config)
+        assert not records.failed.any()
+        assert seen.count((10, 10)) == 2 * config.replications
 
     def test_records_held_per_replication(self):
         # The records run_experiment returns hold at most 0.6 KB per
@@ -473,6 +505,47 @@ class TestRunExperiment:
         assert sizes.max() - sizes.min() <= 1
         assert len(sizes) == min(tasks, -(-chunks // workers) * workers)
 
+    def test_chunk_cuts_as_before_at_any_worker_count(self):
+        # The chunk count is capped at the task count, which leaves the
+        # cuts as they were: past one chunk a task, tasks * i // count
+        # already hit every task boundary.
+        def uncapped(tasks, workers):
+            count = -(-tasks // harness._CHUNK)
+            count = -(-count // workers) * workers
+            return sorted({tasks * i // count for i in range(count + 1)})
+
+        for tasks in range(1, 301):
+            for workers in range(1, 9):
+                assert harness._chunk_cuts(tasks, workers) == \
+                    uncapped(tasks, workers)
+        assert harness._chunk_cuts(10, 10**9) == list(range(11))
+
+    def test_pool_no_larger_than_the_chunks(self, small_run, monkeypatch):
+        # A pool opens one process a chunk at most, whatever the worker
+        # count; the fake pool maps serially, so no process starts.
+        opened = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                opened.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return list(map(func, items))
+
+        monkeypatch.setattr(harness.multiprocessing, "Pool", SerialPool)
+        config, (table, records) = small_run
+        table2, records2 = harness.run_experiment(
+            dataclasses.replace(config, workers=10**9))
+        assert opened == [config.replications]
+        assert table2.counts == table.counts
+        assert_same_records(records2, records)
+
     def test_moment_init_mode_runs(self):
         config = small_config(replications=1, init_mode="moment", starts=2)
         table, records = harness.run_experiment(config)
@@ -518,14 +591,14 @@ class TestRendering:
         _, (table, _) = small_run
         text = harness.render_table(table, "text")
         assert "n=100" in text
-        for criterion in table.criteria:
+        for criterion in CRITERIA:
             assert criterion in text
         assert "failures" in text
 
     def test_csv_row_count(self, small_run):
         _, (table, _) = small_run
         csv = harness.render_table(table, "csv").strip().splitlines()
-        expected = len(table.criteria) * len(table.n_values) * len(table.model_ids)
+        expected = len(CRITERIA) * len(table.n_values) * len(table.model_ids)
         assert len(csv) == expected + 1  # header
         assert csv[0] == "criterion,n,model_id,count,share"
 
@@ -553,7 +626,7 @@ class TestRendering:
             records.failed[k] = False
         records.columns["selected_by"][0] = [0, 0, 1]
         table = harness.SelectionTable(
-            criteria=list(CRITERIA), n_values=[100, 1000],
+            n_values=[100, 1000],
             model_ids=["m1", "m2"],
             counts={(c, n): {"m1": int(n == 100 and c != "qaic"),
                              "m2": int(n == 100 and c == "qaic")}

@@ -564,6 +564,41 @@ class TestLanes:
             tracemalloc.stop()
         assert peak < out.nbytes + 4 * block
 
+    def test_hessian_accumulates_in_place(self, model1):
+        # The information and the Hessian of 128 lanes sum, scale and
+        # symmetrize one (L, q, q) stack in place, and a Hessian drops its
+        # inputs before the second-order term: traced peaks 1.08 and
+        # 1.36 MiB for a 0.47 MiB result, against 1.32 and 1.55 MiB when
+        # each step made a new stack.  The values are those of the
+        # whole-stack expressions, bit for bit.
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        lanes = np.arange(128)
+        theta, q_xx, n = self.stack(model1, rng, len(lanes))
+        scores = score_lanes(model1, theta, q_xx, n)
+        assert scores.ok.all()
+        peaks = {}
+        for name, bound in (("information", 1.2), ("hessian", 1.45)):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                out = getattr(scores, name)(lanes)
+                peaks[name] = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert peaks[name] < bound * 2**20, (name, peaks[name])
+        sigma, record, second = model1.forward(theta, 2)
+        inv = matkit._chol_lanes(sigma)[1]
+        r = inv @ q_xx @ inv
+        scale = 0.5 * n[:, None, None]
+        for name, term in (
+                ("information", scale * record.trace_products(lanes, inv, inv)),
+                ("hessian", scale * (record.trace_products(lanes, inv, inv - 2.0 * r)
+                                     + second(lanes, r - inv)))):
+            want = 0.5 * (term + term.swapaxes(1, 2))
+            assert np.array_equal(getattr(scores, name)(lanes), want)
+
 
 def limit_value(spec, theta, sigma0):
     """The in-fill limit criterion: the n=1, T=1 surface with ``sigma0`` as

@@ -737,19 +737,20 @@ class TestLanes:
             assert np.array_equal(report.hessian,
                                   surface.hessian(report.theta_hat))
 
-    @pytest.mark.parametrize("p, count, sets, shapes", [
-        (9, 2, 2, r"Q \(2, 9, 9\), n \(2,\) and 2 "),
-        (10, 3, 2, r"Q \(2, 10, 10\), n \(3,\) and 2 "),
-        (10, 2, 1, r"Q \(2, 10, 10\), n \(2,\) and 1 ")],
+    @pytest.mark.parametrize("p, count, sets, message", [
+        (9, 2, 2, r"^Q stack is \(2, 9, 9\), model observes p=10$"),
+        (10, 3, 2, r"\(R, 10, 10\) Q stack.*Q \(2, 10, 10\), n \(3,\) and 2 "),
+        (10, 2, 1, r"\(R, 10, 10\) Q stack.*Q \(2, 10, 10\), n \(2,\) and 1 ")],
         ids=["p", "n", "start_sets"])
     def test_shapes_checked_before_any_pass(self, surface_1e3, p, count, sets,
-                                            shapes, monkeypatch):
-        # A Q stack of the wrong p, or an n or start-set list of another
-        # length than the stack, is named before the loop scores a lane.
+                                            message, monkeypatch):
+        # A Q stack of the wrong p (by the spec's one shape rule), or an n
+        # or start-set list of another length than the stack, is named
+        # before the loop scores a lane.
         passes = []
         monkeypatch.setattr(qmle, "score_lanes", lambda *a: passes.append(a))
         q_xx = np.array([surface_1e3.quadvar.q_xx[-p:, -p:]] * 2)
-        with pytest.raises(ValueError, match=r"\(R, 10, 10\) Q stack.*" + shapes):
+        with pytest.raises(ValueError, match=message):
             qmle.fit_lanes(surface_1e3.spec, q_xx, [1000] * count,
                            [[models.THETA1_TRUE]] * sets)
         assert passes == []
@@ -764,7 +765,8 @@ class TestLanes:
         passes = []
         monkeypatch.setattr(qmle, "score_lanes", lambda *a: passes.append(a))
         q_xx = np.array([surface_1e3.quadvar.q_xx] * 2)
-        with pytest.raises(ValueError, match=r"each n an integer >= 1"):
+        with pytest.raises(ValueError,
+                           match=r"^n\[1\] must be an integer of at least 1, got "):
             qmle.fit_lanes(surface_1e3.spec, q_xx, [1000, n],
                            [[models.THETA1_TRUE]] * 2)
         assert passes == []

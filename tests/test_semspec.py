@@ -552,8 +552,9 @@ class TestMomentStart:
     @pytest.mark.parametrize("q_xx", [np.eye(4), np.eye(12), np.ones((10, 3))],
                              ids=["4x4", "12x12", "10x3"])
     def test_q_shape_checked(self, model1, q_xx):
-        # One check, in moment_start, names Q's shape and p before any
-        # arithmetic for every entry that starts from it.
+        # The spec's one shape rule names Q's shape and p before any
+        # arithmetic, in moment_start for every entry that starts from it
+        # and for a likelihood surface.
         message = (rf"^quadratic covariation is \({q_xx.shape[0]}, "
                    rf"{q_xx.shape[1]}\), model observes p=10$")
         with pytest.raises(ValueError, match=message):
@@ -563,6 +564,13 @@ class TestMomentStart:
         if q_xx.shape[0] == q_xx.shape[1]:
             with pytest.raises(ValueError, match=message):
                 qmle.fit_multistart(model1, QuadVar(q_xx, n=100, T=1.0))
+            with pytest.raises(ValueError, match=message):
+                LikelihoodSurface(model1, QuadVar(q_xx, n=100, T=1.0))
+
+    def test_stack_refused(self, model1, sigma0_oracle):
+        with pytest.raises(ValueError, match=r"^quadratic covariation is "
+                           r"\(2, 10, 10\), not one matrix$"):
+            moment_start(model1, np.array([sigma0_oracle] * 2))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -576,6 +584,22 @@ class TestMomentStart:
             moment_start(model1, q_xx)
         with pytest.raises(ValueError, match=message):
             qmle.start_set(model1, q_xx, starts=3, seed=1)
+
+
+class TestCheckCovariation:
+    """``SemSpec.check_covariation`` is the one shape rule of a covariance
+    a spec meets: one matrix, or a stack, whose last two axes are (p, p)."""
+
+    @pytest.mark.parametrize("shape", [(10, 10), (3, 10, 10), (0, 10, 10)])
+    def test_accepted(self, model1, shape):
+        model1.check_covariation(np.zeros(shape), "Q")
+
+    @pytest.mark.parametrize("shape", [(), (10,), (10, 9), (9, 10),
+                                       (2, 4, 4), (10, 10, 1)])
+    def test_refused(self, model1, shape):
+        message = re.escape(f"Q is {shape}, model observes p=10")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            model1.check_covariation(np.zeros(shape), "Q")
 
 
 class TestJson:

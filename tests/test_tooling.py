@@ -384,6 +384,83 @@ def test_number_scan_catches_rules():
     assert number_kind_uses(source) == [2, 4, 5, 6]
 
 
+INTEGER_RULES = {"floor", "is_integer", "Integral"}
+
+
+def integer_rules(source: str) -> list[int]:
+    """Lines that read or import ``floor``, ``is_integer`` or ``Integral``:
+    a number found to be an integer by a rule written outside ``_doc``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            hit = any(a.name in INTEGER_RULES for a in node.names)
+        else:
+            hit = (getattr(node, "attr", None) in INTEGER_RULES
+                   or isinstance(node, ast.Name) and node.id in INTEGER_RULES)
+        if hit:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in SRC.glob("*.py") if p.name != "_doc.py"), ids=lambda p: p.name)
+def test_integer_rule_only_in_doc(path):
+    # _doc.integer decides what is an integer: every count, size, seed and
+    # grid size n, fit_lanes' too, is read through it.
+    assert integer_rules(path.read_text()) == []
+
+
+def test_integer_scan_catches_rules():
+    source = "\n".join([
+        # fit_lanes' own grid-size rule, before _doc.integer read each n
+        "if not np.all(np.isfinite(n) & (n >= 1) & (n == np.floor(n))):",  # 1
+        "    raise ValueError(n)",                                          # 2
+        "ok = float(value).is_integer()",                                   # 3
+        "from math import floor, ceil",                                     # 4
+        "ok = isinstance(value, Integral)",                                 # 5
+        "m = math.floor(x) + np.floor_divide(a, b) + a // b",               # 6
+        "rows = np.ceil(x) + np.trunc(x)",                                  # 7
+    ])
+    assert integer_rules(source) == [1, 3, 4, 5, 6]
+
+
+def p_comparisons(source: str) -> list[int]:
+    """Lines of the comparisons that read an attribute ``p``: a shape
+    checked against a spec's observed dimension by hand."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Compare)
+                  and any(isinstance(sub, ast.Attribute) and sub.attr == "p"
+                          for sub in ast.walk(node)))
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in SRC.glob("*.py") if p.name != "semspec.py"), ids=lambda p: p.name)
+def test_shape_rule_only_in_semspec(path):
+    # SemSpec.check_covariation is the one check that a covariance a spec
+    # meets (a Q, a Q stack or sigma0) is (p, p); check_grid the one of n.
+    assert p_comparisons(path.read_text()) == []
+
+
+def test_shape_scan_catches_comparisons():
+    source = "\n".join([
+        # the hand-written checks that SemSpec.check_covariation replaced
+        "if quadvar.q_xx.shape != (spec.p, spec.p):",                 # 1
+        "    raise ValueError(quadvar.q_xx.shape)",                   # 2
+        "if np.shape(sigma0) != (spec.p, spec.p):",                   # 3
+        "    raise ValueError(np.shape(sigma0))",                     # 4
+        "if (q_xx.shape[1:] != (spec.p, spec.p) or n.shape != "
+        "q_xx.shape[:1]",                                             # 5
+        "        or len(start_sets) != len(q_xx)):",                  # 6
+        "    raise ValueError(q_xx.shape)",                           # 7
+        "if spec.p != p:",                                            # 8
+        "    raise ValueError(spec.p)",                               # 9
+        "ok = n < self.p and spec.p1 == spec.k1",                     # 10
+        "ok = spec.p1 != p and q.shape == (2, 2)",                    # 11
+        "size = (spec.p, spec.p)",                                    # 12
+    ])
+    assert p_comparisons(source) == [1, 3, 5, 8, 10]
+
+
 CRITERION_NAME = re.compile(r"\b(?:%s)\b" % "|".join(infocrit.CRITERIA))
 
 
