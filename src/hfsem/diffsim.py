@@ -24,17 +24,21 @@ grid sizes n and horizons T are read by the one rule of each in ``_doc``.
 
 Paths are streamed: :func:`simulate_custom` and :func:`simulate_ou` are
 each one loop over a path's row chunks.  Each pass draws the chunk's
-normals, solves each block from the last row of its previous chunk, drops
-the normals and writes the rows into the preallocated outputs.  The
-calling thread allocates each chunk's normal arrays (:func:`_normals`),
-and a draw only fills them in place (:func:`_draw`).  A
-decoupled block (diagonal mean reversion) steps each coordinate by the
-AR(1) recursion ``x_i = decay x_{i-1} + u_i``, and a chunk of it is one
-banded triangular solve (BLAS ``dtbsv``) over all its coordinates; each
-step rounds the product and the sum apart, as an AR(1) filter does.  A
-coupled block runs a step loop.  The result is bit-for-bit the whole-path
-computation (one draw of all steps, then the recursion) that
-``tests/conftest.py`` keeps as reference.
+normals, solves each block from the last row of its previous chunk and
+writes the rows into the preallocated outputs.  No array of a chunk
+outlives its pass: a block's normals are freed as soon as its drive is
+formed, observations are summed straight into ``x_obs``, and the rows
+carried to the next chunk are copies, not views that would keep the
+solves alive.  So besides the outputs a pass holds its chunk's solves and
+the next chunk's normals.  The calling thread allocates each chunk's
+normal arrays (:func:`_normals`), and a draw only fills them in place
+(:func:`_draw`).  A decoupled block (diagonal mean reversion) steps each
+coordinate by the AR(1) recursion ``x_i = decay x_{i-1} + u_i``, and a
+chunk of it is one banded triangular solve (BLAS ``dtbsv``) over all its
+coordinates; each step rounds the product and the sum apart, as an AR(1)
+filter does.  A coupled block runs a step loop.  The result is
+bit-for-bit the whole-path computation (one draw of all steps, then the
+recursion) that ``tests/conftest.py`` keeps as reference.
 
 In a path of two or more chunks, :func:`simulate_custom` draws the next
 chunk's normals of all four blocks as a future on a one-worker executor
@@ -325,18 +329,25 @@ def _chunk_path(transition: tuple, x: np.ndarray,
     ``u_1``, so a path carried over chunks is exact too.  The band is
     built for the call and dropped with it, and the path returned is a
     transposed view of the solution.
+
+    ``z`` is dropped as soon as the drive is formed, so a caller that
+    passes its only reference (the simulators pop it from the chunk's
+    list of normals) frees the normals before the solve.
     """
     ad, bd, noise, decay = transition
     if decay is None:
         path = np.empty((len(z) + 1, x.size))
         path[0] = x
-        for i, ui in enumerate(z @ noise.T + bd, start=1):
+        drive = z @ noise.T + bd
+        del z
+        for i, ui in enumerate(drive, start=1):
             x = ad @ x + ui
             path[i] = x
         return path
     drive = np.empty((x.size, len(z) + 1))
     drive[:, 0] = x
     np.matmul(noise, z.T, out=drive[:, 1:])
+    del z
     drive[:, 1:] += bd[:, None]
     return scipy.linalg.blas.dtbsv(
         1, _decay_band(decay, drive.shape[1]), drive.ravel(), lower=0,
@@ -385,15 +396,17 @@ def simulate_ou(block: OuBlock, n: int, T: float,
 
     One loop over the path's chunks: each draws its normals from ``rng``,
     is solved from the row carried over from the chunk before (``init``
-    for the first) and is written into the path."""
+    for the first) and is written into the path.  The normals are popped
+    into the solve, which frees them before the next chunk's are made."""
     _expect(block, OuBlock, "block must be an OuBlock")
     _expect(rng, np.random.Generator, "rng must be a numpy.random.Generator")
     transition = _exact_transition(block, _grid_step(n, T))
     path = np.empty((n + 1, block.dim))
     for start, stop in _chunk_bounds(n + 1):
-        (z,) = _draw([rng], _normals([block], start, stop))
+        normals = _draw([rng], _normals([block], start, stop))
         x = path[start - 1] if start else block.init
-        path[start:stop] = _chunk_path(transition, x, z)[start > 0:]
+        path[start:stop] = _chunk_path(
+            transition, x, normals.pop())[start > 0:]
     return path
 
 
@@ -406,10 +419,10 @@ def simulate_custom(truth: Truth, *, n: int, T: float, seed: int,
                     keep_latents: bool = True) -> PathBundle:
     """Simulate a checked truth on the grid of ``n`` steps over ``T``.
 
-    One loop over the path's chunks.  Each pass takes the four blocks'
-    normals of its chunk, solves each block from the row carried over from
-    the chunk before (``init`` for the first), drops the normals and
-    writes the chunk's observations into ``x_obs``, assembled in the
+    One loop over the path's chunks.  Each pass (:func:`_chunk_pass`)
+    takes the four blocks' normals of its chunk, solves each block from
+    the row carried over from the chunk before (``init`` for the first)
+    and writes the chunk's observations into ``x_obs``, assembled in the
     solve's ``(dim, rows)`` layout; the latent paths are stored only with
     ``keep_latents``.  The blocks' exact transitions are built once per
     truth and grid in a process (see :func:`_exact_transition`).
@@ -440,18 +453,35 @@ def simulate_custom(truth: Truth, *, n: int, T: float, seed: int,
                        else _draw(rngs, _normals(blocks, 0, stop)))
             ahead = (pool.submit(_draw, rngs, _normals(blocks, *following))
                      if following else None)
-            xi, delta, eps, zeta = [
-                _chunk_path(transition, x, z)[start > 0:].T
-                for transition, x, z in zip(transitions, last, normals)]
-            del normals
-            last = [path[:, -1] for path in (xi, delta, eps, zeta)]
-            obs = x_obs[start:stop].T
-            eta = truth.psi_inv @ (truth.gamma @ xi + zeta)
-            obs[:p1] = truth.lambda_x1 @ xi + delta
-            obs[p1:] = truth.lambda_x2 @ eta + eps
-            for name, path in zip(latents, (xi, delta, eps, zeta, eta)):
-                latents[name][start:stop] = path.T
+            last = _chunk_pass(
+                truth, transitions, last, normals, x_obs[start:stop].T,
+                [path[start:stop].T for path in latents.values()], start > 0)
     return PathBundle(n=n, T=T, h=h, seed=int(seed), x_obs=x_obs, **latents)
+
+
+def _chunk_pass(truth: Truth, transitions: list, last: list, normals: list,
+                obs: np.ndarray, stored: list, carried: bool) -> list:
+    """One chunk of :func:`simulate_custom`: solves the four blocks from
+    their rows ``last`` with their ``normals``, writes the observations
+    into ``obs`` (a ``(p, rows)`` view of ``x_obs``) and the latent paths
+    into the views ``stored`` (none without latents), and returns copies
+    of the blocks' last rows; ``carried`` drops row 0, the previous
+    chunk's last row.  Nothing else of the chunk outlives the call, and
+    each block's normals are popped for its solve, which frees them once
+    its drive is formed.
+    """
+    xi, delta, eps, zeta = [
+        _chunk_path(transition, x, normals.pop(0))[carried:].T
+        for transition, x in zip(transitions, last)]
+    p1 = truth.lambda_x1.shape[0]
+    np.add(truth.lambda_x1 @ xi, delta, out=obs[:p1])
+    eta = truth.gamma @ xi
+    eta += zeta
+    eta = truth.psi_inv @ eta
+    np.add(truth.lambda_x2 @ eta, eps, out=obs[p1:])
+    for target, path in zip(stored, (xi, delta, eps, zeta, eta)):
+        target[...] = path
+    return [path[:, -1].copy() for path in (xi, delta, eps, zeta)]
 
 
 def simulate_true_model(n: int, T: float, seed: int,

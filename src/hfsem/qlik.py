@@ -5,8 +5,9 @@ realized quadratic covariation is ``Q = (1/T) sum_i dX_i dX_i'``, held
 with n and T by a :class:`QuadVar` that checks all three (Q, which any
 non-finite sample reaches, must be finite and symmetric).
 :func:`quad_var` sums the increments' Gram over blocks of rows of the
-path, so between a path and its Q no other n-sized array is made.  The
-quasi-log-likelihood of a candidate covariance ``Sigma(theta)`` reduces to
+path, each differenced into one reused buffer, so between a path and its
+Q no other n-sized array is made.  The quasi-log-likelihood of a
+candidate covariance ``Sigma(theta)`` reduces to
 
     loglik(theta) = n * (-tr(inv(Sigma) Q) - log det Sigma) / 2,
 
@@ -61,8 +62,12 @@ class QuadVar:
         self.T = _doc.horizon(self.T)
 
 
-# Increments per block of the Gram sum in ``quad_var`` (5 MB at p = 10).
-_GRAM_BLOCK = 1 << 16
+# Increments per block of the Gram sum in ``quad_var``: its one buffer is
+# 2.6 MB at p = 10.  Not smaller than the simulator's working set: freeing
+# the buffer raises glibc's mmap and trim thresholds above a chunk's
+# temporaries, which a smaller one would leave to be mapped and faulted
+# in anew on every chunk of the next path.
+_GRAM_BLOCK = 1 << 15
 
 
 def quad_var(x_obs: np.ndarray, T: float) -> QuadVar:
@@ -70,7 +75,8 @@ def quad_var(x_obs: np.ndarray, T: float) -> QuadVar:
 
     The increment Gram is summed block by block, each block the increments
     of ``_GRAM_BLOCK + 1`` rows (a block's last row is the next one's
-    first), so the only n-sized array is the path itself.  A path of at
+    first), differenced into one reused ``(min(n, _GRAM_BLOCK), p)``
+    buffer, so besides the path only that buffer is held.  A path of at
     most ``_GRAM_BLOCK`` increments is one block, whose Q is that of the
     whole-path product bit for bit.
     """
@@ -82,11 +88,13 @@ def quad_var(x_obs: np.ndarray, T: float) -> QuadVar:
     T = _doc.horizon(T)
     n = x_obs.shape[0] - 1
     gram = np.zeros((x_obs.shape[1],) * 2)
+    buffer = np.empty((min(n, _GRAM_BLOCK), x_obs.shape[1]))
     with np.errstate(invalid="ignore", over="ignore"):
         for start in range(0, n, _GRAM_BLOCK):
-            dx = np.diff(x_obs[start:start + _GRAM_BLOCK + 1], axis=0)
+            dx = buffer[:min(_GRAM_BLOCK, n - start)]
+            stop = start + len(dx)
+            np.subtract(x_obs[start + 1:stop + 1], x_obs[start:stop], out=dx)
             gram += dx.T @ dx
-            del dx  # so that one block at a time is held
         q = gram / T
     return QuadVar(q_xx=q, n=n, T=T)
 

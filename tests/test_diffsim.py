@@ -728,6 +728,25 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak <= 1.5 * bundle.x_obs.nbytes
 
+    @pytest.mark.parametrize("n", [200_000, 400_000])
+    def test_no_chunk_array_outlives_its_pass(self, n):
+        # Above x_obs, a pass holds the next chunk's normals and the
+        # current chunk's solves: 2.9 and 3.2 MB here, with last chunks of
+        # 11 585 and 14 977 rows.  Keeping the previous chunk's solves
+        # alive through a pass and the chunk's normals through all four
+        # solves held 4.6 and 5.3 MB.  The bound does not grow with n.
+        import tracemalloc
+
+        truth = diffsim.load_truth(diffsim.TRUE_MODEL_NAME)
+        tracemalloc.start()
+        try:
+            bundle = diffsim.simulate_custom(truth, n=n, T=1.0, seed=1,
+                                             keep_latents=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - bundle.x_obs.nbytes < 4_000_000
+
 
 class TestDrawnAhead:
     """A path of two or more chunks draws the next chunk's normals on one

@@ -657,7 +657,8 @@ class TestRendering:
         paths = harness.write_outputs(table, records, tmp_path / "out")
         for path in paths.values():
             assert (tmp_path / "out").exists()
-        lines = open(paths["replications_csv"]).read().splitlines()
+        text = pathlib.Path(paths["replications_csv"]).read_text()
+        lines = text.splitlines()
         assert lines[0] == ",".join(harness.REPLICATION_COLUMNS)
         assert len(lines) == 1 + len(records)
 

@@ -690,6 +690,42 @@ def test_json_read_and_written_in_one_module():
     assert importers == ["_doc.py"]
 
 
+def bare_opens(source: str) -> list[int]:
+    """Lines of the calls to the builtin ``open`` that are not a ``with``
+    item, and so leave the file to be closed when it is collected."""
+    tree = ast.parse(source)
+    managed = {id(item.context_expr) for node in ast.walk(tree)
+               if isinstance(node, ast.With) for item in node.items}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == "open"
+                  and id(node) not in managed)
+
+
+@pytest.mark.parametrize("path", sorted([*SRC.glob("*.py"),
+                                         *(ROOT / "tests").glob("*.py")]),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_open_is_a_with_item(path):
+    assert bare_opens(path.read_text()) == []
+
+
+def test_open_scan_catches_unclosed_files():
+    source = "\n".join([
+        # test_harness.py's TestRendering.test_write_outputs as it was
+        "def test_write_outputs(self, small_run, tmp_path):",             # 1
+        "    _, (table, records) = small_run",                            # 2
+        "    paths = harness.write_outputs(table, records, tmp_path / "
+        "'out')",                                                         # 3
+        "    lines = open(paths['replications_csv']).read().splitlines()",  # 4
+        "with open(path) as fh, open(other, 'w') as out:",                # 5
+        "    doc = json.load(fh)",                                        # 6
+        "doc = json.load(open(path))",                                    # 7
+        "text = path.open().read() + gzip.open(path).read()",             # 8
+        "fh = open(path, 'w')",                                           # 9
+    ])
+    assert bare_opens(source) == [4, 7, 9]
+
+
 @pytest.mark.parametrize("path", sorted((SRC / "truth_files").glob("*.json")),
                          ids=lambda p: p.name)
 def test_truth_files_load(path):
