@@ -22,15 +22,20 @@ RNG substream spawned from the bundle seed, so equal seeds reproduce
 bundles bit-for-bit and distinct blocks never share randomness.  Seeds,
 grid sizes n and horizons T are read by the one rule of each in ``_doc``.
 
-Paths are streamed: :func:`simulate_custom` and :func:`simulate_ou` are
-each one loop over a path's row chunks.  Each pass draws the chunk's
-normals, solves each block from the last row of its previous chunk and
-writes the rows into the preallocated outputs.  No array of a chunk
-outlives its pass: a block's normals are freed as soon as its drive is
-formed, observations are summed straight into ``x_obs``, and the rows
-carried to the next chunk are copies, not views that would keep the
-solves alive.  So besides the outputs a pass holds its chunk's solves and
-the next chunk's normals.  The calling thread allocates each chunk's
+Paths are streamed.  A path's n steps are cut into the fewest chunks of
+at most ``_CHUNK_ROWS`` steps, sizes differing by one at most, the
+longer ones first (:func:`_chunk_bounds`), and :func:`simulate_custom` and
+:func:`simulate_ou` are each one loop over them.  A chunk ``(start,
+stop)`` draws ``stop - start`` normals per block, solves each block from
+its row ``start`` (``init``, or the last row of the chunk before) and
+writes rows ``start`` to ``stop`` into the preallocated outputs, row
+``start`` again with the same bits: the first chunk is not a special
+case.  No array of a chunk outlives its pass: a block's normals are freed
+as soon as its drive is formed, observations are summed straight into
+``x_obs``, and the rows carried to the next chunk are copies, not views
+that would keep the solves alive.  So besides the outputs a pass holds
+one chunk's solves and the next chunk's normals, at most ``_CHUNK_ROWS``
+steps each, whatever n.  The calling thread allocates each chunk's
 normal arrays (:func:`_normals`), and a draw only fills them in place
 (:func:`_draw`).  A decoupled block (diagonal mean reversion) steps each
 coordinate by the AR(1) recursion ``x_i = decay x_{i-1} + u_i``, and a
@@ -40,10 +45,11 @@ filter does.  A coupled block runs a step loop.  The result is
 bit-for-bit the whole-path computation (one draw of all steps, then the
 recursion) that ``tests/conftest.py`` keeps as reference.
 
-In a path of two or more chunks, :func:`simulate_custom` draws the next
-chunk's normals of all four blocks as a future on a one-worker executor
-while the calling thread solves and assembles the current chunk: NumPy's
-fill releases the interpreter lock, and the solve holds it.  The helper
+In a path of two or more chunks (n above ``_CHUNK_ROWS``),
+:func:`simulate_custom` draws the next chunk's normals of all four blocks
+as a future on a one-worker executor while the calling thread solves and
+assembles the current chunk: NumPy's fill releases the interpreter lock,
+and the solve holds it.  The helper
 thread fills arrays the calling thread allocated and allocates none
 itself, so it never grows a malloc arena of its own, which would keep
 about 2 MB resident for the life of the process after a long path.  Each
@@ -88,9 +94,9 @@ LATENT_PATHS = (*_LATENT, "eta")
 _MATRICES = ("lambda_x1", "lambda_x2", "gamma", "b0")
 _BLOCK = ("mean_reversion", "level", "dispersion", "init")
 
-# Rows per chunk of a streamed path: a chunk's draws, products and
-# assembly stay in cache, and no n-sized temporary is made besides the
-# returned arrays.
+# The most steps in a chunk of a streamed path (its rows are one more: the
+# row it starts from): a chunk's draws, products and assembly stay in
+# cache, and no n-sized temporary is made besides the returned arrays.
 _CHUNK_ROWS = 8192
 
 
@@ -298,25 +304,33 @@ def _grid_step(n: int, T: float) -> float:
     return _doc.horizon(T) / _doc.integer(n, "n", 1)
 
 
-def _chunk_bounds(rows: int) -> list[tuple[int, int]]:
-    """Consecutive ``(start, stop)`` row ranges covering ``range(rows)``.
+def _chunk_bounds(steps: int) -> list[tuple[int, int]]:
+    """The path's ``steps`` (at least one) cut into the fewest consecutive
+    ``(start, stop)`` ranges of at most ``_CHUNK_ROWS`` steps, sizes
+    differing by one at most, the longer ones first.
 
-    Each range has ``_CHUNK_ROWS`` rows except the last, which also takes
-    the remainder, so a chunk of a path (``rows >= 2``) never has a single
-    row: a one-row matmul runs BLAS's matrix-vector kernel, whose rounding
-    differs from the matrix-matrix kernel of a whole-path product.
+    A chunk is solved from row ``start`` into rows ``start`` to ``stop``,
+    so it has two rows or more: a one-row matmul would run BLAS's
+    matrix-vector kernel, whose rounding differs from the matrix-matrix
+    kernel of a whole-path product.  The longer chunks come first so that
+    a path's chunk arrays change size once: each later chunk fits in the
+    heap blocks an earlier one freed.  Lengths that alternate (cuts at
+    ``steps * i // count``) let glibc's heap grow by about 0.5 MB over 120
+    paths of 10**6 steps.
     """
-    starts = range(0, rows, _CHUNK_ROWS)[:max(1, rows // _CHUNK_ROWS)]
-    return list(zip(starts, [*starts[1:], rows]))
+    count = -(-steps // _CHUNK_ROWS)
+    size, extra = divmod(steps, count)
+    cuts = [i * size + min(i, extra) for i in range(count + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def _chunk_path(transition: tuple, x: np.ndarray,
                 z: np.ndarray) -> np.ndarray:
     """The ``(len(z) + 1, dim)`` path from row ``x``, one exact step per row
     of standard normals ``z``: a step loop if the block is coupled, else
-    one banded solve.  Row 0 is ``x``, the block's ``init`` or the last
-    row of its previous chunk, so a simulator keeps it for a path's first
-    chunk only.
+    one banded solve.  Row 0 is ``x`` itself, bit for bit: the block's
+    ``init`` or the last row of its previous chunk, which a simulator
+    writes again with the same bits.
 
     The solve's ``(dim, m)`` drive holds ``x`` in column 0 and the steps'
     drive ``noise z + bd`` after it.  Each coordinate's recursion
@@ -368,11 +382,11 @@ def _decay_band(decay: np.ndarray, m: int) -> np.ndarray:
 
 
 def _normals(blocks: list, start: int, stop: int) -> list:
-    """Each block's unfilled ``(steps, dim)`` array for the standard normals
-    of the steps into rows ``start`` to ``stop - 1`` of a path (row 0
-    takes none), allocated by the calling thread for :func:`_draw`."""
-    return [np.empty((stop - start - (start == 0), block.dim))
-            for block in blocks]
+    """Each block's unfilled ``(stop - start, dim)`` array for the standard
+    normals of the chunk's steps, which lead from row ``start`` to rows
+    ``start + 1`` to ``stop`` of a path, allocated by the calling thread
+    for :func:`_draw`."""
+    return [np.empty((stop - start, block.dim)) for block in blocks]
 
 
 def _draw(rngs: list, normals: list) -> list:
@@ -394,19 +408,20 @@ def simulate_ou(block: OuBlock, n: int, T: float,
                 rng: np.random.Generator) -> np.ndarray:
     """Sample the block exactly on the grid; returns an (n+1, dim) array.
 
-    One loop over the path's chunks: each draws its normals from ``rng``,
-    is solved from the row carried over from the chunk before (``init``
-    for the first) and is written into the path.  The normals are popped
-    into the solve, which frees them before the next chunk's are made."""
+    Row 0 is ``init``; then one loop over the path's chunks: a chunk
+    ``(start, stop)`` draws its normals from ``rng``, is solved from row
+    ``start`` and is written into rows ``start`` to ``stop``.  The normals
+    are popped into the solve, which frees them before the next chunk's
+    are made."""
     _expect(block, OuBlock, "block must be an OuBlock")
     _expect(rng, np.random.Generator, "rng must be a numpy.random.Generator")
     transition = _exact_transition(block, _grid_step(n, T))
     path = np.empty((n + 1, block.dim))
-    for start, stop in _chunk_bounds(n + 1):
+    path[0] = block.init
+    for start, stop in _chunk_bounds(n):
         normals = _draw([rng], _normals([block], start, stop))
-        x = path[start - 1] if start else block.init
-        path[start:stop] = _chunk_path(
-            transition, x, normals.pop())[start > 0:]
+        path[start:stop + 1] = _chunk_path(transition, path[start],
+                                           normals.pop())
     return path
 
 
@@ -420,18 +435,20 @@ def simulate_custom(truth: Truth, *, n: int, T: float, seed: int,
     """Simulate a checked truth on the grid of ``n`` steps over ``T``.
 
     One loop over the path's chunks.  Each pass (:func:`_chunk_pass`)
-    takes the four blocks' normals of its chunk, solves each block from
-    the row carried over from the chunk before (``init`` for the first)
-    and writes the chunk's observations into ``x_obs``, assembled in the
-    solve's ``(dim, rows)`` layout; the latent paths are stored only with
-    ``keep_latents``.  The blocks' exact transitions are built once per
-    truth and grid in a process (see :func:`_exact_transition`).
+    takes the four blocks' normals of its chunk ``(start, stop)``, solves
+    each block from its row ``start`` (``init``, or the last row of the
+    chunk before) and writes rows ``start`` to ``stop`` of the
+    observations into ``x_obs``, assembled in the solve's ``(dim, rows)``
+    layout; the latent paths are stored only with ``keep_latents``.  The
+    blocks' exact transitions are built once per truth and grid in a
+    process (see :func:`_exact_transition`).
 
-    With two or more chunks, each pass first allocates the next chunk's
-    normal arrays and hands their filling to a one-thread executor, opened
-    for the call and shut down when it returns or raises; a one-chunk path
-    starts no thread.  So the calling thread allocates every array of
-    normals, and a draw only fills them, on whichever thread it runs.
+    The first chunk's normals are drawn before the loop.  With two or more
+    chunks, each pass first allocates the next chunk's normal arrays and
+    hands their filling to a one-thread executor, opened for the call and
+    shut down when it returns or raises; a one-chunk path starts no
+    thread.  So the calling thread allocates every array of normals, and a
+    draw only fills them, on whichever thread it runs.
     """
     _expect(truth, Truth, "truth must be a Truth, as load_truth returns")
     h = _grid_step(n, T)
@@ -439,7 +456,7 @@ def simulate_custom(truth: Truth, *, n: int, T: float, seed: int,
     blocks = [getattr(truth, key) for key in _LATENT]
     transitions = [_exact_transition(block, h) for block in blocks]
     rngs = _block_streams(seed)
-    bounds = _chunk_bounds(n + 1)
+    bounds = _chunk_bounds(n)
     x_obs = np.empty((n + 1, p1 + p2))
     latents = {}
     if keep_latents:
@@ -448,31 +465,31 @@ def simulate_custom(truth: Truth, *, n: int, T: float, seed: int,
     last = [block.init for block in blocks]
     with (ThreadPoolExecutor(max_workers=1) if len(bounds) > 1
           else contextlib.nullcontext()) as pool:
+        normals = _draw(rngs, _normals(blocks, *bounds[0]))
         for (start, stop), following in zip(bounds, [*bounds[1:], None]):
-            normals = (ahead.result() if start
-                       else _draw(rngs, _normals(blocks, 0, stop)))
             ahead = (pool.submit(_draw, rngs, _normals(blocks, *following))
                      if following else None)
             last = _chunk_pass(
-                truth, transitions, last, normals, x_obs[start:stop].T,
-                [path[start:stop].T for path in latents.values()], start > 0)
+                truth, transitions, last, normals, x_obs[start:stop + 1].T,
+                [path[start:stop + 1].T for path in latents.values()])
+            normals = ahead and ahead.result()
     return PathBundle(n=n, T=T, h=h, seed=int(seed), x_obs=x_obs, **latents)
 
 
 def _chunk_pass(truth: Truth, transitions: list, last: list, normals: list,
-                obs: np.ndarray, stored: list, carried: bool) -> list:
+                obs: np.ndarray, stored: list) -> list:
     """One chunk of :func:`simulate_custom`: solves the four blocks from
     their rows ``last`` with their ``normals``, writes the observations
-    into ``obs`` (a ``(p, rows)`` view of ``x_obs``) and the latent paths
-    into the views ``stored`` (none without latents), and returns copies
-    of the blocks' last rows; ``carried`` drops row 0, the previous
-    chunk's last row.  Nothing else of the chunk outlives the call, and
-    each block's normals are popped for its solve, which frees them once
-    its drive is formed.
+    of all the chunk's rows, its first row included, into ``obs`` (a
+    ``(p, rows)`` view of ``x_obs``) and the latent paths into the views
+    ``stored`` (none without latents), and returns copies of the blocks'
+    last rows.  The first row is the previous chunk's last one (or the
+    path's row 0), written again with the same bits.  Nothing else of the
+    chunk outlives the call, and each block's normals are popped for its
+    solve, which frees them once its drive is formed.
     """
-    xi, delta, eps, zeta = [
-        _chunk_path(transition, x, normals.pop(0))[carried:].T
-        for transition, x in zip(transitions, last)]
+    xi, delta, eps, zeta = [_chunk_path(transition, x, normals.pop(0)).T
+                            for transition, x in zip(transitions, last)]
     p1 = truth.lambda_x1.shape[0]
     np.add(truth.lambda_x1 @ xi, delta, out=obs[:p1])
     eta = truth.gamma @ xi

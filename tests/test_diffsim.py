@@ -14,7 +14,7 @@ from tests.conftest import (bundled_truth_doc, oneshot_simulate_custom,
 
 CHUNK = diffsim._CHUNK_ROWS
 # Path lengths on both sides of the one- and two-chunk boundaries, and one
-# of three chunks, so a chunk is solved while a drawn one waits.
+# of four chunks, so a chunk is solved while a drawn one waits.
 CHUNK_EDGES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK,
                2 * CHUNK + 1, 3 * CHUNK + 5]
 LATENTS = ("xi", "delta", "eps", "zeta", "eta")
@@ -670,8 +670,8 @@ class TestBandedSolve:
                      if diffsim._exact_transition(block, 1.0 / n)[3]
                      is not None]
         assert len(decoupled) == (4 if kind == "exact" else 3)
-        assert sizes == [d * (stop - start + (start > 0))
-                         for start, stop in diffsim._chunk_bounds(n + 1)
+        assert sizes == [d * (stop - start + 1)
+                         for start, stop in diffsim._chunk_bounds(n)
                          for d in decoupled]
 
 
@@ -682,6 +682,22 @@ def simulate_variant(tb, n, keep_latents):
 
 class TestStreaming:
     """The chunked simulator against the whole-path oracle across chunk edges."""
+
+    @pytest.mark.parametrize("n", [1, CHUNK, CHUNK + 1, 2 * CHUNK + 1,
+                                   3 * CHUNK + 5, 10**6])
+    def test_chunks_cut_evenly(self, n):
+        # the fewest chunks of at most CHUNK steps, tiling the path's steps
+        # in order, sizes differing by one at most, the longer ones first:
+        # no remainder chunk
+        bounds = diffsim._chunk_bounds(n)
+        starts, stops = zip(*bounds)
+        assert starts[0] == 0 and stops[-1] == n
+        assert list(starts[1:]) == list(stops[:-1])
+        assert len(bounds) == -(-n // CHUNK)
+        sizes = np.subtract(stops, starts)
+        assert sizes.max() <= CHUNK and sizes.max() - sizes.min() <= 1
+        assert np.all(np.diff(sizes) <= 0)
+        assert len(bounds) == 1 or sizes.min() > 1
 
     @pytest.mark.parametrize("n", CHUNK_EDGES)
     @pytest.mark.parametrize("kind", ["exact", "non_diagonal"])
@@ -728,13 +744,12 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak <= 1.5 * bundle.x_obs.nbytes
 
-    @pytest.mark.parametrize("n", [200_000, 400_000])
+    @pytest.mark.parametrize("n", [24_574, 200_000, 400_000])
     def test_no_chunk_array_outlives_its_pass(self, n):
         # Above x_obs, a pass holds the next chunk's normals and the
-        # current chunk's solves: 2.9 and 3.2 MB here, with last chunks of
-        # 11 585 and 14 977 rows.  Keeping the previous chunk's solves
-        # alive through a pass and the chunk's normals through all four
-        # solves held 4.6 and 5.3 MB.  The bound does not grow with n.
+        # current chunk's solves, of at most CHUNK steps each, so the
+        # bound does not grow with n: 2.5 MB here at each n.  At
+        # n = 24 574 a remainder chunk would be longest (16 382 steps).
         import tracemalloc
 
         truth = diffsim.load_truth(diffsim.TRUE_MODEL_NAME)
@@ -745,7 +760,7 @@ class TestStreaming:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - bundle.x_obs.nbytes < 4_000_000
+        assert peak - bundle.x_obs.nbytes < 2_800_000
 
 
 class TestDrawnAhead:
@@ -754,7 +769,7 @@ class TestDrawnAhead:
     calling thread allocated; the thread ends with the call, and a
     one-chunk path starts none."""
 
-    N = 3 * CHUNK + 5
+    N = 3 * CHUNK
 
     @staticmethod
     def count_starts(monkeypatch):
@@ -793,12 +808,12 @@ class TestDrawnAhead:
         assert len(calls) == 2 and len(starts) == 1
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("n", [1000, 2 * CHUNK - 2])
+    @pytest.mark.parametrize("n", [1000, CHUNK])
     def test_one_chunk_starts_no_thread(self, n, monkeypatch):
         starts = self.count_starts(monkeypatch)
         diffsim.simulate_custom(truth_variant("exact"), n=n, T=1.0, seed=3,
                                 keep_latents=False)
-        assert len(diffsim._chunk_bounds(n + 1)) == 1
+        assert len(diffsim._chunk_bounds(n)) == 1
         assert starts == []
 
     def test_draws_fill_arrays_the_caller_allocates(self, monkeypatch):
@@ -832,7 +847,7 @@ class TestDrawnAhead:
         finally:
             tracemalloc.stop()
         assert np.array_equal(got.x_obs, want.x_obs)
-        chunks = len(diffsim._chunk_bounds(self.N + 1))
+        chunks = len(diffsim._chunk_bounds(self.N))
         assert chunks == 3 and len(calls) == 4 * chunks
         assert all(args == () and keys == {"out"} for _, args, keys in calls)
         off_main = [t for t, _, _ in calls if t is not threading.main_thread()]
@@ -844,7 +859,7 @@ class TestDrawnAhead:
     def test_thread_joined_when_a_draw_raises(self, monkeypatch):
         # one block's stream fails on the path's last chunk, whose draw
         # always runs on the helper thread
-        chunks = len(diffsim._chunk_bounds(self.N + 1))
+        chunks = len(diffsim._chunk_bounds(self.N))
         streams, draws = diffsim._block_streams, []
 
         class Failing:

@@ -13,7 +13,7 @@ from scipy import stats
 from hfsem import diffsim, harness, models, qmle
 from hfsem.errors import (AllStartsFailedError, SingularStructureError,
                           SpecError)
-from hfsem.infocrit import CRITERIA, criteria_row
+from hfsem.infocrit import CRITERIA, criteria_row, gamma_zero
 from hfsem.qlik import LikelihoodSurface, quad_var
 from tests.conftest import bundled_truth_doc, make_degenerate_model
 
@@ -833,13 +833,29 @@ CHI2_N, CHI2_REPS = 10_000, 200
 @pytest.fixture(scope="module")
 def chi2_study():
     """The true-init study of model1-3 at n = 10^4, with each model's
-    ``lr_sat`` column."""
+    ``lr_sat`` and ``qbic1 - qbic2`` (its ``log det Gamma_tilde``)
+    columns, in replication order."""
     table, records = harness.run_experiment(small_config(
         n_values=[CHI2_N], replications=CHI2_REPS, master_seed=1))
-    lr_sat = {model: np.array([r["lr_sat"] for r in records
-                               if r["model"] == model])
-              for model in ("model1", "model2", "model3")}
-    return table, lr_sat
+    rows = {model: [r for r in records if r["model"] == model]
+            for model in ("model1", "model2", "model3")}
+    lr_sat = {model: np.array([r["lr_sat"] for r in own])
+              for model, own in rows.items()}
+    logdet = {model: np.array([r["qbic1"] - r["qbic2"] for r in own])
+              for model, own in rows.items()}
+    return table, lr_sat, logdet
+
+
+@pytest.fixture(scope="module")
+def logdet_gap0():
+    """``c = log det Gamma0(model2) - log det Gamma0(model1)`` at the true
+    parameters: the limit of the two fits' ``log det Gamma_tilde`` gap."""
+    sigma0 = harness.truth_sigma(diffsim.TRUE_MODEL_NAME)
+    model1, model2 = (np.linalg.slogdet(gamma_zero(
+        models.load_builtin(name), theta, sigma0).gamma0)[1]
+        for name, theta in (("model1", models.THETA1_TRUE),
+                            ("model2", models.THETA2_TRUE)))
+    return model2 - model1
 
 
 class TestChiSquareOracle:
@@ -848,28 +864,46 @@ class TestChiSquareOracle:
     correct model: 33 for model1, 32 for model2.  The nested statistic
     ``lr_sat(model1) - lr_sat(model2)`` is chi-square with 1, so model2, the
     overfit, is picked with probability P(chi2_1 > log n) by qbic2 and
-    P(chi2_1 > 2) = 0.157 by qaic.  This tests that the fits reach the
-    optimum: with ``_MAX_ITER = 2`` the KS p-values fall to about 0.
+    P(chi2_1 > 2) = 0.157 by qaic.  qbic1 adds each fit's
+    ``log det Gamma_tilde``, whose model2 - model1 gap tends to
+    ``c = log det Gamma0(model2) - log det Gamma0(model1)`` = -0.858, so
+    it picks model2 with probability P(chi2_1 > log n + c) = 0.0039.  This
+    tests that the fits reach the optimum: with ``_MAX_ITER = 2`` the KS
+    p-values fall to about 0.
 
     The bounds were set after master seeds 1-8 at 200 replications, which
     gave KS p-values of 0.087-0.943 (model1) and 0.140-0.997 (model2),
-    qbic2 shares of 0-0.010 and qaic shares of 0.110-0.205."""
+    qbic2 shares of 0-0.010 and qaic shares of 0.110-0.205.  Over master
+    seeds 1-12, qbic1 shares read 0-0.010, and the per-replication gap
+    minus c had means of -0.0025 to +0.0046 and standard deviations of
+    0.024-0.029 (extremes within 0.09 of 0)."""
 
     @pytest.mark.parametrize("model, df", [("model1", 33), ("model2", 32)])
     def test_correct_models_follow_their_law(self, chi2_study, model, df):
-        _, lr_sat = chi2_study
+        _, lr_sat, _ = chi2_study
         assert stats.kstest(lr_sat[model], stats.chi2(df).cdf).pvalue > 0.01
 
-    @pytest.mark.parametrize("criterion, threshold", [
-        ("qbic2", np.log(CHI2_N)), ("qaic", 2.0)], ids=["qbic2", "qaic"])
-    def test_overfit_share_predicted(self, chi2_study, criterion, threshold):
-        table, _ = chi2_study
-        predicted = stats.chi2(1).sf(threshold)
+    @pytest.mark.parametrize("criterion, threshold, gap", [
+        ("qbic1", np.log(CHI2_N), 1.0), ("qbic2", np.log(CHI2_N), 0.0),
+        ("qaic", 2.0, 0.0)], ids=["qbic1", "qbic2", "qaic"])
+    def test_overfit_share_predicted(self, chi2_study, logdet_gap0,
+                                     criterion, threshold, gap):
+        # qbic1's threshold is log n + c
+        table, _, _ = chi2_study
+        predicted = stats.chi2(1).sf(threshold + gap * logdet_gap0)
         share = table.share(criterion, CHI2_N, "model2")
         error = np.sqrt(predicted * (1.0 - predicted) / CHI2_REPS)
         assert abs(share - predicted) <= 3.0 * error
 
+    def test_logdet_gap_tends_to_its_limit(self, chi2_study, logdet_gap0):
+        # per replication, qbic1's log det Gamma_tilde gap between the
+        # nested fits is c plus a small O(n^-1/2) error
+        _, _, logdet = chi2_study
+        error = logdet["model2"] - logdet["model1"] - logdet_gap0
+        assert abs(error.mean()) < 0.01
+        assert error.std(ddof=1) < 0.05
+
     def test_misspecified_model_rejected(self, chi2_study):
-        table, lr_sat = chi2_study
+        table, lr_sat, _ = chi2_study
         assert all(table.share(c, CHI2_N, "model3") == 0.0 for c in CRITERIA)
         assert lr_sat["model3"].min() > 1000.0
