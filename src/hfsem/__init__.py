@@ -7,7 +7,7 @@ quasi-Bayesian information criteria.
 """
 
 from .diffsim import (OuBlock, PathBundle, Truth, load_truth, simulate_custom,
-                      simulate_ou, simulate_true_model)
+                      simulate_true_model)
 from .errors import (AllStartsFailedError, HfsemError, NotPositiveDefiniteError,
                      RankDeficientError, SingularStructureError, SpecError)
 from .harness import (ExperimentConfig, GapProbeResult, SelectionTable,

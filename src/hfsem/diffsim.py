@@ -24,19 +24,19 @@ grid sizes n and horizons T are read by the one rule of each in ``_doc``.
 
 Paths are streamed.  A path's n steps are cut into the fewest chunks of
 at most ``_CHUNK_ROWS`` steps, sizes differing by one at most, the
-longer ones first (:func:`_chunk_bounds`), and :func:`simulate_custom` and
-:func:`simulate_ou` are each one loop over them.  A chunk ``(start,
-stop)`` draws ``stop - start`` normals per block, solves each block from
-its row ``start`` (``init``, or the last row of the chunk before) and
-writes rows ``start`` to ``stop`` into the preallocated outputs, row
-``start`` again with the same bits: the first chunk is not a special
-case.  No array of a chunk outlives its pass: a block's normals are freed
-as soon as its drive is formed, observations are summed straight into
-``x_obs``, and the rows carried to the next chunk are copies, not views
-that would keep the solves alive.  So besides the outputs a pass holds
-one chunk's solves and the next chunk's normals, at most ``_CHUNK_ROWS``
-steps each, whatever n.  The calling thread allocates each chunk's
-normal arrays (:func:`_normals`), and a draw only fills them in place
+longer ones first (:func:`_chunk_bounds`), and :func:`simulate_custom`
+is the one loop over them.  A chunk ``(start, stop)`` draws
+``stop - start`` normals per block, solves each block from its row
+``start`` (``init``, or the last row of the chunk before) and writes rows
+``start`` to ``stop`` into the preallocated outputs, row ``start`` again
+with the same bits: the first chunk is not a special case.  No array of
+a chunk outlives its pass: a block's normals are freed as soon as its
+drive is formed, observations are summed straight into ``x_obs``, and
+the rows carried to the next chunk are copies, not views that would keep
+the solves alive.  So besides the outputs a pass holds one chunk's
+solves and the next chunk's normals, at most ``_CHUNK_ROWS`` steps each,
+whatever n.  The calling thread allocates each chunk's normal arrays
+(:func:`_normals`), and a draw only fills them in place
 (:func:`_draw`).  A decoupled block (diagonal mean reversion) steps each
 coordinate by the AR(1) recursion ``x_i = decay x_{i-1} + u_i``, and a
 chunk of it is one banded triangular solve (BLAS ``dtbsv``) over all its
@@ -78,7 +78,6 @@ __all__ = [
     "Truth",
     "load_truth",
     "implied_sigma",
-    "simulate_ou",
     "simulate_custom",
     "simulate_true_model",
     "TRUE_MODEL_NAME",
@@ -329,8 +328,8 @@ def _chunk_path(transition: tuple, x: np.ndarray,
     """The ``(len(z) + 1, dim)`` path from row ``x``, one exact step per row
     of standard normals ``z``: a step loop if the block is coupled, else
     one banded solve.  Row 0 is ``x`` itself, bit for bit: the block's
-    ``init`` or the last row of its previous chunk, which a simulator
-    writes again with the same bits.
+    ``init`` or the last row of its previous chunk, which
+    :func:`_chunk_pass` writes again with the same bits.
 
     The solve's ``(dim, m)`` drive holds ``x`` in column 0 and the steps'
     drive ``noise z + bd`` after it.  Each coordinate's recursion
@@ -344,9 +343,9 @@ def _chunk_path(transition: tuple, x: np.ndarray,
     built for the call and dropped with it, and the path returned is a
     transposed view of the solution.
 
-    ``z`` is dropped as soon as the drive is formed, so a caller that
-    passes its only reference (the simulators pop it from the chunk's
-    list of normals) frees the normals before the solve.
+    ``z`` is dropped as soon as the drive is formed, so the caller, which
+    passes its only reference (:func:`_chunk_pass` pops it from the
+    chunk's list of normals), frees the normals before the solve.
     """
     ad, bd, noise, decay = transition
     if decay is None:
@@ -384,45 +383,20 @@ def _decay_band(decay: np.ndarray, m: int) -> np.ndarray:
 def _normals(blocks: list, start: int, stop: int) -> list:
     """Each block's unfilled ``(stop - start, dim)`` array for the standard
     normals of the chunk's steps, which lead from row ``start`` to rows
-    ``start + 1`` to ``stop`` of a path, allocated by the calling thread
-    for :func:`_draw`."""
+    ``start + 1`` to ``stop`` of a path, allocated by the thread that
+    calls :func:`simulate_custom` for :func:`_draw`."""
     return [np.empty((stop - start, block.dim)) for block in blocks]
 
 
 def _draw(rngs: list, normals: list) -> list:
     """``normals``, each array filled in place with standard normals from
-    its block's stream, which allocates nothing: a thread that draws
-    leaves no heap of its own behind.  Drawn chunk by chunk into C-ordered
-    arrays, a stream is consumed exactly as by one ``(n, dim)`` draw."""
+    its block's stream, which allocates nothing: the helper thread of
+    :func:`simulate_custom` that draws ahead leaves no heap of its own
+    behind.  Drawn chunk by chunk into C-ordered arrays, a stream is
+    consumed exactly as by one ``(n, dim)`` draw."""
     for rng, z in zip(rngs, normals):
         rng.standard_normal(out=z)
     return normals
-
-
-def _expect(value, kind: type, rule: str):
-    if not isinstance(value, kind):
-        raise TypeError(f"{rule}, not {type(value).__name__}")
-
-
-def simulate_ou(block: OuBlock, n: int, T: float,
-                rng: np.random.Generator) -> np.ndarray:
-    """Sample the block exactly on the grid; returns an (n+1, dim) array.
-
-    Row 0 is ``init``; then one loop over the path's chunks: a chunk
-    ``(start, stop)`` draws its normals from ``rng``, is solved from row
-    ``start`` and is written into rows ``start`` to ``stop``.  The normals
-    are popped into the solve, which frees them before the next chunk's
-    are made."""
-    _expect(block, OuBlock, "block must be an OuBlock")
-    _expect(rng, np.random.Generator, "rng must be a numpy.random.Generator")
-    transition = _exact_transition(block, _grid_step(n, T))
-    path = np.empty((n + 1, block.dim))
-    path[0] = block.init
-    for start, stop in _chunk_bounds(n):
-        normals = _draw([rng], _normals([block], start, stop))
-        path[start:stop + 1] = _chunk_path(transition, path[start],
-                                           normals.pop())
-    return path
 
 
 def _block_streams(seed: int) -> list[np.random.Generator]:
@@ -450,7 +424,9 @@ def simulate_custom(truth: Truth, *, n: int, T: float, seed: int,
     thread.  So the calling thread allocates every array of normals, and a
     draw only fills them, on whichever thread it runs.
     """
-    _expect(truth, Truth, "truth must be a Truth, as load_truth returns")
+    if not isinstance(truth, Truth):
+        raise TypeError("truth must be a Truth, as load_truth returns, "
+                        f"not {type(truth).__name__}")
     h = _grid_step(n, T)
     (p1, k1), (p2, k2) = truth.lambda_x1.shape, truth.lambda_x2.shape
     blocks = [getattr(truth, key) for key in _LATENT]

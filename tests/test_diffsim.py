@@ -9,8 +9,7 @@ import pytest
 
 from hfsem import diffsim
 from hfsem.errors import SingularStructureError
-from tests.conftest import (bundled_truth_doc, oneshot_simulate_custom,
-                            oneshot_simulate_ou)
+from tests.conftest import bundled_truth_doc, oneshot_simulate_custom
 
 CHUNK = diffsim._CHUNK_ROWS
 # Path lengths on both sides of the one- and two-chunk boundaries, and one
@@ -26,38 +25,54 @@ def scalar_xi_block():
     return diffsim.OuBlock([[2.0]], [5.0], [[3.0]], [3.0])
 
 
-def draw_endpoints(block, n, T, count, seed):
-    rng = np.random.default_rng(seed)
-    return np.array([diffsim.simulate_ou(block, n, T, rng)[-1]
-                     for _ in range(count)]).squeeze()
+def latent_path(name, block, n, T, seed):
+    """The latent path ``name`` that ``simulate_custom`` samples from the
+    bundled truth with ``block`` in that place."""
+    truth = dataclasses.replace(diffsim.load_truth("true4-6"), **{name: block})
+    return getattr(diffsim.simulate_custom(truth, n=n, T=T, seed=seed), name)
+
+
+def scalar_residuals(path, h):
+    """The one-step residuals of a path of ``scalar_xi_block`` at step
+    ``h``: each row less its closed-form conditional mean given the row
+    before, ``2.5 + (x - 2.5) exp(-2 h)``.  The sampler is exact, so they
+    are independent draws of the transition's noise."""
+    return path[1:] - (2.5 + (path[:-1] - 2.5) * np.exp(-2.0 * h))
 
 
 class TestSimulateOu:
+    """An OU block's law, checked on ``simulate_custom``'s latent paths.  A
+    long path's one-step residuals stand for independent draws of the
+    transition, so one call gives the whole sample."""
+
     def test_degenerate_constant_path(self):
         block = diffsim.OuBlock(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 1)),
                                 [3.0, 3.0])
-        path = diffsim.simulate_ou(block, 50, 1.0, np.random.default_rng(0))
+        path = latent_path("zeta", block, 50, 1.0, seed=0)
         assert np.array_equal(path, np.full((51, 2), 3.0))
 
     @pytest.mark.parametrize("T", [0.5, 1.0])
     def test_exact_moments_match_closed_form(self, T):
-        block = scalar_xi_block()
+        # each step of length T
         count = 6000
-        finals = draw_endpoints(block, 1, T, count, seed=123)
-        mean = 2.5 + 0.5 * np.exp(-2.0 * T)
+        path = latent_path("xi", scalar_xi_block(), count, count * T, seed=123)
+        resid = scalar_residuals(path[:, 0], T)
         var = 9.0 / 4.0 * (1.0 - np.exp(-4.0 * T))
-        se_mean = finals.std(ddof=1) / np.sqrt(count)
-        assert abs(finals.mean() - mean) < 3 * se_mean
+        se_mean = resid.std(ddof=1) / np.sqrt(count)
+        assert abs(resid.mean()) < 3 * se_mean
         # variance estimator s.e. for a Gaussian sample
-        se_var = finals.var(ddof=1) * np.sqrt(2.0 / (count - 1))
-        assert abs(finals.var(ddof=1) - var) < 3 * se_var
+        se_var = resid.var(ddof=1) * np.sqrt(2.0 / (count - 1))
+        assert abs(resid.var(ddof=1) - var) < 3 * se_var
 
     def test_exact_is_discretization_free(self):
-        # same closed-form target regardless of the number of steps
-        block = scalar_xi_block()
-        coarse = draw_endpoints(block, 1, 1.0, 4000, seed=5)
-        fine = draw_endpoints(block, 64, 1.0, 4000, seed=6)
-        se = np.hypot(coarse.std(ddof=1), fine.std(ddof=1)) / np.sqrt(4000)
+        # the same one-step law at step 1 whether each step is sampled at
+        # once or in 64 substeps
+        block, count = scalar_xi_block(), 4000
+        coarse = scalar_residuals(
+            latent_path("xi", block, count, count, seed=5)[:, 0], 1.0)
+        fine = scalar_residuals(
+            latent_path("xi", block, 64 * count, count, seed=6)[::64, 0], 1.0)
+        se = np.hypot(coarse.std(ddof=1), fine.std(ddof=1)) / np.sqrt(count)
         assert abs(coarse.mean() - fine.mean()) < 3 * se
 
     def test_non_diagonal_mean_reversion(self):
@@ -67,11 +82,12 @@ class TestSimulateOu:
         s = np.array([[1.0, 0.0], [0.3, 0.8]])
         block = diffsim.OuBlock(b, [0.0, 0.0], s, [0.0, 0.0])
         count = 4000
-        finals = np.array([diffsim.simulate_ou(block, 1, 1.0,
-                                               np.random.default_rng(10_000 + k))[-1]
-                           for k in range(count)])
         import scipy.integrate
         import scipy.linalg
+        # steps of length 1 with a zero level: each row's conditional mean
+        # is expm(-b) times the row before
+        path = latent_path("zeta", block, count, count, seed=10_000)
+        resid = path[1:] - path[:-1] @ scipy.linalg.expm(-b).T
         q = s @ s.T
 
         def integrand(u):
@@ -81,30 +97,23 @@ class TestSimulateOu:
         grid = np.linspace(0.0, 1.0, 201)
         vals = np.array([integrand(u) for u in grid])
         target = scipy.integrate.simpson(vals, x=grid, axis=0)
-        emp = np.cov(finals.T)
+        emp = np.cov(resid.T)
         assert np.abs(emp - target).max() < 4 * np.abs(target).max() / np.sqrt(count)
 
     def test_input_validation(self):
-        block = scalar_xi_block()
+        truth = diffsim.load_truth("true4-6")
         with pytest.raises(ValueError):
-            diffsim.simulate_ou(block, 0, 1.0, np.random.default_rng(0))
+            diffsim.simulate_custom(truth, n=0, T=1.0, seed=0)
         with pytest.raises(ValueError):
-            diffsim.simulate_ou(block, 10, -1.0, np.random.default_rng(0))
+            diffsim.simulate_custom(truth, n=10, T=-1.0, seed=0)
         with pytest.raises(ValueError):
             diffsim.OuBlock(np.eye(3), np.zeros(2), np.eye(2), np.zeros(2))
-
-    def test_wrong_argument_types_refused(self):
-        block, rng = scalar_xi_block(), np.random.default_rng(0)
-        with pytest.raises(TypeError, match="OuBlock, not dict"):
-            diffsim.simulate_ou(bundled_truth_doc()["xi"], 10, 1.0, rng)
-        with pytest.raises(TypeError, match="numpy.random.Generator, not int"):
-            diffsim.simulate_ou(block, 10, 1.0, 0)
 
     @pytest.mark.parametrize("T", [np.nan, np.inf])
     def test_non_finite_horizon_rejected(self, T):
         with pytest.raises(ValueError, match="horizon"):
-            diffsim.simulate_ou(scalar_xi_block(), 10, T,
-                                np.random.default_rng(0))
+            diffsim.simulate_custom(diffsim.load_truth("true4-6"), n=10, T=T,
+                                    seed=0)
         with pytest.raises(ValueError, match="horizon"):
             diffsim.simulate_true_model(10, T, seed=0)
 
@@ -157,15 +166,12 @@ class TestOuBlock:
         for key in BLOCK_ARRAYS:
             assert np.array_equal(getattr(copy, key), getattr(block, key))
             assert not getattr(copy, key).flags.writeable, key
-        ours, theirs = (diffsim.simulate_ou(b, 300, 1.0,
-                                            np.random.default_rng(3))
+        ours, theirs = (latent_path("zeta", b, 300, 1.0, seed=3)
                         for b in (block, copy))
         assert np.array_equal(ours, theirs)
 
 
 GRID_ENTRIES = {
-    "simulate_ou": lambda n: diffsim.simulate_ou(
-        scalar_xi_block(), n, 1.0, np.random.default_rng(0)),
     "simulate_custom": lambda n: diffsim.simulate_custom(
         diffsim.load_truth(diffsim.TRUE_MODEL_NAME), n=n, T=1.0, seed=0),
     "simulate_true_model": lambda n: diffsim.simulate_true_model(n, 1.0, seed=0),
@@ -722,15 +728,6 @@ class TestStreaming:
         for name in ("x_obs",) + LATENTS:
             assert np.abs(getattr(out, name) - ref[name]).max() <= 1e-12, name
         assert np.array_equal(slim.x_obs, out.x_obs)
-
-    @pytest.mark.parametrize("n", CHUNK_EDGES)
-    @pytest.mark.parametrize("name", ["xi", "zeta"])
-    def test_simulate_ou_matches_oneshot_bit_for_bit(self, name, n):
-        # a decoupled block and the variant's coupled one
-        block = getattr(truth_variant("non_diagonal"), name)
-        path = diffsim.simulate_ou(block, n, 1.0, np.random.default_rng(n))
-        ref = oneshot_simulate_ou(block, n, 1.0, np.random.default_rng(n))
-        assert np.array_equal(path, ref)
 
     def test_peak_memory_near_output_size(self):
         import tracemalloc

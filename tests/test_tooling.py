@@ -213,15 +213,15 @@ def test_thread_scan_catches_imports_and_workers():
 THREAD_BUILDER = re.compile(r"(?:Executor|Thread|ThreadPool|Timer)$")
 
 
-def thread_sites(source: str) -> list[tuple]:
-    """``(function, line)`` of each call that builds a thread or a thread
-    pool, by the innermost function around it (None outside any)."""
+def call_sites(source: str, called) -> list[tuple]:
+    """``(function, line)`` of each call of a name for which ``called`` is
+    true, by the innermost function around it (None outside any)."""
     found = []
 
     def visit(node, owner):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "attr", getattr(node.func, "id", ""))
-            if THREAD_BUILDER.search(name):
+            if called(name):
                 found.append((owner, node.lineno))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
@@ -236,7 +236,8 @@ def test_one_helper_pool_in_simulate_custom():
     # A long path's draw-ahead runs on the one-worker pool simulate_custom
     # opens; a chunk-level simulator is to reuse it, and build no second.
     sites = [(path.name, owner) for path in sorted(SRC.glob("*.py"))
-             for owner, _ in thread_sites(path.read_text())]
+             for owner, _ in call_sites(path.read_text(),
+                                        THREAD_BUILDER.search)]
     assert sites == [("diffsim.py", "simulate_custom")]
 
 
@@ -250,8 +251,38 @@ def test_thread_site_scan_catches_every_builder():
         "class Holder:",                                          # 6
         "    def run(self): return ThreadPool(2)",                # 7
     ])
-    assert thread_sites(source) == [(None, 1), ("simulate", 2), ("draw", 4),
-                                    ("simulate", 5), ("run", 7)]
+    assert call_sites(source, THREAD_BUILDER.search) == [
+        (None, 1), ("simulate", 2), ("draw", 4), ("simulate", 5), ("run", 7)]
+
+
+def test_one_chunk_loop():
+    # simulate_custom is the one loop over a path's chunks, so the study's
+    # sampler is the one the block tests check; a second sampler would be
+    # a second loop, with draws and solves of its own.
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert [(name, owner) for name, source in sources.items()
+            for owner, _ in call_sites(source, "_chunk_bounds".__eq__)] == [
+        ("diffsim.py", "simulate_custom")]
+    assert [name for name, source in sources.items()
+            if call_sites(source, "_chunk_path".__eq__)] == ["diffsim.py"]
+
+
+def test_chunk_loop_scan_catches_a_second_sampler():
+    source = "\n".join([
+        # diffsim.simulate_ou as it was, a second loop over the chunks
+        "def simulate_ou(block, n, T, rng):",                             # 1
+        "    transition = _exact_transition(block, _grid_step(n, T))",    # 2
+        "    path = np.empty((n + 1, block.dim))",                        # 3
+        "    path[0] = block.init",                                       # 4
+        "    for start, stop in _chunk_bounds(n):",                       # 5
+        "        normals = _draw([rng], _normals([block], start, stop))",  # 6
+        "        path[start:stop + 1] = _chunk_path(transition, "
+        "path[start],",                                                   # 7
+        "                                           normals.pop())",      # 8
+        "    return path",                                                # 9
+    ])
+    assert call_sites(source, "_chunk_bounds".__eq__) == [("simulate_ou", 5)]
+    assert call_sites(source, "_chunk_path".__eq__) == [("simulate_ou", 7)]
 
 
 def sized_draws(source: str) -> list[int]:
