@@ -16,9 +16,9 @@ from .harness import (ExperimentConfig, GapProbeResult, SelectionTable,
 from .infocrit import (CriteriaRow, GammaZero, criteria_row, gamma_zero,
                        posterior_probs, select)
 from .models import THETA1_TRUE, THETA2_TRUE, load_builtin, resolve_spec
-from .qlik import LikelihoodSurface, QuadVar, quad_var
-from .qmle import (FitOptions, FitReport, check_identifiability, fit,
-                   fit_multistart, limit_optimum)
+from .qlik import QuadVar, quad_var
+from .qmle import (FitReport, check_identifiability, fit_multistart,
+                   limit_optimum)
 from .semspec import SemSpec, moment_start, nested_embedding
 
 __version__ = "0.1.0"

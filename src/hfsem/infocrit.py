@@ -68,10 +68,11 @@ class CriteriaRow:
 
 def _gate(fit: FitReport) -> tuple[bool, float]:
     """Whether the event J holds for ``fit``, and ``log det Gamma_tilde``:
-    that of ``-H/n`` on J, 0 (the identity's) off it."""
+    that of ``-H/n`` on J, 0 (the identity's) off it.  A fit with no free
+    parameter has an empty ``-H/n``: J holds vacuously, with log det 0."""
     scaled = -fit.hessian / fit.n
     if not (np.all(np.isfinite(scaled))
-            and np.linalg.eigvalsh(scaled).min() > _JGATE_MIN_EIG):
+            and np.all(np.linalg.eigvalsh(scaled) > _JGATE_MIN_EIG)):
         return False, 0.0
     sign, logdet = np.linalg.slogdet(scaled)
     if sign <= 0:

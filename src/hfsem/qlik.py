@@ -26,8 +26,8 @@ record in factor space (the Hessian adds the pass's second-derivative
 term), and the information and the Hessian only for the lanes that ask,
 each summed, scaled and symmetrized in one (lanes, q, q) stack.
 The estimator runs many fits through it at once, and each fit's Hessian
-is the one its last accepted pass gives.  :class:`LikelihoodSurface` is
-its one-lane case, which of the estimator's entries only ``qmle.fit`` takes.
+is the one its last accepted pass gives.  :class:`LikelihoodSurface`, its
+one-lane case, is not exported (see the class).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .semspec import SemSpec, _swap
 __all__ = [
     "QuadVar",
     "quad_var",
-    "LikelihoodSurface",
     "LaneScores",
     "score_lanes",
 ]
@@ -231,6 +230,12 @@ class LikelihoodSurface:
     admissible region raises ``SingularStructureError`` or
     ``NotPositiveDefiniteError``.  A Q that is not (p, p) is refused when
     the surface is built, by the spec's shape rule.
+
+    Not an entry of the package: the estimator takes a ``QuadVar``.  It
+    remains as the tests' one-lane oracle, for the fine_grid workload of
+    ``perfbench/workloads.py``, which hands one to ``qmle.fit``, and for
+    ``perfbench/layers.py``, which traces its ``value_and_grad`` and
+    ``hessian``.
     """
 
     def __init__(self, spec: SemSpec, quadvar: QuadVar):

@@ -25,9 +25,10 @@ last accepted pass, bit for bit ``LikelihoodSurface.hessian`` at
 derives the criteria from it.  ``fit_multistart(spec, quadvar)``, the one
 single-Q fit and the one to raise ``AllStartsFailedError``, runs a
 ``QuadVar``'s ``start_set`` (the given or moment start, then Latin-hypercube
-starts on the moment start's scale) as lanes and keeps the best; ``fit`` is
-its one-start view of a ``LikelihoodSurface``, and ``limit_optimum`` its
-case on sigma0 as the Q of one increment.  The moment start is
+starts on the moment start's scale) as lanes and keeps the best, and
+``limit_optimum`` is its case on sigma0 as the Q of one increment.
+``fit`` and ``FitOptions`` are not exported: they remain only for the
+benchmark (see ``fit``).  The moment start is
 ``semspec.moment_start``, so this module reads nothing of a spec's layout,
 and ``SemSpec.check_covariation`` checks each Q stack's shape; each grid
 size n is read by ``_doc.integer``.
@@ -52,11 +53,9 @@ from .qlik import (NON_FINITE, OK, LaneScores, LikelihoodSurface, QuadVar,
 from .semspec import SemSpec, _probe_start, jacobian_rank, moment_start
 
 __all__ = [
-    "FitOptions",
     "FitReport",
     "IdentifiabilityReport",
     "check_identifiability",
-    "fit",
     "fit_lanes",
     "fit_multistart",
     "limit_optimum",
@@ -75,6 +74,7 @@ _WITNESS_MIN_DIST = 1e-6    # check_identifiability: a distinct preimage
 
 @dataclass
 class FitOptions:
+    """``fit``'s one option, kept only for the benchmark (see ``fit``)."""
     compute_hessian: bool = True     # whether the report keeps its Hessian
 
 
@@ -105,8 +105,9 @@ class FitReport:
     def from_dict(cls, doc: dict) -> "FitReport":
         """Each field is read by the reader of its declared type, the one
         string, ``model``, as a model name; ``n`` must be at least 1, the
-        arrays must have the shapes ``q`` gives, and the floats and arrays
-        must be finite (``hessian`` may be null)."""
+        arrays must have the shapes ``q`` gives (``[]`` is the Hessian of
+        q = 0), and the floats and arrays must be finite (``hessian`` may be
+        null)."""
         _doc.fields(doc, "fit report", [f.name for f in fields(cls)
                                         if f.name != "hessian"], ["hessian"])
         read = {"str": _doc.model_name, "int": _doc.integer, "float": _doc.number,
@@ -119,6 +120,9 @@ class FitReport:
             if key in values and not np.all(np.isfinite(values[key])):
                 raise ValueError(f"fit report field {key!r} must be finite")
         q = values["q"]
+        if q == 0 and np.shape(values.get("hessian")) == (0,):
+            # JSON has no 0 x 0 array: to_dict writes that Hessian as [].
+            values["hessian"] = values["hessian"].reshape(0, 0)
         for key, shape in (("theta_hat", (q,)), ("hessian", (q, q))):
             if key not in values:     # a null Hessian, once theta_hat fits q
                 values[key] = np.full(shape, np.nan)
@@ -365,7 +369,13 @@ def fit_lanes(spec: SemSpec, q_xx: np.ndarray, n: np.ndarray,
 def fit(surface: LikelihoodSurface, init: Optional[np.ndarray] = None,
         options: Optional[FitOptions] = None) -> FitReport:
     """``fit_multistart`` on the surface from one start, ``init`` or else
-    the moment start; with ``compute_hessian`` off its Hessian is NaN."""
+    the moment start; with ``compute_hessian`` off its Hessian is NaN.
+
+    Not an entry of the package: ``fit_multistart`` is.  It remains because
+    the fine_grid workload of ``perfbench/workloads.py`` calls it, with
+    ``FitOptions`` and a ``qlik.LikelihoodSurface``, and
+    ``perfbench/layers.py`` traces it, as ``qmle.fit`` and as the hook
+    ``harness`` imports."""
     report = fit_multistart(surface.spec, surface.quadvar, 1, 0, init)
     if options is not None and not options.compute_hessian:
         report.hessian[...] = np.nan

@@ -327,6 +327,16 @@ def edited_spec(spec, cells, name):
     return SemSpec.from_dict(doc)
 
 
+def all_fixed_spec(spec, theta, name):
+    """``spec`` with every free cell fixed at its value in ``theta``: a
+    candidate with no free parameter (q = 0)."""
+    doc = spec.to_dict()
+    return edited_spec(spec, {
+        (role, i, j): fixed(float(theta[cell["free"]["index"]]))
+        for role in spec.patterns for i, row in enumerate(doc[role])
+        for j, cell in enumerate(row) if "free" in cell}, name)
+
+
 def fd_hessian(surface, theta, rel_step=1e-5):
     """Reference Hessian: symmetrized central differences of the analytic
     gradient with relative steps, 2q gradient calls."""

@@ -47,7 +47,6 @@ def spot_check_1e4():
 @pytest.fixture(scope="module")
 def rate_study(model1):
     """Median estimation error of model1 over 50 replications per grid."""
-    opts = qmle.FitOptions(compute_hessian=False)
     medians = {}
     for n in (1000, 10_000, 100_000):
         errs = []
@@ -55,8 +54,8 @@ def rate_study(model1):
             seed = harness.split_seed(MASTER_SEED + 1, n, rep)
             bundle = diffsim.simulate_true_model(n, 1.0, seed=seed,
                                                  keep_latents=False)
-            surface = LikelihoodSurface(model1, quad_var(bundle.x_obs, 1.0))
-            report = qmle.fit(surface, init=models.THETA1_TRUE, options=opts)
+            report = qmle.fit_multistart(model1, quad_var(bundle.x_obs, 1.0),
+                                         1, init=models.THETA1_TRUE)
             errs.append(np.linalg.norm(report.theta_hat - models.THETA1_TRUE))
         medians[n] = float(np.median(errs))
     return medians
@@ -64,8 +63,7 @@ def rate_study(model1):
 
 @pytest.fixture(scope="module")
 def truth_fit_1e5(model1, quadvar_1e5):
-    return qmle.fit(LikelihoodSurface(model1, quadvar_1e5),
-                    init=models.THETA1_TRUE)
+    return qmle.fit_multistart(model1, quadvar_1e5, 1, init=models.THETA1_TRUE)
 
 
 def test_criterion_1_table_reproduction(desk_study, spot_check_1e4):
@@ -131,7 +129,7 @@ def test_criterion_6_identity_suite(model1, model2, quadvar_1e4):
     worst_gap = 0.0
     for spec, theta in [(model1, models.THETA1_TRUE),
                         (model2, models.THETA2_TRUE)]:
-        report = qmle.fit(LikelihoodSurface(spec, quadvar_1e4), init=theta)
+        report = qmle.fit_multistart(spec, quadvar_1e4, 1, init=theta)
         row = infocrit.criteria_row(report)
         assert row.j_flag
         logdet = np.linalg.slogdet(-report.hessian / report.n)[1]

@@ -9,6 +9,7 @@ from hfsem import harness, models
 from hfsem.cli import main
 from hfsem.diffsim import simulate_true_model
 from hfsem.qlik import quad_var
+from tests.conftest import all_fixed_spec
 
 
 @pytest.fixture()
@@ -193,6 +194,24 @@ class TestFitAndCriteria:
         assert selected == ["model1"]
         probs = [float(ln.split(",")[-2]) for ln in lines[1:]]
         assert abs(sum(probs) - 1.0) < 1e-9
+
+    def test_fit_then_criteria_with_no_free_parameter(self, runner, fit_files,
+                                                      model1, tmp_path):
+        # criteria reads what fit writes for q = 0, whose 0 x 0 Hessian
+        # JSON holds as [].
+        _, path, fits = fit_files
+        spec, fit = tmp_path / "fixed1.json", tmp_path / "fixed1_fit.json"
+        all_fixed_spec(model1, models.THETA1_TRUE, "fixed1").to_json(spec)
+        invoke(runner, ["fit", "--spec", str(spec), "--data", str(path),
+                        "--T", "1", "--out", str(fit)])
+        assert json.loads(fit.read_text())["hessian"] == []
+        out = tmp_path / "criteria.csv"
+        invoke(runner, ["criteria", "--fits", str(fits[0]), "--fits", str(fit),
+                        "--out", str(out)])
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [["model1", "22"], ["fixed1", "0"]]
+        qbic1, qbic2, qaic, j_flag = rows[1][4:8]
+        assert qbic1 == qbic2 == qaic and j_flag == "True"
 
     def test_criteria_priors_flag(self, runner, fit_files, tmp_path):
         _, _, fits = fit_files

@@ -14,8 +14,9 @@ from hfsem import diffsim, harness, models, qmle
 from hfsem.errors import (AllStartsFailedError, SingularStructureError,
                           SpecError)
 from hfsem.infocrit import CRITERIA, criteria_row, gamma_zero
-from hfsem.qlik import LikelihoodSurface, quad_var
-from tests.conftest import bundled_truth_doc, make_degenerate_model
+from hfsem.qlik import quad_var
+from tests.conftest import (all_fixed_spec, bundled_truth_doc,
+                            make_degenerate_model)
 
 
 def small_config(**overrides):
@@ -269,6 +270,24 @@ class TestLoadSpecs:
 
 
 class TestRunExperiment:
+    def test_candidate_with_no_free_parameter(self, model1, tmp_path):
+        # A spec with every cell fixed (q = 0) passes the rank screen and
+        # fits in 0 iterations; its rows are on J, each criterion -2 loglik.
+        path = tmp_path / "fixed1.json"
+        all_fixed_spec(model1, models.THETA1_TRUE, "fixed1").to_json(path)
+        table, records = harness.run_experiment(small_config(
+            n_values=[100, 1000], model_spec_paths=["model1", str(path)]))
+        table.validate()
+        assert records.model_ids == ("model1", "fixed1")
+        assert not records.failed.any()
+        columns = records.columns
+        mine = columns["model"] == 1
+        assert columns["j_flag"][mine].all()
+        assert not columns["iterations"][mine].any()
+        for criterion in CRITERIA:
+            assert np.array_equal(columns[criterion][mine],
+                                  -2.0 * columns["h_at_hat"][mine])
+
     def test_counts_conservation(self, small_run):
         config, (table, records) = small_run
         table.validate()
@@ -691,7 +710,7 @@ def direct_gap_probe(model_a, model_b, criterion):
             qv = quad_var(diffsim.simulate_custom(truth, n=n, T=config.T,
                                                   seed=seed).x_obs, config.T)
             row_a, row_b = [
-                criteria_row(qmle.fit(LikelihoodSurface(spec, qv), init=theta))
+                criteria_row(qmle.fit_multistart(spec, qv, 1, init=theta))
                 for spec, theta in zip(specs, (theta_a, theta_b))]
             diffs[n].append((row_b.value(criterion) - row_a.value(criterion)) / n)
     return harness.GapProbeResult(

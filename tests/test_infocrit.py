@@ -3,7 +3,8 @@ import pytest
 
 from hfsem import diffsim, infocrit, models, qmle
 from hfsem.errors import RankDeficientError
-from hfsem.qlik import LikelihoodSurface, quad_var
+from hfsem.qlik import quad_var
+from tests.conftest import all_fixed_spec
 
 
 def fake_report(h=-1000.0, q=22, n=100, hessian=None):
@@ -25,7 +26,7 @@ def fitted_rows(model1, model2, model3, sigma0_oracle):
                         (model2, models.THETA2_TRUE), (model3, None)]:
         if theta is None:
             theta, _ = qmle.limit_optimum(spec, sigma0_oracle, starts=4, seed=0)
-        report = qmle.fit(LikelihoodSurface(spec, qv), init=theta)
+        report = qmle.fit_multistart(spec, qv, 1, init=theta)
         reports.append(report)
         rows.append(infocrit.criteria_row(report))
     return rows, reports
@@ -57,6 +58,16 @@ class TestCriteriaValues:
         row = infocrit.criteria_row(report)
         assert not row.j_flag
         assert row.qbic1 == row.qbic2
+
+    def test_no_free_parameter(self, model1, quadvar_1e4):
+        # For q = 0, -H/n is empty: J holds vacuously with log det 0, and
+        # every criterion is -2 loglik.
+        spec = all_fixed_spec(model1, models.THETA1_TRUE, "fixed1")
+        report = qmle.fit_multistart(spec, quadvar_1e4, 1)
+        assert report.hessian.shape == (0, 0) and report.converged
+        row = infocrit.criteria_row(report)
+        assert row.j_flag and row.logdet_gamma_tilde == 0.0
+        assert row.qbic1 == row.qbic2 == row.qaic == -2.0 * report.h_at_hat
 
     def test_identity_with_gate(self, fitted_rows):
         rows, reports = fitted_rows
@@ -106,8 +117,8 @@ class TestGammaZero:
 
     def test_matches_scaled_hessian(self, model1, sigma0_oracle, quadvar_1e4):
         out = infocrit.gamma_zero(model1, models.THETA1_TRUE, sigma0_oracle)
-        report = qmle.fit(LikelihoodSurface(model1, quadvar_1e4),
-                          init=models.THETA1_TRUE)
+        report = qmle.fit_multistart(model1, quadvar_1e4, 1,
+                                     init=models.THETA1_TRUE)
         scaled = -report.hessian / quadvar_1e4.n
         rel = np.linalg.norm(scaled - out.gamma0) / np.linalg.norm(out.gamma0)
         assert rel < 0.15

@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -12,14 +13,19 @@ from hfsem.errors import (AllStartsFailedError, NotPositiveDefiniteError,
                           SingularStructureError, SpecError)
 from hfsem.qlik import LikelihoodSurface, QuadVar, quad_var
 from hfsem.semspec import SemSpec
-from tests.conftest import (edited_spec, interior_theta, make_structural_spec,
-                            per_lane_free_steps, stacked_d1)
+from tests.conftest import (all_fixed_spec, edited_spec, interior_theta,
+                            make_structural_spec, per_lane_free_steps,
+                            stacked_d1)
 
 
 @pytest.fixture(scope="module")
-def surface_1e3(model1):
-    bundle = diffsim.simulate_true_model(1000, 1.0, seed=314)
-    return LikelihoodSurface(model1, quad_var(bundle.x_obs, 1.0))
+def quadvar_1e3():
+    return quad_var(diffsim.simulate_true_model(1000, 1.0, seed=314).x_obs, 1.0)
+
+
+@pytest.fixture(scope="module")
+def report_1e3(model1, quadvar_1e3):
+    return qmle.fit_multistart(model1, quadvar_1e3, 1, init=models.THETA1_TRUE)
 
 
 def scoring_step(info, grad, free):
@@ -42,33 +48,34 @@ def reports_equal(a, b):
 class TestFit:
     def test_scalar_closed_form_maximizer(self, scalar_model):
         q0 = 3.7
-        surface = LikelihoodSurface(scalar_model, QuadVar(np.diag([q0, 1.2]),
-                                                          n=200, T=1.0))
-        report = qmle.fit(surface, init=np.array([1.0]))
+        qv = QuadVar(np.diag([q0, 1.2]), n=200, T=1.0)
+        report = qmle.fit_multistart(scalar_model, qv, 1, init=np.array([1.0]))
         assert abs(report.theta_hat[0] - q0) < 1e-8
         assert report.converged and not report.boundary_hit
 
-    def test_recovers_truth_approximately(self, surface_1e3):
+    def test_recovers_truth_approximately(self, model1, quadvar_1e3):
         # loose sanity bound; the convergence-rate study lives in the
         # acceptance suite
-        report = qmle.fit(surface_1e3, init=models.THETA1_TRUE)
+        report = qmle.fit_multistart(model1, quadvar_1e3, 1,
+                                     init=models.THETA1_TRUE)
         assert report.converged
         assert np.abs(report.theta_hat - models.THETA1_TRUE).max() < 3.0
         assert infocrit.criteria_row(report).j_flag
 
-    def test_convergence_criterion_scales_with_value(self, surface_1e3):
-        report = qmle.fit(surface_1e3, init=models.THETA1_TRUE)
+    def test_convergence_criterion_scales_with_value(self, model1, quadvar_1e3):
+        report = qmle.fit_multistart(model1, quadvar_1e3, 1,
+                                     init=models.THETA1_TRUE)
         assert report.grad_norm < 1e-6 * (1 + abs(report.h_at_hat))
 
-    def test_determinism(self, surface_1e3):
-        a = qmle.fit(surface_1e3, init=models.THETA1_TRUE)
-        b = qmle.fit(surface_1e3, init=models.THETA1_TRUE)
+    def test_determinism(self, model1, quadvar_1e3):
+        a, b = (qmle.fit_multistart(model1, quadvar_1e3, 1,
+                                    init=models.THETA1_TRUE) for _ in range(2))
         assert reports_equal(a, b)
 
-    def test_monotone_accepted_iterates(self, surface_1e3, model1):
+    def test_monotone_accepted_iterates(self, model1, quadvar_1e3):
         # One lane from the moment start; a trial is accepted exactly when
         # it is a new maximum of its lane.
-        q_xx, n = surface_1e3.quadvar.q_xx[None], np.array([surface_1e3.n])
+        q_xx, n = quadvar_1e3.q_xx[None], np.array([quadvar_1e3.n])
         best, accepted = -np.inf, []
 
         def kernel(theta, at):
@@ -81,23 +88,27 @@ class TestFit:
 
         qmle._optimize(model1, kernel,
                        qmle.moment_start(model1, q_xx[0])[None])
-        values = np.array([surface_1e3.value(theta) for theta in accepted])
+        surface = LikelihoodSurface(model1, quadvar_1e3)
+        values = np.array([surface.value(theta) for theta in accepted])
         assert len(values) > 5
         assert np.all(np.diff(values) >= -1e-9 * (1 + np.abs(values[:-1])))
 
-    def test_default_init_is_moment_start(self, surface_1e3, model1):
-        auto = qmle.fit(surface_1e3)
-        explicit = qmle.fit(surface_1e3,
-                            init=qmle.moment_start(model1, surface_1e3.quadvar.q_xx))
+    def test_default_init_is_moment_start(self, model1, quadvar_1e3):
+        auto = qmle.fit_multistart(model1, quadvar_1e3, 1)
+        explicit = qmle.fit_multistart(
+            model1, quadvar_1e3, 1,
+            init=qmle.moment_start(model1, quadvar_1e3.q_xx))
         assert reports_equal(auto, explicit)
 
-    def test_matches_lbfgsb_reference(self, surface_1e3, model1):
+    def test_matches_lbfgsb_reference(self, model1, quadvar_1e3):
         # scipy's L-BFGS-B on the raw box, run until its line search
         # stalls, is an independent reference maximizer
-        report = qmle.fit(surface_1e3, init=models.THETA1_TRUE)
+        report = qmle.fit_multistart(model1, quadvar_1e3, 1,
+                                     init=models.THETA1_TRUE)
+        surface = LikelihoodSurface(model1, quadvar_1e3)
 
         def negobj(theta):
-            v, g = surface_1e3.value_and_grad(theta)
+            v, g = surface.value_and_grad(theta)
             return -v, -g
 
         raw = scipy.optimize.minimize(
@@ -109,7 +120,7 @@ class TestFit:
         assert np.abs(report.theta_hat - raw.x).max() < 1e-4
         assert abs(report.h_at_hat + raw.fun) < 1e-8 * (1 + abs(raw.fun))
 
-    def test_value_and_grad_calls(self, surface_1e3, monkeypatch):
+    def test_value_and_grad_calls(self, model1, quadvar_1e3, monkeypatch):
         # The L-BFGS-B estimator that scoring replaced (log-scaled variances,
         # run until its line search stalled) made 87 value_and_grad calls
         # for this fit, the Hessian left out.  Scoring evaluates through
@@ -119,11 +130,12 @@ class TestFit:
         monkeypatch.setattr(qmle, "score_lanes",
                             lambda spec, theta, *args: lanes.append(len(theta))
                             or original(spec, theta, *args))
-        report = qmle.fit(surface_1e3, init=models.THETA1_TRUE,
-                          options=qmle.FitOptions(compute_hessian=False))
+        report = qmle.fit_multistart(model1, quadvar_1e3, 1,
+                                     init=models.THETA1_TRUE)
         assert 0 < sum(lanes) == report.evaluations <= 87 // 3
 
-    def test_one_forward_pass_per_evaluation(self, surface_1e3, monkeypatch):
+    def test_one_forward_pass_per_evaluation(self, model1, quadvar_1e3,
+                                             monkeypatch):
         # One forward pass per kernel pass, and none after the loop: the
         # report's Hessian is that of its last accepted pass.  A
         # central-difference Hessian of this model makes 2q = 44 gradient
@@ -138,21 +150,22 @@ class TestFit:
         count(qmle, "score_lanes")
         count(LikelihoodSurface, "hessian")
         count(SemSpec, "forward")
-        report = qmle.fit(surface_1e3, init=models.THETA1_TRUE)
+        report = qmle.fit_multistart(model1, quadvar_1e3, 1,
+                                     init=models.THETA1_TRUE)
         assert calls["hessian"] == 0
         assert calls["score_lanes"] == report.evaluations > 0
         assert calls["forward"] == calls["score_lanes"]
         before = calls["forward"]
-        assert np.array_equal(surface_1e3.hessian(report.theta_hat),
+        surface = LikelihoodSurface(model1, quadvar_1e3)
+        assert np.array_equal(surface.hessian(report.theta_hat),
                               report.hessian)
         assert calls["forward"] - before == 1
 
     def test_boundary_solution_reported(self, scalar_model):
         # quadratic covariation below the variance floor pushes the
         # maximizer onto the box
-        surface = LikelihoodSurface(scalar_model, QuadVar(np.diag([1e-9, 1.0]),
-                                                          n=50, T=1.0))
-        report = qmle.fit(surface, init=np.array([1.0]))
+        qv = QuadVar(np.diag([1e-9, 1.0]), n=50, T=1.0)
+        report = qmle.fit_multistart(scalar_model, qv, 1, init=np.array([1.0]))
         assert report.boundary_hit
         assert report.converged
         assert abs(report.theta_hat[0] - scalar_model.lower[0]) < 1e-12
@@ -167,13 +180,13 @@ class TestFit:
         rng = np.random.default_rng(0)
         chol = np.linalg.cholesky(spec.sigma(np.array([2.0] + [1.0] * 6)))
         x = (rng.standard_normal((400, spec.p)) @ chol.T).cumsum(axis=0)
-        surface = LikelihoodSurface(spec, quad_var(x / np.sqrt(399), 1.0))
+        qv = quad_var(x / np.sqrt(399), 1.0)
         solves = []
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda *a, **k: solves.append(1) or lstsq(*a, **k))
-        report = qmle.fit(surface, init=np.array([1.5, 2.0, 0.5, 2.0, 1.5,
-                                                  0.8, 0.7]))
+        report = qmle.fit_multistart(spec, qv, 1, init=np.array(
+            [1.5, 2.0, 0.5, 2.0, 1.5, 0.8, 0.7]))
         assert solves
         assert report.converged
         assert abs(report.h_at_hat / -1273.0702524547814 - 1.0) < 1e-10
@@ -188,7 +201,7 @@ class TestFit:
         rng = np.random.default_rng(0)
         chol = np.linalg.cholesky(spec.sigma(np.array([2.0] + [1.0] * 6)))
         x = (rng.standard_normal((400, spec.p)) @ chol.T).cumsum(axis=0)
-        surface = LikelihoodSurface(spec, quad_var(x / np.sqrt(399), 1.0))
+        qv = quad_var(x / np.sqrt(399), 1.0)
         indefinite = []
         ascent = qmle._ascent_step
 
@@ -205,23 +218,24 @@ class TestFit:
             return steps
 
         monkeypatch.setattr(qmle, "_ascent_step", spy)
-        report = qmle.fit(surface, init=np.array([1.5, 2.0, 0.5, 2.0, 1.5,
-                                                  0.8, 0.7]))
+        report = qmle.fit_multistart(spec, qv, 1, init=np.array(
+            [1.5, 2.0, 0.5, 2.0, 1.5, 0.8, 0.7]))
         assert len(indefinite) >= 2
         assert report.converged
         assert abs(report.h_at_hat / -1273.0702524547814 - 1.0) < 1e-10
 
-    def test_newton_step_where_hessian_is_negative_definite(self, surface_1e3):
+    def test_newton_step_where_hessian_is_negative_definite(self, model1,
+                                                            quadvar_1e3):
         # Lanes of one pass: one at the true value, where -H is positive
         # definite and the step is Newton's, and one with a coordinate
         # frozen, solved on the free block alone.
         theta = np.array([models.THETA1_TRUE, models.THETA1_TRUE * 1.01])
-        scores = qlik.score_lanes(surface_1e3.spec, theta,
-                                  np.array([surface_1e3.quadvar.q_xx] * 2),
-                                  np.full(2, float(surface_1e3.n)))
+        scores = qlik.score_lanes(model1, theta,
+                                  np.array([quadvar_1e3.q_xx] * 2),
+                                  np.full(2, float(quadvar_1e3.n)))
         at = np.arange(2)
         hessian = scores.hessian(at)
-        free = np.ones((2, surface_1e3.spec.q), dtype=bool)
+        free = np.ones((2, model1.q), dtype=bool)
         free[1, 3] = False
         steps = qmle._ascent_step(scores, at, hessian, scores.grad, free)
         assert np.all(np.linalg.eigvalsh(-hessian) > 0.0)
@@ -331,15 +345,14 @@ class TestFit:
         assert peak < matrix.nbytes / 2
 
     @pytest.mark.parametrize("length", [1, 21, 23])
-    def test_init_of_wrong_length_rejected(self, surface_1e3, length):
-        with pytest.raises(SpecError, match="length q=22"):
-            qmle.fit(surface_1e3, init=np.full(length, 2.0))
-        with pytest.raises(SpecError, match="length q=22"):
-            qmle.fit_multistart(surface_1e3.spec, surface_1e3.quadvar, starts=2,
-                                init=np.full(length, 2.0))
+    def test_init_of_wrong_length_rejected(self, model1, quadvar_1e3, length):
+        for starts in (1, 2):
+            with pytest.raises(SpecError, match="length q=22"):
+                qmle.fit_multistart(model1, quadvar_1e3, starts,
+                                    init=np.full(length, 2.0))
 
-    def test_report_dict_fields_checked(self, surface_1e3):
-        doc = qmle.fit(surface_1e3, init=models.THETA1_TRUE).to_dict()
+    def test_report_dict_fields_checked(self, report_1e3):
+        doc = report_1e3.to_dict()
         del doc["hessian"]
         report = qmle.FitReport.from_dict(doc)
         assert report.h_at_hat == doc["h_at_hat"]
@@ -373,8 +386,8 @@ class TestFit:
             "grad_norm-bool", "theta-numeric-strings", "model-number",
             "evaluations-float", "h_at_hat-nan", "grad_norm-inf", "theta-inf",
             "hessian-nan"])
-    def test_report_dict_types_checked(self, surface_1e3, key, bad):
-        doc = qmle.fit(surface_1e3, init=models.THETA1_TRUE).to_dict()
+    def test_report_dict_types_checked(self, report_1e3, key, bad):
+        doc = report_1e3.to_dict()
         doc[key] = bad
         with pytest.raises(ValueError, match=f"field '{key}'"):
             qmle.FitReport.from_dict(doc)
@@ -385,25 +398,26 @@ class TestFit:
         ("theta_hat", [2.0] * 21, "theta_hat"),
         ("theta_hat", [[2.0] * 22], "theta_hat"),
         ("hessian", [[1.0] * 22] * 21, "hessian"),
+        ("hessian", [], "hessian"),
     ], ids=["n-zero", "q-short", "theta-short", "theta-matrix",
-            "hessian-rows"])
-    def test_report_dict_cross_checked(self, surface_1e3, key, bad, named):
+            "hessian-rows", "hessian-empty"])
+    def test_report_dict_cross_checked(self, report_1e3, key, bad, named):
         # Scored as it stands, each of these gives wrong criteria silently
         # (or -inf with a divide-by-zero warning for n = 0).
-        doc = qmle.fit(surface_1e3, init=models.THETA1_TRUE).to_dict()
+        doc = report_1e3.to_dict()
         doc[key] = bad
         with pytest.raises(ValueError, match=f"field '{named}'"):
             qmle.FitReport.from_dict(doc)
 
     @pytest.mark.parametrize("hessian", [None, [[1.0, 0.0], [0.0, 1.0]]],
                              ids=["null", "given"])
-    def test_report_dict_checks_q_before_allocating(self, surface_1e3,
+    def test_report_dict_checks_q_before_allocating(self, report_1e3,
                                                     hessian):
         # A q that theta_hat does not match is named before anything of
         # size q * q is built: no 72 MB NaN Hessian for q = 3000.
         import tracemalloc
 
-        doc = qmle.fit(surface_1e3, init=models.THETA1_TRUE).to_dict()
+        doc = report_1e3.to_dict()
         doc.update(q=3000, theta_hat=[1.0, 2.0], hessian=hessian)
         tracemalloc.start()
         try:
@@ -414,10 +428,21 @@ class TestFit:
             tracemalloc.stop()
         assert peak < 1e6
 
-    def test_report_dict_drops_the_criteria(self, surface_1e3):
+    def test_report_dict_round_trip_with_no_free_parameter(self, model1,
+                                                          quadvar_1e3):
+        # JSON has no 0 x 0 array: to_dict writes the Hessian of q = 0 as
+        # [], and from_dict reads that back as (0, 0).
+        spec = all_fixed_spec(model1, models.THETA1_TRUE, "fixed1")
+        doc = qmle.fit_multistart(spec, quadvar_1e3, 1).to_dict()
+        assert doc["theta_hat"] == doc["hessian"] == []
+        report = qmle.FitReport.from_dict(json.loads(json.dumps(doc)))
+        assert report.hessian.shape == (0, 0)
+        assert report.to_dict() == doc
+
+    def test_report_dict_drops_the_criteria(self, report_1e3):
         # The event J and Gamma_tilde are infocrit's, computed from the
         # Hessian; a document that still carries them is rejected.
-        doc = qmle.fit(surface_1e3, init=models.THETA1_TRUE).to_dict()
+        doc = report_1e3.to_dict()
         assert "j_flag" not in doc and "gamma_tilde" not in doc
         with pytest.raises(ValueError, match=r"unknown keys \['j_flag'\]"):
             qmle.FitReport.from_dict({**doc, "j_flag": True})
@@ -465,15 +490,19 @@ class TestAllStartsFailed:
 class TestMultistart:
     @pytest.mark.parametrize("init", [None, models.THETA1_TRUE],
                              ids=["moment", "given"])
-    def test_fit_is_one_start(self, surface_1e3, init):
-        a = qmle.fit(surface_1e3, init=init)
-        b = qmle.fit_multistart(surface_1e3.spec, surface_1e3.quadvar, starts=1,
-                                seed=0, init=init)
-        assert a.to_dict() == b.to_dict()
+    def test_fit_is_one_start(self, model1, quadvar_1e3, init):
+        # One start is one lane, from init or the moment start, and draws
+        # no Latin-hypercube start, so the seed does not matter.
+        a, b = (qmle.fit_multistart(model1, quadvar_1e3, 1, seed, init)
+                for seed in (0, 5))
+        start = qmle.moment_start(model1, quadvar_1e3.q_xx) if init is None else init
+        (lane,) = qmle.fit_lanes(model1, quadvar_1e3.q_xx[None],
+                                 [quadvar_1e3.n], [[start]])
+        assert a.to_dict() == b.to_dict() == lane.to_dict()
 
-    def test_determinism_given_seed(self, surface_1e3):
-        a, b = (qmle.fit_multistart(surface_1e3.spec, surface_1e3.quadvar,
-                                    starts=4, seed=11) for _ in range(2))
+    def test_determinism_given_seed(self, model1, quadvar_1e3):
+        a, b = (qmle.fit_multistart(model1, quadvar_1e3, starts=4, seed=11)
+                for _ in range(2))
         assert reports_equal(a, b)
         assert a.restarts == 3
 
@@ -483,7 +512,7 @@ class TestMultistart:
         for rep in range(8):
             bundle = diffsim.simulate_true_model(1000, 1.0, seed=500 + rep)
             qv = quad_var(bundle.x_obs, 1.0)
-            ref = qmle.fit(LikelihoodSurface(model1, qv), init=models.THETA1_TRUE)
+            ref = qmle.fit_multistart(model1, qv, 1, init=models.THETA1_TRUE)
             ms = qmle.fit_multistart(model1, qv, starts=8, seed=rep)
             agree += np.abs(ms.theta_hat - ref.theta_hat).max() < 1e-4
         assert agree >= 7
@@ -499,15 +528,15 @@ class TestMultistart:
             return
         assert report.boundary_hit
 
-    def test_restarts_on_moment_scale(self, surface_1e3, model1, monkeypatch):
+    def test_restarts_on_moment_scale(self, model1, quadvar_1e3, monkeypatch):
         # every start is a lane of one lockstep loop
         drawn = []
         original = qmle._optimize
         monkeypatch.setattr(qmle, "_optimize",
                             lambda spec, score, inits: drawn.append(inits)
                             or original(spec, score, inits))
-        qmle.fit_multistart(model1, surface_1e3.quadvar, starts=8, seed=3)
-        centre = qmle.moment_start(model1, surface_1e3.quadvar.q_xx)
+        qmle.fit_multistart(model1, quadvar_1e3, starts=8, seed=3)
+        centre = qmle.moment_start(model1, quadvar_1e3.q_xx)
         (inits,) = drawn
         assert np.array_equal(inits[0], centre)
         restarts = inits[1:]
@@ -522,15 +551,15 @@ class TestMultistart:
         # a Latin hypercube puts one draw in each of 7 strata per coordinate
         assert np.all(np.ptp(restarts, axis=0) > 0.5 * (hi - lo))
 
-    def test_rejects_nonpositive_starts(self, surface_1e3):
+    def test_rejects_nonpositive_starts(self, model1, quadvar_1e3):
         with pytest.raises(ValueError):
-            qmle.fit_multistart(surface_1e3.spec, surface_1e3.quadvar, starts=0)
+            qmle.fit_multistart(model1, quadvar_1e3, starts=0)
 
     @pytest.mark.parametrize("starts", [2.5, True, 0])
-    def test_starts_must_be_a_positive_integer(self, surface_1e3, starts):
+    def test_starts_must_be_a_positive_integer(self, model1, quadvar_1e3,
+                                               starts):
         with pytest.raises(ValueError, match="starts must be an integer"):
-            qmle.fit_multistart(surface_1e3.spec, surface_1e3.quadvar,
-                                starts=starts)
+            qmle.fit_multistart(model1, quadvar_1e3, starts=starts)
 
 
 class TestLimitOptimum:
@@ -594,7 +623,7 @@ class TestLimitOptimum:
 
 @pytest.mark.parametrize("entry", ["simulate_custom", "start_set"])
 @pytest.mark.parametrize("seed", [1.5, -1, "0", True], ids=repr)
-def test_seed_is_an_integer(surface_1e3, entry, seed):
+def test_seed_is_an_integer(model1, quadvar_1e3, entry, seed):
     # start_set also reads the seed of fit_multistart and limit_optimum.
     # Unread, these fail inside numpy or, for True, run as seed 1.
     calls = {
@@ -602,7 +631,7 @@ def test_seed_is_an_integer(surface_1e3, entry, seed):
             diffsim.load_truth(diffsim.TRUE_MODEL_NAME), n=10, T=1.0,
             seed=seed),
         "start_set": lambda: qmle.start_set(
-            surface_1e3.spec, surface_1e3.quadvar.q_xx, starts=2, seed=seed),
+            model1, quadvar_1e3.q_xx, starts=2, seed=seed),
     }
     with pytest.raises(ValueError, match="^seed must be an integer"):
         calls[entry]()
@@ -631,11 +660,10 @@ def test_latin_hypercube_one_point_per_stratum():
         assert sorted(np.floor(column * 40).astype(int)) == list(range(40))
 
 
-def fit_surfaces(surfaces, start_sets):
-    """``fit_lanes`` on the stacked Q and n of surfaces of one spec."""
-    return qmle.fit_lanes(surfaces[0].spec,
-                          np.array([s.quadvar.q_xx for s in surfaces]),
-                          np.array([s.n for s in surfaces]), start_sets)
+def fit_stack(spec, quadvars, start_sets):
+    """``fit_lanes`` on the stacked Q and n of ``quadvars``."""
+    return qmle.fit_lanes(spec, np.array([qv.q_xx for qv in quadvars]),
+                          np.array([qv.n for qv in quadvars]), start_sets)
 
 
 class TestLanes:
@@ -653,14 +681,14 @@ class TestLanes:
     @pytest.mark.parametrize("fixture", ["model1", "model3"])
     def test_each_lane_equals_its_solo_fit(self, fixture, request):
         spec = request.getfixturevalue(fixture)
-        surfaces = [LikelihoodSurface(spec, quad_var(
-            diffsim.simulate_true_model(n, 1.0, seed=40 + k).x_obs, 1.0))
+        quadvars = [quad_var(
+            diffsim.simulate_true_model(n, 1.0, seed=40 + k).x_obs, 1.0)
             for k, n in enumerate([100, 1000, 100, 1000, 1000])]
-        inits = [qmle.moment_start(spec, s.quadvar.q_xx) for s in surfaces]
-        chunk = fit_surfaces(surfaces, [[init] for init in inits])
-        part = fit_surfaces(surfaces[1:4], [[init] for init in inits[1:4]])
-        for k, (surface, init) in enumerate(zip(surfaces, inits)):
-            solo = qmle.fit(surface, init=init)
+        inits = [qmle.moment_start(spec, qv.q_xx) for qv in quadvars]
+        chunk = fit_stack(spec, quadvars, [[init] for init in inits])
+        part = fit_stack(spec, quadvars[1:4], [[init] for init in inits[1:4]])
+        for k, (qv, init) in enumerate(zip(quadvars, inits)):
+            solo = qmle.fit_multistart(spec, qv, 1, init=init)
             self.assert_same_fit(chunk[k], solo)
             if 1 <= k < 4:
                 self.assert_same_fit(part[k - 1], solo)
@@ -674,7 +702,7 @@ class TestLanes:
         rng = np.random.default_rng(2)
         chol = np.linalg.cholesky(spec.sigma(around))
         x = (rng.standard_normal((201, spec.p)) @ chol.T).cumsum(axis=0)
-        surface = LikelihoodSurface(spec, quad_var(x / np.sqrt(200), 1.0))
+        qv = quad_var(x / np.sqrt(200), 1.0)
         wild = interior_theta(spec, np.random.default_rng(106), spread=0.9,
                               around=around)
         wild[[8, 10]] *= 0.05
@@ -689,11 +717,12 @@ class TestLanes:
             return scores
 
         monkeypatch.setattr(qmle, "score_lanes", spy)
-        chunk = fit_surfaces([surface] * 3, [[init] for init in inits])
+        chunk = fit_stack(spec, [qv] * 3, [[init] for init in inits])
         rejected = np.concatenate(statuses)
         assert np.any(rejected == qlik.NOT_POSITIVE_DEFINITE)
         for lane, init in zip(chunk, inits):
-            self.assert_same_fit(lane, qmle.fit(surface, init=init))
+            self.assert_same_fit(lane, qmle.fit_multistart(spec, qv, 1,
+                                                           init=init))
 
     def test_information_only_for_accepted_trials(self, model1, sigma0_oracle,
                                                    monkeypatch):
@@ -718,8 +747,8 @@ class TestLanes:
         # The best lanes' Hessians come from the loop's own kernel passes:
         # no kernel pass and no surface Hessian after _optimize, and each
         # equals the surface's own Hessian at theta_hat.
-        surfaces = [LikelihoodSurface(model1, quad_var(
-            diffsim.simulate_true_model(n, 1.0, seed=60 + k).x_obs, 1.0))
+        quadvars = [quad_var(
+            diffsim.simulate_true_model(n, 1.0, seed=60 + k).x_obs, 1.0)
             for k, n in enumerate([100, 1000] * 4 + [1000])][:count]
         late, hessians, done = [], [], []
         score_lanes, optimize = qmle.score_lanes, qmle._optimize
@@ -730,10 +759,11 @@ class TestLanes:
         hessian = LikelihoodSurface.hessian
         monkeypatch.setattr(LikelihoodSurface, "hessian",
                             lambda *a: hessians.append(1) or hessian(*a))
-        reports = fit_surfaces(surfaces, [[models.THETA1_TRUE]] * count)
+        reports = fit_stack(model1, quadvars, [[models.THETA1_TRUE]] * count)
         assert done == [1]
         assert not late and not hessians
-        for surface, report in zip(surfaces, reports):
+        for qv, report in zip(quadvars, reports):
+            surface = LikelihoodSurface(model1, qv)
             assert np.array_equal(report.hessian,
                                   surface.hessian(report.theta_hat))
 
@@ -742,32 +772,33 @@ class TestLanes:
         (10, 3, 2, r"\(R, 10, 10\) Q stack.*Q \(2, 10, 10\), n \(3,\) and 2 "),
         (10, 2, 1, r"\(R, 10, 10\) Q stack.*Q \(2, 10, 10\), n \(2,\) and 1 ")],
         ids=["p", "n", "start_sets"])
-    def test_shapes_checked_before_any_pass(self, surface_1e3, p, count, sets,
-                                            message, monkeypatch):
+    def test_shapes_checked_before_any_pass(self, model1, quadvar_1e3, p,
+                                            count, sets, message, monkeypatch):
         # A Q stack of the wrong p (by the spec's one shape rule), or an n
         # or start-set list of another length than the stack, is named
         # before the loop scores a lane.
         passes = []
         monkeypatch.setattr(qmle, "score_lanes", lambda *a: passes.append(a))
-        q_xx = np.array([surface_1e3.quadvar.q_xx[-p:, -p:]] * 2)
+        q_xx = np.array([quadvar_1e3.q_xx[-p:, -p:]] * 2)
         with pytest.raises(ValueError, match=message):
-            qmle.fit_lanes(surface_1e3.spec, q_xx, [1000] * count,
+            qmle.fit_lanes(model1, q_xx, [1000] * count,
                            [[models.THETA1_TRUE]] * sets)
         assert passes == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", [0, 100.5, -3, np.inf, np.nan],
                              ids=["0", "100.5", "-3", "inf", "nan"])
-    def test_n_not_a_grid_size_refused(self, surface_1e3, n, monkeypatch):
+    def test_n_not_a_grid_size_refused(self, model1, quadvar_1e3, n,
+                                       monkeypatch):
         # Each n must be an integer of at least 1, as FitReport.from_dict
         # requires: 0 fitted to a "converged" report with infinite
         # criteria, and 100.5 was fitted as 100.5 but reported as 100.
         passes = []
         monkeypatch.setattr(qmle, "score_lanes", lambda *a: passes.append(a))
-        q_xx = np.array([surface_1e3.quadvar.q_xx] * 2)
+        q_xx = np.array([quadvar_1e3.q_xx] * 2)
         with pytest.raises(ValueError,
                            match=r"^n\[1\] must be an integer of at least 1, got "):
-            qmle.fit_lanes(surface_1e3.spec, q_xx, [1000, n],
+            qmle.fit_lanes(model1, q_xx, [1000, n],
                            [[models.THETA1_TRUE]] * 2)
         assert passes == []
 
@@ -776,9 +807,10 @@ class TestFitOptions:
     """``compute_hessian=False`` only blanks the report's Hessian."""
 
     @pytest.mark.parametrize("run", [qmle.fit], ids=["fit"])
-    def test_only_the_hessian_is_blanked(self, surface_1e3, run):
-        full = run(surface_1e3)
-        blank = run(surface_1e3, options=qmle.FitOptions(compute_hessian=False))
+    def test_only_the_hessian_is_blanked(self, model1, quadvar_1e3, run):
+        surface = LikelihoodSurface(model1, quadvar_1e3)
+        full = run(surface)
+        blank = run(surface, options=qmle.FitOptions(compute_hessian=False))
         assert np.all(np.isfinite(full.hessian))
         assert blank.hessian.shape == full.hessian.shape
         assert np.all(np.isnan(blank.hessian))

@@ -618,9 +618,9 @@ def names_of(source: str, name: str) -> list[int]:
 def test_chunk_fits_arrays():
     # A chunk holds one Q stack and one n vector, and fit_lanes takes
     # them; hfsem fit hands fit_multistart its QuadVar.  LikelihoodSurface
-    # is the one-lane library type: no module but qlik and qmle names it,
-    # besides the package's __init__, which exports it.
-    owners = ("__init__.py", "qlik.py", "qmle.py")
+    # is the tests' one-lane oracle, not exported: no module but qlik,
+    # which defines it, and qmle, whose fit takes it, names it.
+    owners = ("qlik.py", "qmle.py")
     assert [path.name for path in sorted(SRC.glob("*.py"))
             if path.name not in owners
             and names_of(path.read_text(), "LikelihoodSurface")] == []
@@ -648,6 +648,78 @@ def test_surface_scan_catches_names():
               "    return fit_multistart(surface, starts=starts, seed=seed, "
               "init=init)\n")
     assert names_of(source, "LikelihoodSurface") == [1, 3]
+
+
+def fit_view_uses(source: str) -> list[tuple[int, str]]:
+    """The lines of a module that read qmle's one-start view: that name
+    ``FitOptions``, read ``qmle.fit`` or import ``fit`` from ``qmle``, each
+    with the dotted name of the class or function that holds it
+    (``<module>`` at the top level; a decorator is its function's)."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        if (isinstance(node, ast.Name) and node.id == "FitOptions"
+                or isinstance(node, ast.Attribute)
+                and (node.attr == "FitOptions"
+                     or _dotted(node) in ("qmle.fit", "hfsem.qmle.fit"))
+                or isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "qmle"
+                and {"fit", "FitOptions"} & {a.name for a in node.names}):
+            found.add((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+# fit_multistart is the one single-Q fit, and fit_lanes the fit of a Q
+# stack.  qmle.fit and FitOptions remain for the fine_grid workload of
+# perfbench/, and are read elsewhere only by harness's hook import, which
+# perfbench/layers.py wraps, and by the two tests that pin what fine_grid
+# reads.
+FIT_VIEW_READERS = {
+    ("harness.py", "<module>"),
+    ("test_qmle.py", "TestFitOptions.test_only_the_hessian_is_blanked"),
+    ("test_tooling.py", "test_perfbench_fine_grid_call_binds"),
+}
+
+
+def test_one_estimator_entry():
+    readers = {(path.name, scope)
+               for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")]
+               if path.name != "qmle.py"
+               for _, scope in fit_view_uses(path.read_text())}
+    assert readers == FIT_VIEW_READERS
+
+
+def test_fit_view_scan_catches_uses():
+    source = "\n".join([
+        # test_qmle.py as it was while its fits ran through qmle.fit
+        "from hfsem import diffsim, infocrit, models, qlik, qmle",         # 1
+        "class TestFit:",                                                  # 2
+        "    def test_value_and_grad_calls(self, surface_1e3, mp):",       # 3
+        "        report = qmle.fit(surface_1e3, init=models.THETA1_TRUE,",  # 4
+        "            options=qmle.FitOptions(compute_hessian=False))",      # 5
+        "class TestFitOptions:",                                           # 6
+        "    @pytest.mark.parametrize('run', [qmle.fit], ids=['fit'])",    # 7
+        "    def test_only_the_hessian_is_blanked(self, surface_1e3, run):",  # 8
+        "        full = run(surface_1e3)",                                 # 9
+        # harness.py's hook import, and other spellings
+        "from .qmle import fit, fit_lanes, fit_multistart",               # 10
+        "from hfsem.qmle import FitOptions as Options",                   # 11
+        "report = hfsem.qmle.fit(surface)",                               # 12
+        "options = FitOptions()",                                         # 13
+        "multistart = qmle.fit_multistart  # the one entry",              # 14
+        "name = 'FitOptions'  # a string is no name",                     # 15
+    ])
+    method = "TestFit.test_value_and_grad_calls"
+    pin = "TestFitOptions.test_only_the_hessian_is_blanked"
+    assert fit_view_uses(source) == [
+        (4, method), (5, method), (7, pin), (10, "<module>"),
+        (11, "<module>"), (12, "<module>"), (13, "<module>")]
 
 
 def test_perfbench_targets_exist(monkeypatch):
