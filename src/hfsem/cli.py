@@ -26,14 +26,17 @@ logger = logging.getLogger(__name__)
 
 
 class _Group(click.Group):
-    """The one error boundary: ``ValueError``s, package errors and
-    ``OSError``s become a one-line ``Error:`` message with exit code 1."""
+    """The one error boundary: ``ValueError``s, package errors,
+    ``MemoryError``s (an output too large to allocate) and ``OSError``s
+    become a one-line ``Error:`` message with exit code 1."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except (ValueError, HfsemError) as exc:
             raise click.ClickException(str(exc)) from exc
+        except MemoryError as exc:
+            raise click.ClickException(str(exc) or "out of memory") from exc
         except OSError as exc:
             message = (f"{exc.filename}: {exc.strerror}" if exc.filename
                        else str(exc))

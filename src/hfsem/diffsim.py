@@ -45,18 +45,21 @@ filter does.  A coupled block runs a step loop.  The result is
 bit-for-bit the whole-path computation (one draw of all steps, then the
 recursion) that ``tests/conftest.py`` keeps as reference.
 
-In a path of two or more chunks (n above ``_CHUNK_ROWS``),
-:func:`simulate_custom` draws the next chunk's normals of all four blocks
-as a future on a one-worker executor while the calling thread solves and
-assembles the current chunk: NumPy's fill releases the interpreter lock,
-and the solve holds it.  The helper
-thread fills arrays the calling thread allocated and allocates none
-itself, so it never grows a malloc arena of its own, which would keep
-about 2 MB resident for the life of the process after a long path.  Each
+In a path of two or more chunks (n above ``_CHUNK_ROWS``), the calling
+thread and one helper thread share the draws of the next chunk's normals
+while the calling thread solves and assembles the current chunk: NumPy's
+fill releases the interpreter lock, and the solve holds it.  The four
+blocks' draws are claims on a list the calling thread owns.  The helper,
+on a one-worker executor, pops them largest first during the pass; when
+the pass is done the calling thread pops and draws each one the helper
+has not started, then waits only for the block in progress.  Each
 block's generator is used by one thread at a time, in the order of the
-serial draws, so the path does not depend on the thread.  The executor is
-shut down before the call returns or raises, and a one-chunk path opens
-none.
+serial draws, so the path does not depend on which thread drew what.
+Both threads fill arrays the calling thread allocated and the helper
+allocates none, so it never grows a malloc arena of its own, which would
+keep about 2 MB resident for the life of the process after a long path.
+The executor is shut down before the call returns or raises, and a
+one-chunk path opens none.
 """
 
 from __future__ import annotations
@@ -380,23 +383,31 @@ def _decay_band(decay: np.ndarray, m: int) -> np.ndarray:
     return band
 
 
-def _normals(blocks: list, start: int, stop: int) -> list:
+def _normals(blocks: list, rngs: list, start: int, stop: int) -> tuple:
     """Each block's unfilled ``(stop - start, dim)`` array for the standard
     normals of the chunk's steps, which lead from row ``start`` to rows
-    ``start + 1`` to ``stop`` of a path, allocated by the thread that
-    calls :func:`simulate_custom` for :func:`_draw`."""
-    return [np.empty((stop - start, block.dim)) for block in blocks]
+    ``start + 1`` to ``stop`` of a path, in block order, and the claims
+    on them for :func:`_draw`: ``(stream, array)`` pairs, the largest
+    array last.  Both are made by the thread that calls
+    :func:`simulate_custom`."""
+    normals = [np.empty((stop - start, block.dim)) for block in blocks]
+    return normals, sorted(zip(rngs, normals), key=lambda c: c[1].size)
 
 
-def _draw(rngs: list, normals: list) -> list:
-    """``normals``, each array filled in place with standard normals from
-    its block's stream, which allocates nothing: the helper thread of
-    :func:`simulate_custom` that draws ahead leaves no heap of its own
-    behind.  Drawn chunk by chunk into C-ordered arrays, a stream is
-    consumed exactly as by one ``(n, dim)`` draw."""
-    for rng, z in zip(rngs, normals):
+def _draw(claims: list) -> None:
+    """Pops claims off ``claims`` until it is empty, largest first, and
+    fills each one's array in place with standard normals from its
+    block's stream, which allocates nothing: the helper thread of
+    :func:`simulate_custom` leaves no heap of its own behind.  The helper
+    and the calling thread run this on one list at once, and ``pop``
+    hands each claim to one of them.  Drawn chunk by chunk into C-ordered
+    arrays, a stream is consumed exactly as by one ``(n, dim)`` draw."""
+    while True:
+        try:
+            rng, z = claims.pop()
+        except IndexError:
+            return
         rng.standard_normal(out=z)
-    return normals
 
 
 def _block_streams(seed: int) -> list[np.random.Generator]:
@@ -417,12 +428,14 @@ def simulate_custom(truth: Truth, *, n: int, T: float, seed: int,
     blocks' exact transitions are built once per truth and grid in a
     process (see :func:`_exact_transition`).
 
-    The first chunk's normals are drawn before the loop.  With two or more
-    chunks, each pass first allocates the next chunk's normal arrays and
-    hands their filling to a one-thread executor, opened for the call and
-    shut down when it returns or raises; a one-chunk path starts no
-    thread.  So the calling thread allocates every array of normals, and a
-    draw only fills them, on whichever thread it runs.
+    The calling thread draws the first chunk's normals before the loop.
+    With two or more chunks, each pass first allocates the next chunk's
+    normal arrays and hands the claims on them to a one-thread executor,
+    opened for the call and shut down when it returns or raises; a
+    one-chunk path starts no thread.  After the pass, the calling thread
+    draws the claims the helper has not started and waits for the one in
+    progress.  So the calling thread allocates every array of normals,
+    and a draw only fills them, on whichever thread it runs.
     """
     if not isinstance(truth, Truth):
         raise TypeError("truth must be a Truth, as load_truth returns, "
@@ -432,23 +445,30 @@ def simulate_custom(truth: Truth, *, n: int, T: float, seed: int,
     blocks = [getattr(truth, key) for key in _LATENT]
     transitions = [_exact_transition(block, h) for block in blocks]
     rngs = _block_streams(seed)
-    bounds = _chunk_bounds(n)
+    # The outputs come before the cuts: a path too large to hold fails
+    # here at once, not after a list of its chunk bounds is built.
     x_obs = np.empty((n + 1, p1 + p2))
     latents = {}
     if keep_latents:
         latents = {name: np.empty((n + 1, dim)) for name, dim in
                    zip(LATENT_PATHS, (k1, p1, p2, k2, k2))}
+    bounds = _chunk_bounds(n)
     last = [block.init for block in blocks]
     with (ThreadPoolExecutor(max_workers=1) if len(bounds) > 1
           else contextlib.nullcontext()) as pool:
-        normals = _draw(rngs, _normals(blocks, *bounds[0]))
+        normals, claims = _normals(blocks, rngs, *bounds[0])
+        _draw(claims)
         for (start, stop), following in zip(bounds, [*bounds[1:], None]):
-            ahead = (pool.submit(_draw, rngs, _normals(blocks, *following))
-                     if following else None)
+            if following:
+                ahead, claims = _normals(blocks, rngs, *following)
+                helper = pool.submit(_draw, claims)
             last = _chunk_pass(
                 truth, transitions, last, normals, x_obs[start:stop + 1].T,
                 [path[start:stop + 1].T for path in latents.values()])
-            normals = ahead and ahead.result()
+            if following:
+                _draw(claims)
+                helper.result()
+                normals = ahead
     return PathBundle(n=n, T=T, h=h, seed=int(seed), x_obs=x_obs, **latents)
 
 

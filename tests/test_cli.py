@@ -47,7 +47,8 @@ class TestSimulate:
         assert result.exit_code != 0
 
     @pytest.mark.parametrize("option, value", [
-        ("--n", "0"), ("--seed", "-1"), ("--T", "nan")])
+        ("--n", "0"), ("--seed", "-1"), ("--T", "nan"),
+        ("--n", "10000000000000")])  # an 800 TB path: MemoryError at once
     def test_invalid_input_is_one_line_error(self, runner, tmp_path,
                                              option, value):
         argv = ["simulate", "--n", "5", "--seed", "0", "--T", "1",

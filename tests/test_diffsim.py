@@ -1,8 +1,11 @@
+import concurrent.futures
 import dataclasses
 import gc
 import inspect
 import pickle
+import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -281,6 +284,18 @@ class TestSimulateCustom:
         # the document is read by load_truth, once, not by each simulation
         with pytest.raises(TypeError, match="as load_truth returns, not dict"):
             diffsim.simulate_custom(bundled_truth_doc(), n=10, T=1.0, seed=0)
+
+    @pytest.mark.parametrize("keep_latents", [True, False])
+    def test_path_too_large_fails_before_cutting(self, keep_latents,
+                                                 monkeypatch):
+        # 800 TB of x_obs, beyond the 128 TiB user address space, so the
+        # allocation fails at once, before the 1.2e9 chunk bounds are built
+        cuts = []
+        monkeypatch.setattr(diffsim, "_chunk_bounds", cuts.append)
+        with pytest.raises(MemoryError):
+            diffsim.simulate_custom(diffsim.load_truth("true4-6"), n=10**13,
+                                    T=1.0, seed=0, keep_latents=keep_latents)
+        assert cuts == []
 
     def test_grid_arguments_keyword_only(self):
         # a benchmark hook reads the grid size as kwargs["n"]
@@ -760,11 +775,34 @@ class TestStreaming:
         assert peak - bundle.x_obs.nbytes < 2_800_000
 
 
+class HelperDrawsAll(concurrent.futures.ThreadPoolExecutor):
+    """The helper draws every claim of a chunk: each task ends before
+    ``submit`` returns, so the calling thread finds none left."""
+
+    def submit(self, fn, *args):
+        future = super().submit(fn, *args)
+        concurrent.futures.wait([future])
+        return future
+
+
+class CallerDrawsAll(concurrent.futures.ThreadPoolExecutor):
+    """The calling thread draws every claim of a chunk: a task is handed
+    to the helper only when its result is asked for, after the calling
+    thread has emptied its list."""
+
+    def submit(self, fn, *args):
+        submit = super().submit
+        return types.SimpleNamespace(result=lambda: submit(fn, *args).result())
+
+
 class TestDrawnAhead:
-    """A path of two or more chunks draws the next chunk's normals on one
-    helper thread while the current chunk is solved, into arrays the
-    calling thread allocated; the thread ends with the call, and a
-    one-chunk path starts none."""
+    """A path of two or more chunks shares the draws of the next chunk's
+    normals between one helper thread and the calling thread: the helper
+    claims blocks while the current chunk is solved, the calling thread
+    draws the ones left after its pass, and both fill arrays the calling
+    thread allocated.  The thread ends with the call, and a one-chunk path
+    starts none.  Which thread draws a block depends on timing, so the
+    tests force each extreme with the executors above."""
 
     N = 3 * CHUNK
 
@@ -819,43 +857,109 @@ class TestDrawnAhead:
         # leaves its own heap behind (2 MB of RSS on a 10**6-step path).
         # Each filled array is kept, so any made off the main thread would
         # still be traced, with the helper's bootstrap as its oldest frame.
+        # Whichever thread draws the claims, each chunk's block is drawn
+        # once, the path keeps its bits and a pass holds no more.
         import tracemalloc
 
         want = diffsim.simulate_custom(truth_variant("exact"), n=self.N,
-                                       T=1.0, seed=3, keep_latents=False)
+                                       T=1.0, seed=3)
+        sizes = np.diff([0] + [stop for _, stop
+                               in diffsim._chunk_bounds(self.N)])
         streams, calls, kept = diffsim._block_streams, [], []
 
         class Spy:
-            def __init__(self, rng):
-                self.rng = rng
+            def __init__(self, block, rng):
+                self.block, self.rng = block, rng
 
             def standard_normal(self, *args, **kwargs):
-                calls.append((threading.current_thread(), args, set(kwargs)))
+                calls.append((self.block, threading.current_thread(),
+                              args, set(kwargs)))
                 kept.append(self.rng.standard_normal(*args, **kwargs))
                 return kept[-1]
 
-        monkeypatch.setattr(diffsim, "_block_streams",
-                            lambda seed: [Spy(rng) for rng in streams(seed)])
-        tracemalloc.start(32)
-        try:
-            got = diffsim.simulate_custom(truth_variant("exact"), n=self.N,
-                                          T=1.0, seed=3, keep_latents=False)
-            traces = tracemalloc.take_snapshot().traces
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(got.x_obs, want.x_obs)
-        chunks = len(diffsim._chunk_bounds(self.N))
-        assert chunks == 3 and len(calls) == 4 * chunks
-        assert all(args == () and keys == {"out"} for _, args, keys in calls)
-        off_main = [t for t, _, _ in calls if t is not threading.main_thread()]
-        assert len(off_main) == 4 * (chunks - 1)
-        by_helper = sum(trace.size for trace in traces
-                        if trace.traceback[0].filename == threading.__file__)
-        assert by_helper < min(z.nbytes for z in kept)
+        for pool, drawer in ((HelperDrawsAll, "helper"),
+                             (CallerDrawsAll, "caller")):
+            monkeypatch.setattr(diffsim, "ThreadPoolExecutor", pool)
+            monkeypatch.setattr(diffsim, "_block_streams", streams)
+            tracemalloc.start()
+            try:
+                slim = diffsim.simulate_custom(
+                    truth_variant("exact"), n=self.N, T=1.0, seed=3,
+                    keep_latents=False)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - slim.x_obs.nbytes < 2_800_000, drawer
 
-    def test_thread_joined_when_a_draw_raises(self, monkeypatch):
-        # one block's stream fails on the path's last chunk, whose draw
-        # always runs on the helper thread
+            calls.clear()
+            kept.clear()
+            monkeypatch.setattr(
+                diffsim, "_block_streams",
+                lambda seed: [Spy(*pair) for pair in enumerate(streams(seed))])
+            tracemalloc.start(32)
+            try:
+                got = diffsim.simulate_custom(truth_variant("exact"), n=self.N,
+                                              T=1.0, seed=3)
+                traces = tracemalloc.take_snapshot().traces
+            finally:
+                tracemalloc.stop()
+            for name in ("x_obs",) + LATENTS:
+                assert np.array_equal(getattr(got, name),
+                                      getattr(want, name)), (drawer, name)
+            assert len(sizes) == 3 and len(calls) == 4 * len(sizes)
+            assert all(args == () and keys == {"out"}
+                       for _, _, args, keys in calls)
+            for block in range(4):
+                drawn = [z for (b, _, _, _), z in zip(calls, kept) if b == block]
+                assert [len(z) for z in drawn] == list(sizes), (drawer, block)
+                assert len({id(z) for z in drawn}) == len(sizes)
+            # the first chunk is drawn before the helper starts
+            on_main = [t is threading.main_thread() for _, t, _, _ in calls]
+            assert on_main == [True] * 4 + [drawer == "caller"] * 8, drawer
+            by_helper = sum(trace.size for trace in traces
+                            if trace.traceback[0].filename == threading.__file__)
+            assert by_helper < min(z.nbytes for z in kept), drawer
+
+    def test_claims_drawn_once_under_fast_switching(self):
+        # Three calls at once, each with its helper, six threads on two
+        # cores, with the interpreter switching threads every microsecond:
+        # a claim lost or drawn twice would change a path's bits or leave
+        # a call waiting.
+        truth = truth_variant("exact")
+        seeds = range(3)
+        want = [diffsim.simulate_custom(truth, n=self.N, T=1.0, seed=seed)
+                for seed in seeds]
+        got = {}
+
+        def run(seed):
+            for _ in range(5):
+                got.setdefault(seed, []).append(diffsim.simulate_custom(
+                    truth, n=self.N, T=1.0, seed=seed))
+
+        threads = [threading.Thread(target=run, args=(seed,))
+                   for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for seed in seeds:
+            assert len(got[seed]) == 5
+            for bundle in got[seed]:
+                for name in ("x_obs",) + LATENTS:
+                    assert np.array_equal(getattr(bundle, name),
+                                          getattr(want[seed], name)), name
+
+    def raise_in_a_draw(self, pool, monkeypatch):
+        """The first draw of the path's last chunk (the largest block's,
+        claimed first) raises, with the claims forced onto one thread by
+        ``pool``; the thread on which it raised."""
+        monkeypatch.setattr(diffsim, "ThreadPoolExecutor", pool)
         chunks = len(diffsim._chunk_bounds(self.N))
         streams, draws = diffsim._block_streams, []
 
@@ -880,5 +984,13 @@ class TestDrawnAhead:
             diffsim.simulate_custom(truth_variant("exact"), n=self.N, T=1.0,
                                     seed=3, keep_latents=False)
         assert chunks == 3 and len(draws) == chunks and len(starts) == 1
-        assert draws[-1] is not threading.main_thread()
         assert threading.active_count() == before
+        return draws[-1]
+
+    def test_thread_joined_when_a_draw_raises(self, monkeypatch):
+        thread = self.raise_in_a_draw(HelperDrawsAll, monkeypatch)
+        assert thread is not threading.main_thread()
+
+    def test_thread_joined_when_a_caller_draw_raises(self, monkeypatch):
+        thread = self.raise_in_a_draw(CallerDrawsAll, monkeypatch)
+        assert thread is threading.main_thread()

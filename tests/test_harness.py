@@ -479,8 +479,8 @@ class TestRunExperiment:
         assert_same_records(records2, records)
 
     def test_drawn_ahead_paths_same_across_workers(self):
-        # n = 20000 takes two path chunks, so each worker draws on a helper
-        # thread while it solves
+        # n = 20000 takes three path chunks, so each worker shares its
+        # draws with a helper thread that draws while it solves
         config = small_config(n_values=[100, 20000], replications=4)
         table, records = harness.run_experiment(config)
         table2, records2 = harness.run_experiment(

@@ -176,9 +176,9 @@ def import_time_workers(source: str) -> list[int]:
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_threads_in_diffsim_alone(path):
-    # The simulator draws a long path's next chunk on a helper thread that
-    # lives for one call; no other module runs threads, and importing a
-    # module starts no worker of any kind.
+    # The simulator shares the draws of a long path's next chunk with a
+    # helper thread that lives for one call; no other module runs threads,
+    # and importing a module starts no worker of any kind.
     if path.name != "diffsim.py":
         assert thread_imports(path.read_text()) == []
     assert import_time_workers(path.read_text()) == []
@@ -232,13 +232,45 @@ def call_sites(source: str, called) -> list[tuple]:
     return found
 
 
+def pool_sizes(source: str) -> list[tuple]:
+    """``(line, max_workers)`` of each call that builds threads, in source
+    order: the number if it is a literal, else None (not given, or not a
+    literal)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and THREAD_BUILDER.search(
+                getattr(node.func, "attr", getattr(node.func, "id", ""))):
+            given = {k.arg: k.value for k in node.keywords}.get("max_workers")
+            found.append((node.lineno, given.value
+                          if isinstance(given, ast.Constant) else None))
+    return sorted(found)
+
+
 def test_one_helper_pool_in_simulate_custom():
-    # A long path's draw-ahead runs on the one-worker pool simulate_custom
+    # A long path's shared draws run on the one-worker pool simulate_custom
     # opens; a chunk-level simulator is to reuse it, and build no second.
+    # Its one worker is read too, so sharing the draws cannot quietly grow
+    # the thread count.
     sites = [(path.name, owner) for path in sorted(SRC.glob("*.py"))
              for owner, _ in call_sites(path.read_text(),
                                         THREAD_BUILDER.search)]
     assert sites == [("diffsim.py", "simulate_custom")]
+    assert [size for _, size in pool_sizes((SRC / "diffsim.py").read_text())
+            ] == [1]
+
+
+def test_pool_size_scan_catches_a_second_worker():
+    source = "\n".join([
+        "with ThreadPoolExecutor(max_workers=2) as pool:",       # 1
+        "    pool.submit(print)",                                # 2
+        "ThreadPoolExecutor(max_workers=1)",                     # 3
+        "cf.ThreadPoolExecutor()",                               # 4
+        "ThreadPoolExecutor(max_workers=len(blocks))",           # 5
+        "ThreadPoolExecutor(1)",                                 # 6
+        "ThreadPoolExecutor(max_workers=self.workers)",          # 7
+    ])
+    assert pool_sizes(source) == [(1, 2), (3, 1), (4, None), (5, None),
+                                  (6, None), (7, None)]
 
 
 def test_thread_site_scan_catches_every_builder():

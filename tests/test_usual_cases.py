@@ -8,8 +8,8 @@ their SHA-256 digests.
   does not change the outputs (``test_worker_count_does_not_change_results``
   in ``test_harness.py``), so one worker stands for any.
 - ``hfsem simulate --n 20000 --seed 4``, with and without
-  ``--with-latents``: 20 000 steps are three chunks, so the draw-ahead
-  thread runs.
+  ``--with-latents``: 20 000 steps are three chunks, so the calling
+  thread and the helper thread share the draws.
 - ``hfsem fit --T 1`` of model1-3 on that path (without latents), as
   JSON, with the default 8 starts and seed 0.
 
