@@ -22,8 +22,6 @@ from .errors import HfsemError
 from .qlik import quad_var
 from .qmle import FitReport, fit_multistart
 
-logger = logging.getLogger(__name__)
-
 
 class _Group(click.Group):
     """The one error boundary: ``ValueError``s, package errors,

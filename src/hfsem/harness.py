@@ -17,9 +17,13 @@ chunk gets
 the study's shared values and its (n, rep) tasks; it splits each task's
 seeds where it uses them, reduces each path to its realized covariation,
 one (R, p, p) Q stack, and fits each model to the stack as the lanes of
-one lockstep loop (``qmle.fit_lanes``).  A lane's fit does not depend on
-the others, so the records and the table are identical for any worker
-count and chunking: each chunk returns its own columns, concatenated in
+one lockstep loop (``qmle.fit_lanes``).  Each model's criteria are one
+stacked pass over its fits (``infocrit.criteria_columns``), written as
+whole columns, and the chunk's winners one tie-break over the criteria
+columns of its tasks (``infocrit.winners``): the chunk stage builds no
+per-fit criteria row.  A lane's fit does not depend on the others, so
+the records and the table are identical for any worker count and
+chunking: each chunk returns its own columns, concatenated in
 replication order.
 
 Initialization follows the benchmark protocol by default: each model starts
@@ -46,8 +50,8 @@ import numpy as np
 
 from . import _doc, diffsim, models
 from .errors import AllStartsFailedError, SpecError
-from .infocrit import CRITERIA, criteria_row, select
-from .qlik import quad_var
+from .infocrit import CRITERIA, criteria_columns, criteria_row, select, winners
+from .qlik import quad_var, saturated_loglik
 from .qmle import fit, fit_lanes, fit_multistart, limit_optimum, start_set
 from .semspec import SemSpec, rank_screen
 
@@ -62,25 +66,28 @@ __all__ = [
     "write_outputs",
     "split_seed",
     "truth_sigma",
-    # The fit entries, where a benchmark hook looks them up; the chunk
-    # stage itself fits through fit_lanes.
+    # The fit and criteria entries, where a benchmark hook looks them up;
+    # the chunk stage itself fits through fit_lanes and computes its
+    # criteria and winners by column.
     "fit",
     "fit_multistart",
+    "criteria_row",
+    "select",
 ]
 
 logger = logging.getLogger(__name__)
 
 CONFIG_SCHEMA = "hfsem-exp-v1"
 
-# The columns of a study's records with the type of each row's cell;
-# selected_by, one row per (n, rep), comes last.
-_ROW_TYPES = {"rep": np.int64, "n": np.int64, "model": np.intp,
-              "h_at_hat": float, "lr_sat": float,
+# The columns of a study's records: each row's task and model, then the
+# fit's columns (with the type of each row's cell), which a failed fit
+# leaves blank; selected_by, one row per (n, rep), comes last.
+_FIT_TYPES = {"h_at_hat": float, "lr_sat": float,
               **dict.fromkeys(CRITERIA, float), "j_flag": bool,
               "converged": bool, "boundary_hit": bool,
               "iterations": np.int64, "evaluations": np.int64,
               "grad_norm": float}
-REPLICATION_COLUMNS = (*_ROW_TYPES, "selected_by")
+REPLICATION_COLUMNS = ("rep", "n", "model", *_FIT_TYPES, "selected_by")
 
 
 def split_seed(master_seed: int, n: int, rep: int, tag: int = 0) -> int:
@@ -197,7 +204,7 @@ class Records:
         rows = len(tasks) * width
         n, rep = np.array(tasks, dtype=np.int64).T
         columns = {c: np.full(rows, np.nan if t is float else 0, t)
-                   for c, t in _ROW_TYPES.items()}
+                   for c, t in _FIT_TYPES.items()}
         columns.update(rep=np.repeat(rep, width), n=np.repeat(n, width),
                        model=np.tile(np.arange(width), len(tasks)),
                        selected_by=np.full((len(tasks), len(CRITERIA)), -1))
@@ -226,11 +233,9 @@ class Records:
         if self.failed[i]:
             row["selected_by"] = "fit_failed"
             return row
-        for c in REPLICATION_COLUMNS[3:-1]:          # the fit's columns
-            row[c] = columns[c][i].item()
-        winners = columns["selected_by"][i // len(self.model_ids)]
-        row["selected_by"] = "+".join(
-            c for c, winner in zip(CRITERIA, winners) if winner == model)
+        row.update({c: columns[c][i].item() for c in _FIT_TYPES})
+        won = columns["selected_by"][i // len(self.model_ids)]
+        row["selected_by"] = "+".join(c for c, w in zip(CRITERIA, won) if w == model)
         return row
 
 
@@ -312,16 +317,14 @@ def _chunk_worker(chunk: tuple) -> Records:
 
     A spec's rows are filled as soon as its fit returns, so its reports,
     each with its (q, q) Hessian, are dropped before the next spec is
-    fitted; only their criteria rows are kept, and each (n, rep)'s
-    winners are selected from them once every spec is done."""
+    fitted.  Once every spec is done, the winners of every task with no
+    failed fit are selected from the criteria columns in one call."""
     config, truth, specs, inits, tasks = chunk
     q_xx = np.array([_realized(config, truth, *task).q_xx for task in tasks])
-    # Each task's saturated log-likelihood, for every spec's lr_sat.
-    saturated = [n * (-len(q) - np.linalg.slogdet(q)[1]) / 2
-                 for (n, _), q in zip(tasks, q_xx)]
     n = np.array([n for n, _ in tasks])
+    # Each task's saturated log-likelihood, for every spec's lr_sat.
+    saturated = saturated_loglik(q_xx, n)
     records = Records.allocate([spec.name for spec in specs], tasks)
-    rows = []
     for k, (spec, init) in enumerate(zip(specs, inits)):
         if init is None:
             start_sets = [start_set(spec, q, config.starts,
@@ -329,46 +332,39 @@ def _chunk_worker(chunk: tuple) -> Records:
                           for q, task in zip(q_xx, tasks)]
         else:
             start_sets = [[init]] * len(tasks)
-        rows.append(_fill(records, k, tasks, saturated,
-                          fit_lanes(spec, q_xx, n, start_sets)))
-    for i, task_rows in enumerate(zip(*rows)):
-        if all(row is not None for row in task_rows):
-            records.columns["selected_by"][i] = [
-                records.model_ids.index(select(task_rows, c)) for c in CRITERIA]
+        _fill(records, k, tasks, saturated, fit_lanes(spec, q_xx, n, start_sets))
+    finished = ~records.failed.reshape(len(tasks), -1).any(axis=1)
+    values = np.stack([records.columns[c].reshape(len(tasks), -1)[finished]
+                       for c in CRITERIA], axis=1)
+    records.columns["selected_by"][finished] = winners(
+        values, [spec.q for spec in specs], records.model_ids)
     return records
 
 
-def _fill(records: Records, k: int, tasks: list, saturated: list,
-          reports: list) -> list:
+def _fill(records: Records, k: int, tasks: list, saturated: np.ndarray,
+          reports: list) -> None:
     """Fill spec ``k``'s rows of a chunk's records from its fit reports,
-    one per task (``None`` for a failed fit: its row stays flagged), and
-    return their criteria rows (``None`` where the fit failed); ``lr_sat``
-    is the quasi-likelihood ratio against the saturated model,
-    ``2 (saturated - h_at_hat)`` with each task's ``saturated``
-    log-likelihood ``n (-p - log det Q) / 2``."""
-    columns, width = records.columns, len(records.model_ids)
-    rows = []
-    for i, ((n, rep), report) in enumerate(zip(tasks, reports)):
+    one per task (``None`` for a failed fit: its row stays flagged), each
+    fit column written whole; ``lr_sat`` is the quasi-likelihood ratio
+    against the saturated model, ``2 (saturated - h_at_hat)`` with each
+    task's ``saturated`` log-likelihood (``qlik.saturated_loglik``)."""
+    for (n, rep), report in zip(tasks, reports):
         if report is None:
             logger.warning("rep %d n=%d: every start of %s failed", rep, n,
                            records.model_ids[k])
-            rows.append(None)
-            continue
-        row = criteria_row(report)
-        rows.append(row)
-        at = i * width + k
-        records.failed[at] = False
-        for column, value in (
-                ("h_at_hat", row.h_at_hat),
-                ("lr_sat", 2.0 * (saturated[i] - row.h_at_hat)),
-                *((c, row.value(c)) for c in CRITERIA),
-                ("j_flag", row.j_flag), ("converged", report.converged),
-                ("boundary_hit", report.boundary_hit),
-                ("iterations", report.iterations),
-                ("evaluations", report.evaluations),
-                ("grad_norm", report.grad_norm)):
-            columns[column][at] = value
-    return rows
+    done = [i for i, report in enumerate(reports) if report is not None]
+    if not done:
+        return
+    at = np.array(done) * len(records.model_ids) + k
+    h_at_hat = np.array([reports[i].h_at_hat for i in done])
+    hessian = np.array([reports[i].hessian for i in done])
+    values = {"h_at_hat": h_at_hat, "lr_sat": 2.0 * (saturated[done] - h_at_hat),
+              **criteria_columns(h_at_hat, hessian, records.columns["n"][at])}
+    records.failed[at] = False
+    # The columns not computed here are the reports' fields of that name.
+    for c in _FIT_TYPES:
+        records.columns[c][at] = (values[c] if c in values
+                                  else [getattr(reports[i], c) for i in done])
 
 
 def _limit_optima(specs: Sequence[SemSpec], sigma0: np.ndarray,
@@ -415,9 +411,9 @@ def run_experiment(config: ExperimentConfig):
     records = _replicate(config, specs, inits, truth)
 
     grid = records.columns["n"][::len(specs)]
-    winners = records.columns["selected_by"]
+    selected = records.columns["selected_by"]
     failed = records.failed.reshape(-1, len(specs)).any(axis=1)
-    counts = {(c, n): {m: int(np.count_nonzero(winners[grid == n, j] == k))
+    counts = {(c, n): {m: int(np.count_nonzero(selected[grid == n, j] == k))
                        for k, m in enumerate(model_ids)}
               for j, c in enumerate(CRITERIA) for n in config.n_values}
     failures = {n: int(np.count_nonzero(failed[grid == n]))

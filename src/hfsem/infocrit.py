@@ -14,8 +14,12 @@ consistency.
 
 ``CRITERIA`` names the criteria, in the order of every table that lists
 them.  J and ``log det Gamma_tilde`` are computed here alone, from the
-Hessian a ``FitReport`` keeps: J holds when the smallest eigenvalue of
-``-H/n`` is above ``_JGATE_MIN_EIG``, and a non-finite Hessian is off J.
+Hessians the fits keep: J holds when the smallest eigenvalue of ``-H/n``
+is above ``_JGATE_MIN_EIG``, and a non-finite Hessian is off J.
+:func:`criteria_columns` computes them for a stack of fits of one spec,
+as columns, and :func:`winners` selects each row's model among columns;
+:func:`criteria_row` and :func:`select` are their one-row cases, for one
+dataset's fits.
 
 ``gamma_zero`` builds the analytic information matrix, which the negative
 scaled Hessian approaches as the grid refines, from the spec's factor
@@ -37,10 +41,12 @@ from .semspec import SemSpec, jacobian_rank
 __all__ = [
     "CriteriaRow",
     "GammaZero",
+    "criteria_columns",
     "criteria_row",
     "gamma_zero",
     "posterior_probs",
     "select",
+    "winners",
 ]
 
 CRITERIA = ("qbic1", "qbic2", "qaic")
@@ -66,31 +72,44 @@ class CriteriaRow:
         return getattr(self, criterion)
 
 
-def _gate(fit: FitReport) -> tuple[bool, float]:
-    """Whether the event J holds for ``fit``, and ``log det Gamma_tilde``:
-    that of ``-H/n`` on J, 0 (the identity's) off it.  A fit with no free
-    parameter has an empty ``-H/n``: J holds vacuously, with log det 0."""
-    scaled = -fit.hessian / fit.n
-    if not (np.all(np.isfinite(scaled))
-            and np.all(np.linalg.eigvalsh(scaled) > _JGATE_MIN_EIG)):
-        return False, 0.0
-    sign, logdet = np.linalg.slogdet(scaled)
-    if sign <= 0:
+def criteria_columns(h_at_hat: np.ndarray, hessian: np.ndarray,
+                     n: np.ndarray) -> dict:
+    """The criteria of R fits of one spec, computed here alone, from their
+    (R,) maximized log-likelihoods ``h_at_hat``, (R, q, q) Hessians and
+    (R,) grid sizes ``n``: one (R,) column each of ``CRITERIA``,
+    ``j_flag`` and ``logdet_gamma_tilde``.
+
+    J holds where ``-H/n`` is finite with every eigenvalue above
+    ``_JGATE_MIN_EIG``; ``Gamma_tilde`` is ``-H/n`` there and the identity
+    elsewhere, so its log-determinant is 0 off J.  With no free parameter
+    (q = 0) ``-H/n`` is empty: J holds vacuously, with log det 0.  One
+    ``eigvalsh`` and one ``slogdet`` over the stack give each row the bits
+    of its own call."""
+    q = hessian.shape[-1]
+    gamma = -hessian / n[:, None, None]
+    finite = np.isfinite(gamma).all(axis=(1, 2))
+    gamma[~finite] = np.eye(q)
+    j_flag = finite & (np.linalg.eigvalsh(gamma) > _JGATE_MIN_EIG).all(axis=1)
+    gamma[~j_flag] = np.eye(q)           # now Gamma_tilde
+    sign, logdet = np.linalg.slogdet(gamma)
+    if np.any(sign <= 0):
         raise NotPositiveDefiniteError(
             "-H/n is not positive definite despite the gate")
-    return True, float(logdet)
+    # qbic1 is qbic2 plus the log-determinant, so the identity between the
+    # two criteria holds to rounding, not just in exact arithmetic.
+    base = -2.0 * h_at_hat + q * np.log(n)
+    return {"qbic1": base + logdet, "qbic2": base,
+            "qaic": -2.0 * h_at_hat + 2.0 * q,
+            "j_flag": j_flag, "logdet_gamma_tilde": logdet}
 
 
 def criteria_row(fit: FitReport) -> CriteriaRow:
-    """The criteria of one fit, computed here alone."""
-    j_flag, logdet = _gate(fit)
-    # qbic1 is qbic2 plus the log-determinant, so the identity between the
-    # two criteria holds to rounding, not just in exact arithmetic.
-    base = -2.0 * fit.h_at_hat + fit.q * np.log(fit.n)
-    return CriteriaRow(model_id=fit.model, q=fit.q, n=fit.n,
-                       h_at_hat=fit.h_at_hat, qbic1=base + logdet,
-                       qbic2=base, qaic=-2.0 * fit.h_at_hat + 2.0 * fit.q,
-                       j_flag=j_flag, logdet_gamma_tilde=logdet)
+    """The criteria of one fit: the one-row case of
+    :func:`criteria_columns`."""
+    columns = criteria_columns(np.array([fit.h_at_hat]), fit.hessian[None],
+                               np.array([fit.n]))
+    return CriteriaRow(fit.model, fit.q, fit.n, fit.h_at_hat,
+                       **{key: column.item() for key, column in columns.items()})
 
 
 @dataclass
@@ -149,10 +168,19 @@ def posterior_probs(rows: Sequence[CriteriaRow],
     return w / w.sum()
 
 
+def winners(values: np.ndarray, q: Sequence, model_ids: Sequence) -> np.ndarray:
+    """The index of each row's winner among the models on the last axis of
+    ``values``, each with its parameter count ``q`` and its id: the lowest
+    value, ties going to fewer parameters, then to the smaller id."""
+    order = np.lexsort((np.asarray(model_ids, dtype=str), q))
+    return order[np.argmin(np.asarray(values)[..., order], axis=-1)]
+
+
 def select(rows: Sequence[CriteriaRow], criterion: str = "qbic2") -> str:
-    """Model id minimizing the criterion; ties prefer fewer parameters,
-    then the lexicographically smaller id."""
+    """Model id minimizing the criterion: the one-row case of
+    :func:`winners`."""
     if not rows:
         raise ValueError("need at least one model")
-    best = min(rows, key=lambda r: (r.value(criterion), r.q, r.model_id))
-    return best.model_id
+    won = winners([row.value(criterion) for row in rows],
+                  [row.q for row in rows], [row.model_id for row in rows])
+    return rows[won].model_id

@@ -12,7 +12,9 @@ candidate covariance ``Sigma(theta)`` reduces to
     loglik(theta) = n * (-tr(inv(Sigma) Q) - log det Sigma) / 2,
 
 identical (up to floating point) to summing the Gaussian increment
-densities, because Q is sufficient for the diffusion part.  Its in-fill
+densities, because Q is sufficient for the diffusion part.  Its maximum
+over every covariance, at ``Sigma = Q``, is the saturated model's
+``n (-p - log det Q) / 2`` (:func:`saturated_loglik`).  Its in-fill
 limit replaces Q by the true covariance and drops the n factor, which is
 the quasi-log-likelihood of sigma0 as the ``QuadVar`` of one increment
 (``qmle.limit_optimum`` maximizes it).
@@ -45,6 +47,7 @@ __all__ = [
     "quad_var",
     "LaneScores",
     "score_lanes",
+    "saturated_loglik",
 ]
 
 
@@ -96,6 +99,13 @@ def quad_var(x_obs: np.ndarray, T: float) -> QuadVar:
             gram += dx.T @ dx
         q = gram / T
     return QuadVar(q_xx=q, n=n, T=T)
+
+
+def saturated_loglik(q_xx: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The saturated log-likelihood ``n (-p - log det Q) / 2`` of each
+    ``(q_xx[k], n[k])`` of an (R, p, p) stack, the quasi-log-likelihood at
+    ``Sigma = Q``, from one ``slogdet`` over the stack."""
+    return n * (-q_xx.shape[-1] - np.linalg.slogdet(q_xx)[1]) / 2
 
 
 # Why the kernel rejects a lane.

@@ -39,7 +39,6 @@ kernel has no Hessian.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional, Sequence
 
@@ -61,8 +60,6 @@ __all__ = [
     "limit_optimum",
     "start_set",
 ]
-
-logger = logging.getLogger(__name__)
 
 _MAX_ITER = 500
 _GRAD_TOL = 1e-6          # KKT: |projected grad|_inf < _GRAD_TOL*(1+|loglik|)
@@ -356,7 +353,6 @@ def fit_lanes(spec: SemSpec, q_xx: np.ndarray, n: np.ndarray,
         mine = owner == k
         admissible = np.flatnonzero(mine & lanes.started)
         if not admissible.size:
-            logger.debug("every start of %s failed", spec.name)
             reports.append(None)
             continue
         best = admissible[np.argmax(lanes.value[admissible])]

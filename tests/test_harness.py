@@ -13,7 +13,7 @@ from scipy import stats
 from hfsem import diffsim, harness, models, qmle
 from hfsem.errors import (AllStartsFailedError, SingularStructureError,
                           SpecError)
-from hfsem.infocrit import CRITERIA, criteria_row, gamma_zero
+from hfsem.infocrit import CRITERIA, criteria_row, gamma_zero, select
 from hfsem.qlik import quad_var
 from tests.conftest import (all_fixed_spec, bundled_truth_doc,
                             make_degenerate_model)
@@ -330,6 +330,28 @@ class TestRunExperiment:
         assert list(records.columns["selected_by"][0]) == [-1] * len(CRITERIA)
         assert [records[k]["selected_by"] for k in (0, 1)] == ["", ""]
 
+    def test_chunk_winners_are_per_task_select(self, monkeypatch):
+        # A 128-task chunk whose model2 fit fails in every fifth task: the
+        # chunk's one selection over its criteria columns gives each
+        # finished task the winners of select over its criteria rows, and
+        # each task with a failed fit -1.
+        failing, reports = failing_fit_lanes("model2", slice(None, None, 5)), {}
+        monkeypatch.setattr(harness, "fit_lanes", lambda spec, *args:
+                            reports.setdefault(spec.name, failing(spec, *args)))
+        config = small_config(n_values=[100, 200], replications=64)
+        assert harness._chunk_cuts(128, config.workers) == [0, 128]
+        _, records = harness.run_experiment(config)
+        expected = []
+        for task in zip(*(reports[m] for m in records.model_ids)):
+            if None in task:
+                expected.append([-1] * len(CRITERIA))
+                continue
+            rows = [criteria_row(report) for report in task]
+            expected.append([records.model_ids.index(select(rows, c))
+                             for c in CRITERIA])
+        assert records.columns["selected_by"].tolist() == expected
+        assert sum(-1 in row for row in expected) == 26
+
     def test_lr_sat_is_its_definition(self, monkeypatch):
         # lr_sat = 2 (l_sat - h_at_hat) with l_sat = n (-p - log det Q) / 2,
         # Q as harness._realized gives it to the fits.
@@ -345,9 +367,9 @@ class TestRunExperiment:
             assert r["lr_sat"] == 2.0 * (sat - r["h_at_hat"])
 
     def test_saturated_value_once_per_task(self, monkeypatch):
-        # lr_sat's saturated log-likelihood is one slogdet of each task's
-        # (p, p) Q, shared by every spec's row (the criteria's slogdets are
-        # of (q, q) Hessians).
+        # lr_sat's saturated log-likelihood is one slogdet of the chunk's
+        # (R, p, p) Q stack, shared by every spec's rows, and each spec's
+        # criteria one slogdet of its (R, q, q) Hessian stack.
         slogdet, seen = np.linalg.slogdet, []
         monkeypatch.setattr(np.linalg, "slogdet",
                             lambda a: seen.append(np.shape(a)) or slogdet(a))
@@ -356,7 +378,8 @@ class TestRunExperiment:
         assert all(spec.q != spec.p for spec in specs)
         _, records = harness.run_experiment(config)
         assert not records.failed.any()
-        assert seen.count((10, 10)) == 2 * config.replications
+        tasks = 2 * config.replications
+        assert seen == [(tasks, 10, 10), *((tasks, spec.q, spec.q) for spec in specs)]
 
     def test_records_held_per_replication(self):
         # The records run_experiment returns hold at most 0.6 KB per
@@ -720,6 +743,44 @@ def direct_gap_probe(model_a, model_b, criterion):
         per_n={n: float(np.mean(v)) for n, v in diffs.items()},
         n_values=config.n_values, replications=config.replications,
         limit_value_a=float(lim_a), limit_value_b=float(lim_b))
+
+
+def leaking_table(failures):
+    """A hand-built table of two replications at n=100 whose criteria each
+    count two selections, beside ``failures`` failures."""
+    return harness.SelectionTable(
+        n_values=[100], model_ids=["model1", "model2"],
+        counts={(c, 100): {"model1": 1, "model2": 1} for c in CRITERIA},
+        failures={100: failures}, replications=2)
+
+
+class TestSelectionTable:
+    def test_validate_accepts_a_conserved_table(self):
+        leaking_table(0).validate()
+
+    def test_validate_names_a_leak(self):
+        message = (r"^count leak at criterion=qbic1, n=100: 2 selections \+ "
+                   r"1 failures != 2 replications$")
+        with pytest.raises(AssertionError, match=message):
+            leaking_table(1).validate()
+
+
+def probe_result(level, analytic_level):
+    return harness.GapProbeResult(
+        criterion="qbic1", level=level, analytic_level=analytic_level,
+        per_n={100: level}, n_values=[100], replications=1,
+        limit_value_a=0.0, limit_value_b=-analytic_level / 2)
+
+
+class TestGapProbeResult:
+    def test_relative_error(self):
+        assert probe_result(0.3, 0.25).relative_error == pytest.approx(0.2)
+        assert probe_result(-0.25, -0.25).relative_error == 0.0
+
+    def test_relative_error_at_analytic_level_zero(self):
+        # Two correct models: the gap itself, not a ratio to zero.
+        assert probe_result(-0.25, 0.0).relative_error == 0.25
+        assert probe_result(0.0, 0.0).relative_error == 0.0
 
 
 class TestGapProbe:

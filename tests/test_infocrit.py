@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from hfsem import diffsim, infocrit, models, qmle
-from hfsem.errors import RankDeficientError
+from hfsem.errors import NotPositiveDefiniteError, RankDeficientError
 from hfsem.qlik import quad_var
 from tests.conftest import all_fixed_spec
 
@@ -77,6 +79,133 @@ class TestCriteriaValues:
             assert sign > 0
             assert abs((row.qbic1 - row.qbic2) - logdet) < 1e-10
             assert row.logdet_gamma_tilde == pytest.approx(logdet, abs=1e-12)
+
+
+def gate_oracle(hessian, n):
+    """J and log det Gamma_tilde of one fit by its own ``eigvalsh`` and
+    ``slogdet`` calls, as they were computed one fit at a time."""
+    scaled = -hessian / n
+    if not (np.all(np.isfinite(scaled))
+            and np.all(np.linalg.eigvalsh(scaled) > infocrit._JGATE_MIN_EIG)):
+        return False, 0.0
+    return True, float(np.linalg.slogdet(scaled)[1])
+
+
+def hessian_with_smallest(smallest, q=5, n=100, seed=0):
+    """A Hessian whose ``-H/n`` has the eigenvalues ``smallest`` and
+    1, ..., 2 in a random orthonormal basis."""
+    basis, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((q, q)))
+    eig = np.concatenate([[smallest], np.linspace(1.0, 2.0, q - 1)])
+    return -n * (basis * eig) @ basis.T
+
+
+class TestCriteriaColumns:
+    """The stacked pass against the one-fit view and the per-fit oracle."""
+
+    def assert_rows_match(self, h_at_hat, hessians, n):
+        columns = infocrit.criteria_columns(h_at_hat, hessians, n)
+        q = hessians.shape[-1]
+        for k in range(len(n)):
+            report = fake_report(h=h_at_hat[k], q=q, n=int(n[k]),
+                                 hessian=hessians[k])
+            row = infocrit.criteria_row(report)
+            assert row == infocrit.CriteriaRow(
+                "fake", q, int(n[k]), h_at_hat[k],
+                **{key: column[k].item() for key, column in columns.items()})
+            j_flag, logdet = gate_oracle(hessians[k], n[k])
+            base = -2.0 * h_at_hat[k] + q * np.log(int(n[k]))
+            assert (row.j_flag, row.logdet_gamma_tilde) == (j_flag, logdet)
+            assert (row.qbic1, row.qbic2) == (base + logdet, base)
+            assert row.qaic == -2.0 * h_at_hat[k] + 2.0 * q
+        return columns
+
+    def test_rows_are_the_one_fit_view(self):
+        gate = infocrit._JGATE_MIN_EIG
+        n = np.array([100, 1000, 100, 250, 250, 100, 400])
+        hessians = np.array([
+            hessian_with_smallest(0.5, n=100),                    # on J
+            np.full((5, 5), np.nan),                              # not computed
+            -100.0 * np.diag([1.0, 1.0, 1.0, 1.0, -1.0]),         # indefinite
+            hessian_with_smallest(1.01 * gate, n=250, seed=1),    # just above
+            hessian_with_smallest(0.99 * gate, n=250, seed=1),    # just below
+            np.full((5, 5), -np.inf),
+            hessian_with_smallest(3.0, n=400, seed=2)])           # on J
+        h_at_hat = np.random.default_rng(4).uniform(-2000.0, 2000.0, len(n))
+        columns = self.assert_rows_match(h_at_hat, hessians, n)
+        assert columns["j_flag"].tolist() == [True, False, False, True, False,
+                                              False, True]
+        off = ~columns["j_flag"]
+        assert np.array_equal(columns["qbic1"][off], columns["qbic2"][off])
+
+    def test_no_free_parameter(self):
+        n = np.array([100, 1000, 10])
+        columns = self.assert_rows_match(np.array([-5.0, 7.0, 0.25]),
+                                         np.zeros((3, 0, 0)), n)
+        assert columns["j_flag"].all()
+        assert not columns["logdet_gamma_tilde"].any()
+
+    def test_one_eigvalsh_and_one_slogdet(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            original = getattr(np.linalg, name)
+            return lambda a: calls.append((name, np.shape(a))) or original(a)
+
+        for name in ("eigvalsh", "slogdet"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        hessians = np.array([hessian_with_smallest(1.0, seed=k) for k in range(6)])
+        infocrit.criteria_columns(np.zeros(6), hessians, np.full(6, 100))
+        assert calls == [("eigvalsh", (6, 5, 5)), ("slogdet", (6, 5, 5))]
+
+    def test_despite_the_gate(self, monkeypatch):
+        # The gate and the log-determinant are two calls; a sign that
+        # disagrees with the gate is raised, not written as a criterion.
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: (
+            -slogdet(a)[0], slogdet(a)[1]))
+        hessians = np.array([hessian_with_smallest(1.0)])
+        with pytest.raises(NotPositiveDefiniteError, match="despite the gate"):
+            infocrit.criteria_columns(np.zeros(1), hessians, np.array([100]))
+
+
+def oracle_winner(values, q, model_ids):
+    """The winner by ``min`` over (value, q, id), one row at a time."""
+    return min(range(len(model_ids)),
+               key=lambda m: (values[m], q[m], model_ids[m]))
+
+
+class TestWinners:
+    # Given out of sort order: "a10" < "a9" < "b" < "m2".
+    IDS = ["m2", "b", "a10", "a9"]
+
+    @pytest.mark.parametrize("q", [[5, 3, 5, 3], [3, 3, 3, 3], [4, 3, 2, 1]],
+                             ids=["pairs", "equal", "descending"])
+    def test_matches_min_oracle(self, q):
+        # Every pattern of two values over four models: ties in value, and
+        # ties in (value, q) where q repeats.
+        values = np.array(list(itertools.product([1.0, 2.0], repeat=4)))
+        got = infocrit.winners(values, q, self.IDS)
+        assert got.tolist() == [oracle_winner(v, q, self.IDS) for v in values]
+        for v, won in zip(values, got):
+            rows = [infocrit.CriteriaRow(m, k, 10, -1.0, x, x, x, True, 0.0)
+                    for m, k, x in zip(self.IDS, q, v)]
+            assert infocrit.select(rows) == self.IDS[won]
+
+    def test_ties_named(self):
+        q = [5, 3, 5, 3]
+        assert self.IDS[infocrit.winners([1.0, 1.0, 1.0, 2.0], q, self.IDS)] == "b"
+        assert self.IDS[infocrit.winners([1.0, 2.0, 1.0, 2.0], q, self.IDS)] == "a10"
+        assert self.IDS[infocrit.winners([2.0, 1.0, 2.0, 1.0], q, self.IDS)] == "a9"
+
+    def test_stack_of_criteria(self):
+        # A chunk's (tasks, criteria, models) stack: each row on its own.
+        rng = np.random.default_rng(8)
+        values = rng.choice([0.0, 1.0, 2.0], size=(40, 3, 4))
+        q = [5, 3, 5, 3]
+        got = infocrit.winners(values, q, self.IDS)
+        assert got.shape == (40, 3)
+        assert got.tolist() == [[oracle_winner(v, q, self.IDS) for v in task]
+                                for task in values]
 
 
 class TestGammaZero:
@@ -190,3 +319,7 @@ class TestSelect:
         rows, _ = fitted_rows
         with pytest.raises(ValueError):
             infocrit.select(rows, "bic")
+
+    def test_no_rows(self):
+        with pytest.raises(ValueError, match="^need at least one model$"):
+            infocrit.select([])

@@ -154,3 +154,10 @@ class TestNumericRank:
 
     def test_zero_matrix(self):
         assert matkit.numeric_rank(np.zeros((3, 4))) == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        a = np.eye(3)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            matkit.numeric_rank(a)

@@ -290,6 +290,18 @@ class TestHessian:
         hess = surface.hessian(np.array([theta]))
         assert abs(hess[0, 0] - expected) < 1e-12 * abs(expected)
 
+    def test_non_finite_hessian_raises(self, scalar_model):
+        # Below the box, at a variance of 1e-110, the value and the
+        # gradient are finite but the Hessian, of order n q0 / theta^3,
+        # overflows.
+        surface = LikelihoodSurface(scalar_model, QuadVar(np.diag([2.0, 1.0]),
+                                                          n=30, T=1.0))
+        value, grad = surface.value_and_grad(np.array([1e-110]))
+        assert np.isfinite(value) and np.isfinite(grad).all()
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="^the likelihood is not finite at theta$"):
+            surface.hessian(np.array([1e-110]))
+
     @pytest.mark.parametrize("fixture", ["model1", "model2", "model3",
                                          "structural"])
     def test_matches_finite_differences(self, fixture, request, quadvar_1e4):
@@ -602,6 +614,25 @@ def limit_value(spec, theta, sigma0):
     """The in-fill limit criterion: the n=1, T=1 surface with ``sigma0`` as
     the realized covariation, as ``qmle.limit_optimum`` maximizes it."""
     return LikelihoodSurface(spec, QuadVar(sigma0, n=1, T=1.0)).value(theta)
+
+
+class TestSaturated:
+    def test_stack_is_each_task_by_itself(self):
+        # One slogdet over a 128-stack, bit for bit each Q's own.
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((128, 10, 14))
+        q_xx = a @ np.swapaxes(a, 1, 2) / 14
+        n = rng.integers(10, 10**6, size=128)
+        expected = [k * (-len(q) - np.linalg.slogdet(q)[1]) / 2
+                    for k, q in zip(n, q_xx)]
+        assert np.array_equal(qlik.saturated_loglik(q_xx, n), expected)
+
+    def test_is_the_likelihood_at_sigma_q(self, scalar_model):
+        # Sigma(theta) = Q at theta = q0 for the scalar model.
+        q_xx, n = np.diag([1.7, 1.0]), 40
+        surface = LikelihoodSurface(scalar_model, QuadVar(q_xx, n=n, T=1.0))
+        saturated = qlik.saturated_loglik(q_xx[None], np.array([n]))
+        assert saturated[0] == pytest.approx(surface.value([1.7]), rel=1e-14)
 
 
 class TestLimitCriterion:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hfsem
-from hfsem import matkit, models, qmle
+from hfsem import matkit, models, qmle, semspec
 from hfsem.errors import SingularStructureError, SpecError
 from hfsem.qlik import LikelihoodSurface, QuadVar
 from hfsem.qmle import check_identifiability
@@ -321,6 +321,23 @@ class TestSpecValidation:
                            match=r"^gamma\[0\]\[0\]\.free\.index must be an integer"):
             self._scalar([-1.0], [1.0], gamma=free(index))
 
+    @pytest.mark.parametrize("lower, upper", [([-1.0, -1.0], [1.0, 1.0]),
+                                              ([-1.0], [1.0, 2.0]),
+                                              ([], [1.0])],
+                             ids=["both-long", "upper-long", "lower-empty"])
+    def test_bounds_of_the_wrong_length_rejected(self, lower, upper):
+        with pytest.raises(SpecError, match=r"^bounds must have length q=1$"):
+            self._scalar(lower, upper, gamma=free(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_rejected(self, model1, quadvar_1e4, bad):
+        theta = models.THETA1_TRUE.copy()
+        theta[3] = bad
+        with pytest.raises(SpecError, match=r"^theta has non-finite entries$"):
+            model1.sigma(theta)
+        with pytest.raises(SpecError, match=r"^theta has non-finite entries$"):
+            qmle.fit_multistart(model1, quadvar_1e4, 1, init=theta)
+
     def test_bounds_nan_rejected_infinite_allowed(self):
         spec = self._scalar([-np.inf], [np.inf], gamma=free(0))
         assert spec.sigma([2.0])[1, 1] == 6.0
@@ -357,6 +374,29 @@ class TestJacobianRank:
                                   degenerate_model):
         assert all(map(rank_screen, (model1, model2, model3)))
         assert not rank_screen(degenerate_model)
+
+    def test_rank_screen_skips_a_singular_draw(self, monkeypatch):
+        # With b's two off-diagonal cells free (and gamma[1] fixed at 0,
+        # which identifies the loop), I - b is singular where their
+        # product is 1; a draw there is passed over for the next.
+        spec = edited_spec(make_structural_spec(), {
+            ("b", 0, 1): free(18), ("gamma", 1, 0): fixed(0.0)}, "loop")
+        b = spec.to_dict()["b"]
+        loop = [b[0][1]["free"]["index"], b[1][0]["free"]["index"]]
+        probe, draws = semspec._probe_start, []
+
+        def singular_first(spec, rng):
+            theta = probe(spec, rng)
+            if not draws:
+                theta[loop] = 1.0
+            draws.append(theta)
+            return theta
+
+        monkeypatch.setattr(semspec, "_probe_start", singular_first)
+        assert rank_screen(spec)
+        assert len(draws) == 2
+        with pytest.raises(SingularStructureError):
+            jacobian_rank(spec, draws[0])
 
 
 class TestIdentifiability:
@@ -610,6 +650,10 @@ class TestJson:
         assert loaded.to_dict() == model2.to_dict()
         assert np.array_equal(loaded.sigma(models.THETA2_TRUE),
                               model2.sigma(models.THETA2_TRUE))
+
+    def test_unknown_builtin_is_a_spec_error(self):
+        with pytest.raises(SpecError, match="model9"):
+            models.load_builtin("model9")
 
     def test_builtin_names_are_file_stems(self):
         folder = pathlib.Path(models.__file__).parent / "model_files"

@@ -682,6 +682,55 @@ def test_surface_scan_catches_names():
     assert names_of(source, "LikelihoodSurface") == [1, 3]
 
 
+def row_view_uses(source: str) -> list[int]:
+    """The lines of a module that name one of infocrit's one-fit views,
+    ``CriteriaRow``, ``criteria_row`` or ``select`` (``names_of``), except
+    an import of the last two; an ``__all__`` entry is a string, not a
+    name."""
+    imports = {node.lineno for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ImportFrom)}
+    uses = {line for name in ("criteria_row", "select")
+            for line in names_of(source, name)}
+    return sorted({*names_of(source, "CriteriaRow"), *(uses - imports)})
+
+
+def test_chunk_stage_computes_criteria_by_column():
+    # harness computes a chunk's criteria and winners by column
+    # (criteria_columns, winners); it imports criteria_row and select only
+    # for a benchmark hook, which looks them up in its __all__.
+    assert row_view_uses((SRC / "harness.py").read_text()) == []
+    assert {"criteria_row", "select"} <= set(harness.__all__)
+
+
+def test_likelihood_formulas_in_qlik():
+    # The saturated log-likelihood, n (-p - log det Q) / 2, is qlik's, next
+    # to the quasi-likelihood; the chunk stage only calls it.
+    assert "slogdet" not in (SRC / "harness.py").read_text()
+
+
+def test_row_view_scan_catches_uses():
+    source = "\n".join([
+        # harness.py's chunk stage as it was while it built a row per fit
+        "from .infocrit import CRITERIA, criteria_row, select",            # 1
+        "def _chunk_worker(chunk):",                                       # 2
+        "    for i, task_rows in enumerate(zip(*rows)):",                  # 3
+        "        if all(row is not None for row in task_rows):",           # 4
+        "            records.columns['selected_by'][i] = [",               # 5
+        "                records.model_ids.index(select(task_rows, c))",   # 6
+        "                for c in CRITERIA]",                              # 7
+        "def _fill(records, k, tasks, saturated, reports):",               # 8
+        "    for i, ((n, rep), report) in enumerate(zip(tasks, reports)):",  # 9
+        "        row = criteria_row(report)",                              # 10
+        # other spellings
+        "from .infocrit import CriteriaRow",                               # 11
+        "rows: list[CriteriaRow] = []",                                    # 12
+        "winner = infocrit.select(rows, 'qbic2')",                         # 13
+        "pick = select  # a name read, not a call",                        # 14
+        "__all__ = ['criteria_row', 'select']  # strings are no names",    # 15
+    ])
+    assert row_view_uses(source) == [6, 10, 11, 12, 13, 14]
+
+
 def fit_view_uses(source: str) -> list[tuple[int, str]]:
     """The lines of a module that read qmle's one-start view: that name
     ``FitOptions``, read ``qmle.fit`` or import ``fit`` from ``qmle``, each
