@@ -17,11 +17,12 @@ chunk gets
 the study's shared values and its (n, rep) tasks; it splits each task's
 seeds where it uses them, reduces each path to its realized covariation,
 one (R, p, p) Q stack, and fits each model to the stack as the lanes of
-one lockstep loop (``qmle.fit_lanes``).  Each model's criteria are one
-stacked pass over its fits (``infocrit.criteria_columns``), written as
-whole columns, and the chunk's winners one tie-break over the criteria
-columns of its tasks (``infocrit.winners``): the chunk stage builds no
-per-fit criteria row.  A lane's fit does not depend on the others, so
+one lockstep loop (``qmle.fit_lanes``), which returns the fits as
+columns.  Each model's criteria are one stacked pass over those columns
+(``infocrit.criteria_columns``), written as whole columns beside them,
+and the chunk's winners one tie-break over the criteria columns of its
+tasks (``infocrit.winners``): the chunk stage builds no per-fit report
+or criteria row.  A lane's fit does not depend on the others, so
 the records and the table are identical for any worker count and
 chunking: each chunk returns its own columns, concatenated in
 replication order.
@@ -315,9 +316,9 @@ def _chunk_worker(chunk: tuple) -> Records:
     chunk's Q stack at once, from its init or from each replication's
     multistart set, seeded by the split of (master_seed, n, rep, 1).
 
-    A spec's rows are filled as soon as its fit returns, so its reports,
-    each with its (q, q) Hessian, are dropped before the next spec is
-    fitted.  Once every spec is done, the winners of every task with no
+    A spec's rows are filled as soon as its fit returns, so its columns,
+    with their (R, q, q) Hessian stack, are dropped before the next spec
+    is fitted.  Once every spec is done, the winners of every task with no
     failed fit are selected from the criteria columns in one call."""
     config, truth, specs, inits, tasks = chunk
     q_xx = np.array([_realized(config, truth, *task).q_xx for task in tasks])
@@ -342,29 +343,26 @@ def _chunk_worker(chunk: tuple) -> Records:
 
 
 def _fill(records: Records, k: int, tasks: list, saturated: np.ndarray,
-          reports: list) -> None:
-    """Fill spec ``k``'s rows of a chunk's records from its fit reports,
-    one per task (``None`` for a failed fit: its row stays flagged), each
-    fit column written whole; ``lr_sat`` is the quasi-likelihood ratio
-    against the saturated model, ``2 (saturated - h_at_hat)`` with each
-    task's ``saturated`` log-likelihood (``qlik.saturated_loglik``)."""
-    for (n, rep), report in zip(tasks, reports):
-        if report is None:
-            logger.warning("rep %d n=%d: every start of %s failed", rep, n,
-                           records.model_ids[k])
-    done = [i for i, report in enumerate(reports) if report is not None]
-    if not done:
-        return
-    at = np.array(done) * len(records.model_ids) + k
-    h_at_hat = np.array([reports[i].h_at_hat for i in done])
-    hessian = np.array([reports[i].hessian for i in done])
-    values = {"h_at_hat": h_at_hat, "lr_sat": 2.0 * (saturated[done] - h_at_hat),
-              **criteria_columns(h_at_hat, hessian, records.columns["n"][at])}
+          fits: dict) -> None:
+    """Fill spec ``k``'s rows of a chunk's records from its fits' columns,
+    one row per task (``qmle.fit_lanes``; a failed fit's row stays
+    flagged), each fit column written whole; ``lr_sat`` is the
+    quasi-likelihood ratio against the saturated model,
+    ``2 (saturated - h_at_hat)`` with each task's ``saturated``
+    log-likelihood (``qlik.saturated_loglik``)."""
+    done = ~fits["failed"]
+    for i in np.flatnonzero(~done):
+        logger.warning("rep %d n=%d: every start of %s failed", tasks[i][1],
+                       tasks[i][0], records.model_ids[k])
+    at = np.flatnonzero(done) * len(records.model_ids) + k
+    h_at_hat = fits["h_at_hat"][done]
+    computed = {"lr_sat": 2.0 * (saturated[done] - h_at_hat),
+                **criteria_columns(h_at_hat, fits["hessian"][done],
+                                   records.columns["n"][at])}
     records.failed[at] = False
-    # The columns not computed here are the reports' fields of that name.
+    # The other columns are the fits' columns of that name.
     for c in _FIT_TYPES:
-        records.columns[c][at] = (values[c] if c in values
-                                  else [getattr(reports[i], c) for i in done])
+        records.columns[c][at] = computed[c] if c in computed else fits[c][done]
 
 
 def _limit_optima(specs: Sequence[SemSpec], sigma0: np.ndarray,

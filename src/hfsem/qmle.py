@@ -19,14 +19,17 @@ bound counts as converged.
 Every maximization runs as lanes of one lockstep loop, ``_optimize``, and
 each lane follows bit for bit the path it would follow alone.
 ``fit_lanes`` fits one spec to a stack of Q, each from its own starts, in
-one loop; a ``FitReport`` keeps the observed Hessian of its best lane's
-last accepted pass, bit for bit ``LikelihoodSurface.hessian`` at
-``theta_hat`` and with no kernel pass after the loop, and ``infocrit``
-derives the criteria from it.  ``fit_multistart(spec, quadvar)``, the one
-single-Q fit and the one to raise ``AllStartsFailedError``, runs a
-``QuadVar``'s ``start_set`` (the given or moment start, then Latin-hypercube
-starts on the moment start's scale) as lanes and keeps the best, and
-``limit_optimum`` is its case on sigma0 as the Q of one increment.
+one loop, and returns the fits as columns, one per per-fit field of a
+``FitReport`` and a ``failed`` flag, each row gathered from its fit's best
+lane.  A fit keeps the observed Hessian of that lane's last accepted
+pass, bit for bit ``LikelihoodSurface.hessian`` at ``theta_hat`` and with
+no kernel pass after the loop, and ``infocrit`` derives the criteria from
+it.  ``fit_multistart(spec, quadvar)``, the one single-Q fit and the one
+to raise ``AllStartsFailedError``, runs a ``QuadVar``'s ``start_set`` (the
+given or moment start, then Latin-hypercube starts on the moment start's
+scale) as lanes of one ``fit_lanes`` row and keeps its best; it is the one
+builder of a ``FitReport``, one fit's record.  ``limit_optimum`` is its
+case on sigma0 as the Q of one increment.
 ``fit`` and ``FitOptions`` are not exported: they remain only for the
 benchmark (see ``fit``).  The moment start is
 ``semspec.moment_start``, so this module reads nothing of a spec's layout,
@@ -77,7 +80,10 @@ class FitOptions:
 
 @dataclass
 class FitReport:
-    """Everything the information criteria need about one maximization."""
+    """One fit's record: everything the information criteria need about
+    one maximization.  ``fit_lanes`` gives a stack of fits as columns of
+    the fields from ``theta_hat`` on, and ``fit_multistart`` builds a
+    report from one row."""
     model: str
     n: int
     q: int
@@ -300,36 +306,22 @@ def _optimize(spec: SemSpec, score, inits: np.ndarray) -> _Lanes:
     return _Lanes(theta, value, grad, hessian, iterations, evaluations, started)
 
 
-def _finalize(spec: SemSpec, n: int, lanes: _Lanes, best: int,
-              evaluations: int, restarts: int) -> FitReport:
-    theta, grad = lanes.theta[best], lanes.grad[best]
-    value = float(lanes.value[best])
-    kkt, converged = _kkt(grad, _free_mask(spec, theta, grad), value)
-    boundary_hit = bool(np.any(
-        np.minimum(theta - spec.lower, spec.upper - theta) <= _BOUNDARY_TOL))
-    return FitReport(model=spec.name, n=n, q=spec.q,
-                     theta_hat=theta, h_at_hat=value, grad_norm=float(kkt),
-                     # a copy, which leaves the loop's (L, q, q) stack free
-                     hessian=lanes.hessian[best].copy(),
-                     iterations=int(lanes.iterations[best]),
-                     evaluations=evaluations, restarts=restarts,
-                     converged=bool(converged), boundary_hit=boundary_hit)
-
-
 def fit_lanes(spec: SemSpec, q_xx: np.ndarray, n: np.ndarray,
-              start_sets: Sequence[Sequence[np.ndarray]]
-              ) -> list[Optional[FitReport]]:
+              start_sets: Sequence[Sequence[np.ndarray]]) -> dict:
     """Fit ``spec`` to each realized covariation ``q_xx[k]`` of an (R, p, p)
     stack, over ``n[k]`` increments, from each start of ``start_sets[k]``:
     every start one lane of one lockstep ``_optimize`` loop.
 
-    Each report is that of its best start (ties in the attained value keep
-    the earliest), with the observed Hessian of that lane's last accepted
+    The fits are returned as columns of R rows, one for each per-fit field
+    of ``FitReport`` (``theta_hat`` to ``boundary_hit``) and ``failed``.
+    Row k is fit k's best start (ties in the attained value keep the
+    earliest), with the observed Hessian of that lane's last accepted
     pass, ``evaluations`` summed over all its starts and ``restarts`` the
-    number of starts after the first; it is ``None`` when every start lies
-    outside the admissible region.  A report does not depend on which
-    other fits share the loop.  Before any pass, ``ValueError`` refuses a
-    stack that is not (p, p) (``SemSpec.check_covariation``), an ``n`` or
+    number of starts after the first.  It is ``failed`` when every start
+    lies outside the admissible region, or there is none; a failed row's
+    other cells mean nothing.  A row does not depend on which other fits
+    share the loop.  Before any pass, ``ValueError`` refuses a stack that
+    is not (p, p) (``SemSpec.check_covariation``), an ``n`` or
     ``start_sets`` not of length R, and an ``n`` that ``_doc.integer``
     does not read as an integer of at least 1.
     """
@@ -342,24 +334,30 @@ def fit_lanes(spec: SemSpec, q_xx: np.ndarray, n: np.ndarray,
                          f"n {np.shape(n)} and {len(start_sets)} start sets")
     n = np.array([_doc.integer(value, f"n[{k}]", 1) for k, value in enumerate(n)],
                  dtype=float)
-    owner = np.repeat(np.arange(len(q_xx)), [len(s) for s in start_sets])
+    sizes = np.array([len(starts) for starts in start_sets], dtype=int)
+    owner = np.repeat(np.arange(len(q_xx)), sizes)
     inits = np.array([spec._check_theta(start) for starts in start_sets
                       for start in starts]).reshape(len(owner), spec.q)
     lanes = _optimize(spec, lambda theta, at: score_lanes(
         spec, theta, q_xx[owner[at]], n[owner[at]]), inits)
 
-    reports: list[Optional[FitReport]] = []
-    for k in range(len(q_xx)):
-        mine = owner == k
-        admissible = np.flatnonzero(mine & lanes.started)
-        if not admissible.size:
-            reports.append(None)
-            continue
-        best = admissible[np.argmax(lanes.value[admissible])]
-        reports.append(_finalize(spec, int(n[k]), lanes, best,
-                                 int(lanes.evaluations[mine].sum()),
-                                 int(mine.sum()) - 1))
-    return reports
+    # Each fit's lanes, best first: lexsort is stable, so ties keep the
+    # earliest start.  A fit with no start reads another fit's best lane,
+    # or zeros when no fit has a start, and is failed.
+    order = np.append(np.lexsort((-lanes.value, owner)), 0)
+    best = order[np.cumsum(sizes) - sizes]
+    top = _Lanes(*(a[best] if len(a) else np.zeros((len(q_xx), *a.shape[1:]),
+                                                   a.dtype) for a in lanes))
+    kkt, converged = _kkt(top.grad, _free_mask(spec, top.theta, top.grad),
+                          top.value)
+    edge = np.minimum(top.theta - spec.lower, spec.upper - top.theta)
+    return {"theta_hat": top.theta, "h_at_hat": top.value, "grad_norm": kkt,
+            "hessian": top.hessian, "iterations": top.iterations,
+            "evaluations": np.bincount(owner, lanes.evaluations,
+                                       len(q_xx)).astype(int),
+            "restarts": sizes - 1, "converged": converged,
+            "boundary_hit": (edge <= _BOUNDARY_TOL).any(axis=1),
+            "failed": (sizes == 0) | ~top.started}
 
 
 def fit(surface: LikelihoodSurface, init: Optional[np.ndarray] = None,
@@ -423,15 +421,19 @@ def fit_multistart(spec: SemSpec, quadvar: QuadVar, starts: int = 8,
                    seed: int = 0, init: Optional[np.ndarray] = None) -> FitReport:
     """Best fit of ``spec`` to ``quadvar`` over the ``start_set`` of
     ``starts`` starts, all run as lanes of one ``fit_lanes`` loop; ties in
-    the attained value keep the earliest start.  The one single-Q fit:
-    when every start lies outside the admissible region it raises
-    :class:`AllStartsFailedError`."""
-    (report,) = fit_lanes(spec, quadvar.q_xx[None], [quadvar.n],
-                          [start_set(spec, quadvar.q_xx, starts, seed, init)])
-    if report is None:
+    the attained value keep the earliest start.  The one single-Q fit,
+    and the one place a ``FitReport`` is built from a fit: row 0 of
+    ``fit_lanes``' columns.  When every start lies outside the admissible
+    region it raises :class:`AllStartsFailedError`."""
+    fits = fit_lanes(spec, quadvar.q_xx[None], [quadvar.n],
+                     [start_set(spec, quadvar.q_xx, starts, seed, init)])
+    if fits.pop("failed")[0]:
         raise AllStartsFailedError(
             f"all {starts} starts failed for {spec.name!r}")
-    return report
+    # Row 0, its scalars as the Python types the report's fields declare.
+    return FitReport(spec.name, quadvar.n, spec.q,
+                     **{c: v[0] if v.ndim > 1 else v[0].item()
+                        for c, v in fits.items()})
 
 
 def limit_optimum(spec: SemSpec, sigma0: np.ndarray, starts: int = 8,

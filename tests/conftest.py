@@ -7,7 +7,7 @@ import pytest
 import scipy.signal
 from scipy.linalg import lapack
 
-from hfsem import diffsim, models, qlik
+from hfsem import diffsim, models, qlik, qmle
 from hfsem.semspec import SemSpec
 
 
@@ -508,6 +508,16 @@ def per_lane_free_steps(matrix, grad, free, least_squares=False):
         if least_squares:
             steps[lane, keep] = np.linalg.lstsq(block, g, rcond=None)[0]
     return steps, failed
+
+
+def column_reports(spec, n, fits):
+    """``qmle.fit_lanes``' columns ``fits`` of ``spec``, fitted at grid
+    sizes ``n``, as one ``FitReport`` per row (``None`` for a failed row),
+    each cell as the column holds it."""
+    fields = [c for c in fits if c != "failed"]
+    return [None if failed else qmle.FitReport(
+        spec.name, int(n[k]), spec.q, **{c: fits[c][k] for c in fields})
+        for k, failed in enumerate(fits["failed"])]
 
 
 def bundled_truth_doc():

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -431,6 +432,19 @@ def test_path_error_is_one_line(runner, fit_files, tmp_path, argv, culprit,
     strerror = {"missing": "No such file or directory",
                 "directory": "Is a directory"}[reason]
     assert result.output == f"Error: {fill[culprit][0]}: {strerror}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+def test_write_error_without_filename(runner, fit_files):
+    # Writing to /dev/full fails with an OSError that names no file: the
+    # message is the error itself.
+    _, path, _ = fit_files
+    result = runner.invoke(main, ["quadvar", "--in", str(path), "--T", "1",
+                                  "--out", "/dev/full"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "Error: [Errno 28] No space left on device\n"
 
 
 class TestTable1:

@@ -16,7 +16,7 @@ from hfsem.errors import (AllStartsFailedError, SingularStructureError,
 from hfsem.infocrit import CRITERIA, criteria_row, gamma_zero, select
 from hfsem.qlik import quad_var
 from tests.conftest import (all_fixed_spec, bundled_truth_doc,
-                            make_degenerate_model)
+                            column_reports, make_degenerate_model)
 
 
 def small_config(**overrides):
@@ -33,11 +33,10 @@ def failing_fit_lanes(model, lanes=slice(None)):
     original = harness.fit_lanes
 
     def fit_lanes(spec, q_xx, n, start_sets):
-        reports = original(spec, q_xx, n, start_sets)
+        fits = original(spec, q_xx, n, start_sets)
         if spec.name == model:
-            for k in range(len(reports))[lanes]:
-                reports[k] = None
-        return reports
+            fits["failed"][lanes] = True
+        return fits
 
     return fit_lanes
 
@@ -336,8 +335,13 @@ class TestRunExperiment:
         # finished task the winners of select over its criteria rows, and
         # each task with a failed fit -1.
         failing, reports = failing_fit_lanes("model2", slice(None, None, 5)), {}
-        monkeypatch.setattr(harness, "fit_lanes", lambda spec, *args:
-                            reports.setdefault(spec.name, failing(spec, *args)))
+
+        def fit_lanes(spec, q_xx, n, start_sets):
+            fits = failing(spec, q_xx, n, start_sets)
+            reports[spec.name] = column_reports(spec, n, fits)
+            return fits
+
+        monkeypatch.setattr(harness, "fit_lanes", fit_lanes)
         config = small_config(n_values=[100, 200], replications=64)
         assert harness._chunk_cuts(128, config.workers) == [0, 128]
         _, records = harness.run_experiment(config)

@@ -215,6 +215,16 @@ class TestLikelihoodValue:
         with pytest.raises(NotPositiveDefiniteError):
             surface.value(theta)
 
+    def test_non_finite_value_signal(self, model1, quadvar_1e4):
+        # A loading of 1e200 overflows Sigma: the kernel rejects the lane
+        # as non-finite, and the surface names that reason.
+        surface = LikelihoodSurface(model1, quadvar_1e4)
+        theta = models.THETA1_TRUE.copy()
+        theta[0] = 1e200
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="^the likelihood is not finite at theta$"):
+            surface.value(theta)
+
     def test_shape_mismatch(self, scalar_model, quadvar_1e4):
         with pytest.raises(ValueError):
             LikelihoodSurface(scalar_model, quadvar_1e4)

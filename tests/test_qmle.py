@@ -13,9 +13,9 @@ from hfsem.errors import (AllStartsFailedError, NotPositiveDefiniteError,
                           SingularStructureError, SpecError)
 from hfsem.qlik import LikelihoodSurface, QuadVar, quad_var
 from hfsem.semspec import SemSpec
-from tests.conftest import (all_fixed_spec, edited_spec, interior_theta,
-                            make_structural_spec, per_lane_free_steps,
-                            stacked_d1)
+from tests.conftest import (all_fixed_spec, column_reports, edited_spec,
+                            interior_theta, make_structural_spec,
+                            per_lane_free_steps, stacked_d1)
 
 
 @pytest.fixture(scope="module")
@@ -496,8 +496,8 @@ class TestMultistart:
         a, b = (qmle.fit_multistart(model1, quadvar_1e3, 1, seed, init)
                 for seed in (0, 5))
         start = qmle.moment_start(model1, quadvar_1e3.q_xx) if init is None else init
-        (lane,) = qmle.fit_lanes(model1, quadvar_1e3.q_xx[None],
-                                 [quadvar_1e3.n], [[start]])
+        (lane,) = column_reports(model1, [quadvar_1e3.n], qmle.fit_lanes(
+            model1, quadvar_1e3.q_xx[None], [quadvar_1e3.n], [[start]]))
         assert a.to_dict() == b.to_dict() == lane.to_dict()
 
     def test_determinism_given_seed(self, model1, quadvar_1e3):
@@ -661,9 +661,11 @@ def test_latin_hypercube_one_point_per_stratum():
 
 
 def fit_stack(spec, quadvars, start_sets):
-    """``fit_lanes`` on the stacked Q and n of ``quadvars``."""
-    return qmle.fit_lanes(spec, np.array([qv.q_xx for qv in quadvars]),
-                          np.array([qv.n for qv in quadvars]), start_sets)
+    """``fit_lanes`` on the stacked Q and n of ``quadvars``, its rows as
+    reports (``column_reports``)."""
+    n = np.array([qv.n for qv in quadvars])
+    return column_reports(spec, n, qmle.fit_lanes(
+        spec, np.array([qv.q_xx for qv in quadvars]), n, start_sets))
 
 
 class TestLanes:
@@ -801,6 +803,80 @@ class TestLanes:
             qmle.fit_lanes(model1, q_xx, [1000, n],
                            [[models.THETA1_TRUE]] * 2)
         assert passes == []
+
+
+    def test_rows_are_multistart_reports(self, model1):
+        # Each row of a stack of multistart fits, from the start set
+        # fit_multistart draws for its Q, is that Q's fit_multistart report.
+        quadvars = [quad_var(
+            diffsim.simulate_true_model(n, 1.0, seed=70 + k).x_obs, 1.0)
+            for k, n in enumerate([100, 1000, 400])]
+        sets = [qmle.start_set(model1, qv.q_xx, 3, seed=k)
+                for k, qv in enumerate(quadvars)]
+        rows = fit_stack(model1, quadvars, sets)
+        for k, (qv, row) in enumerate(zip(quadvars, rows)):
+            solo = qmle.fit_multistart(model1, qv, 3, seed=k)
+            assert row.to_dict() == solo.to_dict()
+            assert np.array_equal(row.hessian, solo.hessian)
+            assert row.restarts == 2
+
+    def test_best_lane_ties_keep_earliest_start(self, model1, quadvar_1e3,
+                                                monkeypatch):
+        # Lanes with values drawn from a few levels (many ties), some not
+        # started, in sets of 0 to 4 starts: each row gathers the earliest
+        # admissible lane of highest value, as an argmax over its
+        # admissible lanes does, and a row with none is failed.
+        rng = np.random.default_rng(3)
+        sizes = rng.integers(0, 5, size=60)
+        count, q = sizes.sum(), model1.q
+        started = rng.random(count) < 0.8
+        value = np.where(started, rng.integers(-3, 0, count).astype(float),
+                         -np.inf)
+        theta = np.repeat(models.THETA1_TRUE[None], count, axis=0)
+        theta[:, 0] += np.arange(count)       # tells the lanes apart
+        fake = qmle._Lanes(theta, value, np.zeros((count, q)),
+                           np.arange(count)[:, None, None] * np.ones((q, q)),
+                           np.arange(count), np.arange(count) + 1, started)
+        monkeypatch.setattr(qmle, "_optimize", lambda *args: fake)
+        fits = qmle.fit_lanes(model1, np.array([quadvar_1e3.q_xx] * len(sizes)),
+                              [1000] * len(sizes),
+                              [[models.THETA1_TRUE] * size for size in sizes])
+        first = np.cumsum(sizes) - sizes
+        for k, (size, start) in enumerate(zip(sizes, first)):
+            lanes = np.arange(start, start + size)
+            admissible = lanes[started[lanes]]
+            assert fits["failed"][k] == (not admissible.size)
+            assert fits["restarts"][k] == size - 1
+            assert fits["evaluations"][k] == (lanes + 1).sum()
+            if admissible.size:
+                best = admissible[np.argmax(value[admissible])]
+                assert fits["iterations"][k] == best
+                assert fits["h_at_hat"][k] == value[best]
+                assert np.array_equal(fits["theta_hat"][k], theta[best])
+                assert np.all(fits["hessian"][k] == best)
+        assert fits["failed"].sum() > 5 and (sizes == 0).sum() > 5
+
+    def test_no_start_and_empty_stack(self, model1, quadvar_1e3):
+        # A fit with no start is a failed row, its neighbours untouched,
+        # with no start at all in the stack too; an empty stack gives
+        # empty columns.
+        fits = qmle.fit_lanes(model1, np.array([quadvar_1e3.q_xx] * 3),
+                              [1000] * 3, [[models.THETA1_TRUE], [],
+                                           [models.THETA1_TRUE]])
+        assert fits["failed"].tolist() == [False, True, False]
+        solo = qmle.fit_multistart(model1, quadvar_1e3, 1,
+                                   init=models.THETA1_TRUE)
+        for row in column_reports(model1, [1000] * 3, fits)[::2]:
+            assert row.to_dict() == solo.to_dict()
+        fits = qmle.fit_lanes(model1, np.array([quadvar_1e3.q_xx] * 2),
+                              [1000] * 2, [[], []])
+        assert fits["failed"].tolist() == [True, True]
+        assert all(len(column) == 2 for column in fits.values())
+        fits = qmle.fit_lanes(model1, np.zeros((0, 10, 10)), [], [])
+        q = model1.q
+        assert {c: v.shape for c, v in fits.items()} == {
+            **dict.fromkeys(fits, (0,)), "theta_hat": (0, q),
+            "hessian": (0, q, q)}
 
 
 class TestFitOptions:

@@ -702,6 +702,77 @@ def test_chunk_stage_computes_criteria_by_column():
     assert {"criteria_row", "select"} <= set(harness.__all__)
 
 
+# The fields of one fit, after the model, n and q of its spec and task.
+PER_FIT = [f.name for f in dataclasses.fields(qmle.FitReport)][3:]
+
+
+def test_fit_columns_are_report_fields():
+    # fit_lanes' columns are a FitReport's per-fit fields, in its order,
+    # and the failed flag: the report's fields are the one list of them.
+    assert PER_FIT[0] == "theta_hat" and PER_FIT[-1] == "boundary_hit"
+    fits = qmle.fit_lanes(models.load_builtin("model1"), np.zeros((0, 10, 10)),
+                          [], [])
+    assert list(fits) == [*PER_FIT, "failed"]
+
+
+def test_one_report_per_limit_optimum(monkeypatch):
+    # A true-init study builds one FitReport per spec, that of its limit
+    # optimum (fit_multistart); its replications' fits stay columns.
+    built = []
+    init = qmle.FitReport.__init__
+
+    def spy(report, *args, **kwargs):
+        init(report, *args, **kwargs)
+        built.append((report.model, report.n))
+
+    monkeypatch.setattr(qmle.FitReport, "__init__", spy)
+    config = harness.ExperimentConfig(
+        n_values=[100, 200], T=1.0, replications=3, master_seed=4,
+        model_spec_paths=["model1", "model2", "model3"])
+    _, records = harness.run_experiment(config)
+    assert len(records) == 18
+    assert built == [("model1", 1), ("model2", 1), ("model3", 1)]
+
+
+def report_reads(source: str) -> list[int]:
+    """The lines of a module that name ``FitReport`` (``names_of``), read
+    an attribute named after one of its per-fit fields or call
+    ``getattr``."""
+    found = set(names_of(source, "FitReport"))
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in PER_FIT
+                or isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "getattr"):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_chunk_stage_reads_fit_columns():
+    # harness writes fit_lanes' columns into its records: it builds no
+    # FitReport and reads none.
+    assert report_reads((SRC / "harness.py").read_text()) == []
+
+
+def test_report_read_scan_catches_reads():
+    source = "\n".join([
+        # harness.py's _fill as it was while fit_lanes returned reports
+        "def _fill(records, k, tasks, saturated, reports):",               # 1
+        "    done = [i for i, r in enumerate(reports) if r is not None]",  # 2
+        "    h_at_hat = np.array([reports[i].h_at_hat for i in done])",    # 3
+        "    hessian = np.array([reports[i].hessian for i in done])",      # 4
+        "    for c in _FIT_TYPES:",                                        # 5
+        "        records.columns[c][at] = [getattr(reports[i], c)",        # 6
+        "                                  for i in done]",                # 7
+        # other spellings
+        "from .qmle import FitReport",                                     # 8
+        "report = qmle.FitReport(**doc)",                                  # 9
+        "theta = fit_multistart(spec, qv).theta_hat",                      # 10
+        "name = 'FitReport'  # a string is no name",                       # 11
+        "fits['theta_hat'][done]  # a column, not an attribute",           # 12
+    ])
+    assert report_reads(source) == [3, 4, 6, 8, 9, 10]
+
+
 def test_likelihood_formulas_in_qlik():
     # The saturated log-likelihood, n (-p - log det Q) / 2, is qlik's, next
     # to the quasi-likelihood; the chunk stage only calls it.
